@@ -35,7 +35,6 @@ from .kernels import (
     RelaxationKernel,
     build_kernel,
     make_rate,
-    tail_from,
     validate_hypotheses,
 )
 from .stableset import (
@@ -72,7 +71,7 @@ __all__ = [
     "DomainSpec", "Mesh", "build_mesh",
     "HistoryBuffer",
     "BoundaryCoefficients", "HypothesisReport", "RelaxationKernel",
-    "build_kernel", "make_rate", "tail_from", "validate_hypotheses",
+    "build_kernel", "make_rate", "validate_hypotheses",
     "StableSetReport", "WellConstants", "check_initial_membership",
     "compute_well_constants", "estimate_B_Omega", "estimate_embedding_constant",
     "estimate_trace_constant", "potential_F", "verify_invariance",

@@ -98,8 +98,6 @@ DEFAULTS: dict = {
         "dt": 1e-3,
         "t_end": 10.0,
         "record_every": 10,
-        "storage": "auto",
-        "stride": 10,
         "cfl_safety": 0.9,
     },
     "analysis": {"constants": True, "decay": True, "t_tail": None, "t0": None,
@@ -108,6 +106,13 @@ DEFAULTS: dict = {
     "output_dir": "viscowave-out",
     "seed": 2024,
     "tolerances": dict(DEFAULT_TOLERANCES),
+}
+
+# Keys that earlier versions accepted, rejected with the reason they went.
+REMOVED_KEYS = {
+    ("stepping", "storage"): "removed; every kernel uses the one exact "
+                             "sum-of-exponentials memory recursion",
+    ("stepping", "stride"): "removed; the memory recursion keeps no snapshots to thin out",
 }
 
 
@@ -187,8 +192,6 @@ class RunConfig:
                 "dt": self.stepping.dt,
                 "t_end": self.stepping.t_end,
                 "record_every": self.stepping.record_every,
-                "storage": self.stepping.storage,
-                "stride": self.stepping.stride,
                 "cfl_safety": self.stepping.cfl_safety,
             },
             "analysis": {
@@ -215,7 +218,9 @@ def _merge_section(raw: dict, section: str, errors: list[str]) -> dict:
         errors.append(f"{section}: expected an object, got {type(given).__name__}")
         return merged
     for key, val in given.items():
-        if key not in merged:
+        if (section, key) in REMOVED_KEYS:
+            errors.append(f"{section}.{key}: {REMOVED_KEYS[section, key]}")
+        elif key not in merged:
             errors.append(f"{section}.{key}: unknown key")
         else:
             merged[key] = val
@@ -294,8 +299,6 @@ def parse_config(text: str) -> RunConfig:
                 dt=float(stp["dt"]),
                 t_end=float(stp["t_end"]),
                 record_every=int(stp["record_every"]),
-                storage=str(stp["storage"]),
-                stride=int(stp["stride"]),
                 cfl_safety=float(stp["cfl_safety"]),
             )
         except (ValueError, TypeError) as exc:
@@ -562,7 +565,7 @@ def _metadata(config: RunConfig, ops, traj, started: float) -> dict:
         "quad_order": ops.quad_order,
         "lam_max_unit": ops.lam_max_unit,
         "n_records": traj.n_records if traj is not None else 0,
-        "storage": traj.meta.get("storage") if traj is not None else None,
+        "memory": traj.meta.get("memory") if traj is not None else None,
         "runtime_seconds": round(time.time() - started, 3),
     }
 
@@ -587,8 +590,6 @@ def run_mms_level(config: RunConfig, mesh: Mesh, ops) -> dict:
         t_end=config.stepping.t_end,
         record_every=max(1, int(round(config.stepping.t_end / config.stepping.dt))),
         cfl_safety=config.stepping.cfl_safety,
-        storage=config.stepping.storage,
-        stride=config.stepping.stride,
         forcing=case.forcing,
     )
     traj = run(case.u0, case.u1, case.y0, ops, kernel, config.physics, cfg)
@@ -668,7 +669,7 @@ PRESETS: dict[str, ScenarioPreset] = {
             physics={"a": 3.0},
             kernel={"family": "power_law", "alpha": 2.0},
             initial={"profile": "sine", "amplitude": 0.4},
-            stepping={"dt": 2e-3, "t_end": 40.0, "record_every": 20, "stride": 10},
+            stepping={"dt": 2e-3, "t_end": 40.0, "record_every": 20},
             analysis={"t_tail": 15.0},
         ),
         _preset(
@@ -677,7 +678,7 @@ PRESETS: dict[str, ScenarioPreset] = {
                       "omega_positive": True, "horizon_change_max": 0.20},
             kernel={"family": "oscillatory", "alpha": 1.0, "eps": 0.5},
             initial={"profile": "sine", "amplitude": 0.4},
-            stepping={"dt": 2e-3, "t_end": 20.0, "record_every": 10, "stride": 10},
+            stepping={"dt": 2e-3, "t_end": 20.0, "record_every": 10},
             analysis={"t_tail": 8.0},
         ),
         _preset(

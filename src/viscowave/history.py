@@ -1,21 +1,31 @@
 """Solution history and the three memory quantities of the wave system.
 
-For a kernel g and stiffness form K the buffer evaluates, at the current
-time t,
+For a kernel g and stiffness form K the buffer evaluates, at the time t of
+the last push,
 
   convolution force   int_0^t g(t-s) K u(s) ds          (a vector),
   g  o grad u         int_0^t g(t-s) |grad(u(t)-u(s))|^2 ds,
-  g' o grad u         the same with g' = -xi g.
+  g' o grad u         the same with g' = -xi g,
 
-Two evaluation paths exist.  Exponential kernels (constant rate) use exact
-recursive accumulators equivalent to composite-trapezoid quadrature over the
-full step history at O(N) per step.  All other kernels use explicit
-trapezoid quadrature over the retained snapshots, with optional stride or
-truncation-window storage to keep long runs affordable; trapezoid weights on
-the (possibly non-uniform) retained stamps integrate constants exactly.
+each as the composite-trapezoid sum over every pushed stamp.
 
-Snapshots store u, K u and u^T K u at push time, so every later evaluation
-is pure accumulation: |grad(u(t)-u(s))|^2 expands into stored quantities.
+The kernel enters through its sum of exponentials
+g ~ Re sum_j c_j e^{-s_j t} (``RelaxationKernel.exp_sum``, certified on
+[0, horizon]).  For one exponential the trapezoid sum obeys an exact
+two-stamp recursion, so per term j the buffer holds the weighted sum A_j of
+the rows r_i = [K u_i, u_i^T K u_i, 1] and updates it at O(n) cost per
+push, however long the history:
+
+  A_j <- e^{-s_j dt} (A_j + h_j r_prev) + h_j r_new,    h_j = c_j dt / 2.
+
+The force is Re sum_j A_j[K u].  |grad(u(t)-u(s))|^2 expands into the
+stored row entries, so both o functionals come from one product of A with
+[-2 u(t), 1, u(t)^T K u_last], summed with the weights 1 and -s_j (the
+expansion of g' = sum_j -s_j c_j e^{-s_j t}).  For an exponential kernel the
+result is the trapezoid sum itself (steps that differ only by the rounding
+of the stamps count as equal); otherwise it differs from the trapezoid sum
+with the exact g by at most the certified relative error times the
+trapezoid mass.  Memory held is O(J n) and does not grow with the pushes.
 
 A buffer built with ``kernel=None`` is the memory-free mode used by
 reference and manufactured-solution runs: every quantity is identically
@@ -24,91 +34,45 @@ zero.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.optimize import brentq
 
-from .kernels import ConstantRate, PowerLawRate, RelaxationKernel
-
-STORAGE_POLICIES = ("auto", "fast", "full", "stride", "window")
-
-
-def _trap_weights(ts: np.ndarray) -> np.ndarray:
-    w = np.zeros(len(ts))
-    if len(ts) >= 2:
-        w[0] = (ts[1] - ts[0]) / 2.0
-        w[-1] = (ts[-1] - ts[-2]) / 2.0
-        w[1:-1] = (ts[2:] - ts[:-2]) / 2.0
-    return w
+from .kernels import RelaxationKernel
 
 
 class HistoryBuffer:
-    """Causal history of one simulation; mutated only by its owning stepper."""
+    """Causal history of one simulation; mutated only by its owning stepper.
 
-    def __init__(
-        self,
-        kernel: RelaxationKernel | None,
-        n_dofs: int,
-        policy: str = "auto",
-        stride: int = 2,
-        eps_g_rel: float = 1e-8,
-    ):
-        if policy not in STORAGE_POLICIES:
-            raise ValueError(f"unknown storage policy '{policy}'; valid: {STORAGE_POLICIES}")
+    ``horizon`` is the latest push time: the kernel's expansion is certified
+    on [0, horizon].  Kernels whose expansion holds for every t need none.
+    """
+
+    def __init__(self, kernel: RelaxationKernel | None, n_dofs: int,
+                 horizon: float | None = None):
         self.kernel = kernel
         self.n_dofs = n_dofs
-        self.stride = int(stride)
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        self.eps_g_rel = eps_g_rel
-
-        if kernel is None:
-            self.policy = "none"
-        elif policy == "auto":
-            self.policy = "fast" if kernel.fast_path else "full"
-        elif policy == "fast":
-            if not kernel.fast_path:
-                raise ValueError("fast path requires an exponential (constant-rate) kernel")
-            self.policy = "fast"
-        else:
-            self.policy = policy
-
         self._t_last = None
         self._push_count = 0
+        self.expansion = None
+        if kernel is None:
+            return
 
-        if self.policy == "fast":
-            self._alpha = kernel.rate.alpha
-            self._acc_ku = np.zeros(n_dofs)
-            self._acc_q = 0.0
-            self._acc_one = 0.0
-            self._ku_last = np.zeros(n_dofs)
-            self._q_last = 0.0
-        elif self.policy not in ("none",):
-            cap = 256
-            self._ts = np.zeros(cap)
-            self._ku = np.zeros((cap, n_dofs))
-            self._u = np.zeros((cap, n_dofs))
-            self._q = np.zeros(cap)
-            self._count = 0
-            self._start = 0
-            self._last_is_keeper = True
-            if self.policy == "window":
-                self._window = self._solve_window(kernel, eps_g_rel)
-
-    @staticmethod
-    def _solve_window(kernel: RelaxationKernel, eps_rel: float) -> float:
-        # age W with g(W) = eps_rel * g(0), i.e. phi(W) = ln(1/eps_rel)
-        target = math.log(1.0 / eps_rel)
-        rate = kernel.rate
-        if isinstance(rate, ConstantRate):
-            return target / rate.alpha
-        if isinstance(rate, PowerLawRate):
-            return math.exp(target / rate.alpha) - 1.0
-        hi = 1.0
-        while float(rate.phi(hi)) < target:
-            hi *= 2.0
-        return brentq(lambda w: float(rate.phi(w)) - target, 0.0, hi)
+        exp_sum = kernel.exp_sum(horizon)
+        self.expansion = exp_sum
+        self._t_max = exp_sum.horizon * (1.0 + 1e-9)
+        n_terms, dtype = exp_sum.n_terms, exp_sum.rates.dtype
+        self._acc = np.zeros((n_terms, n_dofs + 2), dtype)  # A_j, columns [K u, q, 1]
+        self._half_row = np.zeros_like(self._acc)  # h_j r_last
+        self._row = np.zeros(n_dofs + 2)  # r_last
+        self._row[-1] = 1.0
+        self._aug = np.zeros(n_dofs + 2)
+        self._aug[-2] = 1.0
+        self._weights = np.array([np.ones(n_terms, dtype), -exp_sum.rates])  # g, g'
+        self._decay = np.zeros((n_terms, 1), dtype)
+        self._half = np.zeros((n_terms, 1), dtype)
+        self._dt: float | None = None
+        self._diamond_u = None
+        self._diamond_count = 0
+        self._diamonds_cached = (0.0, 0.0)
 
     @property
     def last_time(self) -> float | None:
@@ -116,9 +80,26 @@ class HistoryBuffer:
 
     @property
     def n_entries(self) -> int:
-        if self.policy in ("none", "fast"):
-            return self._push_count
-        return self._count - self._start
+        """Number of pushes recorded."""
+        return self._push_count
+
+    @property
+    def bytes_held(self) -> int:
+        """Bytes of history state; independent of the number of pushes."""
+        if self.kernel is None:
+            return 0
+        arrays = (self._acc, self._half_row, self._row, self._aug, self._weights,
+                  self._decay, self._half)
+        return sum(a.nbytes for a in arrays)
+
+    def diagnostics(self) -> dict:
+        """Size of the history state and the certified error of the expansion."""
+        exp_sum = self.expansion
+        return {
+            "n_terms": exp_sum.n_terms if exp_sum is not None else 0,
+            "bytes_held": self.bytes_held,
+            "certified_rel_error": exp_sum.rel_error if exp_sum is not None else 0.0,
+        }
 
     def push(self, t: float, u: np.ndarray, ku: np.ndarray) -> None:
         """Record the state at time t; t must exceed every earlier stamp."""
@@ -128,64 +109,35 @@ class HistoryBuffer:
         elif t <= self._t_last:
             raise ValueError(f"non-monotone push: t = {t} after t = {self._t_last}")
 
-        if self.policy == "none":
-            self._t_last = t
-            self._push_count += 1
-            return
-
-        if self.policy == "fast":
-            q = float(u @ ku)
+        if self.kernel is not None:
+            if t > self._t_max:
+                raise ValueError(
+                    f"push at t = {t} past the horizon {self.expansion.horizon} on which "
+                    "the kernel expansion is certified"
+                )
+            acc, row, half_row = self._acc, self._row, self._half_row
             if self._t_last is not None:
                 dt = t - self._t_last
-                d = math.exp(-self._alpha * dt)
-                g0 = self.kernel.g0
-                half = 0.5 * dt * g0
-                self._acc_ku = d * (self._acc_ku + half * self._ku_last) + half * ku
-                self._acc_q = d * (self._acc_q + half * self._q_last) + half * q
-                self._acc_one = d * (self._acc_one + half) + half
-            self._ku_last = np.array(ku, dtype=float)
-            self._q_last = q
-            self._t_last = t
-            self._push_count += 1
-            return
-
-        keep_previous = True
-        if self.policy == "stride" and self._count - self._start > 0:
-            keep_previous = self._last_is_keeper
-        if not keep_previous:
-            self._count -= 1  # previous entry was only a running endpoint
-
-        self._ensure_capacity()
-        i = self._count
-        self._ts[i] = t
-        self._u[i] = u
-        self._ku[i] = ku
-        self._q[i] = float(u @ ku)
-        self._count += 1
-        self._last_is_keeper = (self._push_count % self.stride == 0)
+                # stamps t + dt carry rounding noise; steps equal up to it
+                # share the cached weights of the first one
+                if self._dt is None or abs(dt - self._dt) > 1e-8 * dt:
+                    self._set_step(dt)
+                acc += half_row
+                acc *= self._decay
+            row[:-2] = ku
+            row[-2] = u @ ku
+            # before the first step h_j = 0, so the first push adds nothing
+            np.multiply(self._half, row, out=half_row)
+            acc += half_row
         self._t_last = t
         self._push_count += 1
 
-        if self.policy == "window":
-            cutoff = t - self._window
-            while self._count - self._start > 2 and self._ts[self._start] < cutoff:
-                self._start += 1
-
-    def _ensure_capacity(self) -> None:
-        cap = len(self._ts)
-        if self._count < cap:
-            return
-        new_cap = cap * 2
-        for name in ("_ts", "_q"):
-            arr = getattr(self, name)
-            grown = np.zeros(new_cap)
-            grown[: self._count] = arr[: self._count]
-            setattr(self, name, grown)
-        for name in ("_ku", "_u"):
-            arr = getattr(self, name)
-            grown = np.zeros((new_cap, self.n_dofs))
-            grown[: self._count] = arr[: self._count]
-            setattr(self, name, grown)
+    def _set_step(self, dt: float) -> None:
+        """Per-term decay e^{-s_j dt} and half weight h_j for steps of size dt."""
+        self._dt = dt
+        self._decay[:, 0] = np.exp(-self.expansion.rates * dt)
+        self._half[:, 0] = 0.5 * dt * self.expansion.coeffs
+        np.multiply(self._half, self._row, out=self._half_row)
 
     def _require_coverage(self, t: float) -> None:
         if self._t_last is None:
@@ -196,48 +148,37 @@ class HistoryBuffer:
                 f"got t = {t}, buffer at t = {self._t_last}"
             )
 
-    def _weights_and_ages(self, t: float):
-        ts = self._ts[self._start : self._count]
-        w = _trap_weights(ts)
-        ages = t - ts
-        return ts, w, ages
-
     def convolution_force(self, t: float) -> np.ndarray:
         """int_0^t g(t-s) K u(s) ds."""
-        if self.policy == "none":
+        if self.kernel is None:
             return np.zeros(self.n_dofs)
         self._require_coverage(t)
-        if self.policy == "fast":
-            return self._acc_ku.copy()
-        _, w, ages = self._weights_and_ages(t)
-        gw = w * self.kernel.g(ages)
-        return gw @ self._ku[self._start : self._count]
+        if len(self._acc) == 1:  # a single exponential needs no sum over terms
+            return self._acc[0, :-2].real.copy()
+        return np.add.reduce(self._acc, 0)[:-2].real
 
     def g_diamond(self, t: float, u_now: np.ndarray) -> float:
         """(g o grad u)(t) >= 0; zero for a history constant in time."""
-        return self._diamond(t, u_now, prime=False)
+        return self._diamonds(t, u_now)[0]
 
     def g_prime_diamond(self, t: float, u_now: np.ndarray) -> float:
         """(g' o grad u)(t) <= 0."""
-        return self._diamond(t, u_now, prime=True)
+        return self._diamonds(t, u_now)[1]
 
-    def _diamond(self, t: float, u_now: np.ndarray, prime: bool) -> float:
-        if self.policy == "none":
-            return 0.0
+    def _diamonds(self, t: float, u_now: np.ndarray) -> tuple[float, float]:
+        # Both functionals come from one product, kept until the next push so
+        # that a record pays for it once.  The cache is keyed on the identity
+        # of u_now: callers must not change u_now in place between the calls.
+        if self.kernel is None:
+            return 0.0, 0.0
         self._require_coverage(t)
-        if self.policy == "fast":
-            q_now = float(u_now @ self._ku_last)
-            val = self._acc_one * q_now - 2.0 * float(u_now @ self._acc_ku) + self._acc_q
-            val = max(val, 0.0)  # roundoff guard: exact value is a sum of squares
-            return -self._alpha * val if prime else val
-        ts, w, ages = self._weights_and_ages(t)
-        gv = self.kernel.g_prime(ages) if prime else self.kernel.g(ages)
-        gw = w * gv
-        ku_h = self._ku[self._start : self._count]
-        q_now = float(u_now @ (ku_h[-1]))
-        val = (
-            gw.sum() * q_now
-            - 2.0 * float(u_now @ (gw @ ku_h))
-            + float(gw @ self._q[self._start : self._count])
-        )
-        return min(val, 0.0) if prime else max(val, 0.0)
+        if self._diamond_u is u_now and self._diamond_count == self._push_count:
+            return self._diamonds_cached
+        aug = self._aug
+        np.multiply(u_now, -2.0, out=aug[:-2])
+        aug[-1] = u_now @ self._row[:-2]
+        gd, gpd = (self._weights @ (self._acc @ aug)).real.tolist()
+        # roundoff guards: the exact values are signed sums of squares
+        self._diamonds_cached = (max(gd, 0.0), min(gpd, 0.0))
+        self._diamond_u, self._diamond_count = u_now, self._push_count
+        return self._diamonds_cached

@@ -35,7 +35,7 @@ from scipy.integrate import quad
 from .assembly import DiscreteOperators, PhysicalParams, pin_gamma0, source_vector
 from .energy import EnergyReport, compute_energy
 from .history import HistoryBuffer
-from .kernels import RelaxationKernel
+from .kernels import ConstantRate, RelaxationKernel
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,6 @@ class StepperConfig:
     t_end: float
     record_every: int = 1
     cfl_safety: float = 0.9
-    storage: str = "auto"
-    stride: int = 2
     forcing: Forcing | None = None
 
     def __post_init__(self):
@@ -274,21 +272,18 @@ def run(
     record_every * dt.  On abort the partial trajectory is attached to the
     raised :class:`SimulationAbort`.
     """
-    buffer = HistoryBuffer(
-        kernel, ops.n_nodes, policy=cfg.storage, stride=cfg.stride
-    )
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    buffer = HistoryBuffer(kernel, ops.n_nodes, horizon=n_steps * cfg.dt)
     traj = Trajectory(
         meta={
             "dt": cfg.dt,
             "t_end": cfg.t_end,
             "record_every": cfg.record_every,
-            "storage": buffer.policy,
-            "stride": cfg.stride,
             "cfl_safety": cfg.cfl_safety,
             "quad_order": ops.quad_order,
+            "memory": buffer.diagnostics(),
         }
     )
-    n_steps = int(round(cfg.t_end / cfg.dt))
     try:
         state = init_state(u0, u1, y0, ops, kernel, params, buffer, cfg)
         traj.record(state, compute_energy(state, buffer, kernel, params, ops))
@@ -435,7 +430,8 @@ def linear_profile_solution(kernel: RelaxationKernel | None,
     the measured error isolates the time integrator.  Needs the Dirichlet
     face at the left end and the acoustic face at the right end.
     """
-    alpha = kernel.rate.alpha if (kernel is not None and kernel.fast_path) else None
+    exponential = kernel is not None and isinstance(kernel.rate, ConstantRate)
+    alpha = kernel.rate.alpha if exponential else None
     g0 = kernel.g0 if kernel is not None else 0.0
 
     def flux_memory(t):

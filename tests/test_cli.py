@@ -78,6 +78,15 @@ def test_unknown_section_key_rejected():
     assert any("stepping.dt_max" in e for e in exc.value.errors)
 
 
+def test_removed_stepping_keys_named():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps({"stepping": {"storage": "auto", "stride": 10}}))
+    msgs = " | ".join(exc.value.errors)
+    assert "stepping.storage: removed" in msgs
+    assert "stepping.stride: removed" in msgs
+    assert sorted(DEFAULTS["stepping"]) == ["cfl_safety", "dt", "record_every", "t_end"]
+
+
 def test_syntax_error_reports_location():
     with pytest.raises(ConfigError) as exc:
         parse_config("{bad json")
@@ -165,6 +174,13 @@ def test_full_scenario_writes_reports(tmp_path):
     meta = json.loads((tmp_path / "full" / "run_metadata.json").read_text())
     assert meta["config"]["stepping"]["t_end"] == 4.0
     assert "initial_boundary_residual" in meta
+    # exponential kernel: one exact term of [K u, u.K u, 1] rows
+    assert meta["memory"]["n_terms"] == 1
+    assert meta["memory"]["certified_rel_error"] == 0.0
+    assert meta["memory"]["bytes_held"] > 0
+    hyp = json.loads((tmp_path / "full" / "hypothesis_report.json").read_text())
+    assert hyp["memory_expansion"] == {"n_terms": 1, "certified_rel_error": 0.0,
+                                       "certification": "exact", "horizon": None}
 
 
 def test_out_of_well_scenario_preserves_partial_outputs(tmp_path):

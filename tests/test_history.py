@@ -6,6 +6,7 @@ import pytest
 from viscowave import HistoryBuffer, assemble, build_kernel, make_rate
 
 from conftest import default_params, exp_kernel, interval_mesh
+from history_oracle import FullHistory
 
 
 def _push_series(buffer, K, times, u_of_t):
@@ -15,7 +16,7 @@ def _push_series(buffer, K, times, u_of_t):
 
 
 def test_first_push_and_monotonicity():
-    buf = HistoryBuffer(exp_kernel(), n_dofs=3, policy="full")
+    buf = HistoryBuffer(exp_kernel(), n_dofs=3)
     with pytest.raises(ValueError, match="start at t = 0"):
         buf.push(0.5, np.zeros(3), np.zeros(3))
     buf.push(0.0, np.zeros(3), np.zeros(3))
@@ -27,7 +28,7 @@ def test_first_push_and_monotonicity():
 def test_empty_history_quantities_vanish():
     mesh = interval_mesh(8)
     ops = assemble(mesh, default_params())
-    buf = HistoryBuffer(exp_kernel(), mesh.n_nodes, policy="full")
+    buf = HistoryBuffer(exp_kernel(), mesh.n_nodes)
     u = mesh.nodes[:, 0].copy()
     buf.push(0.0, u, ops.stiffness @ u)
     assert np.all(buf.convolution_force(0.0) == 0.0)
@@ -35,21 +36,11 @@ def test_empty_history_quantities_vanish():
     assert buf.g_prime_diamond(0.0, u) == 0.0
 
 
-def test_stride_policy_keeps_every_second_plus_endpoint():
-    buf = HistoryBuffer(exp_kernel(), 2, policy="stride", stride=2)
-    for i, t in enumerate(np.linspace(0.0, 1.0, 11)):
-        buf.push(t, np.full(2, float(i)), np.full(2, float(i)))
-    # keepers 0, 0.2, 0.4, 0.6, 0.8, 1.0: the final push is both keeper and
-    # endpoint
-    assert buf.n_entries == 6
-    assert np.allclose(buf._ts[: buf._count], [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
-
-
 def test_fast_path_constant_history_closed_form():
     # constant Ku = c: int_0^t g0 e^{-a(t-s)} c ds = c g0 (1 - e^{-a t})/a
     alpha, g0 = 2.0, 1.5
     kernel = build_kernel(make_rate("constant", alpha), g0, a=5.0)
-    buf = HistoryBuffer(kernel, 1, policy="fast")
+    buf = HistoryBuffer(kernel, 1)
     dt, n = 1e-3, 400
     c = 0.7
     for i in range(n + 1):
@@ -64,7 +55,7 @@ def test_convolution_constant_in_time_factorizes():
     mesh = interval_mesh(16)
     ops = assemble(mesh, default_params())
     kernel = build_kernel(make_rate("power_law", 2.0), 1.0, 3.0)
-    buf = HistoryBuffer(kernel, mesh.n_nodes, policy="full")
+    buf = HistoryBuffer(kernel, mesh.n_nodes, horizon=2.0)
     u = np.sin(np.pi * mesh.nodes[:, 0])
     ku = ops.stiffness @ u
     times = np.linspace(0.0, 2.0, 2001)
@@ -91,8 +82,8 @@ def test_linear_history_closed_forms():
 
     t_end, dt = 1.5, 1e-3
     times = np.arange(0.0, t_end + dt / 2, dt)
-    for policy in ("fast", "full"):
-        buf = HistoryBuffer(kernel, mesh.n_nodes, policy=policy)
+    for make in (HistoryBuffer, FullHistory):
+        buf = make(kernel, mesh.n_nodes)
         _push_series(buf, ops.stiffness, times, lambda t: t * w)
         force = buf.convolution_force(t_end)
         expect = (t_end - 1.0 + math.exp(-t_end)) * kw
@@ -109,7 +100,7 @@ def test_diamond_signs_for_random_history():
     mesh = interval_mesh(12)
     ops = assemble(mesh, default_params())
     kernel = build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)
-    buf = HistoryBuffer(kernel, mesh.n_nodes, policy="full")
+    buf = HistoryBuffer(kernel, mesh.n_nodes)
     rng = np.random.default_rng(3)
     times = np.linspace(0.0, 1.0, 101)
     u = None
@@ -127,8 +118,8 @@ def test_fast_path_equals_full_trapezoid():
     mesh = interval_mesh(16)
     ops = assemble(mesh, default_params())
     kernel = exp_kernel(alpha=1.3, g0=0.8, a=2.0)
-    fast = HistoryBuffer(kernel, mesh.n_nodes, policy="fast")
-    full = HistoryBuffer(kernel, mesh.n_nodes, policy="full")
+    fast = HistoryBuffer(kernel, mesh.n_nodes)
+    full = FullHistory(kernel, mesh.n_nodes)
     rng = np.random.default_rng(11)
     dt = 5e-3
     u = None
@@ -156,7 +147,7 @@ def test_quadrature_second_order_in_dt():
     t_end = 1.0
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        buf = HistoryBuffer(kernel, mesh.n_nodes, policy="full")
+        buf = HistoryBuffer(kernel, mesh.n_nodes)
         times = np.arange(0.0, t_end + dt / 2, dt)
         _push_series(buf, ops.stiffness, times, lambda t: (t**3) * w)
         force = buf.convolution_force(t_end)
@@ -182,7 +173,7 @@ def test_diamond_invariant_under_constant_shift():
         snaps.append(u)
     vals = []
     for offset in (np.zeros(mesh.n_nodes), shift):
-        buf = HistoryBuffer(kernel, mesh.n_nodes, policy="full")
+        buf = HistoryBuffer(kernel, mesh.n_nodes)
         for t, u in zip(times, snaps):
             v = u + offset
             buf.push(t, v, ops.stiffness @ v)
@@ -190,22 +181,70 @@ def test_diamond_invariant_under_constant_shift():
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)
 
 
-def test_window_policy_truncation_error_negligible():
-    mesh = interval_mesh(8)
+FAMILIES = [("constant", 1.3, 0.0, 2.0), ("power_law", 2.0, 0.0, 3.0),
+            ("oscillatory", 1.0, 0.5, 2.0)]
+
+
+@pytest.mark.parametrize("family,alpha,eps,a", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a):
+    # random history with a change of step: the recursion must equal the
+    # trapezoid sum with the exact g up to the expansion's certified error
+    # times the trapezoid mass of each quantity, plus roundoff
+    mesh = interval_mesh(12)
     ops = assemble(mesh, default_params())
-    kernel = build_kernel(make_rate("constant", 3.0), 1.0, 2.0)
-    rng = np.random.default_rng(9)
-    times = np.linspace(0.0, 12.0, 2401)
-    snaps = [rng.standard_normal(mesh.n_nodes) for _ in times]
-    for s in snaps:
-        s[mesh.gamma0_nodes] = 0.0
-    full = HistoryBuffer(kernel, mesh.n_nodes, policy="full")
-    windowed = HistoryBuffer(kernel, mesh.n_nodes, policy="window")
-    for t, u in zip(times, snaps):
-        ku = ops.stiffness @ u
-        full.push(t, u, ku)
-        windowed.push(t, u, ku)
-    assert windowed.n_entries < full.n_entries
-    f_full = full.convolution_force(12.0)
-    f_win = windowed.convolution_force(12.0)
-    assert np.abs(f_full - f_win).max() <= 1e-6 * np.abs(f_full).max()
+    kernel = build_kernel(make_rate(family, alpha, eps), 0.9, a)
+    times = np.concatenate([np.linspace(0.0, 1.0, 201), np.linspace(1.01, 3.0, 200)])
+    buf = HistoryBuffer(kernel, mesh.n_nodes, horizon=times[-1])
+    oracle = FullHistory(kernel, mesh.n_nodes)
+    rng = np.random.default_rng(17)
+    snaps = []
+    for t in times:
+        u = rng.standard_normal(mesh.n_nodes)
+        u[mesh.gamma0_nodes] = 0.0
+        snaps.append((u, ops.stiffness @ u))
+        buf.push(t, u, snaps[-1][1])
+        oracle.push(t, u, snaps[-1][1])
+    t = times[-1]
+    u_now = snaps[-1][0]
+    err = buf.expansion.rel_error
+
+    w = np.array([(times[min(i + 1, len(times) - 1)] - times[max(i - 1, 0)]) / 2.0
+                  for i in range(len(times))])
+    gw, gpw = w * kernel.g(t - times), w * np.abs(kernel.g_prime(t - times))
+    ku_abs = np.abs(np.array([ku for _, ku in snaps]))
+    force_mass = gw @ ku_abs
+    force = buf.convolution_force(t)
+    assert np.all(np.abs(force - oracle.convolution_force(t))
+                  <= err * force_mass + 1e-13 * force_mass.max())
+
+    # scale of the cancelling terms in |grad(u(t) - u(s))|^2 = q_now - 2 u.Ku + q
+    terms = np.array([abs(u_now @ snaps[-1][1]) + 2 * abs(u_now @ ku) + abs(u @ ku)
+                      for u, ku in snaps])
+    for got, want, wt in ((buf.g_diamond(t, u_now), oracle.g_diamond(t, u_now), gw),
+                          (buf.g_prime_diamond(t, u_now), oracle.g_prime_diamond(t, u_now), gpw)):
+        assert abs(got - want) <= err * abs(want) + 1e-13 * (wt @ terms)
+
+
+@pytest.mark.parametrize("family,alpha,eps,a", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_history_memory_flat_in_pushes(family, alpha, eps, a):
+    kernel = build_kernel(make_rate(family, alpha, eps), 1.0, a)
+    buf = HistoryBuffer(kernel, 9, horizon=10.0)
+    held = {}
+    for i in range(801):
+        u = np.full(9, math.sin(i))
+        buf.push(i * 1e-2, u, 2.0 * u)
+        if i in (400, 800):
+            held[i] = buf.bytes_held
+    assert buf.n_entries == 801
+    assert held[400] == held[800] > 0
+    assert buf.diagnostics() == {"n_terms": buf.expansion.n_terms, "bytes_held": held[800],
+                                 "certified_rel_error": buf.expansion.rel_error}
+
+
+def test_push_past_certified_horizon_rejected():
+    kernel = build_kernel(make_rate("power_law", 2.0), 1.0, 3.0)
+    buf = HistoryBuffer(kernel, 2, horizon=1.0)
+    buf.push(0.0, np.zeros(2), np.zeros(2))
+    buf.push(1.0, np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match="horizon"):
+        buf.push(1.5, np.ones(2), np.ones(2))

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from viscowave import build_kernel, make_rate, tail_from, validate_hypotheses
+from viscowave import build_kernel, make_rate, validate_hypotheses
 from viscowave.kernels import BoundaryCoefficients
 
 
@@ -11,7 +12,8 @@ def test_exponential_kernel_construction():
     k = build_kernel(make_rate("constant", 1.0), g0=1.0, a=2.0)
     assert k.tail_mass == pytest.approx(1.0)  # int_0^inf e^{-t}
     assert k.l_value == pytest.approx(1.0)
-    assert k.fast_path
+    soe = k.exp_sum()
+    assert soe.n_terms == 1 and soe.rel_error == 0.0 and soe.certification == "exact"
     ts = np.linspace(0.0, 5.0, 11)
     assert np.allclose(k.g(ts), np.exp(-ts))
 
@@ -20,7 +22,11 @@ def test_power_law_kernel_construction():
     k = build_kernel(make_rate("power_law", 2.0), g0=1.0, a=3.0)
     assert k.tail_mass == pytest.approx(1.0)  # int (1+t)^-2
     assert k.l_value == pytest.approx(2.0)
-    assert not k.fast_path
+    with pytest.raises(ValueError, match="horizon"):
+        k.exp_sum()
+    soe = k.exp_sum(40.0)
+    assert soe.certification == "grid" and soe.horizon == 40.0
+    assert soe.rel_error <= 1e-10
     ts = np.linspace(0.0, 5.0, 11)
     assert np.allclose(k.g(ts), (1.0 + ts) ** -2)
 
@@ -45,10 +51,10 @@ def test_oscillatory_rate_parameter_range():
 
 def test_partial_mass_examples():
     k = build_kernel(make_rate("constant", 1.0), 1.0, 2.0)
-    assert tail_from(k, 1.0) == pytest.approx(1.0 - math.exp(-1.0))
-    assert tail_from(k, 80.0) == pytest.approx(k.tail_mass)
+    assert k.partial_mass(1.0) == pytest.approx(1.0 - math.exp(-1.0))
+    assert k.partial_mass(80.0) == pytest.approx(k.tail_mass)
     kp = build_kernel(make_rate("power_law", 2.0), 1.0, 3.0)
-    assert tail_from(kp, 1.0) == pytest.approx(0.5)
+    assert kp.partial_mass(1.0) == pytest.approx(0.5)
 
 
 def test_mass_split_consistency():
@@ -56,7 +62,41 @@ def test_mass_split_consistency():
     k = build_kernel(make_rate("constant", 2.0), g0=3.0, a=4.0)
     t0 = 1.7
     remainder = 3.0 * math.exp(-2.0 * t0) / 2.0
-    assert k.l_value == pytest.approx(4.0 - tail_from(k, t0) - remainder, rel=1e-8)
+    assert k.l_value == pytest.approx(4.0 - k.partial_mass(t0) - remainder, rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha,eps,g0", [(1.0, 0.5, 1.0), (2.0, 0.25, 0.7), (4.0, 0.9, 3.0)])
+def test_oscillatory_masses_match_quadrature(alpha, eps, g0):
+    # closed-form sums over the expansion against adaptive quadrature of g
+    k = build_kernel(make_rate("oscillatory", alpha, eps), g0, a=10.0)
+    total, _ = quad(lambda s: float(k.g(s)), 0.0, np.inf, epsrel=1e-12, limit=400)
+    assert k.tail_mass == pytest.approx(total, rel=1e-9)
+    for t in (0.05, 0.8, 3.0, 17.0):
+        part, _ = quad(lambda s: float(k.g(s)), 0.0, t, epsrel=1e-12, limit=400)
+        assert k.partial_mass(t) == pytest.approx(part, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "family,alpha,eps,horizon",
+    [("constant", 1.5, 0.0, None), ("oscillatory", 1.0, 0.5, None),
+     ("oscillatory", 3.0, 0.8, None), ("power_law", 2.0, 0.0, 40.0),
+     ("power_law", 1.5, 0.0, 3.0)],
+)
+def test_expansion_meets_its_certificate(family, alpha, eps, horizon):
+    # g and g' from the sum of exponentials, sampled on a grid other than the
+    # one the power-law construction checks
+    k = build_kernel(make_rate(family, alpha, eps), 1.3, a=20.0)
+    soe = k.exp_sum(horizon)
+    assert soe.rel_error <= 1e-10
+    ts = np.unique(np.concatenate([np.linspace(0.0, horizon or 40.0, 7919),
+                                   np.geomspace(1e-7, horizon or 40.0, 997)]))
+    decays = np.exp(-np.multiply.outer(ts, soe.rates))
+    g, gp = k.g(ts), k.g_prime(ts)
+    slack = 1.0 + 1e-3
+    assert np.max(np.abs((decays @ soe.coeffs).real - g) / g) <= slack * soe.rel_error + 1e-15
+    assert np.max(np.abs((decays @ (-soe.rates * soe.coeffs)).real - gp) / -gp) <= (
+        slack * soe.rel_error + 1e-15
+    )
 
 
 @pytest.mark.parametrize(
@@ -132,3 +172,6 @@ def test_report_serializes():
     d = rep.to_dict()
     assert d["passed"] == rep.passed
     assert set(d["conditions"]) == set(rep.conditions)
+    assert d["memory_expansion"] == {"n_terms": k.exp_sum().n_terms,
+                                     "certified_rel_error": k.exp_sum().rel_error,
+                                     "certification": "analytic", "horizon": None}

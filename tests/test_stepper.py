@@ -1,3 +1,5 @@
+import copy
+import json
 import math
 
 import numpy as np
@@ -9,13 +11,17 @@ from viscowave import (
     StepperConfig,
     assemble,
     build_manufactured_case,
+    build_mesh,
     linear_profile_solution,
     run,
 )
+from viscowave import stepper
+from viscowave.cli import PRESETS, initial_data, parse_config
 from viscowave.history import HistoryBuffer
 from viscowave.stepper import init_state, step
 
 from conftest import default_params, exp_kernel, interval_mesh, sine_profile
+from history_oracle import FullHistory
 
 
 def test_zero_data_is_a_fixed_point():
@@ -307,3 +313,26 @@ def test_manufactured_two_level_convergence():
         diff = final.u - exact
         errs.append(math.sqrt(float(diff @ (ops.mass @ diff))))
     assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+
+@pytest.mark.parametrize("preset", ["oscillatory-inwell", "powerlaw-inwell"])
+def test_preset_energies_match_full_history_oracle(preset, monkeypatch):
+    # shortened preset run: the sum-of-exponentials memory against the
+    # full-history trapezoid with the exact kernel, within the identity budget
+    raw = copy.deepcopy(PRESETS[preset].config)
+    raw["stepping"]["t_end"] = 2.0
+    cfg = parse_config(json.dumps(raw))
+    mesh = build_mesh(cfg.domain)
+    ops = assemble(mesh, cfg.physics)
+    kernel = cfg.build_kernel()
+    u0, u1, y0 = initial_data(cfg, mesh)
+    energies = []
+    for buffer_class in (HistoryBuffer, FullHistory):
+        monkeypatch.setattr(stepper, "HistoryBuffer", buffer_class)
+        traj = stepper.run(u0, u1, y0, ops, kernel, cfg.physics, cfg.stepping)
+        energies.append(np.array([r.total for r in traj.reports]))
+    soe, oracle = energies
+    h = max(e / r for e, r in zip(cfg.domain.extent, cfg.domain.resolution))
+    budget = cfg.c_id * (cfg.stepping.dt ** 2 + h ** 2) * oracle[0]
+    assert len(soe) == len(oracle) >= 51
+    assert np.max(np.abs(soe - oracle)) <= budget
