@@ -1,10 +1,23 @@
 """P1 finite-element forms: mass, stiffness, boundary mass, L^k quantities.
 
 Piecewise-linear elements on the uniform meshes of :mod:`viscowave.geometry`.
-Mass and stiffness are assembled exactly; the L^k norm and the odd source
-term |u|^{k-2} u use fixed-order Gauss quadrature (Duffy-collapsed on
-triangles) whose order is chosen from the source exponent at assembly time
-so that polynomial integrands of degree 2*ceil(k) are integrated exactly.
+Mass and stiffness are assembled exactly.  The L^k norm and the odd source
+term |u|^{k-2} u share one Gauss rule (Duffy-collapsed on triangles) whose
+point count is the smallest that integrates polynomials of degree
+d = ceil(k) exactly: ceil((d+1)/2) points on a segment and ceil((d+2)/2)
+per direction on a triangle, where the collapse adds one degree in the
+first direction (3 and 9 points at k = 4).  On a P1 element |u_h|^k and
+|u_h|^{k-2} u_h phi_i are polynomials of degree k for every even integer k,
+and for every odd integer k on elements where u_h keeps one sign, so the
+rule is exact there.  For other k, and for odd k where u_h changes sign,
+the integrands are not polynomials and no rule is exact; they get the same
+point count, fewer than the ceil(k) + 1 per direction used before, so the
+quadrature error there is larger than it was.
+
+One pass evaluates s = |u_h|^{k-2} u_h at the points; int |u|^k is taken as
+sum w s u_h, so u . source_vector(u) == lk_norm_pow(u) holds by construction
+up to roundoff, and the weak-form vector is scattered with ``np.bincount``
+against a weighted shape table built at assembly.
 
 Fields are plain numpy arrays with one value per mesh node; entries at
 Dirichlet nodes are pinned to zero.
@@ -75,7 +88,8 @@ class DiscreteOperators:
     mass_lumped: np.ndarray
     shape_at_quad: np.ndarray   # (nq, nodes per element)
     quad_weights: np.ndarray    # (nq,), physical weights (uniform elements)
-    quad_order: int
+    weighted_shape: np.ndarray  # (nq, nodes per element), quad_weights * shape
+    quad_order: int             # Gauss points per direction
     lam_max_unit: float         # max eig of M_lump^{-1} K at unit coefficient
 
     @property
@@ -105,9 +119,14 @@ def _quad_rule_triangle(n: int):
     return shape, w
 
 
+def _gauss_points(k_exp: float, dimension: int) -> int:
+    """Smallest Gauss count per direction exact for degree ceil(k) on an element."""
+    return (int(math.ceil(k_exp)) + dimension + 1) // 2
+
+
 def assemble(mesh: Mesh, params: PhysicalParams) -> DiscreteOperators:
     """Assemble mass/stiffness/boundary forms and the quadrature tables."""
-    n_quad = int(math.ceil(params.k_exp)) + 1
+    n_quad = _gauss_points(params.k_exp, mesh.dimension)
     if mesh.dimension == 1:
         K, M = _assemble_1d(mesh)
         shape, w = _quad_rule_1d(n_quad)
@@ -132,6 +151,7 @@ def assemble(mesh: Mesh, params: PhysicalParams) -> DiscreteOperators:
         mass_lumped=lumped,
         shape_at_quad=shape,
         quad_weights=qw,
+        weighted_shape=qw[:, None] * shape,
         quad_order=n_quad,
         lam_max_unit=lam,
     )
@@ -216,29 +236,44 @@ def l2_norm_sq(ops: DiscreteOperators, u: np.ndarray) -> float:
     return float(u @ (ops.mass @ u))
 
 
-def _values_at_quad(ops: DiscreteOperators, u: np.ndarray) -> np.ndarray:
-    return u[ops.mesh.elements] @ ops.shape_at_quad.T  # (ne, nq)
+def _source_at_quad(ops: DiscreteOperators, u: np.ndarray, k_exp: float):
+    """(s, u_h) at every quadrature point, s = |u_h|^{k-2} u_h; both (ne, nq)."""
+    vals = u[ops.mesh.elements] @ ops.shape_at_quad.T
+    return np.abs(vals) ** (k_exp - 2.0) * vals, vals
+
+
+def _scatter(ops: DiscreteOperators, s: np.ndarray) -> np.ndarray:
+    contrib = s @ ops.weighted_shape  # (ne, nodes per element)
+    out = np.bincount(ops.mesh.elements.ravel(), weights=contrib.ravel(),
+                      minlength=ops.n_nodes)
+    out[ops.mesh.gamma0_nodes] = 0.0
+    return out
+
+
+def _lk(ops: DiscreteOperators, s: np.ndarray, vals: np.ndarray) -> float:
+    return float(((s * vals) @ ops.quad_weights).sum())
 
 
 def lk_norm_pow(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> float:
-    """int |u_h|^k by the element quadrature rule."""
-    vals = _values_at_quad(ops, u)
-    return float((np.abs(vals) ** k_exp @ ops.quad_weights).sum())
+    """int |u_h|^k by the element quadrature rule, as sum w |u_h|^{k-2} u_h u_h."""
+    s, vals = _source_at_quad(ops, u, k_exp)
+    return _lk(ops, s, vals)
 
 
 def source_vector(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> np.ndarray:
     """Weak form of the odd source: entries int |u_h|^{k-2} u_h phi_i.
 
-    Shares the quadrature rule with :func:`lk_norm_pow`, so
+    Shares the quadrature pass with :func:`lk_norm_pow`, so
     u . source_vector(u) == lk_norm_pow(u) to roundoff.
     """
-    vals = _values_at_quad(ops, u)
-    s = np.abs(vals) ** (k_exp - 2.0) * vals
-    contrib = (s * ops.quad_weights[None, :]) @ ops.shape_at_quad  # (ne, nv)
-    out = np.zeros(ops.n_nodes)
-    np.add.at(out, ops.mesh.elements, contrib)
-    out[ops.mesh.gamma0_nodes] = 0.0
-    return out
+    s, _ = _source_at_quad(ops, u, k_exp)
+    return _scatter(ops, s)
+
+
+def source_and_lk(ops: DiscreteOperators, u: np.ndarray, k_exp: float):
+    """(source_vector(u), lk_norm_pow(u)) from one quadrature pass."""
+    s, vals = _source_at_quad(ops, u, k_exp)
+    return _scatter(ops, s), _lk(ops, s, vals)
 
 
 def trace_norm_sq(ops: DiscreteOperators, u: np.ndarray) -> float:
@@ -251,14 +286,3 @@ def boundary_quadratic(ops: DiscreteOperators, y_vals: np.ndarray, weight: float
     """weight * int_{Gamma_1} y^2 for values aligned with the gamma1 nodes."""
     return float(weight * (ops.mesh.gamma1_weights @ (y_vals * y_vals)))
 
-
-def export_coo(matrix: sp.spmatrix, path) -> None:
-    """Debug dump: one `row col value` line per nonzero, sorted by (row, col)."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.15g}"
-        for i in order
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

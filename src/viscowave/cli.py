@@ -425,19 +425,21 @@ def write_trajectory_csv(path: Path, traj: Trajectory, mesh: Mesh) -> None:
         + [f"y_{i}" for i in range(n_y)]
         + ["eprime_residual"]
     )
-    residuals = {}
+    # the central difference has a residual at every record but the first
+    # and the last
+    residuals = [float("nan")] * len(traj.reports)
     if len(traj.reports) >= 3:
-        ts, res = rate_identity_residual(traj.reports)
-        residuals = {float(t): float(r) for t, r in zip(ts, res)}
+        _, res = rate_identity_residual(traj.reports)
+        residuals[1:-1] = res.tolist()
     lines = [",".join(header)]
-    for state, rep in zip(traj.states, traj.reports):
+    for state, rep, residual in zip(traj.states, traj.reports, residuals):
         row = [
             rep.t, rep.total, rep.kinetic, rep.elastic, rep.kirchhoff,
             rep.boundary, rep.memory, rep.source, rep.gamma_fn,
             math.sqrt(max(rep.l2_sq, 0.0)), math.sqrt(max(rep.grad_sq, 0.0)),
         ]
         row += list(state.y)
-        row.append(residuals.get(rep.t, float("nan")))
+        row.append(residual)
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 

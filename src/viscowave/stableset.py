@@ -34,7 +34,7 @@ from .assembly import (
     grad_norm_sq,
     l2_norm_sq,
     lk_norm_pow,
-    source_vector,
+    source_and_lk,
 )
 from .geometry import Mesh
 from .kernels import RelaxationKernel
@@ -65,6 +65,7 @@ class AscentDiagnostics:
     start_values: tuple[float, ...]
     iterations: tuple[int, ...]
     converged: tuple[bool, ...]
+    evaluations: tuple[int, ...]  # objective calls per start: 1 + line-search trials
 
     @property
     def spread(self) -> float:
@@ -79,12 +80,14 @@ def _ascend(ops: DiscreteOperators, log_num_grad, seed: int, n_starts: int,
             max_iter: int = 2000, stall_window: int = 50, stall_tol: float = 1e-10):
     """Projected gradient ascent of a homogeneous quotient on the K-sphere.
 
-    ``log_num_grad(u)`` returns (ln numerator, gradient of ln numerator);
-    iterates are renormalized to u^T K u = 1, so the quotient equals the
-    numerator.  The ascent direction is the gradient in the inner product
-    induced by K (Riesz representative via a sparse factorization), which
-    makes the convergence rate mesh-independent; the direction is projected
-    onto the tangent space of the constraint sphere before stepping.
+    ``log_num_grad(u)`` returns (ln numerator, gradient of ln numerator) and
+    is called once per start and once per line-search trial; the accepted
+    trial's gradient drives the next step.  Iterates are renormalized to
+    u^T K u = 1, so the quotient equals the numerator.  The ascent direction
+    is the gradient in the inner product induced by K (Riesz representative
+    via a sparse factorization), which makes the convergence rate
+    mesh-independent; the direction is projected onto the tangent space of
+    the constraint sphere before stepping.
     Returns the best iterate and per-start diagnostics.
     """
     from scipy.sparse.linalg import splu
@@ -97,19 +100,19 @@ def _ascend(ops: DiscreteOperators, log_num_grad, seed: int, n_starts: int,
 
     best_u = None
     best_val = -math.inf
-    finals, iters, convs = [], [], []
+    finals, iters, convs, evals = [], [], [], []
 
     for _ in range(n_starts):
         u = np.zeros(ops.n_nodes)
         u[free] = rng.standard_normal(len(free))
         u /= math.sqrt(max(u @ (K @ u), 1e-300))
-        ln_val, _ = log_num_grad(u)
+        ln_val, grad_n = log_num_grad(u)
+        n_eval = 1
         eta = 1.0
         history = [ln_val]
         converged = False
         it = 0
         for it in range(1, max_iter + 1):
-            _, grad_n = log_num_grad(u)
             d = np.zeros(ops.n_nodes)
             d[free] = lu.solve(grad_n[free])  # K-metric gradient of ln numerator
             d -= u  # minus the constraint part: K^{-1} K u = u at u^T K u = 1
@@ -120,9 +123,10 @@ def _ascend(ops: DiscreteOperators, log_num_grad, seed: int, n_starts: int,
                 trial = u + eta * d
                 nrm = math.sqrt(max(trial @ (K @ trial), 1e-300))
                 trial /= nrm
-                ln_trial, _ = log_num_grad(trial)
+                ln_trial, grad_trial = log_num_grad(trial)
+                n_eval += 1
                 if ln_trial > ln_val:
-                    u, ln_val = trial, ln_trial
+                    u, ln_val, grad_n = trial, ln_trial, grad_trial
                     eta = min(eta * 1.3, 10.0)
                     accepted = True
                     break
@@ -143,6 +147,7 @@ def _ascend(ops: DiscreteOperators, log_num_grad, seed: int, n_starts: int,
         finals.append(val)
         iters.append(it)
         convs.append(converged)
+        evals.append(n_eval)
         if val > best_val:
             best_val = val
             best_u = u
@@ -152,15 +157,16 @@ def _ascend(ops: DiscreteOperators, log_num_grad, seed: int, n_starts: int,
         start_values=tuple(finals),
         iterations=tuple(iters),
         converged=tuple(convs),
+        evaluations=tuple(evals),
     )
     return best_u, diag
 
 
 def _embedding_objective(ops: DiscreteOperators, k_exp: float):
     def log_num_grad(u):
-        lk = max(lk_norm_pow(ops, u, k_exp), 1e-300)
-        grad = source_vector(ops, u, k_exp) / lk
-        return math.log(lk) / k_exp, grad
+        vec, lk = source_and_lk(ops, u, k_exp)
+        lk = max(lk, 1e-300)
+        return math.log(lk) / k_exp, vec / lk
 
     return log_num_grad
 
@@ -216,21 +222,27 @@ def estimate_B_Omega(
     s_k: float | None = None,
     seed: int = 2024,
     verify_tol: float = 1e-6,
+    u_star: np.ndarray | None = None,
 ) -> tuple[float, dict]:
     """Well constant B via the amplitude-limit reduction, plus verification.
 
-    Returns (value, info); info["verified"] reports whether a direct
-    finite-amplitude search stayed below the limit value, and a failure
-    raises since lambda1 and d1 would be wrong.
+    ``u_star`` is the embedding ascent's best iterate, the first candidate
+    of the verification; a caller that has run the ascent passes it with
+    ``s_k``.  Without it a short ascent supplies it.  Returns (value, info);
+    info["verified"] reports whether a direct finite-amplitude search stayed
+    below the limit value, and a failure raises since lambda1 and d1 would
+    be wrong.
     """
     if l_value <= 0:
         raise ValueError(f"needs l > 0, got {l_value}")
     k = params.k_exp
-    if s_k is None:
-        u_star, diag = _ascend(ops, _embedding_objective(ops, k), seed, 8)
-        s_k = diag.value
-    else:
-        u_star, _ = _ascend(ops, _embedding_objective(ops, k), seed, 2)
+    if u_star is None:
+        n_starts = 8 if s_k is None else 2
+        u_star, diag = _ascend(ops, _embedding_objective(ops, k), seed, n_starts)
+        if s_k is None:
+            s_k = diag.value
+    elif s_k is None:
+        raise ValueError("u_star needs the s_k value of the ascent that found it")
 
     if params.kappa == 0.0:
         limit = s_k / math.sqrt(l_value + params.b)
@@ -306,10 +318,11 @@ def compute_well_constants(
 ) -> WellConstants:
     """Embedding/trace constants, B, lambda1 and d1 for one configuration."""
     l_value = kernel.l_value if kernel is not None else params.a
-    _, emb_diag = _ascend(ops, _embedding_objective(ops, params.k_exp), seed, 8)
+    u_star, emb_diag = _ascend(ops, _embedding_objective(ops, params.k_exp), seed, 8)
     s_k = emb_diag.value
     _, tr_diag = _ascend(ops, _trace_objective(ops), seed, 8)
-    b_omega, info = estimate_B_Omega(mesh, ops, params, l_value, s_k=s_k, seed=seed)
+    b_omega, info = estimate_B_Omega(mesh, ops, params, l_value, s_k=s_k, seed=seed,
+                                     u_star=u_star)
     lambda1, d1 = well_constants_from_B(b_omega, params.k_exp)
     return WellConstants(
         c_star=s_k,
@@ -324,12 +337,14 @@ def compute_well_constants(
             "embedding": {
                 "start_values": list(emb_diag.start_values),
                 "iterations": list(emb_diag.iterations),
+                "evaluations": list(emb_diag.evaluations),
                 "spread": emb_diag.spread,
                 "all_converged": emb_diag.all_converged,
             },
             "trace": {
                 "start_values": list(tr_diag.start_values),
                 "iterations": list(tr_diag.iterations),
+                "evaluations": list(tr_diag.evaluations),
                 "spread": tr_diag.spread,
                 "all_converged": tr_diag.all_converged,
             },

@@ -75,7 +75,8 @@ class StepperConfig:
 class SimState:
     """Solution snapshot; u, v live on all nodes (Dirichlet entries zero),
     y and y_t on the acoustic nodes.  ``accel`` caches the acceleration at t
-    for the next Verlet kick."""
+    for the next Verlet kick.  ``n`` counts the steps taken; t is n * dt,
+    never a running sum of dt."""
 
     t: float
     u: np.ndarray
@@ -84,6 +85,7 @@ class SimState:
     y_t: np.ndarray
     m_kir: float
     accel: np.ndarray
+    n: int = 0
 
     def copy(self) -> "SimState":
         return SimState(
@@ -94,6 +96,7 @@ class SimState:
             y_t=self.y_t.copy(),
             m_kir=self.m_kir,
             accel=self.accel.copy(),
+            n=self.n,
         )
 
 
@@ -175,7 +178,6 @@ def init_state(
     u1: np.ndarray,
     y0: np.ndarray,
     ops: DiscreteOperators,
-    kernel: RelaxationKernel | None,
     params: PhysicalParams,
     buffer: HistoryBuffer,
     cfg: StepperConfig,
@@ -206,7 +208,6 @@ def init_state(
 def step(
     state: SimState,
     ops: DiscreteOperators,
-    kernel: RelaxationKernel | None,
     params: PhysicalParams,
     buffer: HistoryBuffer,
     cfg: StepperConfig,
@@ -216,7 +217,8 @@ def step(
     dt = cfg.dt
     g1 = mesh.gamma1_nodes
     w1 = mesh.gamma1_weights
-    t1 = state.t + dt
+    n1 = state.n + 1
+    t1 = n1 * dt
 
     v_half = state.v + 0.5 * dt * state.accel
     u1 = state.u + dt * v_half
@@ -254,7 +256,7 @@ def step(
         raise SimulationAbort("blow-up or instability: non-finite field values", t1)
     _check_cfl(dt, m_kir1, ops, cfg, t1)
 
-    return SimState(t=t1, u=u1, v=v1, y=y1, y_t=z, m_kir=m_kir1, accel=accel1)
+    return SimState(t=t1, u=u1, v=v1, y=y1, y_t=z, m_kir=m_kir1, accel=accel1, n=n1)
 
 
 def run(
@@ -285,10 +287,10 @@ def run(
         }
     )
     try:
-        state = init_state(u0, u1, y0, ops, kernel, params, buffer, cfg)
+        state = init_state(u0, u1, y0, ops, params, buffer, cfg)
         traj.record(state, compute_energy(state, buffer, kernel, params, ops))
         for i in range(1, n_steps + 1):
-            state = step(state, ops, kernel, params, buffer, cfg)
+            state = step(state, ops, params, buffer, cfg)
             if i % cfg.record_every == 0:
                 traj.record(state, compute_energy(state, buffer, kernel, params, ops))
     except SimulationAbort as ab:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from viscowave import (
     source_vector,
     trace_norm_sq,
 )
-from viscowave.assembly import l2_norm_sq
+from viscowave.assembly import _quad_rule_1d, _quad_rule_triangle, l2_norm_sq
 
 from conftest import default_params, interval_mesh, square_mesh
 
@@ -132,15 +134,61 @@ def test_quadrature_order_scales_with_exponent():
     assert high.quad_order > low.quad_order
 
 
-def test_export_coo_round_trips(tmp_path):
-    from viscowave.assembly import export_coo
 
-    mesh = interval_mesh(3)
-    ops = assemble(mesh, default_params())
-    path = tmp_path / "K.coo"
-    export_coo(ops.stiffness, path)
-    rows = [line.split() for line in path.read_text().splitlines()]
-    dense = np.zeros((mesh.n_nodes, mesh.n_nodes))
-    for r, c, v in rows:
-        dense[int(r), int(c)] = float(v)
-    assert np.allclose(dense, ops.stiffness.toarray())
+def _old_rule_forms(ops, u, k_exp):
+    """lk and source vector as computed before: ceil(k) + 1 Gauss points per
+    direction, |u_h|^k integrated directly and an np.add.at scatter."""
+    mesh = ops.mesh
+    n_quad = math.ceil(k_exp) + 1
+    if mesh.dimension == 1:
+        shape, w = _quad_rule_1d(n_quad)
+        w = w * mesh.spec.extent[0] / mesh.spec.resolution[0]
+    else:
+        shape, w = _quad_rule_triangle(n_quad)
+        # reference weights sum to 1/2; a triangle is half a cell
+        w = w * np.prod(np.divide(mesh.spec.extent, mesh.spec.resolution))
+    vals = u[mesh.elements] @ shape.T
+    lk = float((np.abs(vals) ** k_exp @ w).sum())
+    contrib = (np.abs(vals) ** (k_exp - 2.0) * vals * w) @ shape
+    vec = np.zeros(mesh.n_nodes)
+    np.add.at(vec, mesh.elements, contrib)
+    vec[mesh.gamma0_nodes] = 0.0
+    return lk, vec
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("k_exp", [4.0, 6.0])
+def test_smallest_rule_matches_old_rule(dimension, k_exp):
+    mesh = interval_mesh(64) if dimension == 1 else square_mesh(16)
+    ops = assemble(mesh, default_params(k_exp=k_exp))
+    # ceil((k+1)/2) points on a segment, ceil((k+2)/2)^2 on a triangle
+    assert ops.quad_order == math.ceil((k_exp + dimension) / 2)
+    rng = np.random.default_rng(int(10 * k_exp) + dimension)
+    for _ in range(3):
+        u = rng.standard_normal(mesh.n_nodes)
+        u[mesh.gamma0_nodes] = 0.0
+        lk_old, vec_old = _old_rule_forms(ops, u, k_exp)
+        assert lk_norm_pow(ops, u, k_exp) == pytest.approx(lk_old, rel=1e-12)
+        vec = source_vector(ops, u, k_exp)
+        assert np.max(np.abs(vec - vec_old)) <= 1e-12 * np.max(np.abs(vec_old))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_smallest_rule_exact_for_odd_k_on_one_sign(dimension):
+    # k = 3: |u|^3 = x^3 on x >= 0 is a cubic; int x^3 = 1/4 on [0,1] and [0,1]^2
+    mesh = interval_mesh(8) if dimension == 1 else square_mesh(4)
+    ops = assemble(mesh, default_params(k_exp=3.0))
+    u = mesh.nodes[:, 0].copy()
+    assert lk_norm_pow(ops, u, 3.0) == pytest.approx(0.25, rel=1e-13)
+
+
+def test_2d_source_duality():
+    mesh = square_mesh(16)
+    ops = assemble(mesh, default_params(k_exp=4.0))
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(mesh.n_nodes)
+    u[mesh.gamma0_nodes] = 0.0
+    s = source_vector(ops, u, 4.0)
+    assert u @ s == pytest.approx(lk_norm_pow(ops, u, 4.0), rel=1e-13)
+    assert np.all(s[mesh.gamma0_nodes] == 0.0)
+    assert np.allclose(source_vector(ops, -u, 4.0), -s, rtol=0, atol=1e-15)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from viscowave import build_mesh
+from viscowave import build_mesh, rate_identity_residual
 from viscowave.cli import (
     DEFAULTS,
     ConfigError,
@@ -148,6 +148,17 @@ def test_scenario_rerun_is_byte_identical(tmp_path):
     ).read_bytes()
 
 
+def test_csv_times_and_residuals_by_record(tmp_path):
+    cfg = parse_config(_tiny_config())
+    result = run_scenario(cfg, out_dir=tmp_path / "csv")
+    rows = [line.split(",") for line in
+            (tmp_path / "csv" / "trajectory.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == [f"{i * 10 * 2e-3:.15g}" for i in range(len(rows))]
+    _, res = rate_identity_residual(result.trajectory.reports)
+    assert rows[0][-1] == rows[-1][-1] == "nan"
+    assert [float(r[-1]) for r in rows[1:-1]] == [float(f"{v:.15g}") for v in res]
+
+
 def test_full_scenario_writes_reports(tmp_path):
     cfg = parse_config(
         _tiny_config(
@@ -194,6 +205,9 @@ def test_out_of_well_scenario_preserves_partial_outputs(tmp_path):
         assert (tmp_path / "oow" / "abort.json").exists()
         marker = json.loads((tmp_path / "oow" / "abort.json").read_text())
         assert "blow-up" in marker["reason"] or "CFL" in marker["reason"]
+        # the abort time is a whole number of steps, not a running sum
+        n = round(marker["time"] / raw["stepping"]["dt"])
+        assert marker["time"] == n * raw["stepping"]["dt"]
     assert (tmp_path / "oow" / "trajectory.csv").exists()
 
 

@@ -20,7 +20,7 @@ from conftest import default_params, exp_kernel, interval_mesh, sine_profile
 def _state_at_zero(mesh, ops, params, kernel, u0, u1, y0):
     buf = HistoryBuffer(kernel, mesh.n_nodes)
     cfg = StepperConfig(dt=1e-4, t_end=0.0)
-    state = init_state(u0, u1, y0, ops, kernel, params, buf, cfg)
+    state = init_state(u0, u1, y0, ops, params, buf, cfg)
     return state, buf
 
 

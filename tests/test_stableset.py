@@ -17,6 +17,7 @@ from viscowave import (
     verify_invariance,
     well_constants_from_B,
 )
+from viscowave import stableset
 
 from conftest import default_params, exp_kernel, interval_mesh, sine_profile, square_mesh
 
@@ -189,3 +190,60 @@ def test_invariance_verdicts(mesh64, ops64):
     verdict2 = verify_invariance(traj, constants)
     assert not verdict2.passed
     assert verdict2.first_violation_time == pytest.approx(traj.times[3])
+
+
+def test_ascent_evaluates_each_iterate_once():
+    mesh = interval_mesh(32)
+    ops = assemble(mesh, default_params())
+    objective = stableset._embedding_objective(ops, 4.0)
+    calls = []
+
+    def counted(u):
+        out = objective(u)
+        calls.append((u.tobytes(), out[0]))
+        return out
+
+    _, diag = stableset._ascend(ops, counted, seed=5, n_starts=3)
+    # one evaluation per start plus one per line-search trial, and every
+    # iteration makes at least one trial
+    assert len(calls) == sum(diag.evaluations)
+    assert all(e >= 1 + it for e, it in zip(diag.evaluations, diag.iterations))
+    # a trial is accepted when it raises the start's best value; the next
+    # call must be a new trial, not the accepted point evaluated again
+    pos = 0
+    for n_eval in diag.evaluations:
+        group = calls[pos:pos + n_eval]
+        pos += n_eval
+        best = group[0][1]
+        for (point, value), (next_point, _) in zip(group[1:], group[2:]):
+            if value > best:
+                best = value
+                assert next_point != point
+
+
+def test_well_constants_run_sixteen_starts_and_verify_the_best(monkeypatch):
+    mesh = interval_mesh(32)
+    params = default_params()
+    ops = assemble(mesh, params)
+    ascents, verified = [], []
+    ascend, estimate = stableset._ascend, stableset.estimate_B_Omega
+
+    def spy_ascend(ops, objective, seed, n_starts, *args, **kwargs):
+        out = ascend(ops, objective, seed, n_starts, *args, **kwargs)
+        ascents.append((n_starts, out))
+        return out
+
+    def spy_estimate(*args, **kwargs):
+        verified.append(kwargs.get("u_star"))
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(stableset, "_ascend", spy_ascend)
+    monkeypatch.setattr(stableset, "estimate_B_Omega", spy_estimate)
+    constants = stableset.compute_well_constants(mesh, ops, params, exp_kernel())
+    assert [n for n, _ in ascents] == [8, 8]  # embedding, trace
+    (u_best, emb_diag), _ = ascents[0][1], ascents[1][1]
+    assert verified == [u_best]
+    assert verified[0] is u_best
+    assert emb_diag.value == max(emb_diag.start_values) == constants.c_star
+    ln_val, _ = stableset._embedding_objective(ops, params.k_exp)(u_best)
+    assert math.exp(ln_val) == constants.c_star

@@ -63,10 +63,10 @@ def test_hand_computed_step_three_node_mesh():
     buf = HistoryBuffer(None, mesh.n_nodes)
     s0 = init_state(
         np.array([0.0, 0.25, 0.5]), np.zeros(3), np.array([0.2]),
-        ops, None, params, buf, cfg,
+        ops, params, buf, cfg,
     )
     assert np.allclose(s0.accel, [0.0, 0.0, -2.8])
-    s1 = step(s0, ops, None, params, buf, cfg)
+    s1 = step(s0, ops, params, buf, cfg)
     assert np.allclose(s1.u, [0.0, 0.25, 0.486])
     assert np.allclose(s1.v, [0.0, -0.0028, -0.227296])
     assert s1.y[0] == pytest.approx(0.191776)
@@ -336,3 +336,16 @@ def test_preset_energies_match_full_history_oracle(preset, monkeypatch):
     budget = cfg.c_id * (cfg.stepping.dt ** 2 + h ** 2) * oracle[0]
     assert len(soe) == len(oracle) >= 51
     assert np.max(np.abs(soe - oracle)) <= budget
+
+
+@pytest.mark.parametrize("name", ["exp-inwell", "oscillatory-inwell"])
+def test_record_times_are_exact_multiples_of_the_step(name):
+    cfg = PRESETS[name].parse()
+    mesh = build_mesh(cfg.domain)
+    ops = assemble(mesh, cfg.physics)
+    u0, u1, y0 = initial_data(cfg, mesh)
+    traj = run(u0, u1, y0, ops, cfg.build_kernel(), cfg.physics, cfg.stepping)
+    every, dt = cfg.stepping.record_every, cfg.stepping.dt
+    assert traj.times == [i * every * dt for i in range(traj.n_records)]
+    assert [r.t for r in traj.reports] == traj.times
+    assert traj.times[-1] == cfg.stepping.t_end
