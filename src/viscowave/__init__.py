@@ -8,8 +8,10 @@ potential-well invariance and the rate-weighted energy decay envelope.
 
 __version__ = "0.1.0"
 
+# The package exports what the tests and the benchmark import from it; the
+# rest is reached through its module (``viscowave.stepper.step`` and so on).
+
 from .assembly import (
-    DiscreteOperators,
     PhysicalParams,
     assemble,
     boundary_quadratic,
@@ -19,27 +21,17 @@ from .assembly import (
     trace_norm_sq,
 )
 from .decay import (
-    DecayReport,
     SampledEnergy,
     build_decay_report,
     fit_omega,
     martinez_check,
     weighted_integral_check,
 )
-from .energy import EnergyReport, compute_energy, compute_gamma_fn, rate_identity_residual
-from .geometry import DomainSpec, Mesh, build_mesh
+from .energy import compute_energy, rate_identity_residual
+from .geometry import DomainSpec, build_mesh
 from .history import HistoryBuffer
-from .kernels import (
-    BoundaryCoefficients,
-    HypothesisReport,
-    RelaxationKernel,
-    build_kernel,
-    make_rate,
-    validate_hypotheses,
-)
+from .kernels import build_kernel, make_rate, validate_hypotheses
 from .stableset import (
-    StableSetReport,
-    WellConstants,
     check_initial_membership,
     compute_well_constants,
     estimate_B_Omega,
@@ -50,33 +42,28 @@ from .stableset import (
     well_constants_from_B,
 )
 from .stepper import (
-    Forcing,
     ManufacturedSolution,
-    SimState,
     SimulationAbort,
     StepperConfig,
-    Trajectory,
     build_manufactured_case,
     linear_profile_solution,
     run,
-    step,
 )
 
 __all__ = [
-    "DiscreteOperators", "PhysicalParams", "assemble", "boundary_quadratic",
+    "PhysicalParams", "assemble", "boundary_quadratic",
     "grad_norm_sq", "lk_norm_pow", "source_vector", "trace_norm_sq",
-    "DecayReport", "SampledEnergy", "build_decay_report", "fit_omega",
+    "SampledEnergy", "build_decay_report", "fit_omega",
     "martinez_check", "weighted_integral_check",
-    "EnergyReport", "compute_energy", "compute_gamma_fn", "rate_identity_residual",
-    "DomainSpec", "Mesh", "build_mesh",
+    "compute_energy", "rate_identity_residual",
+    "DomainSpec", "build_mesh",
     "HistoryBuffer",
-    "BoundaryCoefficients", "HypothesisReport", "RelaxationKernel",
     "build_kernel", "make_rate", "validate_hypotheses",
-    "StableSetReport", "WellConstants", "check_initial_membership",
+    "check_initial_membership",
     "compute_well_constants", "estimate_B_Omega", "estimate_embedding_constant",
     "estimate_trace_constant", "potential_F", "verify_invariance",
     "well_constants_from_B",
-    "Forcing", "ManufacturedSolution", "SimState", "SimulationAbort",
-    "StepperConfig", "Trajectory", "build_manufactured_case",
-    "linear_profile_solution", "run", "step",
+    "ManufacturedSolution", "SimulationAbort",
+    "StepperConfig", "build_manufactured_case",
+    "linear_profile_solution", "run",
 ]

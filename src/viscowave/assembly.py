@@ -14,10 +14,11 @@ the integrands are not polynomials and no rule is exact; they get the same
 point count, fewer than the ceil(k) + 1 per direction used before, so the
 quadrature error there is larger than it was.
 
-One pass evaluates s = |u_h|^{k-2} u_h at the points; int |u|^k is taken as
-sum w s u_h, so u . source_vector(u) == lk_norm_pow(u) holds by construction
-up to roundoff, and the weak-form vector is scattered with ``np.bincount``
-against a weighted shape table built at assembly.
+One pass evaluates s = |u_h|^{k-2} u_h at the points and scatters the
+weak-form vector with ``np.bincount`` against a weighted shape table built
+at assembly.  ``lk_norm_pow`` takes int |u|^k as sum w s u_h by the same
+rule, so for u zero on Gamma_0, u . source_vector(u) == lk_norm_pow(u) up
+to roundoff; the stepper and the well-constant ascent use the dot product.
 
 Fields are plain numpy arrays with one value per mesh node; entries at
 Dirichlet nodes are pinned to zero.
@@ -250,30 +251,20 @@ def _scatter(ops: DiscreteOperators, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lk(ops: DiscreteOperators, s: np.ndarray, vals: np.ndarray) -> float:
-    return float(((s * vals) @ ops.quad_weights).sum())
-
-
 def lk_norm_pow(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> float:
     """int |u_h|^k by the element quadrature rule, as sum w |u_h|^{k-2} u_h u_h."""
     s, vals = _source_at_quad(ops, u, k_exp)
-    return _lk(ops, s, vals)
+    return float(((s * vals) @ ops.quad_weights).sum())
 
 
 def source_vector(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> np.ndarray:
     """Weak form of the odd source: entries int |u_h|^{k-2} u_h phi_i.
 
-    Shares the quadrature pass with :func:`lk_norm_pow`, so
+    Uses the rule of :func:`lk_norm_pow`, so for u zero on Gamma_0,
     u . source_vector(u) == lk_norm_pow(u) to roundoff.
     """
     s, _ = _source_at_quad(ops, u, k_exp)
     return _scatter(ops, s)
-
-
-def source_and_lk(ops: DiscreteOperators, u: np.ndarray, k_exp: float):
-    """(source_vector(u), lk_norm_pow(u)) from one quadrature pass."""
-    s, vals = _source_at_quad(ops, u, k_exp)
-    return _scatter(ops, s), _lk(ops, s, vals)
 
 
 def trace_norm_sq(ops: DiscreteOperators, u: np.ndarray) -> float:

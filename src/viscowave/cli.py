@@ -211,7 +211,19 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def _finite(val) -> bool:
+    """False for NaN, an infinity or an int beyond float range, alone or in a
+    list (JSON text may spell NaN, Infinity or 1e400)."""
+    if isinstance(val, list):
+        return all(map(_finite, val))
+    try:
+        return not isinstance(val, (int, float)) or math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def _merge_section(raw: dict, section: str, errors: list[str]) -> dict:
+    """Defaults overlaid with the given keys; a rejected key keeps its default."""
     merged = copy.deepcopy(DEFAULTS[section])
     given = raw.get(section, {})
     if not isinstance(given, dict):
@@ -222,6 +234,8 @@ def _merge_section(raw: dict, section: str, errors: list[str]) -> dict:
             errors.append(f"{section}.{key}: {REMOVED_KEYS[section, key]}")
         elif key not in merged:
             errors.append(f"{section}.{key}: unknown key")
+        elif not _finite(val):
+            errors.append(f"{section}.{key}: must be finite, got {val!r}")
         else:
             merged[key] = val
     return merged
@@ -289,6 +303,9 @@ def parse_config(text: str) -> RunConfig:
         errors.append(
             f"initial.velocity_profile must be one of {PROFILES}, got {ini['velocity_profile']!r}"
         )
+    for key in ("amplitude", "velocity_amplitude", "y0"):
+        if not isinstance(ini[key], (int, float)):
+            errors.append(f"initial.{key} must be a number, got {ini[key]!r}")
 
     stepping = None
     if not (isinstance(stp["dt"], (int, float)) and stp["dt"] > 0):
@@ -779,25 +796,40 @@ def _cmd_mms(args) -> int:
 
 
 def _sweep_worker(payload):
-    text, out_dir = payload
-    config = parse_config(text)
+    config, out_dir = payload
     result = run_scenario(config, out_dir=out_dir)
     return out_dir, result.aborted is None
 
 
+def _sweep_jobs(config: RunConfig, param: str, root: Path) -> list[tuple[RunConfig, str]]:
+    """One validated (config, out_dir) per value of ``section.key=v1,v2,...``;
+    every problem is raised in one :class:`ConfigError` before any run starts."""
+    path, eq, values = param.partition("=")
+    section, dot, key = path.partition(".")
+    base = config.to_dict()
+    if not (eq and dot and key):
+        raise ConfigError([f"--param must read section.key=v1,v2,..., got {param!r}"])
+    if not isinstance(base.get(section), dict):
+        raise ConfigError([f"--param {path}: {section!r} is not a config section"])
+    jobs, errors = [], []
+    for idx, val_text in enumerate(values.split(",")):
+        cfg = copy.deepcopy(base)
+        try:
+            cfg[section][key] = json.loads(val_text)
+            jobs.append((parse_config(json.dumps(cfg)),
+                         str(root / f"sweep_{idx:02d}_{key}_{val_text}")))
+        except json.JSONDecodeError:
+            errors.append(f"--param {path}: value {val_text!r} is not JSON")
+        except ConfigError as exc:
+            errors += [f"--param {path}={val_text}: {e}" for e in exc.errors]
+    if errors:
+        raise ConfigError(errors)
+    return jobs
+
+
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    path, values = args.param.split("=", 1)
-    section, key = path.split(".", 1)
-    base = config.to_dict()
-    jobs = []
-    root = Path(args.out or base["output_dir"])
-    for idx, val_text in enumerate(values.split(",")):
-        val = json.loads(val_text)
-        cfg = copy.deepcopy(base)
-        cfg[section][key] = val
-        out_dir = root / f"sweep_{idx:02d}_{key}_{val_text}"
-        jobs.append((json.dumps(cfg), str(out_dir)))
+    jobs = _sweep_jobs(config, args.param, Path(args.out or config.output_dir))
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             outcomes = list(pool.map(_sweep_worker, jobs))

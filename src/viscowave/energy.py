@@ -18,6 +18,9 @@ whose Kirchhoff weight is b/(kappa+1), twice the weight used inside the
 energy; the pair is chosen so that E >= F(gamma_fn) holds with the potential
 F of the stable-set analysis.
 
+|grad u|^2 and |u|_k^k are read from the state (``grad_sq``, ``lk``), where
+the stepper put them when it evaluated the force.
+
 Along forcing-free trajectories the energy rate satisfies
 
   dE/dt = -1/2 g(t) |grad u|^2 + 1/2 (g' o grad u)(t) - p int_{Gamma_1} y_t^2,
@@ -29,18 +32,12 @@ dE/dt without access to the history buffer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    DiscreteOperators,
-    PhysicalParams,
-    boundary_quadratic,
-    grad_norm_sq,
-    l2_norm_sq,
-    lk_norm_pow,
-)
+from .assembly import DiscreteOperators, PhysicalParams, boundary_quadratic, l2_norm_sq
 from .history import HistoryBuffer
 from .kernels import RelaxationKernel
 
@@ -81,30 +78,6 @@ class EnergyReport:
         }
 
 
-def compute_gamma_fn(
-    state,
-    buffer: HistoryBuffer,
-    kernel: RelaxationKernel | None,
-    params: PhysicalParams,
-    ops: DiscreteOperators,
-) -> float:
-    """Well functional at the state's time (state.u must be the last push)."""
-    gns = grad_norm_sq(ops, state.u)
-    gdia = buffer.g_diamond(state.t, state.u)
-    return _gamma_from_parts(gns, gdia, state.y, kernel, params, ops)
-
-
-def _gamma_from_parts(gns, gdia, y, kernel, params, ops) -> float:
-    l_value = kernel.l_value if kernel is not None else params.a
-    val = (
-        l_value * gns
-        + params.b / (params.kappa + 1.0) * gns ** (params.kappa + 1.0)
-        + boundary_quadratic(ops, y, params.q_c)
-        + gdia
-    )
-    return float(np.sqrt(max(val, 0.0)))
-
-
 def compute_energy(
     state,
     buffer: HistoryBuffer,
@@ -114,7 +87,11 @@ def compute_energy(
 ) -> EnergyReport:
     """Full energy report; the buffer must be current through state.t."""
     t = state.t
-    gns = grad_norm_sq(ops, state.u)
+    gns = state.grad_sq
+    try:
+        gns_pow = gns ** (params.kappa + 1.0)
+    except OverflowError:
+        gns_pow = math.inf
     kinetic = 0.5 * l2_norm_sq(ops, state.v)
     if kernel is not None:
         accumulated = kernel.partial_mass(t)
@@ -123,12 +100,13 @@ def compute_energy(
         accumulated = 0.0
         g_at_t = 0.0
     elastic = 0.5 * (params.a - accumulated) * gns
-    kirchhoff = params.b / (2.0 * (params.kappa + 1.0)) * gns ** (params.kappa + 1.0)
-    boundary = 0.5 * boundary_quadratic(ops, state.y, params.q_c)
+    kirchhoff = params.b / (2.0 * (params.kappa + 1.0)) * gns_pow
+    acoustic = boundary_quadratic(ops, state.y, params.q_c)
+    boundary = 0.5 * acoustic
     gdia = buffer.g_diamond(t, state.u)
     memory = 0.5 * gdia
     if params.source_enabled:
-        source = -lk_norm_pow(ops, state.u, params.k_exp) / params.k_exp
+        source = -state.lk / params.k_exp
     else:
         source = 0.0
     total = kinetic + elastic + kirchhoff + boundary + memory + source
@@ -136,6 +114,14 @@ def compute_energy(
     gpdia = buffer.g_prime_diamond(t, state.u)
     damping = boundary_quadratic(ops, state.y_t, params.p_c)
     rhs = -0.5 * g_at_t * gns + 0.5 * gpdia - damping
+
+    l_value = kernel.l_value if kernel is not None else params.a
+    well = (
+        l_value * gns
+        + params.b / (params.kappa + 1.0) * gns_pow
+        + acoustic
+        + gdia
+    )
 
     return EnergyReport(
         t=t,
@@ -146,7 +132,7 @@ def compute_energy(
         boundary=boundary,
         memory=memory,
         source=source,
-        gamma_fn=_gamma_from_parts(gns, gdia, state.y, kernel, params, ops),
+        gamma_fn=float(np.sqrt(max(well, 0.0))),
         grad_sq=gns,
         l2_sq=l2_norm_sq(ops, state.u),
         g_at_t=g_at_t,

@@ -34,7 +34,7 @@ from .assembly import (
     grad_norm_sq,
     l2_norm_sq,
     lk_norm_pow,
-    source_and_lk,
+    source_vector,
 )
 from .geometry import Mesh
 from .kernels import RelaxationKernel
@@ -164,8 +164,8 @@ def _ascend(ops: DiscreteOperators, log_num_grad, seed: int, n_starts: int,
 
 def _embedding_objective(ops: DiscreteOperators, k_exp: float):
     def log_num_grad(u):
-        vec, lk = source_and_lk(ops, u, k_exp)
-        lk = max(lk, 1e-300)
+        vec = source_vector(ops, u, k_exp)
+        lk = max(float(u @ vec), 1e-300)
         return math.log(lk) / k_exp, vec / lk
 
     return log_num_grad

@@ -18,15 +18,19 @@ dt must stay below 2 * cfl_safety / sqrt(lam_max * M_kir), with lam_max the
 assembled estimate of the largest generalized stiffness eigenvalue (in 1D
 this reduces to the classical dt <= cfl_safety * h / sqrt(M_kir)).
 
-Aborts (CFL violation, non-finite fields) raise :class:`SimulationAbort`
-carrying the partial trajectory and the abort time; blow-up of out-of-well
-data is an expected abort, not a bug.
+Each new iterate is evaluated once (``_evaluate``): the force, and
+|grad u|^2 and int |u|^k for the energy report, from one stiffness product
+and one source pass.
+
+Aborts (CFL violation, non-finite fields or energy) raise
+:class:`SimulationAbort` carrying the partial trajectory and the abort time;
+blow-up of out-of-well data is an expected abort, not a bug.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -75,8 +79,9 @@ class StepperConfig:
 class SimState:
     """Solution snapshot; u, v live on all nodes (Dirichlet entries zero),
     y and y_t on the acoustic nodes.  ``accel`` caches the acceleration at t
-    for the next Verlet kick.  ``n`` counts the steps taken; t is n * dt,
-    never a running sum of dt."""
+    for the next Verlet kick; ``grad_sq`` = u.K u and ``lk`` = u.S(u) (0 with
+    the source off) come from the same evaluation and feed the energy report.
+    ``n`` counts the steps taken; t is n * dt, never a running sum of dt."""
 
     t: float
     u: np.ndarray
@@ -85,19 +90,13 @@ class SimState:
     y_t: np.ndarray
     m_kir: float
     accel: np.ndarray
+    grad_sq: float
+    lk: float
     n: int = 0
 
     def copy(self) -> "SimState":
-        return SimState(
-            t=self.t,
-            u=self.u.copy(),
-            v=self.v.copy(),
-            y=self.y.copy(),
-            y_t=self.y_t.copy(),
-            m_kir=self.m_kir,
-            accel=self.accel.copy(),
-            n=self.n,
-        )
+        return replace(self, u=self.u.copy(), v=self.v.copy(), y=self.y.copy(),
+                       y_t=self.y_t.copy(), accel=self.accel.copy())
 
 
 @dataclass(frozen=True)
@@ -121,6 +120,10 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def record(self, state: SimState, report: EnergyReport) -> None:
+        """Append a copy of ``state`` and its report; a report that is not
+        finite aborts the run instead."""
+        if not all(map(math.isfinite, vars(report).values())):
+            raise SimulationAbort("blow-up or instability: non-finite energy", state.t)
         self.times.append(state.t)
         self.states.append(state.copy())
         self.reports.append(report)
@@ -143,23 +146,39 @@ def _check_cfl(dt: float, m_kir: float, ops: DiscreteOperators, cfg: StepperConf
         )
 
 
-def _interior_force(
+def _evaluate(
     t: float,
     u: np.ndarray,
-    ku: np.ndarray,
-    m_kir: float,
     buffer: HistoryBuffer,
     params: PhysicalParams,
     ops: DiscreteOperators,
     forcing: Forcing | None,
-) -> np.ndarray:
+):
+    """Push the new iterate ``u`` at t and evaluate it once.
+
+    Returns (F / M_lump, M_kir, u.K u, u.S(u)).  Zeroing F on Gamma_0 is
+    the step's one Dirichlet pin: it keeps u, v and accel zero there.  As u
+    is zero on Gamma_0, u.S(u) is int |u_h|^k by the source's own rule.
+    """
+    ku = ops.stiffness @ u
+    buffer.push(t, u, ku)
+    grad_sq = float(u @ ku)
+    m_kir = params.kirchhoff_coefficient(grad_sq)
     F = -m_kir * ku + buffer.convolution_force(t)
+    lk = 0.0
     if params.source_enabled:
-        F += source_vector(ops, u, params.k_exp)
+        S = source_vector(ops, u, params.k_exp)
+        F += S
+        lk = float(u @ S)
     if forcing is not None and forcing.f_omega is not None:
         F += ops.mass_lumped * forcing.f_omega(t, ops.mesh.nodes)
     F[ops.mesh.gamma0_nodes] = 0.0
-    return F
+    return F / ops.mass_lumped, m_kir, grad_sq, lk
+
+
+def _check_finite(t: float, *fields: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(f)) for f in fields):
+        raise SimulationAbort("blow-up or instability: non-finite field values", t)
 
 
 def _boundary_forcing(forcing: Forcing | None, t: float, n_gamma1: int):
@@ -188,21 +207,17 @@ def init_state(
     v = pin_gamma0(mesh, u1)
     y = np.broadcast_to(np.asarray(y0, dtype=float), (len(mesh.gamma1_nodes),)).copy()
 
-    ku = ops.stiffness @ u
-    buffer.push(0.0, u, ku)
-    m_kir = params.kirchhoff_coefficient(float(u @ ku))
-    _check_cfl(cfg.dt, m_kir, ops, cfg, 0.0)
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        accel, m_kir, grad_sq, lk = _evaluate(0.0, u, buffer, params, ops, cfg.forcing)
     f3, f4 = _boundary_forcing(cfg.forcing, 0.0, len(mesh.gamma1_nodes))
     y_t = (f4 - v[mesh.gamma1_nodes] - params.q_c * y) / params.p_c
-
-    F = _interior_force(0.0, u, ku, m_kir, buffer, params, ops, cfg.forcing)
-    accel = F / ops.mass_lumped
     accel[mesh.gamma1_nodes] += (
         mesh.gamma1_weights * (y_t + f3) / ops.mass_lumped[mesh.gamma1_nodes]
     )
-    accel[mesh.gamma0_nodes] = 0.0
-    return SimState(t=0.0, u=u, v=v, y=y, y_t=y_t, m_kir=m_kir, accel=accel)
+    _check_finite(0.0, u, v, y, accel)
+    _check_cfl(cfg.dt, m_kir, ops, cfg, 0.0)
+    return SimState(t=0.0, u=u, v=v, y=y, y_t=y_t, m_kir=m_kir, accel=accel,
+                    grad_sq=grad_sq, lk=lk)
 
 
 def step(
@@ -213,50 +228,38 @@ def step(
     cfg: StepperConfig,
 ) -> SimState:
     """Advance one step of size cfg.dt (buffer must be current at state.t)."""
-    mesh = ops.mesh
     dt = cfg.dt
-    g1 = mesh.gamma1_nodes
-    w1 = mesh.gamma1_weights
+    g1 = ops.mesh.gamma1_nodes
+    w1 = ops.mesh.gamma1_weights
     n1 = state.n + 1
     t1 = n1 * dt
 
     v_half = state.v + 0.5 * dt * state.accel
     u1 = state.u + dt * v_half
-    u1[mesh.gamma0_nodes] = 0.0
-    if not np.all(np.isfinite(u1)):
-        raise SimulationAbort("blow-up or instability: non-finite field values", t1)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        ku1 = ops.stiffness @ u1
-        buffer.push(t1, u1, ku1)
-        m_kir1 = params.kirchhoff_coefficient(float(u1 @ ku1))
-        F1 = _interior_force(t1, u1, ku1, m_kir1, buffer, params, ops, cfg.forcing)
-        base = F1 / ops.mass_lumped
-        base[mesh.gamma0_nodes] = 0.0
+        accel1, m_kir1, grad_sq1, lk1 = _evaluate(t1, u1, buffer, params, ops, cfg.forcing)
 
         f3, f4 = _boundary_forcing(cfg.forcing, t1, len(g1))
         m_g = ops.mass_lumped[g1]
         # trapezoidal closure of the boundary triple (v, y, y_t), pointwise:
         #   v1 = A + c z,  y1 = y + dt/2 (y_t + z),  p z = f4 - v1 - q y1
-        A = v_half[g1] + 0.5 * dt * (base[g1] + w1 * f3 / m_g)
+        A = v_half[g1] + 0.5 * dt * (accel1[g1] + w1 * f3 / m_g)
         c = 0.5 * dt * w1 / m_g
         z = (f4 - A - params.q_c * state.y - 0.5 * dt * params.q_c * state.y_t) / (
             params.p_c + c + 0.5 * dt * params.q_c
         )
 
-        v1 = v_half + 0.5 * dt * base
+        v1 = v_half + 0.5 * dt * accel1
         v1[g1] = A + c * z
-        v1[mesh.gamma0_nodes] = 0.0
         y1 = state.y + 0.5 * dt * (state.y_t + z)
-
-        accel1 = base.copy()
         accel1[g1] += w1 * (z + f3) / m_g
 
-    if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(y1))):
-        raise SimulationAbort("blow-up or instability: non-finite field values", t1)
+    _check_finite(t1, u1, v1, y1)
     _check_cfl(dt, m_kir1, ops, cfg, t1)
 
-    return SimState(t=t1, u=u1, v=v1, y=y1, y_t=z, m_kir=m_kir1, accel=accel1, n=n1)
+    return SimState(t=t1, u=u1, v=v1, y=y1, y_t=z, m_kir=m_kir1, accel=accel1,
+                    grad_sq=grad_sq1, lk=lk1, n=n1)
 
 
 def run(

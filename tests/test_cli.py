@@ -72,6 +72,29 @@ def test_all_errors_reported_at_once():
     assert len(exc.value.errors) >= 5
 
 
+@pytest.mark.parametrize("section, key, literal", [
+    ("stepping", "t_end", "NaN"),
+    ("stepping", "t_end", "Infinity"),
+    ("stepping", "dt", "1e400"),
+    ("physics", "k_exp", "NaN"),
+    ("physics", "a", "NaN"),
+    ("physics", "b", "NaN"),
+    ("physics", "q_c", "-Infinity"),
+    ("kernel", "alpha", "NaN"),
+    ("domain", "extent", "[NaN]"),
+    ("initial", "amplitude", "NaN"),
+    ("initial", "amplitude", '"x"'),
+    ("initial", "y0", "[0.1]"),
+])
+def test_non_finite_or_non_numeric_values_rejected(section, key, literal):
+    # JSON text may spell NaN and Infinity; each must end in ConfigError
+    # naming the key, not in an error or a NaN row later in the run
+    text = '{"%s": {"%s": %s}}' % (section, key, literal)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert any(f"{section}.{key}" in e for e in exc.value.errors)
+
+
 def test_unknown_section_key_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps({"stepping": {"dt_max": 0.1}}))
@@ -247,6 +270,33 @@ def test_sweep_creates_isolated_directories(tmp_path, capsys):
     assert len(dirs) == 3
     out = capsys.readouterr().out
     assert out.count("ok") == 3
+
+
+@pytest.mark.parametrize("param, workers, expect", [
+    ("stepping.dt=-1,0.0005", "2", "stepping.dt must be positive"),
+    ("nosuch.key=1", "1", "'nosuch' is not a config section"),
+    ("stepping.dt", "1", "section.key=v1,v2"),
+    ("stepping.nosuch=1", "1", "stepping.nosuch: unknown key"),
+    ("stepping.dt=abc", "1", "is not JSON"),
+])
+def test_sweep_rejects_bad_params_before_any_run(tmp_path, capsys, param, workers, expect):
+    rc = main(["sweep", "--preset", "exp-inwell", "--param", param,
+               "--out", str(tmp_path / "sweep"), "--workers", workers])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert expect in err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_overflowing_energy_aborts_with_header_only_csv(tmp_path):
+    cfg = parse_config(_tiny_config(physics={"b": 0.0}, initial={"amplitude": 1e90}))
+    result = run_scenario(cfg, out_dir=tmp_path / "ovf")
+    assert result.aborted is not None
+    assert result.aborted.reason.startswith("blow-up")
+    marker = json.loads((tmp_path / "ovf" / "abort.json").read_text())
+    assert marker == {"reason": result.aborted.reason, "time": 0.0}
+    lines = (tmp_path / "ovf" / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("t,E,")
 
 
 @pytest.fixture

@@ -12,15 +12,17 @@ from viscowave import (
     assemble,
     build_manufactured_case,
     build_mesh,
+    grad_norm_sq,
     linear_profile_solution,
+    lk_norm_pow,
     run,
 )
 from viscowave import stepper
 from viscowave.cli import PRESETS, initial_data, parse_config
 from viscowave.history import HistoryBuffer
-from viscowave.stepper import init_state, step
+from viscowave.stepper import Forcing, init_state, step
 
-from conftest import default_params, exp_kernel, interval_mesh, sine_profile
+from conftest import default_params, exp_kernel, interval_mesh, sine_profile, square_mesh
 from history_oracle import FullHistory
 
 
@@ -349,3 +351,34 @@ def test_record_times_are_exact_multiples_of_the_step(name):
     assert traj.times == [i * every * dt for i in range(traj.n_records)]
     assert [r.t for r in traj.reports] == traj.times
     assert traj.times[-1] == cfg.stepping.t_end
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "1d-forced-on-gamma0"])
+def test_state_norms_feed_the_energy_report(case):
+    # the step's own u.K u and u.S(u) reach the report, and the single pin
+    # of the force keeps u, v and accel exactly zero on Gamma_0, even under
+    # an interior forcing that is nonzero there
+    if case == "2d":
+        mesh = square_mesh(8)
+        cfg = StepperConfig(dt=2e-3, t_end=0.2, record_every=10)
+    else:
+        mesh = interval_mesh(16)
+        forcing = None
+        if case == "1d-forced-on-gamma0":
+            forcing = Forcing(f_omega=lambda t, x: np.full(len(x), 1.0 + t))
+        cfg = StepperConfig(dt=1e-3, t_end=0.2, record_every=20, forcing=forcing)
+    params = default_params()
+    ops = assemble(mesh, params)
+    u0 = 0.8 * np.sin(np.pi * mesh.nodes[:, 0])
+    u0[mesh.gamma0_nodes] = 0.0
+    y0 = np.full(len(mesh.gamma1_nodes), 0.1)
+    traj = run(u0, np.zeros(mesh.n_nodes), y0, ops, exp_kernel(), params, cfg)
+    assert traj.n_records == 11
+    g0 = mesh.gamma0_nodes
+    for state, rep in zip(traj.states, traj.reports):
+        assert rep.grad_sq == grad_norm_sq(ops, state.u)
+        lk = lk_norm_pow(ops, state.u, params.k_exp)
+        assert lk > 0.0
+        assert -params.k_exp * rep.source == pytest.approx(lk, rel=1e-14, abs=0.0)
+        for field in (state.u, state.v, state.accel):
+            assert np.all(field[g0] == 0.0)
