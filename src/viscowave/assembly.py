@@ -76,7 +76,15 @@ class PhysicalParams:
         return errs
 
     def kirchhoff_coefficient(self, grad_sq: float) -> float:
-        return self.a + self.b * grad_sq**self.kappa
+        return self.a + self.b * float_pow(grad_sq, self.kappa)
+
+
+def float_pow(x: float, p: float) -> float:
+    """x ** p for x >= 0, with inf where the float power overflows."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,17 @@ dE/dt without access to the history buffer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DiscreteOperators, PhysicalParams, boundary_quadratic, l2_norm_sq
+from .assembly import (
+    DiscreteOperators,
+    PhysicalParams,
+    boundary_quadratic,
+    float_pow,
+    l2_norm_sq,
+)
 from .history import HistoryBuffer
 from .kernels import RelaxationKernel
 
@@ -88,10 +93,7 @@ def compute_energy(
     """Full energy report; the buffer must be current through state.t."""
     t = state.t
     gns = state.grad_sq
-    try:
-        gns_pow = gns ** (params.kappa + 1.0)
-    except OverflowError:
-        gns_pow = math.inf
+    gns_pow = float_pow(gns, params.kappa + 1.0)
     kinetic = 0.5 * l2_norm_sq(ops, state.v)
     if kernel is not None:
         accumulated = kernel.partial_mass(t)

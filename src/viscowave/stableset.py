@@ -12,8 +12,14 @@ limit, where the quotient reduces to S_k / sqrt(l) with S_k the plain
 embedding constant sup ||u||_k / ||grad u||_2; for kappa = 0 the reduction
 is S_k / sqrt(l + b).  The plain constants are estimated by projected
 gradient ascent on the discrete quotient (normalized to ||grad u||_2 = 1
-each iteration, seeded multi-starts), and the amplitude-limit reduction is
-verified against a direct finite-amplitude search.
+each iteration, seeded multi-starts).  A start stops at first-order
+stationarity: when the K-norm of its projected ascent direction falls below
+1e-7, where the quotient is within about 1e-14 of its local maximum.  Both
+ascents of ``compute_well_constants`` share one sparse factorization of K,
+made for that computation only.  The amplitude-limit reduction is
+verified against a direct finite-amplitude search; both norms are
+homogeneous, so the whole amplitude sweep of a candidate follows in closed
+form from its |grad u|^2 and ||u||_k^k.
 
 Initial data with E(0) < d1 and gamma_fn(0) < lambda1 stay in the well:
 every later record must keep gamma_fn(t) < lambda1 and E(t) < d1, which
@@ -26,11 +32,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .assembly import (
     DiscreteOperators,
     PhysicalParams,
     boundary_quadratic,
+    float_pow,
     grad_norm_sq,
     l2_norm_sq,
     lk_norm_pow,
@@ -63,7 +71,7 @@ def well_constants_from_B(B: float, k_exp: float) -> tuple[float, float]:
 class AscentDiagnostics:
     value: float
     start_values: tuple[float, ...]
-    iterations: tuple[int, ...]
+    iterations: tuple[int, ...]  # accepted steps per start
     converged: tuple[bool, ...]
     evaluations: tuple[int, ...]  # objective calls per start: 1 + line-search trials
 
@@ -76,8 +84,34 @@ class AscentDiagnostics:
         return all(self.converged)
 
 
-def _ascend(ops: DiscreteOperators, log_num_grad, seed: int, n_starts: int,
-            max_iter: int = 2000, stall_window: int = 50, stall_tol: float = 1e-10):
+# A start stops once the K-norm of its projected ascent direction is below
+# this.  Near a maximum the quotient's error is O(|d|_K^2), about 1e-14; a
+# tolerance at the roundoff floor of |d|_K (1e-8) would rarely stop a start.
+_STATIONARY_TOL = 1e-7
+
+
+def _free_stiffness_lu(ops: DiscreteOperators):
+    """Sparse LU factor of K restricted to the free nodes."""
+    free = ops.mesh.free_nodes
+    return splu(ops.stiffness[np.ix_(free, free)].tocsc())
+
+
+def _ascent_direction(ops: DiscreteOperators, lu, u: np.ndarray,
+                      grad_n: np.ndarray) -> np.ndarray:
+    """K-metric gradient of ln numerator at u (u^T K u = 1), projected onto
+    the tangent space of the constraint sphere; ``lu`` factors K on the free
+    nodes."""
+    free = ops.mesh.free_nodes
+    K = ops.stiffness
+    d = np.zeros(ops.n_nodes)
+    d[free] = lu.solve(grad_n[free])
+    d -= u  # minus the constraint part: K^{-1} K u = u at u^T K u = 1
+    d -= float(d @ (K @ u)) * u  # K-orthogonal tangent projection
+    return d
+
+
+def _ascend(ops: DiscreteOperators, lu, log_num_grad, seed: int, n_starts: int,
+            max_iter: int = 2000):
     """Projected gradient ascent of a homogeneous quotient on the K-sphere.
 
     ``log_num_grad(u)`` returns (ln numerator, gradient of ln numerator) and
@@ -85,17 +119,19 @@ def _ascend(ops: DiscreteOperators, log_num_grad, seed: int, n_starts: int,
     trial's gradient drives the next step.  Iterates are renormalized to
     u^T K u = 1, so the quotient equals the numerator.  The ascent direction
     is the gradient in the inner product induced by K (Riesz representative
-    via a sparse factorization), which makes the convergence rate
-    mesh-independent; the direction is projected onto the tangent space of
-    the constraint sphere before stepping.
-    Returns the best iterate and per-start diagnostics.
-    """
-    from scipy.sparse.linalg import splu
+    through ``lu``, the caller's factor of K on the free nodes, which a
+    caller running several ascents makes once), which makes the convergence
+    rate mesh-independent; the direction is projected onto the tangent
+    space of the constraint sphere before stepping.
 
-    mesh = ops.mesh
+    A start stops, converged, when the K-norm of that direction falls below
+    ``_STATIONARY_TOL``, before any line search at that point.  As a
+    fallback it also stops, converged, when a line search halves its step
+    below 1e-14 without raising the quotient.  ``iterations`` counts the
+    accepted steps.  Returns the best iterate and per-start diagnostics.
+    """
     K = ops.stiffness
-    free = mesh.free_nodes
-    lu = splu(K[np.ix_(free, free)].tocsc())
+    free = ops.mesh.free_nodes
     rng = np.random.default_rng(seed)
 
     best_u = None
@@ -109,15 +145,13 @@ def _ascend(ops: DiscreteOperators, log_num_grad, seed: int, n_starts: int,
         ln_val, grad_n = log_num_grad(u)
         n_eval = 1
         eta = 1.0
-        history = [ln_val]
         converged = False
-        it = 0
-        for it in range(1, max_iter + 1):
-            d = np.zeros(ops.n_nodes)
-            d[free] = lu.solve(grad_n[free])  # K-metric gradient of ln numerator
-            d -= u  # minus the constraint part: K^{-1} K u = u at u^T K u = 1
-            d -= float(d @ (K @ u)) * u  # K-orthogonal tangent projection
-
+        steps = 0
+        while steps < max_iter:
+            d = _ascent_direction(ops, lu, u, grad_n)
+            if d @ (K @ d) < _STATIONARY_TOL**2:
+                converged = True
+                break
             accepted = False
             while eta > 1e-14:
                 trial = u + eta * d
@@ -131,21 +165,14 @@ def _ascend(ops: DiscreteOperators, log_num_grad, seed: int, n_starts: int,
                     accepted = True
                     break
                 eta *= 0.5
-            history.append(ln_val)
             if not accepted:
                 converged = True
                 break
-            if (
-                len(history) > stall_window
-                and history[-1] - history[-1 - stall_window]
-                < stall_tol * max(1.0, abs(history[-1]))
-            ):
-                converged = True
-                break
+            steps += 1
 
         val = math.exp(ln_val)
         finals.append(val)
-        iters.append(it)
+        iters.append(steps)
         convs.append(converged)
         evals.append(n_eval)
         if val > best_val:
@@ -196,7 +223,8 @@ def estimate_embedding_constant(
     constant, nondecreasing under uniform refinement)."""
     if k_exp < 2:
         raise ValueError(f"k must be >= 2, got {k_exp}")
-    _, diag = _ascend(ops, _embedding_objective(ops, k_exp), seed, n_starts, max_iter)
+    _, diag = _ascend(ops, _free_stiffness_lu(ops), _embedding_objective(ops, k_exp), seed,
+                      n_starts, max_iter)
     return diag.value
 
 
@@ -210,8 +238,30 @@ def estimate_trace_constant(
     """Discrete sup ||u||_{2,Gamma_1} / ||grad u||_2."""
     if len(mesh.gamma1_nodes) == 0:
         raise ValueError("trace constant needs a nonempty acoustic boundary")
-    _, diag = _ascend(ops, _trace_objective(ops), seed, n_starts, max_iter)
+    _, diag = _ascend(ops, _free_stiffness_lu(ops), _trace_objective(ops), seed, n_starts,
+                      max_iter)
     return diag.value
+
+
+_AMPLITUDES = np.geomspace(1e-8, 10.0, 40)
+
+
+def _amplitude_quotients(ops: DiscreteOperators, params: PhysicalParams, l_value: float,
+                         u: np.ndarray) -> np.ndarray:
+    """Finite-amplitude quotient ||a u||_k / sqrt(l g(a) + b/(kappa+1) g(a)^(kappa+1))
+    with g(a) = |grad (a u)|^2, at every a in ``_AMPLITUDES``.
+
+    Both norms are homogeneous, ||a u||_k^k = a^k ||u||_k^k and
+    g(a) = a^2 |grad u|^2, so one quadrature pass and one stiffness product
+    serve the whole sweep.
+    """
+    gns = grad_norm_sq(ops, u)
+    if gns == 0.0:
+        return np.zeros(len(_AMPLITUDES))
+    k = params.k_exp
+    g = _AMPLITUDES**2 * gns
+    den = l_value * g + params.b / (params.kappa + 1.0) * g ** (params.kappa + 1.0)
+    return _AMPLITUDES * lk_norm_pow(ops, u, k) ** (1.0 / k) / np.sqrt(den)
 
 
 def estimate_B_Omega(
@@ -238,7 +288,8 @@ def estimate_B_Omega(
     k = params.k_exp
     if u_star is None:
         n_starts = 8 if s_k is None else 2
-        u_star, diag = _ascend(ops, _embedding_objective(ops, k), seed, n_starts)
+        u_star, diag = _ascend(ops, _free_stiffness_lu(ops), _embedding_objective(ops, k),
+                               seed, n_starts)
         if s_k is None:
             s_k = diag.value
     elif s_k is None:
@@ -250,15 +301,6 @@ def estimate_B_Omega(
         limit = s_k / math.sqrt(l_value)
 
     # verification: the finite-amplitude quotient must never beat the limit
-    c_b = params.b / (params.kappa + 1.0)
-
-    def quotient(u):
-        gns = grad_norm_sq(ops, u)
-        if gns == 0.0:
-            return 0.0
-        den = l_value * gns + c_b * gns ** (params.kappa + 1.0)
-        return lk_norm_pow(ops, u, k) ** (1.0 / k) / math.sqrt(den)
-
     rng = np.random.default_rng(seed + 1)
     candidates = [u_star]
     for _ in range(3):
@@ -268,8 +310,7 @@ def estimate_B_Omega(
         candidates.append(v)
     worst = 0.0
     for cand in candidates:
-        for amp in np.geomspace(1e-8, 10.0, 40):
-            worst = max(worst, quotient(amp * cand))
+        worst = max(worst, float(_amplitude_quotients(ops, params, l_value, cand).max()))
 
     verified = worst <= limit * (1.0 + verify_tol)
     info = {"verified": verified, "finite_amplitude_max": worst, "s_k": s_k}
@@ -318,9 +359,10 @@ def compute_well_constants(
 ) -> WellConstants:
     """Embedding/trace constants, B, lambda1 and d1 for one configuration."""
     l_value = kernel.l_value if kernel is not None else params.a
-    u_star, emb_diag = _ascend(ops, _embedding_objective(ops, params.k_exp), seed, 8)
+    lu = _free_stiffness_lu(ops)
+    u_star, emb_diag = _ascend(ops, lu, _embedding_objective(ops, params.k_exp), seed, 8)
     s_k = emb_diag.value
-    _, tr_diag = _ascend(ops, _trace_objective(ops), seed, 8)
+    _, tr_diag = _ascend(ops, lu, _trace_objective(ops), seed, 8)
     b_omega, info = estimate_B_Omega(mesh, ops, params, l_value, s_k=s_k, seed=seed,
                                      u_star=u_star)
     lambda1, d1 = well_constants_from_B(b_omega, params.k_exp)
@@ -395,16 +437,17 @@ def check_initial_membership(
     l_value = kernel.l_value if kernel is not None else params.a
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (len(ops.mesh.gamma1_nodes),))
     gns = grad_norm_sq(ops, u0)
+    gns_pow = float_pow(gns, params.kappa + 1.0)
     boundary = boundary_quadratic(ops, y0, params.q_c)
     gamma0 = math.sqrt(
         l_value * gns
-        + params.b / (params.kappa + 1.0) * gns ** (params.kappa + 1.0)
+        + params.b / (params.kappa + 1.0) * gns_pow
         + boundary
     )
     E0 = (
         0.5 * l2_norm_sq(ops, u1)
         + 0.5 * params.a * gns
-        + params.b / (2.0 * (params.kappa + 1.0)) * gns ** (params.kappa + 1.0)
+        + params.b / (2.0 * (params.kappa + 1.0)) * gns_pow
         + 0.5 * boundary
     )
     if params.source_enabled:

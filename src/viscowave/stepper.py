@@ -177,7 +177,7 @@ def _evaluate(
 
 
 def _check_finite(t: float, *fields: np.ndarray) -> None:
-    if not all(np.all(np.isfinite(f)) for f in fields):
+    if not all(np.isfinite(f).all() for f in fields):
         raise SimulationAbort("blow-up or instability: non-finite field values", t)
 
 

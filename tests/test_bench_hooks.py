@@ -3,7 +3,9 @@
 With ``--trace 1`` the harness reads per-layer metrics from spans named
 ``<module>.<function>`` or ``<module>.<Class>.<method>``; a span whose
 function was deleted or renamed raises a KeyError only when traced.  The
-harness also times the stepping phase by patching ``cli.run``.
+harness also times the stepping phase by patching ``cli.run``, and sums the
+ascent iterations from the well constants' diagnostics into a rerun
+fingerprint.
 """
 
 import ast
@@ -27,6 +29,23 @@ def _layer_metric_spans() -> set[str]:
     return {n.value for n in ast.walk(func)
             if isinstance(n, ast.Constant) and isinstance(n.value, str)
             and "." in n.value and id(n) not in keys}
+
+
+def _diagnostics_key_paths() -> set[tuple[str, ...]]:
+    """Key paths the harness reads below ``diag``, the well constants'
+    diagnostics dict: ``diag["embedding"]["iterations"]`` is
+    ("embedding", "iterations")."""
+    tree = ast.parse(RUN_PY.read_text())
+    paths = set()
+    for node in ast.walk(tree):
+        keys = []
+        while isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            keys.append(node.slice.value)
+            node = node.value
+        if keys and isinstance(node, ast.Name) and node.id == "diag":
+            paths.add(tuple(reversed(keys)))
+    # keep only the longest chains (("embedding",) is part of ("embedding", ...))
+    return {p for p in paths if not any(q != p and q[:len(p)] == p for q in paths)}
 
 
 def _is_traced(span: str) -> bool:
@@ -71,3 +90,20 @@ def test_run_scenario_calls_run_through_the_cli_attribute(tmp_path, monkeypatch)
     }))
     cli.run_scenario(config, out_dir=tmp_path / "run")
     assert calls == [1]
+
+
+def test_well_constants_json_carries_the_diagnostics_the_harness_reads(tmp_path):
+    paths = _diagnostics_key_paths()
+    assert {("embedding", "iterations"), ("trace", "iterations")} <= paths
+    config = cli.parse_config(json.dumps({
+        "domain": {"resolution": [8]},
+        "stepping": {"dt": 2e-3, "t_end": 0.02, "record_every": 5},
+        "analysis": {"constants": True, "decay": False},
+    }))
+    cli.run_scenario(config, out_dir=tmp_path / "run")
+    saved = json.loads((tmp_path / "run" / "well_constants.json").read_text())
+    for path in paths:
+        value = saved["diagnostics"]
+        for key in path:
+            value = value[key]
+        assert value and all(isinstance(v, int) and v >= 0 for v in value), path

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -93,6 +94,57 @@ def test_non_finite_or_non_numeric_values_rejected(section, key, literal):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert any(f"{section}.{key}" in e for e in exc.value.errors)
+
+
+def _entries(node):
+    """(container, key) of every dict entry and list item below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    out = []
+    for key, val in items:
+        out.append((node, key))
+        if isinstance(val, (dict, list)):
+            out.extend(_entries(val))
+    return out
+
+
+def _mutate(raw: dict, rng: random.Random) -> None:
+    """One seeded mutation of a config, in place: a dropped key or item, a
+    value of another type, NaN or an infinity, a negative or huge value, or
+    the value wrapped in nested lists."""
+    container, key = rng.choice(_entries(raw))
+    old = container[key]
+    kind = rng.randrange(6)
+    if kind == 0:
+        del container[key]
+    elif kind == 1:
+        container[key] = rng.choice(["x", "", True, False, None, 7, 0.5, [], {}, {"k": 1}])
+    elif kind == 2:
+        container[key] = rng.choice([math.nan, math.inf, -math.inf])
+    elif kind == 3:
+        container[key] = -old if isinstance(old, (int, float)) else -1
+    elif kind == 4:
+        container[key] = rng.choice([1e308, -1e308, 10**400, 2**64, 1e-320])
+    else:
+        container[key] = rng.choice([[old], [[old]], [old, [old]]])
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_seeded_config_mutations_raise_only_config_error(name):
+    rng = random.Random(f"mutate-{name}")
+    outcomes = set()
+    for _ in range(300):
+        raw = copy.deepcopy(PRESETS[name].config)
+        for _ in range(rng.randint(1, 3)):
+            _mutate(raw, rng)
+        text = json.dumps(raw)
+        try:
+            parse_config(text)
+            outcomes.add("parsed")
+        except ConfigError:
+            outcomes.add("rejected")
+        except Exception as exc:  # noqa: BLE001 - the test reports any other escape
+            pytest.fail(f"{type(exc).__name__}: {exc} from {text}")
+    assert outcomes == {"parsed", "rejected"}
 
 
 def test_unknown_section_key_rejected():
@@ -297,6 +349,29 @@ def test_overflowing_energy_aborts_with_header_only_csv(tmp_path):
     assert marker == {"reason": result.aborted.reason, "time": 0.0}
     lines = (tmp_path / "ovf" / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("t,E,")
+
+
+def test_overflowing_kirchhoff_coefficient_aborts(tmp_path):
+    # |grad u|^2 ~ 1e160 is finite, but its square overflows a float
+    cfg = parse_config(_tiny_config(physics={"kappa": 2}, initial={"amplitude": 1e80}))
+    result = run_scenario(cfg, out_dir=tmp_path / "ovf")
+    assert result.aborted is not None
+    assert result.aborted.reason.startswith("blow-up")
+    marker = json.loads((tmp_path / "ovf" / "abort.json").read_text())
+    assert marker == {"reason": result.aborted.reason, "time": 0.0}
+
+
+def test_overflowing_initial_energy_is_out_of_the_well(tmp_path):
+    # with the default well constants on, the membership check sees the
+    # overflow first; it must report the data outside the well
+    cfg = parse_config(_tiny_config(physics={"b": 0}, initial={"amplitude": 1e90},
+                                     analysis={"constants": True}))
+    result = run_scenario(cfg, out_dir=tmp_path / "ovf")
+    assert result.stable_report is not None and not result.stable_report.in_well
+    assert not json.loads((tmp_path / "ovf" / "stable_set.json").read_text())["in_well"]
+    assert result.aborted is not None
+    assert result.aborted.reason == "blow-up or instability: non-finite energy"
+    assert (tmp_path / "ovf" / "abort.json").exists()
 
 
 @pytest.fixture

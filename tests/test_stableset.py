@@ -203,7 +203,8 @@ def test_ascent_evaluates_each_iterate_once():
         calls.append((u.tobytes(), out[0]))
         return out
 
-    _, diag = stableset._ascend(ops, counted, seed=5, n_starts=3)
+    _, diag = stableset._ascend(ops, stableset._free_stiffness_lu(ops), counted,
+                                seed=5, n_starts=3)
     # one evaluation per start plus one per line-search trial, and every
     # iteration makes at least one trial
     assert len(calls) == sum(diag.evaluations)
@@ -228,8 +229,8 @@ def test_well_constants_run_sixteen_starts_and_verify_the_best(monkeypatch):
     ascents, verified = [], []
     ascend, estimate = stableset._ascend, stableset.estimate_B_Omega
 
-    def spy_ascend(ops, objective, seed, n_starts, *args, **kwargs):
-        out = ascend(ops, objective, seed, n_starts, *args, **kwargs)
+    def spy_ascend(ops, lu, objective, seed, n_starts, *args, **kwargs):
+        out = ascend(ops, lu, objective, seed, n_starts, *args, **kwargs)
         ascents.append((n_starts, out))
         return out
 
@@ -247,3 +248,134 @@ def test_well_constants_run_sixteen_starts_and_verify_the_best(monkeypatch):
     assert emb_diag.value == max(emb_diag.start_values) == constants.c_star
     ln_val, _ = stableset._embedding_objective(ops, params.k_exp)(u_best)
     assert math.exp(ln_val) == constants.c_star
+
+
+MESHES = {"1d-32": lambda: interval_mesh(32), "2d-8x8": lambda: square_mesh(8)}
+
+
+def _objective(ops, which):
+    if which == "embedding":
+        return stableset._embedding_objective(ops, 4.0)
+    return stableset._trace_objective(ops)
+
+
+@pytest.mark.parametrize("stop", ["stationary", "exhausted"])
+@pytest.mark.parametrize("which", ["embedding", "trace"])
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_every_start_stops_stationary_or_with_an_exhausted_line_search(mesh_name, which, stop,
+                                                                       monkeypatch):
+    if stop == "exhausted":  # no stationary stop: only the line-search fallback ends a start
+        monkeypatch.setattr(stableset, "_STATIONARY_TOL", 0.0)
+    mesh = MESHES[mesh_name]()
+    ops = assemble(mesh, default_params())
+    objective = _objective(ops, which)
+    calls = []
+
+    def recorded(u):
+        ln_val, grad = objective(u)
+        calls.append((u.copy(), ln_val, grad))
+        return ln_val, grad
+
+    lu = stableset._free_stiffness_lu(ops)
+    _, diag = stableset._ascend(ops, lu, recorded, seed=3, n_starts=8)
+    assert diag.all_converged
+    K = ops.stiffness
+
+    def k_norm(w):
+        return math.sqrt(w @ (K @ w))
+
+    pos = 0
+    stationary = 0
+    for n_eval, steps in zip(diag.evaluations, diag.iterations):
+        group = calls[pos:pos + n_eval]
+        pos += n_eval
+        # a trial is accepted exactly when it raises the start's value
+        accepted = [0]
+        for i in range(1, n_eval):
+            if group[i][1] > group[accepted[-1]][1]:
+                accepted.append(i)
+        assert steps == len(accepted) - 1
+        u, _, grad = group[accepted[-1]]
+        d = stableset._ascent_direction(ops, lu, u, grad)
+        if accepted[-1] == n_eval - 1:
+            # stopped before any trial at its last iterate
+            assert k_norm(d) < stableset._STATIONARY_TOL
+            stationary += 1
+        else:
+            # every trial after the last step was rejected, down to a step
+            # of at most 2e-14 along d (plus the roundoff of renormalizing)
+            assert k_norm(group[-1][0] - u) <= 3e-14 * k_norm(d) + 1e-14
+    assert stationary == (len(diag.evaluations) if stop == "stationary" else 0)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_stationary_stop_matches_an_ascent_run_to_exhaustion(mesh_name, monkeypatch):
+    mesh = MESHES[mesh_name]()
+    params = default_params()
+    ops = assemble(mesh, params)
+    stopped = compute_well_constants(mesh, ops, params, exp_kernel())
+    monkeypatch.setattr(stableset, "_STATIONARY_TOL", 0.0)
+    exhausted = compute_well_constants(mesh, ops, params, exp_kernel())
+    assert stopped.c_star == pytest.approx(exhausted.c_star, rel=1e-14, abs=0.0)
+    assert stopped.c_bar_star == pytest.approx(exhausted.c_bar_star, rel=1e-14, abs=0.0)
+    for name in ("embedding", "trace"):
+        assert (sum(stopped.diagnostics[name]["evaluations"])
+                < sum(exhausted.diagnostics[name]["evaluations"]))
+
+
+def test_one_stiffness_factorisation_per_well_constants(monkeypatch):
+    factors, used = [], []
+    splu, ascend = stableset.splu, stableset._ascend
+
+    def spy_splu(matrix):
+        factors.append(splu(matrix))
+        return factors[-1]
+
+    def spy_ascend(ops, lu, *args, **kwargs):
+        used.append(lu)
+        return ascend(ops, lu, *args, **kwargs)
+
+    monkeypatch.setattr(stableset, "splu", spy_splu)
+    monkeypatch.setattr(stableset, "_ascend", spy_ascend)
+    mesh = square_mesh(8)
+    params = default_params()
+    ops = assemble(mesh, params)
+    compute_well_constants(mesh, ops, params, exp_kernel())
+    assert len(factors) == 1
+    assert len(used) == 2 and all(lu is factors[0] for lu in used)
+    n_free = len(mesh.free_nodes)
+    assert factors[0].shape == (n_free, n_free)
+
+
+@pytest.mark.parametrize("kappa, b", [(1.0, 1.0), (0.0, 3.0)])
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_closed_form_amplitude_sweep_matches_the_direct_quotient(mesh_name, kappa, b,
+                                                                 monkeypatch):
+    mesh = MESHES[mesh_name]()
+    params = default_params(kappa=kappa, b=b)
+    ops = assemble(mesh, params)
+    kernel = exp_kernel()
+    swept = []
+    sweep = stableset._amplitude_quotients
+
+    def spy(ops, params, l_value, u):
+        q = sweep(ops, params, l_value, u)
+        swept.append((u, q))
+        return q
+
+    monkeypatch.setattr(stableset, "_amplitude_quotients", spy)
+    constants = compute_well_constants(mesh, ops, params, kernel)
+    assert len(swept) == 4  # the ascent's best iterate and three random fields
+    from viscowave import grad_norm_sq, lk_norm_pow
+
+    k, c_b = params.k_exp, params.b / (params.kappa + 1.0)
+    for u, q in swept:
+        direct = []
+        for amp in np.geomspace(1e-8, 10.0, 40):
+            gns = grad_norm_sq(ops, amp * u)
+            den = kernel.l_value * gns + c_b * gns ** (params.kappa + 1.0)
+            direct.append(lk_norm_pow(ops, amp * u, k) ** (1.0 / k) / math.sqrt(den))
+        np.testing.assert_allclose(q, direct, rtol=1e-13, atol=0.0)
+    info = constants.diagnostics["b_omega_verification"]
+    assert info["verified"]
+    assert info["finite_amplitude_max"] == max(q.max() for _, q in swept)
