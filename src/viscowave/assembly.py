@@ -1,24 +1,21 @@
 """P1 finite-element forms: mass, stiffness, boundary mass, L^k quantities.
 
 Piecewise-linear elements on the uniform meshes of :mod:`viscowave.geometry`.
-Mass and stiffness are assembled exactly.  The L^k norm and the odd source
-term |u|^{k-2} u share one Gauss rule (Duffy-collapsed on triangles) whose
-point count is the smallest that integrates polynomials of degree
-d = ceil(k) exactly: ceil((d+1)/2) points on a segment and ceil((d+2)/2)
-per direction on a triangle, where the collapse adds one degree in the
-first direction (3 and 9 points at k = 4).  On a P1 element |u_h|^k and
-|u_h|^{k-2} u_h phi_i are polynomials of degree k for every even integer k,
-and for every odd integer k on elements where u_h keeps one sign, so the
-rule is exact there.  For other k, and for odd k where u_h changes sign,
-the integrands are not polynomials and no rule is exact; they get the same
-point count, fewer than the ceil(k) + 1 per direction used before, so the
-quadrature error there is larger than it was.
+Mass and stiffness are assembled exactly; the lumped mass m_i is the row sum
+of the consistent mass, m_i = int phi_i.
 
-One pass evaluates s = |u_h|^{k-2} u_h at the points and scatters the
-weak-form vector with ``np.bincount`` against a weighted shape table built
-at assembly.  ``lk_norm_pow`` takes int |u|^k as sum w s u_h by the same
-rule, so for u zero on Gamma_0, u . source_vector(u) == lk_norm_pow(u) up
-to roundoff; the stepper and the well-constant ascent use the dot product.
+The two nonlinear integrals use the nodal ("product approximation") rule,
+which needs the lumped mass alone:
+
+  int |u_h|^k                  ~  lk(u)  = sum_i m_i |u_i|^k
+  int |u_h|^{k-2} u_h phi_i    ~  S(u)_i = m_i |u_i|^{k-2} u_i   (0 on Gamma_0)
+
+S is the exact gradient of lk/k on the free nodes, so for u zero on Gamma_0,
+u . source_vector(u) == lk_norm_pow(u) up to roundoff; the stepper and the
+well-constant ascent use the dot product.  lk is the integral of the P1
+interpolant of |u_h|^k, and that interpolant lies above |u_h|^k on every
+element (t -> |t|^k is convex), so lk >= int |u_h|^k for every field.  For
+smooth u both rules are O(h^2) accurate for every exponent k > 2.
 
 Fields are plain numpy arrays with one value per mesh node; entries at
 Dirichlet nodes are pinned to zero.
@@ -76,7 +73,18 @@ class PhysicalParams:
         return errs
 
     def kirchhoff_coefficient(self, grad_sq: float) -> float:
+        """a + b |grad u|^(2 kappa); exactly a when b = 0, however large the power."""
+        if self.b == 0.0:
+            return self.a
         return self.a + self.b * float_pow(grad_sq, self.kappa)
+
+    def kirchhoff_potential(self, grad_sq: float) -> float:
+        """b/(kappa+1) |grad u|^(2(kappa+1)), the Kirchhoff term of the well
+        functional and twice that of the energy; 0.0 when b = 0, where the
+        power may overflow."""
+        if self.b == 0.0:
+            return 0.0
+        return self.b / (self.kappa + 1.0) * float_pow(grad_sq, self.kappa + 1.0)
 
 
 def float_pow(x: float, p: float) -> float:
@@ -89,16 +97,12 @@ def float_pow(x: float, p: float) -> float:
 
 @dataclass(frozen=True)
 class DiscreteOperators:
-    """Assembled forms plus the quadrature tables for the nonlinear terms."""
+    """Assembled linear forms; the lumped mass also carries the nonlinear terms."""
 
     mesh: Mesh
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     mass_lumped: np.ndarray
-    shape_at_quad: np.ndarray   # (nq, nodes per element)
-    quad_weights: np.ndarray    # (nq,), physical weights (uniform elements)
-    weighted_shape: np.ndarray  # (nq, nodes per element), quad_weights * shape
-    quad_order: int             # Gauss points per direction
     lam_max_unit: float         # max eig of M_lump^{-1} K at unit coefficient
 
     @property
@@ -106,63 +110,18 @@ class DiscreteOperators:
         return self.mesh.n_nodes
 
 
-def _quad_rule_1d(n: int):
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    z = 0.5 * (xg + 1.0)
-    w = 0.5 * wg
-    shape = np.column_stack([1.0 - z, z])  # (nq, 2)
-    return shape, w
-
-
-def _quad_rule_triangle(n: int):
-    # Duffy collapse of an n x n Gauss rule onto the reference triangle
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    a = 0.5 * (xg + 1.0)
-    wa = 0.5 * wg
-    A, B = np.meshgrid(a, a, indexing="ij")
-    WA, WB = np.meshgrid(wa, wa, indexing="ij")
-    x = A.ravel()
-    y = (B * (1.0 - A)).ravel()
-    w = (WA * WB * (1.0 - A)).ravel()  # integrates to area 1/2
-    shape = np.column_stack([1.0 - x - y, x, y])  # (nq, 3)
-    return shape, w
-
-
-def _gauss_points(k_exp: float, dimension: int) -> int:
-    """Smallest Gauss count per direction exact for degree ceil(k) on an element."""
-    return (int(math.ceil(k_exp)) + dimension + 1) // 2
-
-
-def assemble(mesh: Mesh, params: PhysicalParams) -> DiscreteOperators:
-    """Assemble mass/stiffness/boundary forms and the quadrature tables."""
-    n_quad = _gauss_points(params.k_exp, mesh.dimension)
-    if mesh.dimension == 1:
-        K, M = _assemble_1d(mesh)
-        shape, w = _quad_rule_1d(n_quad)
-        h = mesh.spec.extent[0] / mesh.spec.resolution[0]
-        qw = w * h
-    else:
-        K, M = _assemble_2d(mesh)
-        shape, w = _quad_rule_triangle(n_quad)
-        lx, ly = mesh.spec.extent
-        nx, ny = mesh.spec.resolution
-        area = (lx / nx) * (ly / ny) / 2.0
-        qw = w * 2.0 * area
-
+def assemble(mesh: Mesh) -> DiscreteOperators:
+    """Assemble stiffness, consistent and lumped mass, and the CFL eigenvalue."""
+    K, M = _assemble_1d(mesh) if mesh.dimension == 1 else _assemble_2d(mesh)
     K = K.tocsr()
     M = M.tocsr()
     lumped = np.asarray(M.sum(axis=1)).ravel()
-    lam = _estimate_lam_max(K, lumped, mesh)
     return DiscreteOperators(
         mesh=mesh,
         stiffness=K,
         mass=M,
         mass_lumped=lumped,
-        shape_at_quad=shape,
-        quad_weights=qw,
-        weighted_shape=qw[:, None] * shape,
-        quad_order=n_quad,
-        lam_max_unit=lam,
+        lam_max_unit=_estimate_lam_max(K, lumped, mesh),
     )
 
 
@@ -245,34 +204,20 @@ def l2_norm_sq(ops: DiscreteOperators, u: np.ndarray) -> float:
     return float(u @ (ops.mass @ u))
 
 
-def _source_at_quad(ops: DiscreteOperators, u: np.ndarray, k_exp: float):
-    """(s, u_h) at every quadrature point, s = |u_h|^{k-2} u_h; both (ne, nq)."""
-    vals = u[ops.mesh.elements] @ ops.shape_at_quad.T
-    return np.abs(vals) ** (k_exp - 2.0) * vals, vals
-
-
-def _scatter(ops: DiscreteOperators, s: np.ndarray) -> np.ndarray:
-    contrib = s @ ops.weighted_shape  # (ne, nodes per element)
-    out = np.bincount(ops.mesh.elements.ravel(), weights=contrib.ravel(),
-                      minlength=ops.n_nodes)
-    out[ops.mesh.gamma0_nodes] = 0.0
-    return out
-
-
 def lk_norm_pow(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> float:
-    """int |u_h|^k by the element quadrature rule, as sum w |u_h|^{k-2} u_h u_h."""
-    s, vals = _source_at_quad(ops, u, k_exp)
-    return float(((s * vals) @ ops.quad_weights).sum())
+    """int |u_h|^k by the nodal rule, sum_i m_i |u_i|^k."""
+    return float(ops.mass_lumped @ np.abs(u) ** k_exp)
 
 
 def source_vector(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> np.ndarray:
-    """Weak form of the odd source: entries int |u_h|^{k-2} u_h phi_i.
+    """Nodal weak form of the odd source, m_i |u_i|^{k-2} u_i, zero on Gamma_0.
 
-    Uses the rule of :func:`lk_norm_pow`, so for u zero on Gamma_0,
+    The gradient of lk_norm_pow(u) / k, so for u zero on Gamma_0,
     u . source_vector(u) == lk_norm_pow(u) to roundoff.
     """
-    s, _ = _source_at_quad(ops, u, k_exp)
-    return _scatter(ops, s)
+    out = ops.mass_lumped * (np.abs(u) ** (k_exp - 2.0) * u)
+    out[ops.mesh.gamma0_nodes] = 0.0
+    return out
 
 
 def trace_norm_sq(ops: DiscreteOperators, u: np.ndarray) -> float:

@@ -14,7 +14,7 @@ has hand-checkable provenance.
   well_constants.json     embedding/trace/B, lambda1, d1 (optional)
   stable_set.json         initial membership check (optional)
   decay_report.json       envelope fit + weighted-integral profile (optional)
-  run_metadata.json       versions, tolerances, quadrature order, seed
+  run_metadata.json       versions, tolerances, seed, memory diagnostics
   energy_vs_time.dat, logE_vs_phi.dat, rho_vs_S.dat   (plot data)
   abort.json              marker, only when the run aborted
 
@@ -461,8 +461,35 @@ def write_trajectory_csv(path: Path, traj: Trajectory, mesh: Mesh) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _strict(value):
+    """(JSON-safe copy of ``value``, tokens of the non-finite floats it nulled).
+
+    A non-finite float becomes None with the token "nan", "inf" or "-inf";
+    a dict entry with a token gains a sibling ``<key>_nonfinite`` holding it,
+    and a list's token maps each such index to the token of its item.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return None, "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            out[key], token = _strict(item)
+            if token is not None:
+                out[f"{key}_nonfinite"] = token
+        return out, None
+    if isinstance(value, (list, tuple)):
+        pairs = [_strict(item) for item in value]
+        tokens = {str(i): token for i, (_, token) in enumerate(pairs) if token is not None}
+        return [item for item, _ in pairs], tokens or None
+    return value, None
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON (RFC 8259): non-finite floats are written as null plus a
+    ``_nonfinite`` token, and any that slip past raise instead of writing
+    NaN or Infinity."""
+    clean, _ = _strict(payload)
+    path.write_text(json.dumps(clean, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_columns(path: Path, cols: list[np.ndarray]) -> None:
@@ -497,7 +524,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     mesh = build_mesh(config.domain)
     params = config.physics
     kernel = config.build_kernel()
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     result = ScenarioResult(config=config, out_dir=out)
 
     horizon = config.analysis.hypothesis_horizon or max(20.0, 2.0 * config.stepping.t_end)
@@ -581,7 +608,6 @@ def _metadata(config: RunConfig, ops, traj, started: float) -> dict:
         "viscowave_version": __version__,
         "numpy_version": np.__version__,
         "config": config.to_dict(),
-        "quad_order": ops.quad_order,
         "lam_max_unit": ops.lam_max_unit,
         "n_records": traj.n_records if traj is not None else 0,
         "memory": traj.meta.get("memory") if traj is not None else None,
@@ -636,7 +662,7 @@ def run_mms_ladder(base_config: RunConfig, levels: int = 3) -> dict:
         cfg_dict["stepping"]["dt"] = raw["stepping"]["dt"] / 2**lvl
         cfg = parse_config(json.dumps(cfg_dict))
         mesh = build_mesh(cfg.domain)
-        ops = assemble(mesh, cfg.physics)
+        ops = assemble(mesh)
         entries.append(run_mms_level(cfg, mesh, ops))
     errors = [e["l2_error"] for e in entries]
     ratios = [errors[i] / errors[i + 1] if errors[i + 1] > 0 else math.inf
@@ -748,7 +774,7 @@ def _cmd_run(args) -> int:
 def _cmd_constants(args) -> int:
     config = _load_config(args)
     mesh = build_mesh(config.domain)
-    ops = assemble(mesh, config.physics)
+    ops = assemble(mesh)
     kernel = config.build_kernel()
     constants = compute_well_constants(mesh, ops, config.physics, kernel, seed=config.seed)
     print(json.dumps(constants.to_dict(), indent=2, sort_keys=True))

@@ -40,7 +40,6 @@ from .assembly import (
     DiscreteOperators,
     PhysicalParams,
     boundary_quadratic,
-    float_pow,
     l2_norm_sq,
 )
 from .history import HistoryBuffer
@@ -93,7 +92,6 @@ def compute_energy(
     """Full energy report; the buffer must be current through state.t."""
     t = state.t
     gns = state.grad_sq
-    gns_pow = float_pow(gns, params.kappa + 1.0)
     kinetic = 0.5 * l2_norm_sq(ops, state.v)
     if kernel is not None:
         accumulated = kernel.partial_mass(t)
@@ -102,7 +100,8 @@ def compute_energy(
         accumulated = 0.0
         g_at_t = 0.0
     elastic = 0.5 * (params.a - accumulated) * gns
-    kirchhoff = params.b / (2.0 * (params.kappa + 1.0)) * gns_pow
+    kirchhoff_pot = params.kirchhoff_potential(gns)
+    kirchhoff = 0.5 * kirchhoff_pot
     acoustic = boundary_quadratic(ops, state.y, params.q_c)
     boundary = 0.5 * acoustic
     gdia = buffer.g_diamond(t, state.u)
@@ -118,12 +117,7 @@ def compute_energy(
     rhs = -0.5 * g_at_t * gns + 0.5 * gpdia - damping
 
     l_value = kernel.l_value if kernel is not None else params.a
-    well = (
-        l_value * gns
-        + params.b / (params.kappa + 1.0) * gns_pow
-        + acoustic
-        + gdia
-    )
+    well = l_value * gns + kirchhoff_pot + acoustic + gdia
 
     return EnergyReport(
         t=t,

@@ -309,7 +309,6 @@ class OscillatoryRate(RateFunction):
         t >= 0, with m = max e^{-t} |sin t|.
         """
         c = 0.5 * self.alpha * self.eps
-        inflation = math.exp(c * math.exp(-math.pi))  # 1 / min_t e^{c w}
         xi_min = self.alpha * (1.0 - self.eps * _OSC_NEG)
 
         def bound(n: int) -> float:
@@ -317,9 +316,17 @@ class OscillatoryRate(RateFunction):
             tail_prime = (self.alpha * tail + 2.0 * _OSC_MAX * c * _exp_series_tail(c, n - 1)) / xi_min
             return inflation * max(tail, tail_prime)
 
-        n_max = 0
-        while bound(n_max) > SOE_REL_TOL:
-            n_max += 1
+        try:
+            inflation = math.exp(c * math.exp(-math.pi))  # 1 / min_t e^{c w}
+            n_max = 0
+            while bound(n_max) > SOE_REL_TOL:
+                n_max += 1
+        except OverflowError:
+            raise ValueError(
+                f"oscillatory rate: the exponential series in alpha*eps/2 = {c:.6g} "
+                "overflows a float; lower alpha or eps"
+            ) from None
+        # bound(n_max) formed c^(n_max+1) / (n_max+1)!, so no term below overflows
         a = complex(0.5, -0.5)
         coeffs, rates = [], []
         for n in range(n_max + 1):
@@ -407,7 +414,9 @@ def build_kernel(rate: RateFunction, g0: float, a: float) -> RelaxationKernel:
         tail = g0 / (rate.alpha - 1.0)
     else:
         expansion = rate.exp_sum(None).scaled(g0)
-        tail = g0 / rate.alpha if isinstance(rate, ConstantRate) else expansion.total_mass()
+        # a subnormal alpha gives an infinite mass, which (H2) rejects below
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = g0 / rate.alpha if isinstance(rate, ConstantRate) else expansion.total_mass()
 
     l_value = a - tail
     if l_value <= 0:

@@ -20,7 +20,7 @@ this reduces to the classical dt <= cfl_safety * h / sqrt(M_kir)).
 
 Each new iterate is evaluated once (``_evaluate``): the force, and
 |grad u|^2 and int |u|^k for the energy report, from one stiffness product
-and one source pass.
+and one nodal source vector.
 
 Aborts (CFL violation, non-finite fields or energy) raise
 :class:`SimulationAbort` carrying the partial trajectory and the abort time;
@@ -285,7 +285,6 @@ def run(
             "t_end": cfg.t_end,
             "record_every": cfg.record_every,
             "cfl_safety": cfg.cfl_safety,
-            "quad_order": ops.quad_order,
             "memory": buffer.diagnostics(),
         }
     )

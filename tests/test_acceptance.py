@@ -48,7 +48,7 @@ def _report(criterion: int, label: str, ok: bool, detail: str) -> None:
 def _run_preset(name: str):
     cfg = PRESETS[name].parse()
     mesh = build_mesh(cfg.domain)
-    ops = assemble(mesh, cfg.physics)
+    ops = assemble(mesh)
     kernel = cfg.build_kernel()
     u0, u1, y0 = initial_data(cfg, mesh)
     t0 = time.time()
@@ -101,7 +101,7 @@ def test_criterion_1_energy_identity(exp_run):
 
     cfg_h = parse_config(json.dumps(raw))
     mesh_h = build_mesh(cfg_h.domain)
-    ops_h = assemble(mesh_h, cfg_h.physics)
+    ops_h = assemble(mesh_h)
     u0, u1, y0 = initial_data(cfg_h, mesh_h)
     traj_h = run(u0, u1, y0, ops_h, cfg_h.build_kernel(), cfg_h.physics, cfg_h.stepping)
     _, res_h = rate_identity_residual(traj_h.reports)
@@ -132,16 +132,15 @@ def test_criterion_2_energy_monotonicity(exp_run, powerlaw_run, oscillatory_run)
 
 def test_criterion_3_well_constant_oracles():
     t0 = time.time()
-    from viscowave import DomainSpec, PhysicalParams
+    from viscowave import DomainSpec
 
-    params = PhysicalParams(a=2.0, b=1.0, kappa=1.0, k_exp=4.0, p_c=1.0, q_c=1.0)
     mesh1 = build_mesh(DomainSpec(1, (1.0,), frozenset({"right"}), (64,)))
-    ops1 = assemble(mesh1, params)
+    ops1 = assemble(mesh1)
     c2 = estimate_embedding_constant(mesh1, ops1, 2.0)
     tr = estimate_trace_constant(mesh1, ops1)
     c4 = estimate_embedding_constant(mesh1, ops1, 4.0)
     mesh2 = build_mesh(DomainSpec(2, (1.0, 1.0), frozenset({"right"}), (32, 32)))
-    ops2 = assemble(mesh2, params)
+    ops2 = assemble(mesh2)
     c2d = estimate_embedding_constant(mesh2, ops2, 2.0)
     runtime = time.time() - t0
 

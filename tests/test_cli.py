@@ -351,14 +351,26 @@ def test_overflowing_energy_aborts_with_header_only_csv(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("t,E,")
 
 
+def _strict_artifacts(directory) -> dict:
+    """Every JSON artifact of a run, parsed as strict JSON (no NaN or Infinity)."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return {path.name: json.loads(path.read_text(), parse_constant=reject)
+            for path in sorted(directory.glob("*.json"))}
+
+
 def test_overflowing_kirchhoff_coefficient_aborts(tmp_path):
     # |grad u|^2 ~ 1e160 is finite, but its square overflows a float
     cfg = parse_config(_tiny_config(physics={"kappa": 2}, initial={"amplitude": 1e80}))
     result = run_scenario(cfg, out_dir=tmp_path / "ovf")
     assert result.aborted is not None
     assert result.aborted.reason.startswith("blow-up")
-    marker = json.loads((tmp_path / "ovf" / "abort.json").read_text())
-    assert marker == {"reason": result.aborted.reason, "time": 0.0}
+    artifacts = _strict_artifacts(tmp_path / "ovf")
+    assert artifacts["abort.json"] == {"reason": result.aborted.reason, "time": 0.0}
+    meta = artifacts["run_metadata.json"]
+    assert meta["initial_boundary_residual"] is None
+    assert meta["initial_boundary_residual_nonfinite"] == "inf"
 
 
 def test_overflowing_initial_energy_is_out_of_the_well(tmp_path):
@@ -368,10 +380,23 @@ def test_overflowing_initial_energy_is_out_of_the_well(tmp_path):
                                      analysis={"constants": True}))
     result = run_scenario(cfg, out_dir=tmp_path / "ovf")
     assert result.stable_report is not None and not result.stable_report.in_well
-    assert not json.loads((tmp_path / "ovf" / "stable_set.json").read_text())["in_well"]
+    stable = _strict_artifacts(tmp_path / "ovf")["stable_set.json"]
+    assert not stable["in_well"]
+    # b = 0 drops the Kirchhoff term, so gamma0 = sqrt(l |grad u|^2) stays
+    # finite although |grad u|^4 overflows; int |u|^4 overflows, E0 = -inf
+    assert stable["gamma0"] == pytest.approx(1.11e90, rel=1e-2)
+    assert stable["E0"] is None and stable["E0_nonfinite"] == "-inf"
     assert result.aborted is not None
     assert result.aborted.reason == "blow-up or instability: non-finite energy"
     assert (tmp_path / "ovf" / "abort.json").exists()
+
+
+@pytest.mark.parametrize("alpha, eps", [(800, 0.9), (1e300, 0.5)])
+def test_overflowing_oscillatory_series_is_a_config_error(alpha, eps):
+    text = json.dumps({"kernel": {"family": "oscillatory", "alpha": alpha, "eps": eps}})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert any(e.startswith("kernel:") and "alpha*eps/2" in e for e in exc.value.errors)
 
 
 @pytest.fixture

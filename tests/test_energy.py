@@ -13,7 +13,7 @@ from viscowave import (
 from viscowave.history import HistoryBuffer
 from viscowave.stepper import init_state
 
-from conftest import default_params, exp_kernel, interval_mesh, sine_profile
+from conftest import default_params, exp_kernel, interval_mesh, sine_profile, trapezoid_x4
 
 
 def _state_at_zero(mesh, ops, params, kernel, u0, u1, y0):
@@ -37,17 +37,18 @@ def test_zero_state_zero_energy(mesh64, ops64):
 
 def test_hand_evaluated_initial_energy(mesh64, ops64):
     # a=2, b=1, kappa=1, k=4, q=1, u0 = x, u1 = 0, y0 = 0, exponential kernel:
-    # E(0) = 1/2*2*1 + 1/4*1 + 0 + 0 - 1/4 * (1/5) = 1.2
+    # E(0) = 1/2*2*1 + 1/4*1 + 0 + 0 - lk/4, with lk the trapezoid sum of x^4
+    lk = trapezoid_x4(1.0 / 64)
     params = default_params()
     kernel = exp_kernel()
     u0 = mesh64.nodes[:, 0].copy()
     z = np.zeros(mesh64.n_nodes)
     state, buf = _state_at_zero(mesh64, ops64, params, kernel, u0, z, np.zeros(1))
     rep = compute_energy(state, buf, kernel, params, ops64)
-    assert rep.total == pytest.approx(1.2, rel=1e-12)
+    assert rep.total == pytest.approx(1.25 - lk / 4, rel=1e-12)
     assert rep.elastic == pytest.approx(1.0)
     assert rep.kirchhoff == pytest.approx(0.25)
-    assert rep.source == pytest.approx(-0.05)
+    assert rep.source == pytest.approx(-lk / 4, rel=1e-12)
     assert rep.total == pytest.approx(sum(rep.components().values()))
     # gamma_fn(0) = sqrt(l*1 + (b/2)*1) = sqrt(1.5)
     assert rep.gamma_fn == pytest.approx(math.sqrt(1.5), rel=1e-12)
@@ -56,7 +57,7 @@ def test_hand_evaluated_initial_energy(mesh64, ops64):
 def test_boundary_only_energy():
     mesh = interval_mesh(16)
     params = default_params(q_c=2.0)
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel()
     z = np.zeros(mesh.n_nodes)
     state, buf = _state_at_zero(mesh, ops, params, kernel, z, z, np.ones(1))
@@ -80,7 +81,7 @@ def test_gamma_fn_monotone_in_boundary_magnitude(mesh64, ops64):
 def test_identity_rhs_terms_nonpositive():
     mesh = interval_mesh(32)
     params = default_params()
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel()
     u0 = sine_profile(mesh, 0.3)
     z = np.zeros(mesh.n_nodes)
@@ -96,7 +97,7 @@ def test_identity_rhs_terms_nonpositive():
 def test_residual_requires_uniform_window():
     mesh = interval_mesh(16)
     params = default_params()
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel()
     u0 = sine_profile(mesh, 0.1)
     z = np.zeros(mesh.n_nodes)
@@ -109,7 +110,7 @@ def test_residual_requires_uniform_window():
 def test_zero_trajectory_zero_residual():
     mesh = interval_mesh(16)
     params = default_params()
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel()
     z = np.zeros(mesh.n_nodes)
     traj = run(z, z, np.zeros(1), ops, kernel, params,
@@ -128,7 +129,7 @@ def test_linear_case_residual_second_order():
     maxres = []
     for res_n, dt in ((32, 2e-3), (64, 1e-3)):
         mesh = interval_mesh(res_n)
-        ops = assemble(mesh, params)
+        ops = assemble(mesh)
         u0 = sine_profile(mesh, 0.3)
         z = np.zeros(mesh.n_nodes)
         traj = run(u0, z, np.zeros(1), ops, None, params,
@@ -144,7 +145,7 @@ def test_energy_dominates_potential_of_gamma():
 
     mesh = interval_mesh(32)
     params = default_params()
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel()
     constants = compute_well_constants(mesh, ops, params, kernel)
     u0 = sine_profile(mesh, 0.4)

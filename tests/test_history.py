@@ -5,7 +5,7 @@ import pytest
 
 from viscowave import HistoryBuffer, assemble, build_kernel, make_rate
 
-from conftest import default_params, exp_kernel, interval_mesh
+from conftest import exp_kernel, interval_mesh
 from history_oracle import FullHistory
 
 
@@ -27,7 +27,7 @@ def test_first_push_and_monotonicity():
 
 def test_empty_history_quantities_vanish():
     mesh = interval_mesh(8)
-    ops = assemble(mesh, default_params())
+    ops = assemble(mesh)
     buf = HistoryBuffer(exp_kernel(), mesh.n_nodes)
     u = mesh.nodes[:, 0].copy()
     buf.push(0.0, u, ops.stiffness @ u)
@@ -53,7 +53,7 @@ def test_fast_path_constant_history_closed_form():
 def test_convolution_constant_in_time_factorizes():
     # u(s) = const: force = (int_0^t g) K u
     mesh = interval_mesh(16)
-    ops = assemble(mesh, default_params())
+    ops = assemble(mesh)
     kernel = build_kernel(make_rate("power_law", 2.0), 1.0, 3.0)
     buf = HistoryBuffer(kernel, mesh.n_nodes, horizon=2.0)
     u = np.sin(np.pi * mesh.nodes[:, 0])
@@ -73,7 +73,7 @@ def test_linear_history_closed_forms():
     #   conv force  = (t - 1 + e^{-t}) K w
     #   g o grad u  = (2 - e^{-t}(t^2 + 2t + 2)) |grad w|^2
     mesh = interval_mesh(16)
-    ops = assemble(mesh, default_params())
+    ops = assemble(mesh)
     kernel = exp_kernel(alpha=1.0, g0=1.0, a=2.0)
     w = np.sin(np.pi * mesh.nodes[:, 0])
     w[mesh.gamma0_nodes] = 0.0
@@ -98,7 +98,7 @@ def test_linear_history_closed_forms():
 
 def test_diamond_signs_for_random_history():
     mesh = interval_mesh(12)
-    ops = assemble(mesh, default_params())
+    ops = assemble(mesh)
     kernel = build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)
     buf = HistoryBuffer(kernel, mesh.n_nodes)
     rng = np.random.default_rng(3)
@@ -116,7 +116,7 @@ def test_fast_path_equals_full_trapezoid():
     # cross-validation on a 100-step horizon; both paths implement the same
     # trapezoid sum, so agreement is far below the 1e-6 requirement
     mesh = interval_mesh(16)
-    ops = assemble(mesh, default_params())
+    ops = assemble(mesh)
     kernel = exp_kernel(alpha=1.3, g0=0.8, a=2.0)
     fast = HistoryBuffer(kernel, mesh.n_nodes)
     full = FullHistory(kernel, mesh.n_nodes)
@@ -139,7 +139,7 @@ def test_fast_path_equals_full_trapezoid():
 def test_quadrature_second_order_in_dt():
     # error against the closed-form linear-history force drops ~4x per halving
     mesh = interval_mesh(8)
-    ops = assemble(mesh, default_params())
+    ops = assemble(mesh)
     kernel = exp_kernel()
     w = np.sin(np.pi * mesh.nodes[:, 0])
     w[mesh.gamma0_nodes] = 0.0
@@ -160,7 +160,7 @@ def test_quadrature_second_order_in_dt():
 
 def test_diamond_invariant_under_constant_shift():
     mesh = interval_mesh(10)
-    ops = assemble(mesh, default_params())
+    ops = assemble(mesh)
     kernel = exp_kernel()
     rng = np.random.default_rng(5)
     shift = rng.standard_normal(mesh.n_nodes)
@@ -191,7 +191,7 @@ def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a):
     # trapezoid sum with the exact g up to the expansion's certified error
     # times the trapezoid mass of each quantity, plus roundoff
     mesh = interval_mesh(12)
-    ops = assemble(mesh, default_params())
+    ops = assemble(mesh)
     kernel = build_kernel(make_rate(family, alpha, eps), 0.9, a)
     times = np.concatenate([np.linspace(0.0, 1.0, 201), np.linspace(1.01, 3.0, 200)])
     buf = HistoryBuffer(kernel, mesh.n_nodes, horizon=times[-1])

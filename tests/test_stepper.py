@@ -29,7 +29,7 @@ from history_oracle import FullHistory
 def test_zero_data_is_a_fixed_point():
     mesh = interval_mesh(16)
     params = default_params()
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel()
     z = np.zeros(mesh.n_nodes)
     cfg = StepperConfig(dt=1e-3, t_end=0.05, record_every=10)
@@ -60,7 +60,7 @@ def test_hand_computed_step_three_node_mesh():
     #   accel1 = base + (0, 0, z/0.25) = (0, -0.056, -1.74592)
     mesh = interval_mesh(2)
     params = default_params(a=1.0, b=0.0, kappa=0.0, source_enabled=False)
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     cfg = StepperConfig(dt=0.1, t_end=0.1)
     buf = HistoryBuffer(None, mesh.n_nodes)
     s0 = init_state(
@@ -82,7 +82,7 @@ def test_damped_linear_wave_against_independent_integrator():
     # same ODE system assembled independently here.
     mesh = interval_mesh(8)
     params = default_params(a=1.0, b=0.0, kappa=0.0, source_enabled=False)
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     K = ops.stiffness.toarray()
     Ml = ops.mass_lumped
     g0n, g1n, w = mesh.gamma0_nodes, mesh.gamma1_nodes, mesh.gamma1_weights
@@ -118,7 +118,7 @@ def test_damped_linear_wave_against_independent_integrator():
 def test_record_decimation_and_zero_horizon():
     mesh = interval_mesh(16)
     params = default_params()
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel()
     u0 = sine_profile(mesh, 0.1)
     z = np.zeros(mesh.n_nodes)
@@ -136,7 +136,7 @@ def test_record_decimation_and_zero_horizon():
 def test_determinism():
     mesh = interval_mesh(16)
     params = default_params()
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel()
     u0 = sine_profile(mesh, 0.2)
     z = np.zeros(mesh.n_nodes)
@@ -152,7 +152,7 @@ def test_determinism():
 def test_cfl_violation_aborts_with_diagnostic():
     mesh = interval_mesh(64)
     params = default_params()
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel()
     u0 = sine_profile(mesh, 0.1)
     z = np.zeros(mesh.n_nodes)
@@ -166,7 +166,7 @@ def test_out_of_well_blowup_aborts_flagged():
     # the source |u|^2 u into finite-time blow-up of the discrete system
     mesh = interval_mesh(32)
     params = default_params(b=0.0, kappa=0.0)
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel()
     u0 = sine_profile(mesh, 40.0)
     z = np.zeros(mesh.n_nodes)
@@ -180,7 +180,7 @@ def test_out_of_well_blowup_aborts_flagged():
 def test_manufactured_zero_field_gives_zero_case():
     mesh = interval_mesh(8)
     params = default_params(b=0.0, kappa=0.0, source_enabled=False)
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel(a=2.0)
     from viscowave import ManufacturedSolution
 
@@ -203,7 +203,7 @@ def test_manufactured_zero_field_gives_zero_case():
 def test_manufactured_dirichlet_violation_rejected():
     mesh = interval_mesh(8)
     params = default_params(b=0.0, kappa=0.0, source_enabled=False)
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     from viscowave import ManufacturedSolution
 
     msol = ManufacturedSolution(
@@ -224,7 +224,7 @@ def test_linear_profile_interior_forcing_matches_hand_value():
     # f_Omega = u_tt = -x cos t
     mesh = interval_mesh(8)
     params = default_params(a=2.0, b=0.0, kappa=0.0, source_enabled=False)
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel(a=2.0)
     msol = linear_profile_solution(kernel)
     case = build_manufactured_case(msol, ops, params, kernel, t_end=1.0)
@@ -247,7 +247,7 @@ def test_undamped_limit_conserves_discrete_energy():
         mesh = interval_mesh(res)
         params = default_params(a=1.0, b=0.0, kappa=0.0, p_c=1e9,
                                 source_enabled=False)
-        ops = assemble(mesh, params)
+        ops = assemble(mesh)
         u0 = sine_profile(mesh, 0.3)
         z = np.zeros(mesh.n_nodes)
         traj = run(u0, z, np.zeros(1), ops, None, params,
@@ -263,7 +263,7 @@ def test_left_acoustic_end_dissipates():
     # only through node indices and weights, and energy must still decay
     mesh = interval_mesh(32, gamma1=("left",))
     params = default_params()
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel()
     u0 = 0.3 * np.sin(0.5 * np.pi * (1.0 - mesh.nodes[:, 0]))
     u0[mesh.gamma0_nodes] = 0.0
@@ -283,7 +283,7 @@ def test_2d_inwell_run_monotone_and_invariant():
     spec = DomainSpec(2, (1.0, 1.0), frozenset({"right"}), (12, 12))
     mesh = build_mesh(spec)
     params = default_params()
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     kernel = exp_kernel()
     constants = compute_well_constants(mesh, ops, params, kernel)
     u0 = profile_field("sine", mesh, 0.3)
@@ -303,7 +303,7 @@ def test_manufactured_two_level_convergence():
     errs = []
     for res, dt in ((16, 4e-3), (32, 2e-3)):
         mesh = interval_mesh(res)
-        ops = assemble(mesh, params)
+        ops = assemble(mesh)
         kernel = exp_kernel(a=2.0)
         msol = linear_profile_solution(kernel)
         case = build_manufactured_case(msol, ops, params, kernel, t_end=1.0)
@@ -325,7 +325,7 @@ def test_preset_energies_match_full_history_oracle(preset, monkeypatch):
     raw["stepping"]["t_end"] = 2.0
     cfg = parse_config(json.dumps(raw))
     mesh = build_mesh(cfg.domain)
-    ops = assemble(mesh, cfg.physics)
+    ops = assemble(mesh)
     kernel = cfg.build_kernel()
     u0, u1, y0 = initial_data(cfg, mesh)
     energies = []
@@ -344,7 +344,7 @@ def test_preset_energies_match_full_history_oracle(preset, monkeypatch):
 def test_record_times_are_exact_multiples_of_the_step(name):
     cfg = PRESETS[name].parse()
     mesh = build_mesh(cfg.domain)
-    ops = assemble(mesh, cfg.physics)
+    ops = assemble(mesh)
     u0, u1, y0 = initial_data(cfg, mesh)
     traj = run(u0, u1, y0, ops, cfg.build_kernel(), cfg.physics, cfg.stepping)
     every, dt = cfg.stepping.record_every, cfg.stepping.dt
@@ -368,7 +368,7 @@ def test_state_norms_feed_the_energy_report(case):
             forcing = Forcing(f_omega=lambda t, x: np.full(len(x), 1.0 + t))
         cfg = StepperConfig(dt=1e-3, t_end=0.2, record_every=20, forcing=forcing)
     params = default_params()
-    ops = assemble(mesh, params)
+    ops = assemble(mesh)
     u0 = 0.8 * np.sin(np.pi * mesh.nodes[:, 0])
     u0[mesh.gamma0_nodes] = 0.0
     y0 = np.full(len(mesh.gamma1_nodes), 0.1)
