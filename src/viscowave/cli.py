@@ -14,7 +14,8 @@ has hand-checkable provenance.
   well_constants.json     embedding/trace/B, lambda1, d1 (optional)
   stable_set.json         initial membership check (optional)
   decay_report.json       envelope fit + weighted-integral profile (optional)
-  run_metadata.json       versions, tolerances, seed, memory diagnostics
+  run_metadata.json       versions, tolerances, seed, memory diagnostics,
+                          phase timings
   energy_vs_time.dat, logE_vs_phi.dat, rho_vs_S.dat   (plot data)
   abort.json              marker, only when the run aborted
 
@@ -30,9 +31,9 @@ import copy
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -430,8 +431,12 @@ def initial_data(config: RunConfig, mesh: Mesh):
 # ----------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
+def _format_table(table: np.ndarray, sep: str) -> str:
+    """Each row of a 2D float table as one line, each value as ``%.15g``
+    (the same text as ``f"{x:.15g}"``), formatted in one pass."""
+    n_rows, n_cols = table.shape
+    line = sep.join(["%.15g"] * n_cols) + "\n"
+    return (line * n_rows) % tuple(table.ravel().tolist())
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, mesh: Mesh) -> None:
@@ -442,23 +447,20 @@ def write_trajectory_csv(path: Path, traj: Trajectory, mesh: Mesh) -> None:
         + [f"y_{i}" for i in range(n_y)]
         + ["eprime_residual"]
     )
+    reps = traj.reports
+    energy = np.array(
+        [(r.t, r.total, r.kinetic, r.elastic, r.kirchhoff, r.boundary, r.memory,
+          r.source, r.gamma_fn, r.l2_sq, r.grad_sq) for r in reps], dtype=float,
+    ).reshape(len(reps), 11)
+    energy[:, 9:] = np.sqrt(np.maximum(energy[:, 9:], 0.0))  # u_l2, grad_u_l2
+    ys = np.array(traj.ys, dtype=float).reshape(len(reps), n_y)
     # the central difference has a residual at every record but the first
     # and the last
-    residuals = [float("nan")] * len(traj.reports)
-    if len(traj.reports) >= 3:
-        _, res = rate_identity_residual(traj.reports)
-        residuals[1:-1] = res.tolist()
-    lines = [",".join(header)]
-    for state, rep, residual in zip(traj.states, traj.reports, residuals):
-        row = [
-            rep.t, rep.total, rep.kinetic, rep.elastic, rep.kirchhoff,
-            rep.boundary, rep.memory, rep.source, rep.gamma_fn,
-            math.sqrt(max(rep.l2_sq, 0.0)), math.sqrt(max(rep.grad_sq, 0.0)),
-        ]
-        row += list(state.y)
-        row.append(residual)
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    residual = np.full((len(reps), 1), np.nan)
+    if len(reps) >= 3:
+        residual[1:-1, 0] = rate_identity_residual(reps)[1]
+    table = np.hstack([energy, ys, residual])
+    path.write_text(",".join(header) + "\n" + _format_table(table, ","))
 
 
 def _strict(value):
@@ -493,8 +495,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_columns(path: Path, cols: list[np.ndarray]) -> None:
-    rows = zip(*cols)
-    path.write_text("\n".join(" ".join(_fmt(v) for v in row) for row in rows) + "\n")
+    path.write_text(_format_table(np.column_stack(cols), " "))
 
 
 # ----------------------------------------------------------------------
@@ -519,7 +520,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     """Execute one validated scenario and persist every artifact."""
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+    marks = [perf_counter()]  # the start and the end of each of PHASES
 
     mesh = build_mesh(config.domain)
     params = config.physics
@@ -535,10 +536,13 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     _write_json(out / "hypothesis_report.json", hyp.to_dict())
 
     if config.mode == "mms":
+        marks.append(perf_counter())
         err = run_mms_level(config, mesh, ops)
         result.mms_error = err["l2_error"]
+        marks += [perf_counter()] * 2  # stepping ends; there is no analysis phase
         _write_json(out / "mms_report.json", err)
-        _write_json(out / "run_metadata.json", _metadata(config, ops, None, started))
+        marks.append(perf_counter())
+        _write_json(out / "run_metadata.json", _metadata(config, ops, None, marks))
         return result
 
     u0, u1, y0 = initial_data(config, mesh)
@@ -550,6 +554,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
         stable = check_initial_membership(u0, u1, y0, constants, ops, params, kernel)
         result.stable_report = stable
         _write_json(out / "stable_set.json", stable.to_dict())
+    marks.append(perf_counter())
 
     aborted = None
     try:
@@ -557,16 +562,11 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     except SimulationAbort as ab:
         traj = ab.trajectory
         aborted = ab.info
-        _write_json(out / "abort.json", {"reason": ab.info.reason, "time": ab.info.time})
     result.trajectory = traj
     result.aborted = aborted
+    marks.append(perf_counter())
 
-    write_trajectory_csv(out / "trajectory.csv", traj, mesh)
-    if traj.n_records:
-        ts = np.array(traj.times)
-        Es = np.array([r.total for r in traj.reports])
-        _write_columns(out / "energy_vs_time.dat", [ts, Es])
-
+    sampled = decay_json = prof = None
     if aborted is None and config.analysis.decay and config.stepping.t_end > 0:
         sampled = SampledEnergy.from_trajectory(traj, kernel)
         t0 = config.analysis.t0 or default_weighted_t0(kernel)
@@ -576,34 +576,58 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
         except ValueError as exc:
             # horizon too short for the stability diagnostics: record why
             # instead of discarding the completed run
-            _write_json(out / "decay_report.json", {"skipped": str(exc)})
+            decay_json = {"skipped": str(exc)}
         else:
             result.decay_report = report
-            _write_json(out / "decay_report.json", report.to_dict())
+            decay_json = report.to_dict()
             prof = weighted_integral_check(sampled, t0)
-            _write_columns(out / "rho_vs_S.dat", [prof.S, prof.rho])
+    # initial boundary-flux compatibility diagnostic
+    boundary_residual = None
+    g1 = mesh.gamma1_nodes
+    if len(g1):
+        ku0 = ops.stiffness @ u0
+        y_t0 = -(u1[g1] + params.q_c * y0) / params.p_c
+        m0 = params.kirchhoff_coefficient(float(u0 @ ku0))
+        res0 = m0 * ku0[g1] / mesh.gamma1_weights - y_t0
+        boundary_residual = float(np.max(np.abs(res0)))
+    marks.append(perf_counter())
+
+    if aborted is not None:
+        _write_json(out / "abort.json", {"reason": aborted.reason, "time": aborted.time})
+    write_trajectory_csv(out / "trajectory.csv", traj, mesh)
+    if traj.n_records:
+        Es = np.array([r.total for r in traj.reports])
+        _write_columns(out / "energy_vs_time.dat", [np.array(traj.times), Es])
+    if decay_json is not None:
+        _write_json(out / "decay_report.json", decay_json)
+    if prof is not None:
+        _write_columns(out / "rho_vs_S.dat", [prof.S, prof.rho])
+    if sampled is not None:
         pos = sampled.E > 0
         if pos.any():
             _write_columns(
                 out / "logE_vs_phi.dat", [sampled.phi[pos], np.log(sampled.E[pos])]
             )
+    marks.append(perf_counter())
 
-    meta = _metadata(config, ops, traj, started)
+    meta = _metadata(config, ops, traj, marks)
     if aborted is not None:
         meta["abort"] = {"reason": aborted.reason, "time": aborted.time}
-    # initial boundary-flux compatibility diagnostic
-    ku0 = ops.stiffness @ u0
-    g1 = mesh.gamma1_nodes
-    if len(g1):
-        y_t0 = -(u1[g1] + params.q_c * y0) / params.p_c
-        m0 = params.kirchhoff_coefficient(float(u0 @ ku0))
-        res0 = m0 * ku0[g1] / mesh.gamma1_weights - y_t0
-        meta["initial_boundary_residual"] = float(np.max(np.abs(res0)))
+    if boundary_residual is not None:
+        meta["initial_boundary_residual"] = boundary_residual
     _write_json(out / "run_metadata.json", meta)
     return result
 
 
-def _metadata(config: RunConfig, ops, traj, started: float) -> dict:
+# Phases of a scenario timed in run_metadata.json; set-up includes the JSON
+# reports written before stepping, and artifacts everything written after
+# it but run_metadata.json itself.
+PHASES = ("setup", "stepping", "analysis", "artifacts")
+
+
+def _metadata(config: RunConfig, ops, traj, marks: list[float]) -> dict:
+    """``marks`` holds the perf_counter readings at the start and at the end
+    of each of PHASES; the run time counts up to this call."""
     return {
         "viscowave_version": __version__,
         "numpy_version": np.__version__,
@@ -611,7 +635,8 @@ def _metadata(config: RunConfig, ops, traj, started: float) -> dict:
         "lam_max_unit": ops.lam_max_unit,
         "n_records": traj.n_records if traj is not None else 0,
         "memory": traj.meta.get("memory") if traj is not None else None,
-        "runtime_seconds": round(time.time() - started, 3),
+        "timings": {name: end - begin for name, begin, end in zip(PHASES, marks, marks[1:])},
+        "runtime_seconds": round(perf_counter() - marks[0], 3),
     }
 
 
@@ -638,7 +663,7 @@ def run_mms_level(config: RunConfig, mesh: Mesh, ops) -> dict:
         forcing=case.forcing,
     )
     traj = run(case.u0, case.u1, case.y0, ops, kernel, config.physics, cfg)
-    final = traj.states[-1]
+    final = traj.final
     exact = np.asarray(msol.u(mesh.nodes, final.t), dtype=float)
     diff = final.u - pin_gamma0(mesh, exact)
     err = math.sqrt(max(float(diff @ (ops.mass @ diff)), 0.0))
@@ -797,17 +822,21 @@ def _cmd_check_kernel(args) -> int:
 def _cmd_decay_report(args) -> int:
     config = _load_config(args)
     kernel = config.build_kernel()
-    data = np.genfromtxt(args.csv, delimiter=",", names=True)
-    t = np.atleast_1d(data["t"])
-    E = np.atleast_1d(data["E"])
-    sampled = SampledEnergy(
-        t=t, E=E,
-        phi=np.asarray(kernel.rate.phi(t), dtype=float),
-        xi=np.asarray(kernel.rate.xi(t), dtype=float),
-    )
-    t0 = config.analysis.t0 or default_weighted_t0(kernel)
-    t_tail = config.analysis.t_tail or 0.25 * float(t[-1])
-    report = build_decay_report(sampled, t_tail=t_tail, t0=t0)
+    try:
+        data = np.genfromtxt(args.csv, delimiter=",", names=True)
+        t = np.atleast_1d(data["t"])
+        E = np.atleast_1d(data["E"])
+        sampled = SampledEnergy(
+            t=t, E=E,
+            phi=np.asarray(kernel.rate.phi(t), dtype=float),
+            xi=np.asarray(kernel.rate.xi(t), dtype=float),
+        )
+        t0 = config.analysis.t0 or default_weighted_t0(kernel)
+        t_tail = config.analysis.t_tail or 0.25 * float(t[-1])
+        report = build_decay_report(sampled, t_tail=t_tail, t0=t0)
+    except (OSError, ValueError) as exc:  # unreadable CSV, or too few or negative samples
+        print(f"decay-report: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 

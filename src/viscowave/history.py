@@ -101,8 +101,9 @@ class HistoryBuffer:
             "certified_rel_error": exp_sum.rel_error if exp_sum is not None else 0.0,
         }
 
-    def push(self, t: float, u: np.ndarray, ku: np.ndarray) -> None:
-        """Record the state at time t; t must exceed every earlier stamp."""
+    def push(self, t: float, ku: np.ndarray, q: float) -> None:
+        """Record the state u at time t from K u and q = u.K u, which the
+        caller has already formed; t must exceed every earlier stamp."""
         if self._t_last is None:
             if t != 0.0:
                 raise ValueError(f"history must start at t = 0, got first push at {t}")
@@ -125,7 +126,7 @@ class HistoryBuffer:
                 acc += half_row
                 acc *= self._decay
             row[:-2] = ku
-            row[-2] = u @ ku
+            row[-2] = q
             # before the first step h_j = 0, so the first push adds nothing
             np.multiply(self._half, row, out=half_row)
             acc += half_row
@@ -149,12 +150,16 @@ class HistoryBuffer:
             )
 
     def convolution_force(self, t: float) -> np.ndarray:
-        """int_0^t g(t-s) K u(s) ds."""
+        """int_0^t g(t-s) K u(s) ds.
+
+        For a single exponential this is a view of the buffer's state: it
+        holds until the next push, and callers must not write to it.
+        """
         if self.kernel is None:
             return np.zeros(self.n_dofs)
         self._require_coverage(t)
         if len(self._acc) == 1:  # a single exponential needs no sum over terms
-            return self._acc[0, :-2].real.copy()
+            return self._acc[0, :-2].real
         return np.add.reduce(self._acc, 0)[:-2].real
 
     def g_diamond(self, t: float, u_now: np.ndarray) -> float:

@@ -30,7 +30,7 @@ blow-up of out-of-well data is an expected abort, not a bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -81,7 +81,11 @@ class SimState:
     y and y_t on the acoustic nodes.  ``accel`` caches the acceleration at t
     for the next Verlet kick; ``grad_sq`` = u.K u and ``lk`` = u.S(u) (0 with
     the source off) come from the same evaluation and feed the energy report.
-    ``n`` counts the steps taken; t is n * dt, never a running sum of dt."""
+    ``n`` counts the steps taken; t is n * dt, never a running sum of dt.
+
+    :func:`step` builds a new state and never writes to the arrays of the
+    one it was given, so a returned state can be kept without a copy.
+    """
 
     t: float
     u: np.ndarray
@@ -93,10 +97,6 @@ class SimState:
     grad_sq: float
     lk: float
     n: int = 0
-
-    def copy(self) -> "SimState":
-        return replace(self, u=self.u.copy(), v=self.v.copy(), y=self.y.copy(),
-                       y_t=self.y_t.copy(), accel=self.accel.copy())
 
 
 @dataclass(frozen=True)
@@ -114,19 +114,25 @@ class SimulationAbort(RuntimeError):
 
 @dataclass
 class Trajectory:
+    """What a run keeps: per record its time, energy report and acoustic
+    field y, plus the state of the last record as ``final`` (None before
+    the first).  States are kept by reference, never copied."""
+
     times: list[float] = field(default_factory=list)
-    states: list[SimState] = field(default_factory=list)
     reports: list[EnergyReport] = field(default_factory=list)
+    ys: list[np.ndarray] = field(default_factory=list)
+    final: SimState | None = None
     meta: dict = field(default_factory=dict)
 
     def record(self, state: SimState, report: EnergyReport) -> None:
-        """Append a copy of ``state`` and its report; a report that is not
-        finite aborts the run instead."""
+        """Append the record of ``state``; a report that is not finite
+        aborts the run instead."""
         if not all(map(math.isfinite, vars(report).values())):
             raise SimulationAbort("blow-up or instability: non-finite energy", state.t)
         self.times.append(state.t)
-        self.states.append(state.copy())
         self.reports.append(report)
+        self.ys.append(state.y)
+        self.final = state
 
     @property
     def n_records(self) -> int:
@@ -161,8 +167,8 @@ def _evaluate(
     is zero on Gamma_0, u.S(u) is int |u_h|^k by the source's own rule.
     """
     ku = ops.stiffness @ u
-    buffer.push(t, u, ku)
     grad_sq = float(u @ ku)
+    buffer.push(t, ku, grad_sq)
     m_kir = params.kirchhoff_coefficient(grad_sq)
     F = -m_kir * ku + buffer.convolution_force(t)
     lk = 0.0
@@ -177,19 +183,19 @@ def _evaluate(
 
 
 def _check_finite(t: float, *fields: np.ndarray) -> None:
-    if not all(np.isfinite(f).all() for f in fields):
+    if not np.isfinite(np.concatenate(fields)).all():
         raise SimulationAbort("blow-up or instability: non-finite field values", t)
 
 
 def _boundary_forcing(forcing: Forcing | None, t: float, n_gamma1: int):
-    f3 = np.zeros(n_gamma1)
-    f4 = np.zeros(n_gamma1)
-    if forcing is not None:
-        if forcing.f_flux is not None:
-            f3 = np.broadcast_to(np.asarray(forcing.f_flux(t), dtype=float), (n_gamma1,)).copy()
-        if forcing.f_acoustic is not None:
-            f4 = np.broadcast_to(np.asarray(forcing.f_acoustic(t), dtype=float), (n_gamma1,)).copy()
-    return f3, f4
+    """(f3, f4) at t on the acoustic nodes; None stands for a term that is
+    absent, which the closure skips instead of adding zeros."""
+    if forcing is None:
+        return None, None
+    return tuple(
+        None if f is None else np.broadcast_to(np.asarray(f(t), dtype=float), (n_gamma1,))
+        for f in (forcing.f_flux, forcing.f_acoustic)
+    )
 
 
 def init_state(
@@ -210,9 +216,11 @@ def init_state(
     with np.errstate(over="ignore", invalid="ignore"):
         accel, m_kir, grad_sq, lk = _evaluate(0.0, u, buffer, params, ops, cfg.forcing)
     f3, f4 = _boundary_forcing(cfg.forcing, 0.0, len(mesh.gamma1_nodes))
-    y_t = (f4 - v[mesh.gamma1_nodes] - params.q_c * y) / params.p_c
+    v_g = v[mesh.gamma1_nodes]
+    y_t = ((-v_g if f4 is None else f4 - v_g) - params.q_c * y) / params.p_c
     accel[mesh.gamma1_nodes] += (
-        mesh.gamma1_weights * (y_t + f3) / ops.mass_lumped[mesh.gamma1_nodes]
+        mesh.gamma1_weights * (y_t if f3 is None else y_t + f3)
+        / ops.mass_lumped[mesh.gamma1_nodes]
     )
     _check_finite(0.0, u, v, y, accel)
     _check_cfl(cfg.dt, m_kir, ops, cfg, 0.0)
@@ -244,16 +252,16 @@ def step(
         m_g = ops.mass_lumped[g1]
         # trapezoidal closure of the boundary triple (v, y, y_t), pointwise:
         #   v1 = A + c z,  y1 = y + dt/2 (y_t + z),  p z = f4 - v1 - q y1
-        A = v_half[g1] + 0.5 * dt * (accel1[g1] + w1 * f3 / m_g)
+        a_g = accel1[g1] if f3 is None else accel1[g1] + w1 * f3 / m_g
+        A = v_half[g1] + 0.5 * dt * a_g
         c = 0.5 * dt * w1 / m_g
-        z = (f4 - A - params.q_c * state.y - 0.5 * dt * params.q_c * state.y_t) / (
-            params.p_c + c + 0.5 * dt * params.q_c
-        )
+        z = ((-A if f4 is None else f4 - A) - params.q_c * state.y
+             - 0.5 * dt * params.q_c * state.y_t) / (params.p_c + c + 0.5 * dt * params.q_c)
 
         v1 = v_half + 0.5 * dt * accel1
         v1[g1] = A + c * z
         y1 = state.y + 0.5 * dt * (state.y_t + z)
-        accel1[g1] += w1 * (z + f3) / m_g
+        accel1[g1] += w1 * (z if f3 is None else z + f3) / m_g
 
     _check_finite(t1, u1, v1, y1)
     _check_cfl(dt, m_kir1, ops, cfg, t1)

@@ -35,7 +35,7 @@ class FullHistory:
     def diagnostics(self) -> dict:
         return {}
 
-    def push(self, t: float, u: np.ndarray, ku: np.ndarray) -> None:
+    def push(self, t: float, ku: np.ndarray, q: float) -> None:
         if not self._ts:
             if t != 0.0:
                 raise ValueError(f"history must start at t = 0, got first push at {t}")
@@ -43,7 +43,7 @@ class FullHistory:
             raise ValueError(f"non-monotone push: t = {t} after t = {self._ts[-1]}")
         self._ts.append(t)
         self._ku.append(np.array(ku, dtype=float))
-        self._q.append(float(u @ ku))
+        self._q.append(float(q))
 
     def _weighted(self, t: float, prime: bool) -> np.ndarray:
         if abs(t - self._ts[-1]) > 1e-9 * max(1.0, abs(t)):

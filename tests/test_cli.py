@@ -11,6 +11,7 @@ from viscowave.cli import (
     DEFAULTS,
     ConfigError,
     PRESETS,
+    _format_table,
     main,
     parse_config,
     profile_field,
@@ -234,6 +235,15 @@ def test_csv_times_and_residuals_by_record(tmp_path):
     assert [float(r[-1]) for r in rows[1:-1]] == [float(f"{v:.15g}") for v in res]
 
 
+def _check_timings(meta):
+    """The phase timings of run_metadata.json: every phase, none negative,
+    and together within the run time (rounded to 1 ms)."""
+    timings = meta["timings"]
+    assert set(timings) == {"setup", "stepping", "analysis", "artifacts"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert sum(timings.values()) <= meta["runtime_seconds"] + 1e-3
+
+
 def test_full_scenario_writes_reports(tmp_path):
     cfg = parse_config(
         _tiny_config(
@@ -260,6 +270,7 @@ def test_full_scenario_writes_reports(tmp_path):
     meta = json.loads((tmp_path / "full" / "run_metadata.json").read_text())
     assert meta["config"]["stepping"]["t_end"] == 4.0
     assert "initial_boundary_residual" in meta
+    _check_timings(meta)
     # exponential kernel: one exact term of [K u, u.K u, 1] rows
     assert meta["memory"]["n_terms"] == 1
     assert meta["memory"]["certified_rel_error"] == 0.0
@@ -441,6 +452,37 @@ def test_decay_report_subcommand(tmp_path, capsys):
     assert payload["omega_max"] > 0
 
 
+@pytest.mark.parametrize("case", ["aborted", "out-of-well", "missing"])
+def test_decay_report_on_an_unusable_csv_exits_2(tmp_path, capsys, case):
+    # an aborted run's header-only CSV, an energy that turns negative, and
+    # no file: one line on stderr and exit status 2, not a traceback
+    csv = tmp_path / case / "trajectory.csv"
+    if case == "aborted":
+        text = {"physics": {"b": 0}, "initial": {"amplitude": 1e90},
+                "domain": {"resolution": [16]}}
+        assert run_scenario(parse_config(json.dumps(text)), out_dir=csv.parent).aborted
+    elif case == "out-of-well":
+        raw = copy.deepcopy(PRESETS["out-of-well"].config)
+        raw["analysis"]["constants"] = False
+        assert run_scenario(parse_config(json.dumps(raw)), out_dir=csv.parent).aborted
+    rc = main(["decay-report", "--preset", "exp-inwell", "--csv", str(csv)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("decay-report: ") and err.count("\n") == 1
+    expect = {"aborted": "need at least two samples",
+              "out-of-well": "energy samples must be nonnegative", "missing": "not found"}
+    assert expect[case] in err
+
+
+def test_one_pass_formatter_matches_per_value_format():
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+              1e300, -1e300, 1.0 / 3.0, 0.1, 123456789012345678.0]
+    table = np.array(values).reshape(3, 4)
+    expect = "".join(",".join(f"{x:.15g}" for x in row) + "\n" for row in table.tolist())
+    assert _format_table(table, ",") == expect
+    assert _format_table(table[:0], ",") == ""
+
+
 def test_run_subcommand_with_preset(tmp_path, capsys):
     raw = copy.deepcopy(PRESETS["mms-ladder"].config)
     cfg_path = tmp_path / "mms.json"
@@ -450,3 +492,4 @@ def test_run_subcommand_with_preset(tmp_path, capsys):
     assert (tmp_path / "mmsrun" / "mms_report.json").exists()
     report = json.loads((tmp_path / "mmsrun" / "mms_report.json").read_text())
     assert report["l2_error"] < 1e-5
+    _check_timings(json.loads((tmp_path / "mmsrun" / "run_metadata.json").read_text()))

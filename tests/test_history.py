@@ -12,17 +12,18 @@ from history_oracle import FullHistory
 def _push_series(buffer, K, times, u_of_t):
     for t in times:
         u = u_of_t(t)
-        buffer.push(t, u, K @ u)
+        ku = K @ u
+        buffer.push(t, ku, u @ ku)
 
 
 def test_first_push_and_monotonicity():
     buf = HistoryBuffer(exp_kernel(), n_dofs=3)
     with pytest.raises(ValueError, match="start at t = 0"):
-        buf.push(0.5, np.zeros(3), np.zeros(3))
-    buf.push(0.0, np.zeros(3), np.zeros(3))
+        buf.push(0.5, np.zeros(3), 0.0)
+    buf.push(0.0, np.zeros(3), 0.0)
     assert buf.n_entries == 1
     with pytest.raises(ValueError, match="non-monotone"):
-        buf.push(0.0, np.zeros(3), np.zeros(3))
+        buf.push(0.0, np.zeros(3), 0.0)
 
 
 def test_empty_history_quantities_vanish():
@@ -30,7 +31,8 @@ def test_empty_history_quantities_vanish():
     ops = assemble(mesh)
     buf = HistoryBuffer(exp_kernel(), mesh.n_nodes)
     u = mesh.nodes[:, 0].copy()
-    buf.push(0.0, u, ops.stiffness @ u)
+    ku = ops.stiffness @ u
+    buf.push(0.0, ku, u @ ku)
     assert np.all(buf.convolution_force(0.0) == 0.0)
     assert buf.g_diamond(0.0, u) == 0.0
     assert buf.g_prime_diamond(0.0, u) == 0.0
@@ -44,7 +46,7 @@ def test_fast_path_constant_history_closed_form():
     dt, n = 1e-3, 400
     c = 0.7
     for i in range(n + 1):
-        buf.push(i * dt, np.array([1.0]), np.array([c]))
+        buf.push(i * dt, np.array([c]), c)  # u = 1
     t = n * dt
     expect = c * g0 * (1.0 - math.exp(-alpha * t)) / alpha
     assert buf.convolution_force(t)[0] == pytest.approx(expect, rel=1e-6)
@@ -60,7 +62,7 @@ def test_convolution_constant_in_time_factorizes():
     ku = ops.stiffness @ u
     times = np.linspace(0.0, 2.0, 2001)
     for t in times:
-        buf.push(t, u, ku)
+        buf.push(t, ku, u @ ku)
     force = buf.convolution_force(2.0)
     assert np.allclose(force, kernel.partial_mass(2.0) * ku, rtol=1e-6)
     # constant history has zero increments (up to roundoff in the expansion)
@@ -107,7 +109,8 @@ def test_diamond_signs_for_random_history():
     for t in times:
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
-        buf.push(t, u, ops.stiffness @ u)
+        ku = ops.stiffness @ u
+        buf.push(t, ku, u @ ku)
     assert buf.g_diamond(1.0, u) >= 0.0
     assert buf.g_prime_diamond(1.0, u) <= 0.0
 
@@ -127,8 +130,8 @@ def test_fast_path_equals_full_trapezoid():
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
         ku = ops.stiffness @ u
-        fast.push(i * dt, u, ku)
-        full.push(i * dt, u, ku)
+        fast.push(i * dt, ku, u @ ku)
+        full.push(i * dt, ku, u @ ku)
     t = 100 * dt
     f1, f2 = fast.convolution_force(t), full.convolution_force(t)
     scale = np.abs(f2).max()
@@ -176,7 +179,8 @@ def test_diamond_invariant_under_constant_shift():
         buf = HistoryBuffer(kernel, mesh.n_nodes)
         for t, u in zip(times, snaps):
             v = u + offset
-            buf.push(t, v, ops.stiffness @ v)
+            kv = ops.stiffness @ v
+            buf.push(t, kv, v @ kv)
         vals.append(buf.g_diamond(times[-1], snaps[-1] + offset))
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)
 
@@ -202,8 +206,8 @@ def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a):
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
         snaps.append((u, ops.stiffness @ u))
-        buf.push(t, u, snaps[-1][1])
-        oracle.push(t, u, snaps[-1][1])
+        buf.push(t, snaps[-1][1], u @ snaps[-1][1])
+        oracle.push(t, snaps[-1][1], u @ snaps[-1][1])
     t = times[-1]
     u_now = snaps[-1][0]
     err = buf.expansion.rel_error
@@ -232,7 +236,7 @@ def test_history_memory_flat_in_pushes(family, alpha, eps, a):
     held = {}
     for i in range(801):
         u = np.full(9, math.sin(i))
-        buf.push(i * 1e-2, u, 2.0 * u)
+        buf.push(i * 1e-2, 2.0 * u, u @ (2.0 * u))
         if i in (400, 800):
             held[i] = buf.bytes_held
     assert buf.n_entries == 801
@@ -244,7 +248,7 @@ def test_history_memory_flat_in_pushes(family, alpha, eps, a):
 def test_push_past_certified_horizon_rejected():
     kernel = build_kernel(make_rate("power_law", 2.0), 1.0, 3.0)
     buf = HistoryBuffer(kernel, 2, horizon=1.0)
-    buf.push(0.0, np.zeros(2), np.zeros(2))
-    buf.push(1.0, np.ones(2), np.ones(2))
+    buf.push(0.0, np.zeros(2), 0.0)
+    buf.push(1.0, np.ones(2), 2.0)
     with pytest.raises(ValueError, match="horizon"):
-        buf.push(1.5, np.ones(2), np.ones(2))
+        buf.push(1.5, np.ones(2), 2.0)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -17,13 +18,33 @@ from viscowave import (
     lk_norm_pow,
     run,
 )
-from viscowave import stepper
+from viscowave import compute_energy, stepper
 from viscowave.cli import PRESETS, initial_data, parse_config
 from viscowave.history import HistoryBuffer
 from viscowave.stepper import Forcing, init_state, step
 
 from conftest import default_params, exp_kernel, interval_mesh, sine_profile, square_mesh
 from history_oracle import FullHistory
+
+
+def _recorded_states(u0, u1, y0, ops, kernel, params, cfg):
+    """The states and reports of every record of ``run``, stepped by hand
+    with init_state/step/compute_energy at the same steps; checked against
+    ``run`` itself, so a test can look at per-record fields that the
+    trajectory does not keep."""
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    buffer = HistoryBuffer(kernel, ops.n_nodes, horizon=n_steps * cfg.dt)
+    state = init_state(u0, u1, y0, ops, params, buffer, cfg)
+    records = [(state, compute_energy(state, buffer, kernel, params, ops))]
+    for i in range(1, n_steps + 1):
+        state = step(state, ops, params, buffer, cfg)
+        if i % cfg.record_every == 0:
+            records.append((state, compute_energy(state, buffer, kernel, params, ops)))
+    traj = run(u0, u1, y0, ops, kernel, params, cfg)
+    assert traj.reports == [rep for _, rep in records]
+    assert all(np.array_equal(y, s.y) for y, (s, _) in zip(traj.ys, records, strict=True))
+    assert np.array_equal(traj.final.u, records[-1][0].u)
+    return records
 
 
 def test_zero_data_is_a_fixed_point():
@@ -33,12 +54,13 @@ def test_zero_data_is_a_fixed_point():
     kernel = exp_kernel()
     z = np.zeros(mesh.n_nodes)
     cfg = StepperConfig(dt=1e-3, t_end=0.05, record_every=10)
-    traj = run(z, z, np.zeros(1), ops, kernel, params, cfg)
-    for state in traj.states:
+    records = _recorded_states(z, z, np.zeros(1), ops, kernel, params, cfg)
+    assert len(records) == 6
+    for state, rep in records:
         assert np.all(state.u == 0.0)
         assert np.all(state.v == 0.0)
         assert np.all(state.y == 0.0)
-    assert all(r.total == 0.0 for r in traj.reports)
+        assert rep.total == 0.0
 
 
 def test_hand_computed_step_three_node_mesh():
@@ -109,7 +131,7 @@ def test_damped_linear_wave_against_independent_integrator():
 
     cfg = StepperConfig(dt=dt, t_end=T, record_every=n_steps)
     traj = run(u0, np.zeros(n), y0, ops, None, params, cfg)
-    final = traj.states[-1]
+    final = traj.final
     assert np.abs(final.u - ref[:n]).max() < 1e-5
     assert np.abs(final.v - ref[n : 2 * n]).max() < 1e-5
     assert abs(final.y[0] - ref[2 * n]) < 1e-5
@@ -141,9 +163,10 @@ def test_determinism():
     u0 = sine_profile(mesh, 0.2)
     z = np.zeros(mesh.n_nodes)
     cfg = StepperConfig(dt=1e-3, t_end=0.5, record_every=50)
-    a = run(u0, z, np.zeros(1), ops, kernel, params, cfg)
-    b = run(u0, z, np.zeros(1), ops, kernel, params, cfg)
-    for sa, sb in zip(a.states, b.states):
+    a = _recorded_states(u0, z, np.zeros(1), ops, kernel, params, cfg)
+    b = _recorded_states(u0, z, np.zeros(1), ops, kernel, params, cfg)
+    assert len(a) == len(b) == 11
+    for (sa, _), (sb, _) in zip(a, b):
         assert np.array_equal(sa.u, sb.u)
         assert np.array_equal(sa.v, sb.v)
         assert np.array_equal(sa.y, sb.y)
@@ -310,7 +333,7 @@ def test_manufactured_two_level_convergence():
         cfg = StepperConfig(dt=dt, t_end=1.0, record_every=int(1.0 / dt),
                             forcing=case.forcing)
         traj = run(case.u0, case.u1, case.y0, ops, kernel, params, cfg)
-        final = traj.states[-1]
+        final = traj.final
         exact = mesh.nodes[:, 0] * math.cos(final.t)
         diff = final.u - exact
         errs.append(math.sqrt(float(diff @ (ops.mass @ diff))))
@@ -372,13 +395,70 @@ def test_state_norms_feed_the_energy_report(case):
     u0 = 0.8 * np.sin(np.pi * mesh.nodes[:, 0])
     u0[mesh.gamma0_nodes] = 0.0
     y0 = np.full(len(mesh.gamma1_nodes), 0.1)
-    traj = run(u0, np.zeros(mesh.n_nodes), y0, ops, exp_kernel(), params, cfg)
-    assert traj.n_records == 11
+    records = _recorded_states(u0, np.zeros(mesh.n_nodes), y0, ops, exp_kernel(), params, cfg)
+    assert len(records) == 11
     g0 = mesh.gamma0_nodes
-    for state, rep in zip(traj.states, traj.reports):
+    for state, rep in records:
         assert rep.grad_sq == grad_norm_sq(ops, state.u)
         lk = lk_norm_pow(ops, state.u, params.k_exp)
         assert lk > 0.0
         assert -params.k_exp * rep.source == pytest.approx(lk, rel=1e-14, abs=0.0)
         for field in (state.u, state.v, state.accel):
             assert np.all(field[g0] == 0.0)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_step_never_mutates_a_returned_state(forced):
+    # Trajectory keeps states by reference, so step must build every array
+    # of a new state afresh; both closure branches are covered
+    mesh = interval_mesh(16)
+    params = default_params()
+    ops = assemble(mesh)
+    kernel = exp_kernel()
+    forcing = None
+    if forced:
+        forcing = Forcing(f_omega=lambda t, x: np.full(len(x), t),
+                          f_flux=lambda t: np.array([0.1 * t]), f_acoustic=lambda t: 0.2)
+    cfg = StepperConfig(dt=1e-3, t_end=0.04, forcing=forcing)
+    buffer = HistoryBuffer(kernel, mesh.n_nodes, horizon=cfg.t_end)
+    state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1]),
+                       ops, params, buffer, cfg)
+    kept = []
+    for _ in range(20):
+        kept.append((state, copy.deepcopy(state)))
+        state = step(state, ops, params, buffer, cfg)
+    for _ in range(20):
+        state = step(state, ops, params, buffer, cfg)
+    for original, snapshot in kept:
+        for name, value in vars(snapshot).items():
+            assert np.asarray(getattr(original, name)).tobytes() == np.asarray(value).tobytes()
+
+
+class _CountingMatrix:
+    """A matrix that counts its products with a vector."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+
+def test_one_stiffness_product_per_step_and_two_mass_products_per_record():
+    # the step's one K u feeds the force, the history and the energy
+    # report; a record adds M v and M u and nothing else
+    mesh = interval_mesh(16)
+    params = default_params()
+    ops = assemble(mesh)
+    stiffness, mass = _CountingMatrix(ops.stiffness), _CountingMatrix(ops.mass)
+    counted = dataclasses.replace(ops, stiffness=stiffness, mass=mass)
+    u0 = sine_profile(mesh, 0.3)
+    z = np.zeros(mesh.n_nodes)
+    cfg = StepperConfig(dt=1e-3, t_end=0.1, record_every=10)
+    traj = run(u0, z, np.zeros(1), counted, exp_kernel(), params, cfg)
+    assert stiffness.products == 1 + 100  # the initial evaluation, then one per step
+    assert traj.n_records == 11
+    assert mass.products == 2 * traj.n_records
+    assert traj.reports == run(u0, z, np.zeros(1), ops, exp_kernel(), params, cfg).reports
