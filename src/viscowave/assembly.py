@@ -164,8 +164,10 @@ def _assemble_2d(mesh: Mesh):
     return K, M
 
 
-def _estimate_lam_max(K: sp.csr_matrix, lumped: np.ndarray, mesh: Mesh,
-                      iters: int = 300) -> float:
+_POWER_ITERATIONS = 300
+
+
+def _estimate_lam_max(K: sp.csr_matrix, lumped: np.ndarray, mesh: Mesh) -> float:
     """Largest eigenvalue of diag(M_lump)^{-1} K on the free subspace.
 
     Deterministic power iteration with a 5% inflation so the CFL check errs
@@ -176,7 +178,7 @@ def _estimate_lam_max(K: sp.csr_matrix, lumped: np.ndarray, mesh: Mesh,
     v[mesh.free_nodes] = np.sin(np.arange(1, len(mesh.free_nodes) + 1, dtype=float))
     v /= np.linalg.norm(v)
     inv_m = 1.0 / lumped
-    for _ in range(iters):
+    for _ in range(_POWER_ITERATIONS):
         w = inv_m * (K @ v)
         w[mesh.gamma0_nodes] = 0.0
         nrm = np.linalg.norm(w)

@@ -31,7 +31,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from time import perf_counter
 
@@ -50,6 +50,7 @@ from .energy import rate_identity_residual
 from .geometry import DomainSpec, Mesh, build_mesh
 from .kernels import (
     BoundaryCoefficients,
+    HypothesisReport,
     RATE_FAMILIES,
     RelaxationKernel,
     build_kernel,
@@ -209,7 +210,7 @@ class RunConfig:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_dict())
 
 
 def _finite(val) -> bool:
@@ -466,10 +467,14 @@ def write_trajectory_csv(path: Path, traj: Trajectory, mesh: Mesh) -> None:
 def _strict(value):
     """(JSON-safe copy of ``value``, tokens of the non-finite floats it nulled).
 
-    A non-finite float becomes None with the token "nan", "inf" or "-inf";
-    a dict entry with a token gains a sibling ``<key>_nonfinite`` holding it,
-    and a list's token maps each such index to the token of its item.
+    A dataclass instance is read as the dict of its fields, so a report's
+    fields are its JSON schema.  A non-finite float becomes None with the
+    token "nan", "inf" or "-inf"; a dict entry with a token gains a sibling
+    ``<key>_nonfinite`` holding it, and a list's token maps each such index
+    to the token of its item.
     """
+    if is_dataclass(value) and not isinstance(value, type):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
     if isinstance(value, float) and not math.isfinite(value):
         return None, "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
     if isinstance(value, dict):
@@ -486,12 +491,17 @@ def _strict(value):
     return value, None
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Strict JSON (RFC 8259): non-finite floats are written as null plus a
-    ``_nonfinite`` token, and any that slip past raise instead of writing
-    NaN or Infinity."""
+def _json_text(payload) -> str:
+    """Strict JSON (RFC 8259) of a dict or a report dataclass, the text of
+    every JSON artifact and of every subcommand's JSON output: non-finite
+    floats are written as null plus a ``_nonfinite`` token, and any that
+    slip past raise instead of writing NaN or Infinity."""
     clean, _ = _strict(payload)
-    path.write_text(json.dumps(clean, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    return json.dumps(clean, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(_json_text(payload) + "\n")
 
 
 def _write_columns(path: Path, cols: list[np.ndarray]) -> None:
@@ -510,7 +520,7 @@ class ScenarioResult:
     trajectory: Trajectory | None = None
     constants: WellConstants | None = None
     stable_report: StableSetReport | None = None
-    hypothesis_report: object | None = None
+    hypothesis_report: HypothesisReport | None = None
     decay_report: DecayReport | None = None
     mms_error: float | None = None
     aborted: object | None = None
@@ -528,12 +538,9 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     ops = assemble(mesh)
     result = ScenarioResult(config=config, out_dir=out)
 
-    horizon = config.analysis.hypothesis_horizon or max(20.0, 2.0 * config.stepping.t_end)
-    hyp = validate_hypotheses(
-        kernel, BoundaryCoefficients(params.p_c, params.q_c), horizon
-    )
+    hyp = _hypothesis_report(config, kernel)
     result.hypothesis_report = hyp
-    _write_json(out / "hypothesis_report.json", hyp.to_dict())
+    _write_json(out / "hypothesis_report.json", hyp)
 
     if config.mode == "mms":
         marks.append(perf_counter())
@@ -550,10 +557,10 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     if config.analysis.constants:
         constants = compute_well_constants(mesh, ops, params, kernel, seed=config.seed)
         result.constants = constants
-        _write_json(out / "well_constants.json", constants.to_dict())
+        _write_json(out / "well_constants.json", constants)
         stable = check_initial_membership(u0, u1, y0, constants, ops, params, kernel)
         result.stable_report = stable
-        _write_json(out / "stable_set.json", stable.to_dict())
+        _write_json(out / "stable_set.json", stable)
     marks.append(perf_counter())
 
     aborted = None
@@ -568,18 +575,18 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
 
     sampled = decay_json = prof = None
     if aborted is None and config.analysis.decay and config.stepping.t_end > 0:
-        sampled = SampledEnergy.from_trajectory(traj, kernel)
         t0 = config.analysis.t0 or default_weighted_t0(kernel)
         t_tail = config.analysis.t_tail or 0.25 * config.stepping.t_end
         try:
+            sampled = SampledEnergy.from_trajectory(traj, kernel)
             report = build_decay_report(sampled, t_tail=t_tail, t0=t0)
         except ValueError as exc:
-            # horizon too short for the stability diagnostics: record why
-            # instead of discarding the completed run
+            # fewer than two records, or a horizon too short for the
+            # stability diagnostics: record why instead of discarding the
+            # completed run
             decay_json = {"skipped": str(exc)}
         else:
-            result.decay_report = report
-            decay_json = report.to_dict()
+            result.decay_report = decay_json = report
             prof = weighted_integral_check(sampled, t0)
     # initial boundary-flux compatibility diagnostic
     boundary_residual = None
@@ -623,6 +630,14 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
 # reports written before stepping, and artifacts everything written after
 # it but run_metadata.json itself.
 PHASES = ("setup", "stepping", "analysis", "artifacts")
+
+
+def _hypothesis_report(config: RunConfig, kernel: RelaxationKernel) -> HypothesisReport:
+    """(H1)-(H2) verdicts for ``run`` and ``check-kernel`` alike, on the
+    configured horizon or by default twice the run's, at least 20."""
+    horizon = config.analysis.hypothesis_horizon or max(20.0, 2.0 * config.stepping.t_end)
+    coeffs = BoundaryCoefficients(config.physics.p_c, config.physics.q_c)
+    return validate_hypotheses(kernel, coeffs, horizon)
 
 
 def _metadata(config: RunConfig, ops, traj, marks: list[float]) -> dict:
@@ -802,20 +817,14 @@ def _cmd_constants(args) -> int:
     ops = assemble(mesh)
     kernel = config.build_kernel()
     constants = compute_well_constants(mesh, ops, config.physics, kernel, seed=config.seed)
-    print(json.dumps(constants.to_dict(), indent=2, sort_keys=True))
+    print(_json_text(constants))
     return 0
 
 
 def _cmd_check_kernel(args) -> int:
     config = _load_config(args)
-    kernel = config.build_kernel()
-    horizon = config.analysis.hypothesis_horizon or max(20.0, 2.0 * config.stepping.t_end)
-    report = validate_hypotheses(
-        kernel,
-        BoundaryCoefficients(config.physics.p_c, config.physics.q_c),
-        horizon,
-    )
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    report = _hypothesis_report(config, config.build_kernel())
+    print(_json_text(report))
     return 0 if report.passed else 1
 
 
@@ -837,14 +846,14 @@ def _cmd_decay_report(args) -> int:
     except (OSError, ValueError) as exc:  # unreadable CSV, or too few or negative samples
         print(f"decay-report: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(_json_text(report))
     return 0
 
 
 def _cmd_mms(args) -> int:
     config = _load_config(args)
     ladder = run_mms_ladder(config, levels=args.levels)
-    print(json.dumps(ladder, indent=2, sort_keys=True))
+    print(_json_text(ladder))
     if args.out:
         _write_json(Path(args.out), ladder)
     return 0

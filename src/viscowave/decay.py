@@ -64,16 +64,9 @@ class SampledEnergy:
             raise ValueError("energy samples must be nonnegative")
 
     @classmethod
-    def from_trajectory(cls, traj: Trajectory, kernel: RelaxationKernel,
-                        monotone_tol: float | None = None) -> "SampledEnergy":
+    def from_trajectory(cls, traj: Trajectory, kernel: RelaxationKernel) -> "SampledEnergy":
         t = np.array(traj.times)
         E = np.array([r.total for r in traj.reports])
-        if monotone_tol is not None:
-            rises = np.diff(E)
-            if rises.max(initial=0.0) > monotone_tol:
-                raise ValueError(
-                    f"energy rises by {rises.max():.3e} > tolerance {monotone_tol:.3e}"
-                )
         return cls(t=t, E=E, phi=np.asarray(kernel.rate.phi(t), dtype=float),
                    xi=np.asarray(kernel.rate.xi(t), dtype=float))
 
@@ -94,14 +87,6 @@ class MartinezVerdict:
     hypothesis_margin: float  # worst integral / bound ratio over the S-grid
     conclusion_margin: float  # worst E / envelope ratio over the samples
 
-    def to_dict(self) -> dict:
-        return {
-            "hypothesis": self.hypothesis,
-            "conclusion": self.conclusion,
-            "hypothesis_margin": self.hypothesis_margin,
-            "conclusion_margin": self.conclusion_margin,
-        }
-
 
 def _cumulative_right_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """I[i] = trapezoid integral of y over [t_i, t_end]."""
@@ -116,7 +101,6 @@ def martinez_check(
     sigma: float,
     omega: float,
     tail=None,
-    monotone_tol: float | None = None,
     rtol: float = 1e-4,
 ) -> MartinezVerdict:
     """Verdict pair for the integral hypothesis and the decay conclusion.
@@ -135,8 +119,7 @@ def martinez_check(
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     E, t, phi, xi = sampled.E, sampled.t, sampled.phi, sampled.xi
     E0 = float(E[0])
-    tol = monotone_tol if monotone_tol is not None else 1e-9 * max(E0, 1e-300)
-    if np.diff(E).max(initial=0.0) > tol:
+    if np.diff(E).max(initial=0.0) > 1e-9 * max(E0, 1e-300):
         raise ValueError("energy must be nonincreasing (beyond tolerance)")
 
     if E0 <= 0.0:
@@ -210,14 +193,6 @@ class WeightedIntegralProfile:
     max_rho: float
     violation: bool  # E(S) = 0 with mass still remaining
 
-    def to_dict(self) -> dict:
-        return {
-            "S": self.S.tolist(),
-            "rho": self.rho.tolist(),
-            "max_rho": self.max_rho,
-            "violation": self.violation,
-        }
-
 
 def weighted_integral_check(sampled: SampledEnergy, t0: float) -> WeightedIntegralProfile:
     """rho(S) = int_S^T xi E dt / E(S) on the sample points within [t0, T)."""
@@ -274,22 +249,6 @@ class DecayReport:
     rho_change: float
     t0: float
     horizon: float
-
-    def to_dict(self) -> dict:
-        return {
-            "omega_max": self.omega_max,
-            "omega_max_half": self.omega_max_half,
-            "omega_change": self.omega_change,
-            "trivial": self.trivial,
-            "tail_slope": self.tail_slope,
-            "tail_r2": self.tail_r2,
-            "t_tail": self.t_tail,
-            "rho_max": self.rho_max,
-            "rho_max_half": self.rho_max_half,
-            "rho_change": self.rho_change,
-            "t0": self.t0,
-            "horizon": self.horizon,
-        }
 
 
 def _rel_change(full: float, half: float) -> float:

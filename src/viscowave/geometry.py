@@ -89,7 +89,6 @@ class Mesh:
     gamma0_nodes: np.ndarray   # int indices
     gamma1_nodes: np.ndarray   # int indices, subset of free_nodes
     gamma1_weights: np.ndarray # aligned with gamma1_nodes
-    h_min: float               # smallest element edge, for CFL estimates
 
     @property
     def n_nodes(self) -> int:
@@ -98,9 +97,6 @@ class Mesh:
     @property
     def dimension(self) -> int:
         return self.spec.dimension
-
-    def gamma1_measure(self) -> float:
-        return float(self.gamma1_weights.sum())
 
 
 def build_mesh(spec: DomainSpec) -> Mesh:
@@ -139,7 +135,6 @@ def _build_interval(spec: DomainSpec) -> Mesh:
         gamma0_nodes=gamma0,
         gamma1_nodes=gamma1,
         gamma1_weights=weights,
-        h_min=length / m,
     )
 
 
@@ -213,5 +208,4 @@ def _build_rectangle(spec: DomainSpec) -> Mesh:
         gamma0_nodes=gamma0,
         gamma1_nodes=gamma1,
         gamma1_weights=weights,
-        h_min=min(hx, hy),
     )

@@ -75,10 +75,6 @@ class HistoryBuffer:
         self._diamonds_cached = (0.0, 0.0)
 
     @property
-    def last_time(self) -> float | None:
-        return self._t_last
-
-    @property
     def n_entries(self) -> int:
         """Number of pushes recorded."""
         return self._push_count

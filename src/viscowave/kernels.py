@@ -458,32 +458,10 @@ class HypothesisReport:
     horizon: float
     grid_size: int
     memory_expansion: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.conditions.values())
+    passed: bool  # every condition passed
 
     def failures(self) -> list[str]:
         return [f"{k}: {v.note}" for k, v in self.conditions.items() if not v.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "conditions": {
-                k: {"passed": v.passed, "margin": v.margin, "note": v.note}
-                for k, v in self.conditions.items()
-            },
-            "theta": self.theta,
-            "r_claimed": self.r_claimed,
-            "r_measured": self.r_measured,
-            "e_r": self.e_r,
-            "l_value": self.l_value,
-            "sup_xi": self.sup_xi,
-            "xi_prime_l1": self.xi_prime_l1,
-            "horizon": self.horizon,
-            "grid_size": self.grid_size,
-            "memory_expansion": self.memory_expansion,
-        }
 
 
 def _check_grid(horizon: float) -> np.ndarray:
@@ -610,4 +588,5 @@ def validate_hypotheses(
         horizon=horizon,
         grid_size=len(grid),
         memory_expansion=kernel.exp_sum(horizon).to_dict(),
+        passed=all(v.passed for v in conditions.values()),
     )

@@ -87,6 +87,9 @@ class AscentDiagnostics:
 # this.  Near a maximum the quotient's error is O(|d|_K^2), about 1e-14; a
 # tolerance at the roundoff floor of |d|_K (1e-8) would rarely stop a start.
 _STATIONARY_TOL = 1e-7
+# Starts per ascent, and the accepted steps a start may take.
+_N_STARTS = 8
+_MAX_ASCENT_STEPS = 2000
 
 
 def _free_stiffness_lu(ops: DiscreteOperators):
@@ -109,8 +112,7 @@ def _ascent_direction(ops: DiscreteOperators, lu, u: np.ndarray,
     return d
 
 
-def _ascend(ops: DiscreteOperators, lu, log_num_grad, seed: int, n_starts: int,
-            max_iter: int = 2000):
+def _ascend(ops: DiscreteOperators, lu, log_num_grad, seed: int, n_starts: int):
     """Projected gradient ascent of a homogeneous quotient on the K-sphere.
 
     ``log_num_grad(u)`` returns (ln numerator, gradient of ln numerator) and
@@ -146,7 +148,7 @@ def _ascend(ops: DiscreteOperators, lu, log_num_grad, seed: int, n_starts: int,
         eta = 1.0
         converged = False
         steps = 0
-        while steps < max_iter:
+        while steps < _MAX_ASCENT_STEPS:
             d = _ascent_direction(ops, lu, u, grad_n)
             if d @ (K @ d) < _STATIONARY_TOL**2:
                 converged = True
@@ -215,8 +217,6 @@ def estimate_embedding_constant(
     ops: DiscreteOperators,
     k_exp: float,
     seed: int = 2024,
-    n_starts: int = 8,
-    max_iter: int = 2000,
 ) -> float:
     """Discrete sup ||u||_k / ||grad u||_2, with ||u||_k^k by the nodal rule.
 
@@ -229,7 +229,7 @@ def estimate_embedding_constant(
     if k_exp < 2:
         raise ValueError(f"k must be >= 2, got {k_exp}")
     _, diag = _ascend(ops, _free_stiffness_lu(ops), _embedding_objective(ops, k_exp), seed,
-                      n_starts, max_iter)
+                      _N_STARTS)
     return diag.value
 
 
@@ -237,14 +237,11 @@ def estimate_trace_constant(
     mesh: Mesh,
     ops: DiscreteOperators,
     seed: int = 2024,
-    n_starts: int = 8,
-    max_iter: int = 2000,
 ) -> float:
     """Discrete sup ||u||_{2,Gamma_1} / ||grad u||_2."""
     if len(mesh.gamma1_nodes) == 0:
         raise ValueError("trace constant needs a nonempty acoustic boundary")
-    _, diag = _ascend(ops, _free_stiffness_lu(ops), _trace_objective(ops), seed, n_starts,
-                      max_iter)
+    _, diag = _ascend(ops, _free_stiffness_lu(ops), _trace_objective(ops), seed, _N_STARTS)
     return diag.value
 
 
@@ -276,7 +273,6 @@ def estimate_B_Omega(
     l_value: float,
     s_k: float | None = None,
     seed: int = 2024,
-    verify_tol: float = 1e-6,
     u_star: np.ndarray | None = None,
 ) -> tuple[float, dict]:
     """Well constant B via the amplitude-limit reduction, plus verification.
@@ -292,7 +288,7 @@ def estimate_B_Omega(
         raise ValueError(f"needs l > 0, got {l_value}")
     k = params.k_exp
     if u_star is None:
-        n_starts = 8 if s_k is None else 2
+        n_starts = _N_STARTS if s_k is None else 2
         u_star, diag = _ascend(ops, _free_stiffness_lu(ops), _embedding_objective(ops, k),
                                seed, n_starts)
         if s_k is None:
@@ -317,7 +313,7 @@ def estimate_B_Omega(
     for cand in candidates:
         worst = max(worst, float(_amplitude_quotients(ops, params, l_value, cand).max()))
 
-    verified = worst <= limit * (1.0 + verify_tol)
+    verified = worst <= limit * (1.0 + 1e-6)
     info = {"verified": verified, "finite_amplitude_max": worst, "s_k": s_k}
     if not verified:
         raise RuntimeError(
@@ -341,19 +337,6 @@ class WellConstants:
     resolution: tuple[int, ...]
     diagnostics: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "c_star": self.c_star,
-            "c_bar_star": self.c_bar_star,
-            "b_omega": self.b_omega,
-            "lambda1": self.lambda1,
-            "d1": self.d1,
-            "k_exp": self.k_exp,
-            "dimension": self.dimension,
-            "resolution": list(self.resolution),
-            "diagnostics": self.diagnostics,
-        }
-
 
 def compute_well_constants(
     mesh: Mesh,
@@ -365,12 +348,23 @@ def compute_well_constants(
     """Embedding/trace constants, B, lambda1 and d1 for one configuration."""
     l_value = kernel.l_value if kernel is not None else params.a
     lu = _free_stiffness_lu(ops)
-    u_star, emb_diag = _ascend(ops, lu, _embedding_objective(ops, params.k_exp), seed, 8)
+    u_star, emb_diag = _ascend(ops, lu, _embedding_objective(ops, params.k_exp), seed,
+                               _N_STARTS)
     s_k = emb_diag.value
-    _, tr_diag = _ascend(ops, lu, _trace_objective(ops), seed, 8)
+    _, tr_diag = _ascend(ops, lu, _trace_objective(ops), seed, _N_STARTS)
     b_omega, info = estimate_B_Omega(mesh, ops, params, l_value, s_k=s_k, seed=seed,
                                      u_star=u_star)
     lambda1, d1 = well_constants_from_B(b_omega, params.k_exp)
+
+    def ascent(diag: AscentDiagnostics) -> dict:
+        return {
+            "start_values": list(diag.start_values),
+            "iterations": list(diag.iterations),
+            "evaluations": list(diag.evaluations),
+            "spread": diag.spread,
+            "all_converged": diag.all_converged,
+        }
+
     return WellConstants(
         c_star=s_k,
         c_bar_star=tr_diag.value,
@@ -381,20 +375,8 @@ def compute_well_constants(
         dimension=mesh.dimension,
         resolution=mesh.spec.resolution,
         diagnostics={
-            "embedding": {
-                "start_values": list(emb_diag.start_values),
-                "iterations": list(emb_diag.iterations),
-                "evaluations": list(emb_diag.evaluations),
-                "spread": emb_diag.spread,
-                "all_converged": emb_diag.all_converged,
-            },
-            "trace": {
-                "start_values": list(tr_diag.start_values),
-                "iterations": list(tr_diag.iterations),
-                "evaluations": list(tr_diag.evaluations),
-                "spread": tr_diag.spread,
-                "all_converged": tr_diag.all_converged,
-            },
+            "embedding": ascent(emb_diag),
+            "trace": ascent(tr_diag),
             "b_omega_verification": info,
             "seed": seed,
         },
@@ -412,17 +394,6 @@ class StableSetReport:
     in_well: bool
     energy_ratio: float
     gamma_ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "E0": self.E0,
-            "gamma0": self.gamma0,
-            "lambda1": self.lambda1,
-            "d1": self.d1,
-            "in_well": self.in_well,
-            "energy_ratio": self.energy_ratio,
-            "gamma_ratio": self.gamma_ratio,
-        }
 
 
 def check_initial_membership(
@@ -475,15 +446,6 @@ class InvarianceVerdict:
     max_gamma_ratio: float
     max_energy_ratio: float
     first_violation_time: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "n_checked": self.n_checked,
-            "max_gamma_ratio": self.max_gamma_ratio,
-            "max_energy_ratio": self.max_energy_ratio,
-            "first_violation_time": self.first_violation_time,
-        }
 
 
 def verify_invariance(trajectory: Trajectory, constants: WellConstants) -> InvarianceVerdict:

@@ -359,13 +359,17 @@ def _memory_scalar(kernel, time_factor, closed_form, t):
     return val
 
 
+# Sample times in [0, t_end] at which the manufactured field's Dirichlet
+# trace is checked.
+_N_CHECK = 33
+
+
 def build_manufactured_case(
     msol: ManufacturedSolution,
     ops: DiscreteOperators,
     params: PhysicalParams,
     kernel: RelaxationKernel | None,
     t_end: float,
-    n_check: int = 33,
 ) -> ManufacturedCase:
     """Forcing and initial data that make ``msol`` an exact solution.
 
@@ -376,7 +380,7 @@ def build_manufactured_case(
     mesh = ops.mesh
     coords = mesh.nodes
     g1_coords = coords[mesh.gamma1_nodes]
-    t_samples = np.linspace(0.0, max(t_end, 1e-12), n_check)
+    t_samples = np.linspace(0.0, max(t_end, 1e-12), _N_CHECK)
 
     worst_g0 = max(
         float(np.max(np.abs(msol.u(coords[mesh.gamma0_nodes], t)), initial=0.0))

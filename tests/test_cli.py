@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from viscowave.cli import (
     ConfigError,
     PRESETS,
     _format_table,
+    _json_text,
+    _strict,
     main,
     parse_config,
     profile_field,
@@ -314,6 +317,23 @@ def test_short_horizon_skips_decay_gracefully(tmp_path):
     assert "skipped" in payload
 
 
+def test_run_shorter_than_one_record_interval_completes(tmp_path, capsys):
+    # one record only: too few samples for the decay analysis, which is
+    # skipped with the reason instead of ending the run in a traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": {"resolution": [16]},
+                                    "stepping": {"dt": 1e-3, "t_end": 0.005,
+                                                 "record_every": 10}}))
+    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 0
+    assert "completed" in capsys.readouterr().out
+    lines = (tmp_path / "run" / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0,")
+    artifacts = _strict_artifacts(tmp_path / "run")
+    assert artifacts["decay_report.json"] == {"skipped": "need at least two samples"}
+    assert not (tmp_path / "run" / "logE_vs_phi.dat").exists()
+
+
 def test_mms_ladder_two_levels():
     ladder = run_mms_ladder(PRESETS["mms-ladder"].parse(), levels=2)
     assert len(ladder["errors"]) == 2
@@ -362,13 +382,39 @@ def test_overflowing_energy_aborts_with_header_only_csv(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("t,E,")
 
 
+def _reject(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def _strict_artifacts(directory) -> dict:
     """Every JSON artifact of a run, parsed as strict JSON (no NaN or Infinity)."""
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    return {path.name: json.loads(path.read_text(), parse_constant=reject)
+    return {path.name: json.loads(path.read_text(), parse_constant=_reject)
             for path in sorted(directory.glob("*.json"))}
+
+
+@dataclass(frozen=True)
+class _Verdict:
+    passed: bool
+    margin: float
+
+
+@dataclass(frozen=True)
+class _Report:
+    verdict: _Verdict
+    samples: tuple
+    omega: float
+
+
+def test_strict_reads_a_dataclass_as_its_fields():
+    report = _Report(_Verdict(True, -math.inf), (1.0, math.nan, 2), math.inf)
+    clean, token = _strict(report)
+    assert token is None
+    assert clean == {
+        "verdict": {"passed": True, "margin": None, "margin_nonfinite": "-inf"},
+        "samples": [1.0, None, 2], "samples_nonfinite": {"1": "nan"},
+        "omega": None, "omega_nonfinite": "inf",
+    }
+    assert json.loads(_json_text(report), parse_constant=_reject) == clean
 
 
 def test_overflowing_kirchhoff_coefficient_aborts(tmp_path):
@@ -410,46 +456,68 @@ def test_overflowing_oscillatory_series_is_a_config_error(alpha, eps):
     assert any(e.startswith("kernel:") and "alpha*eps/2" in e for e in exc.value.errors)
 
 
-@pytest.fixture
-def small_config_file(tmp_path):
+def _run_with_config_file(tmp_path, **overrides):
+    """(config path, artifact directory) of a completed run of that config
+    with every report on."""
     path = tmp_path / "cfg.json"
-    path.write_text(_tiny_config(stepping={"dt": 2e-3, "t_end": 1.0, "record_every": 10}))
-    return path
+    path.write_text(_tiny_config(**{
+        "stepping": {"dt": 2e-3, "t_end": 4.0, "record_every": 10},
+        "analysis": {"constants": True, "decay": True, "t_tail": 1.0}, **overrides,
+    }))
+    run_scenario(parse_config(path.read_text()), out_dir=tmp_path / "run")
+    return path, tmp_path / "run"
 
 
-def test_check_kernel_subcommand(small_config_file, capsys):
-    rc = main(["check-kernel", "--config", str(small_config_file)])
+def _strict_stdout(capsys) -> tuple[str, dict]:
+    out = capsys.readouterr().out
+    return out, json.loads(out, parse_constant=_reject)
+
+
+def test_check_kernel_subcommand(tmp_path, capsys):
+    cfg_path, run_dir = _run_with_config_file(tmp_path)
+    rc = main(["check-kernel", "--config", str(cfg_path)])
     assert rc == 0
-    report = json.loads(capsys.readouterr().out)
+    out, report = _strict_stdout(capsys)
     assert report["passed"] is True
+    assert out == (run_dir / "hypothesis_report.json").read_text()
 
 
-def test_constants_subcommand(small_config_file, capsys):
-    rc = main(["constants", "--config", str(small_config_file)])
+def test_constants_subcommand(tmp_path, capsys):
+    cfg_path, run_dir = _run_with_config_file(tmp_path)
+    rc = main(["constants", "--config", str(cfg_path)])
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    out, payload = _strict_stdout(capsys)
     assert payload["lambda1"] > 0
     assert payload["d1"] > 0
+    assert out == (run_dir / "well_constants.json").read_text()
 
 
 def test_decay_report_subcommand(tmp_path, capsys):
-    cfg = parse_config(
-        _tiny_config(
-            stepping={"dt": 2e-3, "t_end": 4.0, "record_every": 10},
-            analysis={"constants": False, "decay": True, "t_tail": 1.0},
-        )
-    )
-    run_scenario(cfg, out_dir=tmp_path / "run")
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(cfg.to_json())
+    cfg_path, run_dir = _run_with_config_file(tmp_path)
     rc = main([
         "decay-report",
         "--config", str(cfg_path),
-        "--csv", str(tmp_path / "run" / "trajectory.csv"),
+        "--csv", str(run_dir / "trajectory.csv"),
     ])
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    out, payload = _strict_stdout(capsys)
     assert payload["omega_max"] > 0
+    # the subcommand reads the energies back from the CSV's 15 significant
+    # digits, so its figures match the run's to that rounding, not bit for bit
+    artifact = _strict_artifacts(run_dir)["decay_report.json"]
+    assert payload == pytest.approx(artifact, rel=1e-10)
+
+
+def test_decay_report_subcommand_on_zero_data_is_strict_json(tmp_path, capsys):
+    # E = 0 throughout: omega_max is infinite, and the CSV holds exact zeros
+    cfg_path, run_dir = _run_with_config_file(tmp_path, initial={"amplitude": 0.0})
+    rc = main(["decay-report", "--config", str(cfg_path),
+               "--csv", str(run_dir / "trajectory.csv")])
+    assert rc == 0
+    out, payload = _strict_stdout(capsys)
+    assert payload["trivial"] is True
+    assert payload["omega_max"] is None and payload["omega_max_nonfinite"] == "inf"
+    assert out == (run_dir / "decay_report.json").read_text()
 
 
 @pytest.mark.parametrize("case", ["aborted", "out-of-well", "missing"])

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from viscowave import build_kernel, make_rate, validate_hypotheses
+from viscowave.cli import _strict
 from viscowave.kernels import BoundaryCoefficients
 
 
@@ -169,7 +170,8 @@ def test_validate_rejects_bad_horizon():
 def test_report_serializes():
     k = build_kernel(make_rate("oscillatory", 2.0, 0.25), 1.0, 3.0)
     rep = validate_hypotheses(k, BoundaryCoefficients(1.0, 1.0), horizon=15.0)
-    d = rep.to_dict()
+    d, token = _strict(rep)
+    assert token is None
     assert d["passed"] == rep.passed
     assert set(d["conditions"]) == set(rep.conditions)
     assert d["memory_expansion"] == {"n_terms": k.exp_sum().n_terms,
