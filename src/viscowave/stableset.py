@@ -10,16 +10,19 @@ constant B over the Dirichlet-constrained space:
 For kappa > 0 the supremum is attained only in the vanishing-amplitude
 limit, where the quotient reduces to S_k / sqrt(l) with S_k the plain
 embedding constant sup ||u||_k / ||grad u||_2; for kappa = 0 the reduction
-is S_k / sqrt(l + b).  The plain constants are estimated by projected
-gradient ascent on the discrete quotient (normalized to ||grad u||_2 = 1
-each iteration, seeded multi-starts).  A start stops at first-order
-stationarity: when the K-norm of its projected ascent direction falls below
-1e-7, where the quotient is within about 1e-14 of its local maximum.  Both
-ascents of ``compute_well_constants`` share one sparse factorization of K,
-made for that computation only.  The amplitude-limit reduction is
-verified against a direct finite-amplitude search; both norms are
-homogeneous, so the whole amplitude sweep of a candidate follows in closed
-form from its |grad u|^2 and ||u||_k^k.
+is S_k / sqrt(l + b).  S_k is estimated by projected gradient ascent on the
+discrete quotient (normalized to ||grad u||_2 = 1 each iteration, seeded
+multi-starts).  A start stops at first-order stationarity: when the K-norm
+of its projected ascent direction falls below 1e-7, where the quotient is
+within about 1e-14 of its local maximum.  The trace constant is a quadratic
+quotient, so it is computed exactly: c_bar_star^2 is the largest eigenvalue
+of W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2), a |Gamma_1| x |Gamma_1| matrix
+(W the boundary weights).  The ascent and that block solve share one sparse
+factorization of K on the free nodes (SPD, so a symmetric fill-reducing
+ordering with diagonal pivots), made for ``compute_well_constants`` only.
+The amplitude-limit reduction is verified against a direct finite-amplitude
+search; both norms are homogeneous, so the whole amplitude sweep of a
+candidate follows in closed form from its |grad u|^2 and ||u||_k^k.
 
 Initial data with E(0) < d1 and gamma_fn(0) < lambda1 stay in the well:
 every later record must keep gamma_fn(t) < lambda1 and E(t) < d1, which
@@ -93,22 +96,26 @@ _MAX_ASCENT_STEPS = 2000
 
 
 def _free_stiffness_lu(ops: DiscreteOperators):
-    """Sparse LU factor of K restricted to the free nodes."""
+    """Sparse factor of K restricted to the free nodes.
+
+    K there is SPD: the fill-reducing ordering is symmetric (minimum degree
+    on K + K^T) and the pivots stay on the diagonal.
+    """
     free = ops.mesh.free_nodes
-    return splu(ops.stiffness[np.ix_(free, free)].tocsc())
+    return splu(ops.stiffness[np.ix_(free, free)].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def _ascent_direction(ops: DiscreteOperators, lu, u: np.ndarray,
+def _ascent_direction(ops: DiscreteOperators, lu, u: np.ndarray, ku: np.ndarray,
                       grad_n: np.ndarray) -> np.ndarray:
-    """K-metric gradient of ln numerator at u (u^T K u = 1), projected onto
-    the tangent space of the constraint sphere; ``lu`` factors K on the free
-    nodes."""
+    """K-metric gradient of ln numerator at u (u^T K u = 1, ku = K u),
+    projected onto the tangent space of the constraint sphere; ``lu``
+    factors K on the free nodes."""
     free = ops.mesh.free_nodes
-    K = ops.stiffness
     d = np.zeros(ops.n_nodes)
     d[free] = lu.solve(grad_n[free])
     d -= u  # minus the constraint part: K^{-1} K u = u at u^T K u = 1
-    d -= float(d @ (K @ u)) * u  # K-orthogonal tangent projection
+    d -= float(d @ ku) * u  # K-orthogonal tangent projection
     return d
 
 
@@ -120,10 +127,11 @@ def _ascend(ops: DiscreteOperators, lu, log_num_grad, seed: int, n_starts: int):
     trial's gradient drives the next step.  Iterates are renormalized to
     u^T K u = 1, so the quotient equals the numerator.  The ascent direction
     is the gradient in the inner product induced by K (Riesz representative
-    through ``lu``, the caller's factor of K on the free nodes, which a
-    caller running several ascents makes once), which makes the convergence
-    rate mesh-independent; the direction is projected onto the tangent
-    space of the constraint sphere before stepping.
+    through ``lu``, the caller's factor of K on the free nodes), which makes
+    the convergence rate mesh-independent; the direction is projected onto
+    the tangent space of the constraint sphere before stepping.  K u travels
+    with u, so a start costs one product with K plus one per direction: a
+    trial's K (u + eta d) is K u + eta K d.
 
     A start stops, converged, when the K-norm of that direction falls below
     ``_STATIONARY_TOL``, before any line search at that point.  As a
@@ -142,26 +150,32 @@ def _ascend(ops: DiscreteOperators, lu, log_num_grad, seed: int, n_starts: int):
     for _ in range(n_starts):
         u = np.zeros(ops.n_nodes)
         u[free] = rng.standard_normal(len(free))
-        u /= math.sqrt(max(u @ (K @ u), 1e-300))
+        ku = K @ u
+        nrm = math.sqrt(max(u @ ku, 1e-300))
+        u /= nrm
+        ku /= nrm
         ln_val, grad_n = log_num_grad(u)
         n_eval = 1
         eta = 1.0
         converged = False
         steps = 0
         while steps < _MAX_ASCENT_STEPS:
-            d = _ascent_direction(ops, lu, u, grad_n)
-            if d @ (K @ d) < _STATIONARY_TOL**2:
+            d = _ascent_direction(ops, lu, u, ku, grad_n)
+            kd = K @ d
+            if d @ kd < _STATIONARY_TOL**2:
                 converged = True
                 break
             accepted = False
             while eta > 1e-14:
                 trial = u + eta * d
-                nrm = math.sqrt(max(trial @ (K @ trial), 1e-300))
+                k_trial = ku + eta * kd
+                nrm = math.sqrt(max(trial @ k_trial, 1e-300))
                 trial /= nrm
+                k_trial /= nrm
                 ln_trial, grad_trial = log_num_grad(trial)
                 n_eval += 1
                 if ln_trial > ln_val:
-                    u, ln_val, grad_n = trial, ln_trial, grad_trial
+                    u, ku, ln_val, grad_n = trial, k_trial, ln_trial, grad_trial
                     eta = min(eta * 1.3, 10.0)
                     accepted = True
                     break
@@ -199,17 +213,34 @@ def _embedding_objective(ops: DiscreteOperators, k_exp: float):
     return log_num_grad
 
 
-def _trace_objective(ops: DiscreteOperators):
-    g1 = ops.mesh.gamma1_nodes
-    w = ops.mesh.gamma1_weights
+# Unit columns per trace solve: one block of all |Gamma_1| columns (63 on the
+# 64x64 square) raised the peak memory of a run by about 4 MB.
+_TRACE_BLOCK = 8
 
-    def log_num_grad(u):
-        num = max(float(w @ (u[g1] * u[g1])), 1e-300)
-        grad = np.zeros(len(u))
-        grad[g1] = w * u[g1] / num
-        return 0.5 * math.log(num), grad
 
-    return log_num_grad
+def _trace_constant(ops: DiscreteOperators, lu) -> float:
+    """Exact discrete sup ||u||_{2,Gamma_1} / ||grad u||_2, 0 for an empty
+    Gamma_1.
+
+    The square of the sup of w . u_g^2 / u^T K u is the largest eigenvalue of
+    W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2); the Gamma_1 block of K^-1 comes
+    from solving ``lu`` (K on the free nodes) for the unit columns at the
+    Gamma_1 nodes, ``_TRACE_BLOCK`` at a time.
+    """
+    free = ops.mesh.free_nodes
+    pos = np.searchsorted(free, ops.mesh.gamma1_nodes)  # free_nodes is sorted
+    m = len(pos)
+    if m == 0:
+        return 0.0
+    block = np.empty((m, m))
+    for j in range(0, m, _TRACE_BLOCK):
+        cols = pos[j:j + _TRACE_BLOCK]
+        rhs = np.zeros((len(free), len(cols)))
+        rhs[cols, np.arange(len(cols))] = 1.0
+        block[:, j:j + len(cols)] = lu.solve(rhs)[pos]
+    sw = np.sqrt(ops.mesh.gamma1_weights)
+    block *= np.outer(sw, sw)
+    return math.sqrt(np.linalg.eigvalsh(0.5 * (block + block.T))[-1])
 
 
 def estimate_embedding_constant(
@@ -233,16 +264,11 @@ def estimate_embedding_constant(
     return diag.value
 
 
-def estimate_trace_constant(
-    mesh: Mesh,
-    ops: DiscreteOperators,
-    seed: int = 2024,
-) -> float:
-    """Discrete sup ||u||_{2,Gamma_1} / ||grad u||_2."""
+def estimate_trace_constant(mesh: Mesh, ops: DiscreteOperators) -> float:
+    """Discrete sup ||u||_{2,Gamma_1} / ||grad u||_2, computed exactly."""
     if len(mesh.gamma1_nodes) == 0:
         raise ValueError("trace constant needs a nonempty acoustic boundary")
-    _, diag = _ascend(ops, _free_stiffness_lu(ops), _trace_objective(ops), seed, _N_STARTS)
-    return diag.value
+    return _trace_constant(ops, _free_stiffness_lu(ops))
 
 
 _AMPLITUDES = np.geomspace(1e-8, 10.0, 40)
@@ -351,23 +377,14 @@ def compute_well_constants(
     u_star, emb_diag = _ascend(ops, lu, _embedding_objective(ops, params.k_exp), seed,
                                _N_STARTS)
     s_k = emb_diag.value
-    _, tr_diag = _ascend(ops, lu, _trace_objective(ops), seed, _N_STARTS)
+    c_bar_star = _trace_constant(ops, lu)
     b_omega, info = estimate_B_Omega(mesh, ops, params, l_value, s_k=s_k, seed=seed,
                                      u_star=u_star)
     lambda1, d1 = well_constants_from_B(b_omega, params.k_exp)
 
-    def ascent(diag: AscentDiagnostics) -> dict:
-        return {
-            "start_values": list(diag.start_values),
-            "iterations": list(diag.iterations),
-            "evaluations": list(diag.evaluations),
-            "spread": diag.spread,
-            "all_converged": diag.all_converged,
-        }
-
     return WellConstants(
         c_star=s_k,
-        c_bar_star=tr_diag.value,
+        c_bar_star=c_bar_star,
         b_omega=b_omega,
         lambda1=lambda1,
         d1=d1,
@@ -375,8 +392,16 @@ def compute_well_constants(
         dimension=mesh.dimension,
         resolution=mesh.spec.resolution,
         diagnostics={
-            "embedding": ascent(emb_diag),
-            "trace": ascent(tr_diag),
+            "embedding": {
+                "start_values": list(emb_diag.start_values),
+                "iterations": list(emb_diag.iterations),
+                "evaluations": list(emb_diag.evaluations),
+                "spread": emb_diag.spread,
+                "all_converged": emb_diag.all_converged,
+            },
+            # exact, no ascent; "iterations" stays because perfbench/run.py
+            # sums it over both entries
+            "trace": {"method": "exact", "iterations": [0]},
             "b_omega_verification": info,
             "seed": seed,
         },

@@ -61,3 +61,15 @@ def sine_profile(mesh, amplitude):
     u = amplitude * np.sin(0.5 * np.pi * mesh.nodes[:, 0] / mesh.spec.extent[0])
     u[mesh.gamma0_nodes] = 0.0
     return u
+
+
+class CountingMatrix:
+    """A matrix that counts its products with a vector."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from viscowave import (
 from viscowave import stableset
 
 from conftest import (
+    CountingMatrix,
     default_params,
     exp_kernel,
     interval_mesh,
@@ -96,13 +98,12 @@ def test_embedding_nonincreasing_under_refinement():
 
 
 def test_trace_constant_1d_closed_form():
-    mesh = interval_mesh(64)
-    ops = assemble(mesh)
-    assert estimate_trace_constant(mesh, ops) == pytest.approx(1.0, rel=0.01)
-    # scaling: doubling the length multiplies the constant by sqrt(2)
-    mesh2 = interval_mesh(64, length=2.0)
-    ops2 = assemble(mesh2)
-    assert estimate_trace_constant(mesh2, ops2) == pytest.approx(math.sqrt(2.0), rel=0.01)
+    # sup u(L)^2 / int u'^2 = L, attained by u = x, which P1 contains: the
+    # discrete constant is sqrt(L) up to roundoff
+    for length in (1.0, 2.0):
+        mesh = interval_mesh(64, length=length)
+        ops = assemble(mesh)
+        assert estimate_trace_constant(mesh, ops) == pytest.approx(math.sqrt(length), rel=1e-12)
 
 
 def test_trace_constant_2d_steklov_closed_form():
@@ -127,6 +128,23 @@ def test_trace_sup_dominates_interior_candidate():
 
     q = math.sqrt(trace_norm_sq(ops, u)) / math.sqrt(grad_norm_sq(ops, u))
     assert q == 0.0 < best
+
+
+def test_empty_acoustic_boundary_has_trace_constant_zero(tmp_path):
+    # the sup over an empty boundary is 0; the retired ascent reported the
+    # 1e-300 floor of its objective, c_bar_star = 1e-150
+    from viscowave import cli
+
+    config = cli.parse_config(json.dumps({
+        "domain": {"gamma1_faces": [], "resolution": [16]},
+        "stepping": {"t_end": 0.1},
+    }))
+    cli.run_scenario(config, out_dir=tmp_path / "run")
+    saved = json.loads((tmp_path / "run" / "well_constants.json").read_text())
+    assert saved["c_bar_star"] == 0.0
+    mesh = interval_mesh(16, gamma1=())
+    with pytest.raises(ValueError, match="nonempty acoustic boundary"):
+        estimate_trace_constant(mesh, assemble(mesh))
 
 
 def test_b_omega_reductions():
@@ -231,27 +249,35 @@ def test_ascent_evaluates_each_iterate_once():
                 assert next_point != point
 
 
-def test_well_constants_run_sixteen_starts_and_verify_the_best(monkeypatch):
+def test_well_constants_run_eight_starts_and_one_trace_solve_and_verify_the_best(monkeypatch):
     mesh = interval_mesh(32)
     params = default_params()
     ops = assemble(mesh)
-    ascents, verified = [], []
-    ascend, estimate = stableset._ascend, stableset.estimate_B_Omega
+    ascents, traces, verified = [], [], []
+    ascend, trace, estimate = (stableset._ascend, stableset._trace_constant,
+                               stableset.estimate_B_Omega)
 
     def spy_ascend(ops, lu, objective, seed, n_starts, *args, **kwargs):
         out = ascend(ops, lu, objective, seed, n_starts, *args, **kwargs)
         ascents.append((n_starts, out))
         return out
 
+    def spy_trace(*args, **kwargs):
+        traces.append(trace(*args, **kwargs))
+        return traces[-1]
+
     def spy_estimate(*args, **kwargs):
         verified.append(kwargs.get("u_star"))
         return estimate(*args, **kwargs)
 
     monkeypatch.setattr(stableset, "_ascend", spy_ascend)
+    monkeypatch.setattr(stableset, "_trace_constant", spy_trace)
     monkeypatch.setattr(stableset, "estimate_B_Omega", spy_estimate)
     constants = stableset.compute_well_constants(mesh, ops, params, exp_kernel())
-    assert [n for n, _ in ascents] == [8, 8]  # embedding, trace
-    (u_best, emb_diag), _ = ascents[0][1], ascents[1][1]
+    assert [n for n, _ in ascents] == [8]  # embedding only
+    assert traces == [constants.c_bar_star]
+    assert constants.diagnostics["trace"] == {"method": "exact", "iterations": [0]}
+    u_best, emb_diag = ascents[0][1]
     assert verified == [u_best]
     assert verified[0] is u_best
     assert emb_diag.value == max(emb_diag.start_values) == constants.c_star
@@ -262,10 +288,26 @@ def test_well_constants_run_sixteen_starts_and_verify_the_best(monkeypatch):
 MESHES = {"1d-32": lambda: interval_mesh(32), "2d-8x8": lambda: square_mesh(8)}
 
 
+def _trace_oracle_objective(ops):
+    """Objective of the retired trace ascent, the oracle for the exact trace
+    constant: ln sqrt(w . u_g^2) and its gradient, for ``stableset._ascend``
+    (which keeps u^T K u = 1)."""
+    g1 = ops.mesh.gamma1_nodes
+    w = ops.mesh.gamma1_weights
+
+    def log_num_grad(u):
+        num = max(float(w @ (u[g1] * u[g1])), 1e-300)
+        grad = np.zeros(len(u))
+        grad[g1] = w * u[g1] / num
+        return 0.5 * math.log(num), grad
+
+    return log_num_grad
+
+
 def _objective(ops, which):
     if which == "embedding":
         return stableset._embedding_objective(ops, 4.0)
-    return stableset._trace_objective(ops)
+    return _trace_oracle_objective(ops)
 
 
 @pytest.mark.parametrize("stop", ["stationary", "exhausted"])
@@ -305,7 +347,7 @@ def test_every_start_stops_stationary_or_with_an_exhausted_line_search(mesh_name
                 accepted.append(i)
         assert steps == len(accepted) - 1
         u, _, grad = group[accepted[-1]]
-        d = stableset._ascent_direction(ops, lu, u, grad)
+        d = stableset._ascent_direction(ops, lu, u, K @ u, grad)
         if accepted[-1] == n_eval - 1:
             # stopped before any trial at its last iterate
             assert k_norm(d) < stableset._STATIONARY_TOL
@@ -326,34 +368,95 @@ def test_stationary_stop_matches_an_ascent_run_to_exhaustion(mesh_name, monkeypa
     monkeypatch.setattr(stableset, "_STATIONARY_TOL", 0.0)
     exhausted = compute_well_constants(mesh, ops, params, exp_kernel())
     assert stopped.c_star == pytest.approx(exhausted.c_star, rel=1e-14, abs=0.0)
-    assert stopped.c_bar_star == pytest.approx(exhausted.c_bar_star, rel=1e-14, abs=0.0)
-    for name in ("embedding", "trace"):
-        assert (sum(stopped.diagnostics[name]["evaluations"])
-                < sum(exhausted.diagnostics[name]["evaluations"]))
+    assert stopped.c_bar_star == exhausted.c_bar_star  # exact: no ascent, no stop rule
+    assert (sum(stopped.diagnostics["embedding"]["evaluations"])
+            < sum(exhausted.diagnostics["embedding"]["evaluations"]))
 
 
 def test_one_stiffness_factorisation_per_well_constants(monkeypatch):
-    factors, used = [], []
-    splu, ascend = stableset.splu, stableset._ascend
+    factors, options, used = [], [], []
+    splu, ascend, trace = stableset.splu, stableset._ascend, stableset._trace_constant
 
-    def spy_splu(matrix):
-        factors.append(splu(matrix))
+    def spy_splu(matrix, **kwargs):
+        options.append(kwargs)
+        factors.append(splu(matrix, **kwargs))
         return factors[-1]
 
     def spy_ascend(ops, lu, *args, **kwargs):
-        used.append(lu)
+        used.append(("ascent", lu))
         return ascend(ops, lu, *args, **kwargs)
+
+    def spy_trace(ops, lu):
+        used.append(("trace", lu))
+        return trace(ops, lu)
 
     monkeypatch.setattr(stableset, "splu", spy_splu)
     monkeypatch.setattr(stableset, "_ascend", spy_ascend)
+    monkeypatch.setattr(stableset, "_trace_constant", spy_trace)
     mesh = square_mesh(8)
     params = default_params()
     ops = assemble(mesh)
     compute_well_constants(mesh, ops, params, exp_kernel())
     assert len(factors) == 1
-    assert len(used) == 2 and all(lu is factors[0] for lu in used)
+    assert options == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                        "options": {"SymmetricMode": True}}]
+    assert [name for name, _ in used] == ["ascent", "trace"]
+    assert all(lu is factors[0] for _, lu in used)
     n_free = len(mesh.free_nodes)
     assert factors[0].shape == (n_free, n_free)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_free_stiffness_factor_solves_k_to_roundoff(mesh_name):
+    mesh = MESHES[mesh_name]()
+    ops = assemble(mesh)
+    free = mesh.free_nodes
+    k_free = ops.stiffness[np.ix_(free, free)]
+    b = np.random.default_rng(4).standard_normal(len(free))
+    x = stableset._free_stiffness_lu(ops).solve(b)
+    assert np.linalg.norm(k_free @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_ascent_makes_one_stiffness_product_per_start_and_per_direction(mesh_name):
+    # K u travels with u: a start's K u, then one K d per direction, and the
+    # line-search trials reuse both
+    mesh = MESHES[mesh_name]()
+    ops = assemble(mesh)
+    lu = stableset._free_stiffness_lu(ops)
+    stiffness = CountingMatrix(ops.stiffness)
+    counted = dataclasses.replace(ops, stiffness=stiffness)
+    u_best, diag = stableset._ascend(counted, lu, stableset._embedding_objective(counted, 4.0),
+                                     seed=3, n_starts=8)
+    assert diag.all_converged
+    # a converged start evaluates one direction per accepted step plus the
+    # one it stops on
+    directions = sum(steps + 1 for steps in diag.iterations)
+    assert stiffness.products == len(diag.iterations) + directions
+    assert max(diag.evaluations) > 2  # line searches did make trials
+    # the carried K u has not drifted: the best iterate is on the sphere
+    assert abs(u_best @ (ops.stiffness @ u_best) - 1.0) <= 1e-12
+    same_u, same = stableset._ascend(ops, lu, stableset._embedding_objective(ops, 4.0),
+                                     seed=3, n_starts=8)
+    assert same == diag
+    assert same_u.tobytes() == u_best.tobytes()
+
+
+TRACE_MESHES = {**MESHES, "2d-16x16-steklov": lambda: square_mesh(16)}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(TRACE_MESHES))
+def test_exact_trace_constant_bounds_and_matches_the_oracle_ascent(mesh_name):
+    mesh = TRACE_MESHES[mesh_name]()
+    ops = assemble(mesh)
+    lu = stableset._free_stiffness_lu(ops)
+    exact = stableset._trace_constant(ops, lu)
+    _, oracle = stableset._ascend(ops, lu, _trace_oracle_objective(ops), seed=2024, n_starts=8)
+    assert oracle.all_converged
+    # no start beats the exact sup; the ascent's values carry the roundoff of
+    # renormalizing to u^T K u = 1 (up to 8e-15 relative seen), hence 1e-14
+    assert all(v <= exact * (1.0 + 1e-14) for v in oracle.start_values)
+    assert exact == pytest.approx(oracle.value, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("kappa, b", [(1.0, 1.0), (0.0, 3.0)])

@@ -23,7 +23,14 @@ from viscowave.cli import PRESETS, initial_data, parse_config
 from viscowave.history import HistoryBuffer
 from viscowave.stepper import Forcing, init_state, step
 
-from conftest import default_params, exp_kernel, interval_mesh, sine_profile, square_mesh
+from conftest import (
+    CountingMatrix,
+    default_params,
+    exp_kernel,
+    interval_mesh,
+    sine_profile,
+    square_mesh,
+)
 from history_oracle import FullHistory
 
 
@@ -434,25 +441,13 @@ def test_step_never_mutates_a_returned_state(forced):
             assert np.asarray(getattr(original, name)).tobytes() == np.asarray(value).tobytes()
 
 
-class _CountingMatrix:
-    """A matrix that counts its products with a vector."""
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.products = 0
-
-    def __matmul__(self, x):
-        self.products += 1
-        return self.matrix @ x
-
-
 def test_one_stiffness_product_per_step_and_two_mass_products_per_record():
     # the step's one K u feeds the force, the history and the energy
     # report; a record adds M v and M u and nothing else
     mesh = interval_mesh(16)
     params = default_params()
     ops = assemble(mesh)
-    stiffness, mass = _CountingMatrix(ops.stiffness), _CountingMatrix(ops.mass)
+    stiffness, mass = CountingMatrix(ops.stiffness), CountingMatrix(ops.mass)
     counted = dataclasses.replace(ops, stiffness=stiffness, mass=mass)
     u0 = sine_profile(mesh, 0.3)
     z = np.zeros(mesh.n_nodes)
