@@ -575,8 +575,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
 
     sampled = decay_json = prof = None
     if aborted is None and config.analysis.decay and config.stepping.t_end > 0:
-        t0 = config.analysis.t0 or default_weighted_t0(kernel)
-        t_tail = config.analysis.t_tail or 0.25 * config.stepping.t_end
+        t0, t_tail = _decay_times(config, kernel)
         try:
             sampled = SampledEnergy.from_trajectory(traj, kernel)
             report = build_decay_report(sampled, t_tail=t_tail, t0=t0)
@@ -632,6 +631,14 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
 PHASES = ("setup", "stepping", "analysis", "artifacts")
 
 
+def _decay_times(config: RunConfig, kernel: RelaxationKernel) -> tuple[float, float]:
+    """(t0, t_tail) of the decay report for ``run`` and ``decay-report``
+    alike: the configured values, or by default the half-mass time of the
+    kernel and a quarter of the configured t_end."""
+    t0 = config.analysis.t0 or default_weighted_t0(kernel)
+    return t0, config.analysis.t_tail or 0.25 * config.stepping.t_end
+
+
 def _hypothesis_report(config: RunConfig, kernel: RelaxationKernel) -> HypothesisReport:
     """(H1)-(H2) verdicts for ``run`` and ``check-kernel`` alike, on the
     configured horizon or by default twice the run's, at least 20."""
@@ -649,7 +656,7 @@ def _metadata(config: RunConfig, ops, traj, marks: list[float]) -> dict:
         "config": config.to_dict(),
         "lam_max_unit": ops.lam_max_unit,
         "n_records": traj.n_records if traj is not None else 0,
-        "memory": traj.meta.get("memory") if traj is not None else None,
+        "memory": traj.memory if traj is not None else None,
         "timings": {name: end - begin for name, begin, end in zip(PHASES, marks, marks[1:])},
         "runtime_seconds": round(perf_counter() - marks[0], 3),
     }
@@ -833,15 +840,9 @@ def _cmd_decay_report(args) -> int:
     kernel = config.build_kernel()
     try:
         data = np.genfromtxt(args.csv, delimiter=",", names=True)
-        t = np.atleast_1d(data["t"])
-        E = np.atleast_1d(data["E"])
-        sampled = SampledEnergy(
-            t=t, E=E,
-            phi=np.asarray(kernel.rate.phi(t), dtype=float),
-            xi=np.asarray(kernel.rate.xi(t), dtype=float),
-        )
-        t0 = config.analysis.t0 or default_weighted_t0(kernel)
-        t_tail = config.analysis.t_tail or 0.25 * float(t[-1])
+        sampled = SampledEnergy.from_samples(np.atleast_1d(data["t"]),
+                                             np.atleast_1d(data["E"]), kernel)
+        t0, t_tail = _decay_times(config, kernel)
         report = build_decay_report(sampled, t_tail=t_tail, t0=t0)
     except (OSError, ValueError) as exc:  # unreadable CSV, or too few or negative samples
         print(f"decay-report: {exc}", file=sys.stderr)

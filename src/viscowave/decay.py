@@ -64,11 +64,16 @@ class SampledEnergy:
             raise ValueError("energy samples must be nonnegative")
 
     @classmethod
-    def from_trajectory(cls, traj: Trajectory, kernel: RelaxationKernel) -> "SampledEnergy":
-        t = np.array(traj.times)
-        E = np.array([r.total for r in traj.reports])
+    def from_samples(cls, t: np.ndarray, E: np.ndarray,
+                     kernel: RelaxationKernel) -> "SampledEnergy":
+        """Samples E at times t, with phi and xi from the kernel's rate."""
         return cls(t=t, E=E, phi=np.asarray(kernel.rate.phi(t), dtype=float),
                    xi=np.asarray(kernel.rate.xi(t), dtype=float))
+
+    @classmethod
+    def from_trajectory(cls, traj: Trajectory, kernel: RelaxationKernel) -> "SampledEnergy":
+        return cls.from_samples(np.array(traj.times), np.array([r.total for r in traj.reports]),
+                                kernel)
 
     @property
     def horizon(self) -> float:

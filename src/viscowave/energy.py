@@ -85,7 +85,7 @@ class EnergyReport:
 def compute_energy(
     state,
     buffer: HistoryBuffer,
-    kernel: RelaxationKernel | None,
+    kernel: RelaxationKernel,
     params: PhysicalParams,
     ops: DiscreteOperators,
 ) -> EnergyReport:
@@ -93,12 +93,8 @@ def compute_energy(
     t = state.t
     gns = state.grad_sq
     kinetic = 0.5 * l2_norm_sq(ops, state.v)
-    if kernel is not None:
-        accumulated = kernel.partial_mass(t)
-        g_at_t = float(kernel.g(t))
-    else:
-        accumulated = 0.0
-        g_at_t = 0.0
+    accumulated = kernel.partial_mass(t)
+    g_at_t = float(kernel.g(t))
     elastic = 0.5 * (params.a - accumulated) * gns
     kirchhoff_pot = params.kirchhoff_potential(gns)
     kirchhoff = 0.5 * kirchhoff_pot
@@ -116,8 +112,7 @@ def compute_energy(
     damping = boundary_quadratic(ops, state.y_t, params.p_c)
     rhs = -0.5 * g_at_t * gns + 0.5 * gpdia - damping
 
-    l_value = kernel.l_value if kernel is not None else params.a
-    well = l_value * gns + kirchhoff_pot + acoustic + gdia
+    well = kernel.l_value * gns + kirchhoff_pot + acoustic + gdia
 
     return EnergyReport(
         t=t,

@@ -26,10 +26,6 @@ result is the trapezoid sum itself (steps that differ only by the rounding
 of the stamps count as equal); otherwise it differs from the trapezoid sum
 with the exact g by at most the certified relative error times the
 trapezoid mass.  Memory held is O(J n) and does not grow with the pushes.
-
-A buffer built with ``kernel=None`` is the memory-free mode used by
-reference and manufactured-solution runs: every quantity is identically
-zero.
 """
 
 from __future__ import annotations
@@ -42,20 +38,16 @@ from .kernels import RelaxationKernel
 class HistoryBuffer:
     """Causal history of one simulation; mutated only by its owning stepper.
 
-    ``horizon`` is the latest push time: the kernel's expansion is certified
-    on [0, horizon].  Kernels whose expansion holds for every t need none.
+    The buffer keeps the kernel's sum of exponentials (``expansion``), not
+    the kernel.  ``horizon`` is the latest push time: the expansion is
+    certified on [0, horizon].  Kernels whose expansion holds for every t
+    need none.
     """
 
-    def __init__(self, kernel: RelaxationKernel | None, n_dofs: int,
+    def __init__(self, kernel: RelaxationKernel, n_dofs: int,
                  horizon: float | None = None):
-        self.kernel = kernel
-        self.n_dofs = n_dofs
         self._t_last = None
         self._push_count = 0
-        self.expansion = None
-        if kernel is None:
-            return
-
         exp_sum = kernel.exp_sum(horizon)
         self.expansion = exp_sum
         self._t_max = exp_sum.horizon * (1.0 + 1e-9)
@@ -82,8 +74,6 @@ class HistoryBuffer:
     @property
     def bytes_held(self) -> int:
         """Bytes of history state; independent of the number of pushes."""
-        if self.kernel is None:
-            return 0
         arrays = (self._acc, self._half_row, self._row, self._aug, self._weights,
                   self._decay, self._half)
         return sum(a.nbytes for a in arrays)
@@ -92,9 +82,9 @@ class HistoryBuffer:
         """Size of the history state and the certified error of the expansion."""
         exp_sum = self.expansion
         return {
-            "n_terms": exp_sum.n_terms if exp_sum is not None else 0,
+            "n_terms": exp_sum.n_terms,
             "bytes_held": self.bytes_held,
-            "certified_rel_error": exp_sum.rel_error if exp_sum is not None else 0.0,
+            "certified_rel_error": exp_sum.rel_error,
         }
 
     def push(self, t: float, ku: np.ndarray, q: float) -> None:
@@ -106,26 +96,25 @@ class HistoryBuffer:
         elif t <= self._t_last:
             raise ValueError(f"non-monotone push: t = {t} after t = {self._t_last}")
 
-        if self.kernel is not None:
-            if t > self._t_max:
-                raise ValueError(
-                    f"push at t = {t} past the horizon {self.expansion.horizon} on which "
-                    "the kernel expansion is certified"
-                )
-            acc, row, half_row = self._acc, self._row, self._half_row
-            if self._t_last is not None:
-                dt = t - self._t_last
-                # stamps t + dt carry rounding noise; steps equal up to it
-                # share the cached weights of the first one
-                if self._dt is None or abs(dt - self._dt) > 1e-8 * dt:
-                    self._set_step(dt)
-                acc += half_row
-                acc *= self._decay
-            row[:-2] = ku
-            row[-2] = q
-            # before the first step h_j = 0, so the first push adds nothing
-            np.multiply(self._half, row, out=half_row)
+        if t > self._t_max:
+            raise ValueError(
+                f"push at t = {t} past the horizon {self.expansion.horizon} on which "
+                "the kernel expansion is certified"
+            )
+        acc, row, half_row = self._acc, self._row, self._half_row
+        if self._t_last is not None:
+            dt = t - self._t_last
+            # stamps t + dt carry rounding noise; steps equal up to it
+            # share the cached weights of the first one
+            if self._dt is None or abs(dt - self._dt) > 1e-8 * dt:
+                self._set_step(dt)
             acc += half_row
+            acc *= self._decay
+        row[:-2] = ku
+        row[-2] = q
+        # before the first step h_j = 0, so the first push adds nothing
+        np.multiply(self._half, row, out=half_row)
+        acc += half_row
         self._t_last = t
         self._push_count += 1
 
@@ -151,8 +140,6 @@ class HistoryBuffer:
         For a single exponential this is a view of the buffer's state: it
         holds until the next push, and callers must not write to it.
         """
-        if self.kernel is None:
-            return np.zeros(self.n_dofs)
         self._require_coverage(t)
         if len(self._acc) == 1:  # a single exponential needs no sum over terms
             return self._acc[0, :-2].real
@@ -170,8 +157,6 @@ class HistoryBuffer:
         # Both functionals come from one product, kept until the next push so
         # that a record pays for it once.  The cache is keyed on the identity
         # of u_now: callers must not change u_now in place between the calls.
-        if self.kernel is None:
-            return 0.0, 0.0
         self._require_coverage(t)
         if self._diamond_u is u_now and self._diamond_count == self._push_count:
             return self._diamonds_cached

@@ -416,7 +416,7 @@ def build_kernel(rate: RateFunction, g0: float, a: float) -> RelaxationKernel:
         expansion = rate.exp_sum(None).scaled(g0)
         # a subnormal alpha gives an infinite mass, which (H2) rejects below
         with np.errstate(over="ignore", invalid="ignore"):
-            tail = g0 / rate.alpha if isinstance(rate, ConstantRate) else expansion.total_mass()
+            tail = expansion.total_mass()
 
     l_value = a - tail
     if l_value <= 0:

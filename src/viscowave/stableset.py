@@ -297,30 +297,22 @@ def estimate_B_Omega(
     ops: DiscreteOperators,
     params: PhysicalParams,
     l_value: float,
-    s_k: float | None = None,
+    s_k: float,
+    u_star: np.ndarray,
     seed: int = 2024,
-    u_star: np.ndarray | None = None,
 ) -> tuple[float, dict]:
     """Well constant B via the amplitude-limit reduction, plus verification.
 
-    ``u_star`` is the embedding ascent's best iterate, the first candidate
-    of the verification; a caller that has run the ascent passes it with
-    ``s_k``.  Without it a short ascent supplies it.  Returns (value, info);
+    ``s_k`` is the embedding constant found by the embedding ascent and
+    ``u_star`` the best iterate of that ascent; this function runs no ascent
+    of its own.  ``u_star`` is the first candidate of the verification, with
+    three random directions drawn from ``seed`` + 1.  Returns (value, info);
     info["verified"] reports whether a direct finite-amplitude search stayed
     below the limit value, and a failure raises since lambda1 and d1 would
     be wrong.
     """
     if l_value <= 0:
         raise ValueError(f"needs l > 0, got {l_value}")
-    k = params.k_exp
-    if u_star is None:
-        n_starts = _N_STARTS if s_k is None else 2
-        u_star, diag = _ascend(ops, _free_stiffness_lu(ops), _embedding_objective(ops, k),
-                               seed, n_starts)
-        if s_k is None:
-            s_k = diag.value
-    elif s_k is None:
-        raise ValueError("u_star needs the s_k value of the ascent that found it")
 
     if params.kappa == 0.0:
         limit = s_k / math.sqrt(l_value + params.b)
@@ -368,18 +360,17 @@ def compute_well_constants(
     mesh: Mesh,
     ops: DiscreteOperators,
     params: PhysicalParams,
-    kernel: RelaxationKernel | None,
+    kernel: RelaxationKernel,
     seed: int = 2024,
 ) -> WellConstants:
     """Embedding/trace constants, B, lambda1 and d1 for one configuration."""
-    l_value = kernel.l_value if kernel is not None else params.a
     lu = _free_stiffness_lu(ops)
     u_star, emb_diag = _ascend(ops, lu, _embedding_objective(ops, params.k_exp), seed,
                                _N_STARTS)
     s_k = emb_diag.value
     c_bar_star = _trace_constant(ops, lu)
-    b_omega, info = estimate_B_Omega(mesh, ops, params, l_value, s_k=s_k, seed=seed,
-                                     u_star=u_star)
+    b_omega, info = estimate_B_Omega(mesh, ops, params, kernel.l_value, s_k=s_k,
+                                     u_star=u_star, seed=seed)
     lambda1, d1 = well_constants_from_B(b_omega, params.k_exp)
 
     return WellConstants(
@@ -428,19 +419,18 @@ def check_initial_membership(
     constants: WellConstants,
     ops: DiscreteOperators,
     params: PhysicalParams,
-    kernel: RelaxationKernel | None,
+    kernel: RelaxationKernel,
 ) -> StableSetReport:
     """Strict inequalities E(0) < d1 and gamma_fn(0) < lambda1.
 
     gamma_fn(0) has no memory term; the energy at t = 0 has no accumulated
     kernel mass.
     """
-    l_value = kernel.l_value if kernel is not None else params.a
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (len(ops.mesh.gamma1_nodes),))
     gns = grad_norm_sq(ops, u0)
     kirchhoff = params.kirchhoff_potential(gns)
     boundary = boundary_quadratic(ops, y0, params.q_c)
-    gamma0 = math.sqrt(l_value * gns + kirchhoff + boundary)
+    gamma0 = math.sqrt(kernel.l_value * gns + kirchhoff + boundary)
     E0 = (
         0.5 * l2_norm_sq(ops, u1)
         + 0.5 * params.a * gns

@@ -116,13 +116,14 @@ class SimulationAbort(RuntimeError):
 class Trajectory:
     """What a run keeps: per record its time, energy report and acoustic
     field y, plus the state of the last record as ``final`` (None before
-    the first).  States are kept by reference, never copied."""
+    the first).  States are kept by reference, never copied.  ``memory``
+    is the history buffer's ``diagnostics()``."""
 
+    memory: dict
     times: list[float] = field(default_factory=list)
     reports: list[EnergyReport] = field(default_factory=list)
     ys: list[np.ndarray] = field(default_factory=list)
     final: SimState | None = None
-    meta: dict = field(default_factory=dict)
 
     def record(self, state: SimState, report: EnergyReport) -> None:
         """Append the record of ``state``; a report that is not finite
@@ -275,27 +276,21 @@ def run(
     u1: np.ndarray,
     y0: np.ndarray,
     ops: DiscreteOperators,
-    kernel: RelaxationKernel | None,
+    kernel: RelaxationKernel,
     params: PhysicalParams,
     cfg: StepperConfig,
 ) -> Trajectory:
     """Integrate to t_end, recording every record_every-th step.
 
-    For uniformly spaced records choose t_end as a multiple of
+    The memory term is always on: a memory-free reference run passes a
+    kernel with g0 = 0, whose every memory quantity is exactly zero.  For
+    uniformly spaced records choose t_end as a multiple of
     record_every * dt.  On abort the partial trajectory is attached to the
     raised :class:`SimulationAbort`.
     """
     n_steps = int(round(cfg.t_end / cfg.dt))
     buffer = HistoryBuffer(kernel, ops.n_nodes, horizon=n_steps * cfg.dt)
-    traj = Trajectory(
-        meta={
-            "dt": cfg.dt,
-            "t_end": cfg.t_end,
-            "record_every": cfg.record_every,
-            "cfl_safety": cfg.cfl_safety,
-            "memory": buffer.diagnostics(),
-        }
-    )
+    traj = Trajectory(memory=buffer.diagnostics())
     try:
         state = init_state(u0, u1, y0, ops, params, buffer, cfg)
         traj.record(state, compute_energy(state, buffer, kernel, params, ops))
@@ -348,8 +343,6 @@ class ManufacturedCase:
 
 
 def _memory_scalar(kernel, time_factor, closed_form, t):
-    if kernel is None:
-        return 0.0
     if closed_form is not None:
         return float(closed_form(t))
     if t == 0.0:
@@ -368,7 +361,7 @@ def build_manufactured_case(
     msol: ManufacturedSolution,
     ops: DiscreteOperators,
     params: PhysicalParams,
-    kernel: RelaxationKernel | None,
+    kernel: RelaxationKernel,
     t_end: float,
 ) -> ManufacturedCase:
     """Forcing and initial data that make ``msol`` an exact solution.
@@ -437,7 +430,7 @@ def build_manufactured_case(
                             boundary_residual=residual)
 
 
-def linear_profile_solution(kernel: RelaxationKernel | None,
+def linear_profile_solution(kernel: RelaxationKernel,
                             length: float = 1.0) -> ManufacturedSolution:
     """The shipped 1D case u(x, t) = x cos t with y(t) = sin t.
 
@@ -446,14 +439,12 @@ def linear_profile_solution(kernel: RelaxationKernel | None,
     the measured error isolates the time integrator.  Needs the Dirichlet
     face at the left end and the acoustic face at the right end.
     """
-    exponential = kernel is not None and isinstance(kernel.rate, ConstantRate)
-    alpha = kernel.rate.alpha if exponential else None
-    g0 = kernel.g0 if kernel is not None else 0.0
+    alpha = kernel.rate.alpha if isinstance(kernel.rate, ConstantRate) else None
 
     def flux_memory(t):
         # int_0^t g0 e^{-alpha (t-s)} cos s ds, closed form
-        return g0 * (alpha * math.cos(t) + math.sin(t)
-                     - alpha * math.exp(-alpha * t)) / (1.0 + alpha * alpha)
+        return kernel.g0 * (alpha * math.cos(t) + math.sin(t)
+                            - alpha * math.exp(-alpha * t)) / (1.0 + alpha * alpha)
 
     return ManufacturedSolution(
         u=lambda x, t: x[:, 0] * math.cos(t),

@@ -9,6 +9,7 @@ from viscowave import (
     build_mesh,
     make_rate,
 )
+from viscowave.kernels import ConstantRate, RelaxationKernel
 
 
 def interval_mesh(resolution=64, length=1.0, gamma1=("right",)):
@@ -45,6 +46,15 @@ def trapezoid_x4(h):
 
 def exp_kernel(alpha=1.0, g0=1.0, a=2.0):
     return build_kernel(make_rate("constant", alpha), g0, a)
+
+
+def zero_kernel(a):
+    """g = 0: the memory-free system of the reference tests.  (H2) asks for
+    g(0) > 0, so ``build_kernel`` rejects it and it is built by hand; every
+    memory quantity of a run with it is exactly zero and l = a."""
+    rate = ConstantRate(1.0)
+    return RelaxationKernel(rate=rate, g0=0.0, a_coeff=a, tail_mass=0.0, l_value=a,
+                            expansion=rate.exp_sum(None).scaled(0.0))
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ def _trap_weights(ts: np.ndarray) -> np.ndarray:
 class FullHistory:
     def __init__(self, kernel, n_dofs: int, horizon: float | None = None):
         self.kernel = kernel
-        self.n_dofs = n_dofs
         self._ts: list[float] = []
         self._ku: list[np.ndarray] = []
         self._q: list[float] = []
@@ -54,8 +53,6 @@ class FullHistory:
         return _trap_weights(ts) * g
 
     def convolution_force(self, t: float) -> np.ndarray:
-        if self.kernel is None:
-            return np.zeros(self.n_dofs)
         return self._weighted(t, prime=False) @ np.array(self._ku)
 
     def g_diamond(self, t: float, u_now: np.ndarray) -> float:
@@ -65,8 +62,6 @@ class FullHistory:
         return self._diamond(t, u_now, prime=True)
 
     def _diamond(self, t: float, u_now: np.ndarray, prime: bool) -> float:
-        if self.kernel is None:
-            return 0.0
         gw = self._weighted(t, prime)
         ku_h = np.array(self._ku)
         q_now = float(u_now @ ku_h[-1])

@@ -508,6 +508,22 @@ def test_decay_report_subcommand(tmp_path, capsys):
     assert payload == pytest.approx(artifact, rel=1e-10)
 
 
+def test_decay_report_subcommand_takes_the_run_default_tail_time(tmp_path, capsys):
+    # t_end is not a multiple of record_every * dt, so the last record sits
+    # at t = 4.0 before t_end = 4.02; both take t_tail = t_end / 4
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": {"resolution": [16]},
+                                    "stepping": {"dt": 0.01, "t_end": 4.02, "record_every": 4}}))
+    run_scenario(parse_config(cfg_path.read_text()), out_dir=tmp_path / "run")
+    rc = main(["decay-report", "--config", str(cfg_path),
+               "--csv", str(tmp_path / "run" / "trajectory.csv")])
+    assert rc == 0
+    _, payload = _strict_stdout(capsys)
+    artifact = _strict_artifacts(tmp_path / "run")["decay_report.json"]
+    assert artifact["t_tail"] == 1.005
+    assert payload == pytest.approx(artifact, rel=1e-10)
+
+
 def test_decay_report_subcommand_on_zero_data_is_strict_json(tmp_path, capsys):
     # E = 0 throughout: omega_max is infinite, and the CSV holds exact zeros
     cfg_path, run_dir = _run_with_config_file(tmp_path, initial={"amplitude": 0.0})

@@ -13,7 +13,14 @@ from viscowave import (
 from viscowave.history import HistoryBuffer
 from viscowave.stepper import init_state
 
-from conftest import default_params, exp_kernel, interval_mesh, sine_profile, trapezoid_x4
+from conftest import (
+    default_params,
+    exp_kernel,
+    interval_mesh,
+    sine_profile,
+    trapezoid_x4,
+    zero_kernel,
+)
 
 
 def _state_at_zero(mesh, ops, params, kernel, u0, u1, y0):
@@ -132,7 +139,7 @@ def test_linear_case_residual_second_order():
         ops = assemble(mesh)
         u0 = sine_profile(mesh, 0.3)
         z = np.zeros(mesh.n_nodes)
-        traj = run(u0, z, np.zeros(1), ops, None, params,
+        traj = run(u0, z, np.zeros(1), ops, zero_kernel(params.a), params,
                    StepperConfig(dt=dt, t_end=1.0, record_every=2))
         _, res = rate_identity_residual(traj.reports)
         maxres.append(np.abs(res).max())

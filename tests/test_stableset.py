@@ -151,18 +151,23 @@ def test_b_omega_reductions():
     mesh = interval_mesh(64)
     p1 = default_params(kappa=1.0, b=1.0)
     ops = assemble(mesh)
-    s4 = estimate_embedding_constant(mesh, ops, 4.0)
-    b1, info1 = estimate_B_Omega(mesh, ops, p1, l_value=1.0, s_k=s4)
+    # the embedding ascent supplies both the constant and its best iterate
+    u_star, diag = stableset._ascend(ops, stableset._free_stiffness_lu(ops),
+                                     stableset._embedding_objective(ops, 4.0), 2024,
+                                     stableset._N_STARTS)
+    s4 = diag.value
+    assert s4 == estimate_embedding_constant(mesh, ops, 4.0)
+    b1, info1 = estimate_B_Omega(mesh, ops, p1, l_value=1.0, s_k=s4, u_star=u_star)
     assert b1 == pytest.approx(s4, rel=1e-12)  # kappa > 0: S_k / sqrt(l)
     assert info1["verified"]
 
     p0 = default_params(kappa=0.0, b=3.0)
     ops0 = assemble(mesh)
-    b0, _ = estimate_B_Omega(mesh, ops0, p0, l_value=1.0, s_k=s4)
+    b0, _ = estimate_B_Omega(mesh, ops0, p0, l_value=1.0, s_k=s4, u_star=u_star)
     assert b0 == pytest.approx(s4 / 2.0, rel=1e-12)  # sqrt(l + b) = 2
 
     # larger l strictly shrinks B
-    b_bigger_l, _ = estimate_B_Omega(mesh, ops, p1, l_value=2.0, s_k=s4)
+    b_bigger_l, _ = estimate_B_Omega(mesh, ops, p1, l_value=2.0, s_k=s4, u_star=u_star)
     assert b_bigger_l < b1
 
 

@@ -30,6 +30,7 @@ from conftest import (
     interval_mesh,
     sine_profile,
     square_mesh,
+    zero_kernel,
 )
 from history_oracle import FullHistory
 
@@ -91,7 +92,7 @@ def test_hand_computed_step_three_node_mesh():
     params = default_params(a=1.0, b=0.0, kappa=0.0, source_enabled=False)
     ops = assemble(mesh)
     cfg = StepperConfig(dt=0.1, t_end=0.1)
-    buf = HistoryBuffer(None, mesh.n_nodes)
+    buf = HistoryBuffer(zero_kernel(params.a), mesh.n_nodes)
     s0 = init_state(
         np.array([0.0, 0.25, 0.5]), np.zeros(3), np.array([0.2]),
         ops, params, buf, cfg,
@@ -103,6 +104,27 @@ def test_hand_computed_step_three_node_mesh():
     assert s1.y[0] == pytest.approx(0.191776)
     assert s1.y_t[0] == pytest.approx(0.03552)
     assert np.allclose(s1.accel, [0.0, -0.056, -1.74592])
+
+
+def test_zero_kernel_run_has_no_memory():
+    # the fixture of the memory-free tests: a zero force after every push,
+    # zero memory quantities at every record and the full coefficient a
+    mesh = interval_mesh(16)
+    params = default_params()
+    ops = assemble(mesh)
+    kernel = zero_kernel(params.a)
+    buf = HistoryBuffer(kernel, mesh.n_nodes)
+    cfg = StepperConfig(dt=1e-3, t_end=0.05)
+    state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1]),
+                       ops, params, buf, cfg)
+    for _ in range(50):
+        assert buf.n_entries == state.n + 1
+        assert not buf.convolution_force(state.t).any()
+        rep = compute_energy(state, buf, kernel, params, ops)
+        assert rep.memory == rep.g_prime_diamond == rep.g_at_t == 0.0
+        assert rep.elastic == 0.5 * params.a * rep.grad_sq
+        assert rep.grad_sq > 0.0
+        state = step(state, ops, params, buf, cfg)
 
 
 def test_damped_linear_wave_against_independent_integrator():
@@ -137,7 +159,7 @@ def test_damped_linear_wave_against_independent_integrator():
     ref = sol.sol(T)
 
     cfg = StepperConfig(dt=dt, t_end=T, record_every=n_steps)
-    traj = run(u0, np.zeros(n), y0, ops, None, params, cfg)
+    traj = run(u0, np.zeros(n), y0, ops, zero_kernel(params.a), params, cfg)
     final = traj.final
     assert np.abs(final.u - ref[:n]).max() < 1e-5
     assert np.abs(final.v - ref[n : 2 * n]).max() < 1e-5
@@ -246,7 +268,7 @@ def test_manufactured_dirichlet_violation_rejected():
         flux_time=lambda t: 1.0,
     )
     with pytest.raises(ValueError, match="Dirichlet"):
-        build_manufactured_case(msol, ops, params, None, t_end=1.0)
+        build_manufactured_case(msol, ops, params, exp_kernel(), t_end=1.0)
 
 
 def test_linear_profile_interior_forcing_matches_hand_value():
@@ -280,7 +302,7 @@ def test_undamped_limit_conserves_discrete_energy():
         ops = assemble(mesh)
         u0 = sine_profile(mesh, 0.3)
         z = np.zeros(mesh.n_nodes)
-        traj = run(u0, z, np.zeros(1), ops, None, params,
+        traj = run(u0, z, np.zeros(1), ops, zero_kernel(params.a), params,
                    StepperConfig(dt=dt, t_end=5.0, record_every=50))
         E = np.array([r.total for r in traj.reports])
         devs.append(np.abs(E - E[0]).max() / E[0])
