@@ -1,11 +1,14 @@
 """Configuration, scenario orchestration and artifact persistence.
 
 A run is described by a JSON config with sections ``domain``, ``physics``,
-``kernel``, ``initial``, ``stepping``, ``analysis`` plus ``mode``,
-``output_dir``, ``seed`` and ``tolerances``.  Unknown keys are rejected and
-validation reports every problem at once, not just the first.  Initial data
-come from a small library of named closed-form profiles so every scenario
-has hand-checkable provenance.
+``kernel``, ``initial``, ``stepping``, ``analysis`` and ``tolerances`` plus
+``output_dir`` and ``seed``.  ``DEFAULTS`` is the schema: every key is
+optional, a given value must have the JSON type of its default, and each
+section becomes the typed object its module takes.  Unknown keys are
+rejected, removed keys are named with the reason they went, and validation
+reports every problem at once, not just the first.  Initial data come from
+a small library of named closed-form profiles so every scenario has
+hand-checkable provenance.
 
 ``run_scenario`` writes, per scenario directory:
 
@@ -21,6 +24,8 @@ has hand-checkable provenance.
 
 Reruns of the same config produce byte-identical CSV output.  All
 acceptance tolerances are config data with the documented defaults below.
+The manufactured-solution ladder runs through ``run_mms_ladder`` (the
+``mms`` subcommand).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -77,6 +82,8 @@ DEFAULT_TOLERANCES = {"c_id": 1.2, "c_energy": 1.0}
 
 PROFILES = ("zero", "linear", "sine", "bump")
 
+# The one list of config keys: a key's default also fixes the JSON type it
+# takes (see _coerce).  ``t_tail`` defaults to null, read as t_end / 4.
 DEFAULTS: dict = {
     "domain": {"dimension": 1, "extent": [1.0], "gamma1_faces": ["right"], "resolution": [64]},
     "physics": {
@@ -102,19 +109,22 @@ DEFAULTS: dict = {
         "record_every": 10,
         "cfl_safety": 0.9,
     },
-    "analysis": {"constants": True, "decay": True, "t_tail": None, "t0": None,
-                 "hypothesis_horizon": None},
-    "mode": "simulate",
+    "analysis": {"constants": True, "decay": True, "t_tail": None},
     "output_dir": "viscowave-out",
     "seed": 2024,
     "tolerances": dict(DEFAULT_TOLERANCES),
 }
 
-# Keys that earlier versions accepted, rejected with the reason they went.
+# Keys that earlier versions accepted, by dotted path, rejected with the
+# reason they went.
 REMOVED_KEYS = {
-    ("stepping", "storage"): "removed; every kernel uses the one exact "
-                             "sum-of-exponentials memory recursion",
-    ("stepping", "stride"): "removed; the memory recursion keeps no snapshots to thin out",
+    "stepping.storage": "removed; every kernel uses the one exact "
+                        "sum-of-exponentials memory recursion",
+    "stepping.stride": "removed; the memory recursion keeps no snapshots to thin out",
+    "analysis.t0": "removed; the weighted integral starts at the kernel's half-mass time",
+    "analysis.hypothesis_horizon": "removed; the hypotheses are checked on "
+                                   "max(20, 2 t_end)",
+    "mode": "removed; the manufactured-solution ladder runs through the `mms` subcommand",
 }
 
 
@@ -125,122 +135,153 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class AnalysisOptions:
-    constants: bool = True
-    decay: bool = True
-    t_tail: float | None = None
-    t0: float | None = None
-    hypothesis_horizon: float | None = None
+class KernelSpec:
+    """The relaxation kernel g = g0 exp(-int_0^t xi), xi of a named family."""
+
+    family: str
+    alpha: float
+    eps: float
+    g0: float
+
+    def __post_init__(self):
+        if self.family not in RATE_FAMILIES:
+            raise ValueError(f"family must be one of {RATE_FAMILIES}, got {self.family!r}")
+
+    def build(self, a: float) -> RelaxationKernel:
+        return build_kernel(make_rate(self.family, self.alpha, self.eps), self.g0, a)
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Validated scenario description (kernel built lazily)."""
+class InitialSpec:
+    """u0 and u1 as named profiles times their amplitudes; y0 constant on
+    the acoustic nodes."""
 
-    domain: DomainSpec
-    physics: PhysicalParams
-    kernel_family: str
-    kernel_alpha: float
-    kernel_eps: float
-    kernel_g0: float
     profile: str
     amplitude: float
     velocity_profile: str
     velocity_amplitude: float
     y0: float
+
+    def __post_init__(self):
+        errors = [f"{key} must be one of {PROFILES}, got {getattr(self, key)!r}"
+                  for key in ("profile", "velocity_profile") if getattr(self, key) not in PROFILES]
+        if errors:
+            raise ValueError("; ".join(errors))
+
+
+@dataclass(frozen=True)
+class AnalysisOptions:
+    constants: bool
+    decay: bool
+    t_tail: float | None
+
+    def __post_init__(self):
+        if self.t_tail is not None and self.t_tail <= 0:
+            raise ValueError("t_tail must be positive or null")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Validated scenario description (kernel built lazily).  The
+    tolerances are kept flat as ``c_id`` and ``c_energy``."""
+
+    domain: DomainSpec
+    physics: PhysicalParams
+    kernel: KernelSpec
+    initial: InitialSpec
     stepping: StepperConfig
     analysis: AnalysisOptions
-    mode: str
     output_dir: str
     seed: int
     c_id: float
     c_energy: float
 
     def build_kernel(self) -> RelaxationKernel:
-        rate = make_rate(self.kernel_family, self.kernel_alpha, self.kernel_eps)
-        return build_kernel(rate, self.kernel_g0, self.physics.a)
+        return self.kernel.build(self.physics.a)
 
     def to_dict(self) -> dict:
-        return {
-            "domain": {
-                "dimension": self.domain.dimension,
-                "extent": list(self.domain.extent),
-                "gamma1_faces": sorted(self.domain.gamma1_faces),
-                "resolution": list(self.domain.resolution),
-            },
-            "physics": {
-                "a": self.physics.a,
-                "b": self.physics.b,
-                "kappa": self.physics.kappa,
-                "k_exp": self.physics.k_exp,
-                "p_c": self.physics.p_c,
-                "q_c": self.physics.q_c,
-                "source_enabled": self.physics.source_enabled,
-            },
-            "kernel": {
-                "family": self.kernel_family,
-                "alpha": self.kernel_alpha,
-                "eps": self.kernel_eps,
-                "g0": self.kernel_g0,
-            },
-            "initial": {
-                "profile": self.profile,
-                "amplitude": self.amplitude,
-                "velocity_profile": self.velocity_profile,
-                "velocity_amplitude": self.velocity_amplitude,
-                "y0": self.y0,
-            },
-            "stepping": {
-                "dt": self.stepping.dt,
-                "t_end": self.stepping.t_end,
-                "record_every": self.stepping.record_every,
-                "cfl_safety": self.stepping.cfl_safety,
-            },
-            "analysis": {
-                "constants": self.analysis.constants,
-                "decay": self.analysis.decay,
-                "t_tail": self.analysis.t_tail,
-                "t0": self.analysis.t0,
-                "hypothesis_horizon": self.analysis.hypothesis_horizon,
-            },
-            "mode": self.mode,
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "tolerances": {"c_id": self.c_id, "c_energy": self.c_energy},
-        }
-
-    def to_json(self) -> str:
-        return _json_text(self.to_dict())
+        """The config as JSON data with every key of DEFAULTS; a section that
+        is no field of the config (the tolerances) is read from the config
+        itself."""
+        out = {}
+        for name, default in DEFAULTS.items():
+            if isinstance(default, dict):
+                section = getattr(self, name, self)
+                out[name] = {key: _plain(getattr(section, key)) for key in default}
+            else:
+                out[name] = getattr(self, name)
+        return out
 
 
-def _finite(val) -> bool:
-    """False for NaN, an infinity or an int beyond float range, alone or in a
-    list (JSON text may spell NaN, Infinity or 1e400)."""
-    if isinstance(val, list):
-        return all(map(_finite, val))
-    try:
-        return not isinstance(val, (int, float)) or math.isfinite(val)
-    except OverflowError:
-        return False
+def _plain(value):
+    """A section attribute as JSON data: tuples as lists, a set of faces as
+    a sorted list."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
-def _merge_section(raw: dict, section: str, errors: list[str]) -> dict:
-    """Defaults overlaid with the given keys; a rejected key keeps its default."""
-    merged = copy.deepcopy(DEFAULTS[section])
-    given = raw.get(section, {})
-    if not isinstance(given, dict):
-        errors.append(f"{section}: expected an object, got {type(given).__name__}")
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _coerce(path: str, val, default, errors: list[str]):
+    """``val`` read as the type of ``default``, or ``default`` after
+    recording under ``path`` why not.
+
+    An object is ``default`` overlaid with its keys, each coerced in turn;
+    an unknown or removed key is an error.  A float takes any JSON number
+    but a boolean, an int only a JSON integer, a bool only true or false, a
+    list items as its default's first item takes them, and the null default
+    (an optional float) null or a number.  Numbers must be finite: JSON text
+    may spell NaN, Infinity or 1e400.
+    """
+    if isinstance(default, dict):
+        if not isinstance(val, dict):
+            errors.append(f"{path}: expected an object, got {type(val).__name__}")
+            return dict(default)
+        merged = dict(default)
+        for key, item in val.items():
+            name = f"{path}.{key}" if path else key
+            if name in REMOVED_KEYS:
+                errors.append(f"{name}: {REMOVED_KEYS[name]}")
+            elif key not in default:
+                errors.append(f"{name}: unknown key")
+            else:
+                merged[key] = _coerce(name, item, default[key], errors)
         return merged
-    for key, val in given.items():
-        if (section, key) in REMOVED_KEYS:
-            errors.append(f"{section}.{key}: {REMOVED_KEYS[section, key]}")
-        elif key not in merged:
-            errors.append(f"{section}.{key}: unknown key")
-        elif not _finite(val):
-            errors.append(f"{section}.{key}: must be finite, got {val!r}")
-        else:
-            merged[key] = val
-    return merged
+    if isinstance(default, list):
+        if not isinstance(val, list):
+            errors.append(f"{path} must be a list, got {val!r}")
+            return default
+        return [_coerce(f"{path}[{i}]", item, default[0], errors) for i, item in enumerate(val)]
+    if default is None:
+        return None if val is None else _coerce(path, val, 0.0, errors)
+    kind = type(default)
+    if not (type(val) is kind or (kind is float and type(val) is int)):
+        errors.append(f"{path} must be {_KINDS[kind]}, got {val!r}")
+        return default
+    if kind in (int, float):
+        try:
+            finite = math.isfinite(val)
+        except OverflowError:  # an int beyond float range
+            finite = False
+        if not finite:
+            errors.append(f"{path} must be finite, got {val!r}")
+            return default
+    return kind(val)
+
+
+def _build(section: str, cls, values: dict, errors: list[str]):
+    """``cls(**values)``, or None after recording its complaint under
+    ``section.key`` when it opens with a key of the section, else under
+    ``section:``."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        msg = str(exc)
+        key = msg.split(" ", 1)[0]
+        errors.append(f"{section}.{msg}" if key in values else f"{section}: {msg}")
+        return None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -253,123 +294,22 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(["top level must be an object"])
 
     errors: list[str] = []
-    for key in raw:
-        if key not in DEFAULTS:
-            errors.append(f"{key}: unknown top-level key")
-
-    dom = _merge_section(raw, "domain", errors)
-    phy = _merge_section(raw, "physics", errors)
-    ker = _merge_section(raw, "kernel", errors)
-    ini = _merge_section(raw, "initial", errors)
-    stp = _merge_section(raw, "stepping", errors)
-    ana = _merge_section(raw, "analysis", errors)
-    tol = _merge_section(raw, "tolerances", errors)
-
-    domain = None
-    try:
-        domain = DomainSpec(
-            dimension=dom["dimension"],
-            extent=tuple(dom["extent"]),
-            gamma1_faces=frozenset(dom["gamma1_faces"]),
-            resolution=tuple(dom["resolution"]),
-        )
-    except (ValueError, TypeError) as exc:
-        errors.append(f"domain: {exc}")
-
-    physics = None
-    try:
-        physics = PhysicalParams(
-            a=float(phy["a"]),
-            b=float(phy["b"]),
-            kappa=float(phy["kappa"]),
-            k_exp=float(phy["k_exp"]),
-            p_c=float(phy["p_c"]),
-            q_c=float(phy["q_c"]),
-            source_enabled=bool(phy["source_enabled"]),
-        )
-    except (ValueError, TypeError) as exc:
-        errors.append(f"physics: {exc}")
-
-    if ker["family"] not in RATE_FAMILIES:
-        errors.append(f"kernel.family must be one of {RATE_FAMILIES}, got {ker['family']!r}")
-    elif physics is not None:
+    cfg = _coerce("", raw, DEFAULTS, errors)
+    sections = {name: _build(name, cls, cfg[name], errors) for name, cls in (
+        ("domain", DomainSpec), ("physics", PhysicalParams), ("kernel", KernelSpec),
+        ("initial", InitialSpec), ("stepping", StepperConfig), ("analysis", AnalysisOptions))}
+    if sections["kernel"] is not None and sections["physics"] is not None:
         try:
-            rate = make_rate(ker["family"], float(ker["alpha"]), float(ker["eps"]))
-            build_kernel(rate, float(ker["g0"]), physics.a)
-        except (ValueError, TypeError) as exc:
+            sections["kernel"].build(sections["physics"].a)
+        except ValueError as exc:
             errors.append(f"kernel: {exc}")
-
-    if ini["profile"] not in PROFILES:
-        errors.append(f"initial.profile must be one of {PROFILES}, got {ini['profile']!r}")
-    if ini["velocity_profile"] not in PROFILES:
-        errors.append(
-            f"initial.velocity_profile must be one of {PROFILES}, got {ini['velocity_profile']!r}"
-        )
-    for key in ("amplitude", "velocity_amplitude", "y0"):
-        if not isinstance(ini[key], (int, float)):
-            errors.append(f"initial.{key} must be a number, got {ini[key]!r}")
-
-    stepping = None
-    if not (isinstance(stp["dt"], (int, float)) and stp["dt"] > 0):
-        errors.append("stepping.dt must be positive")
-    else:
-        try:
-            stepping = StepperConfig(
-                dt=float(stp["dt"]),
-                t_end=float(stp["t_end"]),
-                record_every=int(stp["record_every"]),
-                cfl_safety=float(stp["cfl_safety"]),
-            )
-        except (ValueError, TypeError) as exc:
-            errors.append(f"stepping: {exc}")
-
-    for key in ("t_tail", "t0", "hypothesis_horizon"):
-        if ana[key] is not None and not (
-            isinstance(ana[key], (int, float)) and ana[key] > 0
-        ):
-            errors.append(f"analysis.{key} must be positive or null")
-
-    mode = raw.get("mode", DEFAULTS["mode"])
-    if mode not in ("simulate", "mms"):
-        errors.append(f"mode must be 'simulate' or 'mms', got {mode!r}")
-
-    for key in ("c_id", "c_energy"):
-        if not (isinstance(tol[key], (int, float)) and tol[key] > 0):
+    tolerances = cfg["tolerances"]
+    for key, val in tolerances.items():
+        if val <= 0:
             errors.append(f"tolerances.{key} must be positive")
-
-    seed = raw.get("seed", DEFAULTS["seed"])
-    if not isinstance(seed, int):
-        errors.append(f"seed must be an integer, got {seed!r}")
-
     if errors:
         raise ConfigError(errors)
-
-    return RunConfig(
-        domain=domain,
-        physics=physics,
-        kernel_family=ker["family"],
-        kernel_alpha=float(ker["alpha"]),
-        kernel_eps=float(ker["eps"]),
-        kernel_g0=float(ker["g0"]),
-        profile=ini["profile"],
-        amplitude=float(ini["amplitude"]),
-        velocity_profile=ini["velocity_profile"],
-        velocity_amplitude=float(ini["velocity_amplitude"]),
-        y0=float(ini["y0"]),
-        stepping=stepping,
-        analysis=AnalysisOptions(
-            constants=bool(ana["constants"]),
-            decay=bool(ana["decay"]),
-            t_tail=ana["t_tail"],
-            t0=ana["t0"],
-            hypothesis_horizon=ana["hypothesis_horizon"],
-        ),
-        mode=mode,
-        output_dir=str(raw.get("output_dir", DEFAULTS["output_dir"])),
-        seed=seed,
-        c_id=float(tol["c_id"]),
-        c_energy=float(tol["c_energy"]),
-    )
+    return RunConfig(**sections, output_dir=cfg["output_dir"], seed=cfg["seed"], **tolerances)
 
 
 # ----------------------------------------------------------------------
@@ -421,9 +361,10 @@ def profile_field(name: str, mesh: Mesh, amplitude: float) -> np.ndarray:
 
 
 def initial_data(config: RunConfig, mesh: Mesh):
-    u0 = profile_field(config.profile, mesh, config.amplitude)
-    u1 = profile_field(config.velocity_profile, mesh, config.velocity_amplitude)
-    y0 = np.full(len(mesh.gamma1_nodes), config.y0)
+    ini = config.initial
+    u0 = profile_field(ini.profile, mesh, ini.amplitude)
+    u1 = profile_field(ini.velocity_profile, mesh, ini.velocity_amplitude)
+    y0 = np.full(len(mesh.gamma1_nodes), ini.y0)
     return u0, u1, y0
 
 
@@ -522,7 +463,6 @@ class ScenarioResult:
     stable_report: StableSetReport | None = None
     hypothesis_report: HypothesisReport | None = None
     decay_report: DecayReport | None = None
-    mms_error: float | None = None
     aborted: object | None = None
 
 
@@ -541,16 +481,6 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     hyp = _hypothesis_report(config, kernel)
     result.hypothesis_report = hyp
     _write_json(out / "hypothesis_report.json", hyp)
-
-    if config.mode == "mms":
-        marks.append(perf_counter())
-        err = run_mms_level(config, mesh, ops)
-        result.mms_error = err["l2_error"]
-        marks += [perf_counter()] * 2  # stepping ends; there is no analysis phase
-        _write_json(out / "mms_report.json", err)
-        marks.append(perf_counter())
-        _write_json(out / "run_metadata.json", _metadata(config, ops, None, marks))
-        return result
 
     u0, u1, y0 = initial_data(config, mesh)
 
@@ -633,21 +563,20 @@ PHASES = ("setup", "stepping", "analysis", "artifacts")
 
 def _decay_times(config: RunConfig, kernel: RelaxationKernel) -> tuple[float, float]:
     """(t0, t_tail) of the decay report for ``run`` and ``decay-report``
-    alike: the configured values, or by default the half-mass time of the
-    kernel and a quarter of the configured t_end."""
-    t0 = config.analysis.t0 or default_weighted_t0(kernel)
-    return t0, config.analysis.t_tail or 0.25 * config.stepping.t_end
+    alike: the half-mass time of the kernel, and the configured t_tail or by
+    default a quarter of the configured t_end."""
+    return default_weighted_t0(kernel), config.analysis.t_tail or 0.25 * config.stepping.t_end
 
 
 def _hypothesis_report(config: RunConfig, kernel: RelaxationKernel) -> HypothesisReport:
-    """(H1)-(H2) verdicts for ``run`` and ``check-kernel`` alike, on the
-    configured horizon or by default twice the run's, at least 20."""
-    horizon = config.analysis.hypothesis_horizon or max(20.0, 2.0 * config.stepping.t_end)
+    """(H1)-(H2) verdicts for ``run`` and ``check-kernel`` alike, on twice
+    the run's horizon, at least 20."""
+    horizon = max(20.0, 2.0 * config.stepping.t_end)
     coeffs = BoundaryCoefficients(config.physics.p_c, config.physics.q_c)
     return validate_hypotheses(kernel, coeffs, horizon)
 
 
-def _metadata(config: RunConfig, ops, traj, marks: list[float]) -> dict:
+def _metadata(config: RunConfig, ops, traj: Trajectory, marks: list[float]) -> dict:
     """``marks`` holds the perf_counter readings at the start and at the end
     of each of PHASES; the run time counts up to this call."""
     return {
@@ -655,8 +584,8 @@ def _metadata(config: RunConfig, ops, traj, marks: list[float]) -> dict:
         "numpy_version": np.__version__,
         "config": config.to_dict(),
         "lam_max_unit": ops.lam_max_unit,
-        "n_records": traj.n_records if traj is not None else 0,
-        "memory": traj.memory if traj is not None else None,
+        "n_records": traj.n_records,
+        "memory": traj.memory,
         "timings": {name: end - begin for name, begin, end in zip(PHASES, marks, marks[1:])},
         "runtime_seconds": round(perf_counter() - marks[0], 3),
     }
@@ -667,12 +596,14 @@ def _metadata(config: RunConfig, ops, traj, marks: list[float]) -> dict:
 # ----------------------------------------------------------------------
 
 
-def run_mms_level(config: RunConfig, mesh: Mesh, ops) -> dict:
+def run_mms_level(config: RunConfig) -> dict:
     """One manufactured run of the linear-profile case; L2-in-space error at
     the final time against the exact field."""
     if config.domain.dimension != 1 or "right" not in config.domain.gamma1_faces:
         raise ValueError("the shipped manufactured case needs a 1D domain with "
                          "the acoustic face on the right")
+    mesh = build_mesh(config.domain)
+    ops = assemble(mesh)
     kernel = config.build_kernel()
     msol = linear_profile_solution(kernel, length=config.domain.extent[0])
     case = build_manufactured_case(msol, ops, config.physics, kernel,
@@ -701,16 +632,15 @@ def run_mms_level(config: RunConfig, mesh: Mesh, ops) -> dict:
 
 def run_mms_ladder(base_config: RunConfig, levels: int = 3) -> dict:
     """Halve h and dt together ``levels`` times; report errors and ratios."""
+    domain, stepping = base_config.domain, base_config.stepping
     entries = []
-    raw = base_config.to_dict()
     for lvl in range(levels):
-        cfg_dict = copy.deepcopy(raw)
-        cfg_dict["domain"]["resolution"] = [r * 2**lvl for r in raw["domain"]["resolution"]]
-        cfg_dict["stepping"]["dt"] = raw["stepping"]["dt"] / 2**lvl
-        cfg = parse_config(json.dumps(cfg_dict))
-        mesh = build_mesh(cfg.domain)
-        ops = assemble(mesh)
-        entries.append(run_mms_level(cfg, mesh, ops))
+        cfg = replace(
+            base_config,
+            domain=replace(domain, resolution=tuple(r * 2**lvl for r in domain.resolution)),
+            stepping=replace(stepping, dt=stepping.dt / 2**lvl),
+        )
+        entries.append(run_mms_level(cfg))
     errors = [e["l2_error"] for e in entries]
     ratios = [errors[i] / errors[i + 1] if errors[i + 1] > 0 else math.inf
               for i in range(len(errors) - 1)]
@@ -735,10 +665,7 @@ class ScenarioPreset:
 def _preset(name: str, expected: dict, **overrides) -> ScenarioPreset:
     cfg = copy.deepcopy(DEFAULTS)
     for section, vals in overrides.items():
-        if isinstance(vals, dict):
-            cfg[section].update(vals)
-        else:
-            cfg[section] = vals
+        cfg[section].update(vals)
     cfg["output_dir"] = f"viscowave-out/{name}"
     return ScenarioPreset(name=name, config=cfg, expected=expected)
 
@@ -784,7 +711,6 @@ PRESETS: dict[str, ScenarioPreset] = {
         _preset(
             "mms-ladder",
             expected={"ratio_min": 3.5},
-            mode="mms",
             domain={"resolution": [16]},
             physics={"b": 0.0, "source_enabled": False},
             initial={"profile": "linear", "amplitude": 1.0},
@@ -801,13 +727,9 @@ PRESETS: dict[str, ScenarioPreset] = {
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "preset", None):
-        if args.preset not in PRESETS:
-            raise SystemExit(f"unknown preset '{args.preset}'; available: {sorted(PRESETS)}")
+    if args.preset:
         return PRESETS[args.preset].parse()
-    if getattr(args, "config", None):
-        return parse_config(Path(args.config).read_text())
-    raise SystemExit("either --config FILE or --preset NAME is required")
+    return parse_config(Path(args.config).read_text())
 
 
 def _cmd_run(args) -> int:
@@ -915,8 +837,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config_args(p):
-        p.add_argument("--config", help="path to a JSON run configuration")
-        p.add_argument("--preset", help=f"named preset: {sorted(PRESETS)}")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="path to a JSON run configuration")
+        source.add_argument("--preset", choices=sorted(PRESETS), help="named preset")
 
     p_run = sub.add_parser("run", help="run one scenario and write artifacts")
     add_config_args(p_run)

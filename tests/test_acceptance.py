@@ -126,7 +126,7 @@ def test_criterion_2_energy_monotonicity(exp_run, powerlaw_run, oscillatory_run)
         rise = float(np.diff(E).max())
         tol = DEFAULT_TOLERANCES["c_energy"] * _identity_residual_scale(bundle)
         ok = ok and rise <= tol
-        details.append(f"{bundle['config'].kernel_family}: rise {rise:.2e} <= {tol:.2e}")
+        details.append(f"{bundle['config'].kernel.family}: rise {rise:.2e} <= {tol:.2e}")
     _report(2, "energy monotonicity", ok, "; ".join(details))
 
 
@@ -245,7 +245,7 @@ def test_criterion_6_weighted_integral(exp_run, powerlaw_run, oscillatory_run):
                                  t0=default_weighted_t0(bundle["kernel"]))
         ok = ok and math.isfinite(rep.rho_max) and rep.rho_change < 0.20
         details.append(
-            f"{cfg.kernel_family}: max rho {rep.rho_max:.3f}, "
+            f"{cfg.kernel.family}: max rho {rep.rho_max:.3f}, "
             f"horizon change {rep.rho_change:.3f} < 0.20"
         )
     _report(6, "weighted-integral inequality", ok, "; ".join(details))

@@ -65,6 +65,7 @@ def test_all_errors_reported_at_once():
         "initial": {"profile": "sawtooth"},
         "bogus": 1,
         "physics": {"k_exp": 1.5},
+        "seed": True,
     }
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(bad))
@@ -74,7 +75,8 @@ def test_all_errors_reported_at_once():
     assert "sawtooth" in msgs
     assert "bogus" in msgs
     assert "k must exceed 2" in msgs
-    assert len(exc.value.errors) >= 5
+    assert "seed must be an integer, got True" in msgs
+    assert len(exc.value.errors) >= 6
 
 
 @pytest.mark.parametrize("section, key, literal", [
@@ -90,10 +92,17 @@ def test_all_errors_reported_at_once():
     ("initial", "amplitude", "NaN"),
     ("initial", "amplitude", '"x"'),
     ("initial", "y0", "[0.1]"),
+    ("physics", "source_enabled", '"false"'),
+    ("analysis", "constants", '"no"'),
+    ("stepping", "record_every", "2.7"),
+    ("domain", "resolution", "[16.9]"),
+    ("tolerances", "c_id", "true"),
 ])
 def test_non_finite_or_non_numeric_values_rejected(section, key, literal):
-    # JSON text may spell NaN and Infinity; each must end in ConfigError
-    # naming the key, not in an error or a NaN row later in the run
+    # JSON text may spell NaN and Infinity, and a value of the wrong JSON
+    # type must not be read as another ("false" as true, 2.7 as 2); each
+    # must end in ConfigError naming the key, not in a silently different
+    # run, an error or a NaN row later in the run
     text = '{"%s": {"%s": %s}}' % (section, key, literal)
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
@@ -159,11 +168,19 @@ def test_unknown_section_key_rejected():
 
 def test_removed_stepping_keys_named():
     with pytest.raises(ConfigError) as exc:
-        parse_config(json.dumps({"stepping": {"storage": "auto", "stride": 10}}))
+        parse_config(json.dumps({"stepping": {"storage": "auto", "stride": 10},
+                                 "analysis": {"t0": 1.0, "hypothesis_horizon": 20.0},
+                                 "mode": "mms"}))
     msgs = " | ".join(exc.value.errors)
     assert "stepping.storage: removed" in msgs
     assert "stepping.stride: removed" in msgs
+    assert "analysis.t0: removed" in msgs
+    assert "analysis.hypothesis_horizon: removed" in msgs
+    assert "mode: removed" in msgs
+    assert len(exc.value.errors) == 5
     assert sorted(DEFAULTS["stepping"]) == ["cfl_safety", "dt", "record_every", "t_end"]
+    assert sorted(DEFAULTS["analysis"]) == ["constants", "decay", "t_tail"]
+    assert "mode" not in DEFAULTS
 
 
 def test_syntax_error_reports_location():
@@ -172,10 +189,12 @@ def test_syntax_error_reports_location():
     assert any("syntax error" in e for e in exc.value.errors)
 
 
-def test_config_round_trip():
-    preset = PRESETS["powerlaw-inwell"]
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_config_round_trip(name):
+    preset = PRESETS[name]
     cfg = preset.parse()
-    again = parse_config(cfg.to_json())
+    assert cfg.to_dict() == preset.config
+    again = parse_config(_json_text(cfg.to_dict()))
     assert again == cfg
 
 
@@ -567,13 +586,28 @@ def test_one_pass_formatter_matches_per_value_format():
     assert _format_table(table[:0], ",") == ""
 
 
-def test_run_subcommand_with_preset(tmp_path, capsys):
-    raw = copy.deepcopy(PRESETS["mms-ladder"].config)
+def test_mms_subcommand_with_config_file(tmp_path, capsys):
     cfg_path = tmp_path / "mms.json"
-    cfg_path.write_text(json.dumps(raw))
-    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "mmsrun")])
+    cfg_path.write_text(json.dumps(PRESETS["mms-ladder"].config))
+    rc = main(["mms", "--config", str(cfg_path), "--levels", "1",
+               "--out", str(tmp_path / "ladder.json")])
     assert rc == 0
-    assert (tmp_path / "mmsrun" / "mms_report.json").exists()
-    report = json.loads((tmp_path / "mmsrun" / "mms_report.json").read_text())
-    assert report["l2_error"] < 1e-5
-    _check_timings(json.loads((tmp_path / "mmsrun" / "run_metadata.json").read_text()))
+    out, ladder = _strict_stdout(capsys)
+    assert out == (tmp_path / "ladder.json").read_text()
+    assert len(ladder["levels"]) == 1
+    assert ladder["levels"][0]["l2_error"] < 1e-5
+
+
+@pytest.mark.parametrize("flags", [
+    ["--config", "cfg.json", "--preset", "exp-inwell"],
+    [],
+    ["--preset", "no-such-preset"],
+])
+def test_config_source_usage_errors_exit_2(tmp_path, capsys, flags):
+    # exactly one of --config and --preset, and a preset that exists
+    (tmp_path / "cfg.json").write_text(_tiny_config())
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
