@@ -17,6 +17,13 @@ interpolant of |u_h|^k, and that interpolant lies above |u_h|^k on every
 element (t -> |t|^k is convex), so lk >= int |u_h|^k for every field.  For
 smooth u both rules are O(h^2) accurate for every exponent k > 2.
 
+Every mesh is a uniform interval or rectangle whose Dirichlet part is a
+union of whole faces, so the free nodes form a grid and K on them is the
+Kronecker sum D_y (x) K_x + K_y (x) D_x of each axis's 1D stiffness K_x and
+lumped mass D_x (an interval has a one-node y axis).  ``assemble`` keeps the
+closed-form eigenpairs of each axis; they give K^{-1} b, the Gamma_1 block
+of K^{-1} and the CFL eigenvalue without factoring K.
+
 Fields are plain numpy arrays with one value per mesh node; entries at
 Dirichlet nodes are pinned to zero.
 """
@@ -28,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from .geometry import Mesh
 
@@ -96,14 +104,37 @@ def float_pow(x: float, p: float) -> float:
 
 
 @dataclass(frozen=True)
+class AxisModes:
+    """Eigenpairs of one mesh axis: K_1 V = D_1 V diag(values) with
+    V^T D_1 V = I, where K_1 is the 1D P1 stiffness and D_1 the 1D lumped
+    mass of the axis, both on the axis indices ``free`` that no Dirichlet
+    face pins.  ``values`` ascend."""
+
+    free: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+# The y axis of an interval: one node, unit mass, zero stiffness, so that
+# D_y (x) K_x + K_y (x) D_x is K_x itself.
+_POINT_AXIS = AxisModes(free=np.zeros(1, dtype=int), values=np.zeros(1),
+                        vectors=np.ones((1, 1)))
+
+
+@dataclass(frozen=True)
 class DiscreteOperators:
-    """Assembled linear forms; the lumped mass also carries the nonlinear terms."""
+    """Assembled linear forms; the lumped mass also carries the nonlinear terms.
+
+    ``axes`` = (y, x) diagonalises K on the free nodes (see
+    :func:`solve_free_stiffness`); in 1D y is the one-node axis.
+    """
 
     mesh: Mesh
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     mass_lumped: np.ndarray
-    lam_max_unit: float         # max eig of M_lump^{-1} K at unit coefficient
+    lam_max_unit: float         # 1.05 x max eig of M_lump^{-1} K at unit coefficient
+    axes: tuple[AxisModes, AxisModes]
 
     @property
     def n_nodes(self) -> int:
@@ -111,17 +142,26 @@ class DiscreteOperators:
 
 
 def assemble(mesh: Mesh) -> DiscreteOperators:
-    """Assemble stiffness, consistent and lumped mass, and the CFL eigenvalue."""
+    """Assemble stiffness, consistent and lumped mass, the per-axis
+    eigenpairs of the stiffness and the CFL eigenvalue."""
     K, M = _assemble_1d(mesh) if mesh.dimension == 1 else _assemble_2d(mesh)
     K = K.tocsr()
     M = M.tocsr()
     lumped = np.asarray(M.sum(axis=1)).ravel()
+    stride = mesh.spec.resolution[0] + 1  # node = iy * stride + ix
+    x = _axis_modes(mesh.spec.extent[0], mesh.spec.resolution[0],
+                    np.unique(mesh.free_nodes % stride))
+    y = _POINT_AXIS
+    if mesh.dimension == 2:
+        y = _axis_modes(mesh.spec.extent[1], mesh.spec.resolution[1],
+                        np.unique(mesh.free_nodes // stride))
     return DiscreteOperators(
         mesh=mesh,
         stiffness=K,
         mass=M,
         mass_lumped=lumped,
-        lam_max_unit=_estimate_lam_max(K, lumped, mesh),
+        lam_max_unit=1.05 * _lam_max(mesh, K, lumped, (y, x)),
+        axes=(y, x),
     )
 
 
@@ -136,6 +176,30 @@ def _assemble_1d(mesh: Mesh):
     main_m[0] = main_m[-1] = 2.0 * h / 6.0
     M = sp.diags([np.full(n - 1, h / 6.0), main_m, np.full(n - 1, h / 6.0)], [-1, 0, 1])
     return K.tolil(), M.tolil()
+
+
+def _axis_modes(length: float, m: int, free: np.ndarray) -> AxisModes:
+    """Eigenpairs of the 1D forms on [0, length], m cells, in closed form.
+
+    With h = length / m, the stiffness rows of the free indices read
+    (-v_{i-1} + 2 v_i - v_{i+1}) / h = lam h v_i, and a free end's row is
+    the same row for the even extension of v.  So v_i = sin(i theta) from a
+    pinned left end, cos(i theta) from a free one, and theta_j =
+    (j + c) pi / m with c = 1, 1/2 or 0 for two, one or no pinned ends;
+    lam_j = (4 / h^2) sin^2(theta_j / 2).  These are exact to roundoff
+    relative to each eigenvalue, where a dense eigensolver's error is
+    eps |K_1| on every eigenvalue, and the smallest ones dominate K^{-1}.
+    """
+    h = length / m
+    pinned_ends = 2 - (free[0] == 0) - (free[-1] == m)
+    theta = (np.arange(len(free)) + 0.5 * pinned_ends) * (np.pi / m)
+    phase = np.sin if free[0] > 0 else np.cos
+    vectors = phase(np.outer(free, theta))
+    mass = np.full(len(free), h)
+    mass[free == 0] = mass[free == m] = h / 2.0
+    vectors /= np.sqrt(mass @ vectors**2)
+    values = (2.0 / h * np.sin(0.5 * theta)) ** 2
+    return AxisModes(free=free, values=values, vectors=vectors)
 
 
 def _assemble_2d(mesh: Mesh):
@@ -164,29 +228,59 @@ def _assemble_2d(mesh: Mesh):
     return K, M
 
 
-_POWER_ITERATIONS = 300
+def _lam_max(mesh: Mesh, K: sp.csr_matrix, lumped: np.ndarray, axes) -> float:
+    """Largest eigenvalue of diag(M_lump)^{-1} K on the free nodes.
 
-
-def _estimate_lam_max(K: sp.csr_matrix, lumped: np.ndarray, mesh: Mesh) -> float:
-    """Largest eigenvalue of diag(M_lump)^{-1} K on the free subspace.
-
-    Deterministic power iteration with a 5% inflation so the CFL check errs
-    on the safe side.
+    On the free nodes K = D_y (x) K_x + K_y (x) D_x, and the lumped mass is
+    D_y (x) D_x at every node but a corner, where it is h_x h_y / 3 or / 6
+    against h_x h_y / 4.  With every corner pinned the eigenvalues are the
+    sums lam_y + lam_x, so the largest is exact from the axis eigenpairs.
+    Where two acoustic faces meet, that sum is no bound (unit square, 5 x 7
+    cells, acoustic left, bottom and top: 293.55 against 308.67), so the
+    largest eigenvalue of M^{-1/2} K M^{-1/2} comes from Lanczos; its Ritz
+    value converges from below to machine precision, and the fixed start
+    vector keeps reruns identical.
     """
-    n = mesh.n_nodes
-    v = np.zeros(n)
-    v[mesh.free_nodes] = np.sin(np.arange(1, len(mesh.free_nodes) + 1, dtype=float))
-    v /= np.linalg.norm(v)
-    inv_m = 1.0 / lumped
-    for _ in range(_POWER_ITERATIONS):
-        w = inv_m * (K @ v)
-        w[mesh.gamma0_nodes] = 0.0
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-    lam = float(v @ (K @ v)) / float(v @ (lumped * v))
-    return 1.05 * lam
+    y, x = axes
+    free = mesh.free_nodes
+    free_corner = False
+    if mesh.dimension == 2:
+        nx, ny = mesh.spec.resolution
+        free_corner = np.isin([0, nx, (nx + 1) * ny, (nx + 1) * ny + nx], free).any()
+    if not free_corner:
+        return float(y.values[-1] + x.values[-1])
+    scale = sp.diags(1.0 / np.sqrt(lumped[free]))
+    A = scale @ K[free][:, free] @ scale
+    v0 = np.sin(np.arange(1, len(free) + 1, dtype=float))
+    return float(eigsh(A, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+
+
+def solve_free_stiffness(ops: DiscreteOperators, b: np.ndarray) -> np.ndarray:
+    """K^{-1} b on the free nodes (b and the result ordered as ``free_nodes``).
+
+    The free nodes form a grid, iy-major, and K on them is
+    D_y (x) K_x + K_y (x) D_x; in the axis eigenvectors it is the diagonal
+    lam_y (+) lam_x (Lynch, Rice and Thomas, Numer. Math. 6, 1964).
+    """
+    y, x = ops.axes
+    B = b.reshape(len(y.free), len(x.free))
+    C = (y.vectors.T @ B @ x.vectors) / (y.values[:, None] + x.values[None, :])
+    return (y.vectors @ C @ x.vectors.T).ravel()
+
+
+def free_stiffness_inverse_block(ops: DiscreteOperators, nodes: np.ndarray) -> np.ndarray:
+    """The block (K^{-1})_{nodes, nodes} of K^{-1} on the free nodes, for
+    free mesh ``nodes``, with no solve: with G and H the rows of the y and x
+    eigenvectors at the nodes' axis indices, it is
+    sum_a outer(G_a, G_a) * (H diag(1 / (lam_y,a + lam_x)) H^T)."""
+    y, x = ops.axes
+    stride = ops.mesh.spec.resolution[0] + 1
+    G = y.vectors[np.searchsorted(y.free, nodes // stride)]
+    H = x.vectors[np.searchsorted(x.free, nodes % stride)]
+    block = np.zeros((len(nodes), len(nodes)))
+    for g, lam in zip(G.T, y.values):
+        block += np.outer(g, g) * ((H / (lam + x.values)) @ H.T)
+    return block
 
 
 def pin_gamma0(mesh: Mesh, u: np.ndarray) -> np.ndarray:

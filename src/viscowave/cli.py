@@ -726,22 +726,14 @@ PRESETS: dict[str, ScenarioPreset] = {
 # ----------------------------------------------------------------------
 
 
-def _load_config(args) -> RunConfig:
-    if args.preset:
-        return PRESETS[args.preset].parse()
-    return parse_config(Path(args.config).read_text())
-
-
-def _cmd_run(args) -> int:
-    config = _load_config(args)
+def _cmd_run(args, config: RunConfig) -> int:
     result = run_scenario(config, out_dir=args.out)
     status = "aborted" if result.aborted else "completed"
     print(f"scenario {status}; artifacts in {result.out_dir}")
     return 0
 
 
-def _cmd_constants(args) -> int:
-    config = _load_config(args)
+def _cmd_constants(args, config: RunConfig) -> int:
     mesh = build_mesh(config.domain)
     ops = assemble(mesh)
     kernel = config.build_kernel()
@@ -750,15 +742,13 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _cmd_check_kernel(args) -> int:
-    config = _load_config(args)
+def _cmd_check_kernel(args, config: RunConfig) -> int:
     report = _hypothesis_report(config, config.build_kernel())
     print(_json_text(report))
     return 0 if report.passed else 1
 
 
-def _cmd_decay_report(args) -> int:
-    config = _load_config(args)
+def _cmd_decay_report(args, config: RunConfig) -> int:
     kernel = config.build_kernel()
     try:
         data = np.genfromtxt(args.csv, delimiter=",", names=True)
@@ -773,9 +763,12 @@ def _cmd_decay_report(args) -> int:
     return 0
 
 
-def _cmd_mms(args) -> int:
-    config = _load_config(args)
-    ladder = run_mms_ladder(config, levels=args.levels)
+def _cmd_mms(args, config: RunConfig) -> int:
+    try:
+        ladder = run_mms_ladder(config, levels=args.levels)
+    except ValueError as exc:  # a domain or field the shipped case cannot take
+        print(f"mms: {exc}", file=sys.stderr)
+        return 2
     print(_json_text(ladder))
     if args.out:
         _write_json(Path(args.out), ladder)
@@ -814,8 +807,7 @@ def _sweep_jobs(config: RunConfig, param: str, root: Path) -> list[tuple[RunConf
     return jobs
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config(args)
+def _cmd_sweep(args, config: RunConfig) -> int:
     jobs = _sweep_jobs(config, args.param, Path(args.out or config.output_dir))
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -874,8 +866,16 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)
+    if args.preset:
+        text = json.dumps(PRESETS[args.preset].config)
+    else:
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not text
+            print(f"{args.command}: cannot read --config: {exc}", file=sys.stderr)
+            return 2
     try:
-        return args.func(args)
+        return args.func(args, parse_config(text))
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -149,63 +149,54 @@ def _build_rectangle(spec: DomainSpec) -> Mesh:
     xx, yy = np.meshgrid(xs, ys)
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    elems = []
-    for iy in range(ny):
-        for ix in range(nx):
-            v00 = nid(ix, iy)
-            v10 = nid(ix + 1, iy)
-            v01 = nid(ix, iy + 1)
-            v11 = nid(ix + 1, iy + 1)
-            elems.append((v00, v10, v11))
-            elems.append((v00, v11, v01))
-    elements = np.array(elems, dtype=int)
+    # cell (ix, iy) has corners v00 = iy * (nx + 1) + ix, v10 = v00 + 1,
+    # v01 = v00 + nx + 1 and v11 = v01 + 1, and is cut into the triangles
+    # (v00, v10, v11) and (v00, v11, v01); cells run x-fastest
+    v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)[None, :]).ravel()
+    v10, v01 = v00 + 1, v00 + nx + 1
+    v11 = v01 + 1
+    elements = np.stack([np.column_stack([v00, v10, v11]),
+                         np.column_stack([v00, v11, v01])], axis=1).reshape(-1, 3)
 
     face_nodes = {
-        "left": np.array([nid(0, iy) for iy in range(ny + 1)]),
-        "right": np.array([nid(nx, iy) for iy in range(ny + 1)]),
-        "bottom": np.array([nid(ix, 0) for ix in range(nx + 1)]),
-        "top": np.array([nid(ix, ny) for ix in range(nx + 1)]),
+        "left": np.arange(ny + 1) * (nx + 1),
+        "right": np.arange(ny + 1) * (nx + 1) + nx,
+        "bottom": np.arange(nx + 1),
+        "top": ny * (nx + 1) + np.arange(nx + 1),
     }
     face_h = {"left": hy, "right": hy, "bottom": hx, "top": hx}
 
-    gamma0_set = set()
+    pinned = np.zeros(nodes.shape[0], dtype=bool)
     for face in spec.gamma0_faces:
-        gamma0_set.update(face_nodes[face].tolist())
+        pinned[face_nodes[face]] = True
 
     # Trapezoid weights per acoustic side; weights of Dirichlet-pinned side
     # ends are pushed to the adjacent free node so the sum stays the side
     # length.  Sides have >= 3 nodes (resolution >= 2), so the neighbour of a
     # pinned corner is an interior side node and therefore free.
-    weight_map: dict[int, float] = {}
+    weight = np.zeros(nodes.shape[0])
+    acoustic = np.zeros(nodes.shape[0], dtype=bool)
     for face in sorted(spec.gamma1_faces):
         side = face_nodes[face]
         h = face_h[face]
         w = np.full(len(side), h)
         w[0] = w[-1] = h / 2.0
-        if side[0] in gamma0_set:
+        if pinned[side[0]]:
             w[1] += w[0]
             w[0] = 0.0
-        if side[-1] in gamma0_set:
+        if pinned[side[-1]]:
             w[-2] += w[-1]
             w[-1] = 0.0
-        for node, wt in zip(side.tolist(), w):
-            if node in gamma0_set:
-                continue
-            weight_map[node] = weight_map.get(node, 0.0) + float(wt)
+        weight[side] += w
+        acoustic[side] = True
 
-    gamma0 = np.array(sorted(gamma0_set), dtype=int)
-    gamma1 = np.array(sorted(weight_map), dtype=int)
-    weights = np.array([weight_map[n] for n in gamma1])
-    free = np.setdiff1d(np.arange(nodes.shape[0]), gamma0)
+    gamma1 = np.flatnonzero(acoustic & ~pinned)
     return Mesh(
         spec=spec,
         nodes=nodes,
         elements=elements,
-        free_nodes=free,
-        gamma0_nodes=gamma0,
+        free_nodes=np.flatnonzero(~pinned),
+        gamma0_nodes=np.flatnonzero(pinned),
         gamma1_nodes=gamma1,
-        gamma1_weights=weights,
+        gamma1_weights=weight[gamma1],
     )

@@ -17,9 +17,9 @@ of its projected ascent direction falls below 1e-7, where the quotient is
 within about 1e-14 of its local maximum.  The trace constant is a quadratic
 quotient, so it is computed exactly: c_bar_star^2 is the largest eigenvalue
 of W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2), a |Gamma_1| x |Gamma_1| matrix
-(W the boundary weights).  The ascent and that block solve share one sparse
-factorization of K on the free nodes (SPD, so a symmetric fill-reducing
-ordering with diagonal pivots), made for ``compute_well_constants`` only.
+(W the boundary weights).  The ascent's K^-1 products and that block both
+come in closed form from the per-axis eigenpairs that ``assemble`` keeps
+(K on the free nodes is a Kronecker sum), so no factor of K is made.
 The amplitude-limit reduction is verified against a direct finite-amplitude
 search; both norms are homogeneous, so the whole amplitude sweep of a
 candidate follows in closed form from its |grad u|^2 and ||u||_k^k.
@@ -35,15 +35,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .assembly import (
     DiscreteOperators,
     PhysicalParams,
     boundary_quadratic,
+    free_stiffness_inverse_block,
     grad_norm_sq,
     l2_norm_sq,
     lk_norm_pow,
+    solve_free_stiffness,
     source_vector,
 )
 from .geometry import Mesh
@@ -95,31 +96,19 @@ _N_STARTS = 8
 _MAX_ASCENT_STEPS = 2000
 
 
-def _free_stiffness_lu(ops: DiscreteOperators):
-    """Sparse factor of K restricted to the free nodes.
-
-    K there is SPD: the fill-reducing ordering is symmetric (minimum degree
-    on K + K^T) and the pivots stay on the diagonal.
-    """
-    free = ops.mesh.free_nodes
-    return splu(ops.stiffness[np.ix_(free, free)].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-
-
-def _ascent_direction(ops: DiscreteOperators, lu, u: np.ndarray, ku: np.ndarray,
+def _ascent_direction(ops: DiscreteOperators, u: np.ndarray, ku: np.ndarray,
                       grad_n: np.ndarray) -> np.ndarray:
     """K-metric gradient of ln numerator at u (u^T K u = 1, ku = K u),
-    projected onto the tangent space of the constraint sphere; ``lu``
-    factors K on the free nodes."""
+    projected onto the tangent space of the constraint sphere."""
     free = ops.mesh.free_nodes
     d = np.zeros(ops.n_nodes)
-    d[free] = lu.solve(grad_n[free])
+    d[free] = solve_free_stiffness(ops, grad_n[free])
     d -= u  # minus the constraint part: K^{-1} K u = u at u^T K u = 1
     d -= float(d @ ku) * u  # K-orthogonal tangent projection
     return d
 
 
-def _ascend(ops: DiscreteOperators, lu, log_num_grad, seed: int, n_starts: int):
+def _ascend(ops: DiscreteOperators, log_num_grad, seed: int, n_starts: int):
     """Projected gradient ascent of a homogeneous quotient on the K-sphere.
 
     ``log_num_grad(u)`` returns (ln numerator, gradient of ln numerator) and
@@ -127,7 +116,7 @@ def _ascend(ops: DiscreteOperators, lu, log_num_grad, seed: int, n_starts: int):
     trial's gradient drives the next step.  Iterates are renormalized to
     u^T K u = 1, so the quotient equals the numerator.  The ascent direction
     is the gradient in the inner product induced by K (Riesz representative
-    through ``lu``, the caller's factor of K on the free nodes), which makes
+    K^{-1} grad, by :func:`solve_free_stiffness`), which makes
     the convergence rate mesh-independent; the direction is projected onto
     the tangent space of the constraint sphere before stepping.  K u travels
     with u, so a start costs one product with K plus one per direction: a
@@ -160,7 +149,7 @@ def _ascend(ops: DiscreteOperators, lu, log_num_grad, seed: int, n_starts: int):
         converged = False
         steps = 0
         while steps < _MAX_ASCENT_STEPS:
-            d = _ascent_direction(ops, lu, u, ku, grad_n)
+            d = _ascent_direction(ops, u, ku, grad_n)
             kd = K @ d
             if d @ kd < _STATIONARY_TOL**2:
                 converged = True
@@ -213,31 +202,17 @@ def _embedding_objective(ops: DiscreteOperators, k_exp: float):
     return log_num_grad
 
 
-# Unit columns per trace solve: one block of all |Gamma_1| columns (63 on the
-# 64x64 square) raised the peak memory of a run by about 4 MB.
-_TRACE_BLOCK = 8
-
-
-def _trace_constant(ops: DiscreteOperators, lu) -> float:
+def _trace_constant(ops: DiscreteOperators) -> float:
     """Exact discrete sup ||u||_{2,Gamma_1} / ||grad u||_2, 0 for an empty
     Gamma_1.
 
     The square of the sup of w . u_g^2 / u^T K u is the largest eigenvalue of
-    W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2); the Gamma_1 block of K^-1 comes
-    from solving ``lu`` (K on the free nodes) for the unit columns at the
-    Gamma_1 nodes, ``_TRACE_BLOCK`` at a time.
+    W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2).
     """
-    free = ops.mesh.free_nodes
-    pos = np.searchsorted(free, ops.mesh.gamma1_nodes)  # free_nodes is sorted
-    m = len(pos)
-    if m == 0:
+    g1 = ops.mesh.gamma1_nodes
+    if len(g1) == 0:
         return 0.0
-    block = np.empty((m, m))
-    for j in range(0, m, _TRACE_BLOCK):
-        cols = pos[j:j + _TRACE_BLOCK]
-        rhs = np.zeros((len(free), len(cols)))
-        rhs[cols, np.arange(len(cols))] = 1.0
-        block[:, j:j + len(cols)] = lu.solve(rhs)[pos]
+    block = free_stiffness_inverse_block(ops, g1)
     sw = np.sqrt(ops.mesh.gamma1_weights)
     block *= np.outer(sw, sw)
     return math.sqrt(np.linalg.eigvalsh(0.5 * (block + block.T))[-1])
@@ -259,8 +234,7 @@ def estimate_embedding_constant(
     """
     if k_exp < 2:
         raise ValueError(f"k must be >= 2, got {k_exp}")
-    _, diag = _ascend(ops, _free_stiffness_lu(ops), _embedding_objective(ops, k_exp), seed,
-                      _N_STARTS)
+    _, diag = _ascend(ops, _embedding_objective(ops, k_exp), seed, _N_STARTS)
     return diag.value
 
 
@@ -268,7 +242,7 @@ def estimate_trace_constant(mesh: Mesh, ops: DiscreteOperators) -> float:
     """Discrete sup ||u||_{2,Gamma_1} / ||grad u||_2, computed exactly."""
     if len(mesh.gamma1_nodes) == 0:
         raise ValueError("trace constant needs a nonempty acoustic boundary")
-    return _trace_constant(ops, _free_stiffness_lu(ops))
+    return _trace_constant(ops)
 
 
 _AMPLITUDES = np.geomspace(1e-8, 10.0, 40)
@@ -364,11 +338,9 @@ def compute_well_constants(
     seed: int = 2024,
 ) -> WellConstants:
     """Embedding/trace constants, B, lambda1 and d1 for one configuration."""
-    lu = _free_stiffness_lu(ops)
-    u_star, emb_diag = _ascend(ops, lu, _embedding_objective(ops, params.k_exp), seed,
-                               _N_STARTS)
+    u_star, emb_diag = _ascend(ops, _embedding_objective(ops, params.k_exp), seed, _N_STARTS)
     s_k = emb_diag.value
-    c_bar_star = _trace_constant(ops, lu)
+    c_bar_star = _trace_constant(ops)
     b_omega, info = estimate_B_Omega(mesh, ops, params, kernel.l_value, s_k=s_k,
                                      u_star=u_star, seed=seed)
     lambda1, d1 = well_constants_from_B(b_omega, params.k_exp)

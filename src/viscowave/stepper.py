@@ -14,9 +14,9 @@ pointwise in closed form at each acoustic node (the coupling is diagonal),
 which keeps the scheme explicit and second order in dt.
 
 Stability is monitored each step against the current Kirchhoff coefficient:
-dt must stay below 2 * cfl_safety / sqrt(lam_max * M_kir), with lam_max the
-assembled estimate of the largest generalized stiffness eigenvalue (in 1D
-this reduces to the classical dt <= cfl_safety * h / sqrt(M_kir)).
+dt must stay below 2 * cfl_safety / sqrt(lam_max * M_kir), with lam_max
+``lam_max_unit``, 1.05 times the largest generalized stiffness eigenvalue
+(in 1D this reduces to the classical dt <= cfl_safety * h / sqrt(M_kir)).
 
 Each new iterate is evaluated once (``_evaluate``): the force, and
 |grad u|^2 and int |u|^k for the energy report, from one stiffness product
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -75,6 +75,16 @@ class StepperConfig:
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
 
 
+class AcousticClosure(NamedTuple):
+    """Per-run constants of the trapezoidal acoustic closure, one entry per
+    acoustic node: the lumped mass m_g, c = dt/2 w / m_g and the denominator
+    p + c + dt/2 q of the closed-form solve."""
+
+    m_g: np.ndarray
+    c: np.ndarray
+    denom: np.ndarray
+
+
 @dataclass
 class SimState:
     """Solution snapshot; u, v live on all nodes (Dirichlet entries zero),
@@ -82,6 +92,8 @@ class SimState:
     for the next Verlet kick; ``grad_sq`` = u.K u and ``lk`` = u.S(u) (0 with
     the source off) come from the same evaluation and feed the energy report.
     ``n`` counts the steps taken; t is n * dt, never a running sum of dt.
+    ``closure`` depends only on dt, the operators and the coefficients:
+    :func:`init_state` computes it and every step hands it on.
 
     :func:`step` builds a new state and never writes to the arrays of the
     one it was given, so a returned state can be kept without a copy.
@@ -96,6 +108,7 @@ class SimState:
     accel: np.ndarray
     grad_sq: float
     lk: float
+    closure: AcousticClosure
     n: int = 0
 
 
@@ -217,16 +230,16 @@ def init_state(
     with np.errstate(over="ignore", invalid="ignore"):
         accel, m_kir, grad_sq, lk = _evaluate(0.0, u, buffer, params, ops, cfg.forcing)
     f3, f4 = _boundary_forcing(cfg.forcing, 0.0, len(mesh.gamma1_nodes))
+    m_g = ops.mass_lumped[mesh.gamma1_nodes]
+    c = 0.5 * cfg.dt * mesh.gamma1_weights / m_g
+    closure = AcousticClosure(m_g=m_g, c=c, denom=params.p_c + c + 0.5 * cfg.dt * params.q_c)
     v_g = v[mesh.gamma1_nodes]
     y_t = ((-v_g if f4 is None else f4 - v_g) - params.q_c * y) / params.p_c
-    accel[mesh.gamma1_nodes] += (
-        mesh.gamma1_weights * (y_t if f3 is None else y_t + f3)
-        / ops.mass_lumped[mesh.gamma1_nodes]
-    )
+    accel[mesh.gamma1_nodes] += mesh.gamma1_weights * (y_t if f3 is None else y_t + f3) / m_g
     _check_finite(0.0, u, v, y, accel)
     _check_cfl(cfg.dt, m_kir, ops, cfg, 0.0)
     return SimState(t=0.0, u=u, v=v, y=y, y_t=y_t, m_kir=m_kir, accel=accel,
-                    grad_sq=grad_sq, lk=lk)
+                    grad_sq=grad_sq, lk=lk, closure=closure)
 
 
 def step(
@@ -250,14 +263,13 @@ def step(
         accel1, m_kir1, grad_sq1, lk1 = _evaluate(t1, u1, buffer, params, ops, cfg.forcing)
 
         f3, f4 = _boundary_forcing(cfg.forcing, t1, len(g1))
-        m_g = ops.mass_lumped[g1]
+        m_g, c, denom = state.closure
         # trapezoidal closure of the boundary triple (v, y, y_t), pointwise:
         #   v1 = A + c z,  y1 = y + dt/2 (y_t + z),  p z = f4 - v1 - q y1
         a_g = accel1[g1] if f3 is None else accel1[g1] + w1 * f3 / m_g
         A = v_half[g1] + 0.5 * dt * a_g
-        c = 0.5 * dt * w1 / m_g
         z = ((-A if f4 is None else f4 - A) - params.q_c * state.y
-             - 0.5 * dt * params.q_c * state.y_t) / (params.p_c + c + 0.5 * dt * params.q_c)
+             - 0.5 * dt * params.q_c * state.y_t) / denom
 
         v1 = v_half + 0.5 * dt * accel1
         v1[g1] = A + c * z
@@ -268,7 +280,7 @@ def step(
     _check_cfl(dt, m_kir1, ops, cfg, t1)
 
     return SimState(t=t1, u=u1, v=v1, y=y1, y_t=z, m_kir=m_kir1, accel=accel1,
-                    grad_sq=grad_sq1, lk=lk1, n=n1)
+                    grad_sq=grad_sq1, lk=lk1, closure=state.closure, n=n1)
 
 
 def run(

@@ -23,12 +23,12 @@ def interval_mesh(resolution=64, length=1.0, gamma1=("right",)):
 
 
 def square_mesh(resolution=16, extent=(1.0, 1.0), gamma1=("right",)):
-    spec = DomainSpec(
-        dimension=2,
-        extent=extent,
-        gamma1_faces=frozenset(gamma1),
-        resolution=(resolution, resolution),
-    )
+    return rect_mesh((resolution, resolution), gamma1, extent)
+
+
+def rect_mesh(resolution, gamma1, extent=(1.0, 1.0)):
+    spec = DomainSpec(dimension=2, extent=extent, gamma1_faces=frozenset(gamma1),
+                      resolution=resolution)
     return build_mesh(spec)
 
 

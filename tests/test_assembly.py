@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import dblquad, quad
 
 from viscowave import (
@@ -14,9 +15,10 @@ from viscowave import (
     source_vector,
     trace_norm_sq,
 )
+from viscowave import assembly
 from viscowave.assembly import l2_norm_sq
 
-from conftest import interval_mesh, square_mesh, trapezoid_x4
+from conftest import interval_mesh, rect_mesh, square_mesh, trapezoid_x4
 
 
 def test_two_element_stiffness_stencil():
@@ -220,3 +222,102 @@ def test_nodal_pairing_error_scales_as_h2_through_a_sign_change():
     scaled = errors[:, 1] * ns**2
     assert scaled.max() <= 2.0 * scaled.min()
     assert np.all(errors[:-1, 0] / errors[1:, 0] >= 3.5)
+
+
+def _axis_forms(n_cells, length, pinned):
+    """Dense 1D P1 stiffness and lumped mass of [0, length] on the indices
+    that ``pinned`` (a subset of {0, n_cells}) leaves free."""
+    h = length / n_cells
+    K = (2.0 * np.eye(n_cells + 1) - np.eye(n_cells + 1, k=1) - np.eye(n_cells + 1, k=-1)) / h
+    K[0, 0] = K[-1, -1] = 1.0 / h
+    d = np.full(n_cells + 1, h)
+    d[0] = d[-1] = h / 2.0
+    free = [i for i in range(n_cells + 1) if i not in pinned]
+    return K[np.ix_(free, free)], np.diag(d[free])
+
+
+KRONECKER_MESHES = {
+    "1d-16-right": lambda: interval_mesh(16),
+    "1d-9-pinned-ends": lambda: interval_mesh(9, length=1.3, gamma1=()),
+    "2d-64x64-right": lambda: square_mesh(64),
+    "2d-48x32-right-top": lambda: rect_mesh((48, 32), ("right", "top"), extent=(1.5, 1.0)),
+    "2d-5x7-left-bottom-top": lambda: rect_mesh((5, 7), ("left", "bottom", "top")),
+    "2d-6x5-left-right": lambda: rect_mesh((6, 5), ("left", "right"), extent=(0.7, 1.1)),
+}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(KRONECKER_MESHES))
+def test_free_stiffness_is_the_kronecker_sum_of_the_axis_forms(mesh_name):
+    # K on the free nodes (iy-major) is D_y (x) K_x + K_y (x) D_x, the
+    # identity behind the per-axis eigenpairs; a 1D mesh is the case
+    # D_y = [1], K_y = [0]
+    mesh = KRONECKER_MESHES[mesh_name]()
+    spec = mesh.spec
+    ops = assemble(mesh)
+    free = mesh.free_nodes
+    k_free = ops.stiffness[np.ix_(free, free)].toarray()
+    faces = spec.gamma0_faces
+    nx = spec.resolution[0]
+    k_x, d_x = _axis_forms(nx, spec.extent[0],
+                           {i for face, i in (("left", 0), ("right", nx)) if face in faces})
+    k_y, d_y = np.zeros((1, 1)), np.ones((1, 1))
+    if mesh.dimension == 2:
+        ny = spec.resolution[1]
+        k_y, d_y = _axis_forms(ny, spec.extent[1],
+                               {i for face, i in (("bottom", 0), ("top", ny)) if face in faces})
+    tensor = np.kron(d_y, k_x) + np.kron(k_y, d_x)
+    assert np.abs(k_free - tensor).max() <= 1e-14 * np.abs(k_free).max()
+    # the closed-form axis eigenpairs diagonalise these forms: V^T D V = I
+    # and V^T K V = diag(values), for pinned and free ends alike
+    for modes, k_axis, d_axis in zip(ops.axes, (k_y, k_x), (d_y, d_x)):
+        v = modes.vectors
+        np.testing.assert_allclose(v.T @ d_axis @ v, np.eye(len(v)), rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(v.T @ k_axis @ v, np.diag(modes.values), rtol=0.0,
+                                   atol=1e-13 * modes.values.max(initial=1.0))
+        assert np.all(np.diff(modes.values) > 0)
+
+
+def _dense_lam_max(ops):
+    free = ops.mesh.free_nodes
+    k_free = ops.stiffness[np.ix_(free, free)].toarray()
+    return scipy.linalg.eigh(k_free, np.diag(ops.mass_lumped[free]), eigvals_only=True)[-1]
+
+
+CFL_MESHES = {
+    "1d-8-right": lambda: interval_mesh(8),
+    "1d-9-pinned-ends": lambda: interval_mesh(9, length=1.3, gamma1=()),
+    "2d-6x6-right": lambda: square_mesh(6),
+    "2d-6x5-left-right": lambda: rect_mesh((6, 5), ("left", "right"), extent=(0.7, 1.1)),
+    "2d-4x6-right-top-free-corner": lambda: rect_mesh((4, 6), ("right", "top")),
+    "2d-5x7-left-bottom-top-free-corners": lambda: rect_mesh((5, 7), ("left", "bottom", "top")),
+}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(CFL_MESHES))
+def test_cfl_eigenvalue_is_exact(mesh_name):
+    # 5% above the largest eigenvalue of M_lump^{-1} K on the free nodes,
+    # whether or not a corner is free
+    ops = assemble(CFL_MESHES[mesh_name]())
+    assert ops.lam_max_unit == pytest.approx(1.05 * _dense_lam_max(ops), rel=1e-12, abs=0.0)
+
+
+def test_cfl_eigenvalue_refuses_the_tensor_sum_at_free_corners(monkeypatch):
+    # the free corners' lumped mass is not D_y (x) D_x, and the sum of the
+    # axes' largest eigenvalues falls below the true largest one
+    calls = []
+    eigsh = assembly.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "eigsh", spy)
+    ops = assemble(rect_mesh((5, 7), ("left", "bottom", "top")))
+    y, x = ops.axes
+    tensor_sum = y.values[-1] + x.values[-1]
+    exact = _dense_lam_max(ops)
+    assert tensor_sum == pytest.approx(293.55, abs=0.01)
+    assert exact == pytest.approx(308.67, abs=0.01)
+    assert len(calls) == 1
+    assert ops.lam_max_unit == pytest.approx(1.05 * exact, rel=1e-12, abs=0.0)
+    assert 1.05 * tensor_sum < ops.lam_max_unit

@@ -611,3 +611,36 @@ def test_config_source_usage_errors_exit_2(tmp_path, capsys, flags):
         main(["constants", *flags])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "constants", "check-kernel", "mms", "sweep"])
+@pytest.mark.parametrize("case", ["missing", "directory", "binary"])
+def test_unreadable_config_file_exits_2_with_one_line(tmp_path, capsys, command, case):
+    path = tmp_path / "cfg.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "binary":
+        path.write_bytes(b"\xff\xfe\x00")
+    extra = {"sweep": ["--param", "initial.amplitude=0.1"]}.get(command, [])
+    rc = main([command, "--config", str(path), *extra])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"{command}: cannot read --config: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("domain", [
+    {"dimension": 2, "extent": [1.0, 1.0], "gamma1_faces": ["right"], "resolution": [4, 4]},
+    {"gamma1_faces": ["left"]},
+])
+def test_mms_on_an_unsupported_domain_exits_2_with_one_line(tmp_path, capsys, domain):
+    raw = copy.deepcopy(PRESETS["mms-ladder"].config)
+    raw["domain"].update(domain)
+    cfg_path = tmp_path / "mms.json"
+    cfg_path.write_text(json.dumps(raw))
+    rc = main(["mms", "--config", str(cfg_path), "--levels", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("mms: the shipped manufactured case needs a 1D domain")
+    assert err.count("\n") == 1

@@ -90,3 +90,65 @@ def test_deterministic_construction():
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.elements, b.elements)
     assert np.array_equal(a.gamma1_weights, b.gamma1_weights)
+
+
+def _explicit_rectangle(spec):
+    """Node lists and weights of the rectangle mesh, one node and one cell at
+    a time: the reference for the index arithmetic of ``build_mesh``."""
+    (lx, ly), (nx, ny) = spec.extent, spec.resolution
+
+    def nid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    elements = []
+    for iy in range(ny):
+        for ix in range(nx):
+            v00, v10, v01, v11 = nid(ix, iy), nid(ix + 1, iy), nid(ix, iy + 1), nid(ix + 1, iy + 1)
+            elements += [(v00, v10, v11), (v00, v11, v01)]
+    faces = {
+        "left": [nid(0, iy) for iy in range(ny + 1)],
+        "right": [nid(nx, iy) for iy in range(ny + 1)],
+        "bottom": [nid(ix, 0) for ix in range(nx + 1)],
+        "top": [nid(ix, ny) for ix in range(nx + 1)],
+    }
+    face_h = {"left": ly / ny, "right": ly / ny, "bottom": lx / nx, "top": lx / nx}
+    gamma0 = {n for face in spec.gamma0_faces for n in faces[face]}
+    weights = {}
+    for face in sorted(spec.gamma1_faces):
+        side, h = faces[face], face_h[face]
+        w = [h / 2.0] + [h] * (len(side) - 2) + [h / 2.0]
+        if side[0] in gamma0:
+            w[1], w[0] = w[1] + w[0], 0.0
+        if side[-1] in gamma0:
+            w[-2], w[-1] = w[-2] + w[-1], 0.0
+        for node, wt in zip(side, w):
+            if node not in gamma0:
+                weights[node] = weights.get(node, 0.0) + wt
+    n_nodes = (nx + 1) * (ny + 1)
+    gamma1 = sorted(weights)
+    return {
+        "elements": np.array(elements),
+        "free_nodes": np.array([n for n in range(n_nodes) if n not in gamma0]),
+        "gamma0_nodes": np.array(sorted(gamma0)),
+        "gamma1_nodes": np.array(gamma1),
+        "gamma1_weights": np.array([weights[n] for n in gamma1]),
+    }
+
+
+@pytest.mark.parametrize("resolution, gamma1", [
+    ((3, 2), ("right", "top")),
+    ((3, 2), ("left", "bottom")),
+    ((4, 6), ("left", "right")),
+    ((4, 6), ("bottom", "top")),
+    ((4, 6), ("right", "top")),
+])
+def test_rectangle_matches_the_explicit_construction(resolution, gamma1):
+    spec = DomainSpec(2, (1.0, 2.0), frozenset(gamma1), resolution)
+    mesh = build_mesh(spec)
+    for name, want in _explicit_rectangle(spec).items():
+        got = getattr(mesh, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    nx, ny = resolution
+    xs, ys = np.meshgrid(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 2.0, ny + 1))
+    assert np.array_equal(mesh.nodes, np.column_stack([xs.ravel(), ys.ravel()]))

@@ -18,13 +18,15 @@ from viscowave import (
     verify_invariance,
     well_constants_from_B,
 )
-from viscowave import stableset
+from viscowave import assembly, stableset
+from viscowave.assembly import free_stiffness_inverse_block, solve_free_stiffness
 
 from conftest import (
     CountingMatrix,
     default_params,
     exp_kernel,
     interval_mesh,
+    rect_mesh,
     sine_profile,
     square_mesh,
     trapezoid_x4,
@@ -152,8 +154,7 @@ def test_b_omega_reductions():
     p1 = default_params(kappa=1.0, b=1.0)
     ops = assemble(mesh)
     # the embedding ascent supplies both the constant and its best iterate
-    u_star, diag = stableset._ascend(ops, stableset._free_stiffness_lu(ops),
-                                     stableset._embedding_objective(ops, 4.0), 2024,
+    u_star, diag = stableset._ascend(ops, stableset._embedding_objective(ops, 4.0), 2024,
                                      stableset._N_STARTS)
     s4 = diag.value
     assert s4 == estimate_embedding_constant(mesh, ops, 4.0)
@@ -235,8 +236,7 @@ def test_ascent_evaluates_each_iterate_once():
         calls.append((u.tobytes(), out[0]))
         return out
 
-    _, diag = stableset._ascend(ops, stableset._free_stiffness_lu(ops), counted,
-                                seed=5, n_starts=3)
+    _, diag = stableset._ascend(ops, counted, seed=5, n_starts=3)
     # one evaluation per start plus one per line-search trial, and every
     # iteration makes at least one trial
     assert len(calls) == sum(diag.evaluations)
@@ -262,8 +262,8 @@ def test_well_constants_run_eight_starts_and_one_trace_solve_and_verify_the_best
     ascend, trace, estimate = (stableset._ascend, stableset._trace_constant,
                                stableset.estimate_B_Omega)
 
-    def spy_ascend(ops, lu, objective, seed, n_starts, *args, **kwargs):
-        out = ascend(ops, lu, objective, seed, n_starts, *args, **kwargs)
+    def spy_ascend(ops, objective, seed, n_starts, *args, **kwargs):
+        out = ascend(ops, objective, seed, n_starts, *args, **kwargs)
         ascents.append((n_starts, out))
         return out
 
@@ -332,8 +332,7 @@ def test_every_start_stops_stationary_or_with_an_exhausted_line_search(mesh_name
         calls.append((u.copy(), ln_val, grad))
         return ln_val, grad
 
-    lu = stableset._free_stiffness_lu(ops)
-    _, diag = stableset._ascend(ops, lu, recorded, seed=3, n_starts=8)
+    _, diag = stableset._ascend(ops, recorded, seed=3, n_starts=8)
     assert diag.all_converged
     K = ops.stiffness
 
@@ -352,7 +351,7 @@ def test_every_start_stops_stationary_or_with_an_exhausted_line_search(mesh_name
                 accepted.append(i)
         assert steps == len(accepted) - 1
         u, _, grad = group[accepted[-1]]
-        d = stableset._ascent_direction(ops, lu, u, K @ u, grad)
+        d = stableset._ascent_direction(ops, u, K @ u, grad)
         if accepted[-1] == n_eval - 1:
             # stopped before any trial at its last iterate
             assert k_norm(d) < stableset._STATIONARY_TOL
@@ -378,48 +377,81 @@ def test_stationary_stop_matches_an_ascent_run_to_exhaustion(mesh_name, monkeypa
             < sum(exhausted.diagnostics["embedding"]["evaluations"]))
 
 
-def test_one_stiffness_factorisation_per_well_constants(monkeypatch):
-    factors, options, used = [], [], []
-    splu, ascend, trace = stableset.splu, stableset._ascend, stableset._trace_constant
+def test_one_axis_decomposition_per_assemble_and_none_in_well_constants(monkeypatch):
+    # K is never factored: assemble diagonalises each axis once, and the
+    # ascent and the trace constant both draw on those eigenpairs
+    decompositions, lanczos, used = [], [], []
+    axis_modes, eigsh = assembly._axis_modes, assembly.eigsh
+    ascend, trace = stableset._ascend, stableset._trace_constant
 
-    def spy_splu(matrix, **kwargs):
-        options.append(kwargs)
-        factors.append(splu(matrix, **kwargs))
-        return factors[-1]
+    def spy_axis_modes(length, m, free):
+        decompositions.append((m, free.tolist()))
+        return axis_modes(length, m, free)
 
-    def spy_ascend(ops, lu, *args, **kwargs):
-        used.append(("ascent", lu))
-        return ascend(ops, lu, *args, **kwargs)
+    def spy_eigsh(*args, **kwargs):
+        lanczos.append(args)
+        return eigsh(*args, **kwargs)
 
-    def spy_trace(ops, lu):
-        used.append(("trace", lu))
-        return trace(ops, lu)
+    def spy_ascend(ops, *args, **kwargs):
+        used.append(("ascent", ops.axes))
+        return ascend(ops, *args, **kwargs)
 
-    monkeypatch.setattr(stableset, "splu", spy_splu)
+    def spy_trace(ops):
+        used.append(("trace", ops.axes))
+        return trace(ops)
+
+    monkeypatch.setattr(assembly, "_axis_modes", spy_axis_modes)
+    monkeypatch.setattr(assembly, "eigsh", spy_eigsh)
     monkeypatch.setattr(stableset, "_ascend", spy_ascend)
     monkeypatch.setattr(stableset, "_trace_constant", spy_trace)
-    mesh = square_mesh(8)
+    mesh = rect_mesh((8, 6), ("right",))
     params = default_params()
     ops = assemble(mesh)
+    # x: left pinned, right acoustic; y: bottom and top pinned
+    assert decompositions == [(8, list(range(1, 9))), (6, list(range(1, 6)))]
+    assert lanczos == []  # every corner is pinned
     compute_well_constants(mesh, ops, params, exp_kernel())
-    assert len(factors) == 1
-    assert options == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-                        "options": {"SymmetricMode": True}}]
+    assert len(decompositions) == 2 and lanczos == []
     assert [name for name, _ in used] == ["ascent", "trace"]
-    assert all(lu is factors[0] for _, lu in used)
-    n_free = len(mesh.free_nodes)
-    assert factors[0].shape == (n_free, n_free)
+    assert all(axes is ops.axes for _, axes in used)
+    y, x = ops.axes
+    assert y.vectors.shape == (5, 5) and x.vectors.shape == (8, 8)
+
+    decompositions.clear()
+    assemble(interval_mesh(32))
+    assert decompositions == [(32, list(range(1, 33)))]
 
 
-@pytest.mark.parametrize("mesh_name", sorted(MESHES))
-def test_free_stiffness_factor_solves_k_to_roundoff(mesh_name):
-    mesh = MESHES[mesh_name]()
+SOLVE_MESHES = {
+    **MESHES,
+    "1d-9-pinned-ends": lambda: interval_mesh(9, gamma1=()),
+    "2d-64x64": lambda: square_mesh(64),
+    "2d-48x32-right-top": lambda: rect_mesh((48, 32), ("right", "top")),
+    "2d-5x7-left-bottom-top": lambda: rect_mesh((5, 7), ("left", "bottom", "top")),
+}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(SOLVE_MESHES))
+def test_free_stiffness_solve_has_roundoff_residual(mesh_name):
+    mesh = SOLVE_MESHES[mesh_name]()
     ops = assemble(mesh)
     free = mesh.free_nodes
     k_free = ops.stiffness[np.ix_(free, free)]
     b = np.random.default_rng(4).standard_normal(len(free))
-    x = stableset._free_stiffness_lu(ops).solve(b)
+    x = solve_free_stiffness(ops, b)
     assert np.linalg.norm(k_free @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(set(SOLVE_MESHES) - {"1d-9-pinned-ends"}))
+def test_inverse_block_matches_the_dense_inverse(mesh_name):
+    mesh = SOLVE_MESHES[mesh_name]()
+    ops = assemble(mesh)
+    free = mesh.free_nodes
+    k_inv = np.linalg.inv(ops.stiffness[np.ix_(free, free)].toarray())
+    pos = np.searchsorted(free, mesh.gamma1_nodes)
+    block = free_stiffness_inverse_block(ops, mesh.gamma1_nodes)
+    np.testing.assert_allclose(block, k_inv[np.ix_(pos, pos)], rtol=0.0,
+                               atol=1e-12 * np.abs(k_inv).max())
 
 
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
@@ -428,10 +460,9 @@ def test_ascent_makes_one_stiffness_product_per_start_and_per_direction(mesh_nam
     # line-search trials reuse both
     mesh = MESHES[mesh_name]()
     ops = assemble(mesh)
-    lu = stableset._free_stiffness_lu(ops)
     stiffness = CountingMatrix(ops.stiffness)
     counted = dataclasses.replace(ops, stiffness=stiffness)
-    u_best, diag = stableset._ascend(counted, lu, stableset._embedding_objective(counted, 4.0),
+    u_best, diag = stableset._ascend(counted, stableset._embedding_objective(counted, 4.0),
                                      seed=3, n_starts=8)
     assert diag.all_converged
     # a converged start evaluates one direction per accepted step plus the
@@ -441,7 +472,7 @@ def test_ascent_makes_one_stiffness_product_per_start_and_per_direction(mesh_nam
     assert max(diag.evaluations) > 2  # line searches did make trials
     # the carried K u has not drifted: the best iterate is on the sphere
     assert abs(u_best @ (ops.stiffness @ u_best) - 1.0) <= 1e-12
-    same_u, same = stableset._ascend(ops, lu, stableset._embedding_objective(ops, 4.0),
+    same_u, same = stableset._ascend(ops, stableset._embedding_objective(ops, 4.0),
                                      seed=3, n_starts=8)
     assert same == diag
     assert same_u.tobytes() == u_best.tobytes()
@@ -454,9 +485,8 @@ TRACE_MESHES = {**MESHES, "2d-16x16-steklov": lambda: square_mesh(16)}
 def test_exact_trace_constant_bounds_and_matches_the_oracle_ascent(mesh_name):
     mesh = TRACE_MESHES[mesh_name]()
     ops = assemble(mesh)
-    lu = stableset._free_stiffness_lu(ops)
-    exact = stableset._trace_constant(ops, lu)
-    _, oracle = stableset._ascend(ops, lu, _trace_oracle_objective(ops), seed=2024, n_starts=8)
+    exact = stableset._trace_constant(ops)
+    _, oracle = stableset._ascend(ops, _trace_oracle_objective(ops), seed=2024, n_starts=8)
     assert oracle.all_converged
     # no start beats the exact sup; the ascent's values carry the roundoff of
     # renormalizing to u^T K u = 1 (up to 8e-15 relative seen), hence 1e-14

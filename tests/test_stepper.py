@@ -479,3 +479,25 @@ def test_one_stiffness_product_per_step_and_two_mass_products_per_record():
     assert traj.n_records == 11
     assert mass.products == 2 * traj.n_records
     assert traj.reports == run(u0, z, np.zeros(1), ops, exp_kernel(), params, cfg).reports
+
+
+def test_acoustic_closure_is_computed_once_per_run():
+    # m_g, c and the closure's denominator depend on dt, the operators and
+    # the coefficients only: init_state computes them and every step hands
+    # the same arrays on
+    mesh = square_mesh(4, gamma1=("right", "top"))  # unequal weights and masses
+    params = default_params(p_c=0.7, q_c=1.3)
+    ops = assemble(mesh)
+    cfg = StepperConfig(dt=1e-3, t_end=0.01)
+    buffer = HistoryBuffer(exp_kernel(), mesh.n_nodes, horizon=cfg.t_end)
+    state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.zeros(1),
+                       ops, params, buffer, cfg)
+    closure = state.closure
+    m_g = ops.mass_lumped[mesh.gamma1_nodes]
+    c = 0.5 * cfg.dt * mesh.gamma1_weights / m_g
+    assert closure.m_g.tobytes() == m_g.tobytes()
+    assert closure.c.tobytes() == c.tobytes()
+    assert closure.denom.tobytes() == (params.p_c + c + 0.5 * cfg.dt * params.q_c).tobytes()
+    for _ in range(10):
+        state = step(state, ops, params, buffer, cfg)
+        assert state.closure is closure
