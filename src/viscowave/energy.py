@@ -32,6 +32,7 @@ dE/dt without access to the history buffer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,7 @@ def compute_energy(
         boundary=boundary,
         memory=memory,
         source=source,
-        gamma_fn=float(np.sqrt(max(well, 0.0))),
+        gamma_fn=math.sqrt(max(well, 0.0)),
         grad_sq=gns,
         l2_sq=l2_norm_sq(ops, state.u),
         g_at_t=g_at_t,

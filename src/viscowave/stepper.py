@@ -184,7 +184,9 @@ def _evaluate(
     grad_sq = float(u @ ku)
     buffer.push(t, ku, grad_sq)
     m_kir = params.kirchhoff_coefficient(grad_sq)
-    F = -m_kir * ku + buffer.convolution_force(t)
+    F = ku  # the buffer copied K u; F is built in its place
+    F *= -m_kir
+    F += buffer.convolution_force(t)
     lk = 0.0
     if params.source_enabled:
         S = source_vector(ops, u, params.k_exp)
@@ -193,12 +195,14 @@ def _evaluate(
     if forcing is not None and forcing.f_omega is not None:
         F += ops.mass_lumped * forcing.f_omega(t, ops.mesh.nodes)
     F[ops.mesh.gamma0_nodes] = 0.0
-    return F / ops.mass_lumped, m_kir, grad_sq, lk
+    F /= ops.mass_lumped
+    return F, m_kir, grad_sq, lk
 
 
 def _check_finite(t: float, *fields: np.ndarray) -> None:
-    if not np.isfinite(np.concatenate(fields)).all():
-        raise SimulationAbort("blow-up or instability: non-finite field values", t)
+    for f in fields:
+        if not np.isfinite(f).all():
+            raise SimulationAbort("blow-up or instability: non-finite field values", t)
 
 
 def _boundary_forcing(forcing: Forcing | None, t: float, n_gamma1: int):
@@ -249,34 +253,48 @@ def step(
     buffer: HistoryBuffer,
     cfg: StepperConfig,
 ) -> SimState:
-    """Advance one step of size cfg.dt (buffer must be current at state.t)."""
+    """Advance one step of size cfg.dt (buffer must be current at state.t).
+
+    u1 and v1 are the two halves of one new array, so one finiteness test
+    covers both; y1 has an array of its own, as a record keeps it.
+    """
     dt = cfg.dt
+    hdt = 0.5 * dt
     g1 = ops.mesh.gamma1_nodes
     w1 = ops.mesh.gamma1_weights
+    n = ops.n_nodes
     n1 = state.n + 1
     t1 = n1 * dt
 
-    v_half = state.v + 0.5 * dt * state.accel
-    u1 = state.u + dt * v_half
+    uv = np.empty(2 * n)
+    u1, v1 = uv[:n], uv[n:]
+    v_half = state.accel * hdt
+    v_half += state.v
+    np.multiply(v_half, dt, out=u1)
+    u1 += state.u
 
     with np.errstate(over="ignore", invalid="ignore"):
         accel1, m_kir1, grad_sq1, lk1 = _evaluate(t1, u1, buffer, params, ops, cfg.forcing)
+        np.multiply(accel1, hdt, out=v1)
+        v1 += v_half
 
         f3, f4 = _boundary_forcing(cfg.forcing, t1, len(g1))
         m_g, c, denom = state.closure
         # trapezoidal closure of the boundary triple (v, y, y_t), pointwise:
         #   v1 = A + c z,  y1 = y + dt/2 (y_t + z),  p z = f4 - v1 - q y1
-        a_g = accel1[g1] if f3 is None else accel1[g1] + w1 * f3 / m_g
-        A = v_half[g1] + 0.5 * dt * a_g
+        # with A = v_half + dt/2 a_g, which is v1 as it stands without f3
+        if f3 is None:
+            A = v1[g1]
+        else:
+            A = v_half[g1] + hdt * (accel1[g1] + w1 * f3 / m_g)
         z = ((-A if f4 is None else f4 - A) - params.q_c * state.y
-             - 0.5 * dt * params.q_c * state.y_t) / denom
+             - hdt * params.q_c * state.y_t) / denom
 
-        v1 = v_half + 0.5 * dt * accel1
         v1[g1] = A + c * z
-        y1 = state.y + 0.5 * dt * (state.y_t + z)
+        y1 = state.y + hdt * (state.y_t + z)
         accel1[g1] += w1 * (z if f3 is None else z + f3) / m_g
 
-    _check_finite(t1, u1, v1, y1)
+    _check_finite(t1, uv, y1)
     _check_cfl(dt, m_kir1, ops, cfg, t1)
 
     return SimState(t=t1, u=u1, v=v1, y=y1, y_t=z, m_kir=m_kir1, accel=accel1,

@@ -501,3 +501,71 @@ def test_acoustic_closure_is_computed_once_per_run():
     for _ in range(10):
         state = step(state, ops, params, buffer, cfg)
         assert state.closure is closure
+
+
+def test_records_own_their_acoustic_arrays():
+    # a record keeps y; were y a view of a larger per-step array, each
+    # record would keep that whole array alive
+    mesh = square_mesh(8, gamma1=("right", "top"))
+    ops = assemble(mesh)
+    assert len(mesh.gamma1_nodes) > 1
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, record_every=2)
+    traj = run(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.zeros(1), ops,
+               exp_kernel(), default_params(), cfg)
+    assert traj.n_records == 11
+    assert all(y.base is None for y in traj.ys)
+
+
+_BLOW_STEP = 7
+
+
+def _at_blow_step(dt, value, otherwise):
+    return lambda t: value if round(t / dt) == _BLOW_STEP else otherwise
+
+
+@pytest.mark.parametrize("entry", ["acoustic-law", "interior-force", "boundary-acceleration"])
+def test_the_finiteness_check_catches_each_field_at_its_step(entry):
+    # u and y cannot turn non-finite alone in one step, so each case is
+    # named by where the non-finite value enters:
+    #   acoustic-law           f4 = inf: y and v on the acoustic node, step k
+    #   interior-force         f = inf at one interior node: v there alone, step k
+    #   boundary-acceleration  a finite f4 overflows the acoustic node's
+    #                          acceleration, which no field holds at step k;
+    #                          u, v and y follow at step k + 1
+    mesh = interval_mesh(16)
+    ops = assemble(mesh)
+    dt = 1e-3
+    zero = np.zeros(mesh.n_nodes)
+    interior = zero.copy()
+    interior[5] = math.inf
+    interior_force = _at_blow_step(dt, interior, zero)
+    forcing, abort_step = {
+        "acoustic-law": (Forcing(f_acoustic=_at_blow_step(dt, math.inf, 0.0)), _BLOW_STEP),
+        "interior-force": (Forcing(f_omega=lambda t, x: interior_force(t)), _BLOW_STEP),
+        "boundary-acceleration": (Forcing(f_acoustic=_at_blow_step(dt, 1e307, 0.0)),
+                                  _BLOW_STEP + 1),
+    }[entry]
+    # no record before the abort: an energy report would see the huge v
+    cfg = StepperConfig(dt=dt, t_end=0.02, record_every=10, forcing=forcing)
+    with pytest.raises(SimulationAbort, match="non-finite field values") as exc:
+        run(sine_profile(mesh, 0.3), zero, np.zeros(1), ops, exp_kernel(), default_params(), cfg)
+    assert exc.value.info.time == abort_step * dt
+    assert exc.value.trajectory.n_records == 1
+
+
+def test_the_finiteness_check_reads_y_on_its_own():
+    # y at the float maximum, and y_t too, with a weak restoring q: y1 =
+    # y + dt/2 (y_t + z) overflows while z, and with it u, v and the
+    # acceleration, stays finite, so only the check of y can stop the step
+    mesh = interval_mesh(16)
+    params = default_params(q_c=1e-3)
+    ops = assemble(mesh)
+    cfg = StepperConfig(dt=1e-3, t_end=0.01)
+    buffer = HistoryBuffer(exp_kernel(), mesh.n_nodes, horizon=cfg.t_end)
+    state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.zeros(1),
+                       ops, params, buffer, cfg)
+    top = np.full(1, np.finfo(float).max)
+    state = dataclasses.replace(state, y=top, y_t=top)
+    with pytest.raises(SimulationAbort, match="non-finite field values") as exc:
+        step(state, ops, params, buffer, cfg)
+    assert exc.value.info.time == cfg.dt
