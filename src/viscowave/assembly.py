@@ -24,14 +24,12 @@ lumped mass D_x (an interval has a one-node y axis).  ``assemble`` keeps the
 closed-form eigenpairs of each axis; they give K^{-1} b, the Gamma_1 block
 of K^{-1} and the CFL eigenvalue without factoring K.
 
-On such a grid K and M are stencils: K couples a node to its neighbours
-along the axes (3 diagonals in 1D, 5 in 2D) and M also across each cell's
-diagonal edge (7 diagonals in 2D).  Both are stored by diagonals
-(``scipy.sparse.dia_matrix``).  The stiffness couplings across the diagonal
-edges cancel exactly in the element sum, so those two diagonals are dropped
-before the conversion: a product with K touches the stencil alone, and it is
-bitwise the product with the summed element matrices, as both add each
-row's terms in column order.
+On such a grid K is a stencil: it couples a node to its neighbours along
+the axes (3 entries a row in 1D, 5 in 2D).  The element sum also stores its
+couplings across each cell's diagonal edge, which cancel exactly; they are
+dropped, so a product with K touches the stencil alone.  It is bitwise the
+product with the summed element matrices, as both add each row's terms in
+column order.  M keeps its diagonal-edge couplings (7 entries a row in 2D).
 
 Fields are plain numpy arrays with one value per mesh node; entries at
 Dirichlet nodes are pinned to zero.
@@ -44,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from .geometry import Mesh
 
@@ -133,15 +132,14 @@ _POINT_AXIS = AxisModes(free=np.zeros(1, dtype=int), values=np.zeros(1),
 class DiscreteOperators:
     """Assembled linear forms; the lumped mass also carries the nonlinear terms.
 
-    ``stiffness`` and ``mass`` are stored by diagonals, with no diagonal
-    that holds only zeros; they are not subscriptable, so index
-    ``.tocsr()``.  ``axes`` = (y, x) diagonalises K on the free nodes (see
-    :func:`solve_free_stiffness`); in 1D y is the one-node axis.
+    ``stiffness`` stores no zeros.  ``axes`` = (y, x) diagonalises K on the
+    free nodes (see :func:`solve_free_stiffness`); in 1D y is the one-node
+    axis.
     """
 
     mesh: Mesh
-    stiffness: sp.dia_matrix
-    mass: sp.dia_matrix
+    stiffness: sp.csr_matrix
+    mass: sp.csr_matrix
     mass_lumped: np.ndarray
     lam_max_unit: float         # 1.05 x max eig of M_lump^{-1} K at unit coefficient
     axes: tuple[AxisModes, AxisModes]
@@ -168,10 +166,10 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
                         np.unique(mesh.free_nodes // stride))
     return DiscreteOperators(
         mesh=mesh,
-        stiffness=K.todia(),
-        mass=M.todia(),
+        stiffness=K,
+        mass=M,
         mass_lumped=lumped,
-        lam_max_unit=1.05 * _lam_max(mesh, lumped, (y, x)),
+        lam_max_unit=1.05 * _lam_max(mesh, K, lumped, (y, x)),
         axes=(y, x),
     )
 
@@ -239,7 +237,7 @@ def _assemble_2d(mesh: Mesh):
     return K, M
 
 
-def _lam_max(mesh: Mesh, lumped: np.ndarray, axes) -> float:
+def _lam_max(mesh: Mesh, K: sp.csr_matrix, lumped: np.ndarray, axes) -> float:
     """Largest eigenvalue of diag(M_lump)^{-1} K on the free nodes.
 
     On the free nodes K = D_y (x) K_x + K_y (x) D_x, and the lumped mass is
@@ -247,66 +245,23 @@ def _lam_max(mesh: Mesh, lumped: np.ndarray, axes) -> float:
     against h_x h_y / 4.  With every corner pinned the eigenvalues are the
     sums lam_y + lam_x, so the largest is exact from the axis eigenpairs.
     Where two acoustic faces meet, that sum is no bound (unit square, 5 x 7
-    cells, acoustic left, bottom and top: 293.55 against 308.67), and
-    :func:`_free_corner_lam_max` corrects it.
+    cells, acoustic left, bottom and top: 293.55 against 308.67), so the
+    largest eigenvalue of M^{-1/2} K M^{-1/2} comes from Lanczos; its Ritz
+    value converges from below to machine precision, and the fixed start
+    vector keeps reruns identical.
     """
     y, x = axes
-    tensor_max = float(y.values[-1] + x.values[-1])
-    if mesh.dimension == 1:
-        return tensor_max
-    nx, ny = mesh.spec.resolution
-    corners = np.array([0, nx, (nx + 1) * ny, (nx + 1) * ny + nx])
-    corners = corners[np.isin(corners, mesh.free_nodes)]
-    if not len(corners):
-        return tensor_max
-    return _free_corner_lam_max(mesh, lumped, axes, corners)
-
-
-def _free_corner_lam_max(mesh: Mesh, lumped: np.ndarray, axes, corners: np.ndarray) -> float:
-    """Largest eigenvalue of K x = lam M_lump x on the free nodes when
-    ``corners`` are free.
-
-    In the axis eigenvectors V = V_y (x) V_x the pencil reads
-    Lam c = lam (I + Z^T Delta Z) c, with Lam the sums lam_y + lam_x, Z the
-    rows of V at the corners and Delta each corner's lumped mass less
-    h_x h_y / 4.  For lam > 0 off Lam, Haynsworth's inertia theorem on
-    [[Lam - lam I, Z^T], [Z, (lam Delta)^{-1}]] counts the eigenvalues below
-    lam as #(Lam < lam) + neg(H(lam)) - neg(Delta), where the corner-sized
-    H(lam) = Delta^{-1} - lam Z (Lam - lam I)^{-1} Z^T: the secular matrix,
-    singular exactly at the eigenvalues off Lam.  Bisection on that count
-    pins the largest eigenvalue to adjacent floats.  The Rayleigh quotient
-    brackets it by Lam_max times the extreme ratios of D_y (x) D_x to the
-    lumped mass.
-    """
-    y, x = axes
-    stride = mesh.spec.resolution[0] + 1
-    zy = y.vectors[np.searchsorted(y.free, corners // stride)]
-    zx = x.vectors[np.searchsorted(x.free, corners % stride)]
-    Z = (zy[:, :, None] * zx[:, None, :]).reshape(len(corners), -1)
-    sums = np.add.outer(y.values, x.values).ravel()  # Lam; the last is the largest
-    base = 0.25 * np.prod(np.divide(mesh.spec.extent, mesh.spec.resolution))
-    delta = lumped[corners] - base
-    n_below_max = len(sums) - 1 + np.count_nonzero(delta < 0)
-    inv_delta = np.diag(1.0 / delta)
-
-    def has_eigenvalue_at_or_above(mu: float) -> bool:
-        secular = inv_delta - mu * (Z / (sums - mu)) @ Z.T
-        below = np.count_nonzero(sums < mu) + np.count_nonzero(np.linalg.eigvalsh(secular) < 0)
-        return below <= n_below_max
-
-    ratio = base / lumped[corners]
-    lo = sums[-1] * min(1.0, ratio.min())
-    hi = sums[-1] * max(1.0, ratio.max())
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return float(hi)
-        if np.any(sums == mid):  # a pole of H(mid): step one float aside
-            mid = np.nextafter(mid, hi)
-        if has_eigenvalue_at_or_above(mid):
-            lo = mid
-        else:
-            hi = mid
+    free = mesh.free_nodes
+    free_corner = False
+    if mesh.dimension == 2:
+        nx, ny = mesh.spec.resolution
+        free_corner = np.isin([0, nx, (nx + 1) * ny, (nx + 1) * ny + nx], free).any()
+    if not free_corner:
+        return float(y.values[-1] + x.values[-1])
+    scale = sp.diags(1.0 / np.sqrt(lumped[free]))
+    A = scale @ K[free][:, free] @ scale
+    v0 = np.sin(np.arange(1, len(free) + 1, dtype=float))
+    return float(eigsh(A, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
 
 
 def solve_free_stiffness(ops: DiscreteOperators, b: np.ndarray) -> np.ndarray:

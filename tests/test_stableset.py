@@ -380,17 +380,17 @@ def test_stationary_stop_matches_an_ascent_run_to_exhaustion(mesh_name, monkeypa
 def test_one_axis_decomposition_per_assemble_and_none_in_well_constants(monkeypatch):
     # K is never factored: assemble diagonalises each axis once, and the
     # ascent and the trace constant both draw on those eigenpairs
-    decompositions, corrections, used = [], [], []
-    axis_modes, corrected = assembly._axis_modes, assembly._free_corner_lam_max
+    decompositions, lanczos, used = [], [], []
+    axis_modes, eigsh = assembly._axis_modes, assembly.eigsh
     ascend, trace = stableset._ascend, stableset._trace_constant
 
     def spy_axis_modes(length, m, free):
         decompositions.append((m, free.tolist()))
         return axis_modes(length, m, free)
 
-    def spy_corrected(*args, **kwargs):
-        corrections.append(args)
-        return corrected(*args, **kwargs)
+    def spy_eigsh(*args, **kwargs):
+        lanczos.append(args)
+        return eigsh(*args, **kwargs)
 
     def spy_ascend(ops, *args, **kwargs):
         used.append(("ascent", ops.axes))
@@ -401,7 +401,7 @@ def test_one_axis_decomposition_per_assemble_and_none_in_well_constants(monkeypa
         return trace(ops)
 
     monkeypatch.setattr(assembly, "_axis_modes", spy_axis_modes)
-    monkeypatch.setattr(assembly, "_free_corner_lam_max", spy_corrected)
+    monkeypatch.setattr(assembly, "eigsh", spy_eigsh)
     monkeypatch.setattr(stableset, "_ascend", spy_ascend)
     monkeypatch.setattr(stableset, "_trace_constant", spy_trace)
     mesh = rect_mesh((8, 6), ("right",))
@@ -409,9 +409,9 @@ def test_one_axis_decomposition_per_assemble_and_none_in_well_constants(monkeypa
     ops = assemble(mesh)
     # x: left pinned, right acoustic; y: bottom and top pinned
     assert decompositions == [(8, list(range(1, 9))), (6, list(range(1, 6)))]
-    assert corrections == []  # every corner is pinned
+    assert lanczos == []  # every corner is pinned
     compute_well_constants(mesh, ops, params, exp_kernel())
-    assert len(decompositions) == 2 and corrections == []
+    assert len(decompositions) == 2 and lanczos == []
     assert [name for name, _ in used] == ["ascent", "trace"]
     assert all(axes is ops.axes for _, axes in used)
     y, x = ops.axes
@@ -436,7 +436,7 @@ def test_free_stiffness_solve_has_roundoff_residual(mesh_name):
     mesh = SOLVE_MESHES[mesh_name]()
     ops = assemble(mesh)
     free = mesh.free_nodes
-    k_free = ops.stiffness.tocsr()[np.ix_(free, free)]
+    k_free = ops.stiffness[np.ix_(free, free)]
     b = np.random.default_rng(4).standard_normal(len(free))
     x = solve_free_stiffness(ops, b)
     assert np.linalg.norm(k_free @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -447,7 +447,7 @@ def test_inverse_block_matches_the_dense_inverse(mesh_name):
     mesh = SOLVE_MESHES[mesh_name]()
     ops = assemble(mesh)
     free = mesh.free_nodes
-    k_inv = np.linalg.inv(ops.stiffness.tocsr()[np.ix_(free, free)].toarray())
+    k_inv = np.linalg.inv(ops.stiffness[np.ix_(free, free)].toarray())
     pos = np.searchsorted(free, mesh.gamma1_nodes)
     block = free_stiffness_inverse_block(ops, mesh.gamma1_nodes)
     np.testing.assert_allclose(block, k_inv[np.ix_(pos, pos)], rtol=0.0,
