@@ -197,7 +197,10 @@ class RunConfig:
     c_energy: float
 
     def build_kernel(self) -> RelaxationKernel:
-        return self.kernel.build(self.physics.a)
+        """The kernel with the expansion the run steps with, certified on the
+        run's horizon: the hypothesis report describes that expansion."""
+        stepping = self.stepping
+        return self.kernel.build(self.physics.a).on_horizon(stepping.n_steps * stepping.dt)
 
     def to_dict(self) -> dict:
         """The config as JSON data with every key of DEFAULTS; a section that
@@ -485,7 +488,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     u0, u1, y0 = initial_data(config, mesh)
 
     if config.analysis.constants:
-        constants = compute_well_constants(mesh, ops, params, kernel, seed=config.seed)
+        constants = compute_well_constants(ops, params, kernel, seed=config.seed)
         result.constants = constants
         _write_json(out / "well_constants.json", constants)
         stable = check_initial_membership(u0, u1, y0, constants, ops, params, kernel)
@@ -570,7 +573,8 @@ def _decay_times(config: RunConfig, kernel: RelaxationKernel) -> tuple[float, fl
 
 def _hypothesis_report(config: RunConfig, kernel: RelaxationKernel) -> HypothesisReport:
     """(H1)-(H2) verdicts for ``run`` and ``check-kernel`` alike, on twice
-    the run's horizon, at least 20."""
+    the run's horizon, at least 20; ``kernel`` keeps the run's expansion,
+    which the report describes."""
     horizon = max(20.0, 2.0 * config.stepping.t_end)
     coeffs = BoundaryCoefficients(config.physics.p_c, config.physics.q_c)
     return validate_hypotheses(kernel, coeffs, horizon)
@@ -611,7 +615,7 @@ def run_mms_level(config: RunConfig) -> dict:
     cfg = StepperConfig(
         dt=config.stepping.dt,
         t_end=config.stepping.t_end,
-        record_every=max(1, int(round(config.stepping.t_end / config.stepping.dt))),
+        record_every=max(1, config.stepping.n_steps),
         cfl_safety=config.stepping.cfl_safety,
         forcing=case.forcing,
     )
@@ -734,10 +738,9 @@ def _cmd_run(args, config: RunConfig) -> int:
 
 
 def _cmd_constants(args, config: RunConfig) -> int:
-    mesh = build_mesh(config.domain)
-    ops = assemble(mesh)
+    ops = assemble(build_mesh(config.domain))
     kernel = config.build_kernel()
-    constants = compute_well_constants(mesh, ops, config.physics, kernel, seed=config.seed)
+    constants = compute_well_constants(ops, config.physics, kernel, seed=config.seed)
     print(_json_text(constants))
     return 0
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.integrate import quad
@@ -95,11 +96,15 @@ def _exp_sum(coeffs, rates, rel_error, horizon, certification) -> ExpSum:
 
 
 class RateFunction:
-    """Closed-form rate function xi with decay certificates (theta, r)."""
+    """Closed-form rate function xi with decay certificates (theta, r).
 
-    family: str = "abstract"
-    theta: float = 0.0
-    r: float = 0.0
+    The family name and the certificates belong to the class, not to an
+    instance: a constructor takes the rate's parameters alone.
+    """
+
+    family: ClassVar[str] = "abstract"
+    theta: ClassVar[float] = 0.0
+    r: ClassVar[float] = 0.0
 
     def xi(self, t):
         raise NotImplementedError
@@ -131,9 +136,7 @@ class RateFunction:
 @dataclass(frozen=True)
 class ConstantRate(RateFunction):
     alpha: float
-    family: str = "constant"
-    theta: float = 0.0
-    r: float = 0.0
+    family: ClassVar[str] = "constant"
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -166,9 +169,7 @@ class PowerLawRate(RateFunction):
     """xi = alpha/(1+t); nonincreasing, so theta = r = 0."""
 
     alpha: float
-    family: str = "power_law"
-    theta: float = 0.0
-    r: float = 0.0
+    family: ClassVar[str] = "power_law"
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -258,8 +259,7 @@ class OscillatoryRate(RateFunction):
 
     alpha: float
     eps: float
-    family: str = "oscillatory"
-    theta: float = 0.0
+    family: ClassVar[str] = "oscillatory"
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -358,7 +358,8 @@ class RelaxationKernel:
 
     ``tail_mass`` is int_0^inf g and ``l_value`` = a - tail_mass > 0.
     ``expansion`` is g as a sum of exponentials for the families whose
-    expansion holds on every horizon (constant, oscillatory), else None.
+    expansion holds on every horizon (constant, oscillatory), or the one
+    :meth:`on_horizon` kept for a power law; else None.
     """
 
     rate: RateFunction
@@ -369,10 +370,17 @@ class RelaxationKernel:
     expansion: ExpSum | None = field(default=None, compare=False)
 
     def exp_sum(self, horizon: float | None = None) -> ExpSum:
-        """g as a sum of exponentials certified on [0, horizon]."""
+        """g as a sum of exponentials: the kept ``expansion`` if there is
+        one (its own ``horizon`` says where it holds), else one certified on
+        [0, horizon]."""
         if self.expansion is not None:
             return self.expansion
         return self.rate.exp_sum(horizon).scaled(self.g0)
+
+    def on_horizon(self, horizon: float) -> "RelaxationKernel":
+        """This kernel keeping the expansion it has on [0, horizon], so that
+        the run and every report of it read one and the same expansion."""
+        return replace(self, expansion=self.exp_sum(horizon))
 
     def g(self, t):
         return self.g0 * np.exp(-self.rate.phi(t))
@@ -443,8 +451,9 @@ class HypothesisReport:
     Verdicts are grid checks over [0, horizon] combined with the per-family
     analytic tail certificates; a condition passes only if every sampled
     inequality holds within its stated tolerance.  ``memory_expansion``
-    describes the kernel's sum of exponentials on the same horizon: term
-    count, certified relative error and how it was certified.
+    describes the kernel's sum of exponentials (``kernel.exp_sum(horizon)``,
+    so the one the kernel keeps where it keeps one): term count, certified
+    relative error, how it was certified and on what horizon.
     """
 
     conditions: dict[str, ConditionVerdict]

@@ -10,16 +10,18 @@ constant B over the Dirichlet-constrained space:
 For kappa > 0 the supremum is attained only in the vanishing-amplitude
 limit, where the quotient reduces to S_k / sqrt(l) with S_k the plain
 embedding constant sup ||u||_k / ||grad u||_2; for kappa = 0 the reduction
-is S_k / sqrt(l + b).  S_k is estimated by projected gradient ascent on the
-discrete quotient (normalized to ||grad u||_2 = 1 each iteration, seeded
-multi-starts).  A start stops at first-order stationarity: when the K-norm
-of its projected ascent direction falls below 1e-7, where the quotient is
-within about 1e-14 of its local maximum.  The trace constant is a quadratic
-quotient, so it is computed exactly: c_bar_star^2 is the largest eigenvalue
-of W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2), a |Gamma_1| x |Gamma_1| matrix
-(W the boundary weights).  The ascent's K^-1 products and that block both
-come in closed form from the per-axis eigenpairs that ``assemble`` keeps
-(K on the free nodes is a Kronecker sum), so no factor of K is made.
+is S_k / sqrt(l + b).  S_k is found by the power method on the discrete
+quotient (seeded multi-starts on the sphere ||grad u||_2 = 1): the
+numerator int |u|^k is convex, so each step u <- K^-1 g / ||K^-1 g||_K,
+with g its gradient, raises the quotient without a step size.  A start
+stops when its next step is shorter than 1e-7 in the K-norm, where the
+quotient is within about 1e-14 of its local maximum.  The trace constant
+is a quadratic quotient, so it is computed exactly: c_bar_star^2 is the
+largest eigenvalue of W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2), a
+|Gamma_1| x |Gamma_1| matrix (W the boundary weights).  The power steps'
+K^-1 g and that block both come in closed form from the per-axis
+eigenpairs that ``assemble`` keeps (K on the free nodes is a Kronecker
+sum), so no factor of K is made and the ascent makes no product with K.
 The amplitude-limit reduction is verified against a direct finite-amplitude
 search; both norms are homogeneous, so the whole amplitude sweep of a
 candidate follows in closed form from its |grad u|^2 and ||u||_k^k.
@@ -47,7 +49,6 @@ from .assembly import (
     solve_free_stiffness,
     source_vector,
 )
-from .geometry import Mesh
 from .kernels import RelaxationKernel
 from .stepper import Trajectory
 
@@ -72,11 +73,13 @@ def well_constants_from_B(B: float, k_exp: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class AscentDiagnostics:
-    value: float
     start_values: tuple[float, ...]
-    iterations: tuple[int, ...]  # accepted steps per start
+    iterations: tuple[int, ...]  # power steps per start
     converged: tuple[bool, ...]
-    evaluations: tuple[int, ...]  # objective calls per start: 1 + line-search trials
+
+    @property
+    def value(self) -> float:
+        return max(self.start_values)
 
     @property
     def spread(self) -> float:
@@ -87,119 +90,70 @@ class AscentDiagnostics:
         return all(self.converged)
 
 
-# A start stops once the K-norm of its projected ascent direction is below
-# this.  Near a maximum the quotient's error is O(|d|_K^2), about 1e-14; a
-# tolerance at the roundoff floor of |d|_K (1e-8) would rarely stop a start.
+# A start stops once its next power step would move it by less than this in
+# the K-norm.  Near a maximum the quotient's error is O(step^2), about 1e-14;
+# a tolerance at the roundoff floor of the step (1e-8) would rarely stop a
+# start.
 _STATIONARY_TOL = 1e-7
-# Starts per ascent, and the accepted steps a start may take.
+# Starts per ascent, and the power steps a start may take.
 _N_STARTS = 8
 _MAX_ASCENT_STEPS = 2000
 
 
-def _ascent_direction(ops: DiscreteOperators, u: np.ndarray, ku: np.ndarray,
-                      grad_n: np.ndarray) -> np.ndarray:
-    """K-metric gradient of ln numerator at u (u^T K u = 1, ku = K u),
-    projected onto the tangent space of the constraint sphere."""
-    free = ops.mesh.free_nodes
-    d = np.zeros(ops.n_nodes)
-    d[free] = solve_free_stiffness(ops, grad_n[free])
-    d -= u  # minus the constraint part: K^{-1} K u = u at u^T K u = 1
-    d -= float(d @ ku) * u  # K-orthogonal tangent projection
-    return d
+def _ascend(ops: DiscreteOperators, gradient, degree: float, seed: int, n_starts: int):
+    """Maximize the quotient N(u)^(1/degree) / |u|_K of a convex numerator N,
+    homogeneous of ``degree``, by the power method on the sphere |u|_K = 1
+    (|u|_K^2 = u^T K u).
 
+    ``gradient(u)`` returns g = grad N(u) / degree, zero on Gamma_0, so that
+    u . g = N(u).  A step is u+ = K^{-1} g / |K^{-1} g|_K, the maximizer of
+    g . v on the sphere.  N / degree is convex, so
+    N(u+) / degree >= N(u) / degree + g . (u+ - u), and
+    g . u+ = |K^{-1} g|_K >= g . u by Cauchy-Schwarz in the K inner product:
+    the quotient rises at every step, with no step size to choose (the
+    generalized power method of Journee, Nesterov, Richtarik and Sepulchre,
+    JMLR 11, 2010).  K^{-1} g comes from :func:`solve_free_stiffness` and
+    |K^{-1} g|_K^2 = g . K^{-1} g, so a step costs one solve and one
+    gradient and no product with K.  A start is the power step from a
+    random gradient, so it lies on the sphere without a product either.
 
-def _ascend(ops: DiscreteOperators, log_num_grad, seed: int, n_starts: int):
-    """Projected gradient ascent of a homogeneous quotient on the K-sphere.
-
-    ``log_num_grad(u)`` returns (ln numerator, gradient of ln numerator) and
-    is called once per start and once per line-search trial; the accepted
-    trial's gradient drives the next step.  Iterates are renormalized to
-    u^T K u = 1, so the quotient equals the numerator.  The ascent direction
-    is the gradient in the inner product induced by K (Riesz representative
-    K^{-1} grad, by :func:`solve_free_stiffness`), which makes
-    the convergence rate mesh-independent; the direction is projected onto
-    the tangent space of the constraint sphere before stepping.  K u travels
-    with u, so a start costs one product with K plus one per direction: a
-    trial's K (u + eta d) is K u + eta K d.
-
-    A start stops, converged, when the K-norm of that direction falls below
-    ``_STATIONARY_TOL``, before any line search at that point.  As a
-    fallback it also stops, converged, when a line search halves its step
-    below 1e-14 without raising the quotient.  ``iterations`` counts the
-    accepted steps.  Returns the best iterate and per-start diagnostics.
+    A start stops, converged, when its next step is shorter than
+    ``_STATIONARY_TOL``: |u+ - u|_K^2 = 2 - 2 u . g / |K^{-1} g|_K, which
+    the solve gives.  It stops unconverged after ``_MAX_ASCENT_STEPS``
+    steps.  ``iterations`` counts the steps, the first one included.
+    Returns the best iterate and per-start diagnostics.
     """
-    K = ops.stiffness
     free = ops.mesh.free_nodes
     rng = np.random.default_rng(seed)
-
-    best_u = None
-    best_val = -math.inf
-    finals, iters, convs, evals = [], [], [], []
-
+    points, values, iters = [], [], []
     for _ in range(n_starts):
         u = np.zeros(ops.n_nodes)
-        u[free] = rng.standard_normal(len(free))
-        ku = K @ u
-        nrm = math.sqrt(max(u @ ku, 1e-300))
-        u /= nrm
-        ku /= nrm
-        ln_val, grad_n = log_num_grad(u)
-        n_eval = 1
-        eta = 1.0
-        converged = False
+        g = np.zeros(ops.n_nodes)
+        g[free] = rng.standard_normal(len(free))
         steps = 0
         while steps < _MAX_ASCENT_STEPS:
-            d = _ascent_direction(ops, u, ku, grad_n)
-            kd = K @ d
-            if d @ kd < _STATIONARY_TOL**2:
-                converged = True
+            g_free = g[free]
+            x = solve_free_stiffness(ops, g_free)
+            norm = math.sqrt(g_free @ x)
+            if 2.0 - 2.0 * (u @ g) / norm < _STATIONARY_TOL**2:
                 break
-            accepted = False
-            while eta > 1e-14:
-                trial = u + eta * d
-                k_trial = ku + eta * kd
-                nrm = math.sqrt(max(trial @ k_trial, 1e-300))
-                trial /= nrm
-                k_trial /= nrm
-                ln_trial, grad_trial = log_num_grad(trial)
-                n_eval += 1
-                if ln_trial > ln_val:
-                    u, ku, ln_val, grad_n = trial, k_trial, ln_trial, grad_trial
-                    eta = min(eta * 1.3, 10.0)
-                    accepted = True
-                    break
-                eta *= 0.5
-            if not accepted:
-                converged = True
-                break
+            u = np.zeros(ops.n_nodes)
+            u[free] = x / norm
+            g = gradient(u)
             steps += 1
-
-        val = math.exp(ln_val)
-        finals.append(val)
+        points.append(u)
+        values.append(float(u @ g) ** (1.0 / degree))
         iters.append(steps)
-        convs.append(converged)
-        evals.append(n_eval)
-        if val > best_val:
-            best_val = val
-            best_u = u
 
-    diag = AscentDiagnostics(
-        value=best_val,
-        start_values=tuple(finals),
-        iterations=tuple(iters),
-        converged=tuple(convs),
-        evaluations=tuple(evals),
-    )
-    return best_u, diag
+    diag = AscentDiagnostics(start_values=tuple(values), iterations=tuple(iters),
+                             converged=tuple(n < _MAX_ASCENT_STEPS for n in iters))
+    return points[values.index(diag.value)], diag
 
 
-def _embedding_objective(ops: DiscreteOperators, k_exp: float):
-    def log_num_grad(u):
-        vec = source_vector(ops, u, k_exp)
-        lk = max(float(u @ vec), 1e-300)
-        return math.log(lk) / k_exp, vec / lk
-
-    return log_num_grad
+def _embedding_ascent(ops: DiscreteOperators, k_exp: float, seed: int):
+    """The ascent of ||u||_k / ||grad u||_2, whose numerator lk(u) has
+    gradient k source_vector(u)."""
+    return _ascend(ops, lambda u: source_vector(ops, u, k_exp), k_exp, seed, _N_STARTS)
 
 
 def _trace_constant(ops: DiscreteOperators) -> float:
@@ -218,12 +172,7 @@ def _trace_constant(ops: DiscreteOperators) -> float:
     return math.sqrt(np.linalg.eigvalsh(0.5 * (block + block.T))[-1])
 
 
-def estimate_embedding_constant(
-    mesh: Mesh,
-    ops: DiscreteOperators,
-    k_exp: float,
-    seed: int = 2024,
-) -> float:
+def estimate_embedding_constant(ops: DiscreteOperators, k_exp: float, seed: int = 2024) -> float:
     """Discrete sup ||u||_k / ||grad u||_2, with ||u||_k^k by the nodal rule.
 
     The nodal rule bounds int |u_h|^k from above, and the value comes down
@@ -234,13 +183,13 @@ def estimate_embedding_constant(
     """
     if k_exp < 2:
         raise ValueError(f"k must be >= 2, got {k_exp}")
-    _, diag = _ascend(ops, _embedding_objective(ops, k_exp), seed, _N_STARTS)
+    _, diag = _embedding_ascent(ops, k_exp, seed)
     return diag.value
 
 
-def estimate_trace_constant(mesh: Mesh, ops: DiscreteOperators) -> float:
+def estimate_trace_constant(ops: DiscreteOperators) -> float:
     """Discrete sup ||u||_{2,Gamma_1} / ||grad u||_2, computed exactly."""
-    if len(mesh.gamma1_nodes) == 0:
+    if len(ops.mesh.gamma1_nodes) == 0:
         raise ValueError("trace constant needs a nonempty acoustic boundary")
     return _trace_constant(ops)
 
@@ -267,7 +216,6 @@ def _amplitude_quotients(ops: DiscreteOperators, params: PhysicalParams, l_value
 
 
 def estimate_B_Omega(
-    mesh: Mesh,
     ops: DiscreteOperators,
     params: PhysicalParams,
     l_value: float,
@@ -298,7 +246,7 @@ def estimate_B_Omega(
     candidates = [u_star]
     for _ in range(3):
         v = np.zeros(ops.n_nodes)
-        v[mesh.free_nodes] = rng.standard_normal(len(mesh.free_nodes))
+        v[ops.mesh.free_nodes] = rng.standard_normal(len(ops.mesh.free_nodes))
         v /= math.sqrt(grad_norm_sq(ops, v))
         candidates.append(v)
     worst = 0.0
@@ -331,17 +279,16 @@ class WellConstants:
 
 
 def compute_well_constants(
-    mesh: Mesh,
     ops: DiscreteOperators,
     params: PhysicalParams,
     kernel: RelaxationKernel,
     seed: int = 2024,
 ) -> WellConstants:
     """Embedding/trace constants, B, lambda1 and d1 for one configuration."""
-    u_star, emb_diag = _ascend(ops, _embedding_objective(ops, params.k_exp), seed, _N_STARTS)
+    u_star, emb_diag = _embedding_ascent(ops, params.k_exp, seed)
     s_k = emb_diag.value
     c_bar_star = _trace_constant(ops)
-    b_omega, info = estimate_B_Omega(mesh, ops, params, kernel.l_value, s_k=s_k,
+    b_omega, info = estimate_B_Omega(ops, params, kernel.l_value, s_k=s_k,
                                      u_star=u_star, seed=seed)
     lambda1, d1 = well_constants_from_B(b_omega, params.k_exp)
 
@@ -352,13 +299,12 @@ def compute_well_constants(
         lambda1=lambda1,
         d1=d1,
         k_exp=params.k_exp,
-        dimension=mesh.dimension,
-        resolution=mesh.spec.resolution,
+        dimension=ops.mesh.dimension,
+        resolution=ops.mesh.spec.resolution,
         diagnostics={
             "embedding": {
                 "start_values": list(emb_diag.start_values),
                 "iterations": list(emb_diag.iterations),
-                "evaluations": list(emb_diag.evaluations),
                 "spread": emb_diag.spread,
                 "all_converged": emb_diag.all_converged,
             },

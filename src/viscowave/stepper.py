@@ -74,6 +74,11 @@ class StepperConfig:
         if not 0 < self.cfl_safety <= 1:
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
 
+    @property
+    def n_steps(self) -> int:
+        """Steps of a run; it ends at n_steps * dt, the nearest to t_end."""
+        return int(round(self.t_end / self.dt))
+
 
 class AcousticClosure(NamedTuple):
     """Per-run constants of the trapezoidal acoustic closure, one entry per
@@ -318,7 +323,7 @@ def run(
     record_every * dt.  On abort the partial trajectory is attached to the
     raised :class:`SimulationAbort`.
     """
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     buffer = HistoryBuffer(kernel, ops.n_nodes, horizon=n_steps * cfg.dt)
     traj = Trajectory(memory=buffer.diagnostics())
     try:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from viscowave import build_mesh, rate_identity_residual
+from viscowave.kernels import PowerLawRate
 from viscowave.cli import (
     DEFAULTS,
     ConfigError,
@@ -300,6 +301,29 @@ def test_full_scenario_writes_reports(tmp_path):
     hyp = json.loads((tmp_path / "full" / "hypothesis_report.json").read_text())
     assert hyp["memory_expansion"] == {"n_terms": 1, "certified_rel_error": 0.0,
                                        "certification": "exact", "horizon": None}
+
+
+def test_power_law_reports_describe_the_expansion_the_run_steps_with(tmp_path, monkeypatch):
+    built = []
+    exp_sum = PowerLawRate.exp_sum
+
+    def spy(rate, horizon):
+        built.append(horizon)
+        return exp_sum(rate, horizon)
+
+    monkeypatch.setattr(PowerLawRate, "exp_sum", spy)
+    cfg = parse_config(_tiny_config(physics={"a": 3.0},
+                                    kernel={"family": "power_law", "alpha": 2.0},
+                                    stepping={"dt": 2e-3, "t_end": 3.0, "record_every": 50}))
+    run_scenario(cfg, out_dir=tmp_path / "run")
+    assert built == [3.0]  # one expansion, on the run's horizon
+    hyp = json.loads((tmp_path / "run" / "hypothesis_report.json").read_text())
+    meta = json.loads((tmp_path / "run" / "run_metadata.json").read_text())
+    assert hyp["horizon"] == 20.0  # the hypotheses are still checked on max(20, 2 t_end)
+    expansion, memory = hyp["memory_expansion"], meta["memory"]
+    assert expansion["horizon"] == 3.0 and expansion["certification"] == "grid"
+    assert expansion["n_terms"] == memory["n_terms"]
+    assert expansion["certified_rel_error"] == memory["certified_rel_error"]
 
 
 def test_out_of_well_scenario_preserves_partial_outputs(tmp_path):

@@ -154,7 +154,7 @@ def test_energy_dominates_potential_of_gamma():
     params = default_params()
     ops = assemble(mesh)
     kernel = exp_kernel()
-    constants = compute_well_constants(mesh, ops, params, kernel)
+    constants = compute_well_constants(ops, params, kernel)
     u0 = sine_profile(mesh, 0.4)
     z = np.zeros(mesh.n_nodes)
     cfg = StepperConfig(dt=2e-3, t_end=4.0, record_every=25)

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from viscowave import build_kernel, make_rate, validate_hypotheses
 from viscowave.cli import _strict
-from viscowave.kernels import BoundaryCoefficients
+from viscowave.kernels import BoundaryCoefficients, ConstantRate, OscillatoryRate, PowerLawRate
 
 
 def test_exponential_kernel_construction():
@@ -48,6 +48,30 @@ def test_oscillatory_rate_parameter_range():
         make_rate("oscillatory", 1.0, eps=1.0)
     with pytest.raises(ValueError):
         make_rate("unknown", 1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ConstantRate(1.0, theta=5.0, r=-1.0),
+    lambda: ConstantRate(1.0, family="power_law"),
+    lambda: PowerLawRate(2.0, family="constant"),
+    lambda: PowerLawRate(2.0, r=0.5),
+    lambda: OscillatoryRate(1.0, 0.5, theta=1.0),
+    lambda: OscillatoryRate(1.0, 0.5, family="constant"),
+])
+def test_certificates_are_no_constructor_arguments(make):
+    # the family and its certificates (theta, r) are what validate_hypotheses
+    # reports, so no caller may set them
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_certificates_belong_to_the_family():
+    assert (ConstantRate(1.0).family, ConstantRate(1.0).theta, ConstantRate(1.0).r) == (
+        "constant", 0.0, 0.0)
+    assert (PowerLawRate(2.0).family, PowerLawRate(2.0).theta, PowerLawRate(2.0).r) == (
+        "power_law", 0.0, 0.0)
+    osc = OscillatoryRate(1.0, 0.5)
+    assert (osc.family, osc.theta, osc.r) == ("oscillatory", 0.0, math.log(3.0))
 
 
 def test_partial_mass_examples():

@@ -1,0 +1,36 @@
+"""Checks on the source of the package itself."""
+
+import ast
+from pathlib import Path
+
+import viscowave
+
+# Defaulted parameters of the functions in src/viscowave.  A change that
+# deletes a default lowers this number; no change may raise it.
+DEFAULTED_PARAMETERS = 16
+
+
+def _defaulted_parameters(source: str) -> int:
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(default is not None for default in node.args.kw_defaults)
+    return count
+
+
+def test_counter_sees_positional_keyword_only_and_lambda_defaults():
+    source = ("def f(a, b=1, *args, c, d=2, **kw):\n"
+              "    def g(e=3):\n"
+              "        return e\n"
+              "    return lambda x, y=4: x\n"
+              "class C:\n"
+              "    async def h(self, z=5):\n"
+              "        pass\n")
+    assert _defaulted_parameters(source) == 5
+
+
+def test_defaulted_parameters_do_not_grow():
+    package = Path(viscowave.__file__).parent
+    total = sum(_defaulted_parameters(path.read_text()) for path in sorted(package.glob("*.py")))
+    assert total <= DEFAULTED_PARAMETERS
