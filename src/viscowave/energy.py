@@ -33,27 +33,22 @@ dE/dt without access to the history buffer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import (
-    DiscreteOperators,
-    PhysicalParams,
-    boundary_quadratic,
-    l2_norm_sq,
-)
+from .assembly import DiscreteOperators, PhysicalParams, csr_product
 from .history import HistoryBuffer
 from .kernels import RelaxationKernel
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Energy snapshot at one record time.
 
     ``rhs_identity`` is the dissipation-identity right-hand side evaluated
     from the same snapshot; ``total`` always equals the sum of the six
-    components.
+    components.  A named tuple, as a run builds one per record: iterating
+    it gives the fields in order, and ``_replace`` makes an edited copy.
     """
 
     t: float
@@ -90,18 +85,26 @@ def compute_energy(
     params: PhysicalParams,
     ops: DiscreteOperators,
 ) -> EnergyReport:
-    """Full energy report; the buffer must be current through state.t."""
+    """Full energy report; the buffer must be current through state.t.
+
+    The two mass products and the two boundary quadratics are those of
+    ``l2_norm_sq`` and ``boundary_quadratic``, written out, as a run makes
+    one report per record.
+    """
     t = state.t
     gns = state.grad_sq
-    kinetic = 0.5 * l2_norm_sq(ops, state.v)
+    v, u = state.v, state.u
+    w1 = ops.mesh.gamma1_weights
+    kinetic = 0.5 * float(v @ csr_product(ops.mass, v))
     accumulated = kernel.partial_mass(t)
     g_at_t = float(kernel.g(t))
     elastic = 0.5 * (params.a - accumulated) * gns
     kirchhoff_pot = params.kirchhoff_potential(gns)
     kirchhoff = 0.5 * kirchhoff_pot
-    acoustic = boundary_quadratic(ops, state.y, params.q_c)
+    y = state.y
+    acoustic = float(params.q_c * (w1 @ (y * y)))
     boundary = 0.5 * acoustic
-    gdia = buffer.g_diamond(t, state.u)
+    gdia = buffer.g_diamond(t, u)
     memory = 0.5 * gdia
     if params.source_enabled:
         source = -state.lk / params.k_exp
@@ -109,8 +112,9 @@ def compute_energy(
         source = 0.0
     total = kinetic + elastic + kirchhoff + boundary + memory + source
 
-    gpdia = buffer.g_prime_diamond(t, state.u)
-    damping = boundary_quadratic(ops, state.y_t, params.p_c)
+    gpdia = buffer.g_prime_diamond(t, u)
+    y_t = state.y_t
+    damping = float(params.p_c * (w1 @ (y_t * y_t)))
     rhs = -0.5 * g_at_t * gns + 0.5 * gpdia - damping
 
     well = kernel.l_value * gns + kirchhoff_pot + acoustic + gdia
@@ -126,7 +130,7 @@ def compute_energy(
         source=source,
         gamma_fn=math.sqrt(max(well, 0.0)),
         grad_sq=gns,
-        l2_sq=l2_norm_sq(ops, state.u),
+        l2_sq=float(u @ csr_product(ops.mass, u)),
         g_at_t=g_at_t,
         g_prime_diamond=gpdia,
         boundary_damping=damping,

@@ -20,7 +20,15 @@ dt must stay below 2 * cfl_safety / sqrt(lam_max * M_kir), with lam_max
 
 Each new iterate is evaluated once (``_evaluate``): the force, and
 |grad u|^2 and int |u|^k for the energy report, from one stiffness product
-and one nodal source vector.
+(``csr_product``) and one nodal source vector.
+
+Floating-point errors: :func:`run` enters one
+``np.errstate(over="ignore", invalid="ignore")`` around ``init_state``,
+every step and every record, and restores the caller's state on the way
+out.  On the way to a blow-up an overflow gives inf or nan, which the
+finiteness checks turn into an abort, not a warning.  :func:`init_state`
+enters its own as well (it runs once); :func:`step` does not, so a caller
+that steps by hand enters it around its calls.
 
 Aborts (CFL violation, non-finite fields or energy) raise
 :class:`SimulationAbort` carrying the partial trajectory and the abort time;
@@ -36,7 +44,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .assembly import DiscreteOperators, PhysicalParams, pin_gamma0, source_vector
+from .assembly import (
+    DiscreteOperators,
+    PhysicalParams,
+    csr_product,
+    pin_gamma0,
+    source_vector,
+)
 from .energy import EnergyReport, compute_energy
 from .history import HistoryBuffer
 from .kernels import ConstantRate, RelaxationKernel
@@ -144,9 +158,9 @@ class Trajectory:
     final: SimState | None = None
 
     def record(self, state: SimState, report: EnergyReport) -> None:
-        """Append the record of ``state``; a report that is not finite
-        aborts the run instead."""
-        if not all(map(math.isfinite, vars(report).values())):
+        """Append the record of ``state``; a report with a field that is
+        not finite aborts the run instead."""
+        if not all(map(math.isfinite, report)):
             raise SimulationAbort("blow-up or instability: non-finite energy", state.t)
         self.times.append(state.t)
         self.reports.append(report)
@@ -185,7 +199,7 @@ def _evaluate(
     the step's one Dirichlet pin: it keeps u, v and accel zero there.  As u
     is zero on Gamma_0, u.S(u) is int |u_h|^k by the source's own rule.
     """
-    ku = ops.stiffness @ u
+    ku = csr_product(ops.stiffness, u)
     grad_sq = float(u @ ku)
     buffer.push(t, ku, grad_sq)
     m_kir = params.kirchhoff_coefficient(grad_sq)
@@ -262,6 +276,11 @@ def step(
 
     u1 and v1 are the two halves of one new array, so one finiteness test
     covers both; y1 has an array of its own, as a record keeps it.
+
+    ``step`` enters no ``np.errstate`` of its own: :func:`run` enters one
+    around the whole run.  A caller that steps by hand wraps its calls in
+    ``np.errstate(over="ignore", invalid="ignore")`` too, or an overflow
+    on the way to a blow-up warns before the finiteness check aborts.
     """
     dt = cfg.dt
     hdt = 0.5 * dt
@@ -278,26 +297,32 @@ def step(
     np.multiply(v_half, dt, out=u1)
     u1 += state.u
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        accel1, m_kir1, grad_sq1, lk1 = _evaluate(t1, u1, buffer, params, ops, cfg.forcing)
-        np.multiply(accel1, hdt, out=v1)
-        v1 += v_half
+    accel1, m_kir1, grad_sq1, lk1 = _evaluate(t1, u1, buffer, params, ops, cfg.forcing)
+    np.multiply(accel1, hdt, out=v1)
+    v1 += v_half
 
+    f3 = f4 = None
+    if cfg.forcing is not None:
         f3, f4 = _boundary_forcing(cfg.forcing, t1, len(g1))
-        m_g, c, denom = state.closure
-        # trapezoidal closure of the boundary triple (v, y, y_t), pointwise:
-        #   v1 = A + c z,  y1 = y + dt/2 (y_t + z),  p z = f4 - v1 - q y1
-        # with A = v_half + dt/2 a_g, which is v1 as it stands without f3
-        if f3 is None:
-            A = v1[g1]
-        else:
-            A = v_half[g1] + hdt * (accel1[g1] + w1 * f3 / m_g)
-        z = ((-A if f4 is None else f4 - A) - params.q_c * state.y
-             - hdt * params.q_c * state.y_t) / denom
+    m_g, c, denom = state.closure
+    # trapezoidal closure of the boundary triple (v, y, y_t), pointwise:
+    #   v1 = A + c z,  y1 = y + dt/2 (y_t + z),  p z = f4 - v1 - q y1
+    # with A = v_half + dt/2 a_g, which is v1 as it stands without f3;
+    # z = ((f4 - A) - q y - dt/2 q y_t) / denom, built in place
+    if f3 is None:
+        A = v1[g1]
+    else:
+        A = v_half[g1] + hdt * (accel1[g1] + w1 * f3 / m_g)
+    z = np.negative(A) if f4 is None else f4 - A
+    z -= params.q_c * state.y
+    z -= hdt * params.q_c * state.y_t
+    z /= denom
 
-        v1[g1] = A + c * z
-        y1 = state.y + hdt * (state.y_t + z)
-        accel1[g1] += w1 * (z if f3 is None else z + f3) / m_g
+    v1[g1] = A + c * z
+    y1 = np.add(state.y_t, z)
+    y1 *= hdt
+    np.add(state.y, y1, out=y1)
+    accel1[g1] += w1 * (z if f3 is None else z + f3) / m_g
 
     _check_finite(t1, uv, y1)
     _check_cfl(dt, m_kir1, ops, cfg, t1)
@@ -327,12 +352,13 @@ def run(
     buffer = HistoryBuffer(kernel, ops.n_nodes, horizon=n_steps * cfg.dt)
     traj = Trajectory(memory=buffer.diagnostics())
     try:
-        state = init_state(u0, u1, y0, ops, params, buffer, cfg)
-        traj.record(state, compute_energy(state, buffer, kernel, params, ops))
-        for i in range(1, n_steps + 1):
-            state = step(state, ops, params, buffer, cfg)
-            if i % cfg.record_every == 0:
-                traj.record(state, compute_energy(state, buffer, kernel, params, ops))
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = init_state(u0, u1, y0, ops, params, buffer, cfg)
+            traj.record(state, compute_energy(state, buffer, kernel, params, ops))
+            for i in range(1, n_steps + 1):
+                state = step(state, ops, params, buffer, cfg)
+                if i % cfg.record_every == 0:
+                    traj.record(state, compute_energy(state, buffer, kernel, params, ops))
     except SimulationAbort as ab:
         raise SimulationAbort(ab.info.reason, ab.info.time, trajectory=traj) from None
     return traj

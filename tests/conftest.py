@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from viscowave import (
     build_mesh,
     make_rate,
 )
+from viscowave import assembly
 from viscowave.kernels import ConstantRate, RelaxationKernel
 
 
@@ -83,3 +86,20 @@ class CountingMatrix:
     def __matmul__(self, x):
         self.products += 1
         return self.matrix @ x
+
+
+@pytest.fixture
+def csr_products(monkeypatch):
+    """The matrix of every ``assembly.csr_product`` call made while the test
+    runs, in call order, through every module of the package that binds it."""
+    calls = []
+    product = assembly.csr_product
+
+    def counted(A, x):
+        calls.append(A)
+        return product(A, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("viscowave") and getattr(module, "csr_product", None) is product:
+            monkeypatch.setattr(module, "csr_product", counted)
+    return calls

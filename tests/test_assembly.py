@@ -291,7 +291,8 @@ def _offsets(matrix):
 def test_operators_hold_the_stencil_alone_and_give_the_element_sum_products(mesh_name):
     # K's couplings across the diagonal edges cancel in the element sum,
     # and without them K is the 5-point stencil.  Products are bitwise
-    # those of the summed element matrices.
+    # those of the summed element matrices, and csr_product's are bitwise
+    # scipy's, for a strided view too.
     mesh = STENCIL_MESHES[mesh_name]()
     ops = assemble(mesh)
     forms = assembly._assemble_1d if mesh.dimension == 1 else assembly._assemble_2d
@@ -308,8 +309,12 @@ def test_operators_hold_the_stencil_alone_and_give_the_element_sum_products(mesh
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = rng.standard_normal(mesh.n_nodes) * 10.0 ** rng.uniform(-8.0, 8.0, mesh.n_nodes)
+        strided = np.repeat(x, 2)[::2]
         for stored, summed in ((ops.stiffness, k_sum), (ops.mass, m_sum)):
-            assert np.array_equal((stored @ x).view(np.int64), (summed @ x).view(np.int64))
+            product = (stored @ x).view(np.int64)
+            assert np.array_equal(product, (summed @ x).view(np.int64))
+            assert np.array_equal(product, assembly.csr_product(stored, x).view(np.int64))
+            assert np.array_equal(product, assembly.csr_product(stored, strided).view(np.int64))
 
 
 def _dense_lam_max(ops):

@@ -34,3 +34,22 @@ def test_defaulted_parameters_do_not_grow():
     package = Path(viscowave.__file__).parent
     total = sum(_defaulted_parameters(path.read_text()) for path in sorted(package.glob("*.py")))
     assert total <= DEFAULTED_PARAMETERS
+
+
+def test_only_assembly_imports_the_private_sparse_kernels():
+    # scipy.sparse._sparsetools is private to scipy: csr_product in
+    # assembly.py is its one wrapper, so a scipy that moves it breaks one
+    # function
+    package = Path(viscowave.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.startswith("scipy.sparse._sparsetools") for name in names):
+                importers.append(path.name)
+    assert importers == ["assembly.py"]

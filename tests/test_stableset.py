@@ -216,8 +216,8 @@ def test_invariance_verdicts(mesh64, ops64):
     assert verdict.max_energy_ratio < 1.0
 
     # tamper with one record: scaled far out of the well
-    bad = dataclasses.replace(traj.reports[3], total=traj.reports[3].total * 100,
-                              gamma_fn=traj.reports[3].gamma_fn * 100)
+    bad = traj.reports[3]._replace(total=traj.reports[3].total * 100,
+                                   gamma_fn=traj.reports[3].gamma_fn * 100)
     traj.reports[3] = bad
     verdict2 = verify_invariance(traj, constants)
     assert not verdict2.passed

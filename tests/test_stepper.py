@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from viscowave.history import HistoryBuffer
 from viscowave.stepper import Forcing, init_state, step
 
 from conftest import (
-    CountingMatrix,
     default_params,
     exp_kernel,
     interval_mesh,
@@ -463,22 +463,22 @@ def test_step_never_mutates_a_returned_state(forced):
             assert np.asarray(getattr(original, name)).tobytes() == np.asarray(value).tobytes()
 
 
-def test_one_stiffness_product_per_step_and_two_mass_products_per_record():
+def test_one_stiffness_product_per_step_and_two_mass_products_per_record(csr_products):
     # the step's one K u feeds the force, the history and the energy
     # report; a record adds M v and M u and nothing else
     mesh = interval_mesh(16)
     params = default_params()
     ops = assemble(mesh)
-    stiffness, mass = CountingMatrix(ops.stiffness), CountingMatrix(ops.mass)
-    counted = dataclasses.replace(ops, stiffness=stiffness, mass=mass)
     u0 = sine_profile(mesh, 0.3)
     z = np.zeros(mesh.n_nodes)
     cfg = StepperConfig(dt=1e-3, t_end=0.1, record_every=10)
-    traj = run(u0, z, np.zeros(1), counted, exp_kernel(), params, cfg)
-    assert stiffness.products == 1 + 100  # the initial evaluation, then one per step
+    traj = run(u0, z, np.zeros(1), ops, exp_kernel(), params, cfg)
+    stiffness = sum(A is ops.stiffness for A in csr_products)
+    mass = sum(A is ops.mass for A in csr_products)
+    assert stiffness == 1 + 100  # the initial evaluation, then one per step
     assert traj.n_records == 11
-    assert mass.products == 2 * traj.n_records
-    assert traj.reports == run(u0, z, np.zeros(1), ops, exp_kernel(), params, cfg).reports
+    assert mass == 2 * traj.n_records
+    assert len(csr_products) == stiffness + mass
 
 
 def test_acoustic_closure_is_computed_once_per_run():
@@ -566,6 +566,34 @@ def test_the_finiteness_check_reads_y_on_its_own():
                        ops, params, buffer, cfg)
     top = np.full(1, np.finfo(float).max)
     state = dataclasses.replace(state, y=top, y_t=top)
-    with pytest.raises(SimulationAbort, match="non-finite field values") as exc:
-        step(state, ops, params, buffer, cfg)
+    # step enters no errstate of its own; run holds one for the whole run
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationAbort, match="non-finite field values") as exc:
+            step(state, ops, params, buffer, cfg)
     assert exc.value.info.time == cfg.dt
+
+
+def test_run_ignores_overflow_inside_and_restores_the_error_state():
+    # run holds one np.errstate(over="ignore", invalid="ignore") around
+    # init_state, every step and every record: a blow-up overflows on its
+    # way to inf and ends in the finiteness abort, not in a RuntimeWarning,
+    # and the caller's error state holds again after the run either way
+    raw = copy.deepcopy(PRESETS["out-of-well"].config)
+    raw["stepping"]["t_end"] = 1.75  # the preset aborts at t = 1.687
+    cfg = parse_config(json.dumps(raw))
+    mesh = build_mesh(cfg.domain)
+    ops = assemble(mesh)
+    kernel = cfg.build_kernel()
+    u0, u1, y0 = initial_data(cfg, mesh)
+    short = dataclasses.replace(cfg.stepping, t_end=0.1)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        completed = run(u0, u1, y0, ops, kernel, cfg.physics, short)
+        assert np.geterr() == before
+        with pytest.raises(SimulationAbort, match="non-finite field values") as exc:
+            run(u0, u1, y0, ops, kernel, cfg.physics, cfg.stepping)
+    assert np.geterr() == before
+    assert completed.times[-1] == 0.1
+    assert exc.value.info.time == 3374 * cfg.stepping.dt
+    assert exc.value.trajectory.n_records > 1
