@@ -46,8 +46,8 @@ from .stepper import (
     SimulationAbort,
     StepperConfig,
     build_manufactured_case,
-    linear_profile_solution,
     run,
+    sine_solution,
 )
 
 __all__ = [
@@ -65,5 +65,5 @@ __all__ = [
     "well_constants_from_B",
     "ManufacturedSolution", "SimulationAbort",
     "StepperConfig", "build_manufactured_case",
-    "linear_profile_solution", "run",
+    "run", "sine_solution",
 ]

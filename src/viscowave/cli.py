@@ -19,13 +19,14 @@ hand-checkable provenance.
   decay_report.json       envelope fit + weighted-integral profile (optional)
   run_metadata.json       versions, tolerances, seed, memory diagnostics,
                           phase timings
-  energy_vs_time.dat, logE_vs_phi.dat, rho_vs_S.dat   (plot data)
+  logE_vs_phi.dat, rho_vs_S.dat   (plot data)
   abort.json              marker, only when the run aborted
 
 Reruns of the same config produce byte-identical CSV output.  All
 acceptance tolerances are config data with the documented defaults below.
 The manufactured-solution ladder runs through ``run_mms_ladder`` (the
-``mms`` subcommand).
+``mms`` subcommand): ``sine_solution`` with the config's physics and
+kernel, in 1D or 2D, with the right face as the only acoustic face.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ from .stepper import (
     StepperConfig,
     Trajectory,
     build_manufactured_case,
-    linear_profile_solution,
     run,
+    sine_solution,
 )
 
 # Frozen after one calibration run of the reference scenarios: the energy
@@ -534,9 +535,6 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     if aborted is not None:
         _write_json(out / "abort.json", {"reason": aborted.reason, "time": aborted.time})
     write_trajectory_csv(out / "trajectory.csv", traj, mesh)
-    if traj.n_records:
-        Es = np.array([r.total for r in traj.reports])
-        _write_columns(out / "energy_vs_time.dat", [np.array(traj.times), Es])
     if decay_json is not None:
         _write_json(out / "decay_report.json", decay_json)
     if prof is not None:
@@ -601,15 +599,16 @@ def _metadata(config: RunConfig, ops, traj: Trajectory, marks: list[float]) -> d
 
 
 def run_mms_level(config: RunConfig) -> dict:
-    """One manufactured run of the linear-profile case; L2-in-space error at
+    """One manufactured run of ``sine_solution`` (u = profile(x) cos t,
+    y = sin t) with the config's physics and kernel; L2-in-space error at
     the final time against the exact field."""
-    if config.domain.dimension != 1 or "right" not in config.domain.gamma1_faces:
-        raise ValueError("the shipped manufactured case needs a 1D domain with "
-                         "the acoustic face on the right")
+    if config.domain.gamma1_faces != {"right"}:
+        raise ValueError("the shipped manufactured case needs the acoustic face "
+                         "on the right alone")
     mesh = build_mesh(config.domain)
     ops = assemble(mesh)
     kernel = config.build_kernel()
-    msol = linear_profile_solution(kernel, length=config.domain.extent[0])
+    msol = sine_solution(config.domain.extent)
     case = build_manufactured_case(msol, ops, config.physics, kernel,
                                    t_end=config.stepping.t_end)
     cfg = StepperConfig(
@@ -621,8 +620,7 @@ def run_mms_level(config: RunConfig) -> dict:
     )
     traj = run(case.u0, case.u1, case.y0, ops, kernel, config.physics, cfg)
     final = traj.final
-    exact = np.asarray(msol.u(mesh.nodes, final.t), dtype=float)
-    diff = final.u - pin_gamma0(mesh, exact)
+    diff = final.u - pin_gamma0(mesh, msol.profile(mesh.nodes) * math.cos(final.t))
     err = math.sqrt(max(float(diff @ (ops.mass @ diff)), 0.0))
     return {
         "l2_error": err,
@@ -630,12 +628,14 @@ def run_mms_level(config: RunConfig) -> dict:
         "dt": config.stepping.dt,
         "resolution": list(config.domain.resolution),
         "boundary_residual": case.boundary_residual,
-        "y_error": float(np.max(np.abs(final.y - msol.y(final.t)))),
+        "y_error": float(np.max(np.abs(final.y - math.sin(final.t)))),
     }
 
 
 def run_mms_ladder(base_config: RunConfig, levels: int = 3) -> dict:
     """Halve h and dt together ``levels`` times; report errors and ratios."""
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
     domain, stepping = base_config.domain, base_config.stepping
     entries = []
     for lvl in range(levels):
@@ -716,8 +716,6 @@ PRESETS: dict[str, ScenarioPreset] = {
             "mms-ladder",
             expected={"ratio_min": 3.5},
             domain={"resolution": [16]},
-            physics={"b": 0.0, "source_enabled": False},
-            initial={"profile": "linear", "amplitude": 1.0},
             stepping={"dt": 4e-3, "t_end": 1.0, "record_every": 250},
             analysis={"constants": False, "decay": False},
         ),
@@ -769,7 +767,7 @@ def _cmd_decay_report(args, config: RunConfig) -> int:
 def _cmd_mms(args, config: RunConfig) -> int:
     try:
         ladder = run_mms_ladder(config, levels=args.levels)
-    except ValueError as exc:  # a domain or field the shipped case cannot take
+    except ValueError as exc:  # a level count or domain the shipped case cannot take
         print(f"mms: {exc}", file=sys.stderr)
         return 2
     print(_json_text(ladder))

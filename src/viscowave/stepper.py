@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .assembly import (
     DiscreteOperators,
@@ -53,7 +52,7 @@ from .assembly import (
 )
 from .energy import EnergyReport, compute_energy
 from .history import HistoryBuffer
-from .kernels import ConstantRate, RelaxationKernel
+from .kernels import RelaxationKernel
 
 
 @dataclass(frozen=True)
@@ -371,27 +370,18 @@ def run(
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Closed-form space-time field with the derivatives the forcing needs.
+    """The field u(x, t) = profile(x) cos t with y(t) = sin t.
 
-    The Laplacian and the boundary flux must be separable,
-    lap(x, t) = lap_space(x) * lap_time(t) and likewise for the flux; their
-    memory convolutions are then scalar integrals, taken from the optional
-    closed-form callables when given and by adaptive quadrature otherwise.
-    ``grad_sq(t)`` (= |grad u|^2) is required only when b > 0.
+    ``profile``, its Laplacian ``lap`` and its outward normal derivative
+    ``flux`` map node coordinates (an (n, dim) array) to values; ``flux`` is
+    read at the acoustic nodes.  ``grad_sq`` is int |grad profile|^2, so
+    that |grad u(t)|^2 = grad_sq cos^2 t.
     """
 
-    u: Callable
-    u_t: Callable
-    u_tt: Callable
-    y: Callable
-    y_t: Callable
-    lap_space: Callable | None = None
-    lap_time: Callable | None = None
-    lap_memory: Callable | None = None
-    flux_space: Callable | None = None
-    flux_time: Callable | None = None
-    flux_memory: Callable | None = None
-    grad_sq: Callable | None = None
+    profile: Callable
+    lap: Callable
+    flux: Callable
+    grad_sq: float
 
 
 @dataclass(frozen=True)
@@ -403,18 +393,7 @@ class ManufacturedCase:
     boundary_residual: dict
 
 
-def _memory_scalar(kernel, time_factor, closed_form, t):
-    if closed_form is not None:
-        return float(closed_form(t))
-    if t == 0.0:
-        return 0.0
-    val, _ = quad(lambda s: float(kernel.g(t - s)) * float(time_factor(s)), 0.0, t,
-                  epsrel=1e-10, limit=200)
-    return val
-
-
-# Sample times in [0, t_end] at which the manufactured field's Dirichlet
-# trace is checked.
+# Sample times in [0, t_end] at which the boundary residual is taken.
 _N_CHECK = 33
 
 
@@ -427,94 +406,83 @@ def build_manufactured_case(
 ) -> ManufacturedCase:
     """Forcing and initial data that make ``msol`` an exact solution.
 
-    Rejects fields violating the Dirichlet condition.  The acoustic pair is
-    forced exactly (line-3 and line-4 forcing); the returned boundary
+    Every memory term is a profile term times int_0^t g(t - tau) cos tau dtau,
+    taken in closed form over the kernel's sum of exponentials on [0, t_end],
+    g ~ Re sum_j c_j e^{-s_j t}, the expansion the run steps with:
+
+      Re sum_j c_j (s_j cos t + sin t - s_j e^{-s_j t}) / (s_j^2 + 1).
+
+    Rejects a profile violating the Dirichlet condition.  The acoustic pair
+    is forced exactly (line-3 and line-4 forcing); the returned boundary
     residual reports how incompatible the unforced pair would be.
     """
     mesh = ops.mesh
     coords = mesh.nodes
     g1_coords = coords[mesh.gamma1_nodes]
-    t_samples = np.linspace(0.0, max(t_end, 1e-12), _N_CHECK)
-
-    worst_g0 = max(
-        float(np.max(np.abs(msol.u(coords[mesh.gamma0_nodes], t)), initial=0.0))
-        for t in t_samples
-    )
+    worst_g0 = float(np.max(np.abs(msol.profile(coords[mesh.gamma0_nodes])), initial=0.0))
     if worst_g0 > 1e-12:
         raise ValueError(
             f"manufactured field violates the Dirichlet condition: max |u| on "
             f"Gamma_0 is {worst_g0:.3e}"
         )
+    expansion = kernel.exp_sum(t_end)
+    c, s = expansion.coeffs, expansion.rates
+    flux = msol.flux(g1_coords)
+    profile_g1 = msol.profile(g1_coords)
 
-    def m_kir_of(t: float) -> float:
-        if params.b == 0.0:
-            return params.a
-        if msol.grad_sq is None:
-            raise ValueError("grad_sq closed form is required when b > 0")
-        return params.kirchhoff_coefficient(float(msol.grad_sq(t)))
+    def stress(t: float) -> float:
+        """M(|grad u|^2) cos t - int_0^t g(t - tau) cos tau dtau, the time
+        factor of the Kirchhoff term net of the memory."""
+        cos_t, sin_t = math.cos(t), math.sin(t)
+        memory = (c * (s * cos_t + sin_t - s * np.exp(-s * t)) / (s * s + 1.0)).sum().real
+        return params.kirchhoff_coefficient(msol.grad_sq * cos_t**2) * cos_t - float(memory)
 
     def f_omega(t, x):
-        out = np.asarray(msol.u_tt(x, t), dtype=float).copy()
-        if msol.lap_space is not None:
-            lap = np.asarray(msol.lap_space(x), dtype=float)
-            out -= m_kir_of(t) * lap * float(msol.lap_time(t))
-            out += lap * _memory_scalar(kernel, msol.lap_time, msol.lap_memory, t)
+        u = msol.profile(x) * math.cos(t)
+        out = -u - stress(t) * msol.lap(x)
         if params.source_enabled:
-            uval = np.asarray(msol.u(x, t), dtype=float)
-            out -= np.abs(uval) ** (params.k_exp - 2.0) * uval
+            out -= np.abs(u) ** (params.k_exp - 2.0) * u
         return out
 
     def f_flux(t):
-        flux = np.asarray(msol.flux_space(g1_coords), dtype=float)
-        total = m_kir_of(t) * flux * float(msol.flux_time(t))
-        total -= flux * _memory_scalar(kernel, msol.flux_time, msol.flux_memory, t)
-        return total - msol.y_t(t)
+        return stress(t) * flux - math.cos(t)
 
     def f_acoustic(t):
-        return (
-            np.asarray(msol.u_t(g1_coords, t), dtype=float)
-            + params.p_c * msol.y_t(t)
-            + params.q_c * msol.y(t)
-        )
+        return params.p_c * math.cos(t) + params.q_c * math.sin(t) - profile_g1 * math.sin(t)
 
+    t_samples = np.linspace(0.0, max(t_end, 1e-12), _N_CHECK)
     residual = {
         "flux_max": max(float(np.max(np.abs(f_flux(t)))) for t in t_samples),
         "acoustic_max": max(float(np.max(np.abs(f_acoustic(t)))) for t in t_samples),
     }
-
-    u0 = pin_gamma0(mesh, np.asarray(msol.u(coords, 0.0), dtype=float))
-    u1 = pin_gamma0(mesh, np.asarray(msol.u_t(coords, 0.0), dtype=float))
-    y0 = np.broadcast_to(np.asarray(msol.y(0.0), dtype=float),
-                         (len(mesh.gamma1_nodes),)).copy()
     forcing = Forcing(f_omega=f_omega, f_flux=f_flux, f_acoustic=f_acoustic)
-    return ManufacturedCase(forcing=forcing, u0=u0, u1=u1, y0=y0,
+    return ManufacturedCase(forcing=forcing, u0=pin_gamma0(mesh, msol.profile(coords)),
+                            u1=np.zeros(mesh.n_nodes), y0=np.zeros(len(g1_coords)),
                             boundary_residual=residual)
 
 
-def linear_profile_solution(kernel: RelaxationKernel,
-                            length: float = 1.0) -> ManufacturedSolution:
-    """The shipped 1D case u(x, t) = x cos t with y(t) = sin t.
+def sine_solution(extent: tuple[float, ...]) -> ManufacturedSolution:
+    """sin x in 1D and sin x sin(pi y / L_y) in 2D, on [0, L_x] (x [0, L_y]).
 
-    The profile is linear in x, so the Laplacian vanishes, the interior
-    forcing is -x cos t, and the P1 space reproduces the field exactly:
-    the measured error isolates the time integrator.  Needs the Dirichlet
-    face at the left end and the acoustic face at the right end.
+    The profile vanishes on every face but the right one, where its normal
+    derivative cos L_x (times sin(pi y / L_y)) drives the flux and boundary
+    memory terms: the case for a domain whose acoustic face is the right
+    face alone.
     """
-    alpha = kernel.rate.alpha if isinstance(kernel.rate, ConstantRate) else None
-
-    def flux_memory(t):
-        # int_0^t g0 e^{-alpha (t-s)} cos s ds, closed form
-        return kernel.g0 * (alpha * math.cos(t) + math.sin(t)
-                            - alpha * math.exp(-alpha * t)) / (1.0 + alpha * alpha)
-
+    lx = extent[0]
+    cos_sq = 0.5 * lx + 0.25 * math.sin(2.0 * lx)  # int_0^L_x cos^2 x dx
+    if len(extent) == 1:
+        return ManufacturedSolution(
+            profile=lambda x: np.sin(x[:, 0]),
+            lap=lambda x: -np.sin(x[:, 0]),
+            flux=lambda x: np.cos(x[:, 0]),
+            grad_sq=cos_sq,
+        )
+    k = math.pi / extent[1]
+    # sin^2(k y) and cos^2(k y) both integrate to L_y / 2 over [0, L_y]
     return ManufacturedSolution(
-        u=lambda x, t: x[:, 0] * math.cos(t),
-        u_t=lambda x, t: -x[:, 0] * math.sin(t),
-        u_tt=lambda x, t: -x[:, 0] * math.cos(t),
-        y=lambda t: math.sin(t),
-        y_t=lambda t: math.cos(t),
-        flux_space=lambda xg: np.ones(len(xg)),
-        flux_time=lambda t: math.cos(t),
-        flux_memory=flux_memory if alpha is not None else None,
-        grad_sq=lambda t: length * math.cos(t) ** 2,
+        profile=lambda x: np.sin(x[:, 0]) * np.sin(k * x[:, 1]),
+        lap=lambda x: -(1.0 + k * k) * np.sin(x[:, 0]) * np.sin(k * x[:, 1]),
+        flux=lambda x: np.cos(x[:, 0]) * np.sin(k * x[:, 1]),
+        grad_sq=0.5 * extent[1] * (cos_sq + k * k * (lx - cos_sq)),
     )

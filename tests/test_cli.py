@@ -20,6 +20,7 @@ from viscowave.cli import (
     parse_config,
     profile_field,
     run_mms_ladder,
+    run_mms_level,
     run_scenario,
 )
 
@@ -282,7 +283,6 @@ def test_full_scenario_writes_reports(tmp_path):
         "stable_set.json",
         "decay_report.json",
         "run_metadata.json",
-        "energy_vs_time.dat",
         "logE_vs_phi.dat",
         "rho_vs_S.dat",
     ):
@@ -619,7 +619,16 @@ def test_mms_subcommand_with_config_file(tmp_path, capsys):
     out, ladder = _strict_stdout(capsys)
     assert out == (tmp_path / "ladder.json").read_text()
     assert len(ladder["levels"]) == 1
-    assert ladder["levels"][0]["l2_error"] < 1e-5
+    assert ladder["levels"][0]["l2_error"] == run_mms_level(PRESETS["mms-ladder"].parse())["l2_error"]
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_mms_with_fewer_than_one_level_exits_2_with_one_line(capsys, levels):
+    rc = main(["mms", "--preset", "mms-ladder", "--levels", levels])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == f"mms: levels must be at least 1, got {levels}\n"
 
 
 @pytest.mark.parametrize("flags", [
@@ -654,7 +663,7 @@ def test_unreadable_config_file_exits_2_with_one_line(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("domain", [
-    {"dimension": 2, "extent": [1.0, 1.0], "gamma1_faces": ["right"], "resolution": [4, 4]},
+    {"dimension": 2, "extent": [1.0, 1.0], "gamma1_faces": ["right", "top"], "resolution": [4, 4]},
     {"gamma1_faces": ["left"]},
 ])
 def test_mms_on_an_unsupported_domain_exits_2_with_one_line(tmp_path, capsys, domain):
@@ -666,5 +675,5 @@ def test_mms_on_an_unsupported_domain_exits_2_with_one_line(tmp_path, capsys, do
     out, err = capsys.readouterr()
     assert rc == 2
     assert out == ""
-    assert err.startswith("mms: the shipped manufactured case needs a 1D domain")
+    assert err == "mms: the shipped manufactured case needs the acoustic face on the right alone\n"
     assert err.count("\n") == 1

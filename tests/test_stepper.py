@@ -6,21 +6,24 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from viscowave import (
+    ManufacturedSolution,
     SimulationAbort,
     StepperConfig,
     assemble,
+    build_kernel,
     build_manufactured_case,
     build_mesh,
     grad_norm_sq,
-    linear_profile_solution,
     lk_norm_pow,
+    make_rate,
     run,
+    sine_solution,
 )
-from viscowave import compute_energy, stepper
-from viscowave.cli import PRESETS, initial_data, parse_config
+from viscowave import cli, compute_energy, stepper
+from viscowave.cli import PRESETS, initial_data, parse_config, run_mms_ladder
 from viscowave.history import HistoryBuffer
 from viscowave.stepper import Forcing, init_state, step
 
@@ -229,65 +232,85 @@ def test_out_of_well_blowup_aborts_flagged():
     assert exc.value.info.time <= 10.0
 
 
+def _zeros(x):
+    return np.zeros(len(x))
+
+
 def test_manufactured_zero_field_gives_zero_case():
+    # u = 0 leaves only y = sin t: the flux line is forced by -y_t alone
     mesh = interval_mesh(8)
     params = default_params(b=0.0, kappa=0.0, source_enabled=False)
     ops = assemble(mesh)
     kernel = exp_kernel(a=2.0)
-    from viscowave import ManufacturedSolution
-
-    msol = ManufacturedSolution(
-        u=lambda x, t: np.zeros(len(x)),
-        u_t=lambda x, t: np.zeros(len(x)),
-        u_tt=lambda x, t: np.zeros(len(x)),
-        y=lambda t: 0.0,
-        y_t=lambda t: 0.0,
-        flux_space=lambda xg: np.zeros(len(xg)),
-        flux_time=lambda t: 0.0,
-    )
+    msol = ManufacturedSolution(profile=_zeros, lap=_zeros, flux=_zeros, grad_sq=0.0)
     case = build_manufactured_case(msol, ops, params, kernel, t_end=1.0)
     assert np.all(case.u0 == 0.0)
     assert np.all(case.u1 == 0.0)
+    assert np.all(case.y0 == 0.0)
     assert np.all(case.forcing.f_omega(0.3, mesh.nodes) == 0.0)
-    assert case.boundary_residual["flux_max"] == 0.0
+    assert np.all(case.forcing.f_flux(0.3) == -math.cos(0.3))
+    assert case.boundary_residual["flux_max"] == 1.0
 
 
 def test_manufactured_dirichlet_violation_rejected():
     mesh = interval_mesh(8)
     params = default_params(b=0.0, kappa=0.0, source_enabled=False)
     ops = assemble(mesh)
-    from viscowave import ManufacturedSolution
-
     msol = ManufacturedSolution(
-        u=lambda x, t: 1.0 + x[:, 0],  # nonzero at the Dirichlet end
-        u_t=lambda x, t: np.zeros(len(x)),
-        u_tt=lambda x, t: np.zeros(len(x)),
-        y=lambda t: 0.0,
-        y_t=lambda t: 0.0,
-        flux_space=lambda xg: np.ones(len(xg)),
-        flux_time=lambda t: 1.0,
+        profile=lambda x: 1.0 + x[:, 0],  # nonzero at the Dirichlet end
+        lap=_zeros,
+        flux=lambda x: np.ones(len(x)),
+        grad_sq=1.0,
     )
     with pytest.raises(ValueError, match="Dirichlet"):
         build_manufactured_case(msol, ops, params, exp_kernel(), t_end=1.0)
 
 
-def test_linear_profile_interior_forcing_matches_hand_value():
-    # u = x cos t with a linear profile: Laplacian terms vanish and
-    # f_Omega = u_tt = -x cos t
+def test_sine_solution_forcing_matches_hand_value():
+    # u = sin x cos t, y = sin t on [0, 1], a = 2, b = kappa = 1, k = 4,
+    # source on, g = e^{-t}: at t = 0.7, |grad u|^2 = (1/2 + sin 2 / 4) cos^2 t
+    # and int_0^t e^{-(t-s)} cos s ds = (cos t + sin t - e^{-t}) / 2
     mesh = interval_mesh(8)
-    params = default_params(a=2.0, b=0.0, kappa=0.0, source_enabled=False)
+    params = default_params()
     ops = assemble(mesh)
     kernel = exp_kernel(a=2.0)
-    msol = linear_profile_solution(kernel)
-    case = build_manufactured_case(msol, ops, params, kernel, t_end=1.0)
-    for t in (0.0, 0.4, 1.0):
-        f = case.forcing.f_omega(t, mesh.nodes)
-        assert np.allclose(f, -mesh.nodes[:, 0] * math.cos(t))
-    # flux forcing at t uses the closed-form memory integral
+    case = build_manufactured_case(sine_solution((1.0,)), ops, params, kernel, t_end=1.0)
     t = 0.7
-    mem = (math.cos(t) + math.sin(t) - math.exp(-t)) / 2.0
-    expect = 2.0 * math.cos(t) - mem - math.cos(t)
-    assert case.forcing.f_flux(t)[0] == pytest.approx(expect, rel=1e-12)
+    c, s = math.cos(t), math.sin(t)
+    stress = (2.0 + (0.5 + math.sin(2.0) / 4.0) * c * c) * c - (c + s - math.exp(-t)) / 2.0
+    x = mesh.nodes[:, 0]
+    u = np.sin(x) * c
+    # u_tt - M lap u + memory of lap u - u^3, with lap u = -u
+    assert np.allclose(case.forcing.f_omega(t, mesh.nodes), -u + stress * np.sin(x) - u**3,
+                       rtol=1e-13, atol=0.0)
+    assert case.forcing.f_flux(t)[0] == pytest.approx(stress * math.cos(1.0) - c, rel=1e-13)
+    assert case.forcing.f_acoustic(t)[0] == pytest.approx(c + s - math.sin(1.0) * s, rel=1e-13)
+
+
+_FAMILIES = {
+    "constant": {"family": "constant", "alpha": 1.0},
+    "power_law": {"family": "power_law", "alpha": 2.0},
+    "oscillatory": {"family": "oscillatory", "alpha": 1.0, "eps": 0.5},
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_manufactured_memory_matches_quadrature_of_the_exact_kernel(family):
+    # profile 0, lap 1 and b = 0 make f_Omega = -(a cos t - memory): the
+    # closed form over the expansion against quad on the exact g
+    mesh = interval_mesh(4)
+    ops = assemble(mesh)
+    params = default_params(a=3.0, b=0.0, source_enabled=False)
+    spec = _FAMILIES[family]
+    kernel = build_kernel(make_rate(family, spec["alpha"], spec.get("eps", 0.0)), 1.0, 3.0)
+    msol = ManufacturedSolution(profile=_zeros, lap=lambda x: np.ones(len(x)), flux=_zeros,
+                                grad_sq=0.0)
+    case = build_manufactured_case(msol, ops, params, kernel, t_end=2.0)
+    for t in (0.3, 1.0, 2.0):
+        memory = case.forcing.f_omega(t, mesh.nodes)[0] + params.a * math.cos(t)
+        exact, _ = quad(lambda s: float(kernel.g(t - s)) * math.cos(s), 0.0, t,
+                        epsabs=0.0, epsrel=1e-12, limit=200)
+        assert memory == pytest.approx(exact, rel=1e-9)
 
 
 def test_undamped_limit_conserves_discrete_energy():
@@ -350,23 +373,57 @@ def test_2d_inwell_run_monotone_and_invariant():
     assert verdict.passed
 
 
-def test_manufactured_two_level_convergence():
-    params = default_params(a=2.0, b=0.0, kappa=0.0, source_enabled=False)
-    errs = []
-    for res, dt in ((16, 4e-3), (32, 2e-3)):
-        mesh = interval_mesh(res)
-        ops = assemble(mesh)
-        kernel = exp_kernel(a=2.0)
-        msol = linear_profile_solution(kernel)
-        case = build_manufactured_case(msol, ops, params, kernel, t_end=1.0)
-        cfg = StepperConfig(dt=dt, t_end=1.0, record_every=int(1.0 / dt),
-                            forcing=case.forcing)
-        traj = run(case.u0, case.u1, case.y0, ops, kernel, params, cfg)
-        final = traj.final
-        exact = mesh.nodes[:, 0] * math.cos(final.t)
-        diff = final.u - exact
-        errs.append(math.sqrt(float(diff @ (ops.mass @ diff))))
-    assert 3.5 <= errs[0] / errs[1] <= 4.5
+def _mms_config(family, dim, **physics):
+    """The mms-ladder preset with the given kernel family and physics; in 2D
+    the unit square from 8 x 8 cells and dt = 1e-2, its right face acoustic."""
+    raw = copy.deepcopy(PRESETS["mms-ladder"].config)
+    raw["kernel"].update(_FAMILIES[family])
+    raw["physics"].update(physics)
+    if dim == 2:
+        raw["domain"].update({"dimension": 2, "extent": [1.0, 1.0], "resolution": [8, 8]})
+        raw["stepping"]["dt"] = 1e-2
+    return parse_config(json.dumps(raw))
+
+
+# Ladder levels by dimension: 1D reads 4.00 from the first pair on, and a 1%
+# error in the forcing stalls it within three; 2D needs its fourth level
+# (64 x 64) for the ratio to settle and for every such error to show.
+_LEVELS = {1: 3, 2: 4}
+
+
+@pytest.mark.parametrize("family, dim, physics", [
+    *(pytest.param(f, d, {}, id=f"{f}-{d}d") for f in sorted(_FAMILIES) for d in (1, 2)),
+    pytest.param("constant", 1, {"b": 0.0, "kappa": 0.0, "source_enabled": False},
+                 id="constant-1d-memory-only"),
+])
+def test_manufactured_ladder_converges(family, dim, physics):
+    # every term of the system forced
+    ratios = run_mms_ladder(_mms_config(family, dim, **physics), levels=_LEVELS[dim])["ratios"]
+    assert 3.5 <= ratios[-1] <= 4.5
+
+
+_PERTURBATIONS = {
+    "expansion": lambda params, kernel, t_end: (
+        params, dataclasses.replace(kernel, expansion=kernel.exp_sum(t_end).scaled(1.01))),
+    "k_exp": lambda params, kernel, t_end: (dataclasses.replace(params, k_exp=4.04), kernel),
+    "kappa": lambda params, kernel, t_end: (dataclasses.replace(params, kappa=1.01), kernel),
+    "b": lambda params, kernel, t_end: (dataclasses.replace(params, b=1.01 * params.b), kernel),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("perturbation", sorted(_PERTURBATIONS))
+def test_manufactured_ladder_fails_on_a_perturbed_forcing(monkeypatch, perturbation, dim):
+    # the forcing alone is built from a 1% wrong input while the run keeps
+    # the true one: the error stalls and the finest ratio misses the gate
+    build = cli.build_manufactured_case
+
+    def perturbed(msol, ops, params, kernel, t_end):
+        return build(msol, ops, *_PERTURBATIONS[perturbation](params, kernel, t_end), t_end)
+
+    monkeypatch.setattr(cli, "build_manufactured_case", perturbed)
+    ratios = run_mms_ladder(_mms_config("oscillatory", dim), levels=_LEVELS[dim])["ratios"]
+    assert ratios[-1] < 3.5
 
 
 @pytest.mark.parametrize("preset", ["oscillatory-inwell", "powerlaw-inwell"])
