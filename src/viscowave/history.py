@@ -11,21 +11,31 @@ each as the composite-trapezoid sum over every pushed stamp.
 
 The kernel enters through its sum of exponentials
 g ~ Re sum_j c_j e^{-s_j t} (``RelaxationKernel.exp_sum``, certified on
-[0, horizon]).  For one exponential the trapezoid sum obeys an exact
-two-stamp recursion, so per term j the buffer holds the weighted sum A_j of
-the rows r_i = [K u_i, u_i^T K u_i, 1] and updates it at O(n) cost per
-push, however long the history:
+[0, horizon]).  Per term j the buffer holds C_j, the decayed sum of the rows
+r_i = [K u_i, u_i^T K u_i, 1] with the first row at half weight, and
+updates it in two passes at O(n) cost per push, however long the history:
 
-  A_j <- e^{-s_j dt} (A_j + h_j r_prev) + h_j r_new,    h_j = c_j dt / 2.
+  C_j = r_0 / 2 at the first push,   C_j <- e^{-s_j dt} C_j + r_new.
 
-The force is Re sum_j A_j[K u].  |grad(u(t)-u(s))|^2 expands into the
-stored row entries, so both o functionals come from one product of A with
-[-2 u(t), 1, u(t)^T K u_last], summed with the weights 1 and -s_j (the
-expansion of g' = sum_j -s_j c_j e^{-s_j t}).  For an exponential kernel the
-result is the trapezoid sum itself (steps that differ only by the rounding
-of the stamps count as equal); otherwise it differs from the trapezoid sum
-with the exact g by at most the certified relative error times the
-trapezoid mass.  Memory held is O(J n) and does not grow with the pushes.
+The trapezoid half weight of the newest row is applied at the read: term j
+of the trapezoid sum, A_j = sum_i w_i c_j e^{-s_j (t - t_i)} r_i, is
+c_j dt C_j - (c_j dt / 2) r_last.  With r_last kept as row J of one
+(J+1, n+2) array ``ext`` below the J rows C_j, every quantity is a
+weighted sum of the rows of ``ext``:
+
+  force          Re([c_j dt ..., -sum_j c_j dt / 2] @ ext)[:-2],
+  o functionals  Re(W @ (ext @ [-2 u(t), 1, u(t)^T K u_last])),
+
+where |grad(u(t)-u(s))|^2 expands into the stored row entries and the
+second row of the (2, J+1) matrix W scales the first by -s_j (the expansion
+of g' = sum_j -s_j c_j e^{-s_j t}).  A change of step from dt_old to dt
+keeps A_j and rescales once, C_j <- rho C_j + (1 - rho) r_last / 2 with
+rho = dt_old / dt, so the newest row carries the nonuniform trapezoid
+weight (dt_old + dt) / 2.  For an exponential kernel the result is the
+trapezoid sum itself (steps that differ only by the rounding of the stamps
+count as equal); otherwise it differs from the trapezoid sum with the exact
+g by at most the certified relative error times the trapezoid mass.  Memory
+held is O(J n) and does not grow with the pushes.
 """
 
 from __future__ import annotations
@@ -52,15 +62,18 @@ class HistoryBuffer:
         self.expansion = exp_sum
         self._t_max = exp_sum.horizon * (1.0 + 1e-9)
         n_terms, dtype = exp_sum.n_terms, exp_sum.rates.dtype
-        self._acc = np.zeros((n_terms, n_dofs + 2), dtype)  # A_j, columns [K u, q, 1]
-        self._half_row = np.zeros_like(self._acc)  # h_j r_last
-        self._row = np.zeros(n_dofs + 2)  # r_last
+        # rows C_j, then r_last; columns [K u, q, 1]
+        self._ext = np.zeros((n_terms + 1, n_dofs + 2), dtype)
+        self._acc, self._row = self._ext[:-1], self._ext[-1]
         self._row[-1] = 1.0
         self._aug = np.zeros(n_dofs + 2)
         self._aug[-2] = 1.0
-        self._weights = np.array([np.ones(n_terms, dtype), -exp_sum.rates])  # g, g'
+        # read weights of the rows of ext for g and g'; zero before the
+        # first step, when every memory quantity is zero
+        self._weights = np.zeros((2, n_terms + 1), dtype)
+        # the force's operands, sliced once here instead of at every step
+        self._force_weights, self._ku_cols = self._weights[0], self._ext[:, :-2]
         self._decay = np.zeros((n_terms, 1), dtype)
-        self._half = np.zeros((n_terms, 1), dtype)
         self._dt: float | None = None
         self._diamond_u = None
         self._diamond_count = 0
@@ -74,9 +87,7 @@ class HistoryBuffer:
     @property
     def bytes_held(self) -> int:
         """Bytes of history state; independent of the number of pushes."""
-        arrays = (self._acc, self._half_row, self._row, self._aug, self._weights,
-                  self._decay, self._half)
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in (self._ext, self._aug, self._weights, self._decay))
 
     def diagnostics(self) -> dict:
         """Size of the history state and the certified error of the expansion."""
@@ -101,29 +112,38 @@ class HistoryBuffer:
                 f"push at t = {t} past the horizon {self.expansion.horizon} on which "
                 "the kernel expansion is certified"
             )
-        acc, row, half_row = self._acc, self._row, self._half_row
-        if self._t_last is not None:
+        acc, row = self._acc, self._row
+        first = self._t_last is None
+        if not first:
             dt = t - self._t_last
             # stamps t + dt carry rounding noise; steps equal up to it
             # share the cached weights of the first one
             if self._dt is None or abs(dt - self._dt) > 1e-8 * dt:
                 self._set_step(dt)
-            acc += half_row
-            acc *= self._decay
         row[:-2] = ku
         row[-2] = q
-        # before the first step h_j = 0, so the first push adds nothing
-        np.multiply(self._half, row, out=half_row)
-        acc += half_row
+        if first:  # r_0 at its trapezoid half weight, in every term
+            np.multiply(row, 0.5, out=acc)
+        else:
+            acc *= self._decay
+            acc += row
         self._t_last = t
         self._push_count += 1
 
     def _set_step(self, dt: float) -> None:
-        """Per-term decay e^{-s_j dt} and half weight h_j for steps of size dt."""
+        """Decay e^{-s_j dt} and read weights for steps of size dt; after a
+        change of step, the rescale that keeps every A_j."""
+        if self._dt is not None:
+            rho = self._dt / dt
+            self._acc *= rho
+            self._acc += (0.5 * (1.0 - rho)) * self._row
         self._dt = dt
-        self._decay[:, 0] = np.exp(-self.expansion.rates * dt)
-        self._half[:, 0] = 0.5 * dt * self.expansion.coeffs
-        np.multiply(self._half, self._row, out=self._half_row)
+        rates = self.expansion.rates
+        self._decay[:, 0] = np.exp(-rates * dt)
+        w = self._weights
+        w[0, :-1] = dt * self.expansion.coeffs
+        w[1, :-1] = -rates * w[0, :-1]
+        w[:, -1] = -0.5 * w[:, :-1].sum(axis=1)
 
     def _require_coverage(self, t: float) -> None:
         if self._t_last is None:
@@ -135,15 +155,9 @@ class HistoryBuffer:
             )
 
     def convolution_force(self, t: float) -> np.ndarray:
-        """int_0^t g(t-s) K u(s) ds.
-
-        For a single exponential this is a view of the buffer's state: it
-        holds until the next push, and callers must not write to it.
-        """
+        """int_0^t g(t-s) K u(s) ds, as a new array."""
         self._require_coverage(t)
-        if len(self._acc) == 1:  # a single exponential needs no sum over terms
-            return self._acc[0, :-2].real
-        return np.add.reduce(self._acc, 0)[:-2].real
+        return (self._force_weights @ self._ku_cols).real
 
     def g_diamond(self, t: float, u_now: np.ndarray) -> float:
         """(g o grad u)(t) >= 0; zero for a history constant in time."""
@@ -162,8 +176,8 @@ class HistoryBuffer:
             return self._diamonds_cached
         aug = self._aug
         np.multiply(u_now, -2.0, out=aug[:-2])
-        aug[-1] = u_now @ self._row[:-2]
-        gd, gpd = (self._weights @ (self._acc @ aug)).real.tolist()
+        aug[-1] = u_now @ self._row[:-2].real
+        gd, gpd = (self._weights @ (self._ext @ aug)).real.tolist()
         # roundoff guards: the exact values are signed sums of squares
         self._diamonds_cached = (max(gd, 0.0), min(gpd, 0.0))
         self._diamond_u, self._diamond_count = u_now, self._push_count

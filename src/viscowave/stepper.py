@@ -59,9 +59,10 @@ from .kernels import RelaxationKernel
 class Forcing:
     """Optional source terms for manufactured-solution runs.
 
-    ``f_omega(t, coords)`` acts on the interior equation, ``f_flux(t)`` on
-    the flux boundary line and ``f_acoustic(t)`` on the acoustic law; the
-    boundary callables return values aligned with the acoustic nodes.
+    ``f_omega(t)`` acts on the interior equation and returns one value per
+    node, ``f_flux(t)`` on the flux boundary line and ``f_acoustic(t)`` on
+    the acoustic law; the boundary callables return values aligned with the
+    acoustic nodes.
     """
 
     f_omega: Callable | None = None
@@ -211,7 +212,7 @@ def _evaluate(
         F += S
         lk = float(u @ S)
     if forcing is not None and forcing.f_omega is not None:
-        F += ops.mass_lumped * forcing.f_omega(t, ops.mesh.nodes)
+        F += ops.mass_lumped * forcing.f_omega(t)
     F[ops.mesh.gamma0_nodes] = 0.0
     F /= ops.mass_lumped
     return F, m_kir, grad_sq, lk
@@ -418,8 +419,9 @@ def build_manufactured_case(
     """
     mesh = ops.mesh
     coords = mesh.nodes
-    g1_coords = coords[mesh.gamma1_nodes]
-    worst_g0 = float(np.max(np.abs(msol.profile(coords[mesh.gamma0_nodes])), initial=0.0))
+    # the nodal fields, evaluated once: each step of f_Omega only scales them
+    profile, lap = msol.profile(coords), msol.lap(coords)
+    worst_g0 = float(np.max(np.abs(profile[mesh.gamma0_nodes]), initial=0.0))
     if worst_g0 > 1e-12:
         raise ValueError(
             f"manufactured field violates the Dirichlet condition: max |u| on "
@@ -427,8 +429,10 @@ def build_manufactured_case(
         )
     expansion = kernel.exp_sum(t_end)
     c, s = expansion.coeffs, expansion.rates
-    flux = msol.flux(g1_coords)
-    profile_g1 = msol.profile(g1_coords)
+    flux = msol.flux(coords[mesh.gamma1_nodes])
+    profile_g1 = profile[mesh.gamma1_nodes]
+    k = params.k_exp
+    source = np.abs(profile) ** (k - 2.0) * profile if params.source_enabled else None
 
     def stress(t: float) -> float:
         """M(|grad u|^2) cos t - int_0^t g(t - tau) cos tau dtau, the time
@@ -437,11 +441,12 @@ def build_manufactured_case(
         memory = (c * (s * cos_t + sin_t - s * np.exp(-s * t)) / (s * s + 1.0)).sum().real
         return params.kirchhoff_coefficient(msol.grad_sq * cos_t**2) * cos_t - float(memory)
 
-    def f_omega(t, x):
-        u = msol.profile(x) * math.cos(t)
-        out = -u - stress(t) * msol.lap(x)
-        if params.source_enabled:
-            out -= np.abs(u) ** (params.k_exp - 2.0) * u
+    def f_omega(t):
+        cos_t = math.cos(t)
+        out = profile * -cos_t
+        out -= stress(t) * lap
+        if source is not None:  # |u|^{k-2} u with u = profile cos t
+            out -= abs(cos_t) ** (k - 2.0) * cos_t * source
         return out
 
     def f_flux(t):
@@ -456,8 +461,8 @@ def build_manufactured_case(
         "acoustic_max": max(float(np.max(np.abs(f_acoustic(t)))) for t in t_samples),
     }
     forcing = Forcing(f_omega=f_omega, f_flux=f_flux, f_acoustic=f_acoustic)
-    return ManufacturedCase(forcing=forcing, u0=pin_gamma0(mesh, msol.profile(coords)),
-                            u1=np.zeros(mesh.n_nodes), y0=np.zeros(len(g1_coords)),
+    return ManufacturedCase(forcing=forcing, u0=pin_gamma0(mesh, profile),
+                            u1=np.zeros(mesh.n_nodes), y0=np.zeros(len(profile_g1)),
                             boundary_residual=residual)
 
 

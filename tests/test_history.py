@@ -5,7 +5,7 @@ import pytest
 
 from viscowave import HistoryBuffer, assemble, build_kernel, make_rate
 
-from conftest import exp_kernel, interval_mesh
+from conftest import exp_kernel, interval_mesh, square_mesh
 from history_oracle import FullHistory
 
 
@@ -189,15 +189,19 @@ FAMILIES = [("constant", 1.3, 0.0, 2.0), ("power_law", 2.0, 0.0, 3.0),
             ("oscillatory", 1.0, 0.5, 2.0)]
 
 
-@pytest.mark.parametrize("family,alpha,eps,a", FAMILIES, ids=[f[0] for f in FAMILIES])
-def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a):
-    # random history with a change of step: the recursion must equal the
-    # trapezoid sum with the exact g up to the expansion's certified error
-    # times the trapezoid mass of each quantity, plus roundoff
-    mesh = interval_mesh(12)
+@pytest.mark.parametrize("family,alpha,eps,a,dim", [
+    pytest.param(*f, dim, id=f[0] if dim == 1 else f"{f[0]}-2d") for dim in (1, 2) for f in FAMILIES
+])
+def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a, dim):
+    # random history whose step changes twice, up and then down: the
+    # recursion must equal the trapezoid sum with the exact g up to the
+    # expansion's certified error times the trapezoid mass of each quantity,
+    # plus roundoff; in 2D on a square with the right face acoustic
+    mesh = interval_mesh(12) if dim == 1 else square_mesh(8)
     ops = assemble(mesh)
     kernel = build_kernel(make_rate(family, alpha, eps), 0.9, a)
-    times = np.concatenate([np.linspace(0.0, 1.0, 201), np.linspace(1.01, 3.0, 200)])
+    times = np.concatenate([np.linspace(0.0, 1.0, 201), np.linspace(1.01, 2.0, 100),
+                            np.linspace(2.0025, 3.0, 400)])
     buf = HistoryBuffer(kernel, mesh.n_nodes, horizon=times[-1])
     oracle = FullHistory(kernel, mesh.n_nodes)
     rng = np.random.default_rng(17)
@@ -243,6 +247,33 @@ def test_history_memory_flat_in_pushes(family, alpha, eps, a):
     assert held[400] == held[800] > 0
     assert buf.diagnostics() == {"n_terms": buf.expansion.n_terms, "bytes_held": held[800],
                                  "certified_rel_error": buf.expansion.rel_error}
+
+
+@pytest.mark.parametrize("family,alpha,eps,a", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_bytes_held_counts_every_array_of_the_buffer_once(family, alpha, eps, a):
+    # views share their base's memory, so each base array counts once
+    buf = HistoryBuffer(build_kernel(make_rate(family, alpha, eps), 1.0, a), 9, horizon=1.0)
+    for i in range(3):
+        buf.push(i * 0.1, np.full(9, float(i)), 9.0 * i * i)
+    buf.convolution_force(0.2)
+    bases = {}
+    for value in vars(buf).values():
+        if isinstance(value, np.ndarray):
+            base = value if value.base is None else value.base
+            bases[id(base)] = base
+    assert buf.bytes_held == sum(b.nbytes for b in bases.values())
+
+
+def test_convolution_force_shares_no_memory_with_the_buffer():
+    # the stepper adds the force to an array of its own and the buffer
+    # overwrites its state at the next push
+    kernel = build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)
+    for buf in (HistoryBuffer(exp_kernel(), 5), HistoryBuffer(kernel, 5)):
+        buf.push(0.0, np.ones(5), 5.0)
+        buf.push(0.1, np.ones(5), 5.0)
+        force = buf.convolution_force(0.1)
+        assert not any(np.shares_memory(force, value) for value in vars(buf).values()
+                       if isinstance(value, np.ndarray))
 
 
 def test_push_past_certified_horizon_rejected():

@@ -247,7 +247,7 @@ def test_manufactured_zero_field_gives_zero_case():
     assert np.all(case.u0 == 0.0)
     assert np.all(case.u1 == 0.0)
     assert np.all(case.y0 == 0.0)
-    assert np.all(case.forcing.f_omega(0.3, mesh.nodes) == 0.0)
+    assert np.all(case.forcing.f_omega(0.3) == 0.0)
     assert np.all(case.forcing.f_flux(0.3) == -math.cos(0.3))
     assert case.boundary_residual["flux_max"] == 1.0
 
@@ -281,7 +281,7 @@ def test_sine_solution_forcing_matches_hand_value():
     x = mesh.nodes[:, 0]
     u = np.sin(x) * c
     # u_tt - M lap u + memory of lap u - u^3, with lap u = -u
-    assert np.allclose(case.forcing.f_omega(t, mesh.nodes), -u + stress * np.sin(x) - u**3,
+    assert np.allclose(case.forcing.f_omega(t), -u + stress * np.sin(x) - u**3,
                        rtol=1e-13, atol=0.0)
     assert case.forcing.f_flux(t)[0] == pytest.approx(stress * math.cos(1.0) - c, rel=1e-13)
     assert case.forcing.f_acoustic(t)[0] == pytest.approx(c + s - math.sin(1.0) * s, rel=1e-13)
@@ -307,7 +307,7 @@ def test_manufactured_memory_matches_quadrature_of_the_exact_kernel(family):
                                 grad_sq=0.0)
     case = build_manufactured_case(msol, ops, params, kernel, t_end=2.0)
     for t in (0.3, 1.0, 2.0):
-        memory = case.forcing.f_omega(t, mesh.nodes)[0] + params.a * math.cos(t)
+        memory = case.forcing.f_omega(t)[0] + params.a * math.cos(t)
         exact, _ = quad(lambda s: float(kernel.g(t - s)) * math.cos(s), 0.0, t,
                         epsabs=0.0, epsrel=1e-12, limit=200)
         assert memory == pytest.approx(exact, rel=1e-9)
@@ -474,7 +474,7 @@ def test_state_norms_feed_the_energy_report(case):
         mesh = interval_mesh(16)
         forcing = None
         if case == "1d-forced-on-gamma0":
-            forcing = Forcing(f_omega=lambda t, x: np.full(len(x), 1.0 + t))
+            forcing = Forcing(f_omega=lambda t: np.full(mesh.n_nodes, 1.0 + t))
         cfg = StepperConfig(dt=1e-3, t_end=0.2, record_every=20, forcing=forcing)
     params = default_params()
     ops = assemble(mesh)
@@ -493,6 +493,30 @@ def test_state_norms_feed_the_energy_report(case):
             assert np.all(field[g0] == 0.0)
 
 
+@pytest.mark.parametrize("family", ["constant", "oscillatory"])
+def test_step_pushes_once_and_reads_the_force_once(family):
+    # one push and one force read per step: the benchmark's history layer
+    # metrics divide their time by the number of steps
+    mesh = interval_mesh(16)
+    params = default_params()
+    ops = assemble(mesh)
+    spec = _FAMILIES[family]
+    kernel = build_kernel(make_rate(family, spec["alpha"], spec.get("eps", 0.0)), 1.0, 3.0)
+    cfg = StepperConfig(dt=1e-3, t_end=0.01)
+    buffer = HistoryBuffer(kernel, mesh.n_nodes, horizon=cfg.t_end)
+    state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1]),
+                       ops, params, buffer, cfg)
+    calls = []
+    for name in ("push", "convolution_force"):
+        def counted(*args, _name=name, _method=getattr(buffer, name)):
+            calls.append(_name)
+            return _method(*args)
+        setattr(buffer, name, counted)
+    for n in range(1, 4):
+        state = step(state, ops, params, buffer, cfg)
+        assert sorted(calls) == ["convolution_force"] * n + ["push"] * n
+
+
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
 def test_step_never_mutates_a_returned_state(forced):
     # Trajectory keeps states by reference, so step must build every array
@@ -503,7 +527,7 @@ def test_step_never_mutates_a_returned_state(forced):
     kernel = exp_kernel()
     forcing = None
     if forced:
-        forcing = Forcing(f_omega=lambda t, x: np.full(len(x), t),
+        forcing = Forcing(f_omega=lambda t: np.full(mesh.n_nodes, t),
                           f_flux=lambda t: np.array([0.1 * t]), f_acoustic=lambda t: 0.2)
     cfg = StepperConfig(dt=1e-3, t_end=0.04, forcing=forcing)
     buffer = HistoryBuffer(kernel, mesh.n_nodes, horizon=cfg.t_end)
@@ -595,10 +619,9 @@ def test_the_finiteness_check_catches_each_field_at_its_step(entry):
     zero = np.zeros(mesh.n_nodes)
     interior = zero.copy()
     interior[5] = math.inf
-    interior_force = _at_blow_step(dt, interior, zero)
     forcing, abort_step = {
         "acoustic-law": (Forcing(f_acoustic=_at_blow_step(dt, math.inf, 0.0)), _BLOW_STEP),
-        "interior-force": (Forcing(f_omega=lambda t, x: interior_force(t)), _BLOW_STEP),
+        "interior-force": (Forcing(f_omega=_at_blow_step(dt, interior, zero)), _BLOW_STEP),
         "boundary-acceleration": (Forcing(f_acoustic=_at_blow_step(dt, 1e307, 0.0)),
                                   _BLOW_STEP + 1),
     }[entry]
