@@ -305,13 +305,21 @@ def csr_product(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 
     ``A @ x`` ends in the same kernel, ``csr_matvec`` into a zeroed output;
     on the way it spends about 2 us of Python dispatch per call, more than
-    the arithmetic on the meshes the stepper runs every step.  This is the
-    only use of scipy's private ``_sparsetools`` in the package.
+    the arithmetic on the meshes the stepper runs every step.  This and
+    :func:`_csr_accumulate` are the only uses of scipy's private
+    ``_sparsetools`` in the package.
     """
     n_row, n_col = A.shape
     out = np.zeros(n_row)
     csr_matvec(n_row, n_col, A.indptr, A.indices, A.data, x, out)
     return out
+
+
+def _csr_accumulate(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
+    """out += A @ x in place.  ``out`` may be a slice of ``x`` itself when
+    no column of A reads an entry of that slice: the stepper's acoustic
+    closure map writes into its own state array this way."""
+    csr_matvec(len(out), len(x), A.indptr, A.indices, A.data, x, out)
 
 
 def grad_norm_sq(ops: DiscreteOperators, u: np.ndarray) -> float:

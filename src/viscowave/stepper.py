@@ -18,15 +18,29 @@ dt must stay below 2 * cfl_safety / sqrt(lam_max * M_kir), with lam_max
 ``lam_max_unit``, 1.05 times the largest generalized stiffness eigenvalue
 (in 1D this reduces to the classical dt <= cfl_safety * h / sqrt(M_kir)).
 
-Each new iterate is evaluated once (``_evaluate``): the force, and
-|grad u|^2 and int |u|^k for the energy report, from one stiffness product
-(``csr_product``) and one nodal source vector.
+A state is one float array (layout in :class:`AcousticClosure`): accel,
+u, v, y and y_t, then the closure's slots for the boundary increments of v
+and accel, f3 and f4, and the previous (y, y_t).  A step fills a new array
+in fixed stages, all set up once per run by :func:`init_state`:
+
+  drift     one (2, 3) product maps the rows (accel, u, v) to (u1, v_half);
+  force     the new iterate is evaluated once (``_evaluate``): the force,
+            and |grad u|^2 and int |u|^k for the energy report, from one
+            stiffness product (``csr_product``) and one nodal source
+            vector; one multiply by 1 / M_lump, zero on Gamma_0, gives accel;
+  closure   after the kick, one per-run sparse map takes (v on Gamma_1, f3,
+            f4, y_prev, y_t_prev) to (y1, y_t1, dv, da), and one scatter
+            adds dv and da into v and accel on Gamma_1.  Absent forcing
+            leaves f3 and f4 zero, so every step takes the same path;
+  check     one finiteness test over the run of u, v, y and y_t.  accel is
+            left out: a non-finite acceleration reaches u and v, and aborts,
+            one step later.
 
 Floating-point errors: :func:`run` enters one
 ``np.errstate(over="ignore", invalid="ignore")`` around ``init_state``,
 every step and every record, and restores the caller's state on the way
 out.  On the way to a blow-up an overflow gives inf or nan, which the
-finiteness checks turn into an abort, not a warning.  :func:`init_state`
+finiteness check turns into an abort, not a warning.  :func:`init_state`
 enters its own as well (it runs once); :func:`step` does not, so a caller
 that steps by hand enters it around its calls.
 
@@ -39,13 +53,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (
     DiscreteOperators,
     PhysicalParams,
+    _csr_accumulate,
     csr_product,
     pin_gamma0,
     source_vector,
@@ -94,41 +110,130 @@ class StepperConfig:
         return int(round(self.t_end / self.dt))
 
 
-class AcousticClosure(NamedTuple):
-    """Per-run constants of the trapezoidal acoustic closure, one entry per
-    acoustic node: the lumped mass m_g, c = dt/2 w / m_g and the denominator
-    p + c + dt/2 q of the closed-form solve."""
+class AcousticClosure:
+    """Per-run constants of a step; they depend only on dt, the operators
+    and the coefficients.  :func:`init_state` builds them, every step hands
+    the same object on, and a deep copy of a state shares it.
 
-    m_g: np.ndarray
-    c: np.ndarray
-    denom: np.ndarray
+    A state lives in one float array ``x``, in slots of n (nodes) or m
+    (acoustic nodes) entries:
+
+      accel | u | v | y | y_t | dv | da | f3 | f4 | y_prev | y_t_prev
+
+    The slices below name the slots and the runs of slots a step reads or
+    writes at once.
+
+    * ``drift`` = [[dt^2/2, 1, dt], [dt/2, 0, 1]] maps the rows
+      (accel, u, v) of the old array to (u1, v_half) of the new one;
+    * ``inv_mass`` is 1 / M_lump, zero on Gamma_0;
+    * ``map`` is the trapezoidal closure of the boundary triple
+      (v, y, y_t), pointwise at each acoustic node,
+
+        v1 = A + c z,  y1 = y + dt/2 (y_t + z),  p z = f4 - v1 - q y1,
+
+      with A = v + c f3, v the kicked velocity without the boundary terms
+      and c = dt/2 w / m_g, solved in closed form,
+
+        z = (f4 - A - q y - dt/2 q y_t) / (p + c + dt/2 q),
+        dv = c (f3 + z),  da = (w / m_g) (z + f3),
+
+      as one linear map from (v, f3, f4, y_prev, y_t_prev) to
+      (y1, z, dv, da), the runs ``closed`` of the new array;
+    * ``scatter`` holds the places of v and accel on Gamma_1, into which
+      dv and da, the run ``increments``, are added.
+    """
+
+    def __init__(self, ops: DiscreteOperators, params: PhysicalParams, dt: float):
+        mesh = ops.mesh
+        g1 = mesh.gamma1_nodes
+        n, m = ops.n_nodes, len(g1)
+        self.size = 3 * n + 8 * m
+        self.accel, self.u, self.v = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+        b = 3 * n  # the first acoustic slot
+        self.y, self.y_t = slice(b, b + m), slice(b + m, b + 2 * m)
+        self.drift_in, self.drift_out = slice(0, b), slice(n, b)
+        self.checked = slice(n, b + 2 * m)  # u, v, y, y_t
+        self.acoustic, self.closed = slice(b, b + 2 * m), slice(b, b + 4 * m)
+        self.increments = slice(b + 2 * m, b + 4 * m)
+        self.cleared = slice(b, b + 6 * m)  # the map's output and f3, f4
+        self.forcing, self.previous = slice(b + 4 * m, b + 6 * m), slice(b + 6 * m, b + 8 * m)
+
+        hdt = 0.5 * dt
+        self.drift = np.array([[hdt * dt, 1.0, dt], [hdt, 0.0, 1.0]])
+        inv_mass = 1.0 / ops.mass_lumped
+        inv_mass[mesh.gamma0_nodes] = 0.0
+        self.inv_mass = inv_mass
+
+        p, q = params.p_c, params.q_c
+        r = mesh.gamma1_weights / ops.mass_lumped[g1]
+        c = hdt * r
+        d = p + c + hdt * q
+        pc, pq = (p + c) / d, (p + hdt * q) / d
+        # rows y1, z, dv, da; columns v, f3, f4, y_prev, y_t_prev.  1 - dt/2 q / d
+        # is written (p + c) / d and 1 - c / d is (p + dt/2 q) / d, free of
+        # cancellation
+        coeffs = np.array([
+            [-hdt / d, -hdt * c / d, hdt / d, pc, hdt * pc],
+            [-1.0 / d, -c / d, 1.0 / d, -q / d, -hdt * q / d],
+            [-c / d, c * pq, c / d, -c * q / d, -hdt * c * q / d],
+            [-r / d, r * pq, r / d, -r * q / d, -hdt * r * q / d],
+        ])
+        k = np.arange(m)
+        rows = np.arange(4)[:, None, None] * m + k
+        cols = np.array([2 * n + g1, b + 4 * m + k, b + 5 * m + k, b + 6 * m + k, b + 7 * m + k])
+        shape = (4, 5, m)
+        self.map = sp.csr_matrix(
+            (coeffs.ravel(), (np.broadcast_to(rows, shape).ravel(),
+                              np.broadcast_to(cols, shape).ravel())),
+            shape=(4 * m, self.size),
+        )
+        self.scatter = np.concatenate([2 * n + g1, g1])
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 @dataclass
 class SimState:
-    """Solution snapshot; u, v live on all nodes (Dirichlet entries zero),
-    y and y_t on the acoustic nodes.  ``accel`` caches the acceleration at t
-    for the next Verlet kick; ``grad_sq`` = u.K u and ``lk`` = u.S(u) (0 with
-    the source off) come from the same evaluation and feed the energy report.
-    ``n`` counts the steps taken; t is n * dt, never a running sum of dt.
-    ``closure`` depends only on dt, the operators and the coefficients:
-    :func:`init_state` computes it and every step hands it on.
+    """Solution snapshot, held in one array ``x`` (layout in
+    :class:`AcousticClosure`); u, v and accel live on all nodes (Dirichlet
+    entries zero), y and y_t on the acoustic nodes, each a view of ``x``.
+    ``accel`` caches the acceleration at t for the next Verlet kick;
+    ``grad_sq`` = u.K u and ``lk`` = u.S(u) (0 with the source off) come
+    from the same evaluation and feed the energy report.  ``n`` counts the
+    steps taken; t is n * dt, never a running sum of dt.
 
-    :func:`step` builds a new state and never writes to the arrays of the
-    one it was given, so a returned state can be kept without a copy.
+    :func:`step` builds a new array and never writes to the one of the
+    state it was given, so a returned state can be kept without a copy.
     """
 
     t: float
-    u: np.ndarray
-    v: np.ndarray
-    y: np.ndarray
-    y_t: np.ndarray
+    x: np.ndarray
     m_kir: float
-    accel: np.ndarray
     grad_sq: float
     lk: float
     closure: AcousticClosure
     n: int = 0
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.x[self.closure.u]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.x[self.closure.v]
+
+    @property
+    def accel(self) -> np.ndarray:
+        return self.x[self.closure.accel]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.x[self.closure.y]
+
+    @property
+    def y_t(self) -> np.ndarray:
+        return self.x[self.closure.y_t]
 
 
 @dataclass(frozen=True)
@@ -148,8 +253,9 @@ class SimulationAbort(RuntimeError):
 class Trajectory:
     """What a run keeps: per record its time, energy report and acoustic
     field y, plus the state of the last record as ``final`` (None before
-    the first).  States are kept by reference, never copied.  ``memory``
-    is the history buffer's ``diagnostics()``."""
+    the first).  y is copied, so that no record keeps its step's whole
+    array alive; states are kept by reference.  ``memory`` is the history
+    buffer's ``diagnostics()``."""
 
     memory: dict
     times: list[float] = field(default_factory=list)
@@ -164,7 +270,7 @@ class Trajectory:
             raise SimulationAbort("blow-up or instability: non-finite energy", state.t)
         self.times.append(state.t)
         self.reports.append(report)
-        self.ys.append(state.y)
+        self.ys.append(state.y.copy())
         self.final = state
 
     @property
@@ -188,16 +294,19 @@ def _check_cfl(dt: float, m_kir: float, ops: DiscreteOperators, cfg: StepperConf
 def _evaluate(
     t: float,
     u: np.ndarray,
+    accel: np.ndarray,
     buffer: HistoryBuffer,
     params: PhysicalParams,
     ops: DiscreteOperators,
     forcing: Forcing | None,
+    inv_mass: np.ndarray,
 ):
     """Push the new iterate ``u`` at t and evaluate it once.
 
-    Returns (F / M_lump, M_kir, u.K u, u.S(u)).  Zeroing F on Gamma_0 is
-    the step's one Dirichlet pin: it keeps u, v and accel zero there.  As u
-    is zero on Gamma_0, u.S(u) is int |u_h|^k by the source's own rule.
+    Writes F / M_lump into ``accel`` and returns (M_kir, u.K u, u.S(u)).
+    ``inv_mass`` is zero on Gamma_0, so the one multiply is also the step's
+    one Dirichlet pin: it keeps u, v and accel zero there.  As u is zero on
+    Gamma_0, u.S(u) is int |u_h|^k by the source's own rule.
     """
     ku = csr_product(ops.stiffness, u)
     grad_sq = float(u @ ku)
@@ -213,26 +322,21 @@ def _evaluate(
         lk = float(u @ S)
     if forcing is not None and forcing.f_omega is not None:
         F += ops.mass_lumped * forcing.f_omega(t)
-    F[ops.mesh.gamma0_nodes] = 0.0
-    F /= ops.mass_lumped
-    return F, m_kir, grad_sq, lk
+    np.multiply(F, inv_mass, out=accel)
+    return m_kir, grad_sq, lk
 
 
-def _check_finite(t: float, *fields: np.ndarray) -> None:
-    for f in fields:
-        if not np.isfinite(f).all():
-            raise SimulationAbort("blow-up or instability: non-finite field values", t)
+def _check_finite(t: float, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise SimulationAbort("blow-up or instability: non-finite field values", t)
 
 
-def _boundary_forcing(forcing: Forcing | None, t: float, n_gamma1: int):
-    """(f3, f4) at t on the acoustic nodes; None stands for a term that is
-    absent, which the closure skips instead of adding zeros."""
-    if forcing is None:
-        return None, None
-    return tuple(
-        None if f is None else np.broadcast_to(np.asarray(f(t), dtype=float), (n_gamma1,))
-        for f in (forcing.f_flux, forcing.f_acoustic)
-    )
+def _boundary_forcing(forcing: Forcing, t: float, out: np.ndarray) -> None:
+    """Write f3 and f4 at t into the two rows of ``out``; an absent term
+    leaves its row as it is, zero."""
+    for f, row in zip((forcing.f_flux, forcing.f_acoustic), out):
+        if f is not None:
+            row[...] = f(t)
 
 
 def init_state(
@@ -244,25 +348,29 @@ def init_state(
     buffer: HistoryBuffer,
     cfg: StepperConfig,
 ) -> SimState:
-    """Initial state at t = 0; pushes the initial snapshot into the buffer."""
+    """Initial state at t = 0; pushes the initial snapshot into the buffer
+    and builds the run's :class:`AcousticClosure`."""
     mesh = ops.mesh
-    u = pin_gamma0(mesh, u0)
-    v = pin_gamma0(mesh, u1)
-    y = np.broadcast_to(np.asarray(y0, dtype=float), (len(mesh.gamma1_nodes),)).copy()
+    g1 = mesh.gamma1_nodes
+    closure = AcousticClosure(ops, params, cfg.dt)
+    x = np.zeros(closure.size)
+    x[closure.u] = pin_gamma0(mesh, u0)
+    x[closure.v] = pin_gamma0(mesh, u1)
+    x[closure.y] = y0
+    accel = x[closure.accel]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        accel, m_kir, grad_sq, lk = _evaluate(0.0, u, buffer, params, ops, cfg.forcing)
-    f3, f4 = _boundary_forcing(cfg.forcing, 0.0, len(mesh.gamma1_nodes))
-    m_g = ops.mass_lumped[mesh.gamma1_nodes]
-    c = 0.5 * cfg.dt * mesh.gamma1_weights / m_g
-    closure = AcousticClosure(m_g=m_g, c=c, denom=params.p_c + c + 0.5 * cfg.dt * params.q_c)
-    v_g = v[mesh.gamma1_nodes]
-    y_t = ((-v_g if f4 is None else f4 - v_g) - params.q_c * y) / params.p_c
-    accel[mesh.gamma1_nodes] += mesh.gamma1_weights * (y_t if f3 is None else y_t + f3) / m_g
-    _check_finite(0.0, u, v, y, accel)
+        m_kir, grad_sq, lk = _evaluate(0.0, x[closure.u], accel, buffer, params, ops,
+                                       cfg.forcing, closure.inv_mass)
+    f3, f4 = boundary = x[closure.forcing].reshape(2, -1)
+    if cfg.forcing is not None:
+        _boundary_forcing(cfg.forcing, 0.0, boundary)
+    y_t = x[closure.y_t]
+    y_t[:] = (f4 - x[closure.v][g1] - params.q_c * x[closure.y]) / params.p_c
+    accel[g1] += mesh.gamma1_weights * (y_t + f3) / ops.mass_lumped[g1]
+    _check_finite(0.0, x[:closure.checked.stop])  # accel, u, v, y and y_t
     _check_cfl(cfg.dt, m_kir, ops, cfg, 0.0)
-    return SimState(t=0.0, u=u, v=v, y=y, y_t=y_t, m_kir=m_kir, accel=accel,
-                    grad_sq=grad_sq, lk=lk, closure=closure)
+    return SimState(t=0.0, x=x, m_kir=m_kir, grad_sq=grad_sq, lk=lk, closure=closure)
 
 
 def step(
@@ -272,63 +380,37 @@ def step(
     buffer: HistoryBuffer,
     cfg: StepperConfig,
 ) -> SimState:
-    """Advance one step of size cfg.dt (buffer must be current at state.t).
-
-    u1 and v1 are the two halves of one new array, so one finiteness test
-    covers both; y1 has an array of its own, as a record keeps it.
+    """Advance one step of size cfg.dt (buffer must be current at state.t),
+    filling one new array in the stages the module docstring lists.
 
     ``step`` enters no ``np.errstate`` of its own: :func:`run` enters one
     around the whole run.  A caller that steps by hand wraps its calls in
     ``np.errstate(over="ignore", invalid="ignore")`` too, or an overflow
     on the way to a blow-up warns before the finiteness check aborts.
     """
-    dt = cfg.dt
-    hdt = 0.5 * dt
-    g1 = ops.mesh.gamma1_nodes
-    w1 = ops.mesh.gamma1_weights
-    n = ops.n_nodes
+    closure = state.closure
     n1 = state.n + 1
-    t1 = n1 * dt
-
-    uv = np.empty(2 * n)
-    u1, v1 = uv[:n], uv[n:]
-    v_half = state.accel * hdt
-    v_half += state.v
-    np.multiply(v_half, dt, out=u1)
-    u1 += state.u
-
-    accel1, m_kir1, grad_sq1, lk1 = _evaluate(t1, u1, buffer, params, ops, cfg.forcing)
-    np.multiply(accel1, hdt, out=v1)
-    v1 += v_half
-
-    f3 = f4 = None
+    t1 = n1 * cfg.dt
+    x0 = state.x
+    x = np.empty(closure.size)
+    np.dot(closure.drift, x0[closure.drift_in].reshape(3, -1),
+           out=x[closure.drift_out].reshape(2, -1))
+    x[closure.cleared] = 0.0
+    x[closure.previous] = x0[closure.acoustic]
     if cfg.forcing is not None:
-        f3, f4 = _boundary_forcing(cfg.forcing, t1, len(g1))
-    m_g, c, denom = state.closure
-    # trapezoidal closure of the boundary triple (v, y, y_t), pointwise:
-    #   v1 = A + c z,  y1 = y + dt/2 (y_t + z),  p z = f4 - v1 - q y1
-    # with A = v_half + dt/2 a_g, which is v1 as it stands without f3;
-    # z = ((f4 - A) - q y - dt/2 q y_t) / denom, built in place
-    if f3 is None:
-        A = v1[g1]
-    else:
-        A = v_half[g1] + hdt * (accel1[g1] + w1 * f3 / m_g)
-    z = np.negative(A) if f4 is None else f4 - A
-    z -= params.q_c * state.y
-    z -= hdt * params.q_c * state.y_t
-    z /= denom
+        _boundary_forcing(cfg.forcing, t1, x[closure.forcing].reshape(2, -1))
 
-    v1[g1] = A + c * z
-    y1 = np.add(state.y_t, z)
-    y1 *= hdt
-    np.add(state.y, y1, out=y1)
-    accel1[g1] += w1 * (z if f3 is None else z + f3) / m_g
+    accel = x[closure.accel]
+    m_kir1, grad_sq1, lk1 = _evaluate(t1, x[closure.u], accel, buffer, params, ops,
+                                      cfg.forcing, closure.inv_mass)
+    v = x[closure.v]
+    v += accel * (0.5 * cfg.dt)
+    _csr_accumulate(closure.map, x, x[closure.closed])
+    x[closure.scatter] += x[closure.increments]
 
-    _check_finite(t1, uv, y1)
-    _check_cfl(dt, m_kir1, ops, cfg, t1)
-
-    return SimState(t=t1, u=u1, v=v1, y=y1, y_t=z, m_kir=m_kir1, accel=accel1,
-                    grad_sq=grad_sq1, lk=lk1, closure=state.closure, n=n1)
+    _check_finite(t1, x[closure.checked])
+    _check_cfl(cfg.dt, m_kir1, ops, cfg, t1)
+    return SimState(t1, x, m_kir1, grad_sq1, lk1, closure, n1)
 
 
 def run(

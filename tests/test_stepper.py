@@ -21,6 +21,7 @@ from viscowave import (
     make_rate,
     run,
     sine_solution,
+    source_vector,
 )
 from viscowave import cli, compute_energy, stepper
 from viscowave.cli import PRESETS, initial_data, parse_config, run_mms_ladder
@@ -562,26 +563,59 @@ def test_one_stiffness_product_per_step_and_two_mass_products_per_record(csr_pro
     assert len(csr_products) == stiffness + mass
 
 
-def test_acoustic_closure_is_computed_once_per_run():
-    # m_g, c and the closure's denominator depend on dt, the operators and
-    # the coefficients only: init_state computes them and every step hands
-    # the same arrays on
-    mesh = square_mesh(4, gamma1=("right", "top"))  # unequal weights and masses
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_acoustic_closure_map_matches_the_trapezoid_formulas(forced):
+    # the per-run closure map against the trapezoidal solve written out, on
+    # a square whose acoustic faces meet at a free corner (unequal weights
+    # and masses); the pre-closure kick is rebuilt from the public pieces,
+    # and init_state builds the closure once, every step handing it on
+    mesh = square_mesh(4, gamma1=("right", "top"))
+    g1, w = mesh.gamma1_nodes, mesh.gamma1_weights
+    m = len(g1)
     params = default_params(p_c=0.7, q_c=1.3)
+    p, q = params.p_c, params.q_c
     ops = assemble(mesh)
-    cfg = StepperConfig(dt=1e-3, t_end=0.01)
+    forcing = None
+    if forced:
+        forcing = Forcing(f_flux=lambda t: np.linspace(0.3, 0.7, m) * (1.0 + t),
+                          f_acoustic=lambda t: np.linspace(-0.2, 0.4, m) + t)
+    cfg = StepperConfig(dt=1e-3, t_end=0.01, forcing=forcing)
+    hdt = 0.5 * cfg.dt
     buffer = HistoryBuffer(exp_kernel(), mesh.n_nodes, horizon=cfg.t_end)
-    state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.zeros(1),
-                       ops, params, buffer, cfg)
+    state = init_state(sine_profile(mesh, 0.3), sine_profile(mesh, -0.2),
+                       np.linspace(0.1, 0.3, m), ops, params, buffer, cfg)
     closure = state.closure
-    m_g = ops.mass_lumped[mesh.gamma1_nodes]
-    c = 0.5 * cfg.dt * mesh.gamma1_weights / m_g
-    assert closure.m_g.tobytes() == m_g.tobytes()
-    assert closure.c.tobytes() == c.tobytes()
-    assert closure.denom.tobytes() == (params.p_c + c + 0.5 * cfg.dt * params.q_c).tobytes()
+    m_g = ops.mass_lumped[g1]
+    c = hdt * w / m_g
+    denom = p + c + hdt * q
+    free = np.ones(mesh.n_nodes, bool)
+    free[mesh.gamma0_nodes] = False
+
+    def rel_err(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
     for _ in range(10):
-        state = step(state, ops, params, buffer, cfg)
-        assert state.closure is closure
+        new = step(state, ops, params, buffer, cfg)
+        assert new.closure is closure
+        f3 = forcing.f_flux(new.t) if forced else 0.0
+        f4 = forcing.f_acoustic(new.t) if forced else 0.0
+        # the kicked velocity and the force's acceleration, without the
+        # boundary terms
+        force = (-new.m_kir * (ops.stiffness @ new.u) + buffer.convolution_force(new.t)
+                 + source_vector(ops, new.u, params.k_exp))
+        accel = np.where(free, force / ops.mass_lumped, 0.0)
+        v = state.v + hdt * state.accel + hdt * accel
+        A = v[g1] + c * f3
+        z = (f4 - A - q * state.y - hdt * q * state.y_t) / denom
+        v[g1] = A + c * z
+        y = state.y + hdt * (state.y_t + z)
+        accel[g1] += w * (z + f3) / m_g
+        assert rel_err(new.v[g1], v[g1]) <= 1e-14
+        assert rel_err(new.y, y) <= 1e-14
+        assert rel_err(new.y_t, z) <= 1e-14
+        assert rel_err(new.accel, accel) <= 1e-14
+        assert rel_err(new.v, v) <= 1e-14
+        state = new
 
 
 def test_records_own_their_acoustic_arrays():
@@ -644,8 +678,8 @@ def test_the_finiteness_check_reads_y_on_its_own():
     buffer = HistoryBuffer(exp_kernel(), mesh.n_nodes, horizon=cfg.t_end)
     state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.zeros(1),
                        ops, params, buffer, cfg)
-    top = np.full(1, np.finfo(float).max)
-    state = dataclasses.replace(state, y=top, y_t=top)
+    state = dataclasses.replace(state, x=state.x.copy())
+    state.y[:] = state.y_t[:] = np.finfo(float).max
     # step enters no errstate of its own; run holds one for the whole run
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationAbort, match="non-finite field values") as exc:
