@@ -147,6 +147,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in RATE_FAMILIES:
             raise ValueError(f"family must be one of {RATE_FAMILIES}, got {self.family!r}")
+        if self.eps != 0.0 and self.family != "oscillatory":
+            raise ValueError(f"eps shapes the oscillatory rate alone; it must be 0 for "
+                             f"the {self.family!r} family, got {self.eps}")
 
     def build(self, a: float) -> RelaxationKernel:
         return build_kernel(make_rate(self.family, self.alpha, self.eps), self.g0, a)

@@ -34,7 +34,8 @@ in fixed stages, all set up once per run by :func:`init_state`:
             leaves f3 and f4 zero, so every step takes the same path;
   check     one finiteness test over the run of u, v, y and y_t.  accel is
             left out: a non-finite acceleration reaches u and v, and aborts,
-            one step later.
+            one step later.  Then one comparison of M_kir with the run's
+            CFL bound ``m_kir_max``.
 
 Floating-point errors: :func:`run` enters one
 ``np.errstate(over="ignore", invalid="ignore")`` around ``init_state``,
@@ -111,9 +112,9 @@ class StepperConfig:
 
 
 class AcousticClosure:
-    """Per-run constants of a step; they depend only on dt, the operators
-    and the coefficients.  :func:`init_state` builds them, every step hands
-    the same object on, and a deep copy of a state shares it.
+    """Per-run constants of a step; they depend only on the stepper config,
+    the operators and the coefficients.  :func:`init_state` builds them,
+    every step hands the same object on, and a deep copy of a state shares it.
 
     A state lives in one float array ``x``, in slots of n (nodes) or m
     (acoustic nodes) entries:
@@ -123,6 +124,8 @@ class AcousticClosure:
     The slices below name the slots and the runs of slots a step reads or
     writes at once.
 
+    * ``m_kir_max`` = (2 cfl_safety / dt)^2 / lam_max_unit, the largest
+      M_kir for which dt meets the CFL bound;
     * ``drift`` = [[dt^2/2, 1, dt], [dt/2, 0, 1]] maps the rows
       (accel, u, v) of the old array to (u1, v_half) of the new one;
     * ``inv_mass`` is 1 / M_lump, zero on Gamma_0;
@@ -143,7 +146,9 @@ class AcousticClosure:
       dv and da, the run ``increments``, are added.
     """
 
-    def __init__(self, ops: DiscreteOperators, params: PhysicalParams, dt: float):
+    def __init__(self, ops: DiscreteOperators, params: PhysicalParams, cfg: StepperConfig):
+        dt = cfg.dt
+        self.m_kir_max = (2.0 * cfg.cfl_safety / dt) ** 2 / ops.lam_max_unit
         mesh = ops.mesh
         g1 = mesh.gamma1_nodes
         n, m = ops.n_nodes, len(g1)
@@ -278,17 +283,15 @@ class Trajectory:
         return len(self.times)
 
 
-def _check_cfl(dt: float, m_kir: float, ops: DiscreteOperators, cfg: StepperConfig, t: float):
-    lam = ops.lam_max_unit * m_kir
-    if lam <= 0:
-        return
-    dt_max = 2.0 * cfg.cfl_safety / math.sqrt(lam)
-    if dt > dt_max:
-        raise SimulationAbort(
-            f"CFL violation: dt = {dt:.3e} exceeds {dt_max:.3e} "
-            f"(Kirchhoff coefficient {m_kir:.6g})",
-            t,
-        )
+def _cfl_abort(m_kir: float, ops: DiscreteOperators, cfg: StepperConfig, t: float):
+    """The abort of a state whose Kirchhoff coefficient exceeds the run's
+    ``m_kir_max``, naming the largest stable dt for it."""
+    dt_max = 2.0 * cfg.cfl_safety / math.sqrt(ops.lam_max_unit * m_kir)
+    return SimulationAbort(
+        f"CFL violation: dt = {cfg.dt:.3e} exceeds {dt_max:.3e} "
+        f"(Kirchhoff coefficient {m_kir:.6g})",
+        t,
+    )
 
 
 def _evaluate(
@@ -352,7 +355,7 @@ def init_state(
     and builds the run's :class:`AcousticClosure`."""
     mesh = ops.mesh
     g1 = mesh.gamma1_nodes
-    closure = AcousticClosure(ops, params, cfg.dt)
+    closure = AcousticClosure(ops, params, cfg)
     x = np.zeros(closure.size)
     x[closure.u] = pin_gamma0(mesh, u0)
     x[closure.v] = pin_gamma0(mesh, u1)
@@ -369,7 +372,8 @@ def init_state(
     y_t[:] = (f4 - x[closure.v][g1] - params.q_c * x[closure.y]) / params.p_c
     accel[g1] += mesh.gamma1_weights * (y_t + f3) / ops.mass_lumped[g1]
     _check_finite(0.0, x[:closure.checked.stop])  # accel, u, v, y and y_t
-    _check_cfl(cfg.dt, m_kir, ops, cfg, 0.0)
+    if m_kir > closure.m_kir_max:
+        raise _cfl_abort(m_kir, ops, cfg, 0.0)
     return SimState(t=0.0, x=x, m_kir=m_kir, grad_sq=grad_sq, lk=lk, closure=closure)
 
 
@@ -409,7 +413,8 @@ def step(
     x[closure.scatter] += x[closure.increments]
 
     _check_finite(t1, x[closure.checked])
-    _check_cfl(cfg.dt, m_kir1, ops, cfg, t1)
+    if m_kir1 > closure.m_kir_max:
+        raise _cfl_abort(m_kir1, ops, cfg, t1)
     return SimState(t1, x, m_kir1, grad_sq1, lk1, closure, n1)
 
 

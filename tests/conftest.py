@@ -76,18 +76,6 @@ def sine_profile(mesh, amplitude):
     return u
 
 
-class CountingMatrix:
-    """A matrix that counts its products with a vector."""
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.products = 0
-
-    def __matmul__(self, x):
-        self.products += 1
-        return self.matrix @ x
-
-
 @pytest.fixture
 def csr_products(monkeypatch):
     """The matrix of every ``assembly.csr_product`` call made while the test

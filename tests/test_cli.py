@@ -491,6 +491,17 @@ def test_overflowing_initial_energy_is_out_of_the_well(tmp_path):
     assert (tmp_path / "ovf" / "abort.json").exists()
 
 
+@pytest.mark.parametrize("family", ["constant", "power_law"])
+def test_eps_outside_the_oscillatory_family_is_a_config_error(family):
+    # make_rate reads eps for the oscillatory rate alone: elsewhere it would
+    # run as if eps were 0
+    text = json.dumps({"kernel": {"family": family, "alpha": 2.0, "eps": 0.5}})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [f"kernel.eps shapes the oscillatory rate alone; it must be 0 "
+                                f"for the {family!r} family, got 0.5"]
+
+
 @pytest.mark.parametrize("alpha, eps", [(800, 0.9), (1e300, 0.5)])
 def test_overflowing_oscillatory_series_is_a_config_error(alpha, eps):
     text = json.dumps({"kernel": {"family": "oscillatory", "alpha": alpha, "eps": eps}})

@@ -177,6 +177,59 @@ def test_validate_oscillatory_certificates():
     assert rep.sup_xi == pytest.approx(1.0 + 0.5 * math.exp(-math.pi / 4) * math.sin(math.pi / 4))
 
 
+def _oscillatory_report(rate, horizon):
+    return validate_hypotheses(build_kernel(rate, 1.0, 3.0), BoundaryCoefficients(1.0, 1.0),
+                               horizon)
+
+
+# (alpha, eps, horizon); the first is the oscillatory-inwell preset's
+EXACT_GRID_CASES = [(1.0, 0.5, 40.0), (2.0, 0.25, 15.0)]
+
+
+# xi = alpha (1 + eps e^{-t} sin t) peaks at pi/4 and dips lowest at 5 pi/4,
+# both turning points that the check grid holds
+
+
+@pytest.mark.parametrize("alpha, eps, horizon", EXACT_GRID_CASES)
+def test_ratio_sup_is_read_from_xi_0_to_its_peak(alpha, eps, horizon):
+    rate = OscillatoryRate(alpha, eps)
+    rep = _oscillatory_report(rate, horizon)
+    exact_r = math.log(float(rate.xi(math.pi / 4.0)) / float(rate.xi(0.0)))
+    assert rep.r_measured == pytest.approx(exact_r, rel=1e-14, abs=0.0)
+    assert rep.grid_size == 600 + len(np.arange(math.pi / 4.0, horizon, math.pi))
+
+
+@pytest.mark.parametrize("alpha, eps, horizon", EXACT_GRID_CASES)
+def test_xi_positive_margin_is_the_least_xi(alpha, eps, horizon):
+    rate = OscillatoryRate(alpha, eps)
+    rep = _oscillatory_report(rate, horizon)
+    assert rep.conditions["xi_positive"].margin == pytest.approx(
+        float(rate.xi(5.0 * math.pi / 4.0)), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha, eps, horizon", EXACT_GRID_CASES)
+def test_xi_prime_l1_is_the_variation_plus_the_tail(alpha, eps, horizon):
+    def abs_xi_prime(t):
+        return alpha * eps * math.exp(-t) * abs(math.cos(t) - math.sin(t))
+
+    on_horizon, _ = quad(abs_xi_prime, 0.0, horizon, epsrel=1e-12, limit=400)
+    tail = alpha * eps * math.sqrt(2.0) * math.exp(-horizon)
+    rep = _oscillatory_report(OscillatoryRate(alpha, eps), horizon)
+    assert rep.xi_prime_l1 == pytest.approx(on_horizon + tail, rel=1e-9)
+
+
+class _TightRate(OscillatoryRate):
+    # a certificate between the sup of ln(xi(t+s)/xi(t)) on a grid without
+    # the turning points (0.1494233) and the exact sup (0.1494526)
+    r = 0.14944
+
+
+def test_certificate_below_the_exact_ratio_sup_fails():
+    rep = _oscillatory_report(_TightRate(1.0, 0.5), 40.0)
+    assert rep.failures() == [f"xi_ratio_bounded: {rep.conditions['xi_ratio_bounded'].note}"]
+    assert rep.conditions["xi_ratio_bounded"].margin < -1e-5
+
+
 def test_zero_boundary_coefficient_fails_h1():
     k = build_kernel(make_rate("constant", 1.0), 1.0, 2.0)
     rep = validate_hypotheses(k, BoundaryCoefficients(0.0, 1.0), horizon=10.0)

@@ -36,10 +36,8 @@ def test_defaulted_parameters_do_not_grow():
     assert total <= DEFAULTED_PARAMETERS
 
 
-def test_only_assembly_imports_the_private_sparse_kernels():
-    # scipy.sparse._sparsetools is private to scipy: csr_product in
-    # assembly.py is its one wrapper, so a scipy that moves it breaks one
-    # function
+def _importers(prefix: str) -> list[str]:
+    """The modules of the package that import ``prefix`` or a name below it."""
     package = Path(viscowave.__file__).parent
     importers = []
     for path in sorted(package.glob("*.py")):
@@ -50,6 +48,19 @@ def test_only_assembly_imports_the_private_sparse_kernels():
                 names = [a.name for a in node.names]
             else:
                 continue
-            if any(name.startswith("scipy.sparse._sparsetools") for name in names):
+            if any(name.startswith(prefix) for name in names):
                 importers.append(path.name)
-    assert importers == ["assembly.py"]
+    return importers
+
+
+def test_only_assembly_imports_the_private_sparse_kernels():
+    # scipy.sparse._sparsetools is private to scipy: csr_product in
+    # assembly.py is its one wrapper, so a scipy that moves it breaks one
+    # function
+    assert _importers("scipy.sparse._sparsetools") == ["assembly.py"]
+
+
+def test_no_module_imports_scipy_integrate():
+    # the hypothesis checks read the variation of xi off a grid that holds
+    # its turning points; no verdict rests on adaptive quadrature
+    assert _importers("scipy.integrate") == []

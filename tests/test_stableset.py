@@ -22,7 +22,6 @@ from viscowave import assembly, stableset
 from viscowave.assembly import free_stiffness_inverse_block, solve_free_stiffness
 
 from conftest import (
-    CountingMatrix,
     default_params,
     exp_kernel,
     interval_mesh,
@@ -418,6 +417,18 @@ def test_a_start_stops_at_its_first_step_shorter_than_the_tolerance(mesh_name, w
         nxt = np.zeros(ops.n_nodes)
         nxt[free] = solve_free_stiffness(ops, g[free])
         assert k_norm(nxt / k_norm(nxt) - u) <= 1.1 * tol
+
+
+class CountingMatrix:
+    """A matrix that counts its products with a vector."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
 
 
 @pytest.mark.parametrize("mesh_name", sorted(TRACE_MESHES))

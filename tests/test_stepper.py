@@ -217,6 +217,21 @@ def test_cfl_violation_aborts_with_diagnostic():
             StepperConfig(dt=0.05, t_end=1.0))
 
 
+def test_cfl_bound_crossed_after_the_start_aborts_at_that_step():
+    # u0 = 0 starts the Kirchhoff coefficient at a, where dt = 0.038 is
+    # below the bound 0.0389; the velocity raises |grad u|^2, and with it
+    # M_kir, until the bound falls under dt at step 9
+    mesh = interval_mesh(16)
+    ops = assemble(mesh)
+    with pytest.raises(SimulationAbort) as exc:
+        run(np.zeros(mesh.n_nodes), sine_profile(mesh, 1.0), np.zeros(1), ops, exp_kernel(),
+            default_params(), StepperConfig(dt=0.038, t_end=2.0))
+    assert exc.value.info.time == 9 * 0.038
+    assert exc.value.info.reason == ("CFL violation: dt = 3.800e-02 exceeds 3.791e-02 "
+                                     "(Kirchhoff coefficient 2.10171)")
+    assert exc.value.trajectory.n_records == 9
+
+
 def test_out_of_well_blowup_aborts_flagged():
     # b = 0 removes the stabilizing nonlocal term; a large amplitude drives
     # the source |u|^2 u into finite-time blow-up of the discrete system
