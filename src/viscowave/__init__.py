@@ -20,13 +20,7 @@ from .assembly import (
     source_vector,
     trace_norm_sq,
 )
-from .decay import (
-    SampledEnergy,
-    build_decay_report,
-    fit_omega,
-    martinez_check,
-    weighted_integral_check,
-)
+from .decay import SampledEnergy, build_decay_report, fit_omega, martinez_check
 from .energy import compute_energy, rate_identity_residual
 from .geometry import DomainSpec, build_mesh
 from .history import HistoryBuffer
@@ -53,8 +47,7 @@ from .stepper import (
 __all__ = [
     "PhysicalParams", "assemble", "boundary_quadratic",
     "grad_norm_sq", "lk_norm_pow", "source_vector", "trace_norm_sq",
-    "SampledEnergy", "build_decay_report", "fit_omega",
-    "martinez_check", "weighted_integral_check",
+    "SampledEnergy", "build_decay_report", "fit_omega", "martinez_check",
     "compute_energy", "rate_identity_residual",
     "DomainSpec", "build_mesh",
     "HistoryBuffer",

@@ -26,7 +26,10 @@ surrogate is measured instead:
 the largest omega for which the sigma = 0 envelope holds at every sample.
 Horizon stability of omega_max and of the weighted-integral profile
 rho(S) = int_S^T xi E dt / E(S) is diagnosed by comparing the full horizon
-against its first half.
+against its first half, and both horizons are read from one pass: omega_max
+of the first half is the minimum of the same per-sample rates over the
+prefix t <= T/2, and its rho subtracts R(T/2) from the same cumulative
+integral R(S) = int_S^T xi E.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ class SampledEnergy:
         t, E, phi = self.t, self.E, self.phi
         if len(t) < 2:
             raise ValueError("need at least two samples")
+        if not np.all(np.isfinite(E)):
+            raise ValueError("energy samples must be finite")
         spacing = np.diff(t)
         if spacing.min() <= 0 or (spacing.max() - spacing.min()) > 1e-9 * spacing.max():
             raise ValueError("samples must sit on a uniform, increasing time grid")
@@ -78,11 +83,6 @@ class SampledEnergy:
     @property
     def horizon(self) -> float:
         return float(self.t[-1])
-
-    def restrict(self, t_max: float) -> "SampledEnergy":
-        mask = self.t <= t_max + 1e-12 * max(1.0, t_max)
-        return SampledEnergy(t=self.t[mask], E=self.E[mask],
-                             phi=self.phi[mask], xi=self.xi[mask])
 
 
 @dataclass(frozen=True)
@@ -162,59 +162,24 @@ def martinez_check(
     return MartinezVerdict(hyp, concl, worst, concl_ratio)
 
 
-def fit_omega(sampled: SampledEnergy) -> tuple[float, dict]:
-    """Largest omega with E(t) <= E(0) e^{1 - omega phi(t)} at every sample.
-
-    A zero-energy history is the trivial case: the envelope holds for every
-    omega and the sentinel (inf, {"trivial": True}) is returned.
-    """
-    E0 = float(sampled.E[0])
+def _envelope_rates(sampled: SampledEnergy) -> np.ndarray:
+    """(1 + ln(E(0)/E(t))) / phi(t) at each sample: the largest omega for
+    which E(t) <= E(0) e^{1 - omega phi(t)} holds there.  It is inf where
+    E <= 0 or phi = 0, and at every sample of a zero-energy history, for
+    which the envelope holds for every omega."""
+    E, phi = sampled.E, sampled.phi
+    E0 = float(E[0])
     if E0 <= 0.0:
-        return math.inf, {"trivial": True}
-    mask = sampled.phi > 0
-    E = sampled.E[mask]
-    phi = sampled.phi[mask]
+        return np.full(len(E), np.inf)
     with np.errstate(divide="ignore"):
-        cand = np.where(E > 0, (1.0 + np.log(E0 / np.maximum(E, 1e-300))) / phi, np.inf)
-    i = int(np.argmin(cand))
-    return float(cand[i]), {
-        "trivial": False,
-        "argmin_t": float(sampled.t[mask][i]),
-        "n_samples": int(mask.sum()),
-    }
+        return np.where((E > 0) & (phi > 0),
+                        (1.0 + np.log(E0 / np.maximum(E, 1e-300))) / phi, np.inf)
 
 
-def envelope_holds(sampled: SampledEnergy, omega: float, rtol: float = 1e-12) -> bool:
-    """Whether E(t) <= E(0) e^{1 - omega phi(t)} holds at all samples."""
-    E0 = float(sampled.E[0])
-    bound = E0 * np.exp(1.0 - omega * sampled.phi)
-    return bool(np.all(sampled.E <= bound * (1.0 + rtol)))
-
-
-@dataclass(frozen=True)
-class WeightedIntegralProfile:
-    S: np.ndarray
-    rho: np.ndarray
-    max_rho: float
-    violation: bool  # E(S) = 0 with mass still remaining
-
-
-def weighted_integral_check(sampled: SampledEnergy, t0: float) -> WeightedIntegralProfile:
-    """rho(S) = int_S^T xi E dt / E(S) on the sample points within [t0, T)."""
-    t, E, xi = sampled.t, sampled.E, sampled.xi
-    integral = _cumulative_right_trapezoid(xi * E, t)
-    mask = (t >= t0) & (t < t[-1])
-    if not mask.any():
-        raise ValueError(f"no samples in [{t0}, {t[-1]})")
-    S = t[mask]
-    I = integral[mask]
-    ES = E[mask]
-    violation = bool(np.any((ES <= 0.0) & (I > 1e-15 * max(float(E[0]), 1e-300))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(ES > 0, I / ES, np.where(I > 0, np.inf, 0.0))
-    return WeightedIntegralProfile(
-        S=S, rho=rho, max_rho=float(np.max(rho)), violation=violation
-    )
+def fit_omega(sampled: SampledEnergy) -> float:
+    """Largest omega with E(t) <= E(0) e^{1 - omega phi(t)} at every sample;
+    inf for a zero-energy history."""
+    return float(_envelope_rates(sampled).min())
 
 
 def default_weighted_t0(kernel: RelaxationKernel) -> float:
@@ -264,44 +229,61 @@ def _rel_change(full: float, half: float) -> float:
     return abs(full - half) / abs(half)
 
 
-def build_decay_report(sampled: SampledEnergy, t_tail: float, t0: float) -> DecayReport:
-    """Envelope fit, tail regression and weighted-integral profile.
+def _rho(integral: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The weighted integral over E(S) where E(S) > 0; where E(S) = 0, inf
+    with mass still remaining and 0 without."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(E > 0, integral / E, np.where(integral > 0, np.inf, 0.0))
+
+
+def build_decay_report(
+    sampled: SampledEnergy, t_tail: float, t0: float
+) -> tuple[DecayReport, tuple[np.ndarray, np.ndarray]]:
+    """Envelope fit, tail regression and weighted-integral profile, with the
+    full-horizon profile (S, rho(S)) on the samples in [t0, T).
 
     Horizon stability compares each quantity on the full horizon against the
-    first half of the run (the pre-doubling horizon), so t0 and t_tail must
-    lie below half the final time.
+    first half of the run (the pre-doubling horizon), the samples with
+    t <= T/2, so t_tail and a sample at or after t0 must lie below its last
+    sample.
     """
+    t, E = sampled.t, sampled.E
     T = sampled.horizon
-    half = sampled.restrict(T / 2.0)
-    if t0 >= half.horizon or t_tail >= half.horizon:
+    h = int(np.searchsorted(t, T / 2.0 + 1e-12 * max(1.0, T / 2.0), side="right")) - 1
+    i0 = int(np.searchsorted(t, t0))
+    if i0 >= h or t_tail >= t[h]:
         raise ValueError(
             f"t0 = {t0} and t_tail = {t_tail} must lie below half the "
             f"horizon {T / 2.0} for the stability diagnostics"
         )
 
-    omega_full, info = fit_omega(sampled)
-    omega_half, _ = fit_omega(half)
+    rates = _envelope_rates(sampled)
+    omega_full = float(rates.min())
+    omega_half = float(rates[:h + 1].min())
 
-    mask = (sampled.t >= t_tail) & (sampled.E > 0)
+    mask = (t >= t_tail) & (E > 0)
     if mask.sum() >= 3:
-        slope, _, r2 = loglinear_fit(sampled.phi[mask], np.log(sampled.E[mask]))
+        slope, _, r2 = loglinear_fit(sampled.phi[mask], np.log(E[mask]))
     else:
         slope, r2 = 0.0, 0.0
 
-    rho_full = weighted_integral_check(sampled, t0)
-    rho_half = weighted_integral_check(half, t0)
+    integral = _cumulative_right_trapezoid(sampled.xi * E, t)
+    rho = _rho(integral[i0:-1], E[i0:-1])
+    rho_full = float(rho.max())
+    rho_half = float(_rho(integral[i0:h] - integral[h], E[i0:h]).max())
 
-    return DecayReport(
+    report = DecayReport(
         omega_max=omega_full,
         omega_max_half=omega_half,
         omega_change=_rel_change(omega_full, omega_half),
-        trivial=info.get("trivial", False),
+        trivial=float(E[0]) <= 0.0,
         tail_slope=slope,
         tail_r2=r2,
         t_tail=t_tail,
-        rho_max=rho_full.max_rho,
-        rho_max_half=rho_half.max_rho,
-        rho_change=_rel_change(rho_full.max_rho, rho_half.max_rho),
+        rho_max=rho_full,
+        rho_max_half=rho_half,
+        rho_change=_rel_change(rho_full, rho_half),
         t0=t0,
         horizon=T,
     )
+    return report, (t[i0:-1], rho)

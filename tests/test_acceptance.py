@@ -22,7 +22,6 @@ from viscowave import (
     check_initial_membership,
     estimate_embedding_constant,
     estimate_trace_constant,
-    fit_omega,
     make_rate,
     martinez_check,
     potential_F,
@@ -31,7 +30,7 @@ from viscowave import (
     validate_hypotheses,
     verify_invariance,
 )
-from viscowave.cli import DEFAULT_TOLERANCES, PRESETS, initial_data, run_mms_ladder
+from viscowave.cli import PRESETS, RunConfig, initial_data, run_mms_ladder
 from viscowave.decay import build_decay_report, default_weighted_t0, loglinear_fit
 from viscowave.kernels import BoundaryCoefficients
 from viscowave.stableset import well_constants_from_B
@@ -90,7 +89,7 @@ def test_criterion_1_energy_identity(exp_run):
     t_start = time.time()
     _, res = rate_identity_residual(exp_run["traj"].reports)
     max_res = float(np.abs(res).max())
-    tol = DEFAULT_TOLERANCES["c_id"] * _identity_residual_scale(exp_run)
+    tol = RunConfig.c_id * _identity_residual_scale(exp_run)
 
     # halved run: 128 elements, dt = 5e-4
     cfg = exp_run["config"]
@@ -124,7 +123,7 @@ def test_criterion_2_energy_monotonicity(exp_run, powerlaw_run, oscillatory_run)
     for bundle in (exp_run, powerlaw_run, oscillatory_run):
         E = np.array([r.total for r in bundle["traj"].reports])
         rise = float(np.diff(E).max())
-        tol = DEFAULT_TOLERANCES["c_energy"] * _identity_residual_scale(bundle)
+        tol = RunConfig.c_energy * _identity_residual_scale(bundle)
         ok = ok and rise <= tol
         details.append(f"{bundle['config'].kernel.family}: rise {rise:.2e} <= {tol:.2e}")
     _report(2, "energy monotonicity", ok, "; ".join(details))
@@ -186,7 +185,7 @@ def test_criterion_4_stable_set_invariance(exp_run):
         traj = run(scale * u0, scale * u1, scale * y0, ops, kernel, params, step_cfg)
         verdict = verify_invariance(traj, constants)
         assert verdict.passed, f"trial {trial}: violation at {verdict.first_violation_time}"
-        tol = DEFAULT_TOLERANCES["c_energy"] * (step_cfg.dt**2 + h**2) * traj.reports[0].total
+        tol = RunConfig.c_energy * (step_cfg.dt**2 + h**2) * traj.reports[0].total
         for rec in traj.reports:
             gap = rec.total - potential_F(rec.gamma_fn, constants.b_omega, params.k_exp)
             worst_gap = min(worst_gap, gap + tol)
@@ -223,8 +222,8 @@ def test_criterion_5_decay_form(exp_run, powerlaw_run, oscillatory_run):
     # oscillatory-rate preset: positive, horizon-stable omega
     s = SampledEnergy.from_trajectory(oscillatory_run["traj"], oscillatory_run["kernel"])
     cfg = oscillatory_run["config"]
-    rep = build_decay_report(s, t_tail=cfg.analysis.t_tail,
-                             t0=default_weighted_t0(oscillatory_run["kernel"]))
+    rep, _ = build_decay_report(s, t_tail=cfg.analysis.t_tail,
+                                t0=default_weighted_t0(oscillatory_run["kernel"]))
     ok = ok and rep.omega_max > 0 and rep.omega_change < 0.20
     details.append(
         f"oscillatory: omega {rep.omega_max:.3f} > 0, horizon change "
@@ -239,8 +238,8 @@ def test_criterion_6_weighted_integral(exp_run, powerlaw_run, oscillatory_run):
     for bundle in (exp_run, powerlaw_run, oscillatory_run):
         s = SampledEnergy.from_trajectory(bundle["traj"], bundle["kernel"])
         cfg = bundle["config"]
-        rep = build_decay_report(s, t_tail=cfg.analysis.t_tail,
-                                 t0=default_weighted_t0(bundle["kernel"]))
+        rep, _ = build_decay_report(s, t_tail=cfg.analysis.t_tail,
+                                    t0=default_weighted_t0(bundle["kernel"]))
         ok = ok and math.isfinite(rep.rho_max) and rep.rho_change < 0.20
         details.append(
             f"{cfg.kernel.family}: max rho {rep.rho_max:.3f}, "

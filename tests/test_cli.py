@@ -7,8 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from viscowave import build_mesh, rate_identity_residual
+from viscowave import SampledEnergy, build_decay_report, build_mesh, rate_identity_residual
 from viscowave.kernels import PowerLawRate
+from viscowave.decay import default_weighted_t0
 from viscowave.cli import (
     DEFAULTS,
     ConfigError,
@@ -98,7 +99,6 @@ def test_all_errors_reported_at_once():
     ("analysis", "constants", '"no"'),
     ("stepping", "record_every", "2.7"),
     ("domain", "resolution", "[16.9]"),
-    ("tolerances", "c_id", "true"),
 ])
 def test_non_finite_or_non_numeric_values_rejected(section, key, literal):
     # JSON text may spell NaN and Infinity, and a value of the wrong JSON
@@ -172,17 +172,18 @@ def test_removed_stepping_keys_named():
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps({"stepping": {"storage": "auto", "stride": 10},
                                  "analysis": {"t0": 1.0, "hypothesis_horizon": 20.0},
-                                 "mode": "mms"}))
+                                 "mode": "mms", "tolerances": {"c_id": 1.2}}))
     msgs = " | ".join(exc.value.errors)
     assert "stepping.storage: removed" in msgs
     assert "stepping.stride: removed" in msgs
     assert "analysis.t0: removed" in msgs
     assert "analysis.hypothesis_horizon: removed" in msgs
     assert "mode: removed" in msgs
-    assert len(exc.value.errors) == 5
+    assert "tolerances: removed" in msgs
+    assert len(exc.value.errors) == 6
     assert sorted(DEFAULTS["stepping"]) == ["cfl_safety", "dt", "record_every", "t_end"]
     assert sorted(DEFAULTS["analysis"]) == ["constants", "decay", "t_tail"]
-    assert "mode" not in DEFAULTS
+    assert "mode" not in DEFAULTS and "tolerances" not in DEFAULTS
 
 
 def test_syntax_error_reports_location():
@@ -253,10 +254,10 @@ def test_csv_times_and_residuals_by_record(tmp_path):
     result = run_scenario(cfg, out_dir=tmp_path / "csv")
     rows = [line.split(",") for line in
             (tmp_path / "csv" / "trajectory.csv").read_text().splitlines()[1:]]
-    assert [r[0] for r in rows] == [f"{i * 10 * 2e-3:.15g}" for i in range(len(rows))]
+    assert [r[0] for r in rows] == [f"{i * 10 * 2e-3:.17g}" for i in range(len(rows))]
     _, res = rate_identity_residual(result.trajectory.reports)
     assert rows[0][-1] == rows[-1][-1] == "nan"
-    assert [float(r[-1]) for r in rows[1:-1]] == [float(f"{v:.15g}") for v in res]
+    assert [float(r[-1]) for r in rows[1:-1]] == res.tolist()
 
 
 def _check_timings(meta):
@@ -290,8 +291,16 @@ def test_full_scenario_writes_reports(tmp_path):
     assert result.hypothesis_report.passed
     assert result.stable_report.in_well
     assert result.decay_report.omega_max > 0
+    # rho_vs_S.dat is the decay report's own full-horizon profile
+    kernel = cfg.build_kernel()
+    _, (S, rho) = build_decay_report(SampledEnergy.from_trajectory(result.trajectory, kernel),
+                                     t_tail=1.0, t0=default_weighted_t0(kernel))
+    plot = np.loadtxt(tmp_path / "full" / "rho_vs_S.dat")
+    assert np.array_equal(plot, np.column_stack([S, rho]))
+    assert result.decay_report.rho_max == rho.max()
     meta = json.loads((tmp_path / "full" / "run_metadata.json").read_text())
     assert meta["config"]["stepping"]["t_end"] == 4.0
+    assert meta["tolerances"] == {"c_id": cfg.c_id, "c_energy": cfg.c_energy}
     assert "initial_boundary_residual" in meta
     _check_timings(meta)
     # exponential kernel: one exact term of [K u, u.K u, 1] rows
@@ -556,10 +565,8 @@ def test_decay_report_subcommand(tmp_path, capsys):
     assert rc == 0
     out, payload = _strict_stdout(capsys)
     assert payload["omega_max"] > 0
-    # the subcommand reads the energies back from the CSV's 15 significant
-    # digits, so its figures match the run's to that rounding, not bit for bit
-    artifact = _strict_artifacts(run_dir)["decay_report.json"]
-    assert payload == pytest.approx(artifact, rel=1e-10)
+    # the CSV's 17 significant digits read back to the run's own energies
+    assert out == (run_dir / "decay_report.json").read_text()
 
 
 def test_decay_report_subcommand_takes_the_run_default_tail_time(tmp_path, capsys):
@@ -572,10 +579,9 @@ def test_decay_report_subcommand_takes_the_run_default_tail_time(tmp_path, capsy
     rc = main(["decay-report", "--config", str(cfg_path),
                "--csv", str(tmp_path / "run" / "trajectory.csv")])
     assert rc == 0
-    _, payload = _strict_stdout(capsys)
-    artifact = _strict_artifacts(tmp_path / "run")["decay_report.json"]
-    assert artifact["t_tail"] == 1.005
-    assert payload == pytest.approx(artifact, rel=1e-10)
+    out, payload = _strict_stdout(capsys)
+    assert payload["t_tail"] == 1.005
+    assert out == (tmp_path / "run" / "decay_report.json").read_text()
 
 
 def test_decay_report_subcommand_on_zero_data_is_strict_json(tmp_path, capsys):
@@ -590,12 +596,46 @@ def test_decay_report_subcommand_on_zero_data_is_strict_json(tmp_path, capsys):
     assert out == (run_dir / "decay_report.json").read_text()
 
 
-@pytest.mark.parametrize("case", ["aborted", "out-of-well", "missing"])
+def _short_exp_run(tmp_path):
+    """(config path, artifact directory) of the exp-inwell preset cut to
+    t_end = 2 with t_tail = 0.5, its decay report on."""
+    raw = copy.deepcopy(PRESETS["exp-inwell"].config)
+    raw["domain"]["resolution"] = [16]
+    raw["stepping"]["t_end"] = 2.0
+    raw["analysis"].update(constants=False, t_tail=0.5)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(raw))
+    result = run_scenario(parse_config(path.read_text()), out_dir=tmp_path / "exp")
+    assert result.decay_report is not None
+    return path, tmp_path / "exp"
+
+
+def test_decay_report_reproduces_the_artifact_of_a_short_exp_run(tmp_path, capsys):
+    cfg_path, run_dir = _short_exp_run(tmp_path)
+    rc = main(["decay-report", "--config", str(cfg_path),
+               "--csv", str(run_dir / "trajectory.csv")])
+    assert rc == 0
+    out, payload = _strict_stdout(capsys)
+    assert payload["t_tail"] == 0.5 and payload["omega_max"] > 0
+    assert out == (run_dir / "decay_report.json").read_text()
+
+
+@pytest.mark.parametrize("case", ["aborted", "out-of-well", "missing", "nan", "inf"])
 def test_decay_report_on_an_unusable_csv_exits_2(tmp_path, capsys, case):
-    # an aborted run's header-only CSV, an energy that turns negative, and
-    # no file: one line on stderr and exit status 2, not a traceback
+    # an aborted run's header-only CSV, an energy that turns negative, no
+    # file, and one energy cell edited to nan or inf: one line on stderr and
+    # exit status 2, not a traceback, a skipped sample or a null omega
     csv = tmp_path / case / "trajectory.csv"
-    if case == "aborted":
+    if case in ("nan", "inf"):
+        _, run_dir = _short_exp_run(tmp_path)
+        lines = (run_dir / "trajectory.csv").read_text().splitlines(keepends=True)
+        assert lines[0].split(",")[1] == "E"
+        cells = lines[40].split(",")
+        cells[1] = case
+        lines[40] = ",".join(cells)
+        csv.parent.mkdir()
+        csv.write_text("".join(lines))
+    elif case == "aborted":
         text = {"physics": {"b": 0}, "initial": {"amplitude": 1e90},
                 "domain": {"resolution": [16]}}
         assert run_scenario(parse_config(json.dumps(text)), out_dir=csv.parent).aborted
@@ -608,7 +648,8 @@ def test_decay_report_on_an_unusable_csv_exits_2(tmp_path, capsys, case):
     assert rc == 2
     assert err.startswith("decay-report: ") and err.count("\n") == 1
     expect = {"aborted": "need at least two samples",
-              "out-of-well": "energy samples must be nonnegative", "missing": "not found"}
+              "out-of-well": "energy samples must be nonnegative", "missing": "not found",
+              "nan": "energy samples must be finite", "inf": "energy samples must be finite"}
     assert expect[case] in err
 
 
@@ -616,9 +657,13 @@ def test_one_pass_formatter_matches_per_value_format():
     values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
               1e300, -1e300, 1.0 / 3.0, 0.1, 123456789012345678.0]
     table = np.array(values).reshape(3, 4)
-    expect = "".join(",".join(f"{x:.15g}" for x in row) + "\n" for row in table.tolist())
-    assert _format_table(table, ",") == expect
+    text = _format_table(table, ",")
+    assert text == "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in table.tolist())
     assert _format_table(table[:0], ",") == ""
+    # 17 significant digits read back to the same floats
+    back = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()])
+    assert np.array_equal(back, table, equal_nan=True)
+    assert np.array_equal(np.signbit(back), np.signbit(table))
 
 
 def test_mms_subcommand_with_config_file(tmp_path, capsys):

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from viscowave import (
-    SampledEnergy,
-    build_decay_report,
-    fit_omega,
-    martinez_check,
-    weighted_integral_check,
-)
-from viscowave.decay import default_weighted_t0, envelope_holds, loglinear_fit
+from viscowave import SampledEnergy, build_decay_report, fit_omega, martinez_check
+from viscowave.decay import default_weighted_t0, loglinear_fit
 from viscowave.kernels import build_kernel, make_rate
 
 
@@ -40,6 +34,11 @@ def test_sampled_energy_validation():
                       phi=np.array([0.0, 0.1, 0.5]), xi=np.ones(3))
     with pytest.raises(ValueError, match="phi"):
         SampledEnergy(t=t, E=np.ones_like(t), phi=t + 1.0, xi=np.ones_like(t))
+    for bad in (math.nan, math.inf):
+        E = np.exp(-t)
+        E[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _sampled(t, E, _unit_rate, _ident)
 
 
 def test_martinez_exponential_case_sigma_zero():
@@ -112,29 +111,26 @@ def test_fit_omega_exponential_profile():
     t = np.linspace(0.0, 10.0, 1001)
     E = 0.7 * np.exp(-t)
     s = _sampled(t, E, _unit_rate, _ident)
-    omega, info = fit_omega(s)
+    omega = fit_omega(s)
     assert omega == pytest.approx((1.0 + 10.0) / 10.0, rel=1e-9)
-    assert not info["trivial"]
-    assert envelope_holds(s, omega)
-    assert not envelope_holds(s, 1.01 * omega)
+    assert np.all(E <= 0.7 * np.exp(1.0 - omega * s.phi) * (1.0 + 1e-12))
+    assert not np.all(E <= 0.7 * np.exp(1.0 - 1.01 * omega * s.phi))
 
 
 def test_fit_omega_constant_profile():
     t = np.linspace(0.0, 8.0, 801)
     E = np.full_like(t, 0.3)
     s = _sampled(t, E, _unit_rate, _ident)
-    omega, _ = fit_omega(s)
+    omega = fit_omega(s)
     assert omega == pytest.approx(1.0 / 8.0, rel=1e-9)
-    assert envelope_holds(s, omega)
-    assert not envelope_holds(s, 1.01 * omega)
+    assert np.all(E <= 0.3 * np.exp(1.0 - omega * s.phi) * (1.0 + 1e-12))
+    assert not np.all(E <= 0.3 * np.exp(1.0 - 1.01 * omega * s.phi))
 
 
 def test_fit_omega_zero_energy_sentinel():
     t = np.linspace(0.0, 1.0, 11)
     s = _sampled(t, np.zeros_like(t), _unit_rate, _ident)
-    omega, info = fit_omega(s)
-    assert math.isinf(omega)
-    assert info["trivial"]
+    assert math.isinf(fit_omega(s))
 
 
 def test_weighted_integral_exponential_profile():
@@ -142,11 +138,12 @@ def test_weighted_integral_exponential_profile():
     t = np.linspace(0.0, 20.0, 4001)
     E = 1.3 * np.exp(-t)
     s = _sampled(t, E, _unit_rate, _ident)
-    prof = weighted_integral_check(s, t0=1.0)
-    expect = 1.0 - np.exp(-(t[-1] - prof.S))
-    assert np.allclose(prof.rho, expect, rtol=1e-5)
-    assert prof.max_rho <= 1.0 + 1e-5  # trapezoid bias on the convex integrand
-    assert not prof.violation
+    rep, (S, rho) = build_decay_report(s, t_tail=5.0, t0=1.0)
+    assert np.array_equal(S, t[(t >= 1.0) & (t < t[-1])])
+    expect = 1.0 - np.exp(-(t[-1] - S))
+    assert np.allclose(rho, expect, rtol=1e-5)
+    assert rep.rho_max == rho.max()
+    assert rep.rho_max <= 1.0 + 1e-5  # trapezoid bias on the convex integrand
 
 
 def test_weighted_integral_powerlaw_profile():
@@ -154,17 +151,33 @@ def test_weighted_integral_powerlaw_profile():
     t = np.linspace(0.0, 40.0, 8001)
     E = 0.9 / (1.0 + t) ** 2
     s = _sampled(t, E, lambda tt: 2.0 / (1.0 + tt), lambda tt: 2.0 * np.log1p(tt))
-    prof = weighted_integral_check(s, t0=1.0)
-    expect = 1.0 - ((1.0 + prof.S) / (1.0 + t[-1])) ** 2
-    assert np.allclose(prof.rho, expect, rtol=1e-4)
+    _, (S, rho) = build_decay_report(s, t_tail=5.0, t0=1.0)
+    expect = 1.0 - ((1.0 + S) / (1.0 + t[-1])) ** 2
+    assert np.allclose(rho, expect, rtol=1e-4)
 
 
 def test_weighted_integral_zero_energy_trivial():
     t = np.linspace(0.0, 10.0, 101)
     s = _sampled(t, np.zeros_like(t), _unit_rate, _ident)
-    prof = weighted_integral_check(s, t0=1.0)
-    assert np.all(prof.rho == 0.0)
-    assert not prof.violation
+    rep, (_, rho) = build_decay_report(s, t_tail=2.0, t0=1.0)
+    assert np.all(rho == 0.0)
+    assert rep.trivial and math.isinf(rep.omega_max)
+    assert rep.rho_max == rep.rho_max_half == rep.rho_change == 0.0
+
+
+def test_half_horizon_figures_match_a_report_on_the_first_half():
+    # the half-horizon figures are prefix reductions of the one pass; they
+    # must agree with a report built on a separately sampled first half
+    kernel = build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 3.0)
+    t = np.linspace(0.0, 20.0, 2001)
+    E = np.exp(-0.4 * t) * (1.2 + np.sin(3.0 * t))
+    full = SampledEnergy.from_samples(t, E, kernel)
+    first = SampledEnergy.from_samples(t[:1001], E[:1001], kernel)
+    rep, _ = build_decay_report(full, t_tail=2.0, t0=1.0)
+    ref, _ = build_decay_report(first, t_tail=2.0, t0=1.0)
+    assert rep.omega_max_half == ref.omega_max
+    assert rep.rho_max_half == pytest.approx(ref.rho_max, rel=1e-13)
+    assert rep.omega_max < rep.omega_max_half
 
 
 def test_default_t0_is_half_mass_time():
@@ -190,7 +203,7 @@ def test_decay_report_on_synthetic_exponential():
     t = np.linspace(0.0, 20.0, 2001)
     E = np.exp(-0.8 * t)
     s = _sampled(t, E, _unit_rate, _ident)
-    rep = build_decay_report(s, t_tail=5.0, t0=1.0)
+    rep, _ = build_decay_report(s, t_tail=5.0, t0=1.0)
     assert rep.omega_max > 0
     assert rep.omega_change < 0.2
     assert rep.tail_slope == pytest.approx(-0.8, rel=1e-6)
