@@ -805,9 +805,14 @@ def _sweep_jobs(config: RunConfig, param: str, root: Path) -> list[tuple[RunConf
 
 
 def _cmd_sweep(args, config: RunConfig) -> int:
+    if args.workers < 1:
+        print(f"sweep: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 2
     jobs = _sweep_jobs(config, args.param, Path(args.out or config.output_dir))
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a pool starts every worker it is given, so it gets no more than the jobs
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_worker, jobs))
     else:
         outcomes = [_sweep_worker(j) for j in jobs]

@@ -104,7 +104,7 @@ def compute_energy(
     y = state.y
     acoustic = float(params.q_c * (w1 @ (y * y)))
     boundary = 0.5 * acoustic
-    gdia = buffer.g_diamond(t, u)
+    gdia = buffer.g_diamond(u)
     memory = 0.5 * gdia
     if params.source_enabled:
         source = -state.lk / params.k_exp
@@ -112,7 +112,7 @@ def compute_energy(
         source = 0.0
     total = kinetic + elastic + kirchhoff + boundary + memory + source
 
-    gpdia = buffer.g_prime_diamond(t, u)
+    gpdia = buffer.g_prime_diamond(u)
     y_t = state.y_t
     damping = float(params.p_c * (w1 @ (y_t * y_t)))
     rhs = -0.5 * g_at_t * gns + 0.5 * gpdia - damping

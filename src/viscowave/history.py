@@ -1,18 +1,19 @@
 """Solution history and the three memory quantities of the wave system.
 
-For a kernel g and stiffness form K the buffer evaluates, at the time t of
-the last push,
+For a kernel g and stiffness form K the buffer holds the states u_i of one
+run at the times t_i = i dt of its step grid and evaluates, at the time t of
+the newest push,
 
   convolution force   int_0^t g(t-s) K u(s) ds          (a vector),
   g  o grad u         int_0^t g(t-s) |grad(u(t)-u(s))|^2 ds,
   g' o grad u         the same with g' = -xi g,
 
-each as the composite-trapezoid sum over every pushed stamp.
+each as the composite-trapezoid sum over the grid.
 
 The kernel enters through its sum of exponentials
 g ~ Re sum_j c_j e^{-s_j t} (``RelaxationKernel.exp_sum``, certified on
-[0, horizon]).  Per term j the buffer holds C_j, the decayed sum of the rows
-r_i = [K u_i, u_i^T K u_i, 1] with the first row at half weight, and
+[0, n_steps dt]).  Per term j the buffer holds C_j, the decayed sum of the
+rows r_i = [K u_i, u_i^T K u_i, 1] with the first row at half weight, and
 updates it in two passes at O(n) cost per push, however long the history:
 
   C_j = r_0 / 2 at the first push,   C_j <- e^{-s_j dt} C_j + r_new.
@@ -28,14 +29,10 @@ weighted sum of the rows of ``ext``:
 
 where |grad(u(t)-u(s))|^2 expands into the stored row entries and the
 second row of the (2, J+1) matrix W scales the first by -s_j (the expansion
-of g' = sum_j -s_j c_j e^{-s_j t}).  A change of step from dt_old to dt
-keeps A_j and rescales once, C_j <- rho C_j + (1 - rho) r_last / 2 with
-rho = dt_old / dt, so the newest row carries the nonuniform trapezoid
-weight (dt_old + dt) / 2.  For an exponential kernel the result is the
-trapezoid sum itself (steps that differ only by the rounding of the stamps
-count as equal); otherwise it differs from the trapezoid sum with the exact
-g by at most the certified relative error times the trapezoid mass.  Memory
-held is O(J n) and does not grow with the pushes.
+of g' = sum_j -s_j c_j e^{-s_j t}).  For an exponential kernel the result
+is the trapezoid sum itself; otherwise it differs from the trapezoid sum
+with the exact g by at most the certified relative error times the
+trapezoid mass.  Memory held is O(J n) and does not grow with the pushes.
 """
 
 from __future__ import annotations
@@ -48,33 +45,37 @@ from .kernels import RelaxationKernel
 class HistoryBuffer:
     """Causal history of one simulation; mutated only by its owning stepper.
 
-    The buffer keeps the kernel's sum of exponentials (``expansion``), not
-    the kernel.  ``horizon`` is the latest push time: the expansion is
-    certified on [0, horizon].  Kernels whose expansion holds for every t
-    need none.
+    Push i records the state at t_i = i dt, so a read is at the newest
+    push.  The buffer keeps the kernel's sum of exponentials
+    (``expansion``), not the kernel; the expansion is certified on
+    [0, n_steps dt], and a push past the (n_steps + 1)-th is refused.
     """
 
-    def __init__(self, kernel: RelaxationKernel, n_dofs: int,
-                 horizon: float | None = None):
-        self._t_last = None
-        self._push_count = 0
-        exp_sum = kernel.exp_sum(horizon)
+    def __init__(self, kernel: RelaxationKernel, n_dofs: int, dt: float, n_steps: int):
+        exp_sum = kernel.exp_sum(n_steps * dt)
+        if n_steps * dt > exp_sum.horizon * (1.0 + 1e-9):
+            raise ValueError(
+                f"{n_steps} steps of {dt} run past the horizon {exp_sum.horizon} "
+                "on which the kernel expansion is certified"
+            )
         self.expansion = exp_sum
-        self._t_max = exp_sum.horizon * (1.0 + 1e-9)
-        n_terms, dtype = exp_sum.n_terms, exp_sum.rates.dtype
+        self._n_steps = n_steps
+        self._push_count = 0
+        rates, n_terms, dtype = exp_sum.rates, exp_sum.n_terms, exp_sum.rates.dtype
         # rows C_j, then r_last; columns [K u, q, 1]
         self._ext = np.zeros((n_terms + 1, n_dofs + 2), dtype)
         self._acc, self._row = self._ext[:-1], self._ext[-1]
         self._row[-1] = 1.0
         self._aug = np.zeros(n_dofs + 2)
         self._aug[-2] = 1.0
-        # read weights of the rows of ext for g and g'; zero before the
-        # first step, when every memory quantity is zero
-        self._weights = np.zeros((2, n_terms + 1), dtype)
+        self._decay = np.exp(-rates * dt)[:, None]
+        # read weights of the rows of ext for g and g'
+        w = self._weights = np.zeros((2, n_terms + 1), dtype)
+        w[0, :-1] = dt * exp_sum.coeffs
+        w[1, :-1] = -rates * w[0, :-1]
+        w[:, -1] = -0.5 * w[:, :-1].sum(axis=1)
         # the force's operands, sliced once here instead of at every step
         self._force_weights, self._ku_cols = self._weights[0], self._ext[:, :-2]
-        self._decay = np.zeros((n_terms, 1), dtype)
-        self._dt: float | None = None
         self._diamond_u = None
         self._diamond_count = 0
         self._diamonds_cached = (0.0, 0.0)
@@ -98,80 +99,44 @@ class HistoryBuffer:
             "certified_rel_error": exp_sum.rel_error,
         }
 
-    def push(self, t: float, ku: np.ndarray, q: float) -> None:
-        """Record the state u at time t from K u and q = u.K u, which the
-        caller has already formed; t must exceed every earlier stamp."""
-        if self._t_last is None:
-            if t != 0.0:
-                raise ValueError(f"history must start at t = 0, got first push at {t}")
-        elif t <= self._t_last:
-            raise ValueError(f"non-monotone push: t = {t} after t = {self._t_last}")
-
-        if t > self._t_max:
+    def push(self, ku: np.ndarray, q: float) -> None:
+        """Record the state u at the next grid time from K u and q = u.K u,
+        which the caller has already formed."""
+        if self._push_count > self._n_steps:
             raise ValueError(
-                f"push at t = {t} past the horizon {self.expansion.horizon} on which "
-                "the kernel expansion is certified"
+                f"push {self._push_count + 1} past the horizon of {self._n_steps} steps "
+                "on which the kernel expansion is certified"
             )
         acc, row = self._acc, self._row
-        first = self._t_last is None
-        if not first:
-            dt = t - self._t_last
-            # stamps t + dt carry rounding noise; steps equal up to it
-            # share the cached weights of the first one
-            if self._dt is None or abs(dt - self._dt) > 1e-8 * dt:
-                self._set_step(dt)
         row[:-2] = ku
         row[-2] = q
-        if first:  # r_0 at its trapezoid half weight, in every term
+        if self._push_count == 0:  # r_0 at its trapezoid half weight, in every term
             np.multiply(row, 0.5, out=acc)
         else:
             acc *= self._decay
             acc += row
-        self._t_last = t
         self._push_count += 1
 
-    def _set_step(self, dt: float) -> None:
-        """Decay e^{-s_j dt} and read weights for steps of size dt; after a
-        change of step, the rescale that keeps every A_j."""
-        if self._dt is not None:
-            rho = self._dt / dt
-            self._acc *= rho
-            self._acc += (0.5 * (1.0 - rho)) * self._row
-        self._dt = dt
-        rates = self.expansion.rates
-        self._decay[:, 0] = np.exp(-rates * dt)
-        w = self._weights
-        w[0, :-1] = dt * self.expansion.coeffs
-        w[1, :-1] = -rates * w[0, :-1]
-        w[:, -1] = -0.5 * w[:, :-1].sum(axis=1)
-
-    def _require_coverage(self, t: float) -> None:
-        if self._t_last is None:
-            raise ValueError("empty history buffer")
-        if abs(t - self._t_last) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(
-                f"memory quantities are evaluated at the last stamp; "
-                f"got t = {t}, buffer at t = {self._t_last}"
-            )
-
-    def convolution_force(self, t: float) -> np.ndarray:
+    def convolution_force(self) -> np.ndarray:
         """int_0^t g(t-s) K u(s) ds, as a new array."""
-        self._require_coverage(t)
+        if self._push_count < 2:  # the empty integral at t = 0
+            return np.zeros(self._ku_cols.shape[1])
         return (self._force_weights @ self._ku_cols).real
 
-    def g_diamond(self, t: float, u_now: np.ndarray) -> float:
+    def g_diamond(self, u_now: np.ndarray) -> float:
         """(g o grad u)(t) >= 0; zero for a history constant in time."""
-        return self._diamonds(t, u_now)[0]
+        return self._diamonds(u_now)[0]
 
-    def g_prime_diamond(self, t: float, u_now: np.ndarray) -> float:
+    def g_prime_diamond(self, u_now: np.ndarray) -> float:
         """(g' o grad u)(t) <= 0."""
-        return self._diamonds(t, u_now)[1]
+        return self._diamonds(u_now)[1]
 
-    def _diamonds(self, t: float, u_now: np.ndarray) -> tuple[float, float]:
+    def _diamonds(self, u_now: np.ndarray) -> tuple[float, float]:
         # Both functionals come from one product, kept until the next push so
         # that a record pays for it once.  The cache is keyed on the identity
         # of u_now: callers must not change u_now in place between the calls.
-        self._require_coverage(t)
+        if self._push_count < 2:  # the empty integrals at t = 0
+            return 0.0, 0.0
         if self._diamond_u is u_now and self._diamond_count == self._push_count:
             return self._diamonds_cached
         aug = self._aug

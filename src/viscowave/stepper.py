@@ -313,11 +313,11 @@ def _evaluate(
     """
     ku = csr_product(ops.stiffness, u)
     grad_sq = float(u @ ku)
-    buffer.push(t, ku, grad_sq)
+    buffer.push(ku, grad_sq)
     m_kir = params.kirchhoff_coefficient(grad_sq)
     F = ku  # the buffer copied K u; F is built in its place
     F *= -m_kir
-    F += buffer.convolution_force(t)
+    F += buffer.convolution_force()
     lk = 0.0
     if params.source_enabled:
         S = source_vector(ops, u, params.k_exp)
@@ -436,7 +436,7 @@ def run(
     raised :class:`SimulationAbort`.
     """
     n_steps = cfg.n_steps
-    buffer = HistoryBuffer(kernel, ops.n_nodes, horizon=n_steps * cfg.dt)
+    buffer = HistoryBuffer(kernel, ops.n_nodes, cfg.dt, n_steps)
     traj = Trajectory(memory=buffer.diagnostics())
     try:
         with np.errstate(over="ignore", invalid="ignore"):

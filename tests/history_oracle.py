@@ -1,9 +1,10 @@
 """Full-history trapezoid quadrature: the reference for ``HistoryBuffer``.
 
-Stores every pushed snapshot and evaluates the three memory quantities by
-composite-trapezoid quadrature with the exact kernel g, at O(N n) cost per
-evaluation.  Same interface as ``HistoryBuffer``, so a test can substitute
-it into the stepper.
+Stores every pushed snapshot, the i-th at t_i = i dt, and evaluates the
+three memory quantities at the newest push by composite-trapezoid
+quadrature with the exact kernel g, at O(N n) cost per evaluation.  Same
+interface as ``HistoryBuffer``, so a test can substitute it into the
+stepper.
 """
 
 from __future__ import annotations
@@ -11,58 +12,45 @@ from __future__ import annotations
 import numpy as np
 
 
-def _trap_weights(ts: np.ndarray) -> np.ndarray:
-    w = np.zeros(len(ts))
-    if len(ts) >= 2:
-        w[0] = (ts[1] - ts[0]) / 2.0
-        w[-1] = (ts[-1] - ts[-2]) / 2.0
-        w[1:-1] = (ts[2:] - ts[:-2]) / 2.0
-    return w
-
-
 class FullHistory:
-    def __init__(self, kernel, n_dofs: int, horizon: float | None = None):
+    def __init__(self, kernel, n_dofs: int, dt: float, n_steps: int):
         self.kernel = kernel
-        self._ts: list[float] = []
+        self.dt = dt
         self._ku: list[np.ndarray] = []
         self._q: list[float] = []
 
     @property
     def n_entries(self) -> int:
-        return len(self._ts)
+        return len(self._ku)
 
     def diagnostics(self) -> dict:
         return {}
 
-    def push(self, t: float, ku: np.ndarray, q: float) -> None:
-        if not self._ts:
-            if t != 0.0:
-                raise ValueError(f"history must start at t = 0, got first push at {t}")
-        elif t <= self._ts[-1]:
-            raise ValueError(f"non-monotone push: t = {t} after t = {self._ts[-1]}")
-        self._ts.append(t)
+    def push(self, ku: np.ndarray, q: float) -> None:
         self._ku.append(np.array(ku, dtype=float))
         self._q.append(float(q))
 
-    def _weighted(self, t: float, prime: bool) -> np.ndarray:
-        if abs(t - self._ts[-1]) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"evaluated at t = {t}, buffer at t = {self._ts[-1]}")
-        ts = np.array(self._ts)
-        ages = t - ts
+    def _weighted(self, prime: bool) -> np.ndarray:
+        ts = self.dt * np.arange(len(self._ku))
+        w = np.full(len(ts), self.dt)
+        w[0] = w[-1] = self.dt / 2.0
+        if len(ts) == 1:
+            w[0] = 0.0
+        ages = ts[-1] - ts
         g = self.kernel.g_prime(ages) if prime else self.kernel.g(ages)
-        return _trap_weights(ts) * g
+        return w * g
 
-    def convolution_force(self, t: float) -> np.ndarray:
-        return self._weighted(t, prime=False) @ np.array(self._ku)
+    def convolution_force(self) -> np.ndarray:
+        return self._weighted(prime=False) @ np.array(self._ku)
 
-    def g_diamond(self, t: float, u_now: np.ndarray) -> float:
-        return self._diamond(t, u_now, prime=False)
+    def g_diamond(self, u_now: np.ndarray) -> float:
+        return self._diamond(u_now, prime=False)
 
-    def g_prime_diamond(self, t: float, u_now: np.ndarray) -> float:
-        return self._diamond(t, u_now, prime=True)
+    def g_prime_diamond(self, u_now: np.ndarray) -> float:
+        return self._diamond(u_now, prime=True)
 
-    def _diamond(self, t: float, u_now: np.ndarray, prime: bool) -> float:
-        gw = self._weighted(t, prime)
+    def _diamond(self, u_now: np.ndarray, prime: bool) -> float:
+        gw = self._weighted(prime)
         ku_h = np.array(self._ku)
         q_now = float(u_now @ ku_h[-1])
         val = gw.sum() * q_now - 2.0 * float(u_now @ (gw @ ku_h)) + float(gw @ np.array(self._q))

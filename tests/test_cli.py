@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from viscowave import SampledEnergy, build_decay_report, build_mesh, rate_identity_residual
+from viscowave import SampledEnergy, build_decay_report, build_mesh, cli, rate_identity_residual
 from viscowave.kernels import PowerLawRate
 from viscowave.decay import default_weighted_t0
 from viscowave.cli import (
@@ -413,6 +413,7 @@ def test_sweep_creates_isolated_directories(tmp_path, capsys):
     ("stepping.dt", "1", "section.key=v1,v2"),
     ("stepping.nosuch=1", "1", "stepping.nosuch: unknown key"),
     ("stepping.dt=abc", "1", "is not JSON"),
+    ("initial.amplitude=0.05,0.1", "0", "--workers must be at least 1"),
 ])
 def test_sweep_rejects_bad_params_before_any_run(tmp_path, capsys, param, workers, expect):
     rc = main(["sweep", "--preset", "exp-inwell", "--param", param,
@@ -421,6 +422,31 @@ def test_sweep_rejects_bad_params_before_any_run(tmp_path, capsys, param, worker
     err = capsys.readouterr().err
     assert expect in err
     assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_pool_gets_no_more_workers_than_jobs(tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        # stands in for the process pool: records its size, starts nothing
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [(out_dir, True) for _, out_dir in jobs]
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    rc = main(["sweep", "--preset", "exp-inwell", "--param", "initial.amplitude=0.05,0.1",
+               "--out", str(tmp_path / "sweep"), "--workers", "8"])
+    assert rc == 0
+    assert pools == [2]
+    assert capsys.readouterr().out.count("ok") == 2
 
 
 def test_overflowing_energy_aborts_with_header_only_csv(tmp_path):

@@ -24,8 +24,8 @@ from conftest import (
 
 
 def _state_at_zero(mesh, ops, params, kernel, u0, u1, y0):
-    buf = HistoryBuffer(kernel, mesh.n_nodes)
     cfg = StepperConfig(dt=1e-4, t_end=0.0)
+    buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
     state = init_state(u0, u1, y0, ops, params, buf, cfg)
     return state, buf
 

@@ -13,43 +13,36 @@ def _push_series(buffer, K, times, u_of_t):
     for t in times:
         u = u_of_t(t)
         ku = K @ u
-        buffer.push(t, ku, u @ ku)
-
-
-def test_first_push_and_monotonicity():
-    buf = HistoryBuffer(exp_kernel(), n_dofs=3)
-    with pytest.raises(ValueError, match="start at t = 0"):
-        buf.push(0.5, np.zeros(3), 0.0)
-    buf.push(0.0, np.zeros(3), 0.0)
-    assert buf.n_entries == 1
-    with pytest.raises(ValueError, match="non-monotone"):
-        buf.push(0.0, np.zeros(3), 0.0)
+        buffer.push(ku, u @ ku)
 
 
 def test_empty_history_quantities_vanish():
     mesh = interval_mesh(8)
     ops = assemble(mesh)
-    buf = HistoryBuffer(exp_kernel(), mesh.n_nodes)
     u = mesh.nodes[:, 0].copy()
     ku = ops.stiffness @ u
-    buf.push(0.0, ku, u @ ku)
-    assert np.all(buf.convolution_force(0.0) == 0.0)
-    assert buf.g_diamond(0.0, u) == 0.0
-    assert buf.g_prime_diamond(0.0, u) == 0.0
+    # one exponential, and a sum of many whose read weights cancel only
+    # up to roundoff at t = 0
+    for kernel in (exp_kernel(), build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)):
+        buf = HistoryBuffer(kernel, mesh.n_nodes, 1e-3, 10)
+        buf.push(ku, u @ ku)
+        assert np.all(buf.convolution_force() == 0.0)
+        assert buf.g_diamond(u) == 0.0
+        assert buf.g_prime_diamond(u) == 0.0
 
 
 def test_fast_path_constant_history_closed_form():
     # constant Ku = c: int_0^t g0 e^{-a(t-s)} c ds = c g0 (1 - e^{-a t})/a
     alpha, g0 = 2.0, 1.5
     kernel = build_kernel(make_rate("constant", alpha), g0, a=5.0)
-    buf = HistoryBuffer(kernel, 1)
     dt, n = 1e-3, 400
+    buf = HistoryBuffer(kernel, 1, dt, n)
     c = 0.7
-    for i in range(n + 1):
-        buf.push(i * dt, np.array([c]), c)  # u = 1
+    for _ in range(n + 1):
+        buf.push(np.array([c]), c)  # u = 1
     t = n * dt
     expect = c * g0 * (1.0 - math.exp(-alpha * t)) / alpha
-    assert buf.convolution_force(t)[0] == pytest.approx(expect, rel=1e-6)
+    assert buf.convolution_force()[0] == pytest.approx(expect, rel=1e-6)
 
 
 def test_convolution_constant_in_time_factorizes():
@@ -57,17 +50,16 @@ def test_convolution_constant_in_time_factorizes():
     mesh = interval_mesh(16)
     ops = assemble(mesh)
     kernel = build_kernel(make_rate("power_law", 2.0), 1.0, 3.0)
-    buf = HistoryBuffer(kernel, mesh.n_nodes, horizon=2.0)
+    buf = HistoryBuffer(kernel, mesh.n_nodes, 1e-3, 2000)
     u = np.sin(np.pi * mesh.nodes[:, 0])
     ku = ops.stiffness @ u
-    times = np.linspace(0.0, 2.0, 2001)
-    for t in times:
-        buf.push(t, ku, u @ ku)
-    force = buf.convolution_force(2.0)
+    for _ in range(2001):
+        buf.push(ku, u @ ku)
+    force = buf.convolution_force()
     assert np.allclose(force, kernel.partial_mass(2.0) * ku, rtol=1e-6)
     # constant history has zero increments (up to roundoff in the expansion)
-    assert buf.g_diamond(2.0, u) == pytest.approx(0.0, abs=1e-12)
-    assert buf.g_prime_diamond(2.0, u) == pytest.approx(0.0, abs=1e-12)
+    assert buf.g_diamond(u) == pytest.approx(0.0, abs=1e-12)
+    assert buf.g_prime_diamond(u) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_linear_history_closed_forms():
@@ -82,37 +74,36 @@ def test_linear_history_closed_forms():
     kw = ops.stiffness @ w
     gw2 = float(w @ kw)
 
-    t_end, dt = 1.5, 1e-3
-    times = np.arange(0.0, t_end + dt / 2, dt)
+    t_end, dt, n = 1.5, 1e-3, 1500
+    times = dt * np.arange(n + 1)
     for make in (HistoryBuffer, FullHistory):
-        buf = make(kernel, mesh.n_nodes)
+        buf = make(kernel, mesh.n_nodes, dt, n)
         _push_series(buf, ops.stiffness, times, lambda t: t * w)
-        force = buf.convolution_force(t_end)
+        force = buf.convolution_force()
         expect = (t_end - 1.0 + math.exp(-t_end)) * kw
         assert np.allclose(force, expect, rtol=1e-5, atol=1e-12)
-        gd = buf.g_diamond(t_end, t_end * w)
+        gd = buf.g_diamond(t_end * w)
         expect_gd = (2.0 - math.exp(-t_end) * (t_end**2 + 2 * t_end + 2)) * gw2
         assert gd == pytest.approx(expect_gd, rel=1e-5)
         # constant-rate kernel: g' = -alpha g pointwise, so the rate form
         # is exactly -alpha times the plain form
-        assert buf.g_prime_diamond(t_end, t_end * w) == pytest.approx(-gd, rel=1e-9)
+        assert buf.g_prime_diamond(t_end * w) == pytest.approx(-gd, rel=1e-9)
 
 
 def test_diamond_signs_for_random_history():
     mesh = interval_mesh(12)
     ops = assemble(mesh)
     kernel = build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)
-    buf = HistoryBuffer(kernel, mesh.n_nodes)
+    buf = HistoryBuffer(kernel, mesh.n_nodes, 1e-2, 100)
     rng = np.random.default_rng(3)
-    times = np.linspace(0.0, 1.0, 101)
     u = None
-    for t in times:
+    for _ in range(101):
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
         ku = ops.stiffness @ u
-        buf.push(t, ku, u @ ku)
-    assert buf.g_diamond(1.0, u) >= 0.0
-    assert buf.g_prime_diamond(1.0, u) <= 0.0
+        buf.push(ku, u @ ku)
+    assert buf.g_diamond(u) >= 0.0
+    assert buf.g_prime_diamond(u) <= 0.0
 
 
 def test_fast_path_equals_full_trapezoid():
@@ -121,22 +112,20 @@ def test_fast_path_equals_full_trapezoid():
     mesh = interval_mesh(16)
     ops = assemble(mesh)
     kernel = exp_kernel(alpha=1.3, g0=0.8, a=2.0)
-    fast = HistoryBuffer(kernel, mesh.n_nodes)
-    full = FullHistory(kernel, mesh.n_nodes)
+    fast = HistoryBuffer(kernel, mesh.n_nodes, 5e-3, 100)
+    full = FullHistory(kernel, mesh.n_nodes, 5e-3, 100)
     rng = np.random.default_rng(11)
-    dt = 5e-3
     u = None
-    for i in range(101):
+    for _ in range(101):
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
         ku = ops.stiffness @ u
-        fast.push(i * dt, ku, u @ ku)
-        full.push(i * dt, ku, u @ ku)
-    t = 100 * dt
-    f1, f2 = fast.convolution_force(t), full.convolution_force(t)
+        fast.push(ku, u @ ku)
+        full.push(ku, u @ ku)
+    f1, f2 = fast.convolution_force(), full.convolution_force()
     scale = np.abs(f2).max()
     assert np.abs(f1 - f2).max() <= 1e-6 * scale
-    assert fast.g_diamond(t, u) == pytest.approx(full.g_diamond(t, u), rel=1e-9)
+    assert fast.g_diamond(u) == pytest.approx(full.g_diamond(u), rel=1e-9)
 
 
 def test_quadrature_second_order_in_dt():
@@ -150,10 +139,11 @@ def test_quadrature_second_order_in_dt():
     t_end = 1.0
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        buf = HistoryBuffer(kernel, mesh.n_nodes)
-        times = np.arange(0.0, t_end + dt / 2, dt)
+        n = round(t_end / dt)
+        buf = HistoryBuffer(kernel, mesh.n_nodes, dt, n)
+        times = dt * np.arange(n + 1)
         _push_series(buf, ops.stiffness, times, lambda t: (t**3) * w)
-        force = buf.convolution_force(t_end)
+        force = buf.convolution_force()
         # int_0^t e^{-(t-s)} s^3 ds = t^3 - 3 t^2 + 6 t - 6 + 6 e^{-t}
         coef = t_end**3 - 3 * t_end**2 + 6 * t_end - 6 + 6 * math.exp(-t_end)
         errs.append(np.abs(force - coef * kw).max())
@@ -168,20 +158,19 @@ def test_diamond_invariant_under_constant_shift():
     rng = np.random.default_rng(5)
     shift = rng.standard_normal(mesh.n_nodes)
     shift[mesh.gamma0_nodes] = 0.0
-    times = np.linspace(0.0, 0.5, 51)
     snaps = []
-    for t in times:
+    for _ in range(51):
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
         snaps.append(u)
     vals = []
     for offset in (np.zeros(mesh.n_nodes), shift):
-        buf = HistoryBuffer(kernel, mesh.n_nodes)
-        for t, u in zip(times, snaps):
+        buf = HistoryBuffer(kernel, mesh.n_nodes, 1e-2, 50)
+        for u in snaps:
             v = u + offset
             kv = ops.stiffness @ v
-            buf.push(t, kv, v @ kv)
-        vals.append(buf.g_diamond(times[-1], snaps[-1] + offset))
+            buf.push(kv, v @ kv)
+        vals.append(buf.g_diamond(snaps[-1] + offset))
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)
 
 
@@ -193,25 +182,25 @@ FAMILIES = [("constant", 1.3, 0.0, 2.0), ("power_law", 2.0, 0.0, 3.0),
     pytest.param(*f, dim, id=f[0] if dim == 1 else f"{f[0]}-2d") for dim in (1, 2) for f in FAMILIES
 ])
 def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a, dim):
-    # random history whose step changes twice, up and then down: the
-    # recursion must equal the trapezoid sum with the exact g up to the
-    # expansion's certified error times the trapezoid mass of each quantity,
-    # plus roundoff; in 2D on a square with the right face acoustic
+    # random history on a uniform grid over [0, 3]: the recursion must
+    # equal the trapezoid sum with the exact g up to the expansion's
+    # certified error times the trapezoid mass of each quantity, plus
+    # roundoff; in 2D on a square with the right face acoustic
     mesh = interval_mesh(12) if dim == 1 else square_mesh(8)
     ops = assemble(mesh)
     kernel = build_kernel(make_rate(family, alpha, eps), 0.9, a)
-    times = np.concatenate([np.linspace(0.0, 1.0, 201), np.linspace(1.01, 2.0, 100),
-                            np.linspace(2.0025, 3.0, 400)])
-    buf = HistoryBuffer(kernel, mesh.n_nodes, horizon=times[-1])
-    oracle = FullHistory(kernel, mesh.n_nodes)
+    dt, n = 5e-3, 600
+    times = dt * np.arange(n + 1)
+    buf = HistoryBuffer(kernel, mesh.n_nodes, dt, n)
+    oracle = FullHistory(kernel, mesh.n_nodes, dt, n)
     rng = np.random.default_rng(17)
     snaps = []
-    for t in times:
+    for _ in times:
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
         snaps.append((u, ops.stiffness @ u))
-        buf.push(t, snaps[-1][1], u @ snaps[-1][1])
-        oracle.push(t, snaps[-1][1], u @ snaps[-1][1])
+        buf.push(snaps[-1][1], u @ snaps[-1][1])
+        oracle.push(snaps[-1][1], u @ snaps[-1][1])
     t = times[-1]
     u_now = snaps[-1][0]
     err = buf.expansion.rel_error
@@ -221,26 +210,26 @@ def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a, dim):
     gw, gpw = w * kernel.g(t - times), w * np.abs(kernel.g_prime(t - times))
     ku_abs = np.abs(np.array([ku for _, ku in snaps]))
     force_mass = gw @ ku_abs
-    force = buf.convolution_force(t)
-    assert np.all(np.abs(force - oracle.convolution_force(t))
+    force = buf.convolution_force()
+    assert np.all(np.abs(force - oracle.convolution_force())
                   <= err * force_mass + 1e-13 * force_mass.max())
 
     # scale of the cancelling terms in |grad(u(t) - u(s))|^2 = q_now - 2 u.Ku + q
     terms = np.array([abs(u_now @ snaps[-1][1]) + 2 * abs(u_now @ ku) + abs(u @ ku)
                       for u, ku in snaps])
-    for got, want, wt in ((buf.g_diamond(t, u_now), oracle.g_diamond(t, u_now), gw),
-                          (buf.g_prime_diamond(t, u_now), oracle.g_prime_diamond(t, u_now), gpw)):
+    for got, want, wt in ((buf.g_diamond(u_now), oracle.g_diamond(u_now), gw),
+                          (buf.g_prime_diamond(u_now), oracle.g_prime_diamond(u_now), gpw)):
         assert abs(got - want) <= err * abs(want) + 1e-13 * (wt @ terms)
 
 
 @pytest.mark.parametrize("family,alpha,eps,a", FAMILIES, ids=[f[0] for f in FAMILIES])
 def test_history_memory_flat_in_pushes(family, alpha, eps, a):
     kernel = build_kernel(make_rate(family, alpha, eps), 1.0, a)
-    buf = HistoryBuffer(kernel, 9, horizon=10.0)
+    buf = HistoryBuffer(kernel, 9, 1e-2, 1000)
     held = {}
     for i in range(801):
         u = np.full(9, math.sin(i))
-        buf.push(i * 1e-2, 2.0 * u, u @ (2.0 * u))
+        buf.push(2.0 * u, u @ (2.0 * u))
         if i in (400, 800):
             held[i] = buf.bytes_held
     assert buf.n_entries == 801
@@ -252,10 +241,10 @@ def test_history_memory_flat_in_pushes(family, alpha, eps, a):
 @pytest.mark.parametrize("family,alpha,eps,a", FAMILIES, ids=[f[0] for f in FAMILIES])
 def test_bytes_held_counts_every_array_of_the_buffer_once(family, alpha, eps, a):
     # views share their base's memory, so each base array counts once
-    buf = HistoryBuffer(build_kernel(make_rate(family, alpha, eps), 1.0, a), 9, horizon=1.0)
+    buf = HistoryBuffer(build_kernel(make_rate(family, alpha, eps), 1.0, a), 9, 0.1, 10)
     for i in range(3):
-        buf.push(i * 0.1, np.full(9, float(i)), 9.0 * i * i)
-    buf.convolution_force(0.2)
+        buf.push(np.full(9, float(i)), 9.0 * i * i)
+    buf.convolution_force()
     bases = {}
     for value in vars(buf).values():
         if isinstance(value, np.ndarray):
@@ -268,18 +257,21 @@ def test_convolution_force_shares_no_memory_with_the_buffer():
     # the stepper adds the force to an array of its own and the buffer
     # overwrites its state at the next push
     kernel = build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)
-    for buf in (HistoryBuffer(exp_kernel(), 5), HistoryBuffer(kernel, 5)):
-        buf.push(0.0, np.ones(5), 5.0)
-        buf.push(0.1, np.ones(5), 5.0)
-        force = buf.convolution_force(0.1)
+    for buf in (HistoryBuffer(exp_kernel(), 5, 0.1, 1), HistoryBuffer(kernel, 5, 0.1, 1)):
+        buf.push(np.ones(5), 5.0)
+        buf.push(np.ones(5), 5.0)
+        force = buf.convolution_force()
         assert not any(np.shares_memory(force, value) for value in vars(buf).values()
                        if isinstance(value, np.ndarray))
 
 
 def test_push_past_certified_horizon_rejected():
     kernel = build_kernel(make_rate("power_law", 2.0), 1.0, 3.0)
-    buf = HistoryBuffer(kernel, 2, horizon=1.0)
-    buf.push(0.0, np.zeros(2), 0.0)
-    buf.push(1.0, np.ones(2), 2.0)
+    buf = HistoryBuffer(kernel, 2, 1.0, 1)
+    buf.push(np.zeros(2), 0.0)
+    buf.push(np.ones(2), 2.0)
     with pytest.raises(ValueError, match="horizon"):
-        buf.push(1.5, np.ones(2), 2.0)
+        buf.push(np.ones(2), 2.0)
+    # an expansion the kernel keeps for a shorter horizon than the grid's
+    with pytest.raises(ValueError, match="horizon"):
+        HistoryBuffer(kernel.on_horizon(1.0), 2, 1.0, 2)

@@ -45,7 +45,7 @@ def _recorded_states(u0, u1, y0, ops, kernel, params, cfg):
     ``run`` itself, so a test can look at per-record fields that the
     trajectory does not keep."""
     n_steps = int(round(cfg.t_end / cfg.dt))
-    buffer = HistoryBuffer(kernel, ops.n_nodes, horizon=n_steps * cfg.dt)
+    buffer = HistoryBuffer(kernel, ops.n_nodes, cfg.dt, n_steps)
     state = init_state(u0, u1, y0, ops, params, buffer, cfg)
     records = [(state, compute_energy(state, buffer, kernel, params, ops))]
     for i in range(1, n_steps + 1):
@@ -96,7 +96,7 @@ def test_hand_computed_step_three_node_mesh():
     params = default_params(a=1.0, b=0.0, kappa=0.0, source_enabled=False)
     ops = assemble(mesh)
     cfg = StepperConfig(dt=0.1, t_end=0.1)
-    buf = HistoryBuffer(zero_kernel(params.a), mesh.n_nodes)
+    buf = HistoryBuffer(zero_kernel(params.a), mesh.n_nodes, cfg.dt, cfg.n_steps)
     s0 = init_state(
         np.array([0.0, 0.25, 0.5]), np.zeros(3), np.array([0.2]),
         ops, params, buf, cfg,
@@ -117,13 +117,13 @@ def test_zero_kernel_run_has_no_memory():
     params = default_params()
     ops = assemble(mesh)
     kernel = zero_kernel(params.a)
-    buf = HistoryBuffer(kernel, mesh.n_nodes)
     cfg = StepperConfig(dt=1e-3, t_end=0.05)
+    buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
     state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1]),
                        ops, params, buf, cfg)
     for _ in range(50):
         assert buf.n_entries == state.n + 1
-        assert not buf.convolution_force(state.t).any()
+        assert not buf.convolution_force().any()
         rep = compute_energy(state, buf, kernel, params, ops)
         assert rep.memory == rep.g_prime_diamond == rep.g_at_t == 0.0
         assert rep.elastic == 0.5 * params.a * rep.grad_sq
@@ -519,7 +519,7 @@ def test_step_pushes_once_and_reads_the_force_once(family):
     spec = _FAMILIES[family]
     kernel = build_kernel(make_rate(family, spec["alpha"], spec.get("eps", 0.0)), 1.0, 3.0)
     cfg = StepperConfig(dt=1e-3, t_end=0.01)
-    buffer = HistoryBuffer(kernel, mesh.n_nodes, horizon=cfg.t_end)
+    buffer = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
     state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1]),
                        ops, params, buffer, cfg)
     calls = []
@@ -546,7 +546,7 @@ def test_step_never_mutates_a_returned_state(forced):
         forcing = Forcing(f_omega=lambda t: np.full(mesh.n_nodes, t),
                           f_flux=lambda t: np.array([0.1 * t]), f_acoustic=lambda t: 0.2)
     cfg = StepperConfig(dt=1e-3, t_end=0.04, forcing=forcing)
-    buffer = HistoryBuffer(kernel, mesh.n_nodes, horizon=cfg.t_end)
+    buffer = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
     state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1]),
                        ops, params, buffer, cfg)
     kept = []
@@ -596,7 +596,7 @@ def test_acoustic_closure_map_matches_the_trapezoid_formulas(forced):
                           f_acoustic=lambda t: np.linspace(-0.2, 0.4, m) + t)
     cfg = StepperConfig(dt=1e-3, t_end=0.01, forcing=forcing)
     hdt = 0.5 * cfg.dt
-    buffer = HistoryBuffer(exp_kernel(), mesh.n_nodes, horizon=cfg.t_end)
+    buffer = HistoryBuffer(exp_kernel(), mesh.n_nodes, cfg.dt, cfg.n_steps)
     state = init_state(sine_profile(mesh, 0.3), sine_profile(mesh, -0.2),
                        np.linspace(0.1, 0.3, m), ops, params, buffer, cfg)
     closure = state.closure
@@ -616,7 +616,7 @@ def test_acoustic_closure_map_matches_the_trapezoid_formulas(forced):
         f4 = forcing.f_acoustic(new.t) if forced else 0.0
         # the kicked velocity and the force's acceleration, without the
         # boundary terms
-        force = (-new.m_kir * (ops.stiffness @ new.u) + buffer.convolution_force(new.t)
+        force = (-new.m_kir * (ops.stiffness @ new.u) + buffer.convolution_force()
                  + source_vector(ops, new.u, params.k_exp))
         accel = np.where(free, force / ops.mass_lumped, 0.0)
         v = state.v + hdt * state.accel + hdt * accel
@@ -690,7 +690,7 @@ def test_the_finiteness_check_reads_y_on_its_own():
     params = default_params(q_c=1e-3)
     ops = assemble(mesh)
     cfg = StepperConfig(dt=1e-3, t_end=0.01)
-    buffer = HistoryBuffer(exp_kernel(), mesh.n_nodes, horizon=cfg.t_end)
+    buffer = HistoryBuffer(exp_kernel(), mesh.n_nodes, cfg.dt, cfg.n_steps)
     state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.zeros(1),
                        ops, params, buffer, cfg)
     state = dataclasses.replace(state, x=state.x.copy())
