@@ -18,7 +18,6 @@ from .assembly import (
     grad_norm_sq,
     lk_norm_pow,
     source_vector,
-    trace_norm_sq,
 )
 from .decay import SampledEnergy, build_decay_report, fit_omega, martinez_check
 from .energy import compute_energy, rate_identity_residual
@@ -46,7 +45,7 @@ from .stepper import (
 
 __all__ = [
     "PhysicalParams", "assemble", "boundary_quadratic",
-    "grad_norm_sq", "lk_norm_pow", "source_vector", "trace_norm_sq",
+    "grad_norm_sq", "lk_norm_pow", "source_vector",
     "SampledEnergy", "build_decay_report", "fit_omega", "martinez_check",
     "compute_energy", "rate_identity_residual",
     "DomainSpec", "build_mesh",

@@ -351,12 +351,6 @@ def source_vector(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> np.nda
     return out
 
 
-def trace_norm_sq(ops: DiscreteOperators, u: np.ndarray) -> float:
-    """|u|^2 over the acoustic boundary (weighted sum; point value in 1D)."""
-    vals = u[ops.mesh.gamma1_nodes]
-    return float(ops.mesh.gamma1_weights @ (vals * vals))
-
-
 def boundary_quadratic(ops: DiscreteOperators, y_vals: np.ndarray, weight: float) -> float:
     """weight * int_{Gamma_1} y^2 for values aligned with the gamma1 nodes."""
     return float(weight * (ops.mesh.gamma1_weights @ (y_vals * y_vals)))

@@ -23,6 +23,9 @@ hand-checkable provenance.
                           decay report's rho_max is read from)
   abort.json              marker, only when the run aborted
 
+A run first removes the optional files an earlier run left in its
+directory, so that every file there is of this run.
+
 The tables are written with 17 significant digits, which read back to the
 same floats: reruns of the same config produce byte-identical CSV output,
 and ``decay-report`` on a run's ``trajectory.csv`` prints that run's
@@ -298,6 +301,8 @@ def parse_config(text: str) -> RunConfig:
 
     errors: list[str] = []
     cfg = _coerce("", raw, DEFAULTS, errors)
+    if cfg["seed"] < 0:  # numpy's generators take no negative seed
+        errors.append(f"seed must be nonnegative, got {cfg['seed']}")
     sections = {name: _build(name, cls, cfg[name], errors) for name, cls in (
         ("domain", DomainSpec), ("physics", PhysicalParams), ("kernel", KernelSpec),
         ("initial", InitialSpec), ("stepping", StepperConfig), ("analysis", AnalysisOptions))}
@@ -466,10 +471,16 @@ class ScenarioResult:
     aborted: object | None = None
 
 
+OPTIONAL_ARTIFACTS = ("abort.json", "well_constants.json", "stable_set.json",
+                      "decay_report.json", "rho_vs_S.dat", "logE_vs_phi.dat")
+
+
 def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> ScenarioResult:
     """Execute one validated scenario and persist every artifact."""
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in OPTIONAL_ARTIFACTS:
+        (out / name).unlink(missing_ok=True)
     marks = [perf_counter()]  # the start and the end of each of PHASES
 
     mesh = build_mesh(config.domain)
@@ -528,7 +539,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     marks.append(perf_counter())
 
     if aborted is not None:
-        _write_json(out / "abort.json", {"reason": aborted.reason, "time": aborted.time})
+        _write_json(out / "abort.json", aborted)
     write_trajectory_csv(out / "trajectory.csv", traj, mesh)
     if decay_json is not None:
         _write_json(out / "decay_report.json", decay_json)
@@ -544,7 +555,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
 
     meta = _metadata(config, ops, traj, marks)
     if aborted is not None:
-        meta["abort"] = {"reason": aborted.reason, "time": aborted.time}
+        meta["abort"] = aborted
     if boundary_residual is not None:
         meta["initial_boundary_residual"] = boundary_residual
     _write_json(out / "run_metadata.json", meta)
@@ -628,7 +639,7 @@ def run_mms_level(config: RunConfig) -> dict:
     }
 
 
-def run_mms_ladder(base_config: RunConfig, levels: int = 3) -> dict:
+def run_mms_ladder(base_config: RunConfig, levels: int) -> dict:
     """Halve h and dt together ``levels`` times; report errors and ratios."""
     if levels < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
@@ -733,7 +744,8 @@ def _cmd_run(args, config: RunConfig) -> int:
 
 def _cmd_constants(args, config: RunConfig) -> int:
     ops = assemble(build_mesh(config.domain))
-    kernel = config.build_kernel()
+    # the constants read l_value alone, so no run expansion is built
+    kernel = config.kernel.build(config.physics.a)
     constants = compute_well_constants(ops, config.physics, kernel, seed=config.seed)
     print(_json_text(constants))
     return 0
@@ -746,7 +758,8 @@ def _cmd_check_kernel(args, config: RunConfig) -> int:
 
 
 def _cmd_decay_report(args, config: RunConfig) -> int:
-    kernel = config.build_kernel()
+    # the report reads the rate and the partial mass, not the run's expansion
+    kernel = config.kernel.build(config.physics.a)
     try:
         data = np.genfromtxt(args.csv, delimiter=",", names=True)
         sampled = SampledEnergy.from_samples(np.atleast_1d(data["t"]),

@@ -101,6 +101,13 @@ def _cumulative_right_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0; where den <= 0, inf where num > 0 and 0
+    elsewhere."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, num / den, np.where(num > 0, np.inf, 0.0))
+
+
 def martinez_check(
     sampled: SampledEnergy,
     sigma: float,
@@ -134,19 +141,13 @@ def martinez_check(
     partial = _cumulative_right_trapezoid(integrand, t)
     bound = (E0**sigma) * E / omega
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bound > 0, partial / bound,
-                          np.where(partial > 0, np.inf, 0.0))
-    worst = float(np.max(ratios))
+    worst = float(np.max(_safe_ratio(partial, bound)))
 
     if worst > 1.0 + rtol:
         hyp = "fail"
     elif tail is not None:
         totals = partial + np.array([float(tail(s)) for s in t])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(bound > 0, totals / bound,
-                              np.where(totals > 0, np.inf, 0.0))
-        worst = float(np.max(ratios))
+        worst = float(np.max(_safe_ratio(totals, bound)))
         hyp = "pass" if worst <= 1.0 + rtol else "fail"
     elif integrand[-1] <= 1e-6 * (E0**sigma) * max(float(E[-1]), 1e-300):
         hyp = "pass"
@@ -229,13 +230,6 @@ def _rel_change(full: float, half: float) -> float:
     return abs(full - half) / abs(half)
 
 
-def _rho(integral: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """The weighted integral over E(S) where E(S) > 0; where E(S) = 0, inf
-    with mass still remaining and 0 without."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(E > 0, integral / E, np.where(integral > 0, np.inf, 0.0))
-
-
 def build_decay_report(
     sampled: SampledEnergy, t_tail: float, t0: float
 ) -> tuple[DecayReport, tuple[np.ndarray, np.ndarray]]:
@@ -268,9 +262,10 @@ def build_decay_report(
         slope, r2 = 0.0, 0.0
 
     integral = _cumulative_right_trapezoid(sampled.xi * E, t)
-    rho = _rho(integral[i0:-1], E[i0:-1])
+    # where E(S) = 0, rho is inf with mass still remaining and 0 without
+    rho = _safe_ratio(integral[i0:-1], E[i0:-1])
     rho_full = float(rho.max())
-    rho_half = float(_rho(integral[i0:h] - integral[h], E[i0:h]).max())
+    rho_half = float(_safe_ratio(integral[i0:h] - integral[h], E[i0:h]).max())
 
     report = DecayReport(
         omega_max=omega_full,

@@ -67,16 +67,6 @@ class EnergyReport(NamedTuple):
     boundary_damping: float
     rhs_identity: float
 
-    def components(self) -> dict[str, float]:
-        return {
-            "kinetic": self.kinetic,
-            "elastic": self.elastic,
-            "kirchhoff": self.kirchhoff,
-            "boundary": self.boundary,
-            "memory": self.memory,
-            "source": self.source,
-        }
-
 
 def compute_energy(
     state,
@@ -85,7 +75,7 @@ def compute_energy(
     params: PhysicalParams,
     ops: DiscreteOperators,
 ) -> EnergyReport:
-    """Full energy report; the buffer must be current through state.t.
+    """Full energy report of ``state``, which must be the buffer's newest push.
 
     The two mass products and the two boundary quadratics are those of
     ``l2_norm_sq`` and ``boundary_quadratic``, written out, as a run makes
@@ -104,7 +94,7 @@ def compute_energy(
     y = state.y
     acoustic = float(params.q_c * (w1 @ (y * y)))
     boundary = 0.5 * acoustic
-    gdia = buffer.g_diamond(u)
+    gdia = buffer.g_diamond()
     memory = 0.5 * gdia
     if params.source_enabled:
         source = -state.lk / params.k_exp
@@ -112,7 +102,7 @@ def compute_energy(
         source = 0.0
     total = kinetic + elastic + kirchhoff + boundary + memory + source
 
-    gpdia = buffer.g_prime_diamond(u)
+    gpdia = buffer.g_prime_diamond()
     y_t = state.y_t
     damping = float(params.p_c * (w1 @ (y_t * y_t)))
     rhs = -0.5 * g_at_t * gns + 0.5 * gpdia - damping

@@ -2,7 +2,7 @@
 
 For a kernel g and stiffness form K the buffer holds the states u_i of one
 run at the times t_i = i dt of its step grid and evaluates, at the time t of
-the newest push,
+the newest push, whose state u(t) the buffer holds until the next push,
 
   convolution force   int_0^t g(t-s) K u(s) ds          (a vector),
   g  o grad u         int_0^t g(t-s) |grad(u(t)-u(s))|^2 ds,
@@ -25,7 +25,7 @@ c_j dt C_j - (c_j dt / 2) r_last.  With r_last kept as row J of one
 weighted sum of the rows of ``ext``:
 
   force          Re([c_j dt ..., -sum_j c_j dt / 2] @ ext)[:-2],
-  o functionals  Re(W @ (ext @ [-2 u(t), 1, u(t)^T K u_last])),
+  o functionals  Re(W @ (ext @ [-2 u(t), 1, u(t)^T K u(t)])),
 
 where |grad(u(t)-u(s))|^2 expands into the stored row entries and the
 second row of the (2, J+1) matrix W scales the first by -s_j (the expansion
@@ -45,10 +45,13 @@ from .kernels import RelaxationKernel
 class HistoryBuffer:
     """Causal history of one simulation; mutated only by its owning stepper.
 
-    Push i records the state at t_i = i dt, so a read is at the newest
-    push.  The buffer keeps the kernel's sum of exponentials
-    (``expansion``), not the kernel; the expansion is certified on
-    [0, n_steps dt], and a push past the (n_steps + 1)-th is refused.
+    Push i records the state at t_i = i dt, and every read is at the newest
+    push: the buffer holds a reference to that state's u until the next
+    push, so the caller must not write to it in between (the stepper never
+    writes to the array of a state it has returned).  The buffer keeps the
+    kernel's sum of exponentials (``expansion``), not the kernel; the
+    expansion is certified on [0, n_steps dt], and a push past the
+    (n_steps + 1)-th is refused.
     """
 
     def __init__(self, kernel: RelaxationKernel, n_dofs: int, dt: float, n_steps: int):
@@ -76,7 +79,7 @@ class HistoryBuffer:
         w[:, -1] = -0.5 * w[:, :-1].sum(axis=1)
         # the force's operands, sliced once here instead of at every step
         self._force_weights, self._ku_cols = self._weights[0], self._ext[:, :-2]
-        self._diamond_u = None
+        self._u = None  # the newest pushed state, the caller's array
         self._diamond_count = 0
         self._diamonds_cached = (0.0, 0.0)
 
@@ -99,9 +102,9 @@ class HistoryBuffer:
             "certified_rel_error": exp_sum.rel_error,
         }
 
-    def push(self, ku: np.ndarray, q: float) -> None:
-        """Record the state u at the next grid time from K u and q = u.K u,
-        which the caller has already formed."""
+    def push(self, u: np.ndarray, ku: np.ndarray, q: float) -> None:
+        """Record the state u at the next grid time with K u and q = u.K u,
+        which the caller has already formed; u is held, not copied."""
         if self._push_count > self._n_steps:
             raise ValueError(
                 f"push {self._push_count + 1} past the horizon of {self._n_steps} steps "
@@ -115,6 +118,7 @@ class HistoryBuffer:
         else:
             acc *= self._decay
             acc += row
+        self._u = u
         self._push_count += 1
 
     def convolution_force(self) -> np.ndarray:
@@ -123,27 +127,26 @@ class HistoryBuffer:
             return np.zeros(self._ku_cols.shape[1])
         return (self._force_weights @ self._ku_cols).real
 
-    def g_diamond(self, u_now: np.ndarray) -> float:
+    def g_diamond(self) -> float:
         """(g o grad u)(t) >= 0; zero for a history constant in time."""
-        return self._diamonds(u_now)[0]
+        return self._diamonds()[0]
 
-    def g_prime_diamond(self, u_now: np.ndarray) -> float:
+    def g_prime_diamond(self) -> float:
         """(g' o grad u)(t) <= 0."""
-        return self._diamonds(u_now)[1]
+        return self._diamonds()[1]
 
-    def _diamonds(self, u_now: np.ndarray) -> tuple[float, float]:
+    def _diamonds(self) -> tuple[float, float]:
         # Both functionals come from one product, kept until the next push so
-        # that a record pays for it once.  The cache is keyed on the identity
-        # of u_now: callers must not change u_now in place between the calls.
+        # that a record pays for it once.
         if self._push_count < 2:  # the empty integrals at t = 0
             return 0.0, 0.0
-        if self._diamond_u is u_now and self._diamond_count == self._push_count:
+        if self._diamond_count == self._push_count:
             return self._diamonds_cached
-        aug = self._aug
-        np.multiply(u_now, -2.0, out=aug[:-2])
-        aug[-1] = u_now @ self._row[:-2].real
+        u, aug = self._u, self._aug
+        np.multiply(u, -2.0, out=aug[:-2])
+        aug[-1] = u @ self._row[:-2].real
         gd, gpd = (self._weights @ (self._ext @ aug)).real.tolist()
         # roundoff guards: the exact values are signed sums of squares
         self._diamonds_cached = (max(gd, 0.0), min(gpd, 0.0))
-        self._diamond_u, self._diamond_count = u_now, self._push_count
+        self._diamond_count = self._push_count
         return self._diamonds_cached

@@ -352,7 +352,6 @@ class RelaxationKernel:
 
     rate: RateFunction
     g0: float
-    a_coeff: float
     tail_mass: float
     l_value: float
     expansion: ExpSum | None = field(default=None, compare=False)
@@ -420,9 +419,7 @@ def build_kernel(rate: RateFunction, g0: float, a: float) -> RelaxationKernel:
             f"(H2) violated: a - int_0^inf g = {l_value:.6g} <= 0 "
             f"(a = {a}, kernel mass = {tail:.6g})"
         )
-    return RelaxationKernel(
-        rate=rate, g0=g0, a_coeff=a, tail_mass=tail, l_value=l_value, expansion=expansion
-    )
+    return RelaxationKernel(rate=rate, g0=g0, tail_mass=tail, l_value=l_value, expansion=expansion)
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,7 @@ def _trace_constant(ops: DiscreteOperators) -> float:
     return math.sqrt(np.linalg.eigvalsh(0.5 * (block + block.T))[-1])
 
 
-def estimate_embedding_constant(ops: DiscreteOperators, k_exp: float, seed: int = 2024) -> float:
+def estimate_embedding_constant(ops: DiscreteOperators, k_exp: float, seed: int) -> float:
     """Discrete sup ||u||_k / ||grad u||_2, with ||u||_k^k by the nodal rule.
 
     The nodal rule bounds int |u_h|^k from above, and the value comes down
@@ -221,7 +221,7 @@ def estimate_B_Omega(
     l_value: float,
     s_k: float,
     u_star: np.ndarray,
-    seed: int = 2024,
+    seed: int,
 ) -> tuple[float, dict]:
     """Well constant B via the amplitude-limit reduction, plus verification.
 
@@ -282,7 +282,7 @@ def compute_well_constants(
     ops: DiscreteOperators,
     params: PhysicalParams,
     kernel: RelaxationKernel,
-    seed: int = 2024,
+    seed: int,
 ) -> WellConstants:
     """Embedding/trace constants, B, lambda1 and d1 for one configuration."""
     u_star, emb_diag = _embedding_ascent(ops, params.k_exp, seed)

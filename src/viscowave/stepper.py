@@ -248,10 +248,10 @@ class AbortInfo:
 
 
 class SimulationAbort(RuntimeError):
-    def __init__(self, reason: str, time: float, trajectory: "Trajectory | None" = None):
+    def __init__(self, reason: str, time: float):
         super().__init__(f"{reason} at t = {time:.6g}")
         self.info = AbortInfo(reason=reason, time=time)
-        self.trajectory = trajectory
+        self.trajectory: Trajectory | None = None
 
 
 @dataclass
@@ -313,7 +313,7 @@ def _evaluate(
     """
     ku = csr_product(ops.stiffness, u)
     grad_sq = float(u @ ku)
-    buffer.push(ku, grad_sq)
+    buffer.push(u, ku, grad_sq)
     m_kir = params.kirchhoff_coefficient(grad_sq)
     F = ku  # the buffer copied K u; F is built in its place
     F *= -m_kir
@@ -447,7 +447,8 @@ def run(
                 if i % cfg.record_every == 0:
                     traj.record(state, compute_energy(state, buffer, kernel, params, ops))
     except SimulationAbort as ab:
-        raise SimulationAbort(ab.info.reason, ab.info.time, trajectory=traj) from None
+        ab.trajectory = traj
+        raise
     return traj
 
 

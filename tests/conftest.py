@@ -56,7 +56,7 @@ def zero_kernel(a):
     g(0) > 0, so ``build_kernel`` rejects it and it is built by hand; every
     memory quantity of a run with it is exactly zero and l = a."""
     rate = ConstantRate(1.0)
-    return RelaxationKernel(rate=rate, g0=0.0, a_coeff=a, tail_mass=0.0, l_value=a,
+    return RelaxationKernel(rate=rate, g0=0.0, tail_mass=0.0, l_value=a,
                             expansion=rate.exp_sum(None).scaled(0.0))
 
 

@@ -16,6 +16,7 @@ class FullHistory:
     def __init__(self, kernel, n_dofs: int, dt: float, n_steps: int):
         self.kernel = kernel
         self.dt = dt
+        self._u = None
         self._ku: list[np.ndarray] = []
         self._q: list[float] = []
 
@@ -26,7 +27,8 @@ class FullHistory:
     def diagnostics(self) -> dict:
         return {}
 
-    def push(self, ku: np.ndarray, q: float) -> None:
+    def push(self, u: np.ndarray, ku: np.ndarray, q: float) -> None:
+        self._u = np.array(u, dtype=float)
         self._ku.append(np.array(ku, dtype=float))
         self._q.append(float(q))
 
@@ -43,13 +45,14 @@ class FullHistory:
     def convolution_force(self) -> np.ndarray:
         return self._weighted(prime=False) @ np.array(self._ku)
 
-    def g_diamond(self, u_now: np.ndarray) -> float:
-        return self._diamond(u_now, prime=False)
+    def g_diamond(self) -> float:
+        return self._diamond(prime=False)
 
-    def g_prime_diamond(self, u_now: np.ndarray) -> float:
-        return self._diamond(u_now, prime=True)
+    def g_prime_diamond(self) -> float:
+        return self._diamond(prime=True)
 
-    def _diamond(self, u_now: np.ndarray, prime: bool) -> float:
+    def _diamond(self, prime: bool) -> float:
+        u_now = self._u
         gw = self._weighted(prime)
         ku_h = np.array(self._ku)
         q_now = float(u_now @ ku_h[-1])

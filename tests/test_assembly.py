@@ -13,7 +13,6 @@ from viscowave import (
     grad_norm_sq,
     lk_norm_pow,
     source_vector,
-    trace_norm_sq,
 )
 from viscowave import assembly
 from viscowave.assembly import l2_norm_sq
@@ -79,13 +78,14 @@ def test_source_vector_examples(mesh64, ops64):
 
 def test_trace_norm_examples(mesh64, ops64):
     u = mesh64.nodes[:, 0].copy()
-    assert trace_norm_sq(ops64, np.zeros_like(u)) == 0.0
-    assert trace_norm_sq(ops64, u) == pytest.approx(1.0)  # point value 1^2
+    assert boundary_quadratic(ops64, np.zeros_like(u)[mesh64.gamma1_nodes], 1.0) == 0.0
+    # the point value 1^2
+    assert boundary_quadratic(ops64, u[mesh64.gamma1_nodes], 1.0) == pytest.approx(1.0)
 
     mesh2 = square_mesh(4)
     ops2 = assemble(mesh2)
     ones = np.ones(mesh2.n_nodes)
-    assert trace_norm_sq(ops2, ones) == pytest.approx(1.0)  # side length x 1
+    assert boundary_quadratic(ops2, ones[mesh2.gamma1_nodes], 1.0) == pytest.approx(1.0)  # side length x 1
 
 
 def test_boundary_quadratic_weighting(mesh64, ops64):

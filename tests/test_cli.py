@@ -312,7 +312,9 @@ def test_full_scenario_writes_reports(tmp_path):
                                        "certification": "exact", "horizon": None}
 
 
-def test_power_law_reports_describe_the_expansion_the_run_steps_with(tmp_path, monkeypatch):
+@pytest.fixture
+def power_law_expansions(monkeypatch):
+    """The horizons of the power-law expansions built while the test runs."""
     built = []
     exp_sum = PowerLawRate.exp_sum
 
@@ -321,6 +323,12 @@ def test_power_law_reports_describe_the_expansion_the_run_steps_with(tmp_path, m
         return exp_sum(rate, horizon)
 
     monkeypatch.setattr(PowerLawRate, "exp_sum", spy)
+    return built
+
+
+def test_power_law_reports_describe_the_expansion_the_run_steps_with(tmp_path,
+                                                                     power_law_expansions):
+    built = power_law_expansions
     cfg = parse_config(_tiny_config(physics={"a": 3.0},
                                     kernel={"family": "power_law", "alpha": 2.0},
                                     stepping={"dt": 2e-3, "t_end": 3.0, "record_every": 50}))
@@ -333,6 +341,58 @@ def test_power_law_reports_describe_the_expansion_the_run_steps_with(tmp_path, m
     assert expansion["horizon"] == 3.0 and expansion["certification"] == "grid"
     assert expansion["n_terms"] == memory["n_terms"]
     assert expansion["certified_rel_error"] == memory["certified_rel_error"]
+
+
+def test_constants_and_decay_report_build_no_run_expansion(tmp_path, capsys,
+                                                            power_law_expansions):
+    # the well constants read l alone, the decay report the rate and the
+    # closed-form partial mass: neither needs the expansion the run steps with
+    cfg_path, run_dir = _run_with_config_file(tmp_path, physics={"a": 3.0},
+                                              kernel={"family": "power_law", "alpha": 2.0})
+    power_law_expansions.clear()
+    assert main(["constants", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == (run_dir / "well_constants.json").read_text()
+    assert main(["decay-report", "--config", str(cfg_path),
+                 "--csv", str(run_dir / "trajectory.csv")]) == 0
+    assert capsys.readouterr().out == (run_dir / "decay_report.json").read_text()
+    assert power_law_expansions == []
+
+
+def test_rerun_into_a_directory_leaves_no_artifact_of_the_earlier_run(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    # an aborted run, then a completed one
+    aborting = parse_config(_tiny_config(physics={"b": 0.0}, initial={"amplitude": 1e90}))
+    assert run_scenario(aborting, out_dir=out).aborted is not None
+    assert (out / "abort.json").exists()
+    assert run_scenario(parse_config(_tiny_config()), out_dir=out).aborted is None
+    assert not (out / "abort.json").exists()
+    # a run with every report on, then one with none
+    reports = {"stepping": {"dt": 2e-3, "t_end": 4.0, "record_every": 10},
+               "analysis": {"constants": True, "decay": True, "t_tail": 1.0}}
+    run_scenario(parse_config(_tiny_config(**reports)), out_dir=out)
+    optional = ["well_constants.json", "stable_set.json", "decay_report.json",
+                "rho_vs_S.dat", "logE_vs_phi.dat"]
+    assert all((out / name).exists() for name in optional)
+    run_scenario(parse_config(_tiny_config()), out_dir=out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "hypothesis_report.json", "notes.txt", "run_metadata.json", "trajectory.csv"]
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["run", "constants"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    # numpy's generators refuse a negative seed; the config refuses it first,
+    # before any artifact is written
+    path = tmp_path / "cfg.json"
+    path.write_text(_tiny_config(seed=-1, output_dir=str(tmp_path / "run"),
+                                 analysis={"constants": True}))
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "seed must be nonnegative, got -1" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_out_of_well_scenario_preserves_partial_outputs(tmp_path):

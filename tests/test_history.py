@@ -13,7 +13,7 @@ def _push_series(buffer, K, times, u_of_t):
     for t in times:
         u = u_of_t(t)
         ku = K @ u
-        buffer.push(ku, u @ ku)
+        buffer.push(u, ku, u @ ku)
 
 
 def test_empty_history_quantities_vanish():
@@ -25,10 +25,10 @@ def test_empty_history_quantities_vanish():
     # up to roundoff at t = 0
     for kernel in (exp_kernel(), build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)):
         buf = HistoryBuffer(kernel, mesh.n_nodes, 1e-3, 10)
-        buf.push(ku, u @ ku)
+        buf.push(u, ku, u @ ku)
         assert np.all(buf.convolution_force() == 0.0)
-        assert buf.g_diamond(u) == 0.0
-        assert buf.g_prime_diamond(u) == 0.0
+        assert buf.g_diamond() == 0.0
+        assert buf.g_prime_diamond() == 0.0
 
 
 def test_fast_path_constant_history_closed_form():
@@ -39,7 +39,7 @@ def test_fast_path_constant_history_closed_form():
     buf = HistoryBuffer(kernel, 1, dt, n)
     c = 0.7
     for _ in range(n + 1):
-        buf.push(np.array([c]), c)  # u = 1
+        buf.push(np.array([1.0]), np.array([c]), c)
     t = n * dt
     expect = c * g0 * (1.0 - math.exp(-alpha * t)) / alpha
     assert buf.convolution_force()[0] == pytest.approx(expect, rel=1e-6)
@@ -54,12 +54,12 @@ def test_convolution_constant_in_time_factorizes():
     u = np.sin(np.pi * mesh.nodes[:, 0])
     ku = ops.stiffness @ u
     for _ in range(2001):
-        buf.push(ku, u @ ku)
+        buf.push(u, ku, u @ ku)
     force = buf.convolution_force()
     assert np.allclose(force, kernel.partial_mass(2.0) * ku, rtol=1e-6)
     # constant history has zero increments (up to roundoff in the expansion)
-    assert buf.g_diamond(u) == pytest.approx(0.0, abs=1e-12)
-    assert buf.g_prime_diamond(u) == pytest.approx(0.0, abs=1e-12)
+    assert buf.g_diamond() == pytest.approx(0.0, abs=1e-12)
+    assert buf.g_prime_diamond() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_linear_history_closed_forms():
@@ -82,12 +82,12 @@ def test_linear_history_closed_forms():
         force = buf.convolution_force()
         expect = (t_end - 1.0 + math.exp(-t_end)) * kw
         assert np.allclose(force, expect, rtol=1e-5, atol=1e-12)
-        gd = buf.g_diamond(t_end * w)
+        gd = buf.g_diamond()
         expect_gd = (2.0 - math.exp(-t_end) * (t_end**2 + 2 * t_end + 2)) * gw2
         assert gd == pytest.approx(expect_gd, rel=1e-5)
         # constant-rate kernel: g' = -alpha g pointwise, so the rate form
         # is exactly -alpha times the plain form
-        assert buf.g_prime_diamond(t_end * w) == pytest.approx(-gd, rel=1e-9)
+        assert buf.g_prime_diamond() == pytest.approx(-gd, rel=1e-9)
 
 
 def test_diamond_signs_for_random_history():
@@ -101,9 +101,9 @@ def test_diamond_signs_for_random_history():
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
         ku = ops.stiffness @ u
-        buf.push(ku, u @ ku)
-    assert buf.g_diamond(u) >= 0.0
-    assert buf.g_prime_diamond(u) <= 0.0
+        buf.push(u, ku, u @ ku)
+    assert buf.g_diamond() >= 0.0
+    assert buf.g_prime_diamond() <= 0.0
 
 
 def test_fast_path_equals_full_trapezoid():
@@ -120,12 +120,12 @@ def test_fast_path_equals_full_trapezoid():
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
         ku = ops.stiffness @ u
-        fast.push(ku, u @ ku)
-        full.push(ku, u @ ku)
+        fast.push(u, ku, u @ ku)
+        full.push(u, ku, u @ ku)
     f1, f2 = fast.convolution_force(), full.convolution_force()
     scale = np.abs(f2).max()
     assert np.abs(f1 - f2).max() <= 1e-6 * scale
-    assert fast.g_diamond(u) == pytest.approx(full.g_diamond(u), rel=1e-9)
+    assert fast.g_diamond() == pytest.approx(full.g_diamond(), rel=1e-9)
 
 
 def test_quadrature_second_order_in_dt():
@@ -169,8 +169,8 @@ def test_diamond_invariant_under_constant_shift():
         for u in snaps:
             v = u + offset
             kv = ops.stiffness @ v
-            buf.push(kv, v @ kv)
-        vals.append(buf.g_diamond(snaps[-1] + offset))
+            buf.push(v, kv, v @ kv)
+        vals.append(buf.g_diamond())
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)
 
 
@@ -199,8 +199,8 @@ def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a, dim):
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
         snaps.append((u, ops.stiffness @ u))
-        buf.push(snaps[-1][1], u @ snaps[-1][1])
-        oracle.push(snaps[-1][1], u @ snaps[-1][1])
+        buf.push(u, snaps[-1][1], u @ snaps[-1][1])
+        oracle.push(u, snaps[-1][1], u @ snaps[-1][1])
     t = times[-1]
     u_now = snaps[-1][0]
     err = buf.expansion.rel_error
@@ -217,8 +217,8 @@ def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a, dim):
     # scale of the cancelling terms in |grad(u(t) - u(s))|^2 = q_now - 2 u.Ku + q
     terms = np.array([abs(u_now @ snaps[-1][1]) + 2 * abs(u_now @ ku) + abs(u @ ku)
                       for u, ku in snaps])
-    for got, want, wt in ((buf.g_diamond(u_now), oracle.g_diamond(u_now), gw),
-                          (buf.g_prime_diamond(u_now), oracle.g_prime_diamond(u_now), gpw)):
+    for got, want, wt in ((buf.g_diamond(), oracle.g_diamond(), gw),
+                          (buf.g_prime_diamond(), oracle.g_prime_diamond(), gpw)):
         assert abs(got - want) <= err * abs(want) + 1e-13 * (wt @ terms)
 
 
@@ -229,7 +229,7 @@ def test_history_memory_flat_in_pushes(family, alpha, eps, a):
     held = {}
     for i in range(801):
         u = np.full(9, math.sin(i))
-        buf.push(2.0 * u, u @ (2.0 * u))
+        buf.push(u, 2.0 * u, u @ (2.0 * u))
         if i in (400, 800):
             held[i] = buf.bytes_held
     assert buf.n_entries == 801
@@ -243,11 +243,13 @@ def test_bytes_held_counts_every_array_of_the_buffer_once(family, alpha, eps, a)
     # views share their base's memory, so each base array counts once
     buf = HistoryBuffer(build_kernel(make_rate(family, alpha, eps), 1.0, a), 9, 0.1, 10)
     for i in range(3):
-        buf.push(np.full(9, float(i)), 9.0 * i * i)
+        buf.push(np.full(9, float(i)), np.full(9, float(i)), 9.0 * i * i)
     buf.convolution_force()
     bases = {}
-    for value in vars(buf).values():
-        if isinstance(value, np.ndarray):
+    for name, value in vars(buf).items():
+        # the newest pushed state is the caller's array, which the buffer
+        # refers to but does not own
+        if isinstance(value, np.ndarray) and name != "_u":
             base = value if value.base is None else value.base
             bases[id(base)] = base
     assert buf.bytes_held == sum(b.nbytes for b in bases.values())
@@ -258,8 +260,8 @@ def test_convolution_force_shares_no_memory_with_the_buffer():
     # overwrites its state at the next push
     kernel = build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)
     for buf in (HistoryBuffer(exp_kernel(), 5, 0.1, 1), HistoryBuffer(kernel, 5, 0.1, 1)):
-        buf.push(np.ones(5), 5.0)
-        buf.push(np.ones(5), 5.0)
+        buf.push(np.ones(5), np.ones(5), 5.0)
+        buf.push(np.ones(5), np.ones(5), 5.0)
         force = buf.convolution_force()
         assert not any(np.shares_memory(force, value) for value in vars(buf).values()
                        if isinstance(value, np.ndarray))
@@ -268,10 +270,10 @@ def test_convolution_force_shares_no_memory_with_the_buffer():
 def test_push_past_certified_horizon_rejected():
     kernel = build_kernel(make_rate("power_law", 2.0), 1.0, 3.0)
     buf = HistoryBuffer(kernel, 2, 1.0, 1)
-    buf.push(np.zeros(2), 0.0)
-    buf.push(np.ones(2), 2.0)
+    buf.push(np.zeros(2), np.zeros(2), 0.0)
+    buf.push(np.ones(2), np.ones(2), 2.0)
     with pytest.raises(ValueError, match="horizon"):
-        buf.push(np.ones(2), 2.0)
+        buf.push(np.ones(2), np.ones(2), 2.0)
     # an expansion the kernel keeps for a shorter horizon than the grid's
     with pytest.raises(ValueError, match="horizon"):
         HistoryBuffer(kernel.on_horizon(1.0), 2, 1.0, 2)

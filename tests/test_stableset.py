@@ -69,21 +69,21 @@ def test_well_constants_from_B_examples():
 def test_embedding_constant_1d_k2():
     mesh = interval_mesh(64)
     ops = assemble(mesh)
-    val = estimate_embedding_constant(ops, 2.0)
+    val = estimate_embedding_constant(ops, 2.0, seed=2024)
     assert val == pytest.approx(2.0 / math.pi, rel=0.01)
 
 
 def test_embedding_constant_1d_k4_against_oracle():
     mesh = interval_mesh(64)
     ops = assemble(mesh)
-    val = estimate_embedding_constant(ops, 4.0)
+    val = estimate_embedding_constant(ops, 4.0, seed=2024)
     assert val == pytest.approx(ORACLE_S4_1D, rel=0.01)
 
 
 def test_embedding_constant_2d_k2():
     mesh = square_mesh(24)
     ops = assemble(mesh)
-    val = estimate_embedding_constant(ops, 2.0)
+    val = estimate_embedding_constant(ops, 2.0, seed=2024)
     assert val == pytest.approx(2.0 / (math.pi * math.sqrt(5.0)), rel=0.02)
 
 
@@ -94,7 +94,7 @@ def test_embedding_nonincreasing_under_refinement():
     for res in (16, 32, 64):
         mesh = interval_mesh(res)
         ops = assemble(mesh)
-        vals.append(estimate_embedding_constant(ops, 4.0))
+        vals.append(estimate_embedding_constant(ops, 4.0, seed=2024))
     assert vals[0] >= vals[1] >= vals[2]
 
 
@@ -125,9 +125,9 @@ def test_trace_sup_dominates_interior_candidate():
     u = np.sin(np.pi * mesh.nodes[:, 0]) ** 2
     u[mesh.gamma0_nodes] = 0.0
     u[mesh.gamma1_nodes] = 0.0
-    from viscowave import grad_norm_sq, trace_norm_sq
+    from viscowave import boundary_quadratic, grad_norm_sq
 
-    q = math.sqrt(trace_norm_sq(ops, u)) / math.sqrt(grad_norm_sq(ops, u))
+    q = math.sqrt(boundary_quadratic(ops, u[mesh.gamma1_nodes], 1.0)) / math.sqrt(grad_norm_sq(ops, u))
     assert q == 0.0 < best
 
 
@@ -155,25 +155,25 @@ def test_b_omega_reductions():
     # the embedding ascent supplies both the constant and its best iterate
     u_star, diag = stableset._embedding_ascent(ops, 4.0, 2024)
     s4 = diag.value
-    assert s4 == estimate_embedding_constant(ops, 4.0)
-    b1, info1 = estimate_B_Omega(ops, p1, l_value=1.0, s_k=s4, u_star=u_star)
+    assert s4 == estimate_embedding_constant(ops, 4.0, seed=2024)
+    b1, info1 = estimate_B_Omega(ops, p1, l_value=1.0, s_k=s4, u_star=u_star, seed=2024)
     assert b1 == pytest.approx(s4, rel=1e-12)  # kappa > 0: S_k / sqrt(l)
     assert info1["verified"]
 
     p0 = default_params(kappa=0.0, b=3.0)
     ops0 = assemble(mesh)
-    b0, _ = estimate_B_Omega(ops0, p0, l_value=1.0, s_k=s4, u_star=u_star)
+    b0, _ = estimate_B_Omega(ops0, p0, l_value=1.0, s_k=s4, u_star=u_star, seed=2024)
     assert b0 == pytest.approx(s4 / 2.0, rel=1e-12)  # sqrt(l + b) = 2
 
     # larger l strictly shrinks B
-    b_bigger_l, _ = estimate_B_Omega(ops, p1, l_value=2.0, s_k=s4, u_star=u_star)
+    b_bigger_l, _ = estimate_B_Omega(ops, p1, l_value=2.0, s_k=s4, u_star=u_star, seed=2024)
     assert b_bigger_l < b1
 
 
 def test_initial_membership_examples(mesh64, ops64):
     params = default_params()
     kernel = exp_kernel()
-    constants = compute_well_constants(ops64, params, kernel)
+    constants = compute_well_constants(ops64, params, kernel, seed=2024)
     z = np.zeros(mesh64.n_nodes)
 
     rep0 = check_initial_membership(z, z, np.zeros(1), constants, ops64, params, kernel)
@@ -199,7 +199,7 @@ def test_initial_membership_examples(mesh64, ops64):
 def test_invariance_verdicts(mesh64, ops64):
     params = default_params()
     kernel = exp_kernel()
-    constants = compute_well_constants(ops64, params, kernel)
+    constants = compute_well_constants(ops64, params, kernel, seed=2024)
     z = np.zeros(mesh64.n_nodes)
 
     zero_traj = run(z, z, np.zeros(1), ops64, kernel, params,
@@ -247,7 +247,7 @@ def test_well_constants_run_eight_starts_and_one_trace_solve_and_verify_the_best
     monkeypatch.setattr(stableset, "_ascend", spy_ascend)
     monkeypatch.setattr(stableset, "_trace_constant", spy_trace)
     monkeypatch.setattr(stableset, "estimate_B_Omega", spy_estimate)
-    constants = stableset.compute_well_constants(ops, params, exp_kernel())
+    constants = stableset.compute_well_constants(ops, params, exp_kernel(), seed=2024)
     assert [n for n, _ in ascents] == [8]  # embedding only
     assert traces == [constants.c_bar_star]
     assert constants.diagnostics["trace"] == {"method": "exact", "iterations": [0]}
@@ -315,7 +315,7 @@ def test_one_axis_decomposition_per_assemble_and_none_in_well_constants(monkeypa
     # x: left pinned, right acoustic; y: bottom and top pinned
     assert decompositions == [(8, list(range(1, 9))), (6, list(range(1, 6)))]
     assert lanczos == []  # every corner is pinned
-    compute_well_constants(ops, params, exp_kernel())
+    compute_well_constants(ops, params, exp_kernel(), seed=2024)
     assert len(decompositions) == 2 and lanczos == []
     assert [name for name, _ in used] == ["ascent", "trace"]
     assert all(axes is ops.axes for _, axes in used)
@@ -478,7 +478,7 @@ def test_closed_form_amplitude_sweep_matches_the_direct_quotient(mesh_name, kapp
         return q
 
     monkeypatch.setattr(stableset, "_amplitude_quotients", spy)
-    constants = compute_well_constants(ops, params, kernel)
+    constants = compute_well_constants(ops, params, kernel, seed=2024)
     assert len(swept) == 4  # the ascent's best iterate and three random fields
     from viscowave import grad_norm_sq, lk_norm_pow
 
