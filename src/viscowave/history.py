@@ -80,8 +80,9 @@ class HistoryBuffer:
         # the force's operands, sliced once here instead of at every step
         self._force_weights, self._ku_cols = self._weights[0], self._ext[:, :-2]
         self._u = None  # the newest pushed state, the caller's array
+        # g o grad u and g' o grad u as read at push number _diamond_count
         self._diamond_count = 0
-        self._diamonds_cached = (0.0, 0.0)
+        self._g_dia = self._g_prime_dia = 0.0
 
     @property
     def n_entries(self) -> int:
@@ -129,24 +130,26 @@ class HistoryBuffer:
 
     def g_diamond(self) -> float:
         """(g o grad u)(t) >= 0; zero for a history constant in time."""
-        return self._diamonds()[0]
+        if self._diamond_count != self._push_count:
+            self._read_diamonds()
+        return self._g_dia
 
     def g_prime_diamond(self) -> float:
         """(g' o grad u)(t) <= 0."""
-        return self._diamonds()[1]
+        if self._diamond_count != self._push_count:
+            self._read_diamonds()
+        return self._g_prime_dia
 
-    def _diamonds(self) -> tuple[float, float]:
+    def _read_diamonds(self) -> None:
         # Both functionals come from one product, kept until the next push so
-        # that a record pays for it once.
+        # that a record pays for it once.  u(t)^T K u(t) is the q of the
+        # newest push, held in its row.
+        self._diamond_count = self._push_count
         if self._push_count < 2:  # the empty integrals at t = 0
-            return 0.0, 0.0
-        if self._diamond_count == self._push_count:
-            return self._diamonds_cached
-        u, aug = self._u, self._aug
-        np.multiply(u, -2.0, out=aug[:-2])
-        aug[-1] = u @ self._row[:-2].real
+            return
+        aug = self._aug
+        np.multiply(self._u, -2.0, out=aug[:-2])
+        aug[-1] = self._row[-2].real
         gd, gpd = (self._weights @ (self._ext @ aug)).real.tolist()
         # roundoff guards: the exact values are signed sums of squares
-        self._diamonds_cached = (max(gd, 0.0), min(gpd, 0.0))
-        self._diamond_count = self._push_count
-        return self._diamonds_cached
+        self._g_dia, self._g_prime_dia = max(gd, 0.0), min(gpd, 0.0)

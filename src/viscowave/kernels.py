@@ -75,9 +75,18 @@ class ExpSum:
     def scaled(self, factor: float) -> "ExpSum":
         return replace(self, coeffs=factor * self.coeffs)
 
-    def partial_mass(self, t: float) -> float:
-        """int_0^t of the expansion, closed form."""
-        return float((self.coeffs * -np.expm1(-self.rates * t) / self.rates).sum().real)
+    def partial_mass(self, t):
+        """int_0^t of the expansion, closed form: a float for a float t, an
+        array for an array of times, each entry computed as for its float."""
+        # in place: a table over a run's record grid holds one (times,
+        # terms) array at a time
+        terms = np.multiply.outer(np.asarray(t, dtype=float), -self.rates)
+        np.expm1(terms, out=terms)
+        np.negative(terms, out=terms)
+        np.multiply(self.coeffs, terms, out=terms)
+        terms /= self.rates
+        mass = terms.sum(axis=-1).real
+        return float(mass) if mass.ndim == 0 else mass
 
     def total_mass(self) -> float:
         return float((self.coeffs / self.rates).sum().real)
@@ -375,17 +384,27 @@ class RelaxationKernel:
     def g_prime(self, t):
         return -self.rate.xi(t) * self.g(t)
 
-    def partial_mass(self, t0: float) -> float:
-        """int_0^{t0} g(s) ds, closed form where the family admits one."""
-        if t0 < 0:
-            raise ValueError(f"t0 must be nonnegative, got {t0}")
+    def partial_mass(self, t0):
+        """int_0^{t0} g(s) ds, closed form where the family admits one.
+
+        A float t0 gives a float (the root search of
+        ``decay.default_weighted_t0`` calls it so), an array of times an
+        array from one vectorized evaluation, each entry the float one's
+        value.  1 - e^{-x} is written -expm1(-x), free of cancellation at
+        small t0.
+        """
+        t = np.asarray(t0, dtype=float)
+        if (t < 0).any():
+            raise ValueError(f"t0 must be nonnegative, got {float(t.min())}")
         rate = self.rate
         if isinstance(rate, ConstantRate):
-            return self.g0 * (1.0 - math.exp(-rate.alpha * t0)) / rate.alpha
-        if isinstance(rate, PowerLawRate):
-            am1 = rate.alpha - 1.0
-            return self.g0 * (1.0 - (1.0 + t0) ** (-am1)) / am1
-        return self.expansion.partial_mass(t0)
+            mass = self.g0 * -np.expm1(-rate.alpha * t) / rate.alpha
+        elif isinstance(rate, PowerLawRate):
+            am1 = rate.alpha - 1.0  # 1 - (1 + t)^{-am1}
+            mass = self.g0 * -np.expm1(-am1 * np.log1p(t)) / am1
+        else:
+            return self.expansion.partial_mass(t)
+        return float(mass) if mass.ndim == 0 else mass
 
 
 def build_kernel(rate: RateFunction, g0: float, a: float) -> RelaxationKernel:

@@ -37,6 +37,13 @@ in fixed stages, all set up once per run by :func:`init_state`:
             one step later.  Then one comparison of M_kir with the run's
             CFL bound ``m_kir_max``.
 
+A record (every record_every-th step, and t = 0) is one
+:func:`~viscowave.energy.compute_energy` call on the new state.  :func:`run`
+builds its per-run constants once, before the first step: the tables of
+g(t) and int_0^t g on the record grid and the block-diagonal record
+operator over the run of u, v, y and y_t (``closure.checked``), so that a
+record makes one sparse product and reads two table rows.
+
 Floating-point errors: :func:`run` enters one
 ``np.errstate(over="ignore", invalid="ignore")`` around ``init_state``,
 every step and every record, and restores the caller's state on the way
@@ -67,7 +74,7 @@ from .assembly import (
     pin_gamma0,
     source_vector,
 )
-from .energy import EnergyReport, compute_energy
+from .energy import EnergyReport, _RecordForm, compute_energy
 from .history import HistoryBuffer
 from .kernels import RelaxationKernel
 
@@ -157,7 +164,7 @@ class AcousticClosure:
         b = 3 * n  # the first acoustic slot
         self.y, self.y_t = slice(b, b + m), slice(b + m, b + 2 * m)
         self.drift_in, self.drift_out = slice(0, b), slice(n, b)
-        self.checked = slice(n, b + 2 * m)  # u, v, y, y_t
+        self.checked = slice(n, b + 2 * m)  # u, v, y, y_t: checked and recorded
         self.acoustic, self.closed = slice(b, b + 2 * m), slice(b, b + 4 * m)
         self.increments = slice(b + 2 * m, b + 4 * m)
         self.cleared = slice(b, b + 6 * m)  # the map's output and f3, f4
@@ -429,7 +436,8 @@ def run(
 ) -> Trajectory:
     """Integrate to t_end, recording every record_every-th step.
 
-    The memory term is always on: a memory-free reference run passes a
+    The history buffer and the record constants (``energy._RecordForm``)
+    are built here, once per run.  The memory term is always on: a memory-free reference run passes a
     kernel with g0 = 0, whose every memory quantity is exactly zero.  For
     uniformly spaced records choose t_end as a multiple of
     record_every * dt.  On abort the partial trajectory is attached to the
@@ -437,15 +445,16 @@ def run(
     """
     n_steps = cfg.n_steps
     buffer = HistoryBuffer(kernel, ops.n_nodes, cfg.dt, n_steps)
+    form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, n_steps)
     traj = Trajectory(memory=buffer.diagnostics())
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             state = init_state(u0, u1, y0, ops, params, buffer, cfg)
-            traj.record(state, compute_energy(state, buffer, kernel, params, ops))
+            traj.record(state, compute_energy(state, buffer, form))
             for i in range(1, n_steps + 1):
                 state = step(state, ops, params, buffer, cfg)
                 if i % cfg.record_every == 0:
-                    traj.record(state, compute_energy(state, buffer, kernel, params, ops))
+                    traj.record(state, compute_energy(state, buffer, form))
     except SimulationAbort as ab:
         ab.trajectory = traj
         raise

@@ -6,36 +6,45 @@ import pytest
 from viscowave import (
     StepperConfig,
     assemble,
+    boundary_quadratic,
+    build_kernel,
     compute_energy,
+    grad_norm_sq,
+    lk_norm_pow,
+    make_rate,
     rate_identity_residual,
     run,
 )
+from viscowave.assembly import l2_norm_sq
+from viscowave.energy import _RecordForm
 from viscowave.history import HistoryBuffer
-from viscowave.stepper import init_state
+from viscowave.stepper import init_state, step
 
 from conftest import (
     default_params,
     exp_kernel,
     interval_mesh,
     sine_profile,
+    square_mesh,
     trapezoid_x4,
     zero_kernel,
 )
 
 
-def _state_at_zero(mesh, ops, params, kernel, u0, u1, y0):
+def _report_at_zero(mesh, ops, params, kernel, u0, u1, y0):
+    """The energy report of the initial state of a run of no steps."""
     cfg = StepperConfig(dt=1e-4, t_end=0.0)
     buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
+    form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.n_steps)
     state = init_state(u0, u1, y0, ops, params, buf, cfg)
-    return state, buf
+    return compute_energy(state, buf, form)
 
 
 def test_zero_state_zero_energy(mesh64, ops64):
     params = default_params()
     kernel = exp_kernel()
     z = np.zeros(mesh64.n_nodes)
-    state, buf = _state_at_zero(mesh64, ops64, params, kernel, z, z, np.zeros(1))
-    rep = compute_energy(state, buf, kernel, params, ops64)
+    rep = _report_at_zero(mesh64, ops64, params, kernel, z, z, np.zeros(1))
     assert rep.total == 0.0
     assert all(v == 0.0 for v in (rep.kinetic, rep.elastic, rep.kirchhoff, rep.boundary,
                                   rep.memory, rep.source))
@@ -51,8 +60,7 @@ def test_hand_evaluated_initial_energy(mesh64, ops64):
     kernel = exp_kernel()
     u0 = mesh64.nodes[:, 0].copy()
     z = np.zeros(mesh64.n_nodes)
-    state, buf = _state_at_zero(mesh64, ops64, params, kernel, u0, z, np.zeros(1))
-    rep = compute_energy(state, buf, kernel, params, ops64)
+    rep = _report_at_zero(mesh64, ops64, params, kernel, u0, z, np.zeros(1))
     assert rep.total == pytest.approx(1.25 - lk / 4, rel=1e-12)
     assert rep.elastic == pytest.approx(1.0)
     assert rep.kirchhoff == pytest.approx(0.25)
@@ -69,8 +77,7 @@ def test_boundary_only_energy():
     ops = assemble(mesh)
     kernel = exp_kernel()
     z = np.zeros(mesh.n_nodes)
-    state, buf = _state_at_zero(mesh, ops, params, kernel, z, z, np.ones(1))
-    rep = compute_energy(state, buf, kernel, params, ops)
+    rep = _report_at_zero(mesh, ops, params, kernel, z, z, np.ones(1))
     # E = 1/2 * q * y^2 = 1/2 * 2 * 1 = 1 (acoustic weight 1 in 1D)
     assert rep.total == pytest.approx(1.0)
     assert rep.boundary == pytest.approx(1.0)
@@ -81,10 +88,84 @@ def test_gamma_fn_monotone_in_boundary_magnitude(mesh64, ops64):
     kernel = exp_kernel()
     u0 = sine_profile(mesh64, 0.3)
     z = np.zeros(mesh64.n_nodes)
-    s1, b1 = _state_at_zero(mesh64, ops64, params, kernel, u0, z, np.array([0.5]))
-    s2, b2 = _state_at_zero(mesh64, ops64, params, kernel, u0, z, np.array([1.0]))
-    assert (compute_energy(s2, b2, kernel, params, ops64).gamma_fn
-            > compute_energy(s1, b1, kernel, params, ops64).gamma_fn)
+    r1 = _report_at_zero(mesh64, ops64, params, kernel, u0, z, np.array([0.5]))
+    r2 = _report_at_zero(mesh64, ops64, params, kernel, u0, z, np.array([1.0]))
+    assert r2.gamma_fn > r1.gamma_fn
+
+
+_FAMILIES = {"constant": (1.0, 0.0), "power_law": (2.0, 0.0), "oscillatory": (1.0, 0.5)}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("domain", ["interval", "square-free-corner"])
+def test_record_form_matches_the_written_out_report(domain, family):
+    # every field of a record, read off the per-run tables and the one
+    # record product, against the formulas written out with the public
+    # forms and kernel calls; a state off the record grid is refused
+    if domain == "interval":
+        mesh = interval_mesh(16)
+    else:  # acoustic faces meeting at a free corner: unequal weights
+        mesh = square_mesh(6, gamma1=("right", "top"))
+    params = default_params(p_c=0.7, q_c=1.3)
+    ops = assemble(mesh)
+    alpha, eps = _FAMILIES[family]
+    kernel = build_kernel(make_rate(family, alpha, eps), 1.0, 3.0)
+    cfg = StepperConfig(dt=2e-3, t_end=0.1, record_every=5)
+    buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
+    form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.n_steps)
+    short = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.record_every)
+    y0 = np.linspace(0.1, 0.3, len(mesh.gamma1_nodes))
+    state = init_state(sine_profile(mesh, 0.3), sine_profile(mesh, -0.2), y0,
+                       ops, params, buf, cfg)
+    records = 0
+    while True:
+        if state.n % cfg.record_every:
+            with pytest.raises(ValueError, match="record grid"):
+                compute_energy(state, buf, form)
+        else:
+            report = compute_energy(state, buf, form)
+            _check_report(report, state, buf, kernel, params, ops, cfg.dt)
+            records += 1
+            if state.n > cfg.record_every:  # past the short run's last record
+                with pytest.raises(ValueError, match="record grid"):
+                    compute_energy(state, buf, short)
+        if state.n == cfg.n_steps:
+            break
+        state = step(state, ops, params, buf, cfg)
+    assert records == 11
+
+
+def _check_report(rep, state, buf, kernel, params, ops, dt):
+    t, u = state.n * dt, state.u
+    gns = grad_norm_sq(ops, u)
+    acoustic = boundary_quadratic(ops, state.y, params.q_c)
+    kirchhoff_pot = params.kirchhoff_potential(gns)
+    gdia, gpdia = buf.g_diamond(), buf.g_prime_diamond()
+    g_at_t = float(kernel.g(t))
+    damping = boundary_quadratic(ops, state.y_t, params.p_c)
+    parts = {
+        "kinetic": 0.5 * l2_norm_sq(ops, state.v),
+        "elastic": 0.5 * (params.a - kernel.partial_mass(t)) * gns,
+        "kirchhoff": 0.5 * kirchhoff_pot,
+        "boundary": 0.5 * acoustic,
+        "memory": 0.5 * gdia,
+        "source": -lk_norm_pow(ops, u, params.k_exp) / params.k_exp,
+    }
+    expected = {
+        "t": t,
+        "total": sum(parts.values()),
+        **parts,
+        "gamma_fn": math.sqrt(kernel.l_value * gns + kirchhoff_pot + acoustic + gdia),
+        "grad_sq": gns,
+        "l2_sq": l2_norm_sq(ops, u),
+        "g_at_t": g_at_t,
+        "g_prime_diamond": gpdia,
+        "boundary_damping": damping,
+        "rhs_identity": -0.5 * g_at_t * gns + 0.5 * gpdia - damping,
+    }
+    assert list(expected) == list(rep._fields)
+    for name, value in expected.items():
+        assert getattr(rep, name) == pytest.approx(value, rel=1e-14, abs=0.0), name
 
 
 def test_identity_rhs_terms_nonpositive():

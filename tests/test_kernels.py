@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from viscowave import build_kernel, make_rate, validate_hypotheses
-from viscowave.cli import _strict
+from viscowave.cli import PRESETS, _strict
 from viscowave.kernels import BoundaryCoefficients, ConstantRate, OscillatoryRate, PowerLawRate
 
 
@@ -80,6 +80,35 @@ def test_partial_mass_examples():
     assert k.partial_mass(80.0) == pytest.approx(k.tail_mass)
     kp = build_kernel(make_rate("power_law", 2.0), 1.0, 3.0)
     assert kp.partial_mass(1.0) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("preset", ["exp-inwell", "powerlaw-inwell", "oscillatory-inwell"])
+def test_partial_mass_of_the_record_grid_matches_the_float_calls(preset):
+    # a run fills its int_0^t g table with one call on its record grid; each
+    # entry is what a float call, the root search's path, gives there
+    config = PRESETS[preset].parse()
+    stepping = config.stepping
+    kernel = config.build_kernel()
+    times = np.arange(0, stepping.n_steps + 1, stepping.record_every) * stepping.dt
+    table = kernel.partial_mass(times)
+    floats = [kernel.partial_mass(float(t)) for t in times]
+    assert all(type(m) is float for m in floats)
+    assert np.all(np.abs(table - floats) <= 2 * np.spacing(np.maximum(table, floats)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        kernel.partial_mass(np.array([0.0, 1.0, -1e-3]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        kernel.partial_mass(-1e-3)
+
+
+def test_partial_mass_keeps_its_digits_at_small_times():
+    # 1 - e^{-x} is formed without cancellation as t -> 0; the power law's
+    # 1 - (1 + t)^{-1} is t / (1 + t)
+    k = build_kernel(make_rate("constant", 2.0), 3.0, 4.0)
+    kp = build_kernel(make_rate("power_law", 2.0), 1.0, 3.0)
+    for t in (1e-12, 1e-8, 1e-4, 0.5):
+        series = sum((-2.0) ** (j - 1) * t**j / math.factorial(j) for j in range(1, 30))
+        assert k.partial_mass(t) == pytest.approx(3.0 * series, rel=1e-15)
+        assert kp.partial_mass(t) == pytest.approx(t / (1.0 + t), rel=1e-15)
 
 
 def test_mass_split_consistency():

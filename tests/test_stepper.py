@@ -25,7 +25,9 @@ from viscowave import (
 )
 from viscowave import cli, compute_energy, stepper
 from viscowave.cli import PRESETS, initial_data, parse_config, run_mms_ladder
+from viscowave.energy import _RecordForm
 from viscowave.history import HistoryBuffer
+from viscowave.kernels import RelaxationKernel
 from viscowave.stepper import Forcing, init_state, step
 
 from conftest import (
@@ -46,12 +48,13 @@ def _recorded_states(u0, u1, y0, ops, kernel, params, cfg):
     trajectory does not keep."""
     n_steps = int(round(cfg.t_end / cfg.dt))
     buffer = HistoryBuffer(kernel, ops.n_nodes, cfg.dt, n_steps)
+    form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, n_steps)
     state = init_state(u0, u1, y0, ops, params, buffer, cfg)
-    records = [(state, compute_energy(state, buffer, kernel, params, ops))]
+    records = [(state, compute_energy(state, buffer, form))]
     for i in range(1, n_steps + 1):
         state = step(state, ops, params, buffer, cfg)
         if i % cfg.record_every == 0:
-            records.append((state, compute_energy(state, buffer, kernel, params, ops)))
+            records.append((state, compute_energy(state, buffer, form)))
     traj = run(u0, u1, y0, ops, kernel, params, cfg)
     assert traj.reports == [rep for _, rep in records]
     assert all(np.array_equal(y, s.y) for y, (s, _) in zip(traj.ys, records, strict=True))
@@ -119,12 +122,13 @@ def test_zero_kernel_run_has_no_memory():
     kernel = zero_kernel(params.a)
     cfg = StepperConfig(dt=1e-3, t_end=0.05)
     buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
+    form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.n_steps)
     state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1]),
                        ops, params, buf, cfg)
     for _ in range(50):
         assert buf.n_entries == state.n + 1
         assert not buf.convolution_force().any()
-        rep = compute_energy(state, buf, kernel, params, ops)
+        rep = compute_energy(state, buf, form)
         assert rep.memory == rep.g_prime_diamond == rep.g_at_t == 0.0
         assert rep.elastic == 0.5 * params.a * rep.grad_sq
         assert rep.grad_sq > 0.0
@@ -560,9 +564,20 @@ def test_step_never_mutates_a_returned_state(forced):
             assert np.asarray(getattr(original, name)).tobytes() == np.asarray(value).tobytes()
 
 
-def test_one_stiffness_product_per_step_and_two_mass_products_per_record(csr_products):
+def test_one_stiffness_product_per_step_and_one_record_product_per_record(csr_products,
+                                                                         monkeypatch):
     # the step's one K u feeds the force, the history and the energy
-    # report; a record adds M v and M u and nothing else
+    # report; a record adds one product with the run's record operator and
+    # no mass product, and reads int_0^t g off a table that one
+    # partial_mass call fills for the whole run
+    masses = []
+    partial_mass = RelaxationKernel.partial_mass
+
+    def counted(self, t0):
+        masses.append(np.shape(t0))
+        return partial_mass(self, t0)
+
+    monkeypatch.setattr(RelaxationKernel, "partial_mass", counted)
     mesh = interval_mesh(16)
     params = default_params()
     ops = assemble(mesh)
@@ -571,11 +586,14 @@ def test_one_stiffness_product_per_step_and_two_mass_products_per_record(csr_pro
     cfg = StepperConfig(dt=1e-3, t_end=0.1, record_every=10)
     traj = run(u0, z, np.zeros(1), ops, exp_kernel(), params, cfg)
     stiffness = sum(A is ops.stiffness for A in csr_products)
-    mass = sum(A is ops.mass for A in csr_products)
+    records = [A for A in csr_products if A is not ops.stiffness]
     assert stiffness == 1 + 100  # the initial evaluation, then one per step
     assert traj.n_records == 11
-    assert mass == 2 * traj.n_records
-    assert len(csr_products) == stiffness + mass
+    assert sum(A is ops.mass for A in csr_products) == 0
+    assert len(records) == traj.n_records
+    assert all(A is records[0] for A in records)  # one operator per run
+    assert records[0].shape == (2 * mesh.n_nodes + 2, 2 * mesh.n_nodes + 2)
+    assert masses == [(traj.n_records,)]
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
