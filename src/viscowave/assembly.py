@@ -32,7 +32,8 @@ product with the summed element matrices, as both add each row's terms in
 column order.  M keeps its diagonal-edge couplings (7 entries a row in 2D).
 
 Fields are plain numpy arrays with one value per mesh node; entries at
-Dirichlet nodes are pinned to zero.
+Dirichlet nodes are pinned to zero.  The well-constant ascent alone works on
+vectors over the free nodes, which hold no Dirichlet entry to pin.
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ class DiscreteOperators:
 
     ``stiffness`` stores no zeros.  ``axes`` = (y, x) diagonalises K on the
     free nodes (see :func:`solve_free_stiffness`); in 1D y is the one-node
-    axis.
+    axis.  ``eigenvalue_sums`` is the table lam_y (+) lam_x of K's
+    eigenvalues on the free grid, entry (a, b) = y.values[a] + x.values[b].
     """
 
     mesh: Mesh
@@ -144,6 +146,7 @@ class DiscreteOperators:
     mass_lumped: np.ndarray
     lam_max_unit: float         # 1.05 x max eig of M_lump^{-1} K at unit coefficient
     axes: tuple[AxisModes, AxisModes]
+    eigenvalue_sums: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -172,6 +175,7 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
         mass_lumped=lumped,
         lam_max_unit=1.05 * _lam_max(mesh, K, lumped, (y, x)),
         axes=(y, x),
+        eigenvalue_sums=y.values[:, None] + x.values[None, :],
     )
 
 
@@ -185,7 +189,7 @@ def _assemble_1d(mesh: Mesh):
     main_m = np.full(n, 4.0 * h / 6.0)
     main_m[0] = main_m[-1] = 2.0 * h / 6.0
     M = sp.diags([np.full(n - 1, h / 6.0), main_m, np.full(n - 1, h / 6.0)], [-1, 0, 1])
-    return K.tolil(), M.tolil()
+    return K, M
 
 
 def _axis_modes(length: float, m: int, free: np.ndarray) -> AxisModes:
@@ -270,11 +274,12 @@ def solve_free_stiffness(ops: DiscreteOperators, b: np.ndarray) -> np.ndarray:
 
     The free nodes form a grid, iy-major, and K on them is
     D_y (x) K_x + K_y (x) D_x; in the axis eigenvectors it is the diagonal
-    lam_y (+) lam_x (Lynch, Rice and Thomas, Numer. Math. 6, 1964).
+    lam_y (+) lam_x (Lynch, Rice and Thomas, Numer. Math. 6, 1964), the
+    table ``ops.eigenvalue_sums``.
     """
     y, x = ops.axes
     B = b.reshape(len(y.free), len(x.free))
-    C = (y.vectors.T @ B @ x.vectors) / (y.values[:, None] + x.values[None, :])
+    C = (y.vectors.T @ B @ x.vectors) / ops.eigenvalue_sums
     return (y.vectors @ C @ x.vectors.T).ravel()
 
 
@@ -288,8 +293,8 @@ def free_stiffness_inverse_block(ops: DiscreteOperators, nodes: np.ndarray) -> n
     G = y.vectors[np.searchsorted(y.free, nodes // stride)]
     H = x.vectors[np.searchsorted(x.free, nodes % stride)]
     block = np.zeros((len(nodes), len(nodes)))
-    for g, lam in zip(G.T, y.values):
-        block += np.outer(g, g) * ((H / (lam + x.values)) @ H.T)
+    for g, lam in zip(G.T, ops.eigenvalue_sums):
+        block += np.outer(g, g) * ((H / lam) @ H.T)
     return block
 
 
@@ -343,11 +348,19 @@ def source_vector(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> np.nda
     The gradient of lk_norm_pow(u) / k, so for u zero on Gamma_0,
     u . source_vector(u) == lk_norm_pow(u) to roundoff.
     """
+    out = _nodal_source(ops.mass_lumped, u, k_exp)
+    out[ops.mesh.gamma0_nodes] = 0.0
+    return out
+
+
+def _nodal_source(mass: np.ndarray, u: np.ndarray, k_exp: float) -> np.ndarray:
+    """The nodal rule m_i |u_i|^{k-2} u_i for node masses ``mass`` aligned
+    with ``u``: on every node by :func:`source_vector`, on the free nodes
+    alone by the well-constant ascent, which needs no Gamma_0 pin."""
     out = np.abs(u)
     out **= k_exp - 2.0
     out *= u
-    out *= ops.mass_lumped
-    out[ops.mesh.gamma0_nodes] = 0.0
+    out *= mass
     return out
 
 

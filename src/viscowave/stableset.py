@@ -22,6 +22,9 @@ largest eigenvalue of W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2), a
 K^-1 g and that block both come in closed form from the per-axis
 eigenpairs that ``assemble`` keeps (K on the free nodes is a Kronecker
 sum), so no factor of K is made and the ascent makes no product with K.
+The ascent works on the free grid alone: its iterates and gradients are
+vectors over the free nodes, the source gradient is the nodal rule with the
+free nodes' masses, and only the best iterate becomes a mesh field.
 The amplitude-limit reduction is verified against a direct finite-amplitude
 search; both norms are homogeneous, so the whole amplitude sweep of a
 candidate follows in closed form from its |grad u|^2 and ||u||_k^k.
@@ -41,13 +44,13 @@ import numpy as np
 from .assembly import (
     DiscreteOperators,
     PhysicalParams,
+    _nodal_source,
     boundary_quadratic,
     free_stiffness_inverse_block,
     grad_norm_sq,
     l2_norm_sq,
     lk_norm_pow,
     solve_free_stiffness,
-    source_vector,
 )
 from .kernels import RelaxationKernel
 from .stepper import Trajectory
@@ -86,6 +89,10 @@ class AscentDiagnostics:
         return max(self.start_values) - min(self.start_values)
 
     @property
+    def relative_spread(self) -> float:
+        return self.spread / self.value
+
+    @property
     def all_converged(self) -> bool:
         return all(self.converged)
 
@@ -105,40 +112,42 @@ def _ascend(ops: DiscreteOperators, gradient, degree: float, seed: int, n_starts
     homogeneous of ``degree``, by the power method on the sphere |u|_K = 1
     (|u|_K^2 = u^T K u).
 
-    ``gradient(u)`` returns g = grad N(u) / degree, zero on Gamma_0, so that
-    u . g = N(u).  A step is u+ = K^{-1} g / |K^{-1} g|_K, the maximizer of
-    g . v on the sphere.  N / degree is convex, so
-    N(u+) / degree >= N(u) / degree + g . (u+ - u), and
-    g . u+ = |K^{-1} g|_K >= g . u by Cauchy-Schwarz in the K inner product:
-    the quotient rises at every step, with no step size to choose (the
-    generalized power method of Journee, Nesterov, Richtarik and Sepulchre,
-    JMLR 11, 2010).  K^{-1} g comes from :func:`solve_free_stiffness` and
-    |K^{-1} g|_K^2 = g . K^{-1} g, so a step costs one solve and one
-    gradient and no product with K.  A start is the power step from a
-    random gradient, so it lies on the sphere without a product either.
+    The ascent runs on the free grid: every iterate and gradient is a vector
+    over ``free_nodes`` (the field is zero on Gamma_0), and K is K on the
+    free nodes.  ``gradient(u)`` takes and returns such vectors, g =
+    grad N(u) / degree, so that u . g = N(u).  A step is
+    u+ = K^{-1} g / |K^{-1} g|_K, the maximizer of g . v on the sphere.
+    N / degree is convex, so N(u+) / degree >= N(u) / degree + g . (u+ - u),
+    and g . u+ = |K^{-1} g|_K >= g . u by Cauchy-Schwarz in the K inner
+    product: the quotient rises at every step, with no step size to choose
+    (the generalized power method of Journee, Nesterov, Richtarik and
+    Sepulchre, JMLR 11, 2010).  K^{-1} g comes from
+    :func:`solve_free_stiffness` and |K^{-1} g|_K^2 = g . K^{-1} g, so a
+    step costs one solve and one gradient, with no product with K and no
+    gather or scatter between the free grid and the mesh.  A start is the
+    power step from a random gradient, n_free normals from ``seed``, so it
+    lies on the sphere without a product either.
 
     A start stops, converged, when its next step is shorter than
     ``_STATIONARY_TOL``: |u+ - u|_K^2 = 2 - 2 u . g / |K^{-1} g|_K, which
     the solve gives.  It stops unconverged after ``_MAX_ASCENT_STEPS``
     steps.  ``iterations`` counts the steps, the first one included.
-    Returns the best iterate and per-start diagnostics.
+    Returns the best iterate, scattered into a mesh field (zero on
+    Gamma_0), and per-start diagnostics.
     """
     free = ops.mesh.free_nodes
     rng = np.random.default_rng(seed)
     points, values, iters = [], [], []
     for _ in range(n_starts):
-        u = np.zeros(ops.n_nodes)
-        g = np.zeros(ops.n_nodes)
-        g[free] = rng.standard_normal(len(free))
+        u = np.zeros(len(free))
+        g = rng.standard_normal(len(free))
         steps = 0
         while steps < _MAX_ASCENT_STEPS:
-            g_free = g[free]
-            x = solve_free_stiffness(ops, g_free)
-            norm = math.sqrt(g_free @ x)
+            x = solve_free_stiffness(ops, g)
+            norm = math.sqrt(g @ x)
             if 2.0 - 2.0 * (u @ g) / norm < _STATIONARY_TOL**2:
                 break
-            u = np.zeros(ops.n_nodes)
-            u[free] = x / norm
+            u = x / norm
             g = gradient(u)
             steps += 1
         points.append(u)
@@ -147,13 +156,16 @@ def _ascend(ops: DiscreteOperators, gradient, degree: float, seed: int, n_starts
 
     diag = AscentDiagnostics(start_values=tuple(values), iterations=tuple(iters),
                              converged=tuple(n < _MAX_ASCENT_STEPS for n in iters))
-    return points[values.index(diag.value)], diag
+    best = np.zeros(ops.n_nodes)
+    best[free] = points[values.index(diag.value)]
+    return best, diag
 
 
 def _embedding_ascent(ops: DiscreteOperators, k_exp: float, seed: int):
     """The ascent of ||u||_k / ||grad u||_2, whose numerator lk(u) has
-    gradient k source_vector(u)."""
-    return _ascend(ops, lambda u: source_vector(ops, u, k_exp), k_exp, seed, _N_STARTS)
+    gradient k times the nodal source rule on the free nodes."""
+    mass_free = ops.mass_lumped[ops.mesh.free_nodes]
+    return _ascend(ops, lambda u: _nodal_source(mass_free, u, k_exp), k_exp, seed, _N_STARTS)
 
 
 def _trace_constant(ops: DiscreteOperators) -> float:
@@ -306,6 +318,7 @@ def compute_well_constants(
                 "start_values": list(emb_diag.start_values),
                 "iterations": list(emb_diag.iterations),
                 "spread": emb_diag.spread,
+                "relative_spread": emb_diag.relative_spread,
                 "all_converged": emb_diag.all_converged,
             },
             # exact, no ascent; "iterations" stays because perfbench/run.py

@@ -21,6 +21,7 @@ from viscowave import (
 from viscowave import assembly, stableset
 from viscowave.assembly import free_stiffness_inverse_block, solve_free_stiffness
 
+from ascent_oracle import full_node_ascent
 from conftest import (
     default_params,
     exp_kernel,
@@ -255,17 +256,27 @@ def test_well_constants_run_eight_starts_and_one_trace_solve_and_verify_the_best
     assert verified == [u_best]
     assert verified[0] is u_best
     assert emb_diag.value == max(emb_diag.start_values) == constants.c_star
-    lk = u_best @ assembly.source_vector(ops, u_best, params.k_exp)
+    u_free = u_best[mesh.free_nodes]
+    lk = u_free @ _free_source(ops, params.k_exp)(u_free)
     assert lk ** (1.0 / params.k_exp) == constants.c_star
 
 
 MESHES = {"1d-32": lambda: interval_mesh(32), "2d-8x8": lambda: square_mesh(8)}
 
 
+def _free_source(ops, k_exp):
+    """The embedding numerator's gradient on free-node vectors, the nodal
+    source rule with the free nodes' lumped masses."""
+    mass_free = ops.mass_lumped[ops.mesh.free_nodes]
+    return lambda u: assembly._nodal_source(mass_free, u, k_exp)
+
+
 def _trace_gradient(ops):
-    """Gradient of the trace numerator w . u_g^2 over its degree 2, for
-    ``stableset._ascend``: the oracle for the exact trace constant."""
-    g1, w = ops.mesh.gamma1_nodes, ops.mesh.gamma1_weights
+    """Gradient of the trace numerator w . u_g^2 over its degree 2 on
+    free-node vectors, for ``stableset._ascend``: the oracle for the exact
+    trace constant."""
+    g1 = np.searchsorted(ops.mesh.free_nodes, ops.mesh.gamma1_nodes)
+    w = ops.mesh.gamma1_weights
 
     def gradient(u):
         g = np.zeros(len(u))
@@ -275,9 +286,15 @@ def _trace_gradient(ops):
     return gradient
 
 
-# numerator name -> (gradient builder, degree)
+def _free_stiffness(ops):
+    """K on the free nodes, the matrix of the ascent's K-norm."""
+    free = ops.mesh.free_nodes
+    return ops.stiffness[free][:, free]
+
+
+# numerator name -> (gradient builder on free-node vectors, degree)
 NUMERATORS = {
-    "embedding": (lambda ops: lambda u: assembly.source_vector(ops, u, 4.0), 4.0),
+    "embedding": (lambda ops: _free_source(ops, 4.0), 4.0),
     "trace": (_trace_gradient, 2.0),
 }
 
@@ -382,7 +399,8 @@ TRACE_MESHES = {**MESHES, "2d-16x16-steklov": lambda: square_mesh(16)}
 
 def _recorded_ascent(ops, which):
     """An 8-start ascent whose gradient calls are recorded, split by start:
-    a start calls the gradient once per step, at the iterate it reaches."""
+    a start calls the gradient once per step, at the free-node iterate it
+    reaches."""
     make, degree = NUMERATORS[which]
     gradient = make(ops)
     calls = []
@@ -402,7 +420,7 @@ def _recorded_ascent(ops, which):
 @pytest.mark.parametrize("mesh_name", sorted(TRACE_MESHES))
 def test_power_steps_raise_the_quotient_at_every_step(mesh_name, which):
     ops = assemble(TRACE_MESHES[mesh_name]())
-    K = ops.stiffness
+    K = _free_stiffness(ops)
     diag, starts, degree = _recorded_ascent(ops, which)
     assert diag.all_converged
     for group, value in zip(starts, diag.start_values):
@@ -419,7 +437,7 @@ def test_power_steps_raise_the_quotient_at_every_step(mesh_name, which):
 @pytest.mark.parametrize("mesh_name", sorted(TRACE_MESHES))
 def test_a_start_stops_at_its_first_step_shorter_than_the_tolerance(mesh_name, which):
     ops = assemble(TRACE_MESHES[mesh_name]())
-    K, free = ops.stiffness, ops.mesh.free_nodes
+    K = _free_stiffness(ops)
 
     def k_norm(w):
         return math.sqrt(w @ (K @ w))
@@ -432,8 +450,7 @@ def test_a_start_stops_at_its_first_step_shorter_than_the_tolerance(mesh_name, w
         iterates = [u for u, _ in group]
         assert all(k_norm(b - a) >= 0.9 * tol for a, b in zip(iterates, iterates[1:]))
         u, g = group[-1]
-        nxt = np.zeros(ops.n_nodes)
-        nxt[free] = solve_free_stiffness(ops, g[free])
+        nxt = solve_free_stiffness(ops, g)
         assert k_norm(nxt / k_norm(nxt) - u) <= 1.1 * tol
 
 
@@ -464,6 +481,80 @@ def test_well_constant_ascents_make_no_stiffness_product_and_rerun_bitwise(mesh_
     assert same_u.tobytes() == u_best.tobytes()
     assert stableset._ascend(ops, _trace_gradient(ops), 2.0, 3, 8)[1] == trace_diag
     assert stableset._trace_constant(ops) == c_bar_star
+
+
+ORACLE_MESHES = {**MESHES, "2d-16x16": lambda: square_mesh(16),
+                 "2d-64x64": lambda: square_mesh(64)}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("k_exp", [3.0, 4.0, 6.0])
+@pytest.mark.parametrize("mesh_name", sorted(ORACLE_MESHES))
+def test_free_grid_ascent_matches_the_full_node_oracle(mesh_name, k_exp, seed):
+    # the two ascents take bitwise the same iterates; only the summation
+    # order of u . g differs, which moves a start's value at roundoff and
+    # its stop test across the tolerance by at most one step
+    ops = assemble(ORACLE_MESHES[mesh_name]())
+    u_best, diag = stableset._embedding_ascent(ops, k_exp, seed)
+    oracle_best, oracle = full_node_ascent(
+        ops, lambda u: assembly.source_vector(ops, u, k_exp), k_exp, seed, stableset._N_STARTS)
+    assert diag.all_converged and oracle.all_converged
+    np.testing.assert_allclose(diag.start_values, oracle.start_values, rtol=1e-14, atol=0.0)
+    assert all(abs(a - b) <= 1 for a, b in zip(diag.iterations, oracle.iterations))
+    best = diag.start_values.index(diag.value)
+    if (best == oracle.start_values.index(oracle.value)
+            and diag.iterations[best] == oracle.iterations[best]):
+        assert u_best.tobytes() == oracle_best.tobytes()
+    assert np.all(u_best[ops.mesh.gamma0_nodes] == 0.0)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(TRACE_MESHES))
+def test_ascent_solves_once_per_step_and_start_on_free_node_vectors(mesh_name, monkeypatch):
+    ops = assemble(TRACE_MESHES[mesh_name]())
+    n_free = len(ops.mesh.free_nodes)
+    solves, gradients = [], []
+    solve, source = stableset.solve_free_stiffness, stableset._nodal_source
+
+    def spy_solve(ops, b):
+        solves.append(len(b))
+        return solve(ops, b)
+
+    def spy_source(mass, u, k_exp):
+        gradients.append((len(mass), len(u)))
+        return source(mass, u, k_exp)
+
+    monkeypatch.setattr(stableset, "solve_free_stiffness", spy_solve)
+    monkeypatch.setattr(stableset, "_nodal_source", spy_source)
+    stiffness = CountingMatrix(ops.stiffness)
+    counted = dataclasses.replace(ops, stiffness=stiffness)
+    _, diag = stableset._embedding_ascent(counted, 4.0, 3)
+    assert diag.all_converged
+    assert solves == [n_free] * (sum(diag.iterations) + stableset._N_STARTS)
+    assert gradients == [(n_free, n_free)] * sum(diag.iterations)
+    assert stiffness.products == 0
+
+
+@pytest.mark.parametrize("seed", [7, 2024])
+def test_well_constants_report_the_relative_spread_of_the_starts(seed, tmp_path, capsys):
+    # at k = 4 every start on 8 x 8 reaches the one maximum; at k = 6 some
+    # stop at a lower local maximum, 6.4% below the best
+    from viscowave import cli
+
+    spreads = {}
+    for k_exp in (4.0, 6.0):
+        path = tmp_path / f"k{k_exp:g}.json"
+        path.write_text(json.dumps({
+            "domain": {"dimension": 2, "extent": [1.0, 1.0], "gamma1_faces": ["right"],
+                       "resolution": [8, 8]},
+            "physics": {"k_exp": k_exp},
+            "seed": seed,
+        }))
+        assert cli.main(["constants", "--config", str(path)]) == 0
+        emb = json.loads(capsys.readouterr().out)["diagnostics"]["embedding"]
+        assert emb["relative_spread"] == emb["spread"] / max(emb["start_values"])
+        spreads[k_exp] = emb["relative_spread"]
+    assert spreads[4.0] < 1e-13
+    assert spreads[6.0] == pytest.approx(0.064, rel=0.01)
 
 
 @pytest.mark.parametrize("mesh_name", sorted(TRACE_MESHES))
