@@ -30,6 +30,14 @@ couplings across each cell's diagonal edge, which cancel exactly; they are
 dropped, so a product with K touches the stencil alone.  It is bitwise the
 product with the summed element matrices, as both add each row's terms in
 column order.  M keeps its diagonal-edge couplings (7 entries a row in 2D).
+So both are a few constant-offset diagonals, and the stepper and the record
+apply them in diagonal (DIA) storage (Saad, *Iterative Methods for Sparse
+Linear Systems*, 2nd ed., 2003, sec. 3.4): ``dia_stencil`` reads the
+diagonals off the CSR form once per run and ``dia_product`` applies them
+with no index gather.  With the diagonals in ascending offset order a row's
+terms are still added in column order, so the product is bitwise the CSR
+one; the zeros the diagonals hold where a row has no coupling add nothing.
+``ops.stiffness`` and ``ops.mass`` stay CSR for every other caller.
 
 Fields are plain numpy arrays with one value per mesh node; entries at
 Dirichlet nodes are pinned to zero.  The well-constant ascent alone works on
@@ -43,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 from scipy.sparse.linalg import eigsh
 
 from .geometry import Mesh
@@ -310,9 +318,9 @@ def csr_product(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 
     ``A @ x`` ends in the same kernel, ``csr_matvec`` into a zeroed output;
     on the way it spends about 2 us of Python dispatch per call, more than
-    the arithmetic on the meshes the stepper runs every step.  This and
-    :func:`_csr_accumulate` are the only uses of scipy's private
-    ``_sparsetools`` in the package.
+    the arithmetic on the meshes the stepper runs every step.  This,
+    :func:`_csr_accumulate` and :func:`dia_product` are the only uses of
+    scipy's private ``_sparsetools`` in the package.
     """
     n_row, n_col = A.shape
     out = np.zeros(n_row)
@@ -325,6 +333,32 @@ def _csr_accumulate(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
     no column of A reads an entry of that slice: the stepper's acoustic
     closure map writes into its own state array this way."""
     csr_matvec(len(out), len(x), A.indptr, A.indices, A.data, x, out)
+
+
+def dia_stencil(A: sp.csr_matrix) -> sp.dia_matrix:
+    """The square CSR matrix A in DIA storage, its stored diagonals in
+    ascending offset order, each read by ``A.diagonal``: per diagonal one
+    pass over the rows, where ``A.todia()`` sorts every entry."""
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    # the offsets held, ascending; a count of each is cheaper than a sort
+    offsets = np.flatnonzero(np.bincount(A.indices - rows + (n - 1))) - (n - 1)
+    data = np.zeros((len(offsets), n))
+    for row, k in zip(data, offsets.tolist()):
+        # entry (i, i + k) sits at column i + k
+        start = max(k, 0)
+        row[start:start + n - abs(k)] = A.diagonal(k)
+    return sp.dia_matrix((data, offsets), shape=A.shape)
+
+
+def dia_product(A: sp.dia_matrix, x: np.ndarray) -> np.ndarray:
+    """A @ x for a square DIA matrix A with one column of data per column of
+    A (as :func:`dia_stencil` builds it) and a float vector x, bitwise, with
+    none of ``A @ x``'s dispatch."""
+    n = A.shape[0]
+    out = np.zeros(n)
+    dia_matvec(n, n, len(A.offsets), n, A.offsets, A.data, x, out)
+    return out
 
 
 def grad_norm_sq(ops: DiscreteOperators, u: np.ndarray) -> float:

@@ -26,9 +26,10 @@ A record does per call only what depends on the state.  :func:`run
 int_0^t g at every record time n dt, each list from one vectorized kernel
 call, and the block-diagonal operator B = diag(M, M, q W1, p W1) on the
 state's contiguous run (u, v, y, y_t), M the consistent mass and W1 the
-acoustic weights.  One product B z with that run z gives, summed over its
-four blocks, |u|_2^2, 2 kinetic, q int y^2 and p int y_t^2; the two memory
-functionals are the history buffer's one read at its newest push.
+acoustic weights, stored by its diagonals.  One product B z with that run
+z gives, summed over its four blocks, |u|_2^2, 2 kinetic, q int y^2 and
+p int y_t^2; the two memory functionals are the history buffer's one read
+at its newest push.
 
 Along forcing-free trajectories the energy rate satisfies
 
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import DiscreteOperators, PhysicalParams, csr_product
+from .assembly import DiscreteOperators, PhysicalParams, dia_product, dia_stencil
 from .history import HistoryBuffer
 from .kernels import RelaxationKernel
 
@@ -86,7 +87,8 @@ class _RecordForm:
     to n_steps, the steps at which a run records.  ``g`` and ``mass`` are
     g(n dt) and int_0^{n dt} g there, each from one vectorized call (the
     float calls give the same values).  ``operator`` is
-    diag(M, M, q W1, p W1) on the run (u, v, y, y_t) of a state's array;
+    diag(M, M, q W1, p W1) on the run (u, v, y, y_t) of a state's array,
+    held as M's diagonals (seven in 2D; see :mod:`viscowave.assembly`);
     ``products`` holds the entries of z * (B z) for that run z, and one
     trailing zero so that the blocks' sums at ``starts`` read 0 for an
     empty acoustic boundary (``np.add.reduceat`` reads a[i] for an empty
@@ -103,15 +105,14 @@ class _RecordForm:
         self.params = params
         w1 = ops.mesh.gamma1_weights
         n, m = ops.n_nodes, len(w1)
-        # the CSR arrays written out: scipy's block_diag builds the same
-        # matrix ten times slower (1.4 against 0.12 ms on a 64^2 mesh)
-        M, diagonal = ops.mass, np.arange(2 * m)
-        self.operator = sp.csr_matrix(
-            (np.concatenate([M.data, M.data, params.q_c * w1, params.p_c * w1]),
-             np.concatenate([M.indices, M.indices + n, 2 * n + diagonal]),
-             np.concatenate([M.indptr, M.nnz + M.indptr[1:], 2 * M.nnz + 1 + diagonal])),
-            shape=(2 * n + 2 * m, 2 * n + 2 * m),
-        )
+        # M's diagonals once for each mass block, side by side: where a
+        # diagonal reaches from one block into the next, it holds the zeros
+        # of M's diagonal running off M.  The acoustic weights sit on the
+        # main diagonal.
+        M = dia_stencil(ops.mass)
+        acoustic = np.outer(M.offsets == 0, np.concatenate([params.q_c * w1, params.p_c * w1]))
+        self.operator = sp.dia_matrix((np.hstack([M.data, M.data, acoustic]), M.offsets),
+                                      shape=(2 * n + 2 * m, 2 * n + 2 * m))
         self.products = np.zeros(2 * n + 2 * m + 1)
         self.starts = np.array([0, n, 2 * n, 2 * n + m])
 
@@ -132,7 +133,7 @@ def compute_energy(state, buffer: HistoryBuffer, form: _RecordForm) -> EnergyRep
         )
     z = state.x[state.closure.checked]
     products = form.products
-    np.multiply(z, csr_product(form.operator, z), out=products[:-1])
+    np.multiply(z, dia_product(form.operator, z), out=products[:-1])
     l2_sq, twice_kinetic, acoustic, damping = np.add.reduceat(products, form.starts).tolist()
     params = form.params
     gns = state.grad_sq

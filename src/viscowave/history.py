@@ -4,11 +4,13 @@ For a kernel g and stiffness form K the buffer holds the states u_i of one
 run at the times t_i = i dt of its step grid and evaluates, at the time t of
 the newest push, whose state u(t) the buffer holds until the next push,
 
-  convolution force   int_0^t g(t-s) K u(s) ds          (a vector),
+  convolution force   int_0^t g(t-s) K u(s) ds - M_kir K u(t)   (a vector),
   g  o grad u         int_0^t g(t-s) |grad(u(t)-u(s))|^2 ds,
   g' o grad u         the same with g' = -xi g,
 
-each as the composite-trapezoid sum over the grid.
+each integral as the composite-trapezoid sum over the grid.  The force
+carries the stiffness term of the Kirchhoff coefficient M_kir that the
+caller passes, as the equation puts both terms on the one Laplacian.
 
 The kernel enters through its sum of exponentials
 g ~ Re sum_j c_j e^{-s_j t} (``RelaxationKernel.exp_sum``, certified on
@@ -24,10 +26,11 @@ c_j dt C_j - (c_j dt / 2) r_last.  With r_last kept as row J of one
 (J+1, n+2) array ``ext`` below the J rows C_j, every quantity is a
 weighted sum of the rows of ``ext``:
 
-  force          Re([c_j dt ..., -sum_j c_j dt / 2] @ ext)[:-2],
+  force          Re([c_j dt ..., -sum_j c_j dt / 2 - M_kir] @ ext)[:-2],
   o functionals  Re(W @ (ext @ [-2 u(t), 1, u(t)^T K u(t)])),
 
-where |grad(u(t)-u(s))|^2 expands into the stored row entries and the
+where the newest row's weight takes the stiffness term (that row holds
+K u(t)), |grad(u(t)-u(s))|^2 expands into the stored row entries and the
 second row of the (2, J+1) matrix W scales the first by -s_j (the expansion
 of g' = sum_j -s_j c_j e^{-s_j t}).  For an exponential kernel the result
 is the trapezoid sum itself; otherwise it differs from the trapezoid sum
@@ -77,8 +80,10 @@ class HistoryBuffer:
         w[0, :-1] = dt * exp_sum.coeffs
         w[1, :-1] = -rates * w[0, :-1]
         w[:, -1] = -0.5 * w[:, :-1].sum(axis=1)
-        # the force's operands, sliced once here instead of at every step
-        self._force_weights, self._ku_cols = self._weights[0], self._ext[:, :-2]
+        # the force's operands: its own copy of the g weights, whose last
+        # entry each read sets to the newest row's weight less M_kir, and
+        # the K u columns of ext, sliced once here instead of at every step
+        self._force_weights, self._ku_cols = w[0].copy(), self._ext[:, :-2]
         self._u = None  # the newest pushed state, the caller's array
         # g o grad u and g' o grad u as read at push number _diamond_count
         self._diamond_count = 0
@@ -92,7 +97,8 @@ class HistoryBuffer:
     @property
     def bytes_held(self) -> int:
         """Bytes of history state; independent of the number of pushes."""
-        return sum(a.nbytes for a in (self._ext, self._aug, self._weights, self._decay))
+        return sum(a.nbytes for a in (self._ext, self._aug, self._weights, self._force_weights,
+                                       self._decay))
 
     def diagnostics(self) -> dict:
         """Size of the history state and the certified error of the expansion."""
@@ -122,11 +128,15 @@ class HistoryBuffer:
         self._u = u
         self._push_count += 1
 
-    def convolution_force(self) -> np.ndarray:
-        """int_0^t g(t-s) K u(s) ds, as a new array."""
+    def convolution_force(self, m_kir: float) -> np.ndarray:
+        """int_0^t g(t-s) K u(s) ds - m_kir K u(t), the stiffness and memory
+        force of the Kirchhoff coefficient m_kir, as a new array.  The
+        newest row holds K u(t), so this is one weighted read of ext."""
         if self._push_count < 2:  # the empty integral at t = 0
-            return np.zeros(self._ku_cols.shape[1])
-        return (self._force_weights @ self._ku_cols).real
+            return -m_kir * self._row[:-2].real
+        w = self._force_weights
+        w[-1] = self._weights[0, -1] - m_kir
+        return (w @ self._ku_cols).real
 
     def g_diamond(self) -> float:
         """(g o grad u)(t) >= 0; zero for a history constant in time."""

@@ -42,8 +42,8 @@ class FullHistory:
         g = self.kernel.g_prime(ages) if prime else self.kernel.g(ages)
         return w * g
 
-    def convolution_force(self) -> np.ndarray:
-        return self._weighted(prime=False) @ np.array(self._ku)
+    def convolution_force(self, m_kir: float) -> np.ndarray:
+        return self._weighted(prime=False) @ np.array(self._ku) - m_kir * self._ku[-1]
 
     def g_diamond(self) -> float:
         return self._diamond(prime=False)

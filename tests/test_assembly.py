@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.integrate import dblquad, quad
 
 from viscowave import (
@@ -16,8 +17,9 @@ from viscowave import (
 )
 from viscowave import assembly
 from viscowave.assembly import l2_norm_sq
+from viscowave.energy import _RecordForm
 
-from conftest import interval_mesh, rect_mesh, square_mesh, trapezoid_x4
+from conftest import exp_kernel, interval_mesh, rect_mesh, square_mesh, trapezoid_x4
 
 
 def test_two_element_stiffness_stencil():
@@ -292,7 +294,9 @@ def test_operators_hold_the_stencil_alone_and_give_the_element_sum_products(mesh
     # K's couplings across the diagonal edges cancel in the element sum,
     # and without them K is the 5-point stencil.  Products are bitwise
     # those of the summed element matrices, and csr_product's are bitwise
-    # scipy's, for a strided view too.
+    # scipy's, for a strided view too.  So are dia_product's with K's and
+    # M's diagonals and with a run's record operator, against its blocks
+    # summed in CSR.
     mesh = STENCIL_MESHES[mesh_name]()
     ops = assemble(mesh)
     forms = assembly._assemble_1d if mesh.dimension == 1 else assembly._assemble_2d
@@ -315,6 +319,21 @@ def test_operators_hold_the_stencil_alone_and_give_the_element_sum_products(mesh
             assert np.array_equal(product, (summed @ x).view(np.int64))
             assert np.array_equal(product, assembly.csr_product(stored, x).view(np.int64))
             assert np.array_equal(product, assembly.csr_product(stored, strided).view(np.int64))
+    params = PhysicalParams(a=1.0, b=1.0, kappa=1.0, k_exp=4.0, p_c=0.7, q_c=1.3)
+    record = _RecordForm(exp_kernel(), params, ops, 1e-3, 1, 1).operator
+    w1 = mesh.gamma1_weights
+    record_csr = scipy.sparse.block_diag(
+        [ops.mass, ops.mass, scipy.sparse.diags(params.q_c * w1),
+         scipy.sparse.diags(params.p_c * w1)], format="csr")
+    pairs = [(ops.stiffness, assembly.dia_stencil(ops.stiffness)),
+             (ops.mass, assembly.dia_stencil(ops.mass)), (record_csr, record)]
+    for _ in range(20):
+        for csr, dia in pairs:
+            n = csr.shape[0]
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            product = (csr @ x).view(np.int64)
+            for operand in (x, np.repeat(x, 2)[::2]):
+                assert np.array_equal(product, assembly.dia_product(dia, operand).view(np.int64))
 
 
 def _dense_lam_max(ops):

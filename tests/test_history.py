@@ -26,7 +26,7 @@ def test_empty_history_quantities_vanish():
     for kernel in (exp_kernel(), build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)):
         buf = HistoryBuffer(kernel, mesh.n_nodes, 1e-3, 10)
         buf.push(u, ku, u @ ku)
-        assert np.all(buf.convolution_force() == 0.0)
+        assert np.all(buf.convolution_force(0.0) == 0.0)
         assert buf.g_diamond() == 0.0
         assert buf.g_prime_diamond() == 0.0
 
@@ -42,7 +42,7 @@ def test_fast_path_constant_history_closed_form():
         buf.push(np.array([1.0]), np.array([c]), c)
     t = n * dt
     expect = c * g0 * (1.0 - math.exp(-alpha * t)) / alpha
-    assert buf.convolution_force()[0] == pytest.approx(expect, rel=1e-6)
+    assert buf.convolution_force(0.0)[0] == pytest.approx(expect, rel=1e-6)
 
 
 def test_convolution_constant_in_time_factorizes():
@@ -55,7 +55,7 @@ def test_convolution_constant_in_time_factorizes():
     ku = ops.stiffness @ u
     for _ in range(2001):
         buf.push(u, ku, u @ ku)
-    force = buf.convolution_force()
+    force = buf.convolution_force(0.0)
     assert np.allclose(force, kernel.partial_mass(2.0) * ku, rtol=1e-6)
     # constant history has zero increments (up to roundoff in the expansion)
     assert buf.g_diamond() == pytest.approx(0.0, abs=1e-12)
@@ -79,7 +79,7 @@ def test_linear_history_closed_forms():
     for make in (HistoryBuffer, FullHistory):
         buf = make(kernel, mesh.n_nodes, dt, n)
         _push_series(buf, ops.stiffness, times, lambda t: t * w)
-        force = buf.convolution_force()
+        force = buf.convolution_force(0.0)
         expect = (t_end - 1.0 + math.exp(-t_end)) * kw
         assert np.allclose(force, expect, rtol=1e-5, atol=1e-12)
         gd = buf.g_diamond()
@@ -122,7 +122,7 @@ def test_fast_path_equals_full_trapezoid():
         ku = ops.stiffness @ u
         fast.push(u, ku, u @ ku)
         full.push(u, ku, u @ ku)
-    f1, f2 = fast.convolution_force(), full.convolution_force()
+    f1, f2 = fast.convolution_force(0.0), full.convolution_force(0.0)
     scale = np.abs(f2).max()
     assert np.abs(f1 - f2).max() <= 1e-6 * scale
     assert fast.g_diamond() == pytest.approx(full.g_diamond(), rel=1e-9)
@@ -143,7 +143,7 @@ def test_quadrature_second_order_in_dt():
         buf = HistoryBuffer(kernel, mesh.n_nodes, dt, n)
         times = dt * np.arange(n + 1)
         _push_series(buf, ops.stiffness, times, lambda t: (t**3) * w)
-        force = buf.convolution_force()
+        force = buf.convolution_force(0.0)
         # int_0^t e^{-(t-s)} s^3 ds = t^3 - 3 t^2 + 6 t - 6 + 6 e^{-t}
         coef = t_end**3 - 3 * t_end**2 + 6 * t_end - 6 + 6 * math.exp(-t_end)
         errs.append(np.abs(force - coef * kw).max())
@@ -210,8 +210,8 @@ def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a, dim):
     gw, gpw = w * kernel.g(t - times), w * np.abs(kernel.g_prime(t - times))
     ku_abs = np.abs(np.array([ku for _, ku in snaps]))
     force_mass = gw @ ku_abs
-    force = buf.convolution_force()
-    assert np.all(np.abs(force - oracle.convolution_force())
+    force = buf.convolution_force(0.0)
+    assert np.all(np.abs(force - oracle.convolution_force(0.0))
                   <= err * force_mass + 1e-13 * force_mass.max())
 
     # scale of the cancelling terms in |grad(u(t) - u(s))|^2 = q_now - 2 u.Ku + q
@@ -244,7 +244,7 @@ def test_bytes_held_counts_every_array_of_the_buffer_once(family, alpha, eps, a)
     buf = HistoryBuffer(build_kernel(make_rate(family, alpha, eps), 1.0, a), 9, 0.1, 10)
     for i in range(3):
         buf.push(np.full(9, float(i)), np.full(9, float(i)), 9.0 * i * i)
-    buf.convolution_force()
+    buf.convolution_force(0.5)
     bases = {}
     for name, value in vars(buf).items():
         # the newest pushed state is the caller's array, which the buffer
@@ -255,16 +255,41 @@ def test_bytes_held_counts_every_array_of_the_buffer_once(family, alpha, eps, a)
     assert buf.bytes_held == sum(b.nbytes for b in bases.values())
 
 
+@pytest.mark.parametrize("family,alpha,eps,a", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_force_read_takes_the_stiffness_term_on_the_newest_row(family, alpha, eps, a):
+    # the Kirchhoff term -m K u(t) rides on the newest row's read weight:
+    # exactly -m K u at the first push, where the integral is empty, and
+    # the memory force less m K u to roundoff after it, in 1D and 2D
+    kernel = build_kernel(make_rate(family, alpha, eps), 0.9, a)
+    rng = np.random.default_rng(23)
+    for mesh in (interval_mesh(12), square_mesh(8)):
+        ops = assemble(mesh)
+        buf = HistoryBuffer(kernel, mesh.n_nodes, 5e-3, 200)
+        for i in range(201):
+            u = rng.standard_normal(mesh.n_nodes)
+            u[mesh.gamma0_nodes] = 0.0
+            ku = ops.stiffness @ u
+            buf.push(u, ku, u @ ku)
+            m = 10.0 ** rng.uniform(-2.0, 3.0)
+            fused = buf.convolution_force(m)
+            if i == 0:
+                assert np.array_equal(fused, -m * ku)
+                continue
+            memory = buf.convolution_force(0.0)
+            scale = np.abs(memory).max() + m * np.abs(ku).max()
+            assert np.abs(fused - (memory - m * ku)).max() <= 1e-14 * scale
+
+
 def test_convolution_force_shares_no_memory_with_the_buffer():
     # the stepper adds the force to an array of its own and the buffer
     # overwrites its state at the next push
     kernel = build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)
     for buf in (HistoryBuffer(exp_kernel(), 5, 0.1, 1), HistoryBuffer(kernel, 5, 0.1, 1)):
-        buf.push(np.ones(5), np.ones(5), 5.0)
-        buf.push(np.ones(5), np.ones(5), 5.0)
-        force = buf.convolution_force()
-        assert not any(np.shares_memory(force, value) for value in vars(buf).values()
-                       if isinstance(value, np.ndarray))
+        for _ in range(2):  # the first push's read and a weighted one
+            buf.push(np.ones(5), np.ones(5), 5.0)
+            force = buf.convolution_force(0.5)
+            assert not any(np.shares_memory(force, value) for value in vars(buf).values()
+                           if isinstance(value, np.ndarray))
 
 
 def test_push_past_certified_horizon_rejected():

@@ -54,9 +54,9 @@ def _importers(prefix: str) -> list[str]:
 
 
 def test_only_assembly_imports_the_private_sparse_kernels():
-    # scipy.sparse._sparsetools is private to scipy: csr_product in
-    # assembly.py is its one wrapper, so a scipy that moves it breaks one
-    # function
+    # scipy.sparse._sparsetools is private to scipy: csr_product and
+    # dia_product in assembly.py are its wrappers, so a scipy that moves it
+    # breaks one module
     assert _importers("scipy.sparse._sparsetools") == ["assembly.py"]
 
 

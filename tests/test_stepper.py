@@ -127,7 +127,7 @@ def test_zero_kernel_run_has_no_memory():
                        ops, params, buf, cfg)
     for _ in range(50):
         assert buf.n_entries == state.n + 1
-        assert not buf.convolution_force().any()
+        assert not buf.convolution_force(0.0).any()
         rep = compute_energy(state, buf, form)
         assert rep.memory == rep.g_prime_diamond == rep.g_at_t == 0.0
         assert rep.elastic == 0.5 * params.a * rep.grad_sq
@@ -578,10 +578,11 @@ def test_step_never_mutates_a_returned_state(forced):
 
 def test_one_stiffness_product_per_step_and_one_record_product_per_record(csr_products,
                                                                          monkeypatch):
-    # the step's one K u feeds the force, the history and the energy
-    # report; a record adds one product with the run's record operator and
-    # no mass product, and reads int_0^t g off a table that one
-    # partial_mass call fills for the whole run
+    # the step's one K u, a product with the stencil the run's closure
+    # holds, feeds the force, the history and the energy report; a record
+    # adds one product with the run's record operator and no mass product,
+    # and reads int_0^t g off a table that one partial_mass call fills for
+    # the whole run
     masses = []
     partial_mass = RelaxationKernel.partial_mass
 
@@ -597,8 +598,9 @@ def test_one_stiffness_product_per_step_and_one_record_product_per_record(csr_pr
     z = np.zeros(mesh.n_nodes)
     cfg = StepperConfig(dt=1e-3, t_end=0.1, record_every=10)
     traj = run(u0, z, np.zeros(1), ops, exp_kernel(), params, cfg)
-    stiffness = sum(A is ops.stiffness for A in csr_products)
-    records = [A for A in csr_products if A is not ops.stiffness]
+    stencil = traj.final.closure.stiffness  # K's diagonals, built once per run
+    stiffness = sum(A is stencil for A in csr_products)
+    records = [A for A in csr_products if A is not stencil]
     assert stiffness == 1 + 100  # the initial evaluation, then one per step
     assert traj.n_records == 11
     assert sum(A is ops.mass for A in csr_products) == 0
@@ -646,7 +648,7 @@ def test_acoustic_closure_map_matches_the_trapezoid_formulas(forced):
         f4 = forcing.f_acoustic(new.t) if forced else 0.0
         # the kicked velocity and the force's acceleration, without the
         # boundary terms
-        force = (-new.m_kir * (ops.stiffness @ new.u) + buffer.convolution_force()
+        force = (-new.m_kir * (ops.stiffness @ new.u) + buffer.convolution_force(0.0)
                  + source_vector(ops, new.u, params.k_exp))
         accel = np.where(free, force / ops.mass_lumped, 0.0)
         v = state.v + hdt * state.accel + hdt * accel
