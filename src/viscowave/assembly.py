@@ -8,7 +8,7 @@ The two nonlinear integrals use the nodal ("product approximation") rule,
 which needs the lumped mass alone:
 
   int |u_h|^k                  ~  lk(u)  = sum_i m_i |u_i|^k
-  int |u_h|^{k-2} u_h phi_i    ~  S(u)_i = m_i |u_i|^{k-2} u_i   (0 on Gamma_0)
+  int |u_h|^{k-2} u_h phi_i    ~  S(u)_i = m_i |u_i|^{k-2} u_i   (0 where u_i = 0)
 
 S is the exact gradient of lk/k on the free nodes, so for u zero on Gamma_0,
 u . source_vector(u) == lk_norm_pow(u) up to roundoff; the stepper and the
@@ -30,14 +30,13 @@ couplings across each cell's diagonal edge, which cancel exactly; they are
 dropped, so a product with K touches the stencil alone.  It is bitwise the
 product with the summed element matrices, as both add each row's terms in
 column order.  M keeps its diagonal-edge couplings (7 entries a row in 2D).
-So both are a few constant-offset diagonals, and the stepper and the record
-apply them in diagonal (DIA) storage (Saad, *Iterative Methods for Sparse
-Linear Systems*, 2nd ed., 2003, sec. 3.4): ``dia_stencil`` reads the
-diagonals off the CSR form once per run and ``dia_product`` applies them
-with no index gather.  With the diagonals in ascending offset order a row's
-terms are still added in column order, so the product is bitwise the CSR
-one; the zeros the diagonals hold where a row has no coupling add nothing.
-``ops.stiffness`` and ``ops.mass`` stay CSR for every other caller.
+So both are a few constant-offset diagonals, and ``assemble`` stores them in
+diagonal (DIA) storage (Saad, *Iterative Methods for Sparse Linear Systems*,
+2nd ed., 2003, sec. 3.4), read once off the summed CSR forms; every product
+with K or M is one ``dia_product``, with no index gather.  With the
+diagonals in ascending offset order a row's terms are still added in column
+order, so the product is bitwise the CSR one; the zeros the diagonals hold
+where a row has no coupling add nothing.
 
 Fields are plain numpy arrays with one value per mesh node; entries at
 Dirichlet nodes are pinned to zero.  The well-constant ascent alone works on
@@ -142,15 +141,17 @@ _POINT_AXIS = AxisModes(free=np.zeros(1, dtype=int), values=np.zeros(1),
 class DiscreteOperators:
     """Assembled linear forms; the lumped mass also carries the nonlinear terms.
 
-    ``stiffness`` stores no zeros.  ``axes`` = (y, x) diagonalises K on the
+    ``stiffness`` and ``mass`` are stencils in DIA storage, their diagonals
+    in ascending offset order, for :func:`dia_product`; K holds the offsets
+    of its stencil alone.  ``axes`` = (y, x) diagonalises K on the
     free nodes (see :func:`solve_free_stiffness`); in 1D y is the one-node
     axis.  ``eigenvalue_sums`` is the table lam_y (+) lam_x of K's
     eigenvalues on the free grid, entry (a, b) = y.values[a] + x.values[b].
     """
 
     mesh: Mesh
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
+    stiffness: sp.dia_matrix
+    mass: sp.dia_matrix
     mass_lumped: np.ndarray
     lam_max_unit: float         # 1.05 x max eig of M_lump^{-1} K at unit coefficient
     axes: tuple[AxisModes, AxisModes]
@@ -178,8 +179,8 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
                         np.unique(mesh.free_nodes // stride))
     return DiscreteOperators(
         mesh=mesh,
-        stiffness=K,
-        mass=M,
+        stiffness=_dia_stencil(K),
+        mass=_dia_stencil(M),
         mass_lumped=lumped,
         lam_max_unit=1.05 * _lam_max(mesh, K, lumped, (y, x)),
         axes=(y, x),
@@ -313,29 +314,18 @@ def pin_gamma0(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def csr_product(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """A @ x for a CSR matrix A and a float vector x, bitwise.
-
-    ``A @ x`` ends in the same kernel, ``csr_matvec`` into a zeroed output;
-    on the way it spends about 2 us of Python dispatch per call, more than
-    the arithmetic on the meshes the stepper runs every step.  This,
-    :func:`_csr_accumulate` and :func:`dia_product` are the only uses of
-    scipy's private ``_sparsetools`` in the package.
-    """
-    n_row, n_col = A.shape
-    out = np.zeros(n_row)
-    csr_matvec(n_row, n_col, A.indptr, A.indices, A.data, x, out)
-    return out
-
-
 def _csr_accumulate(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
     """out += A @ x in place.  ``out`` may be a slice of ``x`` itself when
     no column of A reads an entry of that slice: the stepper's acoustic
-    closure map writes into its own state array this way."""
+    closure map writes into its own state array this way.  This and
+    :func:`dia_product` are the only uses of scipy's private
+    ``_sparsetools`` in the package: ``A @ x`` ends in the same kernels,
+    after about 2 us of Python dispatch per call, more than the arithmetic
+    on the meshes the stepper runs every step."""
     csr_matvec(len(out), len(x), A.indptr, A.indices, A.data, x, out)
 
 
-def dia_stencil(A: sp.csr_matrix) -> sp.dia_matrix:
+def _dia_stencil(A: sp.csr_matrix) -> sp.dia_matrix:
     """The square CSR matrix A in DIA storage, its stored diagonals in
     ascending offset order, each read by ``A.diagonal``: per diagonal one
     pass over the rows, where ``A.todia()`` sorts every entry."""
@@ -353,7 +343,7 @@ def dia_stencil(A: sp.csr_matrix) -> sp.dia_matrix:
 
 def dia_product(A: sp.dia_matrix, x: np.ndarray) -> np.ndarray:
     """A @ x for a square DIA matrix A with one column of data per column of
-    A (as :func:`dia_stencil` builds it) and a float vector x, bitwise, with
+    A (as :func:`assemble` stores K and M) and a float vector x, bitwise, with
     none of ``A @ x``'s dispatch."""
     n = A.shape[0]
     out = np.zeros(n)
@@ -363,12 +353,12 @@ def dia_product(A: sp.dia_matrix, x: np.ndarray) -> np.ndarray:
 
 def grad_norm_sq(ops: DiscreteOperators, u: np.ndarray) -> float:
     """|grad u|_2^2 = u^T K u (exact for P1)."""
-    return float(u @ csr_product(ops.stiffness, u))
+    return float(u @ dia_product(ops.stiffness, u))
 
 
 def l2_norm_sq(ops: DiscreteOperators, u: np.ndarray) -> float:
     """|u|_2^2 via the consistent mass form."""
-    return float(u @ csr_product(ops.mass, u))
+    return float(u @ dia_product(ops.mass, u))
 
 
 def lk_norm_pow(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> float:
@@ -377,20 +367,19 @@ def lk_norm_pow(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> float:
 
 
 def source_vector(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> np.ndarray:
-    """Nodal weak form of the odd source, m_i |u_i|^{k-2} u_i, zero on Gamma_0.
+    """Nodal weak form of the odd source, m_i |u_i|^{k-2} u_i, zero on
+    Gamma_0 for u zero there.
 
     The gradient of lk_norm_pow(u) / k, so for u zero on Gamma_0,
     u . source_vector(u) == lk_norm_pow(u) to roundoff.
     """
-    out = _nodal_source(ops.mass_lumped, u, k_exp)
-    out[ops.mesh.gamma0_nodes] = 0.0
-    return out
+    return _nodal_source(ops.mass_lumped, u, k_exp)
 
 
 def _nodal_source(mass: np.ndarray, u: np.ndarray, k_exp: float) -> np.ndarray:
     """The nodal rule m_i |u_i|^{k-2} u_i for node masses ``mass`` aligned
     with ``u``: on every node by :func:`source_vector`, on the free nodes
-    alone by the well-constant ascent, which needs no Gamma_0 pin."""
+    alone by the well-constant ascent."""
     out = np.abs(u)
     out **= k_exp - 2.0
     out *= u

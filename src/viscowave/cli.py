@@ -52,7 +52,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import __version__
-from .assembly import PhysicalParams, assemble, pin_gamma0
+from .assembly import PhysicalParams, assemble, dia_product, l2_norm_sq, pin_gamma0
 from .decay import DecayReport, SampledEnergy, build_decay_report, default_weighted_t0
 from .energy import rate_identity_residual
 from .geometry import DomainSpec, Mesh, build_mesh
@@ -531,7 +531,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     boundary_residual = None
     g1 = mesh.gamma1_nodes
     if len(g1):
-        ku0 = ops.stiffness @ u0
+        ku0 = dia_product(ops.stiffness, u0)
         y_t0 = -(u1[g1] + params.q_c * y0) / params.p_c
         m0 = params.kirchhoff_coefficient(float(u0 @ ku0))
         res0 = m0 * ku0[g1] / mesh.gamma1_weights - y_t0
@@ -628,7 +628,7 @@ def run_mms_level(config: RunConfig) -> dict:
     traj = run(case.u0, case.u1, case.y0, ops, kernel, config.physics, cfg)
     final = traj.final
     diff = final.u - pin_gamma0(mesh, msol.profile(mesh.nodes) * math.cos(final.t))
-    err = math.sqrt(max(float(diff @ (ops.mass @ diff)), 0.0))
+    err = math.sqrt(max(l2_norm_sq(ops, diff), 0.0))
     return {
         "l2_error": err,
         "t_final": final.t,

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kernels import ConstantRate, RelaxationKernel
 from .stepper import Trajectory
@@ -184,14 +183,24 @@ def fit_omega(sampled: SampledEnergy) -> float:
 
 
 def default_weighted_t0(kernel: RelaxationKernel) -> float:
-    """Deterministic t0: the time accumulating half the kernel mass."""
+    """Deterministic t0: the time accumulating half the kernel mass.
+
+    partial_mass increases, so a bisection on it closes the bracket until
+    its ends are adjacent floats; t0 is the upper end, the first float at
+    which the mass reaches half.
+    """
     if isinstance(kernel.rate, ConstantRate):
         return math.log(2.0) / kernel.rate.alpha
     target = 0.5 * kernel.tail_mass
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while kernel.partial_mass(hi) < target:
-        hi *= 2.0
-    return brentq(lambda s: kernel.partial_mass(s) - target, 0.0, hi)
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if kernel.partial_mass(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def loglinear_fit(x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, float]:

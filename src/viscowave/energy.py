@@ -26,10 +26,10 @@ A record does per call only what depends on the state.  :func:`run
 int_0^t g at every record time n dt, each list from one vectorized kernel
 call, and the block-diagonal operator B = diag(M, M, q W1, p W1) on the
 state's contiguous run (u, v, y, y_t), M the consistent mass and W1 the
-acoustic weights, stored by its diagonals.  One product B z with that run
-z gives, summed over its four blocks, |u|_2^2, 2 kinetic, q int y^2 and
-p int y_t^2; the two memory functionals are the history buffer's one read
-at its newest push.
+acoustic weights, stored by its diagonals (M's as ``ops.mass`` holds them).
+One product B z with that run z gives, summed over its four blocks,
+|u|_2^2, 2 kinetic, q int y^2 and p int y_t^2; the two memory functionals
+are the history buffer's one read at its newest push.
 
 Along forcing-free trajectories the energy rate satisfies
 
@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import DiscreteOperators, PhysicalParams, dia_product, dia_stencil
+from .assembly import DiscreteOperators, PhysicalParams, dia_product
 from .history import HistoryBuffer
 from .kernels import RelaxationKernel
 
@@ -88,7 +88,8 @@ class _RecordForm:
     g(n dt) and int_0^{n dt} g there, each from one vectorized call (the
     float calls give the same values).  ``operator`` is
     diag(M, M, q W1, p W1) on the run (u, v, y, y_t) of a state's array,
-    held as M's diagonals (seven in 2D; see :mod:`viscowave.assembly`);
+    held as the diagonals ``ops.mass`` stores (seven in 2D; see
+    :mod:`viscowave.assembly`);
     ``products`` holds the entries of z * (B z) for that run z, and one
     trailing zero so that the blocks' sums at ``starts`` read 0 for an
     empty acoustic boundary (``np.add.reduceat`` reads a[i] for an empty
@@ -109,7 +110,7 @@ class _RecordForm:
         # diagonal reaches from one block into the next, it holds the zeros
         # of M's diagonal running off M.  The acoustic weights sit on the
         # main diagonal.
-        M = dia_stencil(ops.mass)
+        M = ops.mass
         acoustic = np.outer(M.offsets == 0, np.concatenate([params.q_c * w1, params.p_c * w1]))
         self.operator = sp.dia_matrix((np.hstack([M.data, M.data, acoustic]), M.offsets),
                                       shape=(2 * n + 2 * m, 2 * n + 2 * m))

@@ -28,7 +28,7 @@ in fixed stages, all set up once per run by :func:`init_state`:
 
   drift     one (2, 3) product maps the rows (accel, u, v) to (u1, v_half);
   force     the new iterate is evaluated once (``_evaluate``): one
-            product with K's stencil (``dia_product``) gives K u, pushed
+            product with K's stencil (``ops.stiffness``) gives K u, pushed
             into the history with |grad u|^2 = u.K u; one weighted read of
             the history gives the memory force less M_kir K u, as the newest
             row holds K u; one nodal source vector adds the source and
@@ -77,7 +77,6 @@ from .assembly import (
     PhysicalParams,
     _csr_accumulate,
     dia_product,
-    dia_stencil,
     pin_gamma0,
     source_vector,
 )
@@ -143,7 +142,6 @@ class AcousticClosure:
     * ``drift`` = [[dt^2/2, 1, dt], [dt/2, 0, 1]] maps the rows
       (accel, u, v) of the old array to (u1, v_half) of the new one;
     * ``inv_mass`` is 1 / M_lump, zero on Gamma_0;
-    * ``stiffness`` is K as its stencil's diagonals, for ``dia_product``;
     * ``map`` is the trapezoidal closure of the boundary triple
       (v, y, y_t), pointwise at each acoustic node,
 
@@ -183,7 +181,6 @@ class AcousticClosure:
         inv_mass = 1.0 / ops.mass_lumped
         inv_mass[mesh.gamma0_nodes] = 0.0
         self.inv_mass = inv_mass
-        self.stiffness = dia_stencil(ops.stiffness)
 
         p, q = params.p_c, params.q_c
         r = mesh.gamma1_weights / ops.mass_lumped[g1]
@@ -327,7 +324,7 @@ def _evaluate(
     also the step's one Dirichlet pin: it keeps u, v and accel zero there.
     As u is zero on Gamma_0, u.S(u) is int |u_h|^k by the source's own rule.
     """
-    ku = dia_product(closure.stiffness, u)
+    ku = dia_product(ops.stiffness, u)
     grad_sq = float(u @ ku)
     buffer.push(u, ku, grad_sq)
     m_kir = params.kirchhoff_coefficient(grad_sq)

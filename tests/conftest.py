@@ -77,19 +77,18 @@ def sine_profile(mesh, amplitude):
 
 
 @pytest.fixture
-def csr_products(monkeypatch):
-    """The matrix of every ``assembly.csr_product`` and
-    ``assembly.dia_product`` call made while the test runs, in call order,
-    through every module of the package that binds either."""
+def products(monkeypatch):
+    """The matrix of every ``assembly.dia_product`` call made while the
+    test runs, in call order, through every module of the package that
+    binds it."""
     calls = []
-    for wrapper in ("csr_product", "dia_product"):
-        product = getattr(assembly, wrapper)
+    product = assembly.dia_product
 
-        def counted(A, x, _product=product):
-            calls.append(A)
-            return _product(A, x)
+    def counted(A, x):
+        calls.append(A)
+        return product(A, x)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("viscowave") and getattr(module, wrapper, None) is product:
-                monkeypatch.setattr(module, wrapper, counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("viscowave") and getattr(module, "dia_product", None) is product:
+            monkeypatch.setattr(module, "dia_product", counted)
     return calls

@@ -226,6 +226,43 @@ def test_profiles_vanish_on_dirichlet_nodes():
         assert np.abs(u).max() > 0.0
 
 
+# each profile's factor on an axis, by the axis's pinned ends: none, the
+# high end alone, or both
+AXIS_FACTORS = {
+    "linear": {"none": np.ones_like, "high": lambda z: 1.0 - z,
+               "both": lambda z: 1.0 - np.abs(2.0 * z - 1.0)},
+    "sine": {"none": np.ones_like, "high": lambda z: np.cos(0.5 * np.pi * z),
+             "both": lambda z: np.sin(np.pi * z)},
+    "bump": {"none": np.ones_like, "high": lambda z: 16.0 * z**2 * (1.0 - z) ** 2,
+             "both": lambda z: 16.0 * z**2 * (1.0 - z) ** 2},
+}
+
+
+@pytest.mark.parametrize("faces,pinned", [
+    (("left",), ("high",)),
+    (("left",), ("high", "both")),
+    (("left", "right"), ("none", "both")),
+    (("left", "right", "bottom"), ("none", "high")),
+], ids=["1d-left", "2d-left", "2d-left-right", "2d-left-right-bottom"])
+@pytest.mark.parametrize("name", sorted(AXIS_FACTORS))
+def test_profiles_on_unpinned_and_high_pinned_axes_take_their_closed_forms(name, faces,
+                                                                           pinned):
+    # acoustic left faces leave the x axis pinned at its high end or not at
+    # all; the field is the product of the axes' factors, zero on Gamma_0
+    from viscowave import DomainSpec
+
+    dim = len(pinned)
+    spec = DomainSpec(dim, (1.5, 0.8)[:dim], frozenset(faces), (8, 6)[:dim])
+    mesh = build_mesh(spec)
+    u = profile_field(name, mesh, 0.7)
+    want = 0.7 * np.ones(mesh.n_nodes)
+    for axis, ends in enumerate(pinned):
+        want *= AXIS_FACTORS[name][ends](mesh.nodes[:, axis] / spec.extent[axis])
+    np.testing.assert_allclose(u, want, rtol=1e-15, atol=1e-15)
+    assert np.all(u[mesh.gamma0_nodes] == 0.0)
+    assert np.abs(u).max() > 0.0
+
+
 def test_zero_data_scenario_artifacts(tmp_path):
     cfg = parse_config(_tiny_config(initial={"profile": "zero", "amplitude": 0.0}))
     result = run_scenario(cfg, out_dir=tmp_path / "zero")

@@ -223,6 +223,48 @@ def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a, dim):
 
 
 @pytest.mark.parametrize("family,alpha,eps,a", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_diamonds_keep_their_signs_on_a_history_constant_in_time(family, alpha, eps, a):
+    # a constant history has both functionals exactly zero, and the one read
+    # of the buffer lands on either side of zero by roundoff (in 36-40%
+    # of these reads, down to -6e-13 for g o grad u and up to +8e-13 for
+    # g' o grad u); the read clamps them to their signs
+    kernel = build_kernel(make_rate(family, alpha, eps), 1.0, a)
+    mesh = interval_mesh(16)
+    ops = assemble(mesh)
+    for seed in range(20):
+        u = np.random.default_rng(seed).standard_normal(mesh.n_nodes)
+        u[mesh.gamma0_nodes] = 0.0
+        ku = ops.stiffness @ u
+        buf = HistoryBuffer(kernel, mesh.n_nodes, 1e-2, 50)
+        for n in range(1, 51):
+            buf.push(u, ku, u @ ku)
+            if n >= 3:
+                assert buf.g_diamond() >= 0.0
+                assert buf.g_prime_diamond() <= 0.0
+
+
+@pytest.mark.parametrize("family,alpha,eps,a", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_g_prime_diamond_read_first_equals_the_read_after_g_diamond(family, alpha, eps, a):
+    # either functional read first after a push makes the one read both share
+    kernel = build_kernel(make_rate(family, alpha, eps), 1.0, a)
+    mesh = interval_mesh(12)
+    ops = assemble(mesh)
+    rng = np.random.default_rng(11)
+    first, second = (HistoryBuffer(kernel, mesh.n_nodes, 1e-2, 40) for _ in range(2))
+    for _ in range(41):
+        u = rng.standard_normal(mesh.n_nodes)
+        u[mesh.gamma0_nodes] = 0.0
+        ku = ops.stiffness @ u
+        first.push(u, ku, u @ ku)
+        second.push(u, ku, u @ ku)
+        gpd = first.g_prime_diamond()
+        gd = second.g_diamond()
+        assert gpd == second.g_prime_diamond()
+        assert gd == first.g_diamond()
+    assert gpd < 0.0 < gd
+
+
+@pytest.mark.parametrize("family,alpha,eps,a", FAMILIES, ids=[f[0] for f in FAMILIES])
 def test_history_memory_flat_in_pushes(family, alpha, eps, a):
     kernel = build_kernel(make_rate(family, alpha, eps), 1.0, a)
     buf = HistoryBuffer(kernel, 9, 1e-2, 1000)

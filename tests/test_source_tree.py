@@ -54,9 +54,9 @@ def _importers(prefix: str) -> list[str]:
 
 
 def test_only_assembly_imports_the_private_sparse_kernels():
-    # scipy.sparse._sparsetools is private to scipy: csr_product and
-    # dia_product in assembly.py are its wrappers, so a scipy that moves it
-    # breaks one module
+    # scipy.sparse._sparsetools is private to scipy: dia_product and
+    # _csr_accumulate in assembly.py are its wrappers, so a scipy that moves
+    # it breaks one module
     assert _importers("scipy.sparse._sparsetools") == ["assembly.py"]
 
 
@@ -64,3 +64,9 @@ def test_no_module_imports_scipy_integrate():
     # the hypothesis checks read the variation of xi off a grid that holds
     # its turning points; no verdict rests on adaptive quadrature
     assert _importers("scipy.integrate") == []
+
+
+def test_no_module_imports_scipy_optimize():
+    # the one root the package finds, the half-mass time t0, is a bisection
+    # on the increasing partial mass
+    assert _importers("scipy.optimize") == []

@@ -289,7 +289,7 @@ def _trace_gradient(ops):
 def _free_stiffness(ops):
     """K on the free nodes, the matrix of the ascent's K-norm."""
     free = ops.mesh.free_nodes
-    return ops.stiffness[free][:, free]
+    return ops.stiffness.tocsr()[free][:, free]
 
 
 # numerator name -> (gradient builder on free-node vectors, degree)
@@ -358,7 +358,7 @@ def test_free_stiffness_solve_has_roundoff_residual(mesh_name):
     mesh = SOLVE_MESHES[mesh_name]()
     ops = assemble(mesh)
     free = mesh.free_nodes
-    k_free = ops.stiffness[np.ix_(free, free)]
+    k_free = ops.stiffness.tocsr()[np.ix_(free, free)]
     b = np.random.default_rng(4).standard_normal(len(free))
     x = solve_free_stiffness(ops, b)
     assert np.linalg.norm(k_free @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -372,7 +372,7 @@ def test_free_stiffness_solve_is_normwise_backward_stable(mesh_name):
     mesh = interval_mesh(256) if mesh_name == "1d-256" else square_mesh(64)
     ops = assemble(mesh)
     free = mesh.free_nodes
-    k_free = ops.stiffness[np.ix_(free, free)]
+    k_free = ops.stiffness.tocsr()[np.ix_(free, free)]
     k_norm = np.abs(k_free).sum(axis=1).max()
     eps = np.finfo(float).eps
     for seed in range(3):
@@ -387,7 +387,7 @@ def test_inverse_block_matches_the_dense_inverse(mesh_name):
     mesh = SOLVE_MESHES[mesh_name]()
     ops = assemble(mesh)
     free = mesh.free_nodes
-    k_inv = np.linalg.inv(ops.stiffness[np.ix_(free, free)].toarray())
+    k_inv = np.linalg.inv(ops.stiffness.tocsr()[np.ix_(free, free)].toarray())
     pos = np.searchsorted(free, mesh.gamma1_nodes)
     block = free_stiffness_inverse_block(ops, mesh.gamma1_nodes)
     np.testing.assert_allclose(block, k_inv[np.ix_(pos, pos)], rtol=0.0,

@@ -23,7 +23,7 @@ from viscowave import (
     sine_solution,
     source_vector,
 )
-from viscowave import cli, compute_energy, stepper
+from viscowave import assembly, cli, compute_energy, stepper
 from viscowave.cli import PRESETS, initial_data, parse_config, run_mms_ladder
 from viscowave.energy import _RecordForm
 from viscowave.history import HistoryBuffer
@@ -576,13 +576,13 @@ def test_step_never_mutates_a_returned_state(forced):
             assert np.asarray(getattr(original, name)).tobytes() == np.asarray(value).tobytes()
 
 
-def test_one_stiffness_product_per_step_and_one_record_product_per_record(csr_products,
+def test_one_stiffness_product_per_step_and_one_record_product_per_record(products,
                                                                          monkeypatch):
-    # the step's one K u, a product with the stencil the run's closure
-    # holds, feeds the force, the history and the energy report; a record
-    # adds one product with the run's record operator and no mass product,
-    # and reads int_0^t g off a table that one partial_mass call fills for
-    # the whole run
+    # the step's one K u, a product with the stencil ops holds, feeds the
+    # force, the history and the energy report; a record adds one product
+    # with the run's record operator, built on M's offsets, and no mass
+    # product, and reads int_0^t g off a table that one partial_mass call
+    # fills for the whole run.  A run builds no stencil: assemble did.
     masses = []
     partial_mass = RelaxationKernel.partial_mass
 
@@ -594,19 +594,30 @@ def test_one_stiffness_product_per_step_and_one_record_product_per_record(csr_pr
     mesh = interval_mesh(16)
     params = default_params()
     ops = assemble(mesh)
+    stencils = []
+    dia_stencil = assembly._dia_stencil
+
+    def counted_stencil(A):
+        stencils.append(A)
+        return dia_stencil(A)
+
+    monkeypatch.setattr(assembly, "_dia_stencil", counted_stencil)
     u0 = sine_profile(mesh, 0.3)
     z = np.zeros(mesh.n_nodes)
     cfg = StepperConfig(dt=1e-3, t_end=0.1, record_every=10)
     traj = run(u0, z, np.zeros(1), ops, exp_kernel(), params, cfg)
-    stencil = traj.final.closure.stiffness  # K's diagonals, built once per run
-    stiffness = sum(A is stencil for A in csr_products)
-    records = [A for A in csr_products if A is not stencil]
+    stiffness = sum(A is ops.stiffness for A in products)
+    records = [A for A in products if A is not ops.stiffness]
     assert stiffness == 1 + 100  # the initial evaluation, then one per step
     assert traj.n_records == 11
-    assert sum(A is ops.mass for A in csr_products) == 0
+    assert sum(A is ops.mass for A in products) == 0
     assert len(records) == traj.n_records
     assert all(A is records[0] for A in records)  # one operator per run
     assert records[0].shape == (2 * mesh.n_nodes + 2, 2 * mesh.n_nodes + 2)
+    assert records[0].offsets.tolist() == ops.mass.offsets.tolist()
+    assert stencils == []
+    assemble(mesh)
+    assert len(stencils) == 2  # the spy sees assemble build K's and M's
     assert masses == [(traj.n_records,)]
 
 
