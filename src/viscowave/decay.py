@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ConstantRate, RelaxationKernel
+from .kernels import RelaxationKernel
 from .stepper import Trajectory
 
 
@@ -189,8 +189,6 @@ def default_weighted_t0(kernel: RelaxationKernel) -> float:
     its ends are adjacent floats; t0 is the upper end, the first float at
     which the mass reaches half.
     """
-    if isinstance(kernel.rate, ConstantRate):
-        return math.log(2.0) / kernel.rate.alpha
     target = 0.5 * kernel.tail_mass
     lo, hi = 0.0, 1.0
     while kernel.partial_mass(hi) < target:

@@ -11,20 +11,22 @@ For kappa > 0 the supremum is attained only in the vanishing-amplitude
 limit, where the quotient reduces to S_k / sqrt(l) with S_k the plain
 embedding constant sup ||u||_k / ||grad u||_2; for kappa = 0 the reduction
 is S_k / sqrt(l + b).  S_k is found by the power method on the discrete
-quotient (seeded multi-starts on the sphere ||grad u||_2 = 1): the
-numerator int |u|^k is convex, so each step u <- K^-1 g / ||K^-1 g||_K,
-with g its gradient, raises the quotient without a step size.  A start
+quotient, one ascent on the sphere ||grad u||_2 = 1 from K's ground mode:
+the numerator int |u|^k is convex, so each step u <- K^-1 g / ||K^-1 g||_K,
+with g its gradient, raises the quotient without a step size.  The ascent
 stops when its next step is shorter than 1e-7 in the K-norm, where the
-quotient is within about 1e-14 of its local maximum.  The trace constant
-is a quadratic quotient, so it is computed exactly: c_bar_star^2 is the
-largest eigenvalue of W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2), a
-|Gamma_1| x |Gamma_1| matrix (W the boundary weights).  The power steps'
+quotient is within about 1e-14 of its local maximum; no theorem makes
+that the global one, and the tests hold it against random multi-starts.
+The trace constant is a quadratic quotient, so it is computed exactly:
+c_bar_star^2 is the largest eigenvalue of
+W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2), a |Gamma_1| x |Gamma_1| matrix
+(W the boundary weights).  The power steps'
 K^-1 g and that block both come in closed form from the per-axis
 eigenpairs that ``assemble`` keeps (K on the free nodes is a Kronecker
 sum), so no factor of K is made and the ascent makes no product with K.
 The ascent works on the free grid alone: its iterates and gradients are
 vectors over the free nodes, the source gradient is the nodal rule with the
-free nodes' masses, and only the best iterate becomes a mesh field.
+free nodes' masses, and only the last iterate becomes a mesh field.
 The amplitude-limit reduction is verified against a direct finite-amplitude
 search; both norms are homogeneous, so the whole amplitude sweep of a
 candidate follows in closed form from its |grad u|^2 and ||u||_k^k.
@@ -76,38 +78,23 @@ def well_constants_from_B(B: float, k_exp: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class AscentDiagnostics:
-    start_values: tuple[float, ...]
-    iterations: tuple[int, ...]  # power steps per start
-    converged: tuple[bool, ...]
+    value: float
+    iterations: int  # power steps, the first one included
 
     @property
-    def value(self) -> float:
-        return max(self.start_values)
-
-    @property
-    def spread(self) -> float:
-        return max(self.start_values) - min(self.start_values)
-
-    @property
-    def relative_spread(self) -> float:
-        return self.spread / self.value
-
-    @property
-    def all_converged(self) -> bool:
-        return all(self.converged)
+    def converged(self) -> bool:
+        return self.iterations < _MAX_ASCENT_STEPS
 
 
-# A start stops once its next power step would move it by less than this in
-# the K-norm.  Near a maximum the quotient's error is O(step^2), about 1e-14;
-# a tolerance at the roundoff floor of the step (1e-8) would rarely stop a
-# start.
+# The ascent stops once its next power step would move it by less than this
+# in the K-norm.  Near a maximum the quotient's error is O(step^2), about
+# 1e-14; a tolerance at the roundoff floor of the step (1e-8) would rarely
+# stop it.
 _STATIONARY_TOL = 1e-7
-# Starts per ascent, and the power steps a start may take.
-_N_STARTS = 8
 _MAX_ASCENT_STEPS = 2000
 
 
-def _ascend(ops: DiscreteOperators, gradient, degree: float, seed: int, n_starts: int):
+def _ascend(ops: DiscreteOperators, gradient, degree: float):
     """Maximize the quotient N(u)^(1/degree) / |u|_K of a convex numerator N,
     homogeneous of ``degree``, by the power method on the sphere |u|_K = 1
     (|u|_K^2 = u^T K u).
@@ -124,48 +111,39 @@ def _ascend(ops: DiscreteOperators, gradient, degree: float, seed: int, n_starts
     Sepulchre, JMLR 11, 2010).  K^{-1} g comes from
     :func:`solve_free_stiffness` and |K^{-1} g|_K^2 = g . K^{-1} g, so a
     step costs one solve and one gradient, with no product with K and no
-    gather or scatter between the free grid and the mesh.  A start is the
-    power step from a random gradient, n_free normals from ``seed``, so it
-    lies on the sphere without a product either.
+    gather or scatter between the free grid and the mesh.  The first
+    gradient is K's ground mode, the outer product of the first y and x
+    axis eigenvectors, so the first step lands on the sphere without a
+    product either.
 
-    A start stops, converged, when its next step is shorter than
+    The ascent stops, converged, when its next step is shorter than
     ``_STATIONARY_TOL``: |u+ - u|_K^2 = 2 - 2 u . g / |K^{-1} g|_K, which
     the solve gives.  It stops unconverged after ``_MAX_ASCENT_STEPS``
-    steps.  ``iterations`` counts the steps, the first one included.
-    Returns the best iterate, scattered into a mesh field (zero on
-    Gamma_0), and per-start diagnostics.
+    steps.  Returns the last iterate, scattered into a mesh field (zero on
+    Gamma_0), and its diagnostics.
     """
-    free = ops.mesh.free_nodes
-    rng = np.random.default_rng(seed)
-    points, values, iters = [], [], []
-    for _ in range(n_starts):
-        u = np.zeros(len(free))
-        g = rng.standard_normal(len(free))
-        steps = 0
-        while steps < _MAX_ASCENT_STEPS:
-            x = solve_free_stiffness(ops, g)
-            norm = math.sqrt(g @ x)
-            if 2.0 - 2.0 * (u @ g) / norm < _STATIONARY_TOL**2:
-                break
-            u = x / norm
-            g = gradient(u)
-            steps += 1
-        points.append(u)
-        values.append(float(u @ g) ** (1.0 / degree))
-        iters.append(steps)
-
-    diag = AscentDiagnostics(start_values=tuple(values), iterations=tuple(iters),
-                             converged=tuple(n < _MAX_ASCENT_STEPS for n in iters))
-    best = np.zeros(ops.n_nodes)
-    best[free] = points[values.index(diag.value)]
-    return best, diag
+    y, x = ops.axes
+    u = np.zeros(len(ops.mesh.free_nodes))
+    g = np.outer(y.vectors[:, 0], x.vectors[:, 0]).ravel()
+    steps = 0
+    while steps < _MAX_ASCENT_STEPS:
+        w = solve_free_stiffness(ops, g)
+        norm = math.sqrt(g @ w)
+        if 2.0 - 2.0 * (u @ g) / norm < _STATIONARY_TOL**2:
+            break
+        u = w / norm
+        g = gradient(u)
+        steps += 1
+    field = np.zeros(ops.n_nodes)
+    field[ops.mesh.free_nodes] = u
+    return field, AscentDiagnostics(value=float(u @ g) ** (1.0 / degree), iterations=steps)
 
 
-def _embedding_ascent(ops: DiscreteOperators, k_exp: float, seed: int):
+def _embedding_ascent(ops: DiscreteOperators, k_exp: float):
     """The ascent of ||u||_k / ||grad u||_2, whose numerator lk(u) has
     gradient k times the nodal source rule on the free nodes."""
     mass_free = ops.mass_lumped[ops.mesh.free_nodes]
-    return _ascend(ops, lambda u: _nodal_source(mass_free, u, k_exp), k_exp, seed, _N_STARTS)
+    return _ascend(ops, lambda u: _nodal_source(mass_free, u, k_exp), k_exp)
 
 
 def _trace_constant(ops: DiscreteOperators) -> float:
@@ -184,7 +162,7 @@ def _trace_constant(ops: DiscreteOperators) -> float:
     return math.sqrt(np.linalg.eigvalsh(0.5 * (block + block.T))[-1])
 
 
-def estimate_embedding_constant(ops: DiscreteOperators, k_exp: float, seed: int) -> float:
+def estimate_embedding_constant(ops: DiscreteOperators, k_exp: float) -> float:
     """Discrete sup ||u||_k / ||grad u||_2, with ||u||_k^k by the nodal rule.
 
     The nodal rule bounds int |u_h|^k from above, and the value comes down
@@ -195,7 +173,7 @@ def estimate_embedding_constant(ops: DiscreteOperators, k_exp: float, seed: int)
     """
     if k_exp < 2:
         raise ValueError(f"k must be >= 2, got {k_exp}")
-    _, diag = _embedding_ascent(ops, k_exp, seed)
+    _, diag = _embedding_ascent(ops, k_exp)
     return diag.value
 
 
@@ -238,12 +216,12 @@ def estimate_B_Omega(
     """Well constant B via the amplitude-limit reduction, plus verification.
 
     ``s_k`` is the embedding constant found by the embedding ascent and
-    ``u_star`` the best iterate of that ascent; this function runs no ascent
+    ``u_star`` the last iterate of that ascent; this function runs no ascent
     of its own.  ``u_star`` is the first candidate of the verification, with
-    three random directions drawn from ``seed`` + 1.  Returns (value, info);
-    info["verified"] reports whether a direct finite-amplitude search stayed
-    below the limit value, and a failure raises since lambda1 and d1 would
-    be wrong.
+    three random directions drawn from ``seed`` + 1, the package's only
+    random input.  Returns (value, info); info["verified"] reports whether
+    a direct finite-amplitude search stayed below the limit value, and a
+    failure raises since lambda1 and d1 would be wrong.
     """
     if l_value <= 0:
         raise ValueError(f"needs l > 0, got {l_value}")
@@ -296,8 +274,12 @@ def compute_well_constants(
     kernel: RelaxationKernel,
     seed: int,
 ) -> WellConstants:
-    """Embedding/trace constants, B, lambda1 and d1 for one configuration."""
-    u_star, emb_diag = _embedding_ascent(ops, params.k_exp, seed)
+    """Embedding/trace constants, B, lambda1 and d1 for one configuration.
+
+    ``seed`` draws the B_Omega verification's random directions alone; the
+    constants do not depend on it.
+    """
+    u_star, emb_diag = _embedding_ascent(ops, params.k_exp)
     s_k = emb_diag.value
     c_bar_star = _trace_constant(ops)
     b_omega, info = estimate_B_Omega(ops, params, kernel.l_value, s_k=s_k,
@@ -314,15 +296,13 @@ def compute_well_constants(
         dimension=ops.mesh.dimension,
         resolution=ops.mesh.spec.resolution,
         diagnostics={
+            # "iterations" are lists because perfbench/run.py sums them over
+            # both entries; the trace constant is exact, with no ascent
             "embedding": {
-                "start_values": list(emb_diag.start_values),
-                "iterations": list(emb_diag.iterations),
-                "spread": emb_diag.spread,
-                "relative_spread": emb_diag.relative_spread,
-                "all_converged": emb_diag.all_converged,
+                "value": emb_diag.value,
+                "iterations": [emb_diag.iterations],
+                "converged": emb_diag.converged,
             },
-            # exact, no ascent; "iterations" stays because perfbench/run.py
-            # sums it over both entries
             "trace": {"method": "exact", "iterations": [0]},
             "b_omega_verification": info,
             "seed": seed,

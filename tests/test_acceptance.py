@@ -134,11 +134,11 @@ def test_criterion_3_well_constant_oracles():
     from viscowave import DomainSpec
 
     ops1 = assemble(build_mesh(DomainSpec(1, (1.0,), frozenset({"right"}), (64,))))
-    c2 = estimate_embedding_constant(ops1, 2.0, seed=2024)
+    c2 = estimate_embedding_constant(ops1, 2.0)
     tr = estimate_trace_constant(ops1)
-    c4 = estimate_embedding_constant(ops1, 4.0, seed=2024)
+    c4 = estimate_embedding_constant(ops1, 4.0)
     ops2 = assemble(build_mesh(DomainSpec(2, (1.0, 1.0), frozenset({"right"}), (32, 32))))
-    c2d = estimate_embedding_constant(ops2, 2.0, seed=2024)
+    c2d = estimate_embedding_constant(ops2, 2.0)
     runtime = time.time() - t0
 
     e1 = abs(c2 - 2 / math.pi) / (2 / math.pi)

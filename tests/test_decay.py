@@ -181,10 +181,12 @@ def test_half_horizon_figures_match_a_report_on_the_first_half():
 
 
 def test_default_t0_is_half_mass_time():
-    k = build_kernel(make_rate("constant", 2.0), 1.0, 3.0)
-    t0 = default_weighted_t0(k)
-    assert t0 == pytest.approx(math.log(2.0) / 2.0)
-    assert k.partial_mass(t0) == pytest.approx(0.5 * k.tail_mass, rel=1e-9)
+    # the constant family's bisection lands within one ulp of ln 2 / alpha
+    for alpha in (0.5, 1.0, 2.0, 3.7):
+        k = build_kernel(make_rate("constant", alpha), 1.0, 3.0)
+        t0 = default_weighted_t0(k)
+        assert abs(t0 - math.log(2.0) / alpha) <= math.ulp(t0)
+        assert k.partial_mass(t0) == pytest.approx(0.5 * k.tail_mass, rel=1e-9)
     kp = build_kernel(make_rate("power_law", 2.0), 1.0, 3.0)
     t0p = default_weighted_t0(kp)
     assert kp.partial_mass(t0p) == pytest.approx(0.5 * kp.tail_mass, rel=1e-9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from viscowave import build_kernel, make_rate, validate_hypotheses
+from viscowave import build_kernel, kernels, make_rate, validate_hypotheses
 from viscowave.cli import PRESETS, _strict
 from viscowave.kernels import BoundaryCoefficients, ConstantRate, OscillatoryRate, PowerLawRate
 
@@ -151,6 +151,14 @@ def test_expansion_meets_its_certificate(family, alpha, eps, horizon):
     assert np.max(np.abs((decays @ (-soe.rates * soe.coeffs)).real - gp) / -gp) <= (
         slack * soe.rel_error + 1e-15
     )
+
+
+def test_power_law_expansion_that_misses_its_tolerance_raises(monkeypatch):
+    # a tolerance below roundoff cannot be met: the step shrinks until the
+    # construction gives up and names both the target and what it reached
+    monkeypatch.setattr(kernels, "SOE_REL_TOL", 1e-17)
+    with pytest.raises(RuntimeError, match=r"power-law expansion missed 1e-17 \(reached "):
+        PowerLawRate(2.0).exp_sum(2.0)
 
 
 @pytest.mark.parametrize(

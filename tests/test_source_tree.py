@@ -70,3 +70,21 @@ def test_no_module_imports_scipy_optimize():
     # the one root the package finds, the half-mass time t0, is a bisection
     # on the increasing partial mass
     assert _importers("scipy.optimize") == []
+
+
+def test_the_only_random_draw_is_the_b_omega_verification():
+    # the well constants come from one deterministic ascent; the three
+    # verification directions of estimate_B_Omega are the package's one
+    # random input, so a seeded start cannot come back unnoticed
+    assert _importers("random") == [] and _importers("numpy.random") == []
+    package = Path(viscowave.__file__).parent
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "random"):
+                inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                sites.append((path.name, inside, node.attr))
+    assert sites == [("stableset.py", ["estimate_B_Omega"], "default_rng")]
