@@ -25,18 +25,18 @@ closed-form eigenpairs of each axis; they give K^{-1} b, the Gamma_1 block
 of K^{-1} and the CFL eigenvalue without factoring K.
 
 On such a grid K is a stencil: it couples a node to its neighbours along
-the axes (3 entries a row in 1D, 5 in 2D).  The element sum also stores its
-couplings across each cell's diagonal edge, which cancel exactly; they are
-dropped, so a product with K touches the stencil alone.  It is bitwise the
-product with the summed element matrices, as both add each row's terms in
-column order.  M keeps its diagonal-edge couplings (7 entries a row in 2D).
-So both are a few constant-offset diagonals, and ``assemble`` stores them in
-diagonal (DIA) storage (Saad, *Iterative Methods for Sparse Linear Systems*,
-2nd ed., 2003, sec. 3.4), read once off the summed CSR forms; every product
-with K or M is one ``dia_product``, with no index gather.  With the
-diagonals in ascending offset order a row's terms are still added in column
-order, so the product is bitwise the CSR one; the zeros the diagonals hold
-where a row has no coupling add nothing.
+the axes (3 entries a row in 1D, 5 in 2D).  Every cell is cut the same way
+(one segment in 1D; in 2D two right triangles, whose right angles make K's
+couplings across each cell's diagonal edge exactly zero), so both forms are
+a few constant-offset diagonals, K's of its stencil alone and M's 3 or 7.
+``assemble`` writes them straight into diagonal (DIA) storage (Saad,
+*Iterative Methods for Sparse Linear Systems*, 2nd ed., 2003, sec. 3.4):
+the element matrices of one cell are computed once, and each local pair of
+corners adds its entry to one slice of one diagonal, for every cell at once.
+Every product with K or M is one ``dia_product``, with no index gather; with
+the diagonals in ascending offset order a row's terms are added in column
+order, as a CSR product adds them, and the zeros the diagonals hold where a
+row has no coupling add nothing.
 
 Fields are plain numpy arrays with one value per mesh node; entries at
 Dirichlet nodes are pinned to zero.  The well-constant ascent alone works on
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec, dia_matvec
-from scipy.sparse.linalg import eigsh
 
 from .geometry import Mesh
 
@@ -165,11 +164,10 @@ class DiscreteOperators:
 def assemble(mesh: Mesh) -> DiscreteOperators:
     """Assemble stiffness, consistent and lumped mass, the per-axis
     eigenpairs of the stiffness and the CFL eigenvalue."""
-    K, M = _assemble_1d(mesh) if mesh.dimension == 1 else _assemble_2d(mesh)
-    K = K.tocsr()
-    M = M.tocsr()
-    lumped = np.asarray(M.sum(axis=1)).ravel()
-    K.eliminate_zeros()  # the diagonal-edge couplings, which cancel
+    corners, stiffness, mass = _cell_forms(mesh)
+    K = _cell_stencil(mesh, corners, stiffness)
+    M = _cell_stencil(mesh, corners, mass)
+    lumped = dia_product(M, np.ones(mesh.n_nodes))  # the row sums
     stride = mesh.spec.resolution[0] + 1  # node = iy * stride + ix
     x = _axis_modes(mesh.spec.extent[0], mesh.spec.resolution[0],
                     np.unique(mesh.free_nodes % stride))
@@ -179,8 +177,8 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
                         np.unique(mesh.free_nodes // stride))
     return DiscreteOperators(
         mesh=mesh,
-        stiffness=_dia_stencil(K),
-        mass=_dia_stencil(M),
+        stiffness=K,
+        mass=M,
         mass_lumped=lumped,
         lam_max_unit=1.05 * _lam_max(mesh, K, lumped, (y, x)),
         axes=(y, x),
@@ -188,17 +186,47 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
     )
 
 
-def _assemble_1d(mesh: Mesh):
-    m = mesh.spec.resolution[0]
-    h = mesh.spec.extent[0] / m
-    n = mesh.n_nodes
-    main_k = np.full(n, 2.0 / h)
-    main_k[0] = main_k[-1] = 1.0 / h
-    K = sp.diags([np.full(n - 1, -1.0 / h), main_k, np.full(n - 1, -1.0 / h)], [-1, 0, 1])
-    main_m = np.full(n, 4.0 * h / 6.0)
-    main_m[0] = main_m[-1] = 2.0 * h / 6.0
-    M = sp.diags([np.full(n - 1, h / 6.0), main_m, np.full(n - 1, h / 6.0)], [-1, 0, 1])
-    return K, M
+def _cell_forms(mesh: Mesh):
+    """The simplices of one cell, each as the (iy, ix) offsets of its
+    corners from the cell's lower-left node, and their element stiffness and
+    mass matrices, the same in every cell of the uniform mesh.
+
+    In 2D a cell is cut into (v00, v10, v11) and (v00, v11, v01) as in
+    :func:`viscowave.geometry.build_mesh`, right-angled at v10 and v01; with
+    cx = hy / (2 hx) and cy = hx / (2 hy) the stiffness couples two corners
+    along x by -cx, along y by -cy, and across the diagonal edge by 0.
+    """
+    if mesh.dimension == 1:
+        h = mesh.spec.extent[0] / mesh.spec.resolution[0]
+        return ([[(0, 0), (0, 1)]], [np.array([[1.0, -1.0], [-1.0, 1.0]]) / h],
+                [(np.ones((2, 2)) + np.eye(2)) * h / 6.0])
+    hx, hy = (e / r for e, r in zip(mesh.spec.extent, mesh.spec.resolution))
+    cx, cy = 0.5 * hy / hx, 0.5 * hx / hy
+    lower = np.array([[cx, -cx, 0.0], [-cx, cx + cy, -cy], [0.0, -cy, cy]])
+    upper = np.array([[cy, 0.0, -cy], [0.0, cx, -cx], [-cy, -cx, cx + cy]])
+    mass = 0.5 * hx * hy * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+    return [[(0, 0), (0, 1), (1, 1)], [(0, 0), (1, 1), (1, 0)]], [lower, upper], [mass, mass]
+
+
+def _cell_stencil(mesh: Mesh, corners, elements) -> sp.dia_matrix:
+    """The sum over all cells of the element matrices ``elements`` of the
+    cell's simplices ``corners`` (see :func:`_cell_forms`), in DIA storage
+    with its diagonals in ascending offset order.  A local pair (a, b) adds
+    its entry to A[i, i + k], k the node offset from a to b, for every cell
+    at once: entry (i, i + k) sits at column i + k, b's node, so that is one
+    slice of the k-th diagonal over the grid of the cells' b nodes.  Zero
+    entries are not added, and a diagonal that holds none is not stored."""
+    nx, ny = (*mesh.spec.resolution, 1)[:2]  # cells per axis; one row in 1D
+    pairs = [((b[0] - a[0]) * (nx + 1) + b[1] - a[1], b, value)
+             for simplex, element in zip(corners, elements)
+             for a, row in zip(simplex, element)
+             for b, value in zip(simplex, row) if value != 0.0]
+    offsets = sorted({k for k, _, _ in pairs})
+    data = np.zeros((len(offsets), mesh.n_nodes))
+    grid = data.reshape(len(offsets), -1, nx + 1)
+    for k, (by, bx), value in pairs:
+        grid[offsets.index(k), by:by + ny, bx:bx + nx] += value
+    return sp.dia_matrix((data, offsets), shape=(mesh.n_nodes, mesh.n_nodes))
 
 
 def _axis_modes(length: float, m: int, free: np.ndarray) -> AxisModes:
@@ -225,33 +253,7 @@ def _axis_modes(length: float, m: int, free: np.ndarray) -> AxisModes:
     return AxisModes(free=free, values=values, vectors=vectors)
 
 
-def _assemble_2d(mesh: Mesh):
-    n = mesh.n_nodes
-    elems = mesh.elements
-    pts = mesh.nodes
-    p0, p1, p2 = pts[elems[:, 0]], pts[elems[:, 1]], pts[elems[:, 2]]
-    d1 = p1 - p0
-    d2 = p2 - p0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    area = 0.5 * np.abs(det)
-    # gradients of the barycentric coordinates
-    g0 = np.column_stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]]) / det[:, None]
-    g1 = np.column_stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]]) / det[:, None]
-    g2 = np.column_stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]]) / det[:, None]
-    grads = np.stack([g0, g1, g2], axis=1)  # (ne, 3, 2)
-
-    ke = np.einsum("eid,ejd,e->eij", grads, grads, area)
-    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = area[:, None, None] * me_ref[None, :, :]
-
-    rows = np.repeat(elems, 3, axis=1).ravel()
-    cols = np.tile(elems, (1, 3)).ravel()
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n))
-    M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n))
-    return K, M
-
-
-def _lam_max(mesh: Mesh, K: sp.csr_matrix, lumped: np.ndarray, axes) -> float:
+def _lam_max(mesh: Mesh, K: sp.dia_matrix, lumped: np.ndarray, axes) -> float:
     """Largest eigenvalue of diag(M_lump)^{-1} K on the free nodes.
 
     On the free nodes K = D_y (x) K_x + K_y (x) D_x, and the lumped mass is
@@ -272,8 +274,10 @@ def _lam_max(mesh: Mesh, K: sp.csr_matrix, lumped: np.ndarray, axes) -> float:
         free_corner = np.isin([0, nx, (nx + 1) * ny, (nx + 1) * ny + nx], free).any()
     if not free_corner:
         return float(y.values[-1] + x.values[-1])
+    from scipy.sparse.linalg import eigsh  # this branch alone loads it
+
     scale = sp.diags(1.0 / np.sqrt(lumped[free]))
-    A = scale @ K[free][:, free] @ scale
+    A = scale @ K.tocsr()[free][:, free] @ scale
     v0 = np.sin(np.arange(1, len(free) + 1, dtype=float))
     return float(eigsh(A, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
 
@@ -323,22 +327,6 @@ def _csr_accumulate(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
     after about 2 us of Python dispatch per call, more than the arithmetic
     on the meshes the stepper runs every step."""
     csr_matvec(len(out), len(x), A.indptr, A.indices, A.data, x, out)
-
-
-def _dia_stencil(A: sp.csr_matrix) -> sp.dia_matrix:
-    """The square CSR matrix A in DIA storage, its stored diagonals in
-    ascending offset order, each read by ``A.diagonal``: per diagonal one
-    pass over the rows, where ``A.todia()`` sorts every entry."""
-    n = A.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    # the offsets held, ascending; a count of each is cheaper than a sort
-    offsets = np.flatnonzero(np.bincount(A.indices - rows + (n - 1))) - (n - 1)
-    data = np.zeros((len(offsets), n))
-    for row, k in zip(data, offsets.tolist()):
-        # entry (i, i + k) sits at column i + k
-        start = max(k, 0)
-        row[start:start + n - abs(k)] = A.diagonal(k)
-    return sp.dia_matrix((data, offsets), shape=A.shape)
 
 
 def dia_product(A: sp.dia_matrix, x: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.integrate import dblquad, quad
 
 from viscowave import (
@@ -20,6 +21,7 @@ from viscowave.assembly import l2_norm_sq
 from viscowave.energy import _RecordForm
 
 from conftest import exp_kernel, interval_mesh, rect_mesh, square_mesh, trapezoid_x4
+from element_oracle import element_sum_forms, exact_element_sum, ulps_from_exact
 
 
 def test_two_element_stiffness_stencil():
@@ -279,9 +281,10 @@ def test_free_stiffness_is_the_kronecker_sum_of_the_axis_forms(mesh_name):
         assert np.all(np.diff(modes.values) > 0)
 
 
-# the meshes above and the ones of the well-constant tests
+# the meshes above, the ones of the well-constant tests and two of the CFL tests
 STENCIL_MESHES = {**KRONECKER_MESHES, "1d-32": lambda: interval_mesh(32),
-                  "2d-8x8": lambda: square_mesh(8)}
+                  "2d-8x8": lambda: square_mesh(8), "2d-6x6-right": lambda: square_mesh(6),
+                  "2d-4x6-right-top": lambda: rect_mesh((4, 6), ("right", "top"))}
 
 
 def _offsets(matrix):
@@ -289,18 +292,33 @@ def _offsets(matrix):
     return np.unique(coo.col - coo.row).tolist()
 
 
+def _power_of_two_cells(mesh):
+    """Whether every cell size is a power of two, so that numpy.linspace
+    places the nodes exactly; an interval's forms read no coordinate."""
+    return mesh.dimension == 1 or all(
+        math.frexp(e / r)[0] == 0.5 for e, r in zip(mesh.spec.extent, mesh.spec.resolution))
+
+
+# Largest distances from the exact element sum over the non-dyadic meshes
+# above, in units of the last place of each entry: the stencils read
+# 1.26 (M on 5x7), the element sum of linspace coordinates 5.30 (M on 6x6).
+STENCIL_ULPS, ELEMENT_SUM_ULPS = 2.0, 6.0
+
+
 @pytest.mark.parametrize("mesh_name", sorted(STENCIL_MESHES))
 def test_operators_hold_the_stencil_alone_and_give_the_element_sum_products(mesh_name):
-    # K's couplings across the diagonal edges cancel in the element sum,
+    # K's couplings across the diagonal edges are zero in every element,
     # and without them K is the 5-point stencil.  K and M are stored by
     # their diagonals; dia_product's products with them are bitwise those
-    # of the summed element matrices in CSR, for a strided view too.  So
-    # are its products with a run's record operator, against its blocks
-    # summed in CSR.
+    # of the summed element matrices in CSR, for a strided view too, where
+    # every cell size is a power of two.  Elsewhere the element sum reads
+    # rounded coordinates: there both routes are held to the exact element
+    # sum entry by entry, and the products to the stencils' own CSR forms.
+    # The products with a run's record operator are bitwise those of its
+    # blocks summed in CSR.
     mesh = STENCIL_MESHES[mesh_name]()
     ops = assemble(mesh)
-    forms = assembly._assemble_1d if mesh.dimension == 1 else assembly._assemble_2d
-    k_sum, m_sum = (form.tocsr() for form in forms(mesh))
+    k_sum, m_sum = element_sum_forms(mesh)
     if mesh.dimension == 1:
         stencil = [-1, 0, 1]
         assert _offsets(ops.mass) == [-1, 0, 1]
@@ -308,11 +326,18 @@ def test_operators_hold_the_stencil_alone_and_give_the_element_sum_products(mesh
         row = mesh.spec.resolution[0] + 1
         stencil = [-row, -1, 0, 1, row]
         assert len(_offsets(ops.mass)) == 7
-        assert len(_offsets(k_sum)) == 7  # the two diagonals that cancel
+        assert len(_offsets(k_sum)) == 7  # the two diagonals of zero sums
     assert _offsets(ops.stiffness) == stencil
     # DIA stores padding zeros, so K's diagonals are those of the stencil alone
     assert ops.stiffness.offsets.tolist() == stencil
     assert ops.mass.offsets.tolist() == _offsets(ops.mass)
+    if not _power_of_two_cells(mesh):
+        k_exact, m_exact = exact_element_sum(mesh)
+        assert ulps_from_exact(ops.stiffness, k_exact) <= STENCIL_ULPS
+        assert ulps_from_exact(ops.mass, m_exact) <= STENCIL_ULPS
+        assert ulps_from_exact(k_sum, k_exact) <= ELEMENT_SUM_ULPS
+        assert ulps_from_exact(m_sum, m_exact) <= ELEMENT_SUM_ULPS
+        k_sum, m_sum = ops.stiffness.tocsr(), ops.mass.tocsr()
     params = PhysicalParams(a=1.0, b=1.0, kappa=1.0, k_exp=4.0, p_c=0.7, q_c=1.3)
     record = _RecordForm(exp_kernel(), params, ops, 1e-3, 1, 1).operator
     w1 = mesh.gamma1_weights
@@ -323,11 +348,30 @@ def test_operators_hold_the_stencil_alone_and_give_the_element_sum_products(mesh
     rng = np.random.default_rng(5)
     for _ in range(20):
         for csr, dia in pairs:
+            assert csr.has_sorted_indices  # a row's terms in column order
             n = csr.shape[0]
             x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
             product = (csr @ x).view(np.int64)
             for operand in (x, np.repeat(x, 2)[::2]):
                 assert np.array_equal(product, assembly.dia_product(dia, operand).view(np.int64))
+
+
+@pytest.mark.parametrize("mesh_name", sorted(name for name in STENCIL_MESHES
+                                             if name.startswith("2d")))
+def test_lumped_mass_in_closed_form(mesh_name):
+    # m_i = int phi_i is a third of the area of the triangles around node
+    # i: hx hy inside, half that on an edge, and at the corners a third or a
+    # sixth, as the corner lies in two triangles (bottom left, top right)
+    # or one; to 2 eps relative (0.75 eps measured on 4x6)
+    mesh = STENCIL_MESHES[mesh_name]()
+    nx, ny = mesh.spec.resolution
+    cell = math.prod(e / r for e, r in zip(mesh.spec.extent, mesh.spec.resolution))
+    iy, ix = np.divmod(np.arange(mesh.n_nodes), nx + 1)
+    expected = np.where((ix % nx == 0) | (iy % ny == 0), cell / 2.0, cell)
+    expected[[0, mesh.n_nodes - 1]] = cell / 3.0
+    expected[[nx, ny * (nx + 1)]] = cell / 6.0
+    np.testing.assert_allclose(assemble(mesh).mass_lumped, expected,
+                               rtol=2 * np.finfo(float).eps, atol=0.0)
 
 
 def _dense_lam_max(ops):
@@ -358,13 +402,13 @@ def test_cfl_eigenvalue_refuses_the_tensor_sum_at_free_corners(monkeypatch):
     # the free corners' lumped mass is not D_y (x) D_x, and the sum of the
     # axes' largest eigenvalues falls below the true largest one
     calls = []
-    eigsh = assembly.eigsh
+    eigsh = scipy.sparse.linalg.eigsh
 
     def spy(*args, **kwargs):
         calls.append(args)
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(assembly, "eigsh", spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
     ops = assemble(rect_mesh((5, 7), ("left", "bottom", "top")))
     y, x = ops.axes
     tensor_sum = y.values[-1] + x.values[-1]

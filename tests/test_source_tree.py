@@ -1,6 +1,9 @@
 """Checks on the source of the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import viscowave
@@ -58,6 +61,24 @@ def test_only_assembly_imports_the_private_sparse_kernels():
     # _csr_accumulate in assembly.py are its wrappers, so a scipy that moves
     # it breaks one module
     assert _importers("scipy.sparse._sparsetools") == ["assembly.py"]
+
+
+def test_only_a_free_corner_loads_the_sparse_eigensolver():
+    # scipy.sparse.linalg holds the Lanczos solver of the CFL eigenvalue at
+    # a free corner, and nothing else the package calls: a process that
+    # assembles a mesh whose corners are all pinned never loads it
+    assert _importers("scipy.sparse.linalg") == ["assembly.py"]
+    script = ("import sys\n"
+              "import viscowave.cli\n"
+              "from viscowave import DomainSpec, assemble, build_mesh\n"
+              "assemble(build_mesh(DomainSpec(dimension=2, extent=(1.0, 1.0),\n"
+              "                               gamma1_faces={'right'}, resolution=(8, 8))))\n"
+              "print('scipy.sparse.linalg' in sys.modules)\n")
+    src = str(Path(viscowave.__file__).parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    loaded = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert loaded.strip() == "False"
 
 
 def test_no_module_imports_scipy_integrate():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from viscowave import (
     StepperConfig,
@@ -316,7 +317,7 @@ def test_one_axis_decomposition_per_assemble_and_none_in_well_constants(monkeypa
     # K is never factored: assemble diagonalises each axis once, and the
     # ascent and the trace constant both draw on those eigenpairs
     decompositions, lanczos, used = [], [], []
-    axis_modes, eigsh = assembly._axis_modes, assembly.eigsh
+    axis_modes, eigsh = assembly._axis_modes, scipy.sparse.linalg.eigsh
     ascend, trace = stableset._ascend, stableset._trace_constant
 
     def spy_axis_modes(length, m, free):
@@ -336,7 +337,7 @@ def test_one_axis_decomposition_per_assemble_and_none_in_well_constants(monkeypa
         return trace(ops)
 
     monkeypatch.setattr(assembly, "_axis_modes", spy_axis_modes)
-    monkeypatch.setattr(assembly, "eigsh", spy_eigsh)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
     monkeypatch.setattr(stableset, "_ascend", spy_ascend)
     monkeypatch.setattr(stableset, "_trace_constant", spy_trace)
     mesh = rect_mesh((8, 6), ("right",))

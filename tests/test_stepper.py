@@ -582,7 +582,8 @@ def test_one_stiffness_product_per_step_and_one_record_product_per_record(produc
     # force, the history and the energy report; a record adds one product
     # with the run's record operator, built on M's offsets, and no mass
     # product, and reads int_0^t g off a table that one partial_mass call
-    # fills for the whole run.  A run builds no stencil: assemble did.
+    # fills for the whole run.  A run builds no stencil: assemble built K's
+    # and M's, and took the lumped mass as one product with M.
     masses = []
     partial_mass = RelaxationKernel.partial_mass
 
@@ -591,17 +592,20 @@ def test_one_stiffness_product_per_step_and_one_record_product_per_record(produc
         return partial_mass(self, t0)
 
     monkeypatch.setattr(RelaxationKernel, "partial_mass", counted)
+    stencils = []
+    cell_stencil = assembly._cell_stencil
+
+    def counted_stencil(mesh, corners, elements):
+        stencils.append(mesh)
+        return cell_stencil(mesh, corners, elements)
+
+    monkeypatch.setattr(assembly, "_cell_stencil", counted_stencil)
     mesh = interval_mesh(16)
     params = default_params()
     ops = assemble(mesh)
-    stencils = []
-    dia_stencil = assembly._dia_stencil
-
-    def counted_stencil(A):
-        stencils.append(A)
-        return dia_stencil(A)
-
-    monkeypatch.setattr(assembly, "_dia_stencil", counted_stencil)
+    assert len(stencils) == 2  # the spy sees assemble build K's and M's
+    assert len(products) == 1 and products[0] is ops.mass  # the lumped mass
+    del stencils[:], products[:]
     u0 = sine_profile(mesh, 0.3)
     z = np.zeros(mesh.n_nodes)
     cfg = StepperConfig(dt=1e-3, t_end=0.1, record_every=10)
@@ -616,8 +620,6 @@ def test_one_stiffness_product_per_step_and_one_record_product_per_record(produc
     assert records[0].shape == (2 * mesh.n_nodes + 2, 2 * mesh.n_nodes + 2)
     assert records[0].offsets.tolist() == ops.mass.offsets.tolist()
     assert stencils == []
-    assemble(mesh)
-    assert len(stencils) == 2  # the spy sees assemble build K's and M's
     assert masses == [(traj.n_records,)]
 
 
