@@ -18,7 +18,7 @@ hand-checkable provenance.
   stable_set.json         initial membership check (optional)
   decay_report.json       envelope fit + weighted-integral profile (optional)
   run_metadata.json       versions, tolerances, seed, memory diagnostics,
-                          phase timings
+                          phase timings and the split of set-up
   logE_vs_phi.dat, rho_vs_S.dat   (plot data; rho(S) is the profile the
                           decay report's rho_max is read from)
   abort.json              marker, only when the run aborted
@@ -482,26 +482,30 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     for name in OPTIONAL_ARTIFACTS:
         (out / name).unlink(missing_ok=True)
     marks = [perf_counter()]  # the start and the end of each of PHASES
+    setup = [marks[0]]  # the end of each of SETUP_STEPS that runs, after the start
 
     mesh = build_mesh(config.domain)
     params = config.physics
-    kernel = config.build_kernel()
     ops = assemble(mesh)
+    u0, u1, y0 = initial_data(config, mesh)
     result = ScenarioResult(config=config, out_dir=out)
+    setup.append(perf_counter())
 
+    kernel = config.build_kernel()
     hyp = _hypothesis_report(config, kernel)
     result.hypothesis_report = hyp
     _write_json(out / "hypothesis_report.json", hyp)
-
-    u0, u1, y0 = initial_data(config, mesh)
+    setup.append(perf_counter())
 
     if config.analysis.constants:
         constants = compute_well_constants(ops, params, kernel, seed=config.seed)
         result.constants = constants
         _write_json(out / "well_constants.json", constants)
+        setup.append(perf_counter())
         stable = check_initial_membership(u0, u1, y0, constants, ops, params, kernel)
         result.stable_report = stable
         _write_json(out / "stable_set.json", stable)
+        setup.append(perf_counter())
     marks.append(perf_counter())
 
     aborted = None
@@ -553,7 +557,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
             )
     marks.append(perf_counter())
 
-    meta = _metadata(config, ops, traj, marks)
+    meta = _metadata(config, ops, traj, marks, setup)
     if aborted is not None:
         meta["abort"] = aborted
     if boundary_residual is not None:
@@ -566,6 +570,11 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
 # reports written before stepping, and artifacts everything written after
 # it but run_metadata.json itself.
 PHASES = ("setup", "stepping", "analysis", "artifacts")
+# The steps of set-up, each with the JSON it writes: the mesh, the operators
+# and the initial data; the kernel and its hypothesis report; then, when
+# the well constants are asked for, the constants and the membership check.
+# The numbers keep the run order in the key-sorted JSON.
+SETUP_STEPS = ("1_mesh_and_assembly", "2_hypotheses", "3_well_constants", "4_membership")
 
 
 def _decay_times(config: RunConfig, kernel: RelaxationKernel) -> tuple[float, float]:
@@ -584,9 +593,11 @@ def _hypothesis_report(config: RunConfig, kernel: RelaxationKernel) -> Hypothesi
     return validate_hypotheses(kernel, coeffs, horizon)
 
 
-def _metadata(config: RunConfig, ops, traj: Trajectory, marks: list[float]) -> dict:
+def _metadata(config: RunConfig, ops, traj: Trajectory, marks: list[float],
+              setup: list[float]) -> dict:
     """``marks`` holds the perf_counter readings at the start and at the end
-    of each of PHASES; the run time counts up to this call."""
+    of each of PHASES, ``setup`` those at the start of set-up and at the end
+    of each of SETUP_STEPS that ran; the run time counts up to this call."""
     return {
         "viscowave_version": __version__,
         "numpy_version": np.__version__,
@@ -596,6 +607,8 @@ def _metadata(config: RunConfig, ops, traj: Trajectory, marks: list[float]) -> d
         "n_records": traj.n_records,
         "memory": traj.memory,
         "timings": {name: end - begin for name, begin, end in zip(PHASES, marks, marks[1:])},
+        "setup_timings": {name: end - begin
+                          for name, begin, end in zip(SETUP_STEPS, setup, setup[1:])},
         "runtime_seconds": round(perf_counter() - marks[0], 3),
     }
 
@@ -791,9 +804,20 @@ def _sweep_worker(payload):
     return out_dir, result.aborted is None
 
 
+# a sweep value's text, made a directory name: brackets, braces and quotes
+# go, and what separates its parts becomes whitespace, then underscores
+_DIR_NAME_SEPARATORS = str.maketrans({**dict.fromkeys('[]{}"'), ",": " ", ":": " "})
+
+
 def _sweep_jobs(config: RunConfig, param: str, root: Path) -> list[tuple[RunConfig, str]]:
     """One validated (config, out_dir) per value of ``section.key=v1,v2,...``;
-    every problem is raised in one :class:`ConfigError` before any run starts."""
+    every problem is raised in one :class:`ConfigError` before any run starts.
+
+    The values are one JSON array without its brackets, so a value may be a
+    list (``domain.resolution=[8,8],[16,16]``).  A directory is named after
+    its value's own text, with brackets, braces and quotes dropped and
+    commas, colons and spaces made underscores: ``0.05`` stays ``0.05`` and
+    ``[8,8]`` becomes ``8_8``."""
     path, eq, values = param.partition("=")
     section, dot, key = path.partition(".")
     base = config.to_dict()
@@ -801,15 +825,25 @@ def _sweep_jobs(config: RunConfig, param: str, root: Path) -> list[tuple[RunConf
         raise ConfigError([f"--param must read section.key=v1,v2,..., got {param!r}"])
     if not isinstance(base.get(section), dict):
         raise ConfigError([f"--param {path}: {section!r} is not a config section"])
+    try:
+        parsed = json.loads("[" + values + "]")
+    except json.JSONDecodeError:
+        parsed = []
+    if not parsed:
+        raise ConfigError([f"--param {path}: value {values!r} is not JSON"])
     jobs, errors = [], []
-    for idx, val_text in enumerate(values.split(",")):
+    decoder, pos = json.JSONDecoder(), 0  # pos: where the next value's text starts
+    for idx, val in enumerate(parsed):
+        while values[pos] in " \t\n\r,":
+            pos += 1
+        start, pos = pos, decoder.raw_decode(values, pos)[1]
+        val_text = values[start:pos]
+        name = "_".join(val_text.translate(_DIR_NAME_SEPARATORS).split())
         cfg = copy.deepcopy(base)
+        cfg[section][key] = val
         try:
-            cfg[section][key] = json.loads(val_text)
             jobs.append((parse_config(json.dumps(cfg)),
-                         str(root / f"sweep_{idx:02d}_{key}_{val_text}")))
-        except json.JSONDecodeError:
-            errors.append(f"--param {path}: value {val_text!r} is not JSON")
+                         str(root / f"sweep_{idx:02d}_{key}_{name}")))
         except ConfigError as exc:
             errors += [f"--param {path}={val_text}: {e}" for e in exc.errors]
     if errors:

@@ -23,7 +23,9 @@ W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2), a |Gamma_1| x |Gamma_1| matrix
 (W the boundary weights).  The power steps'
 K^-1 g and that block both come in closed form from the per-axis
 eigenpairs that ``assemble`` keeps (K on the free nodes is a Kronecker
-sum), so no factor of K is made and the ascent makes no product with K.
+sum), so no factor of K is made and the ascent makes no product with K;
+the block takes one small product per pair of acoustic faces, and comes
+exactly symmetric.
 The ascent works on the free grid alone: its iterates and gradients are
 vectors over the free nodes, the source gradient is the nodal rule with the
 free nodes' masses, and only the last iterate becomes a mesh field.
@@ -151,7 +153,8 @@ def _trace_constant(ops: DiscreteOperators) -> float:
     Gamma_1.
 
     The square of the sup of w . u_g^2 / u^T K u is the largest eigenvalue of
-    W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2).
+    W^(1/2) (K^-1)_{Gamma_1,Gamma_1} W^(1/2); the block is exactly
+    symmetric, and so is its scaling.
     """
     g1 = ops.mesh.gamma1_nodes
     if len(g1) == 0:
@@ -159,7 +162,7 @@ def _trace_constant(ops: DiscreteOperators) -> float:
     block = free_stiffness_inverse_block(ops, g1)
     sw = np.sqrt(ops.mesh.gamma1_weights)
     block *= np.outer(sw, sw)
-    return math.sqrt(np.linalg.eigvalsh(0.5 * (block + block.T))[-1])
+    return math.sqrt(np.linalg.eigvalsh(block)[-1])
 
 
 def estimate_embedding_constant(ops: DiscreteOperators, k_exp: float) -> float:

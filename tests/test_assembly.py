@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -388,6 +389,29 @@ CFL_MESHES = {
     "2d-4x6-right-top-free-corner": lambda: rect_mesh((4, 6), ("right", "top")),
     "2d-5x7-left-bottom-top-free-corners": lambda: rect_mesh((5, 7), ("left", "bottom", "top")),
 }
+
+
+# every mesh of this file, and a 3 x 4 rectangle under each choice of
+# Dirichlet faces (at least one) in 1D and 2D
+AXIS_MESHES = {**STENCIL_MESHES, **CFL_MESHES,
+               **{"1d-5-" + "-".join(faces): functools.partial(interval_mesh, 5, gamma1=faces)
+                  for faces in [(), ("left",), ("right",)]},
+               **{"2d-3x4-" + "-".join(faces): functools.partial(rect_mesh, (3, 4), faces)
+                  for k in range(4) for faces in itertools.combinations(
+                      ("left", "right", "bottom", "top"), k)}}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(AXIS_MESHES))
+def test_axis_indices_are_the_distinct_indices_of_the_free_nodes(mesh_name):
+    # assemble reads each axis's free indices off the Dirichlet faces; they
+    # are bitwise the distinct ix and iy of the free nodes
+    mesh = AXIS_MESHES[mesh_name]()
+    y, x = assemble(mesh).axes
+    stride = mesh.spec.resolution[0] + 1
+    for modes, indices in ((x, mesh.free_nodes % stride), (y, mesh.free_nodes // stride)):
+        distinct = np.unique(indices)
+        assert modes.free.dtype == distinct.dtype
+        assert modes.free.tobytes() == distinct.tobytes()
 
 
 @pytest.mark.parametrize("mesh_name", sorted(CFL_MESHES))

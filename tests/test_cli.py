@@ -3,6 +3,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,8 +274,8 @@ def test_zero_data_scenario_artifacts(tmp_path):
         fields = [float(v) for v in line.split(",")[1:12]]
         assert all(v == 0.0 for v in fields)
     assert (tmp_path / "zero" / "hypothesis_report.json").exists()
-    assert (tmp_path / "zero" / "run_metadata.json").exists()
     assert not (tmp_path / "zero" / "abort.json").exists()
+    _check_timings(json.loads((tmp_path / "zero" / "run_metadata.json").read_text()))
 
 
 def test_scenario_rerun_is_byte_identical(tmp_path):
@@ -299,11 +300,41 @@ def test_csv_times_and_residuals_by_record(tmp_path):
 
 def _check_timings(meta):
     """The phase timings of run_metadata.json: every phase, none negative,
-    and together within the run time (rounded to 1 ms)."""
+    and together within the run time (rounded to 1 ms); and the split of
+    set-up: its steps in the order they run, the last two only with the
+    well constants on, none negative, and together within set-up."""
     timings = meta["timings"]
     assert set(timings) == {"setup", "stepping", "analysis", "artifacts"}
     assert all(v >= 0.0 for v in timings.values())
     assert sum(timings.values()) <= meta["runtime_seconds"] + 1e-3
+    steps = meta["setup_timings"]
+    expected = ["1_mesh_and_assembly", "2_hypotheses", "3_well_constants", "4_membership"]
+    assert list(steps) == expected[:4 if meta["config"]["analysis"]["constants"] else 2]
+    assert all(v >= 0.0 for v in steps.values())
+    assert sum(steps.values()) <= timings["setup"]
+
+
+def test_setup_timings_give_each_step_its_own_time(tmp_path, monkeypatch):
+    # a clock that moves only inside the set-up steps, by a different power
+    # of ten in each, so that each entry must read its own step alone
+    clock = [0.0]
+    monkeypatch.setattr(cli, "perf_counter", lambda: clock[0])
+
+    def advancing(fn, seconds):
+        def wrapped(*args, **kwargs):
+            clock[0] += seconds
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name, seconds in (("assemble", 1.0), ("_hypothesis_report", 10.0),
+                          ("compute_well_constants", 100.0),
+                          ("check_initial_membership", 1000.0)):
+        monkeypatch.setattr(cli, name, advancing(getattr(cli, name), seconds))
+    run_scenario(parse_config(_tiny_config(analysis={"constants": True})), tmp_path / "run")
+    meta = json.loads((tmp_path / "run" / "run_metadata.json").read_text())
+    assert meta["setup_timings"] == {"1_mesh_and_assembly": 1.0, "2_hypotheses": 10.0,
+                                     "3_well_constants": 100.0, "4_membership": 1000.0}
+    assert meta["timings"]["setup"] == 1111.0
 
 
 def test_full_scenario_writes_reports(tmp_path):
@@ -504,12 +535,45 @@ def test_sweep_creates_isolated_directories(tmp_path, capsys):
     assert out.count("ok") == 3
 
 
+def test_sweep_takes_list_values_as_json(tmp_path, capsys):
+    # the values are one JSON array, so a 2D resolution sweep runs one job
+    # per [nx, ny] in a directory whose name has no bracket or comma
+    config = tmp_path / "square.json"
+    config.write_text(_tiny_config(
+        domain={"dimension": 2, "extent": [1.0, 1.0], "gamma1_faces": ["right"],
+                "resolution": [8, 8]},
+        stepping={"dt": 2e-3, "t_end": 0.02, "record_every": 5}))
+    rc = main(["sweep", "--config", str(config), "--param",
+               "domain.resolution=[8,8], [16, 16]", "--out", str(tmp_path / "sweep")])
+    assert rc == 0
+    dirs = sorted(p.name for p in (tmp_path / "sweep").iterdir())
+    assert dirs == ["sweep_00_resolution_8_8", "sweep_01_resolution_16_16"]
+    for name, resolution in zip(dirs, ([8, 8], [16, 16])):
+        meta = json.loads((tmp_path / "sweep" / name / "run_metadata.json").read_text())
+        assert meta["config"]["domain"]["resolution"] == resolution
+    assert capsys.readouterr().out.count("ok") == 2
+
+
+def test_sweep_names_scalar_values_by_their_text(tmp_path):
+    jobs = cli._sweep_jobs(PRESETS["exp-inwell"].parse(),
+                           'initial.amplitude=0.05,1e-3, 0.2', tmp_path)
+    assert [Path(out).name for _, out in jobs] == [
+        "sweep_00_amplitude_0.05", "sweep_01_amplitude_1e-3", "sweep_02_amplitude_0.2"]
+    assert [cfg.initial.amplitude for cfg, _ in jobs] == [0.05, 1e-3, 0.2]
+    jobs = cli._sweep_jobs(PRESETS["exp-inwell"].parse(), 'initial.profile="sine","zero"',
+                           tmp_path)
+    assert [Path(out).name for _, out in jobs] == ["sweep_00_profile_sine",
+                                                   "sweep_01_profile_zero"]
+
+
 @pytest.mark.parametrize("param, workers, expect", [
     ("stepping.dt=-1,0.0005", "2", "stepping.dt must be positive"),
     ("nosuch.key=1", "1", "'nosuch' is not a config section"),
     ("stepping.dt", "1", "section.key=v1,v2"),
     ("stepping.nosuch=1", "1", "stepping.nosuch: unknown key"),
     ("stepping.dt=abc", "1", "is not JSON"),
+    ("stepping.dt=", "1", "is not JSON"),
+    ("domain.resolution=[8,8],[16", "1", "is not JSON"),
     ("initial.amplitude=0.05,0.1", "0", "--workers must be at least 1"),
 ])
 def test_sweep_rejects_bad_params_before_any_run(tmp_path, capsys, param, workers, expect):

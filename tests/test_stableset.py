@@ -24,6 +24,7 @@ from viscowave import assembly, stableset
 from viscowave.assembly import free_stiffness_inverse_block, solve_free_stiffness
 
 from ascent_oracle import best_of_random_starts, full_node_ascent, ground_gradient
+from inverse_block_oracle import mode_loop_block, mode_loop_trace_constant
 from conftest import (
     default_params,
     exp_kernel,
@@ -364,6 +365,7 @@ SOLVE_MESHES = {
     "2d-64x64": lambda: square_mesh(64),
     "2d-48x32-right-top": lambda: rect_mesh((48, 32), ("right", "top")),
     "2d-5x7-left-bottom-top": lambda: rect_mesh((5, 7), ("left", "bottom", "top")),
+    "2d-5x2-left-right": lambda: rect_mesh((5, 2), ("left", "right"), extent=(1.0, 0.3)),
 }
 
 
@@ -396,19 +398,107 @@ def test_free_stiffness_solve_is_normwise_backward_stable(mesh_name):
         assert residual <= 64 * eps * (k_norm * np.abs(x).max() + np.abs(b).max())
 
 
-@pytest.mark.parametrize("mesh_name", sorted(set(SOLVE_MESHES) - {"1d-9-pinned-ends"}))
-def test_inverse_block_matches_the_dense_inverse(mesh_name):
-    mesh = SOLVE_MESHES[mesh_name]()
-    ops = assemble(mesh)
-    free = mesh.free_nodes
-    k_inv = np.linalg.inv(ops.stiffness.tocsr()[np.ix_(free, free)].toarray())
-    pos = np.searchsorted(free, mesh.gamma1_nodes)
-    block = free_stiffness_inverse_block(ops, mesh.gamma1_nodes)
+TRACE_MESHES = {**MESHES, "2d-16x16-steklov": lambda: square_mesh(16)}
+# every test mesh with an acoustic boundary
+BLOCK_MESHES = {name: make for name, make in {**SOLVE_MESHES, **TRACE_MESHES}.items()
+                if name != "1d-9-pinned-ends"}
+
+
+def _dense_free_inverse(ops):
+    free = ops.mesh.free_nodes
+    return np.linalg.inv(ops.stiffness.tocsr()[np.ix_(free, free)].toarray())
+
+
+def _assert_block_of_inverse(block, k_inv, pos):
+    """``block`` is the (pos, pos) block of ``k_inv`` to 1e-12 of the
+    largest entry of ``k_inv``."""
     np.testing.assert_allclose(block, k_inv[np.ix_(pos, pos)], rtol=0.0,
                                atol=1e-12 * np.abs(k_inv).max())
 
 
-TRACE_MESHES = {**MESHES, "2d-16x16-steklov": lambda: square_mesh(16)}
+def _ulps(value, reference):
+    """|value - reference| in units of the spacing of floats at ``reference``."""
+    return abs(value - reference) / np.spacing(reference)
+
+
+def _assert_matches_the_mode_loop(block, ops, nodes):
+    """``block`` equals the mode loop's to 1e-13 of the latter's largest entry."""
+    reference = mode_loop_block(ops, nodes)
+    np.testing.assert_allclose(block, reference, rtol=0.0, atol=1e-13 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("mesh_name", sorted(BLOCK_MESHES))
+def test_inverse_block_matches_the_dense_inverse(mesh_name):
+    # the face-by-face block against the dense inverse and against the sum
+    # over the y modes (1.2e-15 of the largest entry at most, measured)
+    mesh = BLOCK_MESHES[mesh_name]()
+    ops = assemble(mesh)
+    k_inv = _dense_free_inverse(ops)
+    pos = np.searchsorted(mesh.free_nodes, mesh.gamma1_nodes)
+    block = free_stiffness_inverse_block(ops, mesh.gamma1_nodes)
+    _assert_block_of_inverse(block, k_inv, pos)
+    _assert_matches_the_mode_loop(block, ops, mesh.gamma1_nodes)
+    assert np.array_equal(block, block.T)
+
+
+def test_inverse_block_matches_the_mode_loop_on_a_fine_square():
+    # 127 right-face nodes on a 127 x 127 free grid, where the dense
+    # inverse is out of reach
+    ops = assemble(square_mesh(128))
+    g1 = ops.mesh.gamma1_nodes
+    block = free_stiffness_inverse_block(ops, g1)
+    _assert_matches_the_mode_loop(block, ops, g1)
+    assert np.array_equal(block, block.T)
+    assert _ulps(stableset._trace_constant(ops), mode_loop_trace_constant(ops)) <= 4
+
+
+SUBSET_MESHES = {
+    "2d-8x8": lambda: square_mesh(8),
+    "2d-16x16": lambda: square_mesh(16),
+    "2d-48x32-right-top": lambda: rect_mesh((48, 32), ("right", "top")),
+    "2d-5x7-left-bottom-top": lambda: rect_mesh((5, 7), ("left", "bottom", "top")),
+    "2d-6x5-left-right": lambda: rect_mesh((6, 5), ("left", "right"), extent=(0.7, 1.1)),
+}
+
+
+def _mixed_subset(mesh, seed):
+    """Free nodes in a seeded random order: every free corner, a few nodes
+    of each face and a few interior ones."""
+    nx, ny = mesh.spec.resolution
+    iy, ix = np.divmod(mesh.free_nodes, nx + 1)
+    corner = (ix % nx == 0) & (iy % ny == 0)
+    face = ((ix % nx == 0) | (iy % ny == 0)) & ~corner
+    rng = np.random.default_rng(seed)
+    picks = [mesh.free_nodes[corner],
+             rng.choice(mesh.free_nodes[face], size=min(9, face.sum()), replace=False),
+             rng.choice(mesh.free_nodes[~face & ~corner], size=7, replace=False)]
+    return rng.permutation(np.concatenate(picks))
+
+
+@pytest.mark.parametrize("mesh_name", sorted(SUBSET_MESHES))
+def test_inverse_block_on_all_free_nodes_and_on_a_mixed_subset(mesh_name):
+    mesh = SUBSET_MESHES[mesh_name]()
+    ops = assemble(mesh)
+    k_inv = _dense_free_inverse(ops)
+    block = free_stiffness_inverse_block(ops, mesh.free_nodes)
+    _assert_block_of_inverse(block, k_inv, np.arange(len(mesh.free_nodes)))
+    assert np.array_equal(block, block.T)
+    for seed in range(3):
+        nodes = _mixed_subset(mesh, seed)
+        pos = np.searchsorted(mesh.free_nodes, nodes)
+        block = free_stiffness_inverse_block(ops, nodes)
+        _assert_block_of_inverse(block, k_inv, pos)
+        _assert_matches_the_mode_loop(block, ops, nodes)
+        assert np.array_equal(block, block.T)
+    assert free_stiffness_inverse_block(ops, mesh.free_nodes[:0]).shape == (0, 0)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(BLOCK_MESHES))
+def test_trace_constant_within_four_ulps_of_the_mode_loop(mesh_name):
+    # the mode loop's block was symmetrised before eigvalsh; the grouped
+    # block is symmetric as it comes (1 ulp apart at most, measured)
+    ops = assemble(BLOCK_MESHES[mesh_name]())
+    assert _ulps(stableset._trace_constant(ops), mode_loop_trace_constant(ops)) <= 4
 
 
 def _recorded_ascent(ops, which):
