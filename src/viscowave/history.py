@@ -50,11 +50,11 @@ class HistoryBuffer:
 
     Push i records the state at t_i = i dt, and every read is at the newest
     push: the buffer holds a reference to that state's u until the next
-    push, so the caller must not write to it in between (the stepper never
-    writes to the array of a state it has returned).  The buffer keeps the
-    kernel's sum of exponentials (``expansion``), not the kernel; the
-    expansion is certified on [0, n_steps dt], and a push past the
-    (n_steps + 1)-th is refused.
+    push, so the caller must not write to it in between (a step never
+    writes the array of the state it was given, and pushes the other).
+    The buffer keeps the kernel's sum of exponentials (``expansion``), not
+    the kernel; the expansion is certified on [0, n_steps dt], and a push
+    past the (n_steps + 1)-th is refused.
     """
 
     def __init__(self, kernel: RelaxationKernel, n_dofs: int, dt: float, n_steps: int):

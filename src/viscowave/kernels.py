@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, gammaln
 
 # Pointwise relative error every sum-of-exponentials expansion must meet.
 SOE_REL_TOL = 1e-10
@@ -206,6 +205,8 @@ class PowerLawRate(RateFunction):
         if horizon is None:
             raise ValueError("a power-law kernel needs a finite horizon for its "
                              "sum of exponentials")
+        from scipy.special import gammainccinv, gammaincinv, gammaln  # this law alone loads it
+
         horizon = max(float(horizon), 1.0)
         a = self.alpha
         cut = 0.25 * SOE_REL_TOL

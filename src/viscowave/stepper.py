@@ -23,8 +23,10 @@ the classical cfl_safety * h / sqrt(M_kir) on 64 cells.
 
 A state is one float array (layout in :class:`AcousticClosure`): accel,
 u, v, y and y_t, then the closure's slots for the boundary increments of v
-and accel, f3 and f4, and the previous (y, y_t).  A step fills a new array
-in fixed stages, all set up once per run by :func:`init_state`:
+and accel, f3 and f4, and the previous (y, y_t).  A run owns two such
+arrays, and every view a step reads or writes of each is bound once, by
+:func:`init_state`.  A step writes the new state into the array of the
+pair that the old state does not hold, in fixed stages:
 
   drift     one (2, 3) product maps the rows (accel, u, v) to (u1, v_half);
   force     the new iterate is evaluated once (``_evaluate``): one
@@ -38,13 +40,19 @@ in fixed stages, all set up once per run by :func:`init_state`:
             f4, y_prev, y_t_prev) to (y1, y_t1, dv, da), and one scatter
             adds dv and da into v and accel on Gamma_1.  Absent forcing
             leaves f3 and f4 zero, so every step takes the same path;
-  check     one finiteness test over the run of u, v, y and y_t.  accel is
+  check     one dot product of the run of u, v, y and y_t with zeros: 0 x
+            is 0 for every finite x and nan for an infinite or nan one, so
+            the product is finite exactly when every entry is.  accel is
             left out: a non-finite acceleration reaches u and v, and aborts,
             one step later.  Then one comparison of M_kir with the run's
             CFL bound ``m_kir_max``.
 
+So a step allocates no state array, and a state it returned stays valid
+until the second step after it, which writes its array again.
+
 A record (every record_every-th step, and t = 0) is one
-:func:`~viscowave.energy.compute_energy` call on the new state.  :func:`run`
+:func:`~viscowave.energy.compute_energy` call on the new state, and the
+trajectory keeps a copy of the state's array.  :func:`run`
 builds its per-run constants once, before the first step: the tables of
 g(t) and int_0^t g on the record grid and the block-diagonal record
 operator over the run of u, v, y and y_t (``closure.checked``), so that a
@@ -124,6 +132,24 @@ class StepperConfig:
         return int(round(self.t_end / self.dt))
 
 
+class _Slots:
+    """One state array ``x`` of a run and the views of it that a step reads
+    (as the old state) or writes (as the new one), bound once; the names are
+    those of the slices of :class:`AcousticClosure`, and ``drift_in``,
+    ``drift_out`` and ``forcing`` are shaped (3, n), (2, n) and (2, m)."""
+
+    __slots__ = ("x", "drift_in", "drift_out", "cleared", "previous", "acoustic", "forcing",
+                 "accel", "u", "v", "closed", "increments", "checked")
+
+    def __init__(self, x: np.ndarray, closure: AcousticClosure):
+        self.x = x
+        for name in self.__slots__[1:]:
+            setattr(self, name, x[getattr(closure, name)])
+        self.drift_in = self.drift_in.reshape(3, -1)
+        self.drift_out = self.drift_out.reshape(2, -1)
+        self.forcing = self.forcing.reshape(2, -1)
+
+
 class AcousticClosure:
     """Per-run constants of a step; they depend only on the stepper config,
     the operators and the coefficients.  :func:`init_state` builds them,
@@ -156,7 +182,9 @@ class AcousticClosure:
       as one linear map from (v, f3, f4, y_prev, y_t_prev) to
       (y1, z, dv, da), the runs ``closed`` of the new array;
     * ``scatter`` holds the places of v and accel on Gamma_1, into which
-      dv and da, the run ``increments``, are added.
+      dv and da, the run ``increments``, are added;
+    * ``pair`` holds the run's two state arrays, each with its bound views
+      (a ``_Slots``), and ``zero`` the zeros of the finiteness check.
     """
 
     def __init__(self, ops: DiscreteOperators, params: PhysicalParams, cfg: StepperConfig):
@@ -206,6 +234,8 @@ class AcousticClosure:
             shape=(4 * m, self.size),
         )
         self.scatter = np.concatenate([2 * n + g1, g1])
+        self.zero = np.zeros(2 * n + 2 * m)
+        self.pair = (_Slots(np.zeros(self.size), self), _Slots(np.zeros(self.size), self))
 
     def __deepcopy__(self, memo):
         return self
@@ -221,8 +251,12 @@ class SimState:
     from the same evaluation and feed the energy report.  ``n`` counts the
     steps taken; t is n * dt, never a running sum of dt.
 
-    :func:`step` builds a new array and never writes to the one of the
-    state it was given, so a returned state can be kept without a copy.
+    :func:`step` writes the new state into the other array of the run's
+    pair, never into the one of the state it was given: a returned state
+    stays valid until the second step after it.  A state kept for longer is
+    copied (``copy.deepcopy``, or a copy of ``x`` as :class:`Trajectory`
+    takes); stepping a state whose array lies outside the pair writes the
+    pair's first array.
     """
 
     t: float
@@ -271,9 +305,10 @@ class SimulationAbort(RuntimeError):
 class Trajectory:
     """What a run keeps: per record its time, energy report and acoustic
     field y, plus the state of the last record as ``final`` (None before
-    the first).  y is copied, so that no record keeps its step's whole
-    array alive; states are kept by reference.  ``memory`` is the history
-    buffer's ``diagnostics()``."""
+    the first).  Both are copies: y so that no record keeps its step's
+    whole array alive, and ``final`` because later steps write the arrays
+    of the run's pair again.  ``memory`` is the history buffer's
+    ``diagnostics()``."""
 
     memory: dict
     times: list[float] = field(default_factory=list)
@@ -289,7 +324,8 @@ class Trajectory:
         self.times.append(state.t)
         self.reports.append(report)
         self.ys.append(state.y.copy())
-        self.final = state
+        self.final = SimState(state.t, state.x.copy(), state.m_kir, state.grad_sq, state.lk,
+                              state.closure, state.n)
 
     @property
     def n_records(self) -> int:
@@ -340,8 +376,10 @@ def _evaluate(
     return m_kir, grad_sq, lk
 
 
-def _check_finite(t: float, values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
+def _check_finite(t: float, values: np.ndarray, zero: np.ndarray) -> None:
+    """Abort at t unless every entry of ``values`` is finite; ``zero`` holds
+    as many zeros, and 0 x is nan for an infinite or nan x, 0 otherwise."""
+    if not math.isfinite(np.dot(values, zero)):
         raise SimulationAbort("blow-up or instability: non-finite field values", t)
 
 
@@ -362,27 +400,30 @@ def init_state(
     buffer: HistoryBuffer,
     cfg: StepperConfig,
 ) -> SimState:
-    """Initial state at t = 0; pushes the initial snapshot into the buffer
-    and builds the run's :class:`AcousticClosure`."""
+    """Initial state at t = 0, in the first array of the run's pair; pushes
+    the initial snapshot into the buffer and builds the run's
+    :class:`AcousticClosure`."""
     mesh = ops.mesh
     g1 = mesh.gamma1_nodes
     closure = AcousticClosure(ops, params, cfg)
-    x = np.zeros(closure.size)
-    x[closure.u] = pin_gamma0(mesh, u0)
-    x[closure.v] = pin_gamma0(mesh, u1)
+    slots = closure.pair[0]
+    x = slots.x
+    slots.u[:] = pin_gamma0(mesh, u0)
+    slots.v[:] = pin_gamma0(mesh, u1)
     x[closure.y] = y0
-    accel = x[closure.accel]
+    accel = slots.accel
 
     with np.errstate(over="ignore", invalid="ignore"):
-        m_kir, grad_sq, lk = _evaluate(0.0, x[closure.u], accel, buffer, params, ops,
+        m_kir, grad_sq, lk = _evaluate(0.0, slots.u, accel, buffer, params, ops,
                                        cfg.forcing, closure)
-    f3, f4 = boundary = x[closure.forcing].reshape(2, -1)
+    f3, f4 = slots.forcing
     if cfg.forcing is not None:
-        _boundary_forcing(cfg.forcing, 0.0, boundary)
+        _boundary_forcing(cfg.forcing, 0.0, slots.forcing)
     y_t = x[closure.y_t]
-    y_t[:] = (f4 - x[closure.v][g1] - params.q_c * x[closure.y]) / params.p_c
+    y_t[:] = (f4 - slots.v[g1] - params.q_c * x[closure.y]) / params.p_c
     accel[g1] += mesh.gamma1_weights * (y_t + f3) / ops.mass_lumped[g1]
-    _check_finite(0.0, x[:closure.checked.stop])  # accel, u, v, y and y_t
+    values = x[:closure.checked.stop]  # accel, u, v, y and y_t
+    _check_finite(0.0, values, np.zeros(len(values)))
     if m_kir > closure.m_kir_max:
         raise _cfl_abort(m_kir, ops, cfg, 0.0)
     return SimState(t=0.0, x=x, m_kir=m_kir, grad_sq=grad_sq, lk=lk, closure=closure)
@@ -396,7 +437,8 @@ def step(
     cfg: StepperConfig,
 ) -> SimState:
     """Advance one step of size cfg.dt (buffer must be current at state.t),
-    filling one new array in the stages the module docstring lists.
+    writing the array of the run's pair that ``state`` does not hold, in
+    the stages the module docstring lists, through its bound views.
 
     ``step`` enters no ``np.errstate`` of its own: :func:`run` enters one
     around the whole run.  A caller that steps by hand wraps its calls in
@@ -407,23 +449,28 @@ def step(
     n1 = state.n + 1
     t1 = n1 * cfg.dt
     x0 = state.x
-    x = np.empty(closure.size)
-    np.dot(closure.drift, x0[closure.drift_in].reshape(3, -1),
-           out=x[closure.drift_out].reshape(2, -1))
-    x[closure.cleared] = 0.0
-    x[closure.previous] = x0[closure.acoustic]
+    first, second = closure.pair
+    if x0 is first.x:
+        old, new = first, second
+    elif x0 is second.x:
+        old, new = second, first
+    else:  # an array from outside the pair, such as a copied state's
+        old, new = _Slots(x0, closure), first
+    x = new.x
+    np.dot(closure.drift, old.drift_in, out=new.drift_out)
+    new.cleared[...] = 0.0
+    new.previous[...] = old.acoustic
     if cfg.forcing is not None:
-        _boundary_forcing(cfg.forcing, t1, x[closure.forcing].reshape(2, -1))
+        _boundary_forcing(cfg.forcing, t1, new.forcing)
 
-    accel = x[closure.accel]
-    m_kir1, grad_sq1, lk1 = _evaluate(t1, x[closure.u], accel, buffer, params, ops,
+    accel = new.accel
+    m_kir1, grad_sq1, lk1 = _evaluate(t1, new.u, accel, buffer, params, ops,
                                       cfg.forcing, closure)
-    v = x[closure.v]
-    v += accel * (0.5 * cfg.dt)
-    _csr_accumulate(closure.map, x, x[closure.closed])
-    x[closure.scatter] += x[closure.increments]
+    new.v += accel * (0.5 * cfg.dt)
+    _csr_accumulate(closure.map, x, new.closed)
+    x[closure.scatter] += new.increments
 
-    _check_finite(t1, x[closure.checked])
+    _check_finite(t1, new.checked, closure.zero)
     if m_kir1 > closure.m_kir_max:
         raise _cfl_abort(m_kir1, ops, cfg, t1)
     return SimState(t1, x, m_kir1, grad_sq1, lk1, closure, n1)

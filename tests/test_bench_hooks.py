@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 
 from viscowave import cli, stepper
+from viscowave.history import HistoryBuffer
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -107,3 +108,32 @@ def test_well_constants_json_carries_the_diagnostics_the_harness_reads(tmp_path)
         for key in path:
             value = value[key]
         assert value and all(isinstance(v, int) and v >= 0 for v in value), path
+
+
+def test_run_calls_the_traced_layers_through_their_module_attributes(tmp_path, monkeypatch):
+    # --trace 1 divides per-layer times by the time of the stepper.step
+    # spans, so run must call step, the source vector, the history's push
+    # and force read and the energy report through the names that
+    # SpanRecorder.install rebinds: one call per step of each (plus the
+    # initial evaluation), and one energy report per record
+    calls = {}
+
+    def counting(name, func):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return func(*args, **kwargs)
+        return counted
+
+    for name in ("step", "source_vector", "compute_energy"):
+        monkeypatch.setattr(stepper, name, counting(name, getattr(stepper, name)))
+    for name in ("push", "convolution_force"):
+        monkeypatch.setattr(HistoryBuffer, name, counting(name, getattr(HistoryBuffer, name)))
+    config = cli.parse_config(json.dumps({
+        "domain": {"resolution": [8]},
+        "stepping": {"dt": 2e-3, "t_end": 0.02, "record_every": 5},
+        "analysis": {"constants": False, "decay": False},
+    }))
+    assert config.physics.source_enabled
+    cli.run_scenario(config, out_dir=tmp_path / "run")
+    assert calls == {"step": 10, "source_vector": 11, "push": 11, "convolution_force": 11,
+                     "compute_energy": 3}

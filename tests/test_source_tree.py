@@ -81,6 +81,30 @@ def test_only_a_free_corner_loads_the_sparse_eigensolver():
     assert loaded.strip() == "False"
 
 
+def test_only_a_power_law_expansion_loads_scipy_special():
+    # the incomplete gamma functions place the power law's quadrature nodes,
+    # and nothing else the package calls needs scipy.special: a process that
+    # runs an exponential-kernel scenario never loads it
+    assert _importers("scipy.special") == ["kernels.py"]
+    script = ("import json, sys, tempfile\n"
+              "import viscowave.cli as cli\n"
+              "config = cli.parse_config(json.dumps({\n"
+              "    'domain': {'resolution': [8]},\n"
+              "    'stepping': {'dt': 2e-3, 't_end': 0.02, 'record_every': 5},\n"
+              "}))\n"
+              "with tempfile.TemporaryDirectory() as out:\n"
+              "    cli.run_scenario(config, out_dir=out)\n"
+              "print('scipy.special' in sys.modules)\n"
+              "from viscowave import make_rate\n"
+              "make_rate('power_law', 2.0).exp_sum(1.0)\n"
+              "print('scipy.special' in sys.modules)\n")
+    src = str(Path(viscowave.__file__).parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    loaded = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert loaded.split() == ["False", "True"]
+
+
 def test_no_module_imports_scipy_integrate():
     # the hypothesis checks read the variation of xi off a grid that holds
     # its turning points; no verdict rests on adaptive quadrature

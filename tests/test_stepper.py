@@ -45,16 +45,17 @@ def _recorded_states(u0, u1, y0, ops, kernel, params, cfg):
     """The states and reports of every record of ``run``, stepped by hand
     with init_state/step/compute_energy at the same steps; checked against
     ``run`` itself, so a test can look at per-record fields that the
-    trajectory does not keep."""
+    trajectory does not keep.  Each state is a deep copy: later steps write
+    the arrays of the run's pair again."""
     n_steps = int(round(cfg.t_end / cfg.dt))
     buffer = HistoryBuffer(kernel, ops.n_nodes, cfg.dt, n_steps)
     form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, n_steps)
     state = init_state(u0, u1, y0, ops, params, buffer, cfg)
-    records = [(state, compute_energy(state, buffer, form))]
+    records = [(copy.deepcopy(state), compute_energy(state, buffer, form))]
     for i in range(1, n_steps + 1):
         state = step(state, ops, params, buffer, cfg)
         if i % cfg.record_every == 0:
-            records.append((state, compute_energy(state, buffer, form)))
+            records.append((copy.deepcopy(state), compute_energy(state, buffer, form)))
     traj = run(u0, u1, y0, ops, kernel, params, cfg)
     assert traj.reports == [rep for _, rep in records]
     assert all(np.array_equal(y, s.y) for y, (s, _) in zip(traj.ys, records, strict=True))
@@ -549,31 +550,85 @@ def test_step_pushes_once_and_reads_the_force_once(family):
         assert sorted(calls) == ["convolution_force"] * n + ["push"] * n
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
-def test_step_never_mutates_a_returned_state(forced):
-    # Trajectory keeps states by reference, so step must build every array
-    # of a new state afresh; both closure branches are covered
+def _forced_case(forced):
+    """A 16-cell run of 40 steps, with every forcing line on or none."""
     mesh = interval_mesh(16)
-    params = default_params()
-    ops = assemble(mesh)
-    kernel = exp_kernel()
     forcing = None
     if forced:
         forcing = Forcing(f_omega=lambda t: np.full(mesh.n_nodes, t),
                           f_flux=lambda t: np.array([0.1 * t]), f_acoustic=lambda t: 0.2)
-    cfg = StepperConfig(dt=1e-3, t_end=0.04, forcing=forcing)
+    cfg = StepperConfig(dt=1e-3, t_end=0.04, record_every=4, forcing=forcing)
+    return mesh, assemble(mesh), default_params(), exp_kernel(), cfg
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_step_never_writes_the_array_of_the_state_it_was_given(forced):
+    # step writes the other array of the run's pair, so the state it reads
+    # keeps every byte through the step; both closure branches are covered
+    mesh, ops, params, kernel, cfg = _forced_case(forced)
     buffer = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
     state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1]),
                        ops, params, buffer, cfg)
-    kept = []
-    for _ in range(20):
-        kept.append((state, copy.deepcopy(state)))
+    for _ in range(cfg.n_steps):
+        before = state.x.tobytes()
+        new = step(state, ops, params, buffer, cfg)
+        assert new.x is not state.x
+        assert state.x.tobytes() == before
+        state = new
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_steps_alternate_the_two_arrays_of_the_closure(forced, monkeypatch):
+    # two steps come back to the array they started from, and every state a
+    # run passes through, given to step or returned by it, lives in one of
+    # the closure's two arrays
+    mesh, ops, params, kernel, cfg = _forced_case(forced)
+    u0, z, y0 = sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1])
+    buffer = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
+    s0 = init_state(u0, z, y0, ops, params, buffer, cfg)
+    arrays = [slots.x for slots in s0.closure.pair]
+    assert s0.x is arrays[0] and arrays[0] is not arrays[1]
+    s1 = step(s0, ops, params, buffer, cfg)
+    s2 = step(s1, ops, params, buffer, cfg)
+    assert s1.x is arrays[1] and s2.x is s0.x
+
+    seen = []
+    real_step = stepper.step
+
+    def spy(state, *args):
+        new = real_step(state, *args)
+        seen.append((state, new))
+        return new
+
+    monkeypatch.setattr(stepper, "step", spy)
+    traj = stepper.run(u0, z, y0, ops, kernel, params, cfg)
+    assert len(seen) == cfg.n_steps
+    pair = [slots.x for slots in seen[0][0].closure.pair]
+    for i, (given, returned) in enumerate(seen):
+        assert given.x is pair[i % 2] and returned.x is pair[(i + 1) % 2]
+    assert all(traj.final.x is not x for x in pair)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_run_records_equal_deep_copies_taken_while_stepping_by_hand(forced):
+    # every record of a run owns its arrays: its final state and every y
+    # equal copies taken at the record steps of the same run stepped by hand
+    mesh, ops, params, kernel, cfg = _forced_case(forced)
+    u0, z, y0 = sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1])
+    buffer = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
+    state = init_state(u0, z, y0, ops, params, buffer, cfg)
+    kept = [copy.deepcopy(state)]
+    for i in range(1, cfg.n_steps + 1):
         state = step(state, ops, params, buffer, cfg)
-    for _ in range(20):
-        state = step(state, ops, params, buffer, cfg)
-    for original, snapshot in kept:
-        for name, value in vars(snapshot).items():
-            assert np.asarray(getattr(original, name)).tobytes() == np.asarray(value).tobytes()
+        if i % cfg.record_every == 0:
+            kept.append(copy.deepcopy(state))
+    traj = run(u0, z, y0, ops, kernel, params, cfg)
+    assert traj.n_records == len(kept) == 11
+    for y, snapshot in zip(traj.ys, kept, strict=True):
+        assert y.tobytes() == snapshot.y.tobytes()
+    for name in ("t", "x", "m_kir", "grad_sq", "lk", "n"):  # all but the run's closure
+        assert (np.asarray(getattr(traj.final, name)).tobytes()
+                == np.asarray(getattr(kept[-1], name)).tobytes())
 
 
 def test_one_stiffness_product_per_step_and_one_record_product_per_record(products,
@@ -725,6 +780,69 @@ def test_the_finiteness_check_catches_each_field_at_its_step(entry):
         run(sine_profile(mesh, 0.3), zero, np.zeros(1), ops, exp_kernel(), default_params(), cfg)
     assert exc.value.info.time == abort_step * dt
     assert exc.value.trajectory.n_records == 1
+
+
+_PLANT_NODE = 5  # an interior node, off both boundaries of a 16-cell interval
+
+
+def _planted_run(field, value, monkeypatch):
+    """A 16-cell run (records every 5 steps) whose finiteness check finds
+    ``value`` in ``field`` of the state at step _BLOW_STEP: the check reads
+    the new state's array with the entry planted, and the entry is restored
+    afterwards.  Returns the trajectory, or the abort."""
+    mesh = interval_mesh(16)
+    ops = assemble(mesh)
+    params = default_params()
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, record_every=5)
+    layout = stepper.AcousticClosure(ops, params, cfg)
+    index = getattr(layout, field).start + (_PLANT_NODE if field in ("u", "v") else 0)
+    check = stepper._check_finite
+
+    def planted(t, values, zero):
+        if round(t / cfg.dt) != _BLOW_STEP:
+            return check(t, values, zero)
+        x = values.base
+        assert x.size == layout.size
+        kept, x[index] = x[index], value
+        try:
+            return check(t, values, zero)
+        finally:
+            x[index] = kept
+
+    monkeypatch.setattr(stepper, "_check_finite", planted)
+    try:
+        return run(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.zeros(1), ops,
+                   exp_kernel(), params, cfg)
+    except SimulationAbort as abort:
+        return abort
+
+
+@pytest.mark.parametrize("field", ["u", "v", "y", "y_t"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_a_non_finite_entry_aborts_at_its_step(field, value, monkeypatch):
+    # the one dot product with zeros turns each of +inf, -inf and nan in any
+    # checked slot into the abort of that very step; the trajectory's final
+    # state is the last record's, a copy, not the aborting step's array
+    abort = _planted_run(field, value, monkeypatch)
+    assert isinstance(abort, SimulationAbort)
+    assert abort.info.reason == "blow-up or instability: non-finite field values"
+    assert abort.info.time == _BLOW_STEP * 1e-3
+    traj = abort.trajectory
+    assert traj.times == [0.0, 5e-3]
+    final = traj.final
+    assert final.n == 5 and final.t == traj.times[-1]
+    assert final.y.tobytes() == traj.ys[-1].tobytes()
+    assert np.isfinite(final.x).all()
+    assert all(final.x is not slots.x for slots in final.closure.pair)
+
+
+@pytest.mark.parametrize("field", ["u", "v", "y", "y_t"])
+def test_a_huge_finite_entry_does_not_abort(field, monkeypatch):
+    # 0 * 1e308 is 0: the check passes a finite entry however large, and
+    # the run completes
+    traj = _planted_run(field, 1e308, monkeypatch)
+    assert not isinstance(traj, SimulationAbort)
+    assert traj.times[-1] == 0.02
 
 
 def test_the_finiteness_check_reads_y_on_its_own():
