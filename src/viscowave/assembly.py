@@ -148,13 +148,15 @@ class DiscreteOperators:
     free nodes (see :func:`solve_free_stiffness`); in 1D y is the one-node
     axis.  ``eigenvalue_sums`` is the table lam_y (+) lam_x of K's
     eigenvalues on the free grid, entry (a, b) = y.values[a] + x.values[b].
+    ``lam_max`` is the exact largest eigenvalue of M_lump^{-1} K on the free
+    nodes, with no margin: the stepper owns the CFL margins.
     """
 
     mesh: Mesh
     stiffness: sp.dia_matrix
     mass: sp.dia_matrix
     mass_lumped: np.ndarray
-    lam_max_unit: float         # 1.05 x max eig of M_lump^{-1} K at unit coefficient
+    lam_max: float
     axes: tuple[AxisModes, AxisModes]
     eigenvalue_sums: np.ndarray
 
@@ -181,7 +183,7 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
         stiffness=K,
         mass=M,
         mass_lumped=lumped,
-        lam_max_unit=1.05 * _lam_max(mesh, K, lumped, (y, x)),
+        lam_max=_lam_max(mesh, K, lumped, (y, x)),
         axes=(y, x),
         eigenvalue_sums=y.values[:, None] + x.values[None, :],
     )

@@ -14,17 +14,19 @@ hand-checkable provenance.
 
   trajectory.csv          t, energy components, gamma_fn, norms, y, residual
   hypothesis_report.json  kernel/boundary hypothesis verdicts
-  well_constants.json     embedding/trace/B, lambda1, d1 (optional)
-  stable_set.json         initial membership check (optional)
-  decay_report.json       envelope fit + weighted-integral profile (optional)
+  well_constants.json     embedding/trace/B, lambda1, d1
+  stable_set.json         initial membership check
+  decay_report.json       envelope fit + weighted-integral profile, or the
+                          reason it has none; only when the run completed
   run_metadata.json       versions, tolerances, seed, memory diagnostics,
                           phase timings and the split of set-up
   logE_vs_phi.dat, rho_vs_S.dat   (plot data; rho(S) is the profile the
                           decay report's rho_max is read from)
   abort.json              marker, only when the run aborted
 
-A run first removes the optional files an earlier run left in its
-directory, so that every file there is of this run.
+A run first removes the files that only some runs write (the abort marker,
+the decay report and its plot data) from its directory, so that every file
+there is of this run.
 
 The tables are written with 17 significant digits, which read back to the
 same floats: reruns of the same config produce byte-identical CSV output,
@@ -98,13 +100,8 @@ DEFAULTS: dict = {
         "velocity_amplitude": 0.0,
         "y0": 0.0,
     },
-    "stepping": {
-        "dt": 1e-3,
-        "t_end": 10.0,
-        "record_every": 10,
-        "cfl_safety": 0.9,
-    },
-    "analysis": {"constants": True, "decay": True, "t_tail": None},
+    "stepping": {"dt": 1e-3, "t_end": 10.0, "record_every": 10},
+    "analysis": {"t_tail": None},
     "output_dir": "viscowave-out",
     "seed": 2024,
 }
@@ -121,6 +118,11 @@ REMOVED_KEYS = {
     "mode": "removed; the manufactured-solution ladder runs through the `mms` subcommand",
     "tolerances": "removed; c_id and c_energy are frozen constants, recorded in "
                   "run_metadata.json",
+    "stepping.cfl_safety": "removed; the CFL margin is a constant of the stepper",
+    "analysis.constants": "removed; every run computes the well constants and "
+                          "checks the initial data against them",
+    "analysis.decay": "removed; every run that completes t_end > 0 writes a decay "
+                      "report or the reason it has none",
 }
 
 
@@ -170,8 +172,6 @@ class InitialSpec:
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    constants: bool
-    decay: bool
     t_tail: float | None
 
     def __post_init__(self):
@@ -471,8 +471,7 @@ class ScenarioResult:
     aborted: object | None = None
 
 
-OPTIONAL_ARTIFACTS = ("abort.json", "well_constants.json", "stable_set.json",
-                      "decay_report.json", "rho_vs_S.dat", "logE_vs_phi.dat")
+OPTIONAL_ARTIFACTS = ("abort.json", "decay_report.json", "rho_vs_S.dat", "logE_vs_phi.dat")
 
 
 def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> ScenarioResult:
@@ -482,7 +481,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     for name in OPTIONAL_ARTIFACTS:
         (out / name).unlink(missing_ok=True)
     marks = [perf_counter()]  # the start and the end of each of PHASES
-    setup = [marks[0]]  # the end of each of SETUP_STEPS that runs, after the start
+    setup = [marks[0]]  # the end of each of SETUP_STEPS, after the start
 
     mesh = build_mesh(config.domain)
     params = config.physics
@@ -497,15 +496,14 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     _write_json(out / "hypothesis_report.json", hyp)
     setup.append(perf_counter())
 
-    if config.analysis.constants:
-        constants = compute_well_constants(ops, params, kernel, seed=config.seed)
-        result.constants = constants
-        _write_json(out / "well_constants.json", constants)
-        setup.append(perf_counter())
-        stable = check_initial_membership(u0, u1, y0, constants, ops, params, kernel)
-        result.stable_report = stable
-        _write_json(out / "stable_set.json", stable)
-        setup.append(perf_counter())
+    constants = compute_well_constants(ops, params, kernel, seed=config.seed)
+    result.constants = constants
+    _write_json(out / "well_constants.json", constants)
+    setup.append(perf_counter())
+    stable = check_initial_membership(u0, u1, y0, constants, ops, params, kernel)
+    result.stable_report = stable
+    _write_json(out / "stable_set.json", stable)
+    setup.append(perf_counter())
     marks.append(perf_counter())
 
     aborted = None
@@ -519,7 +517,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     marks.append(perf_counter())
 
     sampled = decay_json = profile = None
-    if aborted is None and config.analysis.decay and config.stepping.t_end > 0:
+    if aborted is None and config.stepping.t_end > 0:
         t0, t_tail = _decay_times(config, kernel)
         try:
             sampled = SampledEnergy.from_trajectory(traj, kernel)
@@ -571,8 +569,8 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
 # it but run_metadata.json itself.
 PHASES = ("setup", "stepping", "analysis", "artifacts")
 # The steps of set-up, each with the JSON it writes: the mesh, the operators
-# and the initial data; the kernel and its hypothesis report; then, when
-# the well constants are asked for, the constants and the membership check.
+# and the initial data; the kernel and its hypothesis report; the well
+# constants; the membership check.
 # The numbers keep the run order in the key-sorted JSON.
 SETUP_STEPS = ("1_mesh_and_assembly", "2_hypotheses", "3_well_constants", "4_membership")
 
@@ -597,13 +595,13 @@ def _metadata(config: RunConfig, ops, traj: Trajectory, marks: list[float],
               setup: list[float]) -> dict:
     """``marks`` holds the perf_counter readings at the start and at the end
     of each of PHASES, ``setup`` those at the start of set-up and at the end
-    of each of SETUP_STEPS that ran; the run time counts up to this call."""
+    of each of SETUP_STEPS; the run time counts up to this call."""
     return {
         "viscowave_version": __version__,
         "numpy_version": np.__version__,
         "config": config.to_dict(),
         "tolerances": {"c_id": config.c_id, "c_energy": config.c_energy},
-        "lam_max_unit": ops.lam_max_unit,
+        "lam_max": ops.lam_max,
         "n_records": traj.n_records,
         "memory": traj.memory,
         "timings": {name: end - begin for name, begin, end in zip(PHASES, marks, marks[1:])},
@@ -635,7 +633,6 @@ def run_mms_level(config: RunConfig) -> dict:
         dt=config.stepping.dt,
         t_end=config.stepping.t_end,
         record_every=max(1, config.stepping.n_steps),
-        cfl_safety=config.stepping.cfl_safety,
         forcing=case.forcing,
     )
     traj = run(case.u0, case.u1, case.y0, ops, kernel, config.physics, cfg)
@@ -730,14 +727,12 @@ PRESETS: dict[str, ScenarioPreset] = {
             physics={"b": 0.0},
             initial={"profile": "sine", "amplitude": 2.5},
             stepping={"dt": 5e-4, "t_end": 10.0, "record_every": 10},
-            analysis={"decay": False},
         ),
         _preset(
             "mms-ladder",
             expected={"ratio_min": 3.5},
             domain={"resolution": [16]},
             stepping={"dt": 4e-3, "t_end": 1.0, "record_every": 250},
-            analysis={"constants": False, "decay": False},
         ),
     ]
 }

@@ -21,7 +21,8 @@ Each family also writes its kernel as a sum of exponentials,
 g(t) ~ Re sum_j c_j e^{-s_j t} with possibly complex rates s_j, carrying a
 certified bound on the pointwise relative error (:class:`ExpSum`).  The
 history buffer runs one exact trapezoid recursion per term, and the masses
-int_0^t g of the oscillatory family are closed-form sums over the terms.
+int_0^t g of the constant and oscillatory families are closed-form sums
+over the terms.
 
 The boundary coefficients p, q are taken constant on the acoustic boundary,
 so their positivity hypothesis reduces to p > 0, q > 0.
@@ -124,9 +125,6 @@ class RateFunction:
         """int_0^t xi(s) ds, closed form."""
         raise NotImplementedError
 
-    def sup_xi(self) -> float:
-        raise NotImplementedError
-
     def turning_points(self, horizon: float) -> np.ndarray:
         """The times in (0, horizon) where xi' changes sign: none unless a
         family says otherwise."""
@@ -158,9 +156,6 @@ class ConstantRate(RateFunction):
     def phi(self, t):
         return self.alpha * np.asarray(t, dtype=float)
 
-    def sup_xi(self):
-        return self.alpha
-
     def xi_prime_l1_tail(self, t):
         return 0.0
 
@@ -184,9 +179,6 @@ class PowerLawRate(RateFunction):
 
     def phi(self, t):
         return self.alpha * np.log1p(np.asarray(t, dtype=float))
-
-    def sup_xi(self):
-        return self.alpha
 
     def xi_prime_l1_tail(self, t):
         return self.alpha / (1.0 + t)
@@ -284,9 +276,6 @@ class OscillatoryRate(RateFunction):
         t = np.asarray(t, dtype=float)
         osc = 0.5 * (1.0 - np.exp(-t) * (np.sin(t) + np.cos(t)))
         return self.alpha * (t + self.eps * osc)
-
-    def sup_xi(self):
-        return self.alpha * (1.0 + self.eps * _OSC_MAX)
 
     def xi_prime_l1_tail(self, t):
         return self.alpha * self.eps * math.sqrt(2.0) * math.exp(-t)
@@ -386,7 +375,9 @@ class RelaxationKernel:
         return -self.rate.xi(t) * self.g(t)
 
     def partial_mass(self, t0):
-        """int_0^{t0} g(s) ds, closed form where the family admits one.
+        """int_0^{t0} g(s) ds, in closed form: from the power law's
+        antiderivative, else from the expansion every other family keeps,
+        exact for the constant rate.
 
         A float t0 gives a float (the root search of
         ``decay.default_weighted_t0`` calls it so), an array of times an
@@ -398,13 +389,10 @@ class RelaxationKernel:
         if (t < 0).any():
             raise ValueError(f"t0 must be nonnegative, got {float(t.min())}")
         rate = self.rate
-        if isinstance(rate, ConstantRate):
-            mass = self.g0 * -np.expm1(-rate.alpha * t) / rate.alpha
-        elif isinstance(rate, PowerLawRate):
-            am1 = rate.alpha - 1.0  # 1 - (1 + t)^{-am1}
-            mass = self.g0 * -np.expm1(-am1 * np.log1p(t)) / am1
-        else:
+        if not isinstance(rate, PowerLawRate):
             return self.expansion.partial_mass(t)
+        am1 = rate.alpha - 1.0  # 1 - (1 + t)^{-am1}
+        mass = self.g0 * -np.expm1(-am1 * np.log1p(t)) / am1
         return float(mass) if mass.ndim == 0 else mass
 
 
@@ -457,11 +445,12 @@ class HypothesisReport:
     analytic tail certificates; a condition passes only if every sampled
     inequality holds within its stated tolerance.  The grid holds xi's
     turning points: ``r_measured`` is the exact sup of ln(xi(t+s)/xi(t))
-    on [0, horizon], ``xi_prime_l1`` the exact variation of xi there plus
-    the analytic tail.  ``memory_expansion`` describes the kernel's sum of
-    exponentials (``kernel.exp_sum(horizon)``, so the one the kernel keeps
-    where it keeps one): term count, certified relative error, how it was
-    certified and on what horizon.
+    on [0, horizon], ``sup_xi`` the sup of xi over [0, horizon] and
+    ``xi_prime_l1`` the exact variation of xi there plus the analytic
+    tail.  ``memory_expansion`` describes the kernel's sum of exponentials
+    (``kernel.exp_sum(horizon)``, so the one the kernel keeps where it
+    keeps one): term count, certified relative error, how it was certified
+    and on what horizon.
     """
 
     conditions: dict[str, ConditionVerdict]
@@ -597,7 +586,7 @@ def validate_hypotheses(
         r_measured=r_measured,
         e_r=math.exp(r_claimed),
         l_value=kernel.l_value,
-        sup_xi=float(max(xi.max(), rate.sup_xi())),
+        sup_xi=float(xi.max()),
         xi_prime_l1=l1,
         horizon=horizon,
         grid_size=len(grid),

@@ -13,13 +13,17 @@ kick and the y-update treat the acoustic law by a trapezoidal rule, solved
 pointwise in closed form at each acoustic node (the coupling is diagonal),
 which keeps the scheme explicit and second order in dt.
 
-Stability is monitored each step against the current Kirchhoff coefficient:
-dt must stay below 2 * cfl_safety / sqrt(lam_max * M_kir), with lam_max
-``lam_max_unit``, 1.05 times the largest generalized stiffness eigenvalue.
+Stability is monitored each step against the current Kirchhoff coefficient
+M_kir.  This module alone owns the CFL margins: with lam_max the largest
+eigenvalue of M_lump^{-1} K (``ops.lam_max``, exact), dt must stay below
+
+  2 CFL_SAFETY / sqrt(LAM_MARGIN lam_max M_kir),  CFL_SAFETY = 0.9,
+                                                  LAM_MARGIN = 1.05.
+
 On an interval of m cells, pinned at the left end and acoustic at the
-right, that eigenvalue is (4 / h^2) cos^2(pi / 4m), so the bound reads
-dt <= cfl_safety * h / (sqrt(1.05 M_kir) cos(pi / 4m)): about 2.4% below
-the classical cfl_safety * h / sqrt(M_kir) on 64 cells.
+right, lam_max is (4 / h^2) cos^2(pi / 4m), so the bound reads
+dt <= 0.9 h / (sqrt(1.05 M_kir) cos(pi / 4m)): about 2.4% below the
+classical 0.9 h / sqrt(M_kir) on 64 cells.
 
 A state is one float array (layout in :class:`AcousticClosure`): accel,
 u, v, y and y_t, then the closure's slots for the boundary increments of v
@@ -92,6 +96,10 @@ from .energy import EnergyReport, _RecordForm, compute_energy
 from .history import HistoryBuffer
 from .kernels import RelaxationKernel
 
+# The CFL margins of the bound the module docstring derives.
+CFL_SAFETY = 0.9
+LAM_MARGIN = 1.05
+
 
 @dataclass(frozen=True)
 class Forcing:
@@ -113,7 +121,6 @@ class StepperConfig:
     dt: float
     t_end: float
     record_every: int = 1
-    cfl_safety: float = 0.9
     forcing: Forcing | None = None
 
     def __post_init__(self):
@@ -123,8 +130,6 @@ class StepperConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
 
     @property
     def n_steps(self) -> int:
@@ -163,8 +168,8 @@ class AcousticClosure:
     The slices below name the slots and the runs of slots a step reads or
     writes at once.
 
-    * ``m_kir_max`` = (2 cfl_safety / dt)^2 / lam_max_unit, the largest
-      M_kir for which dt meets the CFL bound;
+    * ``m_kir_max`` = (2 CFL_SAFETY / dt)^2 / (LAM_MARGIN lam_max), the
+      largest M_kir for which dt meets the CFL bound;
     * ``drift`` = [[dt^2/2, 1, dt], [dt/2, 0, 1]] maps the rows
       (accel, u, v) of the old array to (u1, v_half) of the new one;
     * ``inv_mass`` is 1 / M_lump, zero on Gamma_0;
@@ -189,7 +194,7 @@ class AcousticClosure:
 
     def __init__(self, ops: DiscreteOperators, params: PhysicalParams, cfg: StepperConfig):
         dt = cfg.dt
-        self.m_kir_max = (2.0 * cfg.cfl_safety / dt) ** 2 / ops.lam_max_unit
+        self.m_kir_max = (2.0 * CFL_SAFETY / dt) ** 2 / (LAM_MARGIN * ops.lam_max)
         mesh = ops.mesh
         g1 = mesh.gamma1_nodes
         n, m = ops.n_nodes, len(g1)
@@ -335,7 +340,7 @@ class Trajectory:
 def _cfl_abort(m_kir: float, ops: DiscreteOperators, cfg: StepperConfig, t: float):
     """The abort of a state whose Kirchhoff coefficient exceeds the run's
     ``m_kir_max``, naming the largest stable dt for it."""
-    dt_max = 2.0 * cfg.cfl_safety / math.sqrt(ops.lam_max_unit * m_kir)
+    dt_max = 2.0 * CFL_SAFETY / math.sqrt(LAM_MARGIN * ops.lam_max * m_kir)
     return SimulationAbort(
         f"CFL violation: dt = {cfg.dt:.3e} exceeds {dt_max:.3e} "
         f"(Kirchhoff coefficient {m_kir:.6g})",

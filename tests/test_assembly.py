@@ -416,10 +416,10 @@ def test_axis_indices_are_the_distinct_indices_of_the_free_nodes(mesh_name):
 
 @pytest.mark.parametrize("mesh_name", sorted(CFL_MESHES))
 def test_cfl_eigenvalue_is_exact(mesh_name):
-    # 5% above the largest eigenvalue of M_lump^{-1} K on the free nodes,
-    # whether or not a corner is free
+    # the largest eigenvalue of M_lump^{-1} K on the free nodes, with no
+    # margin (the stepper owns those), whether or not a corner is free
     ops = assemble(CFL_MESHES[mesh_name]())
-    assert ops.lam_max_unit == pytest.approx(1.05 * _dense_lam_max(ops), rel=1e-12, abs=0.0)
+    assert ops.lam_max == pytest.approx(_dense_lam_max(ops), rel=1e-12, abs=0.0)
 
 
 def test_cfl_eigenvalue_refuses_the_tensor_sum_at_free_corners(monkeypatch):
@@ -440,5 +440,5 @@ def test_cfl_eigenvalue_refuses_the_tensor_sum_at_free_corners(monkeypatch):
     assert tensor_sum == pytest.approx(293.55, abs=0.01)
     assert exact == pytest.approx(308.67, abs=0.01)
     assert len(calls) == 1
-    assert ops.lam_max_unit == pytest.approx(1.05 * exact, rel=1e-12, abs=0.0)
-    assert 1.05 * tensor_sum < ops.lam_max_unit
+    assert ops.lam_max == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert tensor_sum < ops.lam_max

@@ -87,7 +87,6 @@ def test_run_scenario_calls_run_through_the_cli_attribute(tmp_path, monkeypatch)
     config = cli.parse_config(json.dumps({
         "domain": {"resolution": [8]},
         "stepping": {"dt": 2e-3, "t_end": 0.02, "record_every": 5},
-        "analysis": {"constants": False, "decay": False},
     }))
     cli.run_scenario(config, out_dir=tmp_path / "run")
     assert calls == [1]
@@ -99,7 +98,6 @@ def test_well_constants_json_carries_the_diagnostics_the_harness_reads(tmp_path)
     config = cli.parse_config(json.dumps({
         "domain": {"resolution": [8]},
         "stepping": {"dt": 2e-3, "t_end": 0.02, "record_every": 5},
-        "analysis": {"constants": True, "decay": False},
     }))
     cli.run_scenario(config, out_dir=tmp_path / "run")
     saved = json.loads((tmp_path / "run" / "well_constants.json").read_text())
@@ -131,7 +129,6 @@ def test_run_calls_the_traced_layers_through_their_module_attributes(tmp_path, m
     config = cli.parse_config(json.dumps({
         "domain": {"resolution": [8]},
         "stepping": {"dt": 2e-3, "t_end": 0.02, "record_every": 5},
-        "analysis": {"constants": False, "decay": False},
     }))
     assert config.physics.source_enabled
     cli.run_scenario(config, out_dir=tmp_path / "run")

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -8,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from viscowave import SampledEnergy, build_decay_report, build_mesh, cli, rate_identity_residual
+from viscowave import (
+    SampledEnergy,
+    StepperConfig,
+    build_decay_report,
+    build_mesh,
+    cli,
+    rate_identity_residual,
+)
 from viscowave.kernels import PowerLawRate
 from viscowave.decay import default_weighted_t0
 from viscowave.cli import (
@@ -32,7 +40,6 @@ def _tiny_config(**overrides):
         "domain": {"resolution": [16]},
         "stepping": {"dt": 2e-3, "t_end": 0.2, "record_every": 10},
         "initial": {"profile": "sine", "amplitude": 0.1},
-        "analysis": {"constants": False, "decay": False},
     }
     for key, val in overrides.items():
         if isinstance(val, dict):
@@ -171,8 +178,10 @@ def test_unknown_section_key_rejected():
 
 def test_removed_stepping_keys_named():
     with pytest.raises(ConfigError) as exc:
-        parse_config(json.dumps({"stepping": {"storage": "auto", "stride": 10},
-                                 "analysis": {"t0": 1.0, "hypothesis_horizon": 20.0},
+        parse_config(json.dumps({"stepping": {"storage": "auto", "stride": 10,
+                                              "cfl_safety": 0.9},
+                                 "analysis": {"t0": 1.0, "hypothesis_horizon": 20.0,
+                                              "constants": True, "decay": True},
                                  "mode": "mms", "tolerances": {"c_id": 1.2}}))
     msgs = " | ".join(exc.value.errors)
     assert "stepping.storage: removed" in msgs
@@ -181,10 +190,20 @@ def test_removed_stepping_keys_named():
     assert "analysis.hypothesis_horizon: removed" in msgs
     assert "mode: removed" in msgs
     assert "tolerances: removed" in msgs
-    assert len(exc.value.errors) == 6
-    assert sorted(DEFAULTS["stepping"]) == ["cfl_safety", "dt", "record_every", "t_end"]
-    assert sorted(DEFAULTS["analysis"]) == ["constants", "decay", "t_tail"]
+    # each with the reason it went
+    assert ("stepping.cfl_safety: removed; the CFL margin is a constant of the stepper"
+            in exc.value.errors)
+    assert ("analysis.constants: removed; every run computes the well constants and "
+            "checks the initial data against them" in exc.value.errors)
+    assert ("analysis.decay: removed; every run that completes t_end > 0 writes a decay "
+            "report or the reason it has none" in exc.value.errors)
+    assert len(exc.value.errors) == 9
+    assert sorted(DEFAULTS["stepping"]) == ["dt", "record_every", "t_end"]
+    assert sorted(DEFAULTS["analysis"]) == ["t_tail"]
     assert "mode" not in DEFAULTS and "tolerances" not in DEFAULTS
+    assert [f.name for f in dataclasses.fields(StepperConfig)] == [
+        "dt", "t_end", "record_every", "forcing"]
+    assert [f.name for f in dataclasses.fields(cli.AnalysisOptions)] == ["t_tail"]
 
 
 def test_syntax_error_reports_location():
@@ -301,15 +320,15 @@ def test_csv_times_and_residuals_by_record(tmp_path):
 def _check_timings(meta):
     """The phase timings of run_metadata.json: every phase, none negative,
     and together within the run time (rounded to 1 ms); and the split of
-    set-up: its steps in the order they run, the last two only with the
-    well constants on, none negative, and together within set-up."""
+    set-up: its four steps in the order they run, none negative, and
+    together within set-up."""
     timings = meta["timings"]
     assert set(timings) == {"setup", "stepping", "analysis", "artifacts"}
     assert all(v >= 0.0 for v in timings.values())
     assert sum(timings.values()) <= meta["runtime_seconds"] + 1e-3
     steps = meta["setup_timings"]
-    expected = ["1_mesh_and_assembly", "2_hypotheses", "3_well_constants", "4_membership"]
-    assert list(steps) == expected[:4 if meta["config"]["analysis"]["constants"] else 2]
+    assert list(steps) == ["1_mesh_and_assembly", "2_hypotheses", "3_well_constants",
+                           "4_membership"]
     assert all(v >= 0.0 for v in steps.values())
     assert sum(steps.values()) <= timings["setup"]
 
@@ -330,7 +349,7 @@ def test_setup_timings_give_each_step_its_own_time(tmp_path, monkeypatch):
                           ("compute_well_constants", 100.0),
                           ("check_initial_membership", 1000.0)):
         monkeypatch.setattr(cli, name, advancing(getattr(cli, name), seconds))
-    run_scenario(parse_config(_tiny_config(analysis={"constants": True})), tmp_path / "run")
+    run_scenario(parse_config(_tiny_config()), tmp_path / "run")
     meta = json.loads((tmp_path / "run" / "run_metadata.json").read_text())
     assert meta["setup_timings"] == {"1_mesh_and_assembly": 1.0, "2_hypotheses": 10.0,
                                      "3_well_constants": 100.0, "4_membership": 1000.0}
@@ -341,7 +360,7 @@ def test_full_scenario_writes_reports(tmp_path):
     cfg = parse_config(
         _tiny_config(
             stepping={"dt": 2e-3, "t_end": 4.0, "record_every": 10},
-            analysis={"constants": True, "decay": True, "t_tail": 1.0},
+            analysis={"t_tail": 1.0},
         )
     )
     result = run_scenario(cfg, out_dir=tmp_path / "full")
@@ -369,6 +388,9 @@ def test_full_scenario_writes_reports(tmp_path):
     meta = json.loads((tmp_path / "full" / "run_metadata.json").read_text())
     assert meta["config"]["stepping"]["t_end"] == 4.0
     assert meta["tolerances"] == {"c_id": cfg.c_id, "c_energy": cfg.c_energy}
+    # the exact CFL eigenvalue, without the stepper's margins
+    assert meta["lam_max"] == cli.assemble(build_mesh(cfg.domain)).lam_max
+    assert "lam_max_unit" not in meta
     assert "initial_boundary_residual" in meta
     _check_timings(meta)
     # exponential kernel: one exact term of [K u, u.K u, 1] rows
@@ -436,16 +458,17 @@ def test_rerun_into_a_directory_leaves_no_artifact_of_the_earlier_run(tmp_path):
     assert (out / "abort.json").exists()
     assert run_scenario(parse_config(_tiny_config()), out_dir=out).aborted is None
     assert not (out / "abort.json").exists()
-    # a run with every report on, then one with none
+    # a run with a decay report and its plot data, then an aborted one,
+    # which has none of them
     reports = {"stepping": {"dt": 2e-3, "t_end": 4.0, "record_every": 10},
-               "analysis": {"constants": True, "decay": True, "t_tail": 1.0}}
-    run_scenario(parse_config(_tiny_config(**reports)), out_dir=out)
-    optional = ["well_constants.json", "stable_set.json", "decay_report.json",
-                "rho_vs_S.dat", "logE_vs_phi.dat"]
-    assert all((out / name).exists() for name in optional)
-    run_scenario(parse_config(_tiny_config()), out_dir=out)
+               "analysis": {"t_tail": 1.0}}
+    assert run_scenario(parse_config(_tiny_config(**reports)), out_dir=out).decay_report
+    assert all((out / name).exists()
+               for name in ["decay_report.json", "rho_vs_S.dat", "logE_vs_phi.dat"])
+    assert run_scenario(aborting, out_dir=out).aborted is not None
     assert sorted(p.name for p in out.iterdir()) == [
-        "hypothesis_report.json", "notes.txt", "run_metadata.json", "trajectory.csv"]
+        "abort.json", "hypothesis_report.json", "notes.txt", "run_metadata.json",
+        "stable_set.json", "trajectory.csv", "well_constants.json"]
     assert (out / "notes.txt").read_text() == "kept\n"
 
 
@@ -454,8 +477,7 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     # numpy's generators refuse a negative seed; the config refuses it first,
     # before any artifact is written
     path = tmp_path / "cfg.json"
-    path.write_text(_tiny_config(seed=-1, output_dir=str(tmp_path / "run"),
-                                 analysis={"constants": True}))
+    path.write_text(_tiny_config(seed=-1, output_dir=str(tmp_path / "run")))
     assert main([command, "--config", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -466,7 +488,6 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
 def test_out_of_well_scenario_preserves_partial_outputs(tmp_path):
     preset = PRESETS["out-of-well"]
     raw = copy.deepcopy(preset.config)
-    raw["analysis"]["constants"] = False
     raw["stepping"]["t_end"] = 5.0
     cfg = parse_config(json.dumps(raw))
     result = run_scenario(cfg, out_dir=tmp_path / "oow")
@@ -482,19 +503,18 @@ def test_out_of_well_scenario_preserves_partial_outputs(tmp_path):
 
 def test_short_horizon_skips_decay_gracefully(tmp_path):
     # T = 1 is below what the half-horizon stability diagnostics need for the
-    # default t0; the run must still complete and record why decay analysis
-    # was skipped
-    cfg = parse_config(
-        _tiny_config(
-            stepping={"dt": 2e-3, "t_end": 1.0, "record_every": 10},
-            analysis={"constants": False, "decay": True},
-        )
-    )
+    # default t0; the run must still complete, with its well constants and
+    # membership check, and record why decay analysis was skipped
+    cfg = parse_config(_tiny_config(stepping={"dt": 2e-3, "t_end": 1.0, "record_every": 10}))
     result = run_scenario(cfg, out_dir=tmp_path / "short")
     assert result.aborted is None
     assert result.decay_report is None
-    payload = json.loads((tmp_path / "short" / "decay_report.json").read_text())
-    assert "skipped" in payload
+    artifacts = _strict_artifacts(tmp_path / "short")
+    assert list(artifacts["decay_report.json"]) == ["skipped"]
+    assert "must lie below half the horizon" in artifacts["decay_report.json"]["skipped"]
+    assert artifacts["well_constants.json"]["lambda1"] == result.constants.lambda1 > 0
+    assert artifacts["stable_set.json"]["in_well"] is result.stable_report.in_well is True
+    assert not (tmp_path / "short" / "rho_vs_S.dat").exists()
 
 
 def test_run_shorter_than_one_record_interval_completes(tmp_path, capsys):
@@ -518,6 +538,19 @@ def test_mms_ladder_two_levels():
     ladder = run_mms_ladder(PRESETS["mms-ladder"].parse(), levels=2)
     assert len(ladder["errors"]) == 2
     assert ladder["ratios"][0] > 3.5
+
+
+def test_mms_ladder_preset_run_writes_every_report(tmp_path):
+    # the preset's run computes the well constants like any other; its
+    # horizon of 1 is too short for the decay report, which says why
+    assert main(["run", "--preset", "mms-ladder", "--out", str(tmp_path / "run")]) == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "decay_report.json", "hypothesis_report.json", "logE_vs_phi.dat",
+        "run_metadata.json", "stable_set.json", "trajectory.csv", "well_constants.json"]
+    artifacts = _strict_artifacts(tmp_path / "run")
+    assert list(artifacts["decay_report.json"]) == ["skipped"]
+    assert artifacts["stable_set.json"]["in_well"] is True
+    _check_timings(artifacts["run_metadata.json"])
 
 
 def test_sweep_creates_isolated_directories(tmp_path, capsys):
@@ -670,10 +703,9 @@ def test_overflowing_kirchhoff_coefficient_aborts(tmp_path):
 
 
 def test_overflowing_initial_energy_is_out_of_the_well(tmp_path):
-    # with the default well constants on, the membership check sees the
-    # overflow first; it must report the data outside the well
-    cfg = parse_config(_tiny_config(physics={"b": 0}, initial={"amplitude": 1e90},
-                                     analysis={"constants": True}))
+    # the membership check sees the overflow first; it must report the data
+    # outside the well
+    cfg = parse_config(_tiny_config(physics={"b": 0}, initial={"amplitude": 1e90}))
     result = run_scenario(cfg, out_dir=tmp_path / "ovf")
     assert result.stable_report is not None and not result.stable_report.in_well
     stable = _strict_artifacts(tmp_path / "ovf")["stable_set.json"]
@@ -707,12 +739,12 @@ def test_overflowing_oscillatory_series_is_a_config_error(alpha, eps):
 
 
 def _run_with_config_file(tmp_path, **overrides):
-    """(config path, artifact directory) of a completed run of that config
-    with every report on."""
+    """(config path, artifact directory) of a completed run of that config,
+    long enough for a decay report."""
     path = tmp_path / "cfg.json"
     path.write_text(_tiny_config(**{
         "stepping": {"dt": 2e-3, "t_end": 4.0, "record_every": 10},
-        "analysis": {"constants": True, "decay": True, "t_tail": 1.0}, **overrides,
+        "analysis": {"t_tail": 1.0}, **overrides,
     }))
     run_scenario(parse_config(path.read_text()), out_dir=tmp_path / "run")
     return path, tmp_path / "run"
@@ -785,11 +817,11 @@ def test_decay_report_subcommand_on_zero_data_is_strict_json(tmp_path, capsys):
 
 def _short_exp_run(tmp_path):
     """(config path, artifact directory) of the exp-inwell preset cut to
-    t_end = 2 with t_tail = 0.5, its decay report on."""
+    t_end = 2 with t_tail = 0.5."""
     raw = copy.deepcopy(PRESETS["exp-inwell"].config)
     raw["domain"]["resolution"] = [16]
     raw["stepping"]["t_end"] = 2.0
-    raw["analysis"].update(constants=False, t_tail=0.5)
+    raw["analysis"]["t_tail"] = 0.5
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(raw))
     result = run_scenario(parse_config(path.read_text()), out_dir=tmp_path / "exp")
@@ -828,7 +860,6 @@ def test_decay_report_on_an_unusable_csv_exits_2(tmp_path, capsys, case):
         assert run_scenario(parse_config(json.dumps(text)), out_dir=csv.parent).aborted
     elif case == "out-of-well":
         raw = copy.deepcopy(PRESETS["out-of-well"].config)
-        raw["analysis"]["constants"] = False
         assert run_scenario(parse_config(json.dumps(raw)), out_dir=csv.parent).aborted
     rc = main(["decay-report", "--preset", "exp-inwell", "--csv", str(csv)])
     err = capsys.readouterr().err

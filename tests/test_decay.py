@@ -72,6 +72,29 @@ def test_martinez_polynomial_case_sigma_positive():
     assert verdict.conclusion == "pass"
 
 
+def test_martinez_zero_energy_passes_with_zero_margins():
+    # E = 0 throughout meets the hypothesis and the envelope for every omega
+    t = np.linspace(0.0, 2.0, 21)
+    s = _sampled(t, np.zeros_like(t), _unit_rate, _ident)
+    verdict = martinez_check(s, sigma=0.0, omega=1.0)
+    assert (verdict.hypothesis, verdict.conclusion,
+            verdict.hypothesis_margin, verdict.conclusion_margin) == ("pass", "pass", 0.0, 0.0)
+
+
+def test_martinez_negligible_final_integrand_passes_without_a_tail():
+    # xi = 1e-7 makes the final integrand E(T) xi(T) fall below 1e-6 E(T):
+    # with no closed-form tail, the partial integral within its bound is a
+    # pass on its own
+    t = np.linspace(0.0, 5.0, 501)
+    E = np.exp(-t)
+    s = _sampled(t, E, lambda t: np.full_like(t, 1e-7), lambda t: 1e-7 * t)
+    assert s.xi[-1] * s.E[-1] <= 1e-6 * s.E[-1]
+    verdict = martinez_check(s, sigma=0.0, omega=1.0)
+    assert verdict.hypothesis == "pass"
+    assert verdict.conclusion == "pass"
+    assert 0.0 < verdict.hypothesis_margin < 1e-6
+
+
 def test_martinez_constant_energy_fails():
     # constant E > 0: the weighted integral diverges, so the partial
     # integral alone breaks the bound on a long enough grid

@@ -12,6 +12,11 @@ import viscowave
 # deletes a default lowers this number; no change may raise it.
 DEFAULTED_PARAMETERS = 8
 
+# Settable values of a run config, the leaves of cli.DEFAULTS (a list is one
+# value).  A change that deletes a key lowers this number; a change that
+# raises it says so in CHANGES.md.
+CONFIG_KEYS = 26
+
 
 def _defaulted_parameters(source: str) -> int:
     count = 0
@@ -37,6 +42,34 @@ def test_defaulted_parameters_do_not_grow():
     package = Path(viscowave.__file__).parent
     total = sum(_defaulted_parameters(path.read_text()) for path in sorted(package.glob("*.py")))
     assert total <= DEFAULTED_PARAMETERS
+
+
+def _leaves(node) -> int:
+    if isinstance(node, dict):
+        return sum(_leaves(value) for value in node.values())
+    return 1
+
+
+def test_config_keys_do_not_grow():
+    from viscowave.cli import DEFAULTS
+
+    assert _leaves({"a": 1, "b": {"c": [1, 2], "d": {"e": None}}}) == 3
+    assert _leaves(DEFAULTS) == CONFIG_KEYS
+
+
+def test_the_cfl_margins_live_in_the_stepper_alone():
+    # the operators carry the exact eigenvalue; the safety factor and the
+    # eigenvalue margin are constants of stepper.py and of no other module
+    package = Path(viscowave.__file__).parent
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value == 1.05:
+                sites.append((path.name, node.value))
+            elif isinstance(node, ast.Name) and node.id in ("CFL_SAFETY", "LAM_MARGIN"):
+                sites.append((path.name, node.id))
+    assert {name for name, _ in sites} == {"stepper.py"}
+    assert 1.05 in [value for _, value in sites]
 
 
 def _importers(prefix: str) -> list[str]:

@@ -761,3 +761,12 @@ def test_closed_form_amplitude_sweep_matches_the_direct_quotient(mesh_name, kapp
     info = constants.diagnostics["b_omega_verification"]
     assert info["verified"]
     assert info["finite_amplitude_max"] == max(q.max() for _, q in swept)
+
+
+def test_amplitude_quotients_of_a_zero_field_are_zero(ops64):
+    # |grad u| = 0 leaves every quotient 0/0: the sweep reads 0 at each of
+    # its amplitudes instead of nan
+    params = default_params()
+    quotients = stableset._amplitude_quotients(ops64, params, exp_kernel().l_value,
+                                               np.zeros(ops64.n_nodes))
+    assert quotients.tolist() == [0.0] * len(stableset._AMPLITUDES) == [0.0] * 40

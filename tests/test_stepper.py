@@ -217,9 +217,32 @@ def test_cfl_violation_aborts_with_diagnostic():
     kernel = exp_kernel()
     u0 = sine_profile(mesh, 0.1)
     z = np.zeros(mesh.n_nodes)
-    with pytest.raises(SimulationAbort, match="CFL"):
+    with pytest.raises(SimulationAbort) as exc:
         run(u0, z, np.zeros(1), ops, kernel, params,
             StepperConfig(dt=0.05, t_end=1.0))
+    assert exc.value.info.time == 0.0
+    assert exc.value.info.reason == ("CFL violation: dt = 5.000e-02 exceeds 9.675e-03 "
+                                     "(Kirchhoff coefficient 2.01234)")
+    assert exc.value.trajectory.n_records == 0
+
+
+# m_kir_max on 64 cells by dt, as the CFL margins have always made it
+_CFL_BOUNDS_64 = {1e-3: 188.36541964276762, 2e-3: 47.091354910691905,
+                  0.038: 0.13044696651161192, 0.05: 0.07534616785710704}
+
+
+@pytest.mark.parametrize("mesh_name", ["1d-64", "2d-6x6"])
+def test_cfl_bound_is_the_stepper_margins_on_the_exact_eigenvalue(mesh_name):
+    # the operators carry the exact eigenvalue and the stepper its two
+    # margins, applied in the order that keeps the bound bitwise
+    mesh = interval_mesh(64) if mesh_name == "1d-64" else square_mesh(6)
+    ops = assemble(mesh)
+    assert (stepper.CFL_SAFETY, stepper.LAM_MARGIN) == (0.9, 1.05)
+    for dt, pinned in _CFL_BOUNDS_64.items():
+        closure = stepper.AcousticClosure(ops, default_params(), StepperConfig(dt=dt, t_end=1.0))
+        assert closure.m_kir_max == (2.0 * 0.9 / dt) ** 2 / (1.05 * ops.lam_max)
+        if mesh_name == "1d-64":
+            assert closure.m_kir_max == pinned
 
 
 def test_cfl_bound_crossed_after_the_start_aborts_at_that_step():
