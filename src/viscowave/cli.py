@@ -56,7 +56,7 @@ import numpy as np
 from . import __version__
 from .assembly import PhysicalParams, assemble, dia_product, l2_norm_sq, pin_gamma0
 from .decay import DecayReport, SampledEnergy, build_decay_report, default_weighted_t0
-from .energy import rate_identity_residual
+from .energy import identity_residual
 from .geometry import DomainSpec, Mesh, build_mesh
 from .kernels import (
     BoundaryCoefficients,
@@ -386,6 +386,20 @@ def _format_table(table: np.ndarray, sep: str) -> str:
     return (line * n_rows) % tuple(table.ravel().tolist())
 
 
+# Rows of a table formatted at a time: a writer holds the text of one block,
+# not of the whole table.
+WRITE_BLOCK_ROWS = 1024
+
+
+def _write_table(path: Path, header: str, table: np.ndarray, sep: str) -> None:
+    """Write ``header``, then the text of ``table`` (``_format_table``),
+    formatted WRITE_BLOCK_ROWS rows at a time."""
+    with path.open("w") as out:
+        out.write(header)
+        for start in range(0, len(table), WRITE_BLOCK_ROWS):
+            out.write(_format_table(table[start:start + WRITE_BLOCK_ROWS], sep))
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory, mesh: Mesh) -> None:
     n_y = len(mesh.gamma1_nodes)
     header = (
@@ -394,20 +408,20 @@ def write_trajectory_csv(path: Path, traj: Trajectory, mesh: Mesh) -> None:
         + [f"y_{i}" for i in range(n_y)]
         + ["eprime_residual"]
     )
-    reps = traj.reports
-    energy = np.array(
-        [(r.t, r.total, r.kinetic, r.elastic, r.kirchhoff, r.boundary, r.memory,
-          r.source, r.gamma_fn, r.l2_sq, r.grad_sq) for r in reps], dtype=float,
-    ).reshape(len(reps), 11)
-    energy[:, 9:] = np.sqrt(np.maximum(energy[:, 9:], 0.0))  # u_l2, grad_u_l2
-    ys = np.array(traj.ys, dtype=float).reshape(len(reps), n_y)
+    energy = traj.energy
     # the central difference has a residual at every record but the first
     # and the last
-    residual = np.full((len(reps), 1), np.nan)
-    if len(reps) >= 3:
-        residual[1:-1, 0] = rate_identity_residual(reps)[1]
-    table = np.hstack([energy, ys, residual])
-    path.write_text(",".join(header) + "\n" + _format_table(table, ","))
+    residual = np.full(traj.n_records, np.nan)
+    if traj.n_records >= 3:
+        residual[1:-1] = identity_residual(energy["t"], energy["total"],
+                                           energy["rhs_identity"])[1]
+    table = np.column_stack(
+        [energy[name] for name in ("t", "total", "kinetic", "elastic", "kirchhoff", "boundary",
+                                   "memory", "source", "gamma_fn")]
+        + [np.sqrt(np.maximum(energy[name], 0.0)) for name in ("l2_sq", "grad_sq")]
+        + [traj.ys, residual]
+    )
+    _write_table(path, ",".join(header) + "\n", table, ",")
 
 
 def _strict(value):
@@ -451,7 +465,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_columns(path: Path, cols: list[np.ndarray]) -> None:
-    path.write_text(_format_table(np.column_stack(cols), " "))
+    _write_table(path, "", np.column_stack(cols), " ")
 
 
 # ----------------------------------------------------------------------

@@ -76,8 +76,7 @@ class SampledEnergy:
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory, kernel: RelaxationKernel) -> "SampledEnergy":
-        return cls.from_samples(np.array(traj.times), np.array([r.total for r in traj.reports]),
-                                kernel)
+        return cls.from_samples(traj.energy["t"], traj.energy["total"], kernel)
 
     @property
     def horizon(self) -> float:

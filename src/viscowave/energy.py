@@ -21,15 +21,19 @@ F of the stable-set analysis.
 |grad u|^2 and |u|_k^k are read from the state (``grad_sq``, ``lk``), where
 the stepper put them when it evaluated the force.
 
-A record does per call only what depends on the state.  :func:`run
-<viscowave.stepper.run>` builds one :class:`_RecordForm` per run: g(t) and
-int_0^t g at every record time n dt, each list from one vectorized kernel
-call, and the block-diagonal operator B = diag(M, M, q W1, p W1) on the
-state's contiguous run (u, v, y, y_t), M the consistent mass and W1 the
-acoustic weights, stored by its diagonals (M's as ``ops.mass`` holds them).
-One product B z with that run z gives, summed over its four blocks,
-|u|_2^2, 2 kinetic, q int y^2 and p int y_t^2; the two memory functionals
-are the history buffer's one read at its newest push.
+A record writes raw values only: :func:`compute_energy` puts the state's
+time, |grad u|^2 and |u|_k^k, the two memory functionals (the history
+buffer's one read at its newest push) and four quadratics into one row of a
+float table, followed by y.  The quadratics come from one product B z with
+the state's contiguous run z = (u, v, y, y_t), B = diag(M, M, q W1, p W1)
+(M the consistent mass, W1 the acoustic weights), summed over its four
+blocks: |u|_2^2, 2 kinetic, q int y^2 and p int y_t^2.  :func:`run
+<viscowave.stepper.run>` builds one :class:`_RecordForm` per run: the
+table, B stored by its diagonals (M's as ``ops.mass`` holds them), and g(t)
+and int_0^t g at every record time n dt, each from one vectorized kernel
+call.  After the run, :meth:`_RecordForm.columns` derives the fifteen
+:class:`EnergyReport` fields of every record in one vectorized pass, and
+:func:`_reports` is the one place that turns those columns into reports.
 
 Along forcing-free trajectories the energy rate satisfies
 
@@ -42,7 +46,6 @@ dE/dt without access to the history buffer.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +61,10 @@ class EnergyReport(NamedTuple):
 
     ``rhs_identity`` is the dissipation-identity right-hand side evaluated
     from the same snapshot; ``total`` always equals the sum of the six
-    components.  A named tuple, as a run builds one per record: iterating
-    it gives the fields in order, and ``_replace`` makes an edited copy.
+    components.  A run keeps its records as columns, one float array per
+    field in this order (``Trajectory.energy``); a report is one record of
+    them, built by :func:`_reports` alone.  Iterating it gives the fields
+    in order, and ``_replace`` makes an edited copy.
     """
 
     t: float
@@ -79,9 +84,15 @@ class EnergyReport(NamedTuple):
     rhs_identity: float
 
 
+# Columns of a record's raw row that precede y: t, |grad u|^2, |u|_k^k,
+# (g o grad u), (g' o grad u), then the four sums of the record product.
+_T, _GRAD_SQ, _LK, _G_DIAMOND, _G_PRIME_DIAMOND = range(5)
+_QUADRATICS = slice(5, 9)
+_N_RAW = 9
+
+
 class _RecordForm:
-    """The per-run constants of a record: the kernel tables on the record
-    grid and the record operator.
+    """The per-run constants and the raw table of a run's records.
 
     The grid holds the times n dt of the steps n = 0, record_every, ... up
     to n_steps, the steps at which a run records.  ``g`` and ``mass`` are
@@ -94,13 +105,21 @@ class _RecordForm:
     trailing zero so that the blocks' sums at ``starts`` read 0 for an
     empty acoustic boundary (``np.add.reduceat`` reads a[i] for an empty
     block i).
+
+    ``rows`` holds one row per record of the grid, written by
+    :func:`compute_energy`:
+
+      t | grad_sq | lk | g_diamond | g_prime_diamond
+        | l2_sq | 2 kinetic | q int y^2 | p int y_t^2 | y (m entries)
+
+    and ``zero`` as many zeros, for the finiteness check of a row.
     """
 
     def __init__(self, kernel: RelaxationKernel, params: PhysicalParams,
                  ops: DiscreteOperators, dt: float, record_every: int, n_steps: int):
         times = np.arange(0, n_steps + 1, record_every) * dt
-        self.g = kernel.g(times).tolist()
-        self.mass = kernel.partial_mass(times).tolist()
+        self.g = kernel.g(times)
+        self.mass = kernel.partial_mass(times)
         self.record_every = record_every
         self.l_value = kernel.l_value
         self.params = params
@@ -116,81 +135,103 @@ class _RecordForm:
                                       shape=(2 * n + 2 * m, 2 * n + 2 * m))
         self.products = np.zeros(2 * n + 2 * m + 1)
         self.starts = np.array([0, n, 2 * n, 2 * n + m])
+        self.rows = np.empty((len(times), _N_RAW + m))
+        self.zero = np.zeros(_N_RAW + m)
+
+    def columns(self, n: int) -> dict[str, np.ndarray]:
+        """The :class:`EnergyReport` fields of the first ``n`` records, one
+        array per field in field order, derived from their raw rows in one
+        pass.
+
+        The operations and their order are those of a report built from
+        one row, so every value is the one that report would hold.  The
+        Kirchhoff potential is taken record by record through
+        ``params.kirchhoff_potential``, whose float power is libm's ``pow``
+        (numpy's vectorized power may differ from it in the last bit).
+        """
+        t, gns, lk, gdia, gpdia, l2_sq, twice_kinetic, acoustic, damping = self.rows[:n, :_N_RAW].T
+        params = self.params
+        g_at_t = self.g[:n]
+        kinetic = 0.5 * twice_kinetic
+        elastic = 0.5 * (params.a - self.mass[:n]) * gns
+        kirchhoff_pot = np.array(list(map(params.kirchhoff_potential, gns.tolist())), dtype=float)
+        kirchhoff = 0.5 * kirchhoff_pot
+        boundary = 0.5 * acoustic
+        memory = 0.5 * gdia
+        if params.source_enabled:
+            source = -lk / params.k_exp
+        else:
+            source = np.zeros(n)
+        total = kinetic + elastic + kirchhoff + boundary + memory + source
+        rhs = -0.5 * g_at_t * gns + 0.5 * gpdia - damping
+        well = self.l_value * gns + kirchhoff_pot + acoustic + gdia
+        gamma_fn = np.sqrt(np.where(well < 0.0, 0.0, well))  # max(well, 0.0), nan kept
+        fields = (t, total, kinetic, elastic, kirchhoff, boundary, memory, source, gamma_fn,
+                  gns, l2_sq, g_at_t, gpdia, damping, rhs)
+        return dict(zip(EnergyReport._fields, np.array(fields)))
+
+    def ys(self, n: int) -> np.ndarray:
+        """The acoustic fields of the first ``n`` records, an (n, m) array
+        of its own."""
+        return self.rows[:n, _N_RAW:].copy()
 
 
-def compute_energy(state, buffer: HistoryBuffer, form: _RecordForm) -> EnergyReport:
-    """Full energy report of ``state``, which must be the buffer's newest
-    push and a state of the record grid of ``form``'s run.
+def compute_energy(state, buffer: HistoryBuffer, form: _RecordForm) -> np.ndarray:
+    """Write the raw row of ``state``'s record into ``form.rows`` and return
+    it; ``state`` must be the buffer's newest push and a state of the
+    record grid of ``form``'s run.
 
-    Reads g(t) and int_0^t g off the form's tables, the four quadratics off
-    one product with its operator (see the module docstring) and the two
-    memory functionals off the buffer.
+    The four quadratics come off one product with the form's operator (see
+    the module docstring) and the two memory functionals off the buffer;
+    :meth:`_RecordForm.columns` derives the report fields from the row.
     """
     i, off = divmod(state.n, form.record_every)
-    if off or i >= len(form.g):
+    if off or i >= len(form.rows):
         raise ValueError(
             f"step {state.n} is off the record grid (every {form.record_every} "
-            f"steps, {len(form.g)} records)"
+            f"steps, {len(form.rows)} records)"
         )
+    row = form.rows[i]
+    # one store per value: a tuple stored into a slice becomes an array first
+    row[_T] = state.t
+    row[_GRAD_SQ] = state.grad_sq
+    row[_LK] = state.lk
+    row[_G_DIAMOND] = buffer.g_diamond()
+    row[_G_PRIME_DIAMOND] = buffer.g_prime_diamond()
     z = state.x[state.closure.checked]
     products = form.products
     np.multiply(z, dia_product(form.operator, z), out=products[:-1])
-    l2_sq, twice_kinetic, acoustic, damping = np.add.reduceat(products, form.starts).tolist()
-    params = form.params
-    gns = state.grad_sq
-    g_at_t = form.g[i]
-    kinetic = 0.5 * twice_kinetic
-    elastic = 0.5 * (params.a - form.mass[i]) * gns
-    kirchhoff_pot = params.kirchhoff_potential(gns)
-    kirchhoff = 0.5 * kirchhoff_pot
-    boundary = 0.5 * acoustic
-    gdia = buffer.g_diamond()
-    memory = 0.5 * gdia
-    if params.source_enabled:
-        source = -state.lk / params.k_exp
-    else:
-        source = 0.0
-    total = kinetic + elastic + kirchhoff + boundary + memory + source
-
-    gpdia = buffer.g_prime_diamond()
-    rhs = -0.5 * g_at_t * gns + 0.5 * gpdia - damping
-
-    well = form.l_value * gns + kirchhoff_pot + acoustic + gdia
-
-    return EnergyReport(
-        t=state.t,
-        total=total,
-        kinetic=kinetic,
-        elastic=elastic,
-        kirchhoff=kirchhoff,
-        boundary=boundary,
-        memory=memory,
-        source=source,
-        gamma_fn=math.sqrt(max(well, 0.0)),
-        grad_sq=gns,
-        l2_sq=l2_sq,
-        g_at_t=g_at_t,
-        g_prime_diamond=gpdia,
-        boundary_damping=damping,
-        rhs_identity=rhs,
-    )
+    np.add.reduceat(products, form.starts, out=row[_QUADRATICS])
+    row[_N_RAW:] = state.y
+    return row
 
 
-def rate_identity_residual(reports: list[EnergyReport]):
-    """Central-difference dE/dt minus the identity right-hand side.
+def _reports(columns: dict[str, np.ndarray]) -> list[EnergyReport]:
+    """The records of ``columns`` (as :meth:`_RecordForm.columns` gives
+    them) as one report each, of Python floats."""
+    return list(map(EnergyReport._make, zip(*(c.tolist() for c in columns.values()))))
+
+
+def identity_residual(t: np.ndarray, total: np.ndarray, rhs: np.ndarray):
+    """Central-difference dE/dt minus the identity right-hand side, from the
+    columns of the record times, the energy and the right-hand side.
 
     Needs at least three uniformly spaced records; returns the interior
     record times and their residuals.
     """
-    if len(reports) < 3:
-        raise ValueError(f"need >= 3 records for a central difference, got {len(reports)}")
-    ts = np.array([r.t for r in reports])
-    spacing = np.diff(ts)
+    if len(t) < 3:
+        raise ValueError(f"need >= 3 records for a central difference, got {len(t)}")
+    spacing = np.diff(t)
     if spacing.min() <= 0:
         raise ValueError("record times must be strictly increasing")
     if (spacing.max() - spacing.min()) > 1e-9 * spacing.max():
         raise ValueError("records must be uniformly spaced")
-    E = np.array([r.total for r in reports])
-    rhs = np.array([r.rhs_identity for r in reports])
-    dEdt = (E[2:] - E[:-2]) / (ts[2:] - ts[:-2])
-    return ts[1:-1], dEdt - rhs[1:-1]
+    dEdt = (total[2:] - total[:-2]) / (t[2:] - t[:-2])
+    return t[1:-1], dEdt - rhs[1:-1]
+
+
+def rate_identity_residual(reports: list[EnergyReport]):
+    """:func:`identity_residual` of a list of reports."""
+    return identity_residual(np.array([r.t for r in reports]),
+                             np.array([r.total for r in reports]),
+                             np.array([r.rhs_identity for r in reports]))

@@ -379,19 +379,13 @@ class InvarianceVerdict:
 
 def verify_invariance(trajectory: Trajectory, constants: WellConstants) -> InvarianceVerdict:
     """Check gamma_fn(t) < lambda1 and E(t) < d1 at every recorded state."""
-    max_g = 0.0
-    max_e = -math.inf
-    first_bad = None
-    for rep in trajectory.reports:
-        max_g = max(max_g, rep.gamma_fn / constants.lambda1)
-        max_e = max(max_e, rep.total / constants.d1)
-        bad = rep.gamma_fn >= constants.lambda1 or rep.total >= constants.d1
-        if bad and first_bad is None:
-            first_bad = rep.t
+    energy = trajectory.energy
+    gamma_fn, total = energy["gamma_fn"], energy["total"]
+    bad = np.flatnonzero((gamma_fn >= constants.lambda1) | (total >= constants.d1))
     return InvarianceVerdict(
-        passed=first_bad is None,
-        n_checked=len(trajectory.reports),
-        max_gamma_ratio=max_g,
-        max_energy_ratio=max_e,
-        first_violation_time=first_bad,
+        passed=len(bad) == 0,
+        n_checked=len(total),
+        max_gamma_ratio=float(np.max(gamma_fn / constants.lambda1, initial=0.0)),
+        max_energy_ratio=float(np.max(total / constants.d1, initial=-math.inf)),
+        first_violation_time=float(energy["t"][bad[0]]) if len(bad) else None,
     )

@@ -55,30 +55,40 @@ So a step allocates no state array, and a state it returned stays valid
 until the second step after it, which writes its array again.
 
 A record (every record_every-th step, and t = 0) is one
-:func:`~viscowave.energy.compute_energy` call on the new state, and the
-trajectory keeps a copy of the state's array.  :func:`run`
-builds its per-run constants once, before the first step: the tables of
-g(t) and int_0^t g on the record grid and the block-diagonal record
-operator over the run of u, v, y and y_t (``closure.checked``), so that a
-record makes one sparse product and reads two table rows.
+:func:`~viscowave.energy.compute_energy` call on the new state, which writes
+the record's raw row (the values its energy report is derived from, and y)
+into a table allocated once per run; one dot product of the row with zeros
+checks it as the step's check does a state, and one copy into one buffer
+keeps the state's array as the last record's.  :func:`run` builds its
+per-run constants once, before the first step: the table, the tables of g(t)
+and int_0^t g on the record grid and the block-diagonal record operator over
+the run of u, v, y and y_t (``closure.checked``), so that a record makes one
+sparse product and reads the history's two memory functionals.  After the
+last step one vectorized pass derives the report fields of every record
+from the table (:meth:`~viscowave.energy._RecordForm.columns`).
 
 Floating-point errors: :func:`run` enters one
 ``np.errstate(over="ignore", invalid="ignore")`` around ``init_state``,
-every step and every record, and restores the caller's state on the way
-out.  On the way to a blow-up an overflow gives inf or nan, which the
+every step, every record and the derivation of the report fields, and
+restores the caller's state on the way out.  On the way to a blow-up an overflow gives inf or nan, which the
 finiteness check turns into an abort, not a warning.  :func:`init_state`
 enters its own as well (it runs once); :func:`step` does not, so a caller
 that steps by hand enters it around its calls.
 
 Aborts (CFL violation, non-finite fields or energy) raise
 :class:`SimulationAbort` carrying the partial trajectory and the abort time;
-blow-up of out-of-well data is an expected abort, not a bug.
+blow-up of out-of-well data is an expected abort, not a bug.  A raw row
+that is not finite aborts at its record.  A report field can overflow from
+finite raw values only when they exceed about 1e150; the pass after the
+last step finds such a field and raises the same abort at that record's
+time, with the records before it, in place of any later abort of the run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -92,7 +102,7 @@ from .assembly import (
     pin_gamma0,
     source_vector,
 )
-from .energy import EnergyReport, _RecordForm, compute_energy
+from .energy import EnergyReport, _RecordForm, _reports, compute_energy
 from .history import HistoryBuffer
 from .kernels import RelaxationKernel
 
@@ -308,33 +318,34 @@ class SimulationAbort(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """What a run keeps: per record its time, energy report and acoustic
-    field y, plus the state of the last record as ``final`` (None before
-    the first).  Both are copies: y so that no record keeps its step's
-    whole array alive, and ``final`` because later steps write the arrays
-    of the run's pair again.  ``memory`` is the history buffer's
+    """What a run keeps: its records as columns, plus the state of the last
+    record as ``final``.
+
+    ``energy`` maps each :class:`EnergyReport` field to one float array
+    over the records; ``ys`` is the (records, m) array of the acoustic
+    field y; ``times`` and ``reports`` are lists built from ``energy`` on
+    first access.  ``final`` is a copy, as later steps write the arrays of
+    the run's pair again; it is None before the first record, and when a
+    report field overflowed (see the module docstring), as the state of the
+    last record kept is gone by then.  ``memory`` is the history buffer's
     ``diagnostics()``."""
 
     memory: dict
-    times: list[float] = field(default_factory=list)
-    reports: list[EnergyReport] = field(default_factory=list)
-    ys: list[np.ndarray] = field(default_factory=list)
-    final: SimState | None = None
-
-    def record(self, state: SimState, report: EnergyReport) -> None:
-        """Append the record of ``state``; a report with a field that is
-        not finite aborts the run instead."""
-        if not all(map(math.isfinite, report)):
-            raise SimulationAbort("blow-up or instability: non-finite energy", state.t)
-        self.times.append(state.t)
-        self.reports.append(report)
-        self.ys.append(state.y.copy())
-        self.final = SimState(state.t, state.x.copy(), state.m_kir, state.grad_sq, state.lk,
-                              state.closure, state.n)
+    energy: dict[str, np.ndarray]
+    ys: np.ndarray
+    final: SimState | None
 
     @property
     def n_records(self) -> int:
-        return len(self.times)
+        return len(self.ys)
+
+    @cached_property
+    def times(self) -> list[float]:
+        return self.energy["t"].tolist()
+
+    @cached_property
+    def reports(self) -> list[EnergyReport]:
+        return _reports(self.energy)
 
 
 def _cfl_abort(m_kir: float, ops: DiscreteOperators, cfg: StepperConfig, t: float):
@@ -481,6 +492,18 @@ def step(
     return SimState(t1, x, m_kir1, grad_sq1, lk1, closure, n1)
 
 
+def _record(state: SimState, buffer: HistoryBuffer, form: _RecordForm,
+            kept: np.ndarray) -> SimState:
+    """Write the raw row of ``state``'s record, copy its array into
+    ``kept`` and return ``state``; a row with a value that is not finite
+    aborts instead."""
+    row = compute_energy(state, buffer, form)
+    if not math.isfinite(np.dot(row, form.zero)):
+        raise SimulationAbort("blow-up or instability: non-finite energy", state.t)
+    np.copyto(kept, state.x)
+    return state
+
+
 def run(
     u0: np.ndarray,
     u1: np.ndarray,
@@ -492,28 +515,44 @@ def run(
 ) -> Trajectory:
     """Integrate to t_end, recording every record_every-th step.
 
-    The history buffer and the record constants (``energy._RecordForm``)
-    are built here, once per run.  The memory term is always on: a memory-free reference run passes a
-    kernel with g0 = 0, whose every memory quantity is exactly zero.  For
-    uniformly spaced records choose t_end as a multiple of
-    record_every * dt.  On abort the partial trajectory is attached to the
-    raised :class:`SimulationAbort`.
+    The history buffer and the record constants and table
+    (``energy._RecordForm``) are built here, once per run, and the report
+    fields are derived once, after the last step.  The memory term is
+    always on: a memory-free reference run passes a kernel with g0 = 0,
+    whose every memory quantity is exactly zero.  For uniformly spaced
+    records choose t_end as a multiple of record_every * dt.  On abort the
+    partial trajectory is attached to the raised :class:`SimulationAbort`.
     """
     n_steps = cfg.n_steps
     buffer = HistoryBuffer(kernel, ops.n_nodes, cfg.dt, n_steps)
     form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, n_steps)
-    traj = Trajectory(memory=buffer.diagnostics())
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
+    last = abort = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
             state = init_state(u0, u1, y0, ops, params, buffer, cfg)
-            traj.record(state, compute_energy(state, buffer, form))
+            kept = np.empty_like(state.x)
+            last = _record(state, buffer, form, kept)
             for i in range(1, n_steps + 1):
                 state = step(state, ops, params, buffer, cfg)
                 if i % cfg.record_every == 0:
-                    traj.record(state, compute_energy(state, buffer, form))
-    except SimulationAbort as ab:
-        ab.trajectory = traj
-        raise
+                    last = _record(state, buffer, form, kept)
+        except SimulationAbort as ab:
+            abort = ab
+        n = 0 if last is None else last.n // cfg.record_every + 1
+        energy = form.columns(n)
+    finite = np.logical_and.reduce([np.isfinite(c) for c in energy.values()])
+    if not finite.all():  # the state of the last record kept is gone
+        n = int(finite.argmin())
+        abort = SimulationAbort("blow-up or instability: non-finite energy", float(energy["t"][n]))
+        energy = {name: c[:n] for name, c in energy.items()}
+        last = None
+    final = None
+    if last is not None:
+        final = SimState(last.t, kept, last.m_kir, last.grad_sq, last.lk, last.closure, last.n)
+    traj = Trajectory(memory=buffer.diagnostics(), energy=energy, ys=form.ys(n), final=final)
+    if abort is not None:
+        abort.trajectory = traj
+        raise abort
     return traj
 
 

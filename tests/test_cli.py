@@ -23,9 +23,11 @@ from viscowave.cli import (
     DEFAULTS,
     ConfigError,
     PRESETS,
+    WRITE_BLOCK_ROWS,
     _format_table,
     _json_text,
     _strict,
+    _write_table,
     main,
     parse_config,
     profile_field,
@@ -882,6 +884,20 @@ def test_one_pass_formatter_matches_per_value_format():
     back = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()])
     assert np.array_equal(back, table, equal_nan=True)
     assert np.array_equal(np.signbit(back), np.signbit(table))
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS,
+                                    WRITE_BLOCK_ROWS + 1])
+def test_block_writer_matches_the_one_pass_text(tmp_path, n_rows):
+    # the table is formatted a block of rows at a time; the file holds the
+    # header and the one-pass text of the whole table, byte for byte
+    rng = np.random.default_rng(n_rows)
+    table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+    if n_rows:
+        table[0, :] = math.nan, -math.inf, -0.0
+    path = tmp_path / "table.csv"
+    _write_table(path, "a,b,c\n", table, ",")
+    assert path.read_bytes() == ("a,b,c\n" + _format_table(table, ",")).encode()
 
 
 def test_mms_subcommand_with_config_file(tmp_path, capsys):

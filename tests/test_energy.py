@@ -8,15 +8,17 @@ from viscowave import (
     assemble,
     boundary_quadratic,
     build_kernel,
+    build_manufactured_case,
     compute_energy,
     grad_norm_sq,
     lk_norm_pow,
     make_rate,
     rate_identity_residual,
     run,
+    sine_solution,
 )
 from viscowave.assembly import l2_norm_sq
-from viscowave.energy import _RecordForm
+from viscowave.energy import _RecordForm, _reports, identity_residual
 from viscowave.history import HistoryBuffer
 from viscowave.stepper import init_state, step
 
@@ -32,12 +34,14 @@ from conftest import (
 
 
 def _report_at_zero(mesh, ops, params, kernel, u0, u1, y0):
-    """The energy report of the initial state of a run of no steps."""
+    """The energy report of the initial state of a run of no steps, read
+    off the record table."""
     cfg = StepperConfig(dt=1e-4, t_end=0.0)
     buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
     form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.n_steps)
     state = init_state(u0, u1, y0, ops, params, buf, cfg)
-    return compute_energy(state, buf, form)
+    compute_energy(state, buf, form)
+    return _reports(form.columns(1))[0]
 
 
 def test_zero_state_zero_energy(mesh64, ops64):
@@ -123,9 +127,10 @@ def test_record_form_matches_the_written_out_report(domain, family):
             with pytest.raises(ValueError, match="record grid"):
                 compute_energy(state, buf, form)
         else:
-            report = compute_energy(state, buf, form)
-            _check_report(report, state, buf, kernel, params, ops, cfg.dt)
+            compute_energy(state, buf, form)
             records += 1
+            report = _reports(form.columns(records))[-1]
+            _check_report(report, state, buf, kernel, params, ops, cfg.dt)
             if state.n > cfg.record_every:  # past the short run's last record
                 with pytest.raises(ValueError, match="record grid"):
                     compute_energy(state, buf, short)
@@ -166,6 +171,86 @@ def _check_report(rep, state, buf, kernel, params, ops, dt):
     assert list(expected) == list(rep._fields)
     for name, value in expected.items():
         assert getattr(rep, name) == pytest.approx(value, rel=1e-14, abs=0.0), name
+
+
+def _scalar_report(state, buffer, form, i):
+    """The report of record i, one scalar operation at a time in the order
+    of a record that builds its own report: the oracle of the table's one
+    vectorized pass."""
+    params = form.params
+    z = state.x[state.closure.checked]
+    sums = np.add.reduceat(np.append(z * (form.operator @ z), 0.0), form.starts).tolist()
+    l2_sq, twice_kinetic, acoustic, damping = sums
+    gns = state.grad_sq
+    g_at_t = float(form.g[i])
+    kinetic = 0.5 * twice_kinetic
+    elastic = 0.5 * (params.a - float(form.mass[i])) * gns
+    kirchhoff_pot = params.kirchhoff_potential(gns)
+    kirchhoff = 0.5 * kirchhoff_pot
+    boundary = 0.5 * acoustic
+    gdia = buffer.g_diamond()
+    memory = 0.5 * gdia
+    source = -state.lk / params.k_exp if params.source_enabled else 0.0
+    total = kinetic + elastic + kirchhoff + boundary + memory + source
+    gpdia = buffer.g_prime_diamond()
+    rhs = -0.5 * g_at_t * gns + 0.5 * gpdia - damping
+    well = form.l_value * gns + kirchhoff_pot + acoustic + gdia
+    return (state.t, total, kinetic, elastic, kirchhoff, boundary, memory, source,
+            math.sqrt(max(well, 0.0)), gns, l2_sq, g_at_t, gpdia, damping, rhs)
+
+
+@pytest.mark.parametrize("case", ["unforced", "forced", "unforced-linear"])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("domain", ["interval", "square-free-corner"])
+def test_every_column_is_bitwise_the_scalar_report(domain, family, case):
+    # the fields a run derives from its raw table, for every record, are
+    # bit for bit those of the scalar formulas applied record by record;
+    # "linear" turns the Kirchhoff term and the source off, so that the
+    # potential and the source read 0.0
+    if domain == "interval":
+        mesh = interval_mesh(16)
+    else:
+        mesh = square_mesh(6, gamma1=("right", "top"))
+    if case == "unforced-linear":
+        params = default_params(p_c=0.7, q_c=1.3, b=0.0, source_enabled=False)
+    else:
+        params = default_params(p_c=0.7, q_c=1.3)
+    ops = assemble(mesh)
+    alpha, eps = _FAMILIES[family]
+    kernel = build_kernel(make_rate(family, alpha, eps), 1.0, 3.0)
+    t_end = 0.1
+    forcing = None
+    u0, u1 = sine_profile(mesh, 0.3), sine_profile(mesh, -0.2)
+    y0 = np.linspace(0.1, 0.3, len(mesh.gamma1_nodes))
+    if case == "forced":
+        forced = build_manufactured_case(sine_solution(mesh.spec.extent), ops, params, kernel,
+                                         t_end)
+        forcing, u0, u1, y0 = forced.forcing, forced.u0, forced.u1, forced.y0
+    cfg = StepperConfig(dt=2e-3, t_end=t_end, record_every=5, forcing=forcing)
+    buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
+    form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.n_steps)
+    state = init_state(u0, u1, y0, ops, params, buf, cfg)
+    expected, ys = [], []
+    while True:
+        i, off = divmod(state.n, cfg.record_every)
+        if not off:
+            expected.append(_scalar_report(state, buf, form, i))
+            ys.append(state.y.copy())
+        if state.n == cfg.n_steps:
+            break
+        state = step(state, ops, params, buf, cfg)
+    traj = run(u0, u1, y0, ops, kernel, params, cfg)
+    assert len(expected) == traj.n_records == 11
+    columns = np.array(list(traj.energy.values()))
+    assert columns.tobytes() == np.array(expected).T.tobytes()
+    assert np.array([tuple(r) for r in traj.reports]).tobytes() == np.array(expected).tobytes()
+    assert traj.ys.tobytes() == np.array(ys).tobytes()
+    assert traj.times == [r[0] for r in expected]
+    # the residual of the columns is the residual of the reports
+    ts, res = identity_residual(traj.energy["t"], traj.energy["total"],
+                                traj.energy["rhs_identity"])
+    ts_r, res_r = rate_identity_residual(traj.reports)
+    assert ts.tobytes() == ts_r.tobytes() and res.tobytes() == res_r.tobytes()
 
 
 def test_identity_rhs_terms_nonpositive():

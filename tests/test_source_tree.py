@@ -166,3 +166,34 @@ def test_the_only_random_draw_is_the_b_omega_verification():
                 inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 sites.append((path.name, inside, node.attr))
     assert sites == [("stableset.py", ["estimate_B_Omega"], "default_rng")]
+
+
+def test_energy_reports_are_built_in_one_function():
+    # a run keeps its records as columns, and the table's report view is
+    # the one function that builds EnergyReport values, so a per-record
+    # tuple cannot creep back into the stepping loop unnoticed.  Every use
+    # of the name counts but those in annotations and the reads of its
+    # ``_fields``.
+    package = Path(viscowave.__file__).parent
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skipped = set()
+        for node in ast.walk(tree):
+            parts = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                parts = [node.returns] + [a.annotation for a in ast.walk(node.args)
+                                          if isinstance(a, ast.arg)]
+            elif isinstance(node, ast.AnnAssign):
+                parts = [node.annotation]
+            elif isinstance(node, ast.Attribute) and node.attr == "_fields":
+                parts = [node.value]
+            skipped |= {id(n) for part in parts if part is not None for n in ast.walk(part)}
+        functions = [f for f in ast.walk(tree)
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "EnergyReport"
+                    and id(node) not in skipped):
+                inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                sites.append((path.name, inside))
+    assert sites == [("energy.py", ["_reports"])]

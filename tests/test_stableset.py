@@ -22,6 +22,7 @@ from viscowave import (
 )
 from viscowave import assembly, stableset
 from viscowave.assembly import free_stiffness_inverse_block, solve_free_stiffness
+from viscowave.energy import _reports
 
 from ascent_oracle import best_of_random_starts, full_node_ascent, ground_gradient
 from inverse_block_oracle import mode_loop_block, mode_loop_trace_constant
@@ -211,6 +212,21 @@ def test_initial_membership_examples(mesh64, ops64):
     assert rep2.in_well
 
 
+def _verdict_of_reports(reports, constants):
+    """verify_invariance record by record, the oracle of its vectorized
+    reductions."""
+    max_g, max_e, first_bad = 0.0, -math.inf, None
+    for rep in reports:
+        max_g = max(max_g, rep.gamma_fn / constants.lambda1)
+        max_e = max(max_e, rep.total / constants.d1)
+        bad = rep.gamma_fn >= constants.lambda1 or rep.total >= constants.d1
+        if bad and first_bad is None:
+            first_bad = rep.t
+    return stableset.InvarianceVerdict(passed=first_bad is None, n_checked=len(reports),
+                                       max_gamma_ratio=max_g, max_energy_ratio=max_e,
+                                       first_violation_time=first_bad)
+
+
 def test_invariance_verdicts(mesh64, ops64):
     params = default_params()
     kernel = exp_kernel()
@@ -220,6 +236,8 @@ def test_invariance_verdicts(mesh64, ops64):
     zero_traj = run(z, z, np.zeros(1), ops64, kernel, params,
                     StepperConfig(dt=1e-3, t_end=0.05, record_every=10))
     assert verify_invariance(zero_traj, constants).passed
+    assert (verify_invariance(zero_traj, constants)
+            == _verdict_of_reports(zero_traj.reports, constants))
 
     u0 = sine_profile(mesh64, 0.4)
     traj = run(u0, z, np.zeros(1), ops64, kernel, params,
@@ -228,14 +246,15 @@ def test_invariance_verdicts(mesh64, ops64):
     assert verdict.passed
     assert verdict.max_gamma_ratio < 1.0
     assert verdict.max_energy_ratio < 1.0
+    assert verdict == _verdict_of_reports(traj.reports, constants)
 
     # tamper with one record: scaled far out of the well
-    bad = traj.reports[3]._replace(total=traj.reports[3].total * 100,
-                                   gamma_fn=traj.reports[3].gamma_fn * 100)
-    traj.reports[3] = bad
+    for name in ("total", "gamma_fn"):
+        traj.energy[name][3] *= 100
     verdict2 = verify_invariance(traj, constants)
     assert not verdict2.passed
     assert verdict2.first_violation_time == pytest.approx(traj.times[3])
+    assert verdict2 == _verdict_of_reports(_reports(traj.energy), constants)
 
 
 def test_well_constants_run_one_ascent_and_one_trace_solve_and_verify_its_iterate(monkeypatch):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.integrate import quad, solve_ivp
 
 from viscowave import (
     ManufacturedSolution,
+    PhysicalParams,
     SimulationAbort,
     StepperConfig,
     assemble,
@@ -25,7 +27,7 @@ from viscowave import (
 )
 from viscowave import assembly, cli, compute_energy, stepper
 from viscowave.cli import PRESETS, initial_data, parse_config, run_mms_ladder
-from viscowave.energy import _RecordForm
+from viscowave.energy import _RecordForm, _reports
 from viscowave.history import HistoryBuffer
 from viscowave.kernels import RelaxationKernel
 from viscowave.stepper import Forcing, init_state, step
@@ -43,24 +45,28 @@ from history_oracle import FullHistory
 
 def _recorded_states(u0, u1, y0, ops, kernel, params, cfg):
     """The states and reports of every record of ``run``, stepped by hand
-    with init_state/step/compute_energy at the same steps; checked against
-    ``run`` itself, so a test can look at per-record fields that the
-    trajectory does not keep.  Each state is a deep copy: later steps write
-    the arrays of the run's pair again."""
+    with init_state/step/compute_energy at the same steps, the reports read
+    off the hand-written table; checked against ``run`` itself, so a test
+    can look at per-record fields that the trajectory does not keep.  Each
+    state is a deep copy: later steps write the arrays of the run's pair
+    again."""
     n_steps = int(round(cfg.t_end / cfg.dt))
     buffer = HistoryBuffer(kernel, ops.n_nodes, cfg.dt, n_steps)
     form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, n_steps)
     state = init_state(u0, u1, y0, ops, params, buffer, cfg)
-    records = [(copy.deepcopy(state), compute_energy(state, buffer, form))]
+    compute_energy(state, buffer, form)
+    states = [copy.deepcopy(state)]
     for i in range(1, n_steps + 1):
         state = step(state, ops, params, buffer, cfg)
         if i % cfg.record_every == 0:
-            records.append((copy.deepcopy(state), compute_energy(state, buffer, form)))
+            compute_energy(state, buffer, form)
+            states.append(copy.deepcopy(state))
+    reports = _reports(form.columns(len(states)))
     traj = run(u0, u1, y0, ops, kernel, params, cfg)
-    assert traj.reports == [rep for _, rep in records]
-    assert all(np.array_equal(y, s.y) for y, (s, _) in zip(traj.ys, records, strict=True))
-    assert np.array_equal(traj.final.u, records[-1][0].u)
-    return records
+    assert traj.reports == reports
+    assert all(np.array_equal(y, s.y) for y, s in zip(traj.ys, states, strict=True))
+    assert np.array_equal(traj.final.u, states[-1].u)
+    return list(zip(states, reports))
 
 
 def test_zero_data_is_a_fixed_point():
@@ -129,7 +135,8 @@ def test_zero_kernel_run_has_no_memory():
     for _ in range(50):
         assert buf.n_entries == state.n + 1
         assert not buf.convolution_force(0.0).any()
-        rep = compute_energy(state, buf, form)
+        compute_energy(state, buf, form)
+        rep = _reports(form.columns(state.n + 1))[-1]
         assert rep.memory == rep.g_prime_diamond == rep.g_at_t == 0.0
         assert rep.elastic == 0.5 * params.a * rep.grad_sq
         assert rep.grad_sq > 0.0
@@ -757,8 +764,9 @@ def test_acoustic_closure_map_matches_the_trapezoid_formulas(forced):
 
 
 def test_records_own_their_acoustic_arrays():
-    # a record keeps y; were y a view of a larger per-step array, each
-    # record would keep that whole array alive
+    # a run keeps y in one (records, m) array of its own; were it a view of
+    # a state's array or of the run's raw table, the trajectory would keep
+    # that whole array alive
     mesh = square_mesh(8, gamma1=("right", "top"))
     ops = assemble(mesh)
     assert len(mesh.gamma1_nodes) > 1
@@ -766,7 +774,8 @@ def test_records_own_their_acoustic_arrays():
     traj = run(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.zeros(1), ops,
                exp_kernel(), default_params(), cfg)
     assert traj.n_records == 11
-    assert all(y.base is None for y in traj.ys)
+    assert traj.ys.shape == (11, len(mesh.gamma1_nodes))
+    assert traj.ys.base is None
 
 
 _BLOW_STEP = 7
@@ -866,6 +875,53 @@ def test_a_huge_finite_entry_does_not_abort(field, monkeypatch):
     traj = _planted_run(field, 1e308, monkeypatch)
     assert not isinstance(traj, SimulationAbort)
     assert traj.times[-1] == 0.02
+
+
+def test_an_overflowing_report_field_aborts_at_its_record(monkeypatch):
+    # the raw rows stay finite and the Kirchhoff potential of the third
+    # record overflows: the pass after the run raises the energy abort at
+    # that record's time and keeps the two records before it; the state of
+    # the second record is gone by then, so the trajectory has no final one
+    potential = PhysicalParams.kirchhoff_potential
+    calls = []
+
+    def overflowing(self, grad_sq):
+        calls.append(grad_sq)
+        return math.inf if len(calls) == 3 else potential(self, grad_sq)
+
+    monkeypatch.setattr(PhysicalParams, "kirchhoff_potential", overflowing)
+    mesh = interval_mesh(16)
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, record_every=5)
+    with pytest.raises(SimulationAbort) as exc:
+        run(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.zeros(1), assemble(mesh),
+            exp_kernel(), default_params(), cfg)
+    assert exc.value.info.reason == "blow-up or instability: non-finite energy"
+    assert exc.value.info.time == 10 * cfg.dt
+    assert len(calls) == 5  # the run completed its five records first
+    traj = exc.value.trajectory
+    assert traj.times == [0.0, 5 * cfg.dt]
+    assert traj.n_records == len(traj.reports) == 2 and traj.ys.shape == (2, 1)
+    assert all(len(c) == 2 and np.isfinite(c).all() for c in traj.energy.values())
+    assert traj.final is None
+
+
+def test_a_run_keeps_its_records_in_columns():
+    # exp-inwell's 5001 records: the trajectory a run returns holds its
+    # fields as fifteen float columns and y as one array, with no report
+    # tuples and no per-record arrays (3.4 MB when every record built them)
+    cfg = PRESETS["exp-inwell"].parse()
+    mesh = build_mesh(cfg.domain)
+    ops = assemble(mesh)
+    kernel = cfg.build_kernel()
+    u0, u1, y0 = initial_data(cfg, mesh)
+    tracemalloc.start()
+    try:
+        traj = run(u0, u1, y0, ops, kernel, cfg.physics, cfg.stepping)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.n_records == 5001
+    assert held < 1.6e6
 
 
 def test_the_finiteness_check_reads_y_on_its_own():
