@@ -14,28 +14,62 @@ caller passes, as the equation puts both terms on the one Laplacian.
 
 The kernel enters through its sum of exponentials
 g ~ Re sum_j c_j e^{-s_j t} (``RelaxationKernel.exp_sum``, certified on
-[0, n_steps dt]).  Per term j the buffer holds C_j, the decayed sum of the
-rows r_i = [K u_i, u_i^T K u_i, 1] with the first row at half weight, and
-updates it in two passes at O(n) cost per push, however long the history:
+[0, n_steps dt]).  Per term j the trapezoid sum needs C_j(k), the decayed
+sum of the rows r_i = [K u_i, u_i^T K u_i, 1] up to push k with the first
+row at half weight:
 
-  C_j = r_0 / 2 at the first push,   C_j <- e^{-s_j dt} C_j + r_new.
+  C_j(0) = r_0 / 2,   C_j(k) = d_j C_j(k-1) + r_k,   d_j = e^{-s_j dt}.
 
 The trapezoid half weight of the newest row is applied at the read: term j
-of the trapezoid sum, A_j = sum_i w_i c_j e^{-s_j (t - t_i)} r_i, is
-c_j dt C_j - (c_j dt / 2) r_last.  With r_last kept as row J of one
-(J+1, n+2) array ``ext`` below the J rows C_j, every quantity is a
-weighted sum of the rows of ``ext``:
+of the trapezoid sum, T_j = sum_i w_i c_j e^{-s_j (t - t_i)} r_i, is
+c_j dt C_j(k) - (c_j dt / 2) r_k.
 
-  force          Re([c_j dt ..., -sum_j c_j dt / 2 - M_kir] @ ext)[:-2],
-  o functionals  Re(W @ (ext @ [-2 u(t), 1, u(t)^T K u(t)])),
+Blocks.  The pushes after the first come in blocks of B, as Lubich &
+Schaedle block a convolution's history in time ("Fast convolution for
+nonreflecting boundary conditions", SIAM J. Sci. Comput. 24, 2002).  One
+real array ``ext`` holds the accumulators A = C(b - 1) as of the last block
+close (the real parts of the J terms, then for complex terms their
+imaginary parts, one row each) and below them a ring of the B newest rows:
+ring row m holds push b + m of the current block b, b+1, ..., b+B-1.
+Within the block,
 
-where the newest row's weight takes the stiffness term (that row holds
-K u(t)), |grad(u(t)-u(s))|^2 expands into the stored row entries and the
-second row of the (2, J+1) matrix W scales the first by -s_j (the expansion
-of g' = sum_j -s_j c_j e^{-s_j t}).  For an exponential kernel the result
-is the trapezoid sum itself; otherwise it differs from the trapezoid sum
-with the exact g by at most the certified relative error times the
-trapezoid mass.  Memory held is O(J n) and does not grow with the pushes.
+  C(b + m) = D^{m+1} A + sum_{i <= m} D^{m-i} r_{b+i},   D = diag(d_j),
+
+so a read at in-block position m < B - 1 is a fixed weighted sum of the
+rows of ``ext``: term j of A weighs c_j dt d_j^{m+1} (its real part on the
+real row, minus its imaginary part on the imaginary row), ring row i <= m
+weighs Re sum_j c_j dt d_j^{m-i}, less the half weight on the newest row,
+and the ring rows past m, the previous block's, weigh nothing.  The push
+at the last position folds the block,
+
+  A <- D^B A + G R,   G_ji = d_j^{B-1-i},  R the ring,
+
+as one product G R over the ring, for complex terms a rotation of A's
+real and imaginary rows by Im d_j^B, and one row scaling by Re d_j^B.  (A
+single product with D^B's rotation block beside G, over all of ``ext``,
+made a 1D step slower than the per-step recursion: the larger matrix
+product slowed the numpy calls around it.)  After the fold the read
+weights are c_j dt on A and the half-weight correction on the newest ring
+row alone.  So the force and both o functionals can be read at every push,
+wherever it falls in its block, and B need not divide the record interval.
+Per position m the buffer keeps, built once from the powers of d_j, a force
+weight row w_m and a (2, rows) table W_m for g and g':
+
+  force          [w_m ..., base_m - M_kir, ...] @ ext[:, :-2],
+  o functionals  W_m @ (ext @ [-2 u(t), 1, u(t)^T K u(t)]),
+
+where the newest row's entry base_m takes the stiffness term (that row
+holds K u(t)), |grad(u(t)-u(s))|^2 expands into the stored row entries and
+the second row of W_m scales the coefficients by -s_j (the expansion of
+g' = sum_j -s_j c_j e^{-s_j t}).
+
+B is 1 for a one-term expansion (the exponential and constant-rate
+kernels): every push folds, and the fold is the two-pass recursion
+C <- d C + r_k.  Otherwise B is ``BLOCK_STEPS``: a push writes its row and
+every B-th push folds.  For an exponential kernel the result is the
+trapezoid sum itself; otherwise it differs from the trapezoid sum with the
+exact g by at most the certified relative error times the trapezoid mass.
+Memory held is O((J + B) n) and does not grow with the pushes.
 """
 
 from __future__ import annotations
@@ -43,6 +77,14 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import RelaxationKernel
+
+BLOCK_STEPS = 16  # pushes per fold of a multi-term expansion
+
+
+def _stored(v: np.ndarray) -> np.ndarray:
+    """Per-term values (..., J) as the rows of ``ext`` store a term: the
+    real parts, then for complex terms the imaginary parts."""
+    return np.concatenate([v.real, v.imag], axis=-1) if np.iscomplexobj(v) else v
 
 
 class HistoryBuffer:
@@ -67,23 +109,52 @@ class HistoryBuffer:
         self.expansion = exp_sum
         self._n_steps = n_steps
         self._push_count = 0
-        rates, n_terms, dtype = exp_sum.rates, exp_sum.n_terms, exp_sum.rates.dtype
-        # rows C_j, then r_last; columns [K u, q, 1]
-        self._ext = np.zeros((n_terms + 1, n_dofs + 2), dtype)
-        self._acc, self._row = self._ext[:-1], self._ext[-1]
-        self._row[-1] = 1.0
+        rates, n_terms = exp_sum.rates, exp_sum.n_terms
+        complex_terms = np.iscomplexobj(rates)
+        B = self._block_steps = 1 if n_terms == 1 else BLOCK_STEPS
+        n_acc = 2 * n_terms if complex_terms else n_terms
+        # rows A (real parts, then imaginary parts), then the ring of B
+        # rows; columns [K u, q, 1]
+        self._ext = np.zeros((n_acc + B, n_dofs + 2))
+        self._acc, self._ring = self._ext[:n_acc], self._ext[n_acc:]
+        self._acc_re = self._acc[:n_terms]
+        self._ring[:, -1] = 1.0
+        self._rows = list(self._ring)
+        # _pos is the newest row's position: the first push lands on the
+        # last one, and the block after it starts at position 0
+        self._last, self._pos = B - 1, (B - 2) % B
+        self._next_pos = [*range(1, B), 0]
         self._aug = np.zeros(n_dofs + 2)
         self._aug[-2] = 1.0
-        self._decay = np.exp(-rates * dt)[:, None]
-        # read weights of the rows of ext for g and g'
-        w = self._weights = np.zeros((2, n_terms + 1), dtype)
-        w[0, :-1] = dt * exp_sum.coeffs
-        w[1, :-1] = -rates * w[0, :-1]
-        w[:, -1] = -0.5 * w[:, :-1].sum(axis=1)
-        # the force's operands: its own copy of the g weights, whose last
-        # entry each read sets to the newest row's weight less M_kir, and
-        # the K u columns of ext, sliced once here instead of at every step
-        self._force_weights, self._ku_cols = w[0].copy(), self._ext[:, :-2]
+        decay = np.exp(-rates * dt)
+        powers = np.cumprod(np.vstack([np.ones_like(decay), np.tile(decay, (B, 1))]), axis=0)
+        # the fold's operands; a one-row block of real terms has G R = R,
+        # its row, and needs no product
+        self._block_decay = np.tile(powers[B].real, n_acc // n_terms)[:, None]
+        one_real_row = B == 1 and not complex_terms
+        self._gains = None if one_real_row else _stored(powers[B - 1::-1]).T.copy()
+        self._block_sum = self._ring[0] if one_real_row else np.zeros_like(self._acc)
+        self._turn = self._turned = None
+        if complex_terms:
+            self._turn = powers[B].imag[:, None].copy()
+            self._turned = np.zeros_like(self._acc_re)
+        # read weights of the rows of ext for g and g', per block position
+        k = np.stack([dt * exp_sum.coeffs, -rates * (dt * exp_sum.coeffs)])  # (2, J)
+        half = -0.5 * k.sum(axis=1).real
+        sums = (powers @ k.T).real  # sums[p] = Re sum_j k_j d_j^p
+        w = self._weights = np.zeros((B, 2, n_acc + B))
+        for m in range(B - 1):
+            w[m, :, :n_acc] = _stored((k * powers[m + 1]).conj())
+            w[m, :, n_acc:n_acc + m + 1] = sums[m::-1].T
+            w[m, :, n_acc + m] += half
+        w[B - 1, :, :n_acc] = _stored(k.conj())
+        w[B - 1, :, -1] = half
+        # the force's operands: its own copy of the g weights, whose newest
+        # entry each read sets to that row's weight less M_kir, and the K u
+        # columns of ext, sliced once here instead of at every step
+        self._force_weights, self._ku_cols = w[:, 0].copy(), self._ext[:, :-2]
+        self._force_reads = [(self._force_weights[m], n_acc + m, float(w[m, 0, n_acc + m]))
+                             for m in range(B)]
         self._u = None  # the newest pushed state, the caller's array
         # g o grad u and g' o grad u as read at push number _diamond_count
         self._diamond_count = 0
@@ -97,46 +168,68 @@ class HistoryBuffer:
     @property
     def bytes_held(self) -> int:
         """Bytes of history state; independent of the number of pushes."""
-        return sum(a.nbytes for a in (self._ext, self._aug, self._weights, self._force_weights,
-                                       self._decay))
+        held = [self._ext, self._aug, self._weights, self._force_weights, self._block_decay,
+                self._gains, self._turn, self._turned]
+        if self._gains is not None:  # else the block's sum is its one ring row
+            held.append(self._block_sum)
+        return sum(a.nbytes for a in held if a is not None)
 
     def diagnostics(self) -> dict:
-        """Size of the history state and the certified error of the expansion."""
+        """Size of the history state, the pushes per fold and the certified
+        error of the expansion."""
         exp_sum = self.expansion
         return {
             "n_terms": exp_sum.n_terms,
             "bytes_held": self.bytes_held,
+            "block_steps": self._block_steps,
             "certified_rel_error": exp_sum.rel_error,
         }
 
     def push(self, u: np.ndarray, ku: np.ndarray, q: float) -> None:
         """Record the state u at the next grid time with K u and q = u.K u,
         which the caller has already formed; u is held, not copied."""
-        if self._push_count > self._n_steps:
+        count = self._push_count
+        if count > self._n_steps:
             raise ValueError(
-                f"push {self._push_count + 1} past the horizon of {self._n_steps} steps "
+                f"push {count + 1} past the horizon of {self._n_steps} steps "
                 "on which the kernel expansion is certified"
             )
-        acc, row = self._acc, self._row
+        pos = self._pos = self._next_pos[self._pos]
+        row = self._rows[pos]
         row[:-2] = ku
         row[-2] = q
-        if self._push_count == 0:  # r_0 at its trapezoid half weight, in every term
-            np.multiply(row, 0.5, out=acc)
-        else:
-            acc *= self._decay
-            acc += row
+        if pos == self._last:
+            if count == 0:  # r_0 at its trapezoid half weight, in every term
+                np.multiply(row, 0.5, out=self._acc_re)
+            else:
+                self._fold()
         self._u = u
-        self._push_count += 1
+        self._push_count = count + 1
+
+    def _fold(self) -> None:
+        # A <- D^B A + G R at the block's last push; the rotation reads A
+        # before the scaling overwrites it
+        acc, block_sum = self._acc, self._block_sum
+        if self._gains is not None:
+            np.matmul(self._gains, self._ring, out=block_sum)
+        if self._turn is not None:  # Re A gains -Im(d^B) Im A, Im A gains Im(d^B) Re A
+            n, turned = len(self._turn), self._turned
+            np.multiply(self._turn, acc[n:], out=turned)
+            block_sum[:n] -= turned
+            np.multiply(self._turn, acc[:n], out=turned)
+            block_sum[n:] += turned
+        acc *= self._block_decay
+        acc += block_sum
 
     def convolution_force(self, m_kir: float) -> np.ndarray:
         """int_0^t g(t-s) K u(s) ds - m_kir K u(t), the stiffness and memory
         force of the Kirchhoff coefficient m_kir, as a new array.  The
         newest row holds K u(t), so this is one weighted read of ext."""
         if self._push_count < 2:  # the empty integral at t = 0
-            return -m_kir * self._row[:-2].real
-        w = self._force_weights
-        w[-1] = self._weights[0, -1] - m_kir
-        return (w @ self._ku_cols).real
+            return -m_kir * self._ext[-1, :-2]
+        w, newest, base = self._force_reads[self._pos]
+        w[newest] = base - m_kir
+        return w @ self._ku_cols
 
     def g_diamond(self) -> float:
         """(g o grad u)(t) >= 0; zero for a history constant in time."""
@@ -157,9 +250,9 @@ class HistoryBuffer:
         self._diamond_count = self._push_count
         if self._push_count < 2:  # the empty integrals at t = 0
             return
-        aug = self._aug
+        aug, pos = self._aug, self._pos
         np.multiply(self._u, -2.0, out=aug[:-2])
-        aug[-1] = self._row[-2].real
-        gd, gpd = (self._weights @ (self._ext @ aug)).real.tolist()
+        aug[-1] = self._rows[pos][-2]
+        gd, gpd = (self._weights[pos] @ (self._ext @ aug)).tolist()
         # roundoff guards: the exact values are signed sums of squares
         self._g_dia, self._g_prime_dia = max(gd, 0.0), min(gpd, 0.0)

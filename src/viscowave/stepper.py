@@ -35,9 +35,12 @@ pair that the old state does not hold, in fixed stages:
   drift     one (2, 3) product maps the rows (accel, u, v) to (u1, v_half);
   force     the new iterate is evaluated once (``_evaluate``): one
             product with K's stencil (``ops.stiffness``) gives K u, pushed
-            into the history with |grad u|^2 = u.K u; one weighted read of
-            the history gives the memory force less M_kir K u, as the newest
-            row holds K u; one nodal source vector adds the source and
+            into the history's ring of newest rows with |grad u|^2 = u.K u
+            (a multi-term kernel's every 16th push folds the ring into the
+            history's accumulators); one real product of the weight row of
+            the push's block position with the history's K u columns gives
+            the memory force less M_kir K u, as the newest row holds K u;
+            one nodal source vector adds the source and
             int |u|^k for the energy report; one multiply by 1 / M_lump,
             zero on Gamma_0, gives accel;
   closure   after the kick, one per-run sparse map takes (v on Gamma_1, f3,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from viscowave import HistoryBuffer, assemble, build_kernel, make_rate
+from viscowave.history import BLOCK_STEPS
 
 from conftest import exp_kernel, interval_mesh, square_mesh
 from history_oracle import FullHistory
@@ -222,6 +223,85 @@ def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a, dim):
         assert abs(got - want) <= err * abs(want) + 1e-13 * (wt @ terms)
 
 
+@pytest.mark.parametrize("family,alpha,eps,a,dim", [
+    pytest.param(*f, dim, id=f[0] if dim == 1 else f"{f[0]}-2d") for dim in (1, 2) for f in FAMILIES
+])
+def test_every_block_position_matches_full_trapezoid(family, alpha, eps, a, dim):
+    # 2B + 5 pushes read every in-block position and the reads after two
+    # folds; the force and both functionals are checked at every push, with
+    # g' o grad u read first at every third, at the tolerance of the
+    # full-horizon comparison above
+    mesh = interval_mesh(12) if dim == 1 else square_mesh(8)
+    ops = assemble(mesh)
+    kernel = build_kernel(make_rate(family, alpha, eps), 0.9, a)
+    dt, n = 5e-3, 2 * BLOCK_STEPS + 4
+    buf = HistoryBuffer(kernel, mesh.n_nodes, dt, n)
+    oracle = FullHistory(kernel, mesh.n_nodes, dt, n)
+    err = buf.expansion.rel_error
+    rng = np.random.default_rng(29)
+    snaps = []
+    for i in range(n + 1):
+        u = rng.standard_normal(mesh.n_nodes)
+        u[mesh.gamma0_nodes] = 0.0
+        ku = ops.stiffness @ u
+        snaps.append((u, ku))
+        buf.push(u, ku, u @ ku)
+        oracle.push(u, ku, u @ ku)
+        ages = dt * np.arange(i, -1, -1)
+        w = np.full(i + 1, dt)
+        w[[0, -1]] = dt / 2.0
+        gw, gpw = w * kernel.g(ages), w * np.abs(kernel.g_prime(ages))
+        force_mass = gw @ np.abs(np.array([s[1] for s in snaps]))
+        m = 0.7
+        assert np.all(np.abs(buf.convolution_force(m) - oracle.convolution_force(m))
+                      <= err * force_mass + 1e-13 * (force_mass.max() + m * np.abs(ku).max()))
+        terms = np.array([abs(u @ ku) + 2 * abs(u @ s_ku) + abs(s_u @ s_ku) for s_u, s_ku in snaps])
+        reads = [(buf.g_diamond, oracle.g_diamond, gw),
+                 (buf.g_prime_diamond, oracle.g_prime_diamond, gpw)]
+        for got, want, wt in (reads[::-1] if i % 3 == 0 else reads):
+            want = want()
+            assert abs(got() - want) <= err * abs(want) + 1e-13 * (wt @ terms)
+
+
+def test_one_term_block_is_the_two_pass_recursion():
+    # a constant-rate kernel folds at every push, as C <- d C + r, and
+    # reads the force and both functionals bitwise as that recursion does
+    kernel = build_kernel(make_rate("constant", 1.3), 0.9, 2.0)
+    mesh = interval_mesh(12)
+    ops = assemble(mesh)
+    dt = 5e-3
+    buf = HistoryBuffer(kernel, mesh.n_nodes, dt, 50)
+    assert buf.diagnostics()["block_steps"] == 1
+    c, s = buf.expansion.coeffs, buf.expansion.rates
+    decay = np.exp(-s * dt)[:, None]
+    W = np.zeros((2, 2))
+    W[0, :-1] = dt * c
+    W[1, :-1] = -s * W[0, :-1]
+    W[:, -1] = -0.5 * W[:, :-1].sum(axis=1)
+    acc = np.zeros((1, mesh.n_nodes + 2))
+    rng = np.random.default_rng(31)
+    for i in range(50):
+        u = rng.standard_normal(mesh.n_nodes)
+        u[mesh.gamma0_nodes] = 0.0
+        ku = ops.stiffness @ u
+        buf.push(u, ku, u @ ku)
+        row = np.concatenate([ku, [u @ ku, 1.0]])
+        m = 10.0 ** rng.uniform(-2.0, 3.0)
+        if i == 0:  # the empty integrals at t = 0
+            np.multiply(row, 0.5, out=acc)
+            assert np.array_equal(buf.convolution_force(m), -m * ku)
+            assert buf.g_diamond() == buf.g_prime_diamond() == 0.0
+            continue
+        acc *= decay
+        acc += row
+        ext = np.vstack([acc, row])
+        assert np.array_equal(buf.convolution_force(m),
+                              np.array([W[0, 0], W[0, -1] - m]) @ ext[:, :-2])
+        gd, gpd = W @ (ext @ np.concatenate([-2.0 * u, [1.0, row[-2]]]))
+        assert buf.g_diamond() == max(gd, 0.0)
+        assert buf.g_prime_diamond() == min(gpd, 0.0)
+
+
 @pytest.mark.parametrize("family,alpha,eps,a", FAMILIES, ids=[f[0] for f in FAMILIES])
 def test_diamonds_keep_their_signs_on_a_history_constant_in_time(family, alpha, eps, a):
     # a constant history has both functionals exactly zero, and the one read
@@ -277,6 +357,7 @@ def test_history_memory_flat_in_pushes(family, alpha, eps, a):
     assert buf.n_entries == 801
     assert held[400] == held[800] > 0
     assert buf.diagnostics() == {"n_terms": buf.expansion.n_terms, "bytes_held": held[800],
+                                 "block_steps": 1 if family == "constant" else 16,
                                  "certified_rel_error": buf.expansion.rel_error}
 
 
