@@ -40,6 +40,20 @@ the diagonals in ascending offset order a row's terms are added in column
 order, as a CSR product adds them, and the zeros the diagonals hold where a
 row has no coupling add nothing.
 
+The diagonals live in a :class:`Stencil`, the package's own two arrays
+(int32 offsets ascending, one row of data per diagonal) and a shape, and the
+stepper's acoustic closure map is three CSR arrays it builds itself.  Their
+products call the compiled kernels ``dia_matvec`` and ``csr_matvec`` of
+scipy's private extension ``scipy/sparse/_sparsetools``, the kernels that
+scipy's own ``dia_matrix @ x`` and ``csr_matrix @ x`` end in, so each
+product is bitwise scipy's.  The extension is loaded from its file, found
+by ``importlib.util.find_spec("scipy")`` (which imports nothing) and the
+interpreter's extension suffixes, because importing it by name imports
+``scipy.sparse`` first: about 21 MB and 0.16 s per process, for classes the
+package used only as containers.  A missing file raises an ImportError that
+lists the paths searched.  The free-corner branch of the CFL eigenvalue
+alone imports ``scipy.sparse``, for Lanczos.
+
 Fields are plain numpy arrays with one value per mesh node; entries at
 Dirichlet nodes are pinned to zero.  The well-constant ascent alone works on
 vectors over the free nodes, which hold no Dirichlet entry to pin.
@@ -47,14 +61,46 @@ vectors over the free nodes, which hold no Dirichlet entry to pin.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 
 from .geometry import Mesh
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, ``scipy/sparse/_sparsetools``, loaded
+    from their file without importing scipy or scipy.sparse.
+
+    The extension's single-phase init enters it in ``sys.modules`` under its
+    own name; that entry is put back as it was, so a later
+    ``import scipy.sparse`` imports the package as usual."""
+    name = "scipy.sparse._sparsetools"
+    spec = importlib.util.find_spec("scipy")  # locates scipy, does not import it
+    roots = spec.submodule_search_locations if spec is not None else []
+    searched = [Path(root, "sparse", f"_sparsetools{suffix}")
+                for root in roots for suffix in EXTENSION_SUFFIXES]
+    path = next((str(p) for p in searched if p.is_file()), None)
+    if path is None:
+        where = ", ".join(map(str, searched)) or "no scipy package on sys.path"
+        raise ImportError(f"{name} not found; searched: {where}", name=name)
+    loader = ExtensionFileLoader(name, path)
+    registered = sys.modules.get(name)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    if registered is None:
+        sys.modules.pop(name, None)
+    else:
+        sys.modules[name] = registered
+    return module.csr_matvec, module.dia_matvec
+
+
+csr_matvec, dia_matvec = _load_sparsetools()
 
 
 @dataclass(frozen=True)
@@ -139,6 +185,18 @@ _POINT_AXIS = AxisModes(free=np.zeros(1, dtype=int), values=np.zeros(1),
 
 
 @dataclass(frozen=True)
+class Stencil:
+    """A square matrix in diagonal (DIA) storage: row k of ``data`` is the
+    diagonal at ``offsets[k]`` (int32, ascending), and ``data[k, j]`` is the
+    entry in column j, as scipy's ``dia_matrix`` stores it with one column
+    of data per column of the matrix.  :func:`dia_product` is its product."""
+
+    offsets: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+@dataclass(frozen=True)
 class DiscreteOperators:
     """Assembled linear forms; the lumped mass also carries the nonlinear terms.
 
@@ -153,8 +211,8 @@ class DiscreteOperators:
     """
 
     mesh: Mesh
-    stiffness: sp.dia_matrix
-    mass: sp.dia_matrix
+    stiffness: Stencil
+    mass: Stencil
     mass_lumped: np.ndarray
     lam_max: float
     axes: tuple[AxisModes, AxisModes]
@@ -211,7 +269,7 @@ def _cell_forms(mesh: Mesh):
     return [[(0, 0), (0, 1), (1, 1)], [(0, 0), (1, 1), (1, 0)]], [lower, upper], [mass, mass]
 
 
-def _cell_stencil(mesh: Mesh, corners, elements) -> sp.dia_matrix:
+def _cell_stencil(mesh: Mesh, corners, elements) -> Stencil:
     """The sum over all cells of the element matrices ``elements`` of the
     cell's simplices ``corners`` (see :func:`_cell_forms`), in DIA storage
     with its diagonals in ascending offset order.  A local pair (a, b) adds
@@ -229,7 +287,7 @@ def _cell_stencil(mesh: Mesh, corners, elements) -> sp.dia_matrix:
     grid = data.reshape(len(offsets), -1, nx + 1)
     for k, (by, bx), value in pairs:
         grid[offsets.index(k), by:by + ny, bx:bx + nx] += value
-    return sp.dia_matrix((data, offsets), shape=(mesh.n_nodes, mesh.n_nodes))
+    return Stencil(np.array(offsets, dtype=np.int32), data, (mesh.n_nodes, mesh.n_nodes))
 
 
 def _free_indices(mesh: Mesh, axis: int, ends: tuple[str, str]) -> np.ndarray:
@@ -264,7 +322,7 @@ def _axis_modes(length: float, m: int, free: np.ndarray) -> AxisModes:
     return AxisModes(free=free, values=values, vectors=vectors)
 
 
-def _lam_max(mesh: Mesh, K: sp.dia_matrix, lumped: np.ndarray, axes) -> float:
+def _lam_max(mesh: Mesh, K: Stencil, lumped: np.ndarray, axes) -> float:
     """Largest eigenvalue of diag(M_lump)^{-1} K on the free nodes.
 
     On the free nodes K = D_y (x) K_x + K_y (x) D_x, and the lumped mass is
@@ -285,10 +343,12 @@ def _lam_max(mesh: Mesh, K: sp.dia_matrix, lumped: np.ndarray, axes) -> float:
         free_corner = np.isin([0, nx, (nx + 1) * ny, (nx + 1) * ny + nx], free).any()
     if not free_corner:
         return float(y.values[-1] + x.values[-1])
-    from scipy.sparse.linalg import eigsh  # this branch alone loads it
+    import scipy.sparse as sp  # this branch alone loads scipy.sparse
+    from scipy.sparse.linalg import eigsh
 
     scale = sp.diags(1.0 / np.sqrt(lumped[free]))
-    A = scale @ K.tocsr()[free][:, free] @ scale
+    k_free = sp.dia_matrix((K.data, K.offsets), shape=K.shape).tocsr()[free][:, free]
+    A = scale @ k_free @ scale
     v0 = np.sin(np.arange(1, len(free) + 1, dtype=float))
     return float(eigsh(A, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
 
@@ -385,21 +445,23 @@ def pin_gamma0(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _csr_accumulate(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
-    """out += A @ x in place.  ``out`` may be a slice of ``x`` itself when
-    no column of A reads an entry of that slice: the stepper's acoustic
-    closure map writes into its own state array this way.  This and
-    :func:`dia_product` are the only uses of scipy's private
-    ``_sparsetools`` in the package: ``A @ x`` ends in the same kernels,
+def _csr_accumulate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                    x: np.ndarray, out: np.ndarray) -> None:
+    """out += A @ x in place, for the CSR arrays of A (int32 ``indptr`` and
+    ``indices``, each row's columns ascending).  ``out`` may be a slice of
+    ``x`` itself when no column of A reads an entry of that slice: the
+    stepper's acoustic closure map writes into its own state array this
+    way.  This and :func:`dia_product` are the package's two calls of
+    ``_sparsetools``; scipy's ``csr_matrix @ x`` ends in the same kernel,
     after about 2 us of Python dispatch per call, more than the arithmetic
     on the meshes the stepper runs every step."""
-    csr_matvec(len(out), len(x), A.indptr, A.indices, A.data, x, out)
+    csr_matvec(len(out), len(x), indptr, indices, data, x, out)
 
 
-def dia_product(A: sp.dia_matrix, x: np.ndarray) -> np.ndarray:
-    """A @ x for a square DIA matrix A with one column of data per column of
-    A (as :func:`assemble` stores K and M) and a float vector x, bitwise, with
-    none of ``A @ x``'s dispatch."""
+def dia_product(A: Stencil, x: np.ndarray) -> np.ndarray:
+    """A @ x for a square stencil A (as :func:`assemble` stores K and M) and
+    a float vector x, bitwise scipy's ``dia_matrix @ x``, with none of its
+    dispatch."""
     n = A.shape[0]
     out = np.zeros(n)
     dia_matvec(n, n, len(A.offsets), n, A.offsets, A.data, x, out)

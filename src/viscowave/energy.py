@@ -49,9 +49,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import DiscreteOperators, PhysicalParams, dia_product
+from .assembly import DiscreteOperators, PhysicalParams, Stencil, dia_product
 from .history import HistoryBuffer
 from .kernels import RelaxationKernel
 
@@ -131,8 +130,8 @@ class _RecordForm:
         # main diagonal.
         M = ops.mass
         acoustic = np.outer(M.offsets == 0, np.concatenate([params.q_c * w1, params.p_c * w1]))
-        self.operator = sp.dia_matrix((np.hstack([M.data, M.data, acoustic]), M.offsets),
-                                      shape=(2 * n + 2 * m, 2 * n + 2 * m))
+        self.operator = Stencil(M.offsets, np.hstack([M.data, M.data, acoustic]),
+                                (2 * n + 2 * m, 2 * n + 2 * m))
         self.products = np.zeros(2 * n + 2 * m + 1)
         self.starts = np.array([0, n, 2 * n, 2 * n + m])
         self.rows = np.empty((len(times), _N_RAW + m))

@@ -95,7 +95,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (
     DiscreteOperators,
@@ -198,7 +197,9 @@ class AcousticClosure:
         dv = c (f3 + z),  da = (w / m_g) (z + f3),
 
       as one linear map from (v, f3, f4, y_prev, y_t_prev) to
-      (y1, z, dv, da), the runs ``closed`` of the new array;
+      (y1, z, dv, da), the runs ``closed`` of the new array, held as the
+      CSR arrays (indptr, indices, data) of its 4 m rows, five entries
+      each, with columns ascending;
     * ``scatter`` holds the places of v and accel on Gamma_1, into which
       dv and da, the run ``increments``, are added;
     * ``pair`` holds the run's two state arrays, each with its bound views
@@ -242,15 +243,12 @@ class AcousticClosure:
             [-c / d, c * pq, c / d, -c * q / d, -hdt * c * q / d],
             [-r / d, r * pq, r / d, -r * q / d, -hdt * r * q / d],
         ])
+        # row i m + k holds node k's five columns, ascending as listed
         k = np.arange(m)
-        rows = np.arange(4)[:, None, None] * m + k
         cols = np.array([2 * n + g1, b + 4 * m + k, b + 5 * m + k, b + 6 * m + k, b + 7 * m + k])
-        shape = (4, 5, m)
-        self.map = sp.csr_matrix(
-            (coeffs.ravel(), (np.broadcast_to(rows, shape).ravel(),
-                              np.broadcast_to(cols, shape).ravel())),
-            shape=(4 * m, self.size),
-        )
+        self.map = (np.arange(0, 20 * m + 1, 5, dtype=np.int32),
+                    np.tile(cols.T.ravel(), 4).astype(np.int32),
+                    coeffs.transpose(0, 2, 1).ravel())
         self.scatter = np.concatenate([2 * n + g1, g1])
         self.zero = np.zeros(2 * n + 2 * m)
         self.pair = (_Slots(np.zeros(self.size), self), _Slots(np.zeros(self.size), self))
@@ -486,7 +484,7 @@ def step(
     m_kir1, grad_sq1, lk1 = _evaluate(t1, new.u, accel, buffer, params, ops,
                                       cfg.forcing, closure)
     new.v += accel * (0.5 * cfg.dt)
-    _csr_accumulate(closure.map, x, new.closed)
+    _csr_accumulate(*closure.map, x, new.closed)
     x[closure.scatter] += new.increments
 
     _check_finite(t1, new.checked, closure.zero)

@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from viscowave import (
     DomainSpec,
@@ -13,6 +14,12 @@ from viscowave import (
 )
 from viscowave import assembly
 from viscowave.kernels import ConstantRate, RelaxationKernel
+
+
+def as_dia_matrix(stencil):
+    """scipy's ``dia_matrix`` of an ``assembly.Stencil``, for the tests that
+    read a form through scipy's matrix API (entries, slices, products)."""
+    return scipy.sparse.dia_matrix((stencil.data, stencil.offsets), shape=stencil.shape)
 
 
 def interval_mesh(resolution=64, length=1.0, gamma1=("right",)):

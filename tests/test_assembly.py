@@ -1,6 +1,9 @@
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,15 +23,17 @@ from viscowave import (
 from viscowave import assembly
 from viscowave.assembly import l2_norm_sq
 from viscowave.energy import _RecordForm
+from viscowave.stepper import AcousticClosure, StepperConfig
 
-from conftest import exp_kernel, interval_mesh, rect_mesh, square_mesh, trapezoid_x4
+from conftest import (as_dia_matrix, exp_kernel, interval_mesh, rect_mesh, square_mesh,
+                      trapezoid_x4)
 from element_oracle import element_sum_forms, exact_element_sum, ulps_from_exact
 
 
 def test_two_element_stiffness_stencil():
     mesh = interval_mesh(2)
     ops = assemble(mesh)
-    K = ops.stiffness.toarray()
+    K = as_dia_matrix(ops.stiffness).toarray()
     # h = 1/2: interior row is (-2, 4, -2)
     assert np.allclose(K[1], [-2.0, 4.0, -2.0])
     assert np.allclose(K.sum(axis=1), 0.0, atol=1e-13)
@@ -37,7 +42,7 @@ def test_two_element_stiffness_stencil():
 def test_consistent_mass_row_sums():
     mesh = interval_mesh(4)
     ops = assemble(mesh)
-    sums = np.asarray(ops.mass.sum(axis=1)).ravel()
+    sums = np.asarray(as_dia_matrix(ops.mass).sum(axis=1)).ravel()
     h = 0.25
     assert sums[0] == pytest.approx(h / 2)
     assert sums[2] == pytest.approx(h)
@@ -101,7 +106,7 @@ def test_boundary_quadratic_weighting(mesh64, ops64):
 def test_stiffness_nullspace_is_constants():
     mesh = square_mesh(3)
     ops = assemble(mesh)
-    K = ops.stiffness.toarray()
+    K = as_dia_matrix(ops.stiffness).toarray()
     ones = np.ones(mesh.n_nodes)
     assert np.abs(K @ ones).max() < 1e-12
     evals = np.linalg.eigvalsh(K)
@@ -260,7 +265,7 @@ def test_free_stiffness_is_the_kronecker_sum_of_the_axis_forms(mesh_name):
     spec = mesh.spec
     ops = assemble(mesh)
     free = mesh.free_nodes
-    k_free = ops.stiffness.tocsr()[np.ix_(free, free)].toarray()
+    k_free = as_dia_matrix(ops.stiffness).tocsr()[np.ix_(free, free)].toarray()
     faces = spec.gamma0_faces
     nx = spec.resolution[0]
     k_x, d_x = _axis_forms(nx, spec.extent[0],
@@ -322,23 +327,23 @@ def test_operators_hold_the_stencil_alone_and_give_the_element_sum_products(mesh
     k_sum, m_sum = element_sum_forms(mesh)
     if mesh.dimension == 1:
         stencil = [-1, 0, 1]
-        assert _offsets(ops.mass) == [-1, 0, 1]
+        assert _offsets(as_dia_matrix(ops.mass)) == [-1, 0, 1]
     else:
         row = mesh.spec.resolution[0] + 1
         stencil = [-row, -1, 0, 1, row]
-        assert len(_offsets(ops.mass)) == 7
+        assert len(_offsets(as_dia_matrix(ops.mass))) == 7
         assert len(_offsets(k_sum)) == 7  # the two diagonals of zero sums
-    assert _offsets(ops.stiffness) == stencil
+    assert _offsets(as_dia_matrix(ops.stiffness)) == stencil
     # DIA stores padding zeros, so K's diagonals are those of the stencil alone
     assert ops.stiffness.offsets.tolist() == stencil
-    assert ops.mass.offsets.tolist() == _offsets(ops.mass)
+    assert ops.mass.offsets.tolist() == _offsets(as_dia_matrix(ops.mass))
     if not _power_of_two_cells(mesh):
         k_exact, m_exact = exact_element_sum(mesh)
-        assert ulps_from_exact(ops.stiffness, k_exact) <= STENCIL_ULPS
-        assert ulps_from_exact(ops.mass, m_exact) <= STENCIL_ULPS
+        assert ulps_from_exact(as_dia_matrix(ops.stiffness), k_exact) <= STENCIL_ULPS
+        assert ulps_from_exact(as_dia_matrix(ops.mass), m_exact) <= STENCIL_ULPS
         assert ulps_from_exact(k_sum, k_exact) <= ELEMENT_SUM_ULPS
         assert ulps_from_exact(m_sum, m_exact) <= ELEMENT_SUM_ULPS
-        k_sum, m_sum = ops.stiffness.tocsr(), ops.mass.tocsr()
+        k_sum, m_sum = as_dia_matrix(ops.stiffness).tocsr(), as_dia_matrix(ops.mass).tocsr()
     params = PhysicalParams(a=1.0, b=1.0, kappa=1.0, k_exp=4.0, p_c=0.7, q_c=1.3)
     record = _RecordForm(exp_kernel(), params, ops, 1e-3, 1, 1).operator
     w1 = mesh.gamma1_weights
@@ -355,6 +360,87 @@ def test_operators_hold_the_stencil_alone_and_give_the_element_sum_products(mesh
             product = (csr @ x).view(np.int64)
             for operand in (x, np.repeat(x, 2)[::2]):
                 assert np.array_equal(product, assembly.dia_product(dia, operand).view(np.int64))
+
+
+def test_the_kernel_loader_leaves_sys_modules_as_it_found_it(monkeypatch):
+    # the extension's init enters it in sys.modules; the loader puts back
+    # the entry it found there, scipy.sparse's own, and leaves none where
+    # it found none
+    name = "scipy.sparse._sparsetools"
+    registered = sys.modules[name]
+    assert assembly._load_sparsetools() == (assembly.csr_matvec, assembly.dia_matvec)
+    assert sys.modules[name] is registered
+    monkeypatch.delitem(sys.modules, name)
+    assert assembly._load_sparsetools() == (assembly.csr_matvec, assembly.dia_matvec)
+    assert name not in sys.modules
+
+
+def test_the_kernel_loader_names_every_path_it_searched(monkeypatch, tmp_path):
+    # one path, no fallback import: a scipy without the extension's file is
+    # an ImportError that lists each candidate file
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    with pytest.raises(ImportError, match="scipy.sparse._sparsetools not found") as exc:
+        assembly._load_sparsetools()
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        assert str(tmp_path / "sparse" / f"_sparsetools{suffix}") in str(exc.value)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="no scipy package on sys.path"):
+        assembly._load_sparsetools()
+
+
+PARITY_MESHES = {
+    "1d-64-right": lambda: interval_mesh(64),
+    "2d-64x64-right": lambda: square_mesh(64),
+    "2d-5x7-left-bottom-top-free-corners": lambda: rect_mesh((5, 7), ("left", "bottom", "top")),
+}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(PARITY_MESHES))
+def test_own_arrays_give_scipys_containers_and_products_bitwise(mesh_name):
+    # the package holds K, M, the record operator and the closure map in its
+    # own arrays and calls scipy's two compiled kernels, loaded from their
+    # file.  In a process that has imported scipy.sparse as well, the
+    # products equal those of scipy's dia_matrix and csr_matrix bitwise,
+    # and the closure map's CSR arrays are those scipy builds from the
+    # map's triplets, listed by (output row, input column, node)
+    assert "scipy.sparse" in sys.modules
+    mesh = PARITY_MESHES[mesh_name]()
+    ops = assemble(mesh)
+    params = PhysicalParams(a=1.0, b=1.0, kappa=1.0, k_exp=4.0, p_c=0.7, q_c=1.3)
+    record = _RecordForm(exp_kernel(), params, ops, 1e-3, 1, 1).operator
+    rng = np.random.default_rng(11)
+    for stencil in (ops.stiffness, ops.mass, record):
+        assert stencil.offsets.dtype == np.int32 and np.all(np.diff(stencil.offsets) > 0)
+        reference = as_dia_matrix(stencil)
+        n = stencil.shape[0]
+        for _ in range(5):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            assert (reference @ x).tobytes() == assembly.dia_product(stencil, x).tobytes()
+
+    closure = AcousticClosure(ops, params, StepperConfig(dt=1e-3, t_end=1e-2))
+    indptr, indices, data = closure.map
+    g1 = mesh.gamma1_nodes
+    m, k = len(g1), np.arange(len(g1))
+    owner = np.repeat(np.arange(4 * m), np.diff(indptr))
+    entry = dict(zip(zip(owner.tolist(), indices.tolist()), data.tolist()))
+    f, prev = closure.forcing.start, closure.previous.start
+    shape = (4, 5, m)
+    rows = np.broadcast_to(np.arange(4)[:, None, None] * m + k, shape).ravel()
+    cols = np.broadcast_to(np.array([closure.v.start + g1, f + k, f + m + k,
+                                     prev + k, prev + m + k]), shape).ravel()
+    values = [entry[rc] for rc in zip(rows.tolist(), cols.tolist())]
+    assert len(values) == len(entry) == 20 * m
+    reference = scipy.sparse.csr_matrix((values, (rows, cols)), shape=(4 * m, closure.size))
+    for own, scipys in ((indptr, reference.indptr), (indices, reference.indices),
+                        (data, reference.data)):
+        assert own.dtype == scipys.dtype and own.tobytes() == scipys.tobytes()
+    for _ in range(5):
+        x = rng.standard_normal(closure.size) * 10.0 ** rng.uniform(-8.0, 8.0, closure.size)
+        out = np.zeros(4 * m)
+        assembly._csr_accumulate(indptr, indices, data, x, out)
+        assert out.tobytes() == (reference @ x).tobytes()
 
 
 @pytest.mark.parametrize("mesh_name", sorted(name for name in STENCIL_MESHES
@@ -377,7 +463,7 @@ def test_lumped_mass_in_closed_form(mesh_name):
 
 def _dense_lam_max(ops):
     free = ops.mesh.free_nodes
-    k_free = ops.stiffness.tocsr()[np.ix_(free, free)].toarray()
+    k_free = as_dia_matrix(ops.stiffness).tocsr()[np.ix_(free, free)].toarray()
     return scipy.linalg.eigh(k_free, np.diag(ops.mass_lumped[free]), eigvals_only=True)[-1]
 
 

@@ -65,6 +65,15 @@ def test_zero_dt_names_the_field():
     assert any("stepping.dt must be positive" in e for e in exc.value.errors)
 
 
+@pytest.mark.parametrize("text", ["[]", "[{}]", "1.5", "null", '"dt"'])
+def test_a_config_that_is_not_an_object_is_refused(text):
+    # valid JSON of another type is outside input, refused before any key
+    # is read
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == ["top level must be an object"]
+
+
 def test_kernel_mass_violation_cites_h2():
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps({"kernel": {"alpha": 0.05}}))  # tail 20 > a = 2

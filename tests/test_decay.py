@@ -106,6 +106,14 @@ def test_martinez_constant_energy_fails():
     assert verdict.conclusion == "fail"
 
 
+def test_martinez_refuses_a_negative_sigma():
+    # sigma is the exponent of E^sigma in the hypothesis integrand, >= 0
+    t = np.linspace(0.0, 2.0, 21)
+    s = _sampled(t, np.exp(-t), _unit_rate, _ident)
+    with pytest.raises(ValueError, match="sigma must be nonnegative, got -0.5"):
+        martinez_check(s, sigma=-0.5, omega=1.0)
+
+
 def test_martinez_inconclusive_without_tail_control():
     # short grid: the partial integral stays below the bound but the
     # integrand at the last sample is nowhere near negligible and no tail

@@ -23,6 +23,7 @@ from viscowave.history import HistoryBuffer
 from viscowave.stepper import init_state, step
 
 from conftest import (
+    as_dia_matrix,
     default_params,
     exp_kernel,
     interval_mesh,
@@ -179,7 +180,7 @@ def _scalar_report(state, buffer, form, i):
     vectorized pass."""
     params = form.params
     z = state.x[state.closure.checked]
-    sums = np.add.reduceat(np.append(z * (form.operator @ z), 0.0), form.starts).tolist()
+    sums = np.add.reduceat(np.append(z * (as_dia_matrix(form.operator) @ z), 0.0), form.starts).tolist()
     l2_sq, twice_kinetic, acoustic, damping = sums
     gns = state.grad_sq
     g_at_t = float(form.g[i])
@@ -280,6 +281,19 @@ def test_residual_requires_uniform_window():
                StepperConfig(dt=1e-3, t_end=0.02, record_every=10))
     with pytest.raises(ValueError, match=">= 3"):
         rate_identity_residual(traj.reports[:2])
+
+
+@pytest.mark.parametrize("t, message", [
+    ([0.0, 0.1, 0.1, 0.2], "strictly increasing"),
+    ([0.0, 0.2, 0.1, 0.3], "strictly increasing"),
+    ([0.0, 0.1, 0.2, 0.4], "uniformly spaced"),
+])
+def test_identity_residual_refuses_times_off_a_uniform_grid(t, message):
+    # the central difference divides by t[i+1] - t[i-1]: repeated,
+    # decreasing or unequal steps would give a residual of another quantity
+    t = np.array(t)
+    with pytest.raises(ValueError, match=message):
+        identity_residual(t, np.ones_like(t), np.zeros_like(t))
 
 
 def test_zero_trajectory_zero_residual():

@@ -6,7 +6,7 @@ import pytest
 from viscowave import HistoryBuffer, assemble, build_kernel, make_rate
 from viscowave.history import BLOCK_STEPS
 
-from conftest import exp_kernel, interval_mesh, square_mesh
+from conftest import as_dia_matrix, exp_kernel, interval_mesh, square_mesh
 from history_oracle import FullHistory
 
 
@@ -21,7 +21,7 @@ def test_empty_history_quantities_vanish():
     mesh = interval_mesh(8)
     ops = assemble(mesh)
     u = mesh.nodes[:, 0].copy()
-    ku = ops.stiffness @ u
+    ku = as_dia_matrix(ops.stiffness) @ u
     # one exponential, and a sum of many whose read weights cancel only
     # up to roundoff at t = 0
     for kernel in (exp_kernel(), build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)):
@@ -53,7 +53,7 @@ def test_convolution_constant_in_time_factorizes():
     kernel = build_kernel(make_rate("power_law", 2.0), 1.0, 3.0)
     buf = HistoryBuffer(kernel, mesh.n_nodes, 1e-3, 2000)
     u = np.sin(np.pi * mesh.nodes[:, 0])
-    ku = ops.stiffness @ u
+    ku = as_dia_matrix(ops.stiffness) @ u
     for _ in range(2001):
         buf.push(u, ku, u @ ku)
     force = buf.convolution_force(0.0)
@@ -72,14 +72,14 @@ def test_linear_history_closed_forms():
     kernel = exp_kernel(alpha=1.0, g0=1.0, a=2.0)
     w = np.sin(np.pi * mesh.nodes[:, 0])
     w[mesh.gamma0_nodes] = 0.0
-    kw = ops.stiffness @ w
+    kw = as_dia_matrix(ops.stiffness) @ w
     gw2 = float(w @ kw)
 
     t_end, dt, n = 1.5, 1e-3, 1500
     times = dt * np.arange(n + 1)
     for make in (HistoryBuffer, FullHistory):
         buf = make(kernel, mesh.n_nodes, dt, n)
-        _push_series(buf, ops.stiffness, times, lambda t: t * w)
+        _push_series(buf, as_dia_matrix(ops.stiffness), times, lambda t: t * w)
         force = buf.convolution_force(0.0)
         expect = (t_end - 1.0 + math.exp(-t_end)) * kw
         assert np.allclose(force, expect, rtol=1e-5, atol=1e-12)
@@ -101,7 +101,7 @@ def test_diamond_signs_for_random_history():
     for _ in range(101):
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
-        ku = ops.stiffness @ u
+        ku = as_dia_matrix(ops.stiffness) @ u
         buf.push(u, ku, u @ ku)
     assert buf.g_diamond() >= 0.0
     assert buf.g_prime_diamond() <= 0.0
@@ -120,7 +120,7 @@ def test_fast_path_equals_full_trapezoid():
     for _ in range(101):
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
-        ku = ops.stiffness @ u
+        ku = as_dia_matrix(ops.stiffness) @ u
         fast.push(u, ku, u @ ku)
         full.push(u, ku, u @ ku)
     f1, f2 = fast.convolution_force(0.0), full.convolution_force(0.0)
@@ -136,14 +136,14 @@ def test_quadrature_second_order_in_dt():
     kernel = exp_kernel()
     w = np.sin(np.pi * mesh.nodes[:, 0])
     w[mesh.gamma0_nodes] = 0.0
-    kw = ops.stiffness @ w
+    kw = as_dia_matrix(ops.stiffness) @ w
     t_end = 1.0
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
         n = round(t_end / dt)
         buf = HistoryBuffer(kernel, mesh.n_nodes, dt, n)
         times = dt * np.arange(n + 1)
-        _push_series(buf, ops.stiffness, times, lambda t: (t**3) * w)
+        _push_series(buf, as_dia_matrix(ops.stiffness), times, lambda t: (t**3) * w)
         force = buf.convolution_force(0.0)
         # int_0^t e^{-(t-s)} s^3 ds = t^3 - 3 t^2 + 6 t - 6 + 6 e^{-t}
         coef = t_end**3 - 3 * t_end**2 + 6 * t_end - 6 + 6 * math.exp(-t_end)
@@ -169,7 +169,7 @@ def test_diamond_invariant_under_constant_shift():
         buf = HistoryBuffer(kernel, mesh.n_nodes, 1e-2, 50)
         for u in snaps:
             v = u + offset
-            kv = ops.stiffness @ v
+            kv = as_dia_matrix(ops.stiffness) @ v
             buf.push(v, kv, v @ kv)
         vals.append(buf.g_diamond())
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)
@@ -199,7 +199,7 @@ def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a, dim):
     for _ in times:
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
-        snaps.append((u, ops.stiffness @ u))
+        snaps.append((u, as_dia_matrix(ops.stiffness) @ u))
         buf.push(u, snaps[-1][1], u @ snaps[-1][1])
         oracle.push(u, snaps[-1][1], u @ snaps[-1][1])
     t = times[-1]
@@ -243,7 +243,7 @@ def test_every_block_position_matches_full_trapezoid(family, alpha, eps, a, dim)
     for i in range(n + 1):
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
-        ku = ops.stiffness @ u
+        ku = as_dia_matrix(ops.stiffness) @ u
         snaps.append((u, ku))
         buf.push(u, ku, u @ ku)
         oracle.push(u, ku, u @ ku)
@@ -283,7 +283,7 @@ def test_one_term_block_is_the_two_pass_recursion():
     for i in range(50):
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
-        ku = ops.stiffness @ u
+        ku = as_dia_matrix(ops.stiffness) @ u
         buf.push(u, ku, u @ ku)
         row = np.concatenate([ku, [u @ ku, 1.0]])
         m = 10.0 ** rng.uniform(-2.0, 3.0)
@@ -314,7 +314,7 @@ def test_diamonds_keep_their_signs_on_a_history_constant_in_time(family, alpha, 
     for seed in range(20):
         u = np.random.default_rng(seed).standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
-        ku = ops.stiffness @ u
+        ku = as_dia_matrix(ops.stiffness) @ u
         buf = HistoryBuffer(kernel, mesh.n_nodes, 1e-2, 50)
         for n in range(1, 51):
             buf.push(u, ku, u @ ku)
@@ -334,7 +334,7 @@ def test_g_prime_diamond_read_first_equals_the_read_after_g_diamond(family, alph
     for _ in range(41):
         u = rng.standard_normal(mesh.n_nodes)
         u[mesh.gamma0_nodes] = 0.0
-        ku = ops.stiffness @ u
+        ku = as_dia_matrix(ops.stiffness) @ u
         first.push(u, ku, u @ ku)
         second.push(u, ku, u @ ku)
         gpd = first.g_prime_diamond()
@@ -391,7 +391,7 @@ def test_force_read_takes_the_stiffness_term_on_the_newest_row(family, alpha, ep
         for i in range(201):
             u = rng.standard_normal(mesh.n_nodes)
             u[mesh.gamma0_nodes] = 0.0
-            ku = ops.stiffness @ u
+            ku = as_dia_matrix(ops.stiffness) @ u
             buf.push(u, ku, u @ ku)
             m = 10.0 ** rng.uniform(-2.0, 3.0)
             fused = buf.convolution_force(m)

@@ -38,6 +38,12 @@ def test_mass_budget_violation_cites_h2():
         build_kernel(make_rate("constant", 0.1), g0=1.0, a=2.0)
 
 
+@pytest.mark.parametrize("a", [0.0, -1.0])
+def test_nonpositive_wave_coefficient_rejected(a):
+    with pytest.raises(ValueError, match="wave coefficient a must be positive"):
+        build_kernel(make_rate("constant", 1.0), g0=1.0, a=a)
+
+
 def test_heavy_power_tail_rejected():
     with pytest.raises(ValueError, match="infinite"):
         build_kernel(make_rate("power_law", 1.0), g0=1.0, a=5.0)

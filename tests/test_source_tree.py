@@ -89,29 +89,61 @@ def _importers(prefix: str) -> list[str]:
     return importers
 
 
+def _run_fresh(script: str) -> str:
+    """Standard output of ``script`` run by a fresh interpreter that imports
+    this package."""
+    src = str(Path(viscowave.__file__).parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+
+
 def test_only_assembly_imports_the_private_sparse_kernels():
-    # scipy.sparse._sparsetools is private to scipy: dia_product and
-    # _csr_accumulate in assembly.py are its wrappers, so a scipy that moves
-    # it breaks one module
-    assert _importers("scipy.sparse._sparsetools") == ["assembly.py"]
+    # scipy.sparse._sparsetools is private to scipy: assembly.py loads it by
+    # its file and wraps it in dia_product and _csr_accumulate, so a scipy
+    # that moves it breaks one module.  The load is no import statement, so
+    # every mention of the name counts.
+    package = Path(viscowave.__file__).parent
+    names = [path.name for path in sorted(package.glob("*.py"))
+             if "_sparsetools" in path.read_text()]
+    assert names == ["assembly.py"]
+    assert _importers("scipy.sparse._sparsetools") == []
+
+
+def test_runs_on_pinned_corners_never_import_scipy_sparse():
+    # the stencils, the record operator and the closure map are the
+    # package's own arrays, and the two compiled kernels it calls are
+    # loaded from their file: a 1D run and a 2D run with one acoustic face
+    # leave no module of scipy.sparse in sys.modules
+    script = ("import json, sys, tempfile\n"
+              "import viscowave.cli as cli\n"
+              "configs = [{'domain': {'resolution': [8]}},\n"
+              "           {'domain': {'dimension': 2, 'extent': [1.0, 1.0],\n"
+              "                       'gamma1_faces': ['right'], 'resolution': [8, 8]}}]\n"
+              "for config in configs:\n"
+              "    config['stepping'] = {'dt': 2e-3, 't_end': 0.02, 'record_every': 5}\n"
+              "    with tempfile.TemporaryDirectory() as out:\n"
+              "        cli.run_scenario(cli.parse_config(json.dumps(config)), out_dir=out)\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+              "print('scipy' in sys.modules)\n")
+    assert _run_fresh(script).splitlines() == ["[]", "False"]
 
 
 def test_only_a_free_corner_loads_the_sparse_eigensolver():
     # scipy.sparse.linalg holds the Lanczos solver of the CFL eigenvalue at
     # a free corner, and nothing else the package calls: a process that
-    # assembles a mesh whose corners are all pinned never loads it
+    # assembles a mesh whose corners are all pinned never loads it, nor
+    # scipy.sparse, and a free corner loads both
     assert _importers("scipy.sparse.linalg") == ["assembly.py"]
+    assert set(_importers("scipy.sparse")) == {"assembly.py"}
     script = ("import sys\n"
               "import viscowave.cli\n"
               "from viscowave import DomainSpec, assemble, build_mesh\n"
-              "assemble(build_mesh(DomainSpec(dimension=2, extent=(1.0, 1.0),\n"
-              "                               gamma1_faces={'right'}, resolution=(8, 8))))\n"
-              "print('scipy.sparse.linalg' in sys.modules)\n")
-    src = str(Path(viscowave.__file__).parent.parent)
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    loaded = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            check=True, env={**os.environ, "PYTHONPATH": path}).stdout
-    assert loaded.strip() == "False"
+              "for faces in [{'right'}, {'right', 'top'}]:\n"
+              "    assemble(build_mesh(DomainSpec(dimension=2, extent=(1.0, 1.0),\n"
+              "                                   gamma1_faces=faces, resolution=(8, 8))))\n"
+              "    print('scipy.sparse' in sys.modules, 'scipy.sparse.linalg' in sys.modules)\n")
+    assert _run_fresh(script).splitlines() == ["False False", "True True"]
 
 
 def test_only_a_power_law_expansion_loads_scipy_special():
@@ -131,11 +163,7 @@ def test_only_a_power_law_expansion_loads_scipy_special():
               "from viscowave import make_rate\n"
               "make_rate('power_law', 2.0).exp_sum(1.0)\n"
               "print('scipy.special' in sys.modules)\n")
-    src = str(Path(viscowave.__file__).parent.parent)
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    loaded = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            check=True, env={**os.environ, "PYTHONPATH": path}).stdout
-    assert loaded.split() == ["False", "True"]
+    assert _run_fresh(script).split() == ["False", "True"]
 
 
 def test_no_module_imports_scipy_integrate():

@@ -27,6 +27,7 @@ from viscowave.energy import _reports
 from ascent_oracle import best_of_random_starts, full_node_ascent, ground_gradient
 from inverse_block_oracle import mode_loop_block, mode_loop_trace_constant
 from conftest import (
+    as_dia_matrix,
     default_params,
     exp_kernel,
     interval_mesh,
@@ -69,6 +70,23 @@ def test_well_constants_from_B_examples():
     assert d1 == pytest.approx(0.25)
     for k in (3.0, 4.0, 7.0):
         assert well_constants_from_B(1.0, k)[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("B, k, message", [
+    (0.0, 4.0, "B must be positive"),
+    (-1.0, 4.0, "B must be positive"),
+    (1.0, 2.0, "k must exceed 2"),
+    (1.0, 1.5, "k must exceed 2"),
+])
+def test_well_constants_from_B_refuses_inputs_without_a_well(B, k, message):
+    # F(x) = x^2/2 - (B^k/k) x^k has an interior maximum only for B > 0, k > 2
+    with pytest.raises(ValueError, match=message):
+        well_constants_from_B(B, k)
+
+
+def test_embedding_constant_refuses_k_below_2():
+    with pytest.raises(ValueError, match="k must be >= 2, got 1.5"):
+        estimate_embedding_constant(assemble(interval_mesh(8)), 1.5)
 
 
 def test_embedding_constant_1d_k2():
@@ -173,6 +191,16 @@ def test_b_omega_reductions():
     # larger l strictly shrinks B
     b_bigger_l, _ = estimate_B_Omega(ops, p1, l_value=2.0, s_k=s4, u_star=u_star, seed=2024)
     assert b_bigger_l < b1
+
+
+@pytest.mark.parametrize("l_value", [0.0, -1.0])
+def test_b_omega_refuses_a_nonpositive_l(l_value):
+    # B = S_k / sqrt(l) (kappa > 0) needs l = a - int g > 0, which (H2) gives
+    ops = assemble(interval_mesh(16))
+    u_star, diag = stableset._embedding_ascent(ops, 4.0)
+    with pytest.raises(ValueError, match="needs l > 0"):
+        estimate_B_Omega(ops, default_params(), l_value=l_value, s_k=diag.value,
+                         u_star=u_star, seed=2024)
 
 
 def test_b_omega_verification_failure_names_both_quotients():
@@ -323,7 +351,7 @@ def _trace_gradient(ops):
 def _free_stiffness(ops):
     """K on the free nodes, the matrix of the ascent's K-norm."""
     free = ops.mesh.free_nodes
-    return ops.stiffness.tocsr()[free][:, free]
+    return as_dia_matrix(ops.stiffness).tocsr()[free][:, free]
 
 
 # numerator name -> (gradient builder on free-node vectors, degree)
@@ -393,7 +421,7 @@ def test_free_stiffness_solve_has_roundoff_residual(mesh_name):
     mesh = SOLVE_MESHES[mesh_name]()
     ops = assemble(mesh)
     free = mesh.free_nodes
-    k_free = ops.stiffness.tocsr()[np.ix_(free, free)]
+    k_free = as_dia_matrix(ops.stiffness).tocsr()[np.ix_(free, free)]
     b = np.random.default_rng(4).standard_normal(len(free))
     x = solve_free_stiffness(ops, b)
     assert np.linalg.norm(k_free @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -407,7 +435,7 @@ def test_free_stiffness_solve_is_normwise_backward_stable(mesh_name):
     mesh = interval_mesh(256) if mesh_name == "1d-256" else square_mesh(64)
     ops = assemble(mesh)
     free = mesh.free_nodes
-    k_free = ops.stiffness.tocsr()[np.ix_(free, free)]
+    k_free = as_dia_matrix(ops.stiffness).tocsr()[np.ix_(free, free)]
     k_norm = np.abs(k_free).sum(axis=1).max()
     eps = np.finfo(float).eps
     for seed in range(3):
@@ -425,7 +453,7 @@ BLOCK_MESHES = {name: make for name, make in {**SOLVE_MESHES, **TRACE_MESHES}.it
 
 def _dense_free_inverse(ops):
     free = ops.mesh.free_nodes
-    return np.linalg.inv(ops.stiffness.tocsr()[np.ix_(free, free)].toarray())
+    return np.linalg.inv(as_dia_matrix(ops.stiffness).tocsr()[np.ix_(free, free)].toarray())
 
 
 def _assert_block_of_inverse(block, k_inv, pos):
