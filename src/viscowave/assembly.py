@@ -229,7 +229,7 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
     corners, stiffness, mass = _cell_forms(mesh)
     K = _cell_stencil(mesh, corners, stiffness)
     M = _cell_stencil(mesh, corners, mass)
-    lumped = dia_product(M, np.ones(mesh.n_nodes))  # the row sums
+    lumped = dia_product(M, np.ones(mesh.n_nodes), np.empty(mesh.n_nodes))  # the row sums
     x = _axis_modes(mesh.spec.extent[0], mesh.spec.resolution[0],
                     _free_indices(mesh, 0, ("left", "right")))
     y = _POINT_AXIS
@@ -458,24 +458,28 @@ def _csr_accumulate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     csr_matvec(len(out), len(x), indptr, indices, data, x, out)
 
 
-def dia_product(A: Stencil, x: np.ndarray) -> np.ndarray:
-    """A @ x for a square stencil A (as :func:`assemble` stores K and M) and
-    a float vector x, bitwise scipy's ``dia_matrix @ x``, with none of its
-    dispatch."""
+def dia_product(A: Stencil, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A @ x written into ``out`` and returned, for a square stencil A (as
+    :func:`assemble` stores K and M), a float vector x and a contiguous
+    float vector ``out`` that shares no memory with x; bitwise scipy's
+    ``dia_matrix @ x``, with none of its dispatch.  ``dia_matvec`` adds to
+    its output, so ``out`` is zeroed first.  The stepper passes the history
+    ring's row that will hold K u, so the product is stored where the push
+    keeps it."""
     n = A.shape[0]
-    out = np.zeros(n)
+    out.fill(0.0)
     dia_matvec(n, n, len(A.offsets), n, A.offsets, A.data, x, out)
     return out
 
 
 def grad_norm_sq(ops: DiscreteOperators, u: np.ndarray) -> float:
     """|grad u|_2^2 = u^T K u (exact for P1)."""
-    return float(u @ dia_product(ops.stiffness, u))
+    return float(u @ dia_product(ops.stiffness, u, np.empty(len(u))))
 
 
 def l2_norm_sq(ops: DiscreteOperators, u: np.ndarray) -> float:
     """|u|_2^2 via the consistent mass form."""
-    return float(u @ dia_product(ops.mass, u))
+    return float(u @ dia_product(ops.mass, u, np.empty(len(u))))
 
 
 def lk_norm_pow(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> float:
@@ -483,21 +487,25 @@ def lk_norm_pow(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> float:
     return float(ops.mass_lumped @ np.abs(u) ** k_exp)
 
 
-def source_vector(ops: DiscreteOperators, u: np.ndarray, k_exp: float) -> np.ndarray:
-    """Nodal weak form of the odd source, m_i |u_i|^{k-2} u_i, zero on
-    Gamma_0 for u zero there.
+def source_vector(ops: DiscreteOperators, u: np.ndarray, k_exp: float,
+                  out: np.ndarray) -> np.ndarray:
+    """Nodal weak form of the odd source, m_i |u_i|^{k-2} u_i, written into
+    ``out`` (a float vector of u's size, not u itself) and returned; zero on
+    Gamma_0 for u zero there.  The stepper passes its state's source slot.
 
     The gradient of lk_norm_pow(u) / k, so for u zero on Gamma_0,
     u . source_vector(u) == lk_norm_pow(u) to roundoff.
     """
-    return _nodal_source(ops.mass_lumped, u, k_exp)
+    return _nodal_source(ops.mass_lumped, u, k_exp, out)
 
 
-def _nodal_source(mass: np.ndarray, u: np.ndarray, k_exp: float) -> np.ndarray:
+def _nodal_source(mass: np.ndarray, u: np.ndarray, k_exp: float,
+                  out: np.ndarray) -> np.ndarray:
     """The nodal rule m_i |u_i|^{k-2} u_i for node masses ``mass`` aligned
-    with ``u``: on every node by :func:`source_vector`, on the free nodes
-    alone by the well-constant ascent."""
-    out = np.abs(u)
+    with ``u``, written into ``out`` and returned: on every node by
+    :func:`source_vector`, on the free nodes alone by the well-constant
+    ascent."""
+    np.abs(u, out=out)
     out **= k_exp - 2.0
     out *= u
     out *= mass

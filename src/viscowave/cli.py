@@ -547,7 +547,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     boundary_residual = None
     g1 = mesh.gamma1_nodes
     if len(g1):
-        ku0 = dia_product(ops.stiffness, u0)
+        ku0 = dia_product(ops.stiffness, u0, np.empty(len(u0)))
         y_t0 = -(u1[g1] + params.q_c * y0) / params.p_c
         m0 = params.kirchhoff_coefficient(float(u0 @ ku0))
         res0 = m0 * ku0[g1] / mesh.gamma1_weights - y_t0

@@ -18,8 +18,10 @@ whose Kirchhoff weight is b/(kappa+1), twice the weight used inside the
 energy; the pair is chosen so that E >= F(gamma_fn) holds with the potential
 F of the stable-set analysis.
 
-|grad u|^2 and |u|_k^k are read from the state (``grad_sq``, ``lk``), where
-the stepper put them when it evaluated the force.
+|grad u|^2 and |u|_k^k are read from the state (``grad_sq``, ``lk``): the
+first the stepper formed when it evaluated the force, the second is u.S(u)
+off the source vector that the same evaluation wrote into the state, read
+at the record alone.
 
 A record writes raw values only: :func:`compute_energy` puts the state's
 time, |grad u|^2 and |u|_k^k, the two memory functionals (the history
@@ -99,7 +101,7 @@ class _RecordForm:
     float calls give the same values).  ``operator`` is
     diag(M, M, q W1, p W1) on the run (u, v, y, y_t) of a state's array,
     held as the diagonals ``ops.mass`` stores (seven in 2D; see
-    :mod:`viscowave.assembly`);
+    :mod:`viscowave.assembly`); ``image`` receives its product B z;
     ``products`` holds the entries of z * (B z) for that run z, and one
     trailing zero so that the blocks' sums at ``starts`` read 0 for an
     empty acoustic boundary (``np.add.reduceat`` reads a[i] for an empty
@@ -132,6 +134,7 @@ class _RecordForm:
         acoustic = np.outer(M.offsets == 0, np.concatenate([params.q_c * w1, params.p_c * w1]))
         self.operator = Stencil(M.offsets, np.hstack([M.data, M.data, acoustic]),
                                 (2 * n + 2 * m, 2 * n + 2 * m))
+        self.image = np.empty(2 * n + 2 * m)
         self.products = np.zeros(2 * n + 2 * m + 1)
         self.starts = np.array([0, n, 2 * n, 2 * n + m])
         self.rows = np.empty((len(times), _N_RAW + m))
@@ -199,7 +202,7 @@ def compute_energy(state, buffer: HistoryBuffer, form: _RecordForm) -> np.ndarra
     row[_G_PRIME_DIAMOND] = buffer.g_prime_diamond()
     z = state.x[state.closure.checked]
     products = form.products
-    np.multiply(z, dia_product(form.operator, z), out=products[:-1])
+    np.multiply(z, dia_product(form.operator, z, form.image), out=products[:-1])
     np.add.reduceat(products, form.starts, out=row[_QUADRATICS])
     row[_N_RAW:] = state.y
     return row

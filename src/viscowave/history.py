@@ -65,11 +65,22 @@ g' = sum_j -s_j c_j e^{-s_j t}).
 
 B is 1 for a one-term expansion (the exponential and constant-rate
 kernels): every push folds, and the fold is the two-pass recursion
-C <- d C + r_k.  Otherwise B is ``BLOCK_STEPS``: a push writes its row and
+C <- d C + r_k on the one accumulator row, scaled by the float d with no
+broadcast.  Otherwise B is ``BLOCK_STEPS``: a push writes its row and
 every B-th push folds.  For an exponential kernel the result is the
 trapezoid sum itself; otherwise it differs from the trapezoid sum with the
 exact g by at most the certified relative error times the trapezoid mass.
 Memory held is O((J + B) n) and does not grow with the pushes.
+
+The ring row a push fills is known before the push: ``next_ku`` is the
+view of its K u columns, bound once per row.  The stepper forms K u
+straight into it, and a push handed that view stores q and copies nothing;
+a push of any other array copies it into the row.  The force read writes
+into an array of the caller's (the stepper's acceleration) through the
+matmul ufunc, which reads the strided K u columns in place; the
+functionals' read is two ``ndarray.dot`` calls, which cost less dispatch
+than the ``@`` operator for the same BLAS product on contiguous operands,
+but would copy a strided one first.
 """
 
 from __future__ import annotations
@@ -120,6 +131,7 @@ class HistoryBuffer:
         self._acc_re = self._acc[:n_terms]
         self._ring[:, -1] = 1.0
         self._rows = list(self._ring)
+        self._ku_rows = [row[:-2] for row in self._rows]  # bound once: see next_ku
         # _pos is the newest row's position: the first push lands on the
         # last one, and the block after it starts at position 0
         self._last, self._pos = B - 1, (B - 2) % B
@@ -129,9 +141,14 @@ class HistoryBuffer:
         decay = np.exp(-rates * dt)
         powers = np.cumprod(np.vstack([np.ones_like(decay), np.tile(decay, (B, 1))]), axis=0)
         # the fold's operands; a one-row block of real terms has G R = R,
-        # its row, and needs no product
-        self._block_decay = np.tile(powers[B].real, n_acc // n_terms)[:, None]
+        # its row, and needs no product, and its one accumulator row is
+        # scaled by a float, with no broadcast
         one_real_row = B == 1 and not complex_terms
+        if one_real_row:
+            self._folded, self._block_decay = self._acc[0], float(powers[B, 0].real)
+        else:
+            self._folded = self._acc
+            self._block_decay = np.tile(powers[B].real, n_acc // n_terms)[:, None]
         self._gains = None if one_real_row else _stored(powers[B - 1::-1]).T.copy()
         self._block_sum = self._ring[0] if one_real_row else np.zeros_like(self._acc)
         self._turn = self._turned = None
@@ -168,11 +185,12 @@ class HistoryBuffer:
     @property
     def bytes_held(self) -> int:
         """Bytes of history state; independent of the number of pushes."""
-        held = [self._ext, self._aug, self._weights, self._force_weights, self._block_decay,
-                self._gains, self._turn, self._turned]
+        held = [self._ext, self._aug, self._weights, self._force_weights]
         if self._gains is not None:  # else the block's sum is its one ring row
-            held.append(self._block_sum)
-        return sum(a.nbytes for a in held if a is not None)
+            held += [self._block_decay, self._gains, self._block_sum]
+        if self._turn is not None:
+            held += [self._turn, self._turned]
+        return sum(a.nbytes for a in held)
 
     def diagnostics(self) -> dict:
         """Size of the history state, the pushes per fold and the certified
@@ -185,9 +203,18 @@ class HistoryBuffer:
             "certified_rel_error": exp_sum.rel_error,
         }
 
+    @property
+    def next_ku(self) -> np.ndarray:
+        """The K u columns of the ring row that the next push writes, a view
+        bound once; a caller that forms K u into it hands it to
+        :meth:`push`, which then copies nothing."""
+        return self._ku_rows[self._next_pos[self._pos]]
+
     def push(self, u: np.ndarray, ku: np.ndarray, q: float) -> None:
         """Record the state u at the next grid time with K u and q = u.K u,
-        which the caller has already formed; u is held, not copied."""
+        which the caller has already formed; u is held, not copied, and so
+        is ku when it is :attr:`next_ku`, as any other array is copied into
+        that row."""
         count = self._push_count
         if count > self._n_steps:
             raise ValueError(
@@ -196,7 +223,8 @@ class HistoryBuffer:
             )
         pos = self._pos = self._next_pos[self._pos]
         row = self._rows[pos]
-        row[:-2] = ku
+        if ku is not self._ku_rows[pos]:
+            row[:-2] = ku
         row[-2] = q
         if pos == self._last:
             if count == 0:  # r_0 at its trapezoid half weight, in every term
@@ -208,7 +236,8 @@ class HistoryBuffer:
 
     def _fold(self) -> None:
         # A <- D^B A + G R at the block's last push; the rotation reads A
-        # before the scaling overwrites it
+        # before the scaling overwrites it.  A one-real-term fold is
+        # C <- d C + r on the one row
         acc, block_sum = self._acc, self._block_sum
         if self._gains is not None:
             np.matmul(self._gains, self._ring, out=block_sum)
@@ -218,18 +247,24 @@ class HistoryBuffer:
             block_sum[:n] -= turned
             np.multiply(self._turn, acc[:n], out=turned)
             block_sum[n:] += turned
-        acc *= self._block_decay
-        acc += block_sum
+        folded = self._folded
+        folded *= self._block_decay
+        folded += block_sum
 
-    def convolution_force(self, m_kir: float) -> np.ndarray:
+    def convolution_force(self, m_kir: float, out: np.ndarray) -> np.ndarray:
         """int_0^t g(t-s) K u(s) ds - m_kir K u(t), the stiffness and memory
-        force of the Kirchhoff coefficient m_kir, as a new array.  The
-        newest row holds K u(t), so this is one weighted read of ext."""
+        force of the Kirchhoff coefficient m_kir, written into ``out`` (a
+        contiguous float vector of n_dofs entries, none of the buffer's) and
+        returned.  The newest row holds K u(t), so this is one weighted read
+        of ext."""
         if self._push_count < 2:  # the empty integral at t = 0
-            return -m_kir * self._ext[-1, :-2]
+            return np.multiply(self._ext[-1, :-2], -m_kir, out=out)
         w, newest, base = self._force_reads[self._pos]
         w[newest] = base - m_kir
-        return w @ self._ku_cols
+        # the matmul ufunc, not ndarray.dot: the K u columns are a strided
+        # slice of ext's rows, which ndarray.dot would copy first (a 64 x 64
+        # power-law read took 500 us against 170 us)
+        return np.matmul(w, self._ku_cols, out=out)
 
     def g_diamond(self) -> float:
         """(g o grad u)(t) >= 0; zero for a history constant in time."""
@@ -253,6 +288,6 @@ class HistoryBuffer:
         aug, pos = self._aug, self._pos
         np.multiply(self._u, -2.0, out=aug[:-2])
         aug[-1] = self._rows[pos][-2]
-        gd, gpd = (self._weights[pos] @ (self._ext @ aug)).tolist()
+        gd, gpd = self._weights[pos].dot(self._ext.dot(aug)).tolist()
         # roundoff guards: the exact values are signed sums of squares
         self._g_dia, self._g_prime_dia = max(gd, 0.0), min(gpd, 0.0)

@@ -145,7 +145,8 @@ def _embedding_ascent(ops: DiscreteOperators, k_exp: float):
     """The ascent of ||u||_k / ||grad u||_2, whose numerator lk(u) has
     gradient k times the nodal source rule on the free nodes."""
     mass_free = ops.mass_lumped[ops.mesh.free_nodes]
-    return _ascend(ops, lambda u: _nodal_source(mass_free, u, k_exp), k_exp)
+    return _ascend(ops, lambda u: _nodal_source(mass_free, u, k_exp, np.empty_like(u)),
+                   k_exp)
 
 
 def _trace_constant(ops: DiscreteOperators) -> float:

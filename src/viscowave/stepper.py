@@ -27,48 +27,58 @@ classical 0.9 h / sqrt(M_kir) on 64 cells.
 
 A state is one float array (layout in :class:`AcousticClosure`): accel,
 u, v, y and y_t, then the closure's slots for the boundary increments of v
-and accel, f3 and f4, and the previous (y, y_t).  A run owns two such
-arrays, and every view a step reads or writes of each is bound once, by
-:func:`init_state`.  A step writes the new state into the array of the
-pair that the old state does not hold, in fixed stages:
+and accel, f3 and f4, the previous (y, y_t), and last the source vector
+S(u).  A run owns two such arrays, and every view a step reads or writes of
+each is bound once, by :func:`init_state`.  A step writes the new state
+into the array of the pair that the old state does not hold, in fixed
+stages:
 
   drift     one (2, 3) product maps the rows (accel, u, v) to (u1, v_half);
   force     the new iterate is evaluated once (``_evaluate``): one
-            product with K's stencil (``ops.stiffness``) gives K u, pushed
-            into the history's ring of newest rows with |grad u|^2 = u.K u
-            (a multi-term kernel's every 16th push folds the ring into the
-            history's accumulators); one real product of the weight row of
-            the push's block position with the history's K u columns gives
-            the memory force less M_kir K u, as the newest row holds K u;
-            one nodal source vector adds the source and
-            int |u|^k for the energy report; one multiply by 1 / M_lump,
-            zero on Gamma_0, gives accel;
+            product with K's stencil (``ops.stiffness``) writes K u into
+            the history ring's row that the next push keeps
+            (``HistoryBuffer.next_ku``), and the push stores it with
+            |grad u|^2 = u.K u and copies nothing (a multi-term kernel's
+            every 16th push folds the ring into the history's
+            accumulators, a one-term kernel's every push); one real
+            product of the weight row of the push's block position with
+            the history's K u columns writes the memory force less
+            M_kir K u into accel, as the newest row holds K u; the nodal
+            source vector, written into the source slot, is added to it;
+            one multiply by 1 / M_lump, zero on Gamma_0, makes it accel.
+            No step forms int |u|^k = u.S(u): a record reads it off the
+            source slot (``SimState.lk``);
   closure   after the kick, one per-run sparse map takes (v on Gamma_1, f3,
             f4, y_prev, y_t_prev) to (y1, y_t1, dv, da), and one scatter
             adds dv and da into v and accel on Gamma_1.  Absent forcing
             leaves f3 and f4 zero, so every step takes the same path;
-  check     one dot product of the run of u, v, y and y_t with zeros: 0 x
-            is 0 for every finite x and nan for an infinite or nan one, so
-            the product is finite exactly when every entry is.  accel is
-            left out: a non-finite acceleration reaches u and v, and aborts,
-            one step later.  Then one comparison of M_kir with the run's
-            CFL bound ``m_kir_max``.
+  check     one dot product of the run of u, v, y and y_t with zeros (an
+            ``ndarray.dot``, as is every product of a step and a record
+            with contiguous operands: the ``@`` operator dispatches through
+            the matmul ufunc at a higher cost for the same product): 0 x is
+            0 for every finite x and nan for an infinite or nan one, so the
+            product is finite exactly when every entry is.  accel and S are left
+            out: a non-finite one reaches u and v, and aborts, one step
+            later.  Then one comparison of M_kir with the run's CFL bound
+            ``m_kir_max``.
 
 So a step allocates no state array, and a state it returned stays valid
 until the second step after it, which writes its array again.
 
 A record (every record_every-th step, and t = 0) is one
 :func:`~viscowave.energy.compute_energy` call on the new state, which writes
-the record's raw row (the values its energy report is derived from, and y)
-into a table allocated once per run; one dot product of the row with zeros
-checks it as the step's check does a state, and one copy into one buffer
-keeps the state's array as the last record's.  :func:`run` builds its
-per-run constants once, before the first step: the table, the tables of g(t)
-and int_0^t g on the record grid and the block-diagonal record operator over
-the run of u, v, y and y_t (``closure.checked``), so that a record makes one
-sparse product and reads the history's two memory functionals.  After the
-last step one vectorized pass derives the report fields of every record
-from the table (:meth:`~viscowave.energy._RecordForm.columns`).
+the record's raw row (the values its energy report is derived from, among
+them u.S(u) off the source slot, and y) into a table allocated once per
+run; one dot product of the row with zeros checks it as the step's check
+does a state, and one copy into one buffer keeps the state's array, source
+slot included, as the last record's.  :func:`run` builds its per-run
+constants once, before the first step: the table, the tables of g(t) and
+int_0^t g on the record grid and the block-diagonal record operator over
+the run of u, v, y and y_t (``closure.checked``) with a buffer for its
+product, so that a record makes one sparse product and reads the history's
+two memory functionals.  After the last step one vectorized pass derives
+the report fields of every record from the table
+(:meth:`~viscowave.energy._RecordForm.columns`).
 
 Floating-point errors: :func:`run` enters one
 ``np.errstate(over="ignore", invalid="ignore")`` around ``init_state``,
@@ -156,7 +166,7 @@ class _Slots:
     ``drift_out`` and ``forcing`` are shaped (3, n), (2, n) and (2, m)."""
 
     __slots__ = ("x", "drift_in", "drift_out", "cleared", "previous", "acoustic", "forcing",
-                 "accel", "u", "v", "closed", "increments", "checked")
+                 "accel", "u", "v", "closed", "increments", "checked", "source")
 
     def __init__(self, x: np.ndarray, closure: AcousticClosure):
         self.x = x
@@ -175,10 +185,14 @@ class AcousticClosure:
     A state lives in one float array ``x``, in slots of n (nodes) or m
     (acoustic nodes) entries:
 
-      accel | u | v | y | y_t | dv | da | f3 | f4 | y_prev | y_t_prev
+      accel | u | v | y | y_t | dv | da | f3 | f4 | y_prev | y_t_prev | S
+        n     n   n   m   m    m    m    m    m     m        m        n
 
     The slices below name the slots and the runs of slots a step reads or
-    writes at once.
+    writes at once.  S, the slot ``source``, holds the nodal source vector
+    S(u) of the state's u, written by the step's evaluation when
+    ``source_enabled`` (the params' switch) and left zero otherwise; it is
+    outside the checked run, as a non-finite S reaches u a step later.
 
     * ``m_kir_max`` = (2 CFL_SAFETY / dt)^2 / (LAM_MARGIN lam_max), the
       largest M_kir for which dt meets the CFL bound;
@@ -212,7 +226,7 @@ class AcousticClosure:
         mesh = ops.mesh
         g1 = mesh.gamma1_nodes
         n, m = ops.n_nodes, len(g1)
-        self.size = 3 * n + 8 * m
+        self.size = 4 * n + 8 * m
         self.accel, self.u, self.v = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
         b = 3 * n  # the first acoustic slot
         self.y, self.y_t = slice(b, b + m), slice(b + m, b + 2 * m)
@@ -222,6 +236,8 @@ class AcousticClosure:
         self.increments = slice(b + 2 * m, b + 4 * m)
         self.cleared = slice(b, b + 6 * m)  # the map's output and f3, f4
         self.forcing, self.previous = slice(b + 4 * m, b + 6 * m), slice(b + 6 * m, b + 8 * m)
+        self.source = slice(b + 8 * m, b + 8 * m + n)
+        self.source_enabled = params.source_enabled
 
         hdt = 0.5 * dt
         self.drift = np.array([[hdt * dt, 1.0, dt], [hdt, 0.0, 1.0]])
@@ -263,8 +279,10 @@ class SimState:
     :class:`AcousticClosure`); u, v and accel live on all nodes (Dirichlet
     entries zero), y and y_t on the acoustic nodes, each a view of ``x``.
     ``accel`` caches the acceleration at t for the next Verlet kick;
-    ``grad_sq`` = u.K u and ``lk`` = u.S(u) (0 with the source off) come
-    from the same evaluation and feed the energy report.  ``n`` counts the
+    ``grad_sq`` = u.K u comes from the evaluation that made the state, and
+    ``lk`` = u.S(u) is read, when asked for, off the source slot that the
+    same evaluation wrote (exactly 0.0 with the source off); both feed the
+    energy report.  ``n`` counts the
     steps taken; t is n * dt, never a running sum of dt.
 
     :func:`step` writes the new state into the other array of the run's
@@ -279,9 +297,18 @@ class SimState:
     x: np.ndarray
     m_kir: float
     grad_sq: float
-    lk: float
     closure: AcousticClosure
     n: int = 0
+
+    @property
+    def lk(self) -> float:
+        """u.S(u), read from the source slot, which the step's evaluation
+        wrote; exactly 0.0 with the source off."""
+        closure = self.closure
+        if not closure.source_enabled:
+            return 0.0
+        x = self.x
+        return float(x[closure.u].dot(x[closure.source]))
 
     @property
     def u(self) -> np.ndarray:
@@ -362,41 +389,41 @@ def _cfl_abort(m_kir: float, ops: DiscreteOperators, cfg: StepperConfig, t: floa
 
 def _evaluate(
     t: float,
-    u: np.ndarray,
-    accel: np.ndarray,
+    slots: _Slots,
     buffer: HistoryBuffer,
     params: PhysicalParams,
     ops: DiscreteOperators,
     forcing: Forcing | None,
     closure: AcousticClosure,
 ):
-    """Push the new iterate ``u`` at t and evaluate it once.
+    """Push the new iterate, the u of ``slots``, at t and evaluate it once.
 
-    Writes F / M_lump into ``accel`` and returns (M_kir, u.K u, u.S(u)).
-    The closure's ``inv_mass`` is zero on Gamma_0, so the one multiply is
-    also the step's one Dirichlet pin: it keeps u, v and accel zero there.
-    As u is zero on Gamma_0, u.S(u) is int |u_h|^k by the source's own rule.
+    Writes F / M_lump into the accel slot, and S(u) into the source slot
+    with the source on, and returns (M_kir, u.K u).  K u goes straight into
+    the history ring's row that the push keeps.  The closure's
+    ``inv_mass`` is zero on Gamma_0, so the one multiply is also the step's
+    one Dirichlet pin: it keeps u, v and accel zero there.  As u is zero on
+    Gamma_0, u.S(u) (:attr:`SimState.lk`) is int |u_h|^k by the source's
+    own rule.
     """
-    ku = dia_product(ops.stiffness, u)
-    grad_sq = float(u @ ku)
+    u = slots.u
+    ku = dia_product(ops.stiffness, u, buffer.next_ku)
+    grad_sq = float(u.dot(ku))
     buffer.push(u, ku, grad_sq)
     m_kir = params.kirchhoff_coefficient(grad_sq)
-    F = buffer.convolution_force(m_kir)  # -M_kir K u and the memory, one read
-    lk = 0.0
+    F = buffer.convolution_force(m_kir, slots.accel)  # -M_kir K u and the memory
     if params.source_enabled:
-        S = source_vector(ops, u, params.k_exp)
-        F += S
-        lk = float(u @ S)
+        F += source_vector(ops, u, params.k_exp, slots.source)
     if forcing is not None and forcing.f_omega is not None:
         F += ops.mass_lumped * forcing.f_omega(t)
-    np.multiply(F, closure.inv_mass, out=accel)
-    return m_kir, grad_sq, lk
+    F *= closure.inv_mass
+    return m_kir, grad_sq
 
 
 def _check_finite(t: float, values: np.ndarray, zero: np.ndarray) -> None:
     """Abort at t unless every entry of ``values`` is finite; ``zero`` holds
     as many zeros, and 0 x is nan for an infinite or nan x, 0 otherwise."""
-    if not math.isfinite(np.dot(values, zero)):
+    if not math.isfinite(values.dot(zero)):
         raise SimulationAbort("blow-up or instability: non-finite field values", t)
 
 
@@ -431,8 +458,7 @@ def init_state(
     accel = slots.accel
 
     with np.errstate(over="ignore", invalid="ignore"):
-        m_kir, grad_sq, lk = _evaluate(0.0, slots.u, accel, buffer, params, ops,
-                                       cfg.forcing, closure)
+        m_kir, grad_sq = _evaluate(0.0, slots, buffer, params, ops, cfg.forcing, closure)
     f3, f4 = slots.forcing
     if cfg.forcing is not None:
         _boundary_forcing(cfg.forcing, 0.0, slots.forcing)
@@ -443,7 +469,7 @@ def init_state(
     _check_finite(0.0, values, np.zeros(len(values)))
     if m_kir > closure.m_kir_max:
         raise _cfl_abort(m_kir, ops, cfg, 0.0)
-    return SimState(t=0.0, x=x, m_kir=m_kir, grad_sq=grad_sq, lk=lk, closure=closure)
+    return SimState(t=0.0, x=x, m_kir=m_kir, grad_sq=grad_sq, closure=closure)
 
 
 def step(
@@ -480,17 +506,15 @@ def step(
     if cfg.forcing is not None:
         _boundary_forcing(cfg.forcing, t1, new.forcing)
 
-    accel = new.accel
-    m_kir1, grad_sq1, lk1 = _evaluate(t1, new.u, accel, buffer, params, ops,
-                                      cfg.forcing, closure)
-    new.v += accel * (0.5 * cfg.dt)
+    m_kir1, grad_sq1 = _evaluate(t1, new, buffer, params, ops, cfg.forcing, closure)
+    new.v += new.accel * (0.5 * cfg.dt)
     _csr_accumulate(*closure.map, x, new.closed)
     x[closure.scatter] += new.increments
 
     _check_finite(t1, new.checked, closure.zero)
     if m_kir1 > closure.m_kir_max:
         raise _cfl_abort(m_kir1, ops, cfg, t1)
-    return SimState(t1, x, m_kir1, grad_sq1, lk1, closure, n1)
+    return SimState(t1, x, m_kir1, grad_sq1, closure, n1)
 
 
 def _record(state: SimState, buffer: HistoryBuffer, form: _RecordForm,
@@ -499,7 +523,7 @@ def _record(state: SimState, buffer: HistoryBuffer, form: _RecordForm,
     ``kept`` and return ``state``; a row with a value that is not finite
     aborts instead."""
     row = compute_energy(state, buffer, form)
-    if not math.isfinite(np.dot(row, form.zero)):
+    if not math.isfinite(row.dot(form.zero)):
         raise SimulationAbort("blow-up or instability: non-finite energy", state.t)
     np.copyto(kept, state.x)
     return state
@@ -549,7 +573,7 @@ def run(
         last = None
     final = None
     if last is not None:
-        final = SimState(last.t, kept, last.m_kir, last.grad_sq, last.lk, last.closure, last.n)
+        final = SimState(last.t, kept, last.m_kir, last.grad_sq, last.closure, last.n)
     traj = Trajectory(memory=buffer.diagnostics(), energy=energy, ys=form.ys(n), final=final)
     if abort is not None:
         abort.trajectory = traj

@@ -91,9 +91,9 @@ def products(monkeypatch):
     calls = []
     product = assembly.dia_product
 
-    def counted(A, x):
+    def counted(A, x, out):
         calls.append(A)
-        return product(A, x)
+        return product(A, x, out)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("viscowave") and getattr(module, "dia_product", None) is product:

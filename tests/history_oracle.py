@@ -16,6 +16,7 @@ class FullHistory:
     def __init__(self, kernel, n_dofs: int, dt: float, n_steps: int):
         self.kernel = kernel
         self.dt = dt
+        self._n_dofs = n_dofs
         self._u = None
         self._ku: list[np.ndarray] = []
         self._q: list[float] = []
@@ -26,6 +27,11 @@ class FullHistory:
 
     def diagnostics(self) -> dict:
         return {}
+
+    @property
+    def next_ku(self) -> np.ndarray:
+        """A new array for the next K u; the push copies whatever it gets."""
+        return np.empty(self._n_dofs)
 
     def push(self, u: np.ndarray, ku: np.ndarray, q: float) -> None:
         self._u = np.array(u, dtype=float)
@@ -42,8 +48,9 @@ class FullHistory:
         g = self.kernel.g_prime(ages) if prime else self.kernel.g(ages)
         return w * g
 
-    def convolution_force(self, m_kir: float) -> np.ndarray:
-        return self._weighted(prime=False) @ np.array(self._ku) - m_kir * self._ku[-1]
+    def convolution_force(self, m_kir: float, out: np.ndarray) -> np.ndarray:
+        return np.subtract(self._weighted(prime=False) @ np.array(self._ku),
+                           m_kir * self._ku[-1], out=out)
 
     def g_diamond(self) -> float:
         return self._diamond(prime=False)

@@ -257,6 +257,18 @@ def test_profiles_vanish_on_dirichlet_nodes():
         assert np.abs(u).max() > 0.0
 
 
+def test_profile_field_rejects_an_unknown_profile_on_either_dimension():
+    # config validation refuses an unknown name before a run; a direct call
+    # reaches the per-axis factor's own raise, which names the valid ones
+    from viscowave import DomainSpec
+
+    meshes = [build_mesh(parse_config("{}").domain),
+              build_mesh(DomainSpec(2, (1.0, 1.0), frozenset({"right"}), (4, 4)))]
+    for mesh in meshes:
+        with pytest.raises(ValueError, match=r"unknown profile 'gauss'; valid: .*'bump'"):
+            profile_field("gauss", mesh, 1.0)
+
+
 # each profile's factor on an axis, by the axis's pinned ends: none, the
 # high end alone, or both
 AXIS_FACTORS = {

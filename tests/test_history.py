@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from viscowave import HistoryBuffer, assemble, build_kernel, make_rate
+from viscowave import HistoryBuffer, assemble, assembly, build_kernel, make_rate
 from viscowave.history import BLOCK_STEPS
 
 from conftest import as_dia_matrix, exp_kernel, interval_mesh, square_mesh
@@ -27,7 +28,7 @@ def test_empty_history_quantities_vanish():
     for kernel in (exp_kernel(), build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)):
         buf = HistoryBuffer(kernel, mesh.n_nodes, 1e-3, 10)
         buf.push(u, ku, u @ ku)
-        assert np.all(buf.convolution_force(0.0) == 0.0)
+        assert np.all(buf.convolution_force(0.0, np.empty(mesh.n_nodes)) == 0.0)
         assert buf.g_diamond() == 0.0
         assert buf.g_prime_diamond() == 0.0
 
@@ -43,7 +44,7 @@ def test_fast_path_constant_history_closed_form():
         buf.push(np.array([1.0]), np.array([c]), c)
     t = n * dt
     expect = c * g0 * (1.0 - math.exp(-alpha * t)) / alpha
-    assert buf.convolution_force(0.0)[0] == pytest.approx(expect, rel=1e-6)
+    assert buf.convolution_force(0.0, np.empty(1))[0] == pytest.approx(expect, rel=1e-6)
 
 
 def test_convolution_constant_in_time_factorizes():
@@ -56,7 +57,7 @@ def test_convolution_constant_in_time_factorizes():
     ku = as_dia_matrix(ops.stiffness) @ u
     for _ in range(2001):
         buf.push(u, ku, u @ ku)
-    force = buf.convolution_force(0.0)
+    force = buf.convolution_force(0.0, np.empty(mesh.n_nodes))
     assert np.allclose(force, kernel.partial_mass(2.0) * ku, rtol=1e-6)
     # constant history has zero increments (up to roundoff in the expansion)
     assert buf.g_diamond() == pytest.approx(0.0, abs=1e-12)
@@ -80,7 +81,7 @@ def test_linear_history_closed_forms():
     for make in (HistoryBuffer, FullHistory):
         buf = make(kernel, mesh.n_nodes, dt, n)
         _push_series(buf, as_dia_matrix(ops.stiffness), times, lambda t: t * w)
-        force = buf.convolution_force(0.0)
+        force = buf.convolution_force(0.0, np.empty(mesh.n_nodes))
         expect = (t_end - 1.0 + math.exp(-t_end)) * kw
         assert np.allclose(force, expect, rtol=1e-5, atol=1e-12)
         gd = buf.g_diamond()
@@ -123,7 +124,7 @@ def test_fast_path_equals_full_trapezoid():
         ku = as_dia_matrix(ops.stiffness) @ u
         fast.push(u, ku, u @ ku)
         full.push(u, ku, u @ ku)
-    f1, f2 = fast.convolution_force(0.0), full.convolution_force(0.0)
+    f1, f2 = (h.convolution_force(0.0, np.empty(mesh.n_nodes)) for h in (fast, full))
     scale = np.abs(f2).max()
     assert np.abs(f1 - f2).max() <= 1e-6 * scale
     assert fast.g_diamond() == pytest.approx(full.g_diamond(), rel=1e-9)
@@ -144,7 +145,7 @@ def test_quadrature_second_order_in_dt():
         buf = HistoryBuffer(kernel, mesh.n_nodes, dt, n)
         times = dt * np.arange(n + 1)
         _push_series(buf, as_dia_matrix(ops.stiffness), times, lambda t: (t**3) * w)
-        force = buf.convolution_force(0.0)
+        force = buf.convolution_force(0.0, np.empty(mesh.n_nodes))
         # int_0^t e^{-(t-s)} s^3 ds = t^3 - 3 t^2 + 6 t - 6 + 6 e^{-t}
         coef = t_end**3 - 3 * t_end**2 + 6 * t_end - 6 + 6 * math.exp(-t_end)
         errs.append(np.abs(force - coef * kw).max())
@@ -211,8 +212,8 @@ def test_exp_sum_buffer_matches_full_trapezoid(family, alpha, eps, a, dim):
     gw, gpw = w * kernel.g(t - times), w * np.abs(kernel.g_prime(t - times))
     ku_abs = np.abs(np.array([ku for _, ku in snaps]))
     force_mass = gw @ ku_abs
-    force = buf.convolution_force(0.0)
-    assert np.all(np.abs(force - oracle.convolution_force(0.0))
+    force = buf.convolution_force(0.0, np.empty(mesh.n_nodes))
+    assert np.all(np.abs(force - oracle.convolution_force(0.0, np.empty(mesh.n_nodes)))
                   <= err * force_mass + 1e-13 * force_mass.max())
 
     # scale of the cancelling terms in |grad(u(t) - u(s))|^2 = q_now - 2 u.Ku + q
@@ -253,7 +254,8 @@ def test_every_block_position_matches_full_trapezoid(family, alpha, eps, a, dim)
         gw, gpw = w * kernel.g(ages), w * np.abs(kernel.g_prime(ages))
         force_mass = gw @ np.abs(np.array([s[1] for s in snaps]))
         m = 0.7
-        assert np.all(np.abs(buf.convolution_force(m) - oracle.convolution_force(m))
+        force, want = (h.convolution_force(m, np.empty(mesh.n_nodes)) for h in (buf, oracle))
+        assert np.all(np.abs(force - want)
                       <= err * force_mass + 1e-13 * (force_mass.max() + m * np.abs(ku).max()))
         terms = np.array([abs(u @ ku) + 2 * abs(u @ s_ku) + abs(s_u @ s_ku) for s_u, s_ku in snaps])
         reads = [(buf.g_diamond, oracle.g_diamond, gw),
@@ -289,13 +291,13 @@ def test_one_term_block_is_the_two_pass_recursion():
         m = 10.0 ** rng.uniform(-2.0, 3.0)
         if i == 0:  # the empty integrals at t = 0
             np.multiply(row, 0.5, out=acc)
-            assert np.array_equal(buf.convolution_force(m), -m * ku)
+            assert np.array_equal(buf.convolution_force(m, np.empty(mesh.n_nodes)), -m * ku)
             assert buf.g_diamond() == buf.g_prime_diamond() == 0.0
             continue
         acc *= decay
         acc += row
         ext = np.vstack([acc, row])
-        assert np.array_equal(buf.convolution_force(m),
+        assert np.array_equal(buf.convolution_force(m, np.empty(mesh.n_nodes)),
                               np.array([W[0, 0], W[0, -1] - m]) @ ext[:, :-2])
         gd, gpd = W @ (ext @ np.concatenate([-2.0 * u, [1.0, row[-2]]]))
         assert buf.g_diamond() == max(gd, 0.0)
@@ -367,7 +369,7 @@ def test_bytes_held_counts_every_array_of_the_buffer_once(family, alpha, eps, a)
     buf = HistoryBuffer(build_kernel(make_rate(family, alpha, eps), 1.0, a), 9, 0.1, 10)
     for i in range(3):
         buf.push(np.full(9, float(i)), np.full(9, float(i)), 9.0 * i * i)
-    buf.convolution_force(0.5)
+    buf.convolution_force(0.5, np.empty(9))
     bases = {}
     for name, value in vars(buf).items():
         # the newest pushed state is the caller's array, which the buffer
@@ -394,23 +396,25 @@ def test_force_read_takes_the_stiffness_term_on_the_newest_row(family, alpha, ep
             ku = as_dia_matrix(ops.stiffness) @ u
             buf.push(u, ku, u @ ku)
             m = 10.0 ** rng.uniform(-2.0, 3.0)
-            fused = buf.convolution_force(m)
+            fused = buf.convolution_force(m, np.empty(mesh.n_nodes))
             if i == 0:
                 assert np.array_equal(fused, -m * ku)
                 continue
-            memory = buf.convolution_force(0.0)
+            memory = buf.convolution_force(0.0, np.empty(mesh.n_nodes))
             scale = np.abs(memory).max() + m * np.abs(ku).max()
             assert np.abs(fused - (memory - m * ku)).max() <= 1e-14 * scale
 
 
 def test_convolution_force_shares_no_memory_with_the_buffer():
-    # the stepper adds the force to an array of its own and the buffer
-    # overwrites its state at the next push
+    # the force is written into the caller's array (the stepper's accel
+    # slot), and the buffer overwrites its state at the next push
     kernel = build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 2.0)
     for buf in (HistoryBuffer(exp_kernel(), 5, 0.1, 1), HistoryBuffer(kernel, 5, 0.1, 1)):
         for _ in range(2):  # the first push's read and a weighted one
             buf.push(np.ones(5), np.ones(5), 5.0)
-            force = buf.convolution_force(0.5)
+            out = np.empty(5)
+            force = buf.convolution_force(0.5, out)
+            assert force is out
             assert not any(np.shares_memory(force, value) for value in vars(buf).values()
                            if isinstance(value, np.ndarray))
 
@@ -425,3 +429,72 @@ def test_push_past_certified_horizon_rejected():
     # an expansion the kernel keeps for a shorter horizon than the grid's
     with pytest.raises(ValueError, match="horizon"):
         HistoryBuffer(kernel.on_horizon(1.0), 2, 1.0, 2)
+
+
+@pytest.mark.parametrize("family,alpha,eps,a,dim", [
+    pytest.param(*f, dim, id=f[0] if dim == 1 else f"{f[0]}-2d") for dim in (1, 2) for f in FAMILIES
+])
+def test_push_of_the_ring_view_equals_a_push_of_a_copy(family, alpha, eps, a, dim):
+    # the stepper forms K u in the ring row the next push keeps, and that
+    # push copies nothing; a push of the same values from an array of the
+    # caller's is copied in.  Both hold ext, the force and both functionals
+    # bitwise alike at every block position, over 2B + 5 pushes.
+    mesh = interval_mesh(12) if dim == 1 else square_mesh(8)
+    ops = assemble(mesh)
+    n = mesh.n_nodes
+    kernel = build_kernel(make_rate(family, alpha, eps), 0.9, a)
+    dt, n_steps = 5e-3, 2 * BLOCK_STEPS + 4
+    viewed, copied = (HistoryBuffer(kernel, n, dt, n_steps) for _ in range(2))
+    rng = np.random.default_rng(37)
+    for i in range(n_steps + 1):
+        u = rng.standard_normal(n)
+        u[mesh.gamma0_nodes] = 0.0
+        view = viewed.next_ku
+        assert view is viewed.next_ku  # bound once
+        ku = assembly.dia_product(ops.stiffness, u, view)
+        assert ku is view and np.shares_memory(view, viewed._ext)
+        q = float(u.dot(ku))
+        viewed.push(u, ku, q)
+        copied.push(u, ku.copy(), q)
+        assert viewed._ext.tobytes() == copied._ext.tobytes()
+        m = 0.7
+        assert (viewed.convolution_force(m, np.empty(n)).tobytes()
+                == copied.convolution_force(m, np.empty(n)).tobytes())
+        assert viewed.g_diamond() == copied.g_diamond()
+        assert viewed.g_prime_diamond() == copied.g_prime_diamond()
+
+
+@pytest.mark.parametrize("family,alpha,eps,a", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_force_read_allocates_no_copy_of_the_history(family, alpha, eps, a):
+    # the force read multiplies a weight row into the K u columns of ext, a
+    # strided slice of its rows; ndarray.dot copies such an operand first
+    # (the whole history, 0.3 MB for the power law here, and 4.3 MB on
+    # 64 x 64), the matmul ufunc reads it in place.  After the first push,
+    # the force read and the functionals together allocate less than one
+    # row, at every block position.
+    mesh = square_mesh(16)
+    ops = assemble(mesh)
+    n = mesh.n_nodes
+    kernel = build_kernel(make_rate(family, alpha, eps), 0.9, a)
+    buf = HistoryBuffer(kernel, n, 5e-3, 2 * BLOCK_STEPS + 4)
+    rng = np.random.default_rng(41)
+    out = np.empty(n)
+    u = rng.standard_normal(n)
+    u[mesh.gamma0_nodes] = 0.0
+    ku = as_dia_matrix(ops.stiffness) @ u
+    q = float(u.dot(ku))
+    peaks = []
+    for i in range(2 * BLOCK_STEPS + 5):
+        buf.push(u, ku, q)
+        if i == 0:  # the empty integrals
+            continue
+        tracemalloc.start()
+        try:
+            buf.convolution_force(0.5, out)
+            buf.g_diamond()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    if family != "constant":  # a copy of ext would show
+        assert buf._ext.nbytes > 50 * 8 * n
+    assert max(peaks) < 8 * n

@@ -80,6 +80,18 @@ def test_certificates_belong_to_the_family():
     assert (osc.family, osc.theta, osc.r) == ("oscillatory", 0.0, math.log(3.0))
 
 
+@pytest.mark.parametrize("method,args", [("xi", (0.5,)), ("phi", (0.5,)),
+                                         ("xi_prime_l1_tail", (0.0,)), ("exp_sum", (1.0,))])
+def test_the_rate_base_class_leaves_every_closed_form_to_a_family(method, args):
+    # RateFunction names the interface; a rate without a family's closed
+    # forms raises instead of returning a value, and turns nowhere
+    rate = kernels.RateFunction()
+    assert rate.family == "abstract" and rate.theta == rate.r == 0.0
+    with pytest.raises(NotImplementedError):
+        getattr(rate, method)(*args)
+    assert rate.turning_points(1.0).size == 0
+
+
 def test_partial_mass_examples():
     k = build_kernel(make_rate("constant", 1.0), 1.0, 2.0)
     assert k.partial_mass(1.0) == pytest.approx(1.0 - math.exp(-1.0))

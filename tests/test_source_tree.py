@@ -225,3 +225,50 @@ def test_energy_reports_are_built_in_one_function():
                 inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 sites.append((path.name, inside))
     assert sites == [("energy.py", ["_reports"])]
+
+
+# The functions a step or a record runs, as (module file, class or None,
+# function): the hot path of the dispatch rule.
+HOT_PATH = [
+    ("stepper.py", None, "step"),
+    ("stepper.py", None, "_evaluate"),
+    ("stepper.py", None, "_record"),
+    ("history.py", "HistoryBuffer", "push"),
+    ("history.py", "HistoryBuffer", "_fold"),
+    ("history.py", "HistoryBuffer", "convolution_force"),
+    ("history.py", "HistoryBuffer", "_read_diamonds"),
+    ("energy.py", None, "compute_energy"),
+]
+
+
+def _function(tree: ast.Module, owner: str | None, name: str) -> ast.FunctionDef:
+    body = tree.body
+    if owner is not None:
+        body = next(node for node in body if isinstance(node, ast.ClassDef)
+                    and node.name == owner).body
+    return next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _matmuls(function: ast.FunctionDef) -> list[int]:
+    """The lines of the ``@`` operators in ``function``, ``@=`` included."""
+    return [node.lineno for node in ast.walk(function)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+
+
+def test_the_hot_path_takes_vector_products_with_ndarray_dot():
+    # on the meshes the lab steps, a product costs more in dispatch than in
+    # arithmetic: the @ operator goes through the matmul ufunc, about
+    # 0.3 us a call more than ndarray.dot for the same BLAS product, so no
+    # function of a step or a record uses it.  The force read calls
+    # np.matmul by name, as ndarray.dot copies its strided operand.
+    assert _matmuls(ast.parse("def f(a, b):\n    c = a.dot(b)\n    c @= b\n    return a @ b\n")
+                    .body[0]) == [3, 4]
+    package = Path(viscowave.__file__).parent
+    trees = {}
+    found = {}
+    for module, owner, name in HOT_PATH:
+        tree = trees.setdefault(module, ast.parse((package / module).read_text()))
+        lines = _matmuls(_function(tree, owner, name))
+        if lines:
+            found[f"{module}:{owner or ''}.{name}"] = lines
+    assert found == {}

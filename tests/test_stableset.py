@@ -330,7 +330,7 @@ def _free_source(ops, k_exp):
     """The embedding numerator's gradient on free-node vectors, the nodal
     source rule with the free nodes' lumped masses."""
     mass_free = ops.mass_lumped[ops.mesh.free_nodes]
-    return lambda u: assembly._nodal_source(mass_free, u, k_exp)
+    return lambda u: assembly._nodal_source(mass_free, u, k_exp, np.empty_like(u))
 
 
 def _trace_gradient(ops):
@@ -664,7 +664,10 @@ def test_free_grid_ascent_matches_the_full_node_oracle(mesh_name, k_exp, seed):
     # on coarse squares random starts can stop at lower local maxima.
     ops = _oracle_ops(mesh_name)
     u_best, diag = stableset._embedding_ascent(ops, k_exp)
-    source = functools.partial(assembly.source_vector, ops, k_exp=k_exp)
+
+    def source(u):
+        return assembly.source_vector(ops, u, k_exp, np.empty_like(u))
+
     oracle_u, oracle_value, oracle_steps = full_node_ascent(ops, source, k_exp,
                                                             ground_gradient(ops))
     assert diag.converged
@@ -725,9 +728,9 @@ def test_ascent_solves_once_per_step_and_start_on_free_node_vectors(mesh_name, m
         solves.append(len(b))
         return solve(ops, b)
 
-    def spy_source(mass, u, k_exp):
+    def spy_source(mass, u, k_exp, out):
         gradients.append((len(mass), len(u)))
-        return source(mass, u, k_exp)
+        return source(mass, u, k_exp, out)
 
     monkeypatch.setattr(stableset, "solve_free_stiffness", spy_solve)
     monkeypatch.setattr(stableset, "_nodal_source", spy_source)

@@ -135,7 +135,7 @@ def test_zero_kernel_run_has_no_memory():
                        ops, params, buf, cfg)
     for _ in range(50):
         assert buf.n_entries == state.n + 1
-        assert not buf.convolution_force(0.0).any()
+        assert not buf.convolution_force(0.0, np.empty(mesh.n_nodes)).any()
         compute_energy(state, buf, form)
         rep = _reports(form.columns(state.n + 1))[-1]
         assert rep.memory == rep.g_prime_diamond == rep.g_at_t == 0.0
@@ -557,6 +557,70 @@ def test_state_norms_feed_the_energy_report(case):
             assert np.all(field[g0] == 0.0)
 
 
+def _source_pairing(ops, state, k_exp):
+    """u.S(u) of ``state``, recomputed from its u alone."""
+    u = state.u
+    return float(u.dot(source_vector(ops, u, k_exp, np.empty(len(u)))))
+
+
+def test_lk_is_read_from_the_source_slot_at_every_record():
+    # a step writes S(u) into its state's source slot and no step forms
+    # u.S(u); a record reads it, bitwise the pairing recomputed from u, at
+    # every record of exp-inwell and on the run's final state, whose
+    # source column it fills.  A deep copy of the last state keeps its
+    # value and steps on to the same pairing (the buffer is sized for the
+    # extra step).
+    cfg = PRESETS["exp-inwell"].parse()
+    mesh = build_mesh(cfg.domain)
+    ops = assemble(mesh)
+    params, stepping = cfg.physics, cfg.stepping
+    assert params.source_enabled
+    u0, u1, y0 = initial_data(cfg, mesh)
+    kernel = cfg.build_kernel()
+    buffer = HistoryBuffer(kernel, mesh.n_nodes, stepping.dt, stepping.n_steps + 1)
+    state = init_state(u0, u1, y0, ops, params, buffer, stepping)
+    lks = [state.lk]
+    for i in range(1, stepping.n_steps + 1):
+        state = step(state, ops, params, buffer, stepping)
+        if i % stepping.record_every == 0:
+            lks.append(state.lk)
+            assert state.lk == _source_pairing(ops, state, params.k_exp) > 0.0
+    traj = run(u0, u1, y0, ops, kernel, params, stepping)
+    assert len(lks) == traj.n_records == 5001
+    assert traj.final.lk == _source_pairing(ops, traj.final, params.k_exp) == lks[-1]
+    assert (-np.array(lks) / params.k_exp).tobytes() == traj.energy["source"].tobytes()
+
+    copied = copy.deepcopy(state)
+    assert copied.lk == state.lk
+    resumed = step(copied, ops, params, buffer, stepping)
+    assert resumed.x is not copied.x
+    assert resumed.lk == _source_pairing(ops, resumed, params.k_exp)
+    assert copied.lk == _source_pairing(ops, copied, params.k_exp) == lks[-1]
+
+
+def test_lk_is_exactly_zero_with_the_source_off():
+    # the source slot is never written with the source off, and lk reads
+    # +0.0 whatever the sign of u, on every state and on the run's final one
+    mesh = interval_mesh(16)
+    params = default_params(source_enabled=False)
+    ops = assemble(mesh)
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, record_every=5)
+    u0 = -sine_profile(mesh, 0.3)
+    buffer = HistoryBuffer(exp_kernel(), mesh.n_nodes, cfg.dt, cfg.n_steps)
+    state = init_state(u0, np.zeros(mesh.n_nodes), np.array([0.1]), ops, params, buffer, cfg)
+    states = [state]
+    for _ in range(cfg.n_steps):
+        state = step(state, ops, params, buffer, cfg)
+        states.append(state)
+        states.append(copy.deepcopy(state))
+    traj = run(u0, np.zeros(mesh.n_nodes), np.array([0.1]), ops, exp_kernel(), params, cfg)
+    for s in [*states, traj.final]:
+        assert type(s.lk) is float
+        assert s.lk == 0.0 and math.copysign(1.0, s.lk) == 1.0
+        assert not s.x[s.closure.source].any()
+    assert np.all(traj.energy["source"] == 0.0)
+
+
 @pytest.mark.parametrize("family", ["constant", "oscillatory"])
 def test_step_pushes_once_and_reads_the_force_once(family):
     # one push and one force read per step: the benchmark's history layer
@@ -747,8 +811,9 @@ def test_acoustic_closure_map_matches_the_trapezoid_formulas(forced):
         f4 = forcing.f_acoustic(new.t) if forced else 0.0
         # the kicked velocity and the force's acceleration, without the
         # boundary terms
-        force = (-new.m_kir * (as_dia_matrix(ops.stiffness) @ new.u) + buffer.convolution_force(0.0)
-                 + source_vector(ops, new.u, params.k_exp))
+        force = (-new.m_kir * (as_dia_matrix(ops.stiffness) @ new.u)
+                 + buffer.convolution_force(0.0, np.empty(mesh.n_nodes))
+                 + source_vector(ops, new.u, params.k_exp, np.empty(mesh.n_nodes)))
         accel = np.where(free, force / ops.mass_lumped, 0.0)
         v = state.v + hdt * state.accel + hdt * accel
         A = v[g1] + c * f3
