@@ -51,8 +51,9 @@ by ``importlib.util.find_spec("scipy")`` (which imports nothing) and the
 interpreter's extension suffixes, because importing it by name imports
 ``scipy.sparse`` first: about 21 MB and 0.16 s per process, for classes the
 package used only as containers.  A missing file raises an ImportError that
-lists the paths searched.  The free-corner branch of the CFL eigenvalue
-alone imports ``scipy.sparse``, for Lanczos.
+lists the paths searched.  No module of the package imports ``scipy.sparse``:
+the CFL eigenvalue at a free corner solves a corner-sized secular equation
+from the axis eigenpairs (see :func:`_lam_max`), with no sparse eigensolver.
 
 Fields are plain numpy arrays with one value per mesh node; entries at
 Dirichlet nodes are pinned to zero.  The well-constant ascent alone works on
@@ -236,14 +237,15 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
     if mesh.dimension == 2:
         y = _axis_modes(mesh.spec.extent[1], mesh.spec.resolution[1],
                         _free_indices(mesh, 1, ("bottom", "top")))
+    sums = y.values[:, None] + x.values[None, :]
     return DiscreteOperators(
         mesh=mesh,
         stiffness=K,
         mass=M,
         mass_lumped=lumped,
-        lam_max=_lam_max(mesh, K, lumped, (y, x)),
+        lam_max=_lam_max(mesh, lumped, (y, x), sums),
         axes=(y, x),
-        eigenvalue_sums=y.values[:, None] + x.values[None, :],
+        eigenvalue_sums=sums,
     )
 
 
@@ -322,35 +324,59 @@ def _axis_modes(length: float, m: int, free: np.ndarray) -> AxisModes:
     return AxisModes(free=free, values=values, vectors=vectors)
 
 
-def _lam_max(mesh: Mesh, K: Stencil, lumped: np.ndarray, axes) -> float:
-    """Largest eigenvalue of diag(M_lump)^{-1} K on the free nodes.
+def _lam_max(mesh: Mesh, lumped: np.ndarray, axes, sums: np.ndarray) -> float:
+    """Largest eigenvalue of diag(M_lump)^{-1} K on the free nodes, from the
+    axis eigenpairs and the table ``sums`` of Lam = lam_y (+) lam_x.
 
     On the free nodes K = D_y (x) K_x + K_y (x) D_x, and the lumped mass is
-    D_y (x) D_x at every node but a corner, where it is h_x h_y / 3 or / 6
-    against h_x h_y / 4.  With every corner pinned the eigenvalues are the
-    sums lam_y + lam_x, so the largest is exact from the axis eigenpairs.
-    Where two acoustic faces meet, that sum is no bound (unit square, 5 x 7
-    cells, acoustic left, bottom and top: 293.55 against 308.67), so the
-    largest eigenvalue of M^{-1/2} K M^{-1/2} comes from Lanczos; its Ritz
-    value converges from below to machine precision, and the fixed start
-    vector keeps reruns identical.
+    D_y (x) D_x + Delta, with Delta zero but at a free corner: h_x h_y / 12
+    heavier at (0, 0) and (n_x, n_y), and as much lighter at (n_x, 0) and
+    (0, n_y).  An interval has no corner, and a free corner needs two
+    acoustic faces to meet.  In V = V_y (x) V_x the pencil reads
+    Lam c = lam (I + Z^T Delta Z) c, Z the rows of V at the free corners.
+    For mu > 0 off Lam, Haynsworth's inertia theorem on
+    [[Lam - mu I, Z^T], [Z, (mu Delta)^{-1}]] counts its eigenvalues below
+    mu as #(Lam < mu) + neg(H(mu)) - neg(Delta), with the corner-sized
+    secular matrix H(mu) = Delta^{-1} - mu Z (Lam - mu I)^{-1} Z^T
+    (Golub, SIAM Rev. 15, 1973).  Bisection on that count pins the largest
+    eigenvalue to adjacent floats, inside the Rayleigh bracket Lam_max times
+    [min(1, r), max(1, r)], r the corners' ratios of D_y (x) D_x to the
+    lumped mass.  With every corner pinned the bracket is the one point
+    Lam_max = lam_y + lam_x, returned as it is.  The sum is no bound at a
+    free corner (unit square, 5 x 7 cells, acoustic left, bottom and top:
+    293.55 against 308.67).
     """
     y, x = axes
-    free = mesh.free_nodes
-    free_corner = False
-    if mesh.dimension == 2:
-        nx, ny = mesh.spec.resolution
-        free_corner = np.isin([0, nx, (nx + 1) * ny, (nx + 1) * ny + nx], free).any()
-    if not free_corner:
-        return float(y.values[-1] + x.values[-1])
-    import scipy.sparse as sp  # this branch alone loads scipy.sparse
-    from scipy.sparse.linalg import eigsh
-
-    scale = sp.diags(1.0 / np.sqrt(lumped[free]))
-    k_free = sp.dia_matrix((K.data, K.offsets), shape=K.shape).tocsr()[free][:, free]
-    A = scale @ k_free @ scale
-    v0 = np.sin(np.arange(1, len(free) + 1, dtype=float))
-    return float(eigsh(A, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    lam_top = float(sums[-1, -1])
+    if mesh.dimension == 1:
+        return lam_top
+    nx, ny = mesh.spec.resolution
+    corners = [(iy, ix) for iy in (0, ny) if iy in y.free for ix in (0, nx) if ix in x.free]
+    if not corners:
+        return lam_top
+    iy, ix = np.array(corners).T
+    zy, zx = y.vectors[iy - y.free[0]], x.vectors[ix - x.free[0]]  # free index i is row i - free[0]
+    Z = (zy[:, :, None] * zx[:, None, :]).reshape(len(corners), -1)
+    lam = sums.ravel()
+    base = 0.25 * math.prod(e / r for e, r in zip(mesh.spec.extent, mesh.spec.resolution))
+    mass = lumped[iy * (nx + 1) + ix]
+    delta = mass - base
+    below_top = len(lam) - 1 + np.count_nonzero(delta < 0)
+    inv_delta = np.diag(1.0 / delta)
+    ratio = base / mass
+    lo, hi = lam_top * min(1.0, *ratio), lam_top * max(1.0, *ratio)
+    while True:
+        mu = 0.5 * (lo + hi)
+        if not lo < mu < hi:
+            return float(hi)
+        if np.any(lam == mu):  # a pole of H(mu): step one float aside
+            mu = np.nextafter(mu, hi)
+        secular = inv_delta - mu * (Z / (lam - mu)) @ Z.T
+        below = np.count_nonzero(lam < mu) + np.count_nonzero(np.linalg.eigvalsh(secular) < 0)
+        if below <= below_top:
+            lo = mu
+        else:
+            hi = mu
 
 
 def solve_free_stiffness(ops: DiscreteOperators, b: np.ndarray) -> np.ndarray:

@@ -69,6 +69,7 @@ from .kernels import (
 )
 from .stableset import StableSetReport, WellConstants, check_initial_membership, compute_well_constants
 from .stepper import (
+    AbortInfo,
     SimulationAbort,
     StepperConfig,
     Trajectory,
@@ -477,12 +478,12 @@ def _write_columns(path: Path, cols: list[np.ndarray]) -> None:
 class ScenarioResult:
     config: RunConfig
     out_dir: Path
-    trajectory: Trajectory | None = None
-    constants: WellConstants | None = None
-    stable_report: StableSetReport | None = None
-    hypothesis_report: HypothesisReport | None = None
-    decay_report: DecayReport | None = None
-    aborted: object | None = None
+    trajectory: Trajectory
+    constants: WellConstants
+    stable_report: StableSetReport
+    hypothesis_report: HypothesisReport
+    decay_report: DecayReport | None
+    aborted: AbortInfo | None
 
 
 OPTIONAL_ARTIFACTS = ("abort.json", "decay_report.json", "rho_vs_S.dat", "logE_vs_phi.dat")
@@ -501,21 +502,17 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     params = config.physics
     ops = assemble(mesh)
     u0, u1, y0 = initial_data(config, mesh)
-    result = ScenarioResult(config=config, out_dir=out)
     setup.append(perf_counter())
 
     kernel = config.build_kernel()
     hyp = _hypothesis_report(config, kernel)
-    result.hypothesis_report = hyp
     _write_json(out / "hypothesis_report.json", hyp)
     setup.append(perf_counter())
 
     constants = compute_well_constants(ops, params, kernel, seed=config.seed)
-    result.constants = constants
     _write_json(out / "well_constants.json", constants)
     setup.append(perf_counter())
     stable = check_initial_membership(u0, u1, y0, constants, ops, params, kernel)
-    result.stable_report = stable
     _write_json(out / "stable_set.json", stable)
     setup.append(perf_counter())
     marks.append(perf_counter())
@@ -526,11 +523,9 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     except SimulationAbort as ab:
         traj = ab.trajectory
         aborted = ab.info
-    result.trajectory = traj
-    result.aborted = aborted
     marks.append(perf_counter())
 
-    sampled = decay_json = profile = None
+    sampled = report = decay_json = profile = None
     if aborted is None and config.stepping.t_end > 0:
         t0, t_tail = _decay_times(config, kernel)
         try:
@@ -542,7 +537,7 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
             # completed run
             decay_json = {"skipped": str(exc)}
         else:
-            result.decay_report = decay_json = report
+            decay_json = report
     # initial boundary-flux compatibility diagnostic
     boundary_residual = None
     g1 = mesh.gamma1_nodes
@@ -575,7 +570,9 @@ def run_scenario(config: RunConfig, out_dir: str | Path | None = None) -> Scenar
     if boundary_residual is not None:
         meta["initial_boundary_residual"] = boundary_residual
     _write_json(out / "run_metadata.json", meta)
-    return result
+    return ScenarioResult(config=config, out_dir=out, trajectory=traj, constants=constants,
+                          stable_report=stable, hypothesis_report=hyp, decay_report=report,
+                          aborted=aborted)
 
 
 # Phases of a scenario timed in run_metadata.json; set-up includes the JSON

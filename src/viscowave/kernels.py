@@ -159,7 +159,7 @@ class ConstantRate(RateFunction):
     def xi_prime_l1_tail(self, t):
         return 0.0
 
-    def exp_sum(self, horizon=None):
+    def exp_sum(self, horizon):
         return _exp_sum([1.0], [self.alpha], 0.0, math.inf, "exact")
 
 
@@ -280,7 +280,7 @@ class OscillatoryRate(RateFunction):
     def xi_prime_l1_tail(self, t):
         return self.alpha * self.eps * math.sqrt(2.0) * math.exp(-t)
 
-    def exp_sum(self, horizon=None):
+    def exp_sum(self, horizon):
         """Exact series, truncated where its analytic tail meets the tolerance.
 
         With c = alpha eps / 2 and w = e^{-t} (sin t + cos t),
