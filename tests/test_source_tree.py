@@ -1,6 +1,7 @@
 """Checks on the source of the package itself."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -110,27 +111,41 @@ def test_only_assembly_imports_the_private_sparse_kernels():
     assert _importers("scipy.sparse._sparsetools") == []
 
 
-def test_no_run_imports_scipy_sparse():
-    # the stencils, the record operator and the closure map are the
-    # package's own arrays, the two compiled kernels it calls are loaded
-    # from their file, and the CFL eigenvalue at a free corner is a small
-    # secular equation: a 1D run, a 2D run with one acoustic face and a 2D
-    # run whose right and top faces meet at a free corner leave no module of
-    # scipy.sparse, nor scipy itself, in sys.modules
-    assert _importers("scipy.sparse") == [] and _importers("scipy.sparse.linalg") == []
+def _sparse_modules_after_runs(faces_2d):
+    # a fresh process runs a short 1D scenario when faces_2d is None, else a
+    # 2D one with those acoustic faces, and prints the scipy.sparse modules
+    # it then holds and whether scipy itself is loaded
+    if faces_2d is None:
+        domain = {"resolution": [8]}
+    else:
+        domain = {"dimension": 2, "extent": [1.0, 1.0], "gamma1_faces": faces_2d,
+                  "resolution": [8, 8]}
+    config = {"domain": domain, "stepping": {"dt": 2e-3, "t_end": 0.02, "record_every": 5}}
     script = ("import json, sys, tempfile\n"
               "import viscowave.cli as cli\n"
-              "configs = [{'domain': {'resolution': [8]}}]\n"
-              "for faces in [['right'], ['right', 'top']]:\n"
-              "    configs.append({'domain': {'dimension': 2, 'extent': [1.0, 1.0],\n"
-              "                               'gamma1_faces': faces, 'resolution': [8, 8]}})\n"
-              "for config in configs:\n"
-              "    config['stepping'] = {'dt': 2e-3, 't_end': 0.02, 'record_every': 5}\n"
-              "    with tempfile.TemporaryDirectory() as out:\n"
-              "        cli.run_scenario(cli.parse_config(json.dumps(config)), out_dir=out)\n"
+              "with tempfile.TemporaryDirectory() as out:\n"
+              f"    cli.run_scenario(cli.parse_config({json.dumps(config)!r}), out_dir=out)\n"
               "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
               "print('scipy' in sys.modules)\n")
-    assert _run_fresh(script).splitlines() == ["[]", "False"]
+    return _run_fresh(script).splitlines()
+
+
+def test_runs_on_pinned_corners_never_import_scipy_sparse():
+    # the stencils, the record operator and the closure map are the
+    # package's own arrays, and the two compiled kernels it calls are
+    # loaded from their file: a 1D run and a 2D run with one acoustic face
+    # leave no module of scipy.sparse, nor scipy itself, in sys.modules
+    for faces_2d in [None, ["right"]]:
+        assert _sparse_modules_after_runs(faces_2d) == ["[]", "False"]
+
+
+def test_a_free_corner_run_never_imports_scipy_sparse():
+    # the CFL eigenvalue at a free corner is a small secular equation, not a
+    # Lanczos solve: no module imports scipy.sparse or scipy.sparse.linalg,
+    # and a 2D run whose right and top faces meet at a free corner loads
+    # neither, nor scipy itself
+    assert _importers("scipy.sparse") == [] and _importers("scipy.sparse.linalg") == []
+    assert _sparse_modules_after_runs(["right", "top"]) == ["[]", "False"]
 
 
 def test_only_a_power_law_expansion_loads_scipy_special():
