@@ -53,7 +53,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .assembly import DiscreteOperators, PhysicalParams, Stencil, dia_product
-from .history import HistoryBuffer
 from .kernels import RelaxationKernel
 
 
@@ -178,15 +177,19 @@ class _RecordForm:
         return self.rows[:n, _N_RAW:].copy()
 
 
-def compute_energy(state, buffer: HistoryBuffer, form: _RecordForm) -> np.ndarray:
+def compute_energy(state, form: _RecordForm) -> np.ndarray:
     """Write the raw row of ``state``'s record into ``form.rows`` and return
-    it; ``state`` must be the buffer's newest push and a state of the
-    record grid of ``form``'s run.
+    it; ``state`` must be the newest push of its run's history buffer and a
+    state of the record grid of ``form``'s run.
 
     The four quadratics come off one product with the form's operator (see
     the module docstring) and the two memory functionals off the buffer;
     :meth:`_RecordForm.columns` derives the report fields from the row.
     """
+    buffer = state.closure.buffer
+    if state.n + 1 != buffer.n_entries:
+        raise ValueError(f"state of step {state.n} is not the newest push of its history "
+                         f"buffer ({buffer.n_entries} pushes)")
     i, off = divmod(state.n, form.record_every)
     if off or i >= len(form.rows):
         raise ValueError(

@@ -355,7 +355,7 @@ class RelaxationKernel:
     l_value: float
     expansion: ExpSum | None = field(default=None, compare=False)
 
-    def exp_sum(self, horizon: float | None = None) -> ExpSum:
+    def exp_sum(self, horizon: float | None) -> ExpSum:
         """g as a sum of exponentials: the kept ``expansion`` if there is
         one (its own ``horizon`` says where it holds), else one certified on
         [0, horizon]."""

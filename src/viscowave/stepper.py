@@ -25,6 +25,11 @@ right, lam_max is (4 / h^2) cos^2(pi / 4m), so the bound reads
 dt <= 0.9 h / (sqrt(1.05 M_kir) cos(pi / 4m)): about 2.4% below the
 classical 0.9 h / sqrt(M_kir) on 64 cells.
 
+A run is one :class:`AcousticClosure`, built by :func:`init_state`: the
+operators, coefficients, config and history buffer it started with, and
+the constants derived from them.  Every state refers to its run, so
+``step(state)`` and ``compute_energy(state, form)`` take nothing else.
+
 A state is one float array (layout in :class:`AcousticClosure`): accel,
 u, v, y and y_t, then the closure's slots for the boundary increments of v
 and accel, f3 and f4, the previous (y, y_t), and last the source vector
@@ -178,9 +183,10 @@ class _Slots:
 
 
 class AcousticClosure:
-    """Per-run constants of a step; they depend only on the stepper config,
-    the operators and the coefficients.  :func:`init_state` builds them,
-    every step hands the same object on, and a deep copy of a state shares it.
+    """A run: the ``ops``, ``params``, ``buffer`` and ``cfg`` that
+    :func:`init_state` was given, and the per-run constants of a step derived
+    from them.  Every step hands the same object on, and a deep copy of a
+    state shares it.
 
     A state lives in one float array ``x``, in slots of n (nodes) or m
     (acoustic nodes) entries:
@@ -190,8 +196,8 @@ class AcousticClosure:
 
     The slices below name the slots and the runs of slots a step reads or
     writes at once.  S, the slot ``source``, holds the nodal source vector
-    S(u) of the state's u, written by the step's evaluation when
-    ``source_enabled`` (the params' switch) and left zero otherwise; it is
+    S(u) of the state's u, written by the step's evaluation with the
+    params' source on and left zero otherwise; it is
     outside the checked run, as a non-finite S reaches u a step later.
 
     * ``m_kir_max`` = (2 CFL_SAFETY / dt)^2 / (LAM_MARGIN lam_max), the
@@ -220,7 +226,9 @@ class AcousticClosure:
       (a ``_Slots``), and ``zero`` the zeros of the finiteness check.
     """
 
-    def __init__(self, ops: DiscreteOperators, params: PhysicalParams, cfg: StepperConfig):
+    def __init__(self, ops: DiscreteOperators, params: PhysicalParams, buffer: HistoryBuffer,
+                 cfg: StepperConfig):
+        self.ops, self.params, self.buffer, self.cfg = ops, params, buffer, cfg
         dt = cfg.dt
         self.m_kir_max = (2.0 * CFL_SAFETY / dt) ** 2 / (LAM_MARGIN * ops.lam_max)
         mesh = ops.mesh
@@ -237,7 +245,6 @@ class AcousticClosure:
         self.cleared = slice(b, b + 6 * m)  # the map's output and f3, f4
         self.forcing, self.previous = slice(b + 4 * m, b + 6 * m), slice(b + 6 * m, b + 8 * m)
         self.source = slice(b + 8 * m, b + 8 * m + n)
-        self.source_enabled = params.source_enabled
 
         hdt = 0.5 * dt
         self.drift = np.array([[hdt * dt, 1.0, dt], [hdt, 0.0, 1.0]])
@@ -283,7 +290,7 @@ class SimState:
     ``lk`` = u.S(u) is read, when asked for, off the source slot that the
     same evaluation wrote (exactly 0.0 with the source off); both feed the
     energy report.  ``n`` counts the
-    steps taken; t is n * dt, never a running sum of dt.
+    steps taken; ``t`` is n * dt, never a running sum of dt.
 
     :func:`step` writes the new state into the other array of the run's
     pair, never into the one of the state it was given: a returned state
@@ -293,7 +300,6 @@ class SimState:
     pair's first array.
     """
 
-    t: float
     x: np.ndarray
     m_kir: float
     grad_sq: float
@@ -301,11 +307,15 @@ class SimState:
     n: int = 0
 
     @property
+    def t(self) -> float:
+        return self.n * self.closure.cfg.dt
+
+    @property
     def lk(self) -> float:
         """u.S(u), read from the source slot, which the step's evaluation
         wrote; exactly 0.0 with the source off."""
         closure = self.closure
-        if not closure.source_enabled:
+        if not closure.params.source_enabled:
             return 0.0
         x = self.x
         return float(x[closure.u].dot(x[closure.source]))
@@ -376,27 +386,20 @@ class Trajectory:
         return _reports(self.energy)
 
 
-def _cfl_abort(m_kir: float, ops: DiscreteOperators, cfg: StepperConfig, t: float):
+def _cfl_abort(m_kir: float, closure: AcousticClosure, t: float):
     """The abort of a state whose Kirchhoff coefficient exceeds the run's
     ``m_kir_max``, naming the largest stable dt for it."""
-    dt_max = 2.0 * CFL_SAFETY / math.sqrt(LAM_MARGIN * ops.lam_max * m_kir)
+    dt_max = 2.0 * CFL_SAFETY / math.sqrt(LAM_MARGIN * closure.ops.lam_max * m_kir)
     return SimulationAbort(
-        f"CFL violation: dt = {cfg.dt:.3e} exceeds {dt_max:.3e} "
+        f"CFL violation: dt = {closure.cfg.dt:.3e} exceeds {dt_max:.3e} "
         f"(Kirchhoff coefficient {m_kir:.6g})",
         t,
     )
 
 
-def _evaluate(
-    t: float,
-    slots: _Slots,
-    buffer: HistoryBuffer,
-    params: PhysicalParams,
-    ops: DiscreteOperators,
-    forcing: Forcing | None,
-    closure: AcousticClosure,
-):
-    """Push the new iterate, the u of ``slots``, at t and evaluate it once.
+def _evaluate(t: float, slots: _Slots, closure: AcousticClosure):
+    """Push the new iterate, the u of ``slots``, at t into the run's buffer
+    and evaluate it once.
 
     Writes F / M_lump into the accel slot, and S(u) into the source slot
     with the source on, and returns (M_kir, u.K u).  K u goes straight into
@@ -406,6 +409,7 @@ def _evaluate(
     Gamma_0, u.S(u) (:attr:`SimState.lk`) is int |u_h|^k by the source's
     own rule.
     """
+    ops, params, buffer, forcing = closure.ops, closure.params, closure.buffer, closure.cfg.forcing
     u = slots.u
     ku = dia_product(ops.stiffness, u, buffer.next_ku)
     grad_sq = float(u.dot(ku))
@@ -444,12 +448,12 @@ def init_state(
     buffer: HistoryBuffer,
     cfg: StepperConfig,
 ) -> SimState:
-    """Initial state at t = 0, in the first array of the run's pair; pushes
-    the initial snapshot into the buffer and builds the run's
-    :class:`AcousticClosure`."""
+    """Initial state at t = 0, in the first array of the run's pair; builds
+    the run's :class:`AcousticClosure`, which keeps the four run arguments,
+    and pushes the initial snapshot into the buffer."""
     mesh = ops.mesh
     g1 = mesh.gamma1_nodes
-    closure = AcousticClosure(ops, params, cfg)
+    closure = AcousticClosure(ops, params, buffer, cfg)
     slots = closure.pair[0]
     x = slots.x
     slots.u[:] = pin_gamma0(mesh, u0)
@@ -458,7 +462,7 @@ def init_state(
     accel = slots.accel
 
     with np.errstate(over="ignore", invalid="ignore"):
-        m_kir, grad_sq = _evaluate(0.0, slots, buffer, params, ops, cfg.forcing, closure)
+        m_kir, grad_sq = _evaluate(0.0, slots, closure)
     f3, f4 = slots.forcing
     if cfg.forcing is not None:
         _boundary_forcing(cfg.forcing, 0.0, slots.forcing)
@@ -468,20 +472,14 @@ def init_state(
     values = x[:closure.checked.stop]  # accel, u, v, y and y_t
     _check_finite(0.0, values, np.zeros(len(values)))
     if m_kir > closure.m_kir_max:
-        raise _cfl_abort(m_kir, ops, cfg, 0.0)
-    return SimState(t=0.0, x=x, m_kir=m_kir, grad_sq=grad_sq, closure=closure)
+        raise _cfl_abort(m_kir, closure, 0.0)
+    return SimState(x=x, m_kir=m_kir, grad_sq=grad_sq, closure=closure)
 
 
-def step(
-    state: SimState,
-    ops: DiscreteOperators,
-    params: PhysicalParams,
-    buffer: HistoryBuffer,
-    cfg: StepperConfig,
-) -> SimState:
-    """Advance one step of size cfg.dt (buffer must be current at state.t),
-    writing the array of the run's pair that ``state`` does not hold, in
-    the stages the module docstring lists, through its bound views.
+def step(state: SimState) -> SimState:
+    """Advance one step of the run's dt (its buffer must be current at
+    state.t), writing the array of the run's pair that ``state`` does not
+    hold, in the stages the module docstring lists, through its bound views.
 
     ``step`` enters no ``np.errstate`` of its own: :func:`run` enters one
     around the whole run.  A caller that steps by hand wraps its calls in
@@ -489,6 +487,7 @@ def step(
     on the way to a blow-up warns before the finiteness check aborts.
     """
     closure = state.closure
+    cfg = closure.cfg
     n1 = state.n + 1
     t1 = n1 * cfg.dt
     x0 = state.x
@@ -506,23 +505,22 @@ def step(
     if cfg.forcing is not None:
         _boundary_forcing(cfg.forcing, t1, new.forcing)
 
-    m_kir1, grad_sq1 = _evaluate(t1, new, buffer, params, ops, cfg.forcing, closure)
+    m_kir1, grad_sq1 = _evaluate(t1, new, closure)
     new.v += new.accel * (0.5 * cfg.dt)
     _csr_accumulate(*closure.map, x, new.closed)
     x[closure.scatter] += new.increments
 
     _check_finite(t1, new.checked, closure.zero)
     if m_kir1 > closure.m_kir_max:
-        raise _cfl_abort(m_kir1, ops, cfg, t1)
-    return SimState(t1, x, m_kir1, grad_sq1, closure, n1)
+        raise _cfl_abort(m_kir1, closure, t1)
+    return SimState(x, m_kir1, grad_sq1, closure, n1)
 
 
-def _record(state: SimState, buffer: HistoryBuffer, form: _RecordForm,
-            kept: np.ndarray) -> SimState:
+def _record(state: SimState, form: _RecordForm, kept: np.ndarray) -> SimState:
     """Write the raw row of ``state``'s record, copy its array into
     ``kept`` and return ``state``; a row with a value that is not finite
     aborts instead."""
-    row = compute_energy(state, buffer, form)
+    row = compute_energy(state, form)
     if not math.isfinite(row.dot(form.zero)):
         raise SimulationAbort("blow-up or instability: non-finite energy", state.t)
     np.copyto(kept, state.x)
@@ -556,11 +554,11 @@ def run(
         try:
             state = init_state(u0, u1, y0, ops, params, buffer, cfg)
             kept = np.empty_like(state.x)
-            last = _record(state, buffer, form, kept)
+            last = _record(state, form, kept)
             for i in range(1, n_steps + 1):
-                state = step(state, ops, params, buffer, cfg)
+                state = step(state)
                 if i % cfg.record_every == 0:
-                    last = _record(state, buffer, form, kept)
+                    last = _record(state, form, kept)
         except SimulationAbort as ab:
             abort = ab
         n = 0 if last is None else last.n // cfg.record_every + 1
@@ -573,7 +571,7 @@ def run(
         last = None
     final = None
     if last is not None:
-        final = SimState(last.t, kept, last.m_kir, last.grad_sq, last.closure, last.n)
+        final = SimState(kept, last.m_kir, last.grad_sq, last.closure, last.n)
     traj = Trajectory(memory=buffer.diagnostics(), energy=energy, ys=form.ys(n), final=final)
     if abort is not None:
         abort.trajectory = traj

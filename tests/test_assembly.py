@@ -22,6 +22,7 @@ from viscowave import (
 from viscowave import assembly
 from viscowave.assembly import l2_norm_sq
 from viscowave.energy import _RecordForm
+from viscowave.history import HistoryBuffer
 from viscowave.stepper import AcousticClosure, StepperConfig
 
 from conftest import (as_dia_matrix, exp_kernel, interval_mesh, rect_mesh, square_mesh,
@@ -420,7 +421,9 @@ def test_own_arrays_give_scipys_containers_and_products_bitwise(mesh_name):
             got = assembly.dia_product(stencil, x, np.empty(n))
             assert (reference @ x).tobytes() == got.tobytes()
 
-    closure = AcousticClosure(ops, params, StepperConfig(dt=1e-3, t_end=1e-2))
+    cfg = StepperConfig(dt=1e-3, t_end=1e-2)
+    buffer = HistoryBuffer(exp_kernel(), ops.n_nodes, cfg.dt, cfg.n_steps)
+    closure = AcousticClosure(ops, params, buffer, cfg)
     indptr, indices, data = closure.map
     g1 = mesh.gamma1_nodes
     m, k = len(g1), np.arange(len(g1))

@@ -41,7 +41,7 @@ def _report_at_zero(mesh, ops, params, kernel, u0, u1, y0):
     buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
     form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.n_steps)
     state = init_state(u0, u1, y0, ops, params, buf, cfg)
-    compute_energy(state, buf, form)
+    compute_energy(state, form)
     return _reports(form.columns(1))[0]
 
 
@@ -126,19 +126,38 @@ def test_record_form_matches_the_written_out_report(domain, family):
     while True:
         if state.n % cfg.record_every:
             with pytest.raises(ValueError, match="record grid"):
-                compute_energy(state, buf, form)
+                compute_energy(state, form)
         else:
-            compute_energy(state, buf, form)
+            compute_energy(state, form)
             records += 1
             report = _reports(form.columns(records))[-1]
             _check_report(report, state, buf, kernel, params, ops, cfg.dt)
             if state.n > cfg.record_every:  # past the short run's last record
                 with pytest.raises(ValueError, match="record grid"):
-                    compute_energy(state, buf, short)
+                    compute_energy(state, short)
         if state.n == cfg.n_steps:
             break
-        state = step(state, ops, params, buf, cfg)
+        state = step(state)
     assert records == 11
+
+
+def test_a_state_behind_its_buffer_is_refused():
+    # a record reads the memory functionals off the run's history buffer at
+    # its newest push, so a state one step behind that push is refused,
+    # naming both counts, and the newest state records
+    mesh = interval_mesh(16)
+    params = default_params()
+    ops = assemble(mesh)
+    kernel = exp_kernel()
+    cfg = StepperConfig(dt=1e-3, t_end=0.01)
+    buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
+    form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.n_steps)
+    state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1]),
+                       ops, params, buf, cfg)
+    newer = step(state)
+    with pytest.raises(ValueError, match=r"state of step 0 .* \(2 pushes\)"):
+        compute_energy(state, form)
+    assert compute_energy(newer, form)[0] == cfg.dt
 
 
 def _check_report(rep, state, buf, kernel, params, ops, dt):
@@ -239,7 +258,7 @@ def test_every_column_is_bitwise_the_scalar_report(domain, family, case):
             ys.append(state.y.copy())
         if state.n == cfg.n_steps:
             break
-        state = step(state, ops, params, buf, cfg)
+        state = step(state)
     traj = run(u0, u1, y0, ops, kernel, params, cfg)
     assert len(expected) == traj.n_records == 11
     columns = np.array(list(traj.energy.values()))

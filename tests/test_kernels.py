@@ -13,7 +13,7 @@ def test_exponential_kernel_construction():
     k = build_kernel(make_rate("constant", 1.0), g0=1.0, a=2.0)
     assert k.tail_mass == pytest.approx(1.0)  # int_0^inf e^{-t}
     assert k.l_value == pytest.approx(1.0)
-    soe = k.exp_sum()
+    soe = k.exp_sum(None)
     assert soe.n_terms == 1 and soe.rel_error == 0.0 and soe.certification == "exact"
     ts = np.linspace(0.0, 5.0, 11)
     assert np.allclose(k.g(ts), np.exp(-ts))
@@ -24,7 +24,7 @@ def test_power_law_kernel_construction():
     assert k.tail_mass == pytest.approx(1.0)  # int (1+t)^-2
     assert k.l_value == pytest.approx(2.0)
     with pytest.raises(ValueError, match="horizon"):
-        k.exp_sum()
+        k.exp_sum(None)
     soe = k.exp_sum(40.0)
     assert soe.certification == "grid" and soe.horizon == 40.0
     assert soe.rel_error <= 1e-10
@@ -306,6 +306,6 @@ def test_report_serializes():
     assert token is None
     assert d["passed"] == rep.passed
     assert set(d["conditions"]) == set(rep.conditions)
-    assert d["memory_expansion"] == {"n_terms": k.exp_sum().n_terms,
-                                     "certified_rel_error": k.exp_sum().rel_error,
+    assert d["memory_expansion"] == {"n_terms": k.exp_sum(None).n_terms,
+                                     "certified_rel_error": k.exp_sum(None).rel_error,
                                      "certification": "analytic", "horizon": None}

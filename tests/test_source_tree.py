@@ -11,7 +11,7 @@ import viscowave
 
 # Defaulted parameters of the functions in src/viscowave.  A change that
 # deletes a default lowers this number; no change may raise it.
-DEFAULTED_PARAMETERS = 5
+DEFAULTED_PARAMETERS = 4
 
 # Settable values of a run config, the leaves of cli.DEFAULTS (a list is one
 # value).  A change that deletes a key lowers this number; a change that

@@ -2,8 +2,12 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,6 @@ from viscowave import (
     build_kernel,
     build_manufactured_case,
     build_mesh,
-    grad_norm_sq,
     lk_norm_pow,
     make_rate,
     run,
@@ -55,12 +58,12 @@ def _recorded_states(u0, u1, y0, ops, kernel, params, cfg):
     buffer = HistoryBuffer(kernel, ops.n_nodes, cfg.dt, n_steps)
     form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, n_steps)
     state = init_state(u0, u1, y0, ops, params, buffer, cfg)
-    compute_energy(state, buffer, form)
+    compute_energy(state, form)
     states = [copy.deepcopy(state)]
     for i in range(1, n_steps + 1):
-        state = step(state, ops, params, buffer, cfg)
+        state = step(state)
         if i % cfg.record_every == 0:
-            compute_energy(state, buffer, form)
+            compute_energy(state, form)
             states.append(copy.deepcopy(state))
     reports = _reports(form.columns(len(states)))
     traj = run(u0, u1, y0, ops, kernel, params, cfg)
@@ -113,7 +116,7 @@ def test_hand_computed_step_three_node_mesh():
         ops, params, buf, cfg,
     )
     assert np.allclose(s0.accel, [0.0, 0.0, -2.8])
-    s1 = step(s0, ops, params, buf, cfg)
+    s1 = step(s0)
     assert np.allclose(s1.u, [0.0, 0.25, 0.486])
     assert np.allclose(s1.v, [0.0, -0.0028, -0.227296])
     assert s1.y[0] == pytest.approx(0.191776)
@@ -136,12 +139,12 @@ def test_zero_kernel_run_has_no_memory():
     for _ in range(50):
         assert buf.n_entries == state.n + 1
         assert not buf.convolution_force(0.0, np.empty(mesh.n_nodes)).any()
-        compute_energy(state, buf, form)
+        compute_energy(state, form)
         rep = _reports(form.columns(state.n + 1))[-1]
         assert rep.memory == rep.g_prime_diamond == rep.g_at_t == 0.0
         assert rep.elastic == 0.5 * params.a * rep.grad_sq
         assert rep.grad_sq > 0.0
-        state = step(state, ops, params, buf, cfg)
+        state = step(state)
 
 
 def test_damped_linear_wave_against_independent_integrator():
@@ -247,7 +250,9 @@ def test_cfl_bound_is_the_stepper_margins_on_the_exact_eigenvalue(mesh_name):
     ops = assemble(mesh)
     assert (stepper.CFL_SAFETY, stepper.LAM_MARGIN) == (0.9, 1.05)
     for dt, pinned in _CFL_BOUNDS_64.items():
-        closure = stepper.AcousticClosure(ops, default_params(), StepperConfig(dt=dt, t_end=1.0))
+        cfg = StepperConfig(dt=dt, t_end=1.0)
+        buffer = HistoryBuffer(exp_kernel(), ops.n_nodes, dt, cfg.n_steps)
+        closure = stepper.AcousticClosure(ops, default_params(), buffer, cfg)
         assert closure.m_kir_max == (2.0 * 0.9 / dt) ** 2 / (1.05 * ops.lam_max)
         if mesh_name == "1d-64":
             assert closure.m_kir_max == pinned
@@ -549,7 +554,7 @@ def test_state_norms_feed_the_energy_report(case):
     assert len(records) == 11
     g0 = mesh.gamma0_nodes
     for state, rep in records:
-        assert rep.grad_sq == grad_norm_sq(ops, state.u)
+        assert rep.grad_sq == _stiffness_pairing(ops, state)
         lk = lk_norm_pow(ops, state.u, params.k_exp)
         assert lk > 0.0
         assert -params.k_exp * rep.source == pytest.approx(lk, rel=1e-14, abs=0.0)
@@ -557,10 +562,36 @@ def test_state_norms_feed_the_energy_report(case):
             assert np.all(field[g0] == 0.0)
 
 
+def _placed_like(a: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A copy of the float vector ``a`` at the address of ``like`` mod 64.
+    Under some BLAS kernels (OpenBLAS's SSE3 one, for one) a dot product's
+    last bit depends on where its operands sit, and a step's operands sit
+    at 8-byte offsets in the state array and the history ring; a product
+    recomputed on copies placed alike is bitwise the step's."""
+    pad = np.empty(len(a) + 8)
+    shift = (like.ctypes.data - pad.ctypes.data) % 64 // 8
+    out = pad[shift:shift + len(a)]
+    out[:] = a
+    return out
+
+
+def _stiffness_pairing(ops, state):
+    """u.K u of a recorded ``state`` (a copy) of a run with exp_kernel,
+    recomputed from its u alone on copies placed as the step's operands
+    were: u in the array of the run's pair that held the state, and K u in
+    the history's one ring row, which every push of a one-term kernel
+    writes."""
+    u = _placed_like(state.u, state.closure.pair[state.n % 2].u)
+    ring = state.closure.buffer.next_ku
+    return float(u.dot(assembly.dia_product(ops.stiffness, u, _placed_like(ring, ring))))
+
+
 def _source_pairing(ops, state, k_exp):
-    """u.S(u) of ``state``, recomputed from its u alone."""
-    u = state.u
-    return float(u.dot(source_vector(ops, u, k_exp, np.empty(len(u)))))
+    """u.S(u) of ``state``, recomputed from its u alone on copies placed as
+    its u and source slots are, which ``lk`` reads."""
+    u = _placed_like(state.u, state.u)
+    source = state.x[state.closure.source]
+    return float(u.dot(source_vector(ops, u, k_exp, _placed_like(source, source))))
 
 
 def test_lk_is_read_from_the_source_slot_at_every_record():
@@ -581,7 +612,7 @@ def test_lk_is_read_from_the_source_slot_at_every_record():
     state = init_state(u0, u1, y0, ops, params, buffer, stepping)
     lks = [state.lk]
     for i in range(1, stepping.n_steps + 1):
-        state = step(state, ops, params, buffer, stepping)
+        state = step(state)
         if i % stepping.record_every == 0:
             lks.append(state.lk)
             assert state.lk == _source_pairing(ops, state, params.k_exp) > 0.0
@@ -592,10 +623,26 @@ def test_lk_is_read_from_the_source_slot_at_every_record():
 
     copied = copy.deepcopy(state)
     assert copied.lk == state.lk
-    resumed = step(copied, ops, params, buffer, stepping)
+    resumed = step(copied)
     assert resumed.x is not copied.x
     assert resumed.lk == _source_pairing(ops, resumed, params.k_exp)
     assert copied.lk == _source_pairing(ops, copied, params.k_exp) == lks[-1]
+
+
+def test_the_recomputed_step_products_hold_under_the_sse3_blas_kernel():
+    # OpenBLAS picks its kernel at run time, and under its SSE3 one
+    # (Prescott) a dot product's last bit depends on where its operands
+    # sit: the four tests that recompute a step's u.K u and u.S(u) bitwise
+    # run in a child process on that kernel.  A BLAS that ignores the
+    # variable runs them on its own kernel, where they pass as well
+    here = Path(__file__)
+    tests = [f"{here}::test_state_norms_feed_the_energy_report",
+             f"{here}::test_lk_is_read_from_the_source_slot_at_every_record"]
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]
+    child = subprocess.run(command, capture_output=True, text=True, cwd=here.parent.parent,
+                           env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"})
+    assert child.returncode == 0, child.stdout
+    assert "4 passed" in child.stdout
 
 
 def test_lk_is_exactly_zero_with_the_source_off():
@@ -610,7 +657,7 @@ def test_lk_is_exactly_zero_with_the_source_off():
     state = init_state(u0, np.zeros(mesh.n_nodes), np.array([0.1]), ops, params, buffer, cfg)
     states = [state]
     for _ in range(cfg.n_steps):
-        state = step(state, ops, params, buffer, cfg)
+        state = step(state)
         states.append(state)
         states.append(copy.deepcopy(state))
     traj = run(u0, np.zeros(mesh.n_nodes), np.array([0.1]), ops, exp_kernel(), params, cfg)
@@ -641,8 +688,41 @@ def test_step_pushes_once_and_reads_the_force_once(family):
             return _method(*args)
         setattr(buffer, name, counted)
     for n in range(1, 4):
-        state = step(state, ops, params, buffer, cfg)
+        state = step(state)
         assert sorted(calls) == ["convolution_force"] * n + ["push"] * n
+
+
+def test_two_runs_stepped_in_turn_record_what_each_records_alone():
+    # every state carries its run (operators, coefficients, config and
+    # history): two runs of different kernels and coefficients, stepped and
+    # recorded in turn in one process, each record byte for byte what the
+    # same run records alone
+    mesh = interval_mesh(16)
+    ops = assemble(mesh)
+    cfg = StepperConfig(dt=1e-3, t_end=0.04, record_every=4)
+    z, y0 = np.zeros(mesh.n_nodes), np.array([0.1])
+    cases = [(sine_profile(mesh, 0.3), default_params(),
+              build_kernel(make_rate("constant", 1.0), 1.0, 3.0)),
+             (sine_profile(mesh, -0.2), default_params(p_c=0.7, q_c=1.3, b=0.5),
+              build_kernel(make_rate("oscillatory", 1.0, 0.5), 1.0, 3.0))]
+    states, forms = [], []
+    for u0, params, kernel in cases:
+        buffer = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
+        forms.append(_RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.n_steps))
+        states.append(init_state(u0, z, y0, ops, params, buffer, cfg))
+        compute_energy(states[-1], forms[-1])
+    for i in range(1, cfg.n_steps + 1):
+        states = [step(state) for state in states]
+        if i % cfg.record_every == 0:
+            for state, form in zip(states, forms):
+                compute_energy(state, form)
+    for (u0, params, kernel), state, form in zip(cases, states, forms):
+        alone = run(u0, z, y0, ops, kernel, params, cfg)
+        assert alone.n_records == 11
+        energy = form.columns(alone.n_records)
+        assert all(energy[name].tobytes() == c.tobytes() for name, c in alone.energy.items())
+        assert form.ys(alone.n_records).tobytes() == alone.ys.tobytes()
+        assert state.x.tobytes() == alone.final.x.tobytes()
 
 
 def _forced_case(forced):
@@ -666,7 +746,7 @@ def test_step_never_writes_the_array_of_the_state_it_was_given(forced):
                        ops, params, buffer, cfg)
     for _ in range(cfg.n_steps):
         before = state.x.tobytes()
-        new = step(state, ops, params, buffer, cfg)
+        new = step(state)
         assert new.x is not state.x
         assert state.x.tobytes() == before
         state = new
@@ -683,15 +763,15 @@ def test_steps_alternate_the_two_arrays_of_the_closure(forced, monkeypatch):
     s0 = init_state(u0, z, y0, ops, params, buffer, cfg)
     arrays = [slots.x for slots in s0.closure.pair]
     assert s0.x is arrays[0] and arrays[0] is not arrays[1]
-    s1 = step(s0, ops, params, buffer, cfg)
-    s2 = step(s1, ops, params, buffer, cfg)
+    s1 = step(s0)
+    s2 = step(s1)
     assert s1.x is arrays[1] and s2.x is s0.x
 
     seen = []
     real_step = stepper.step
 
-    def spy(state, *args):
-        new = real_step(state, *args)
+    def spy(state):
+        new = real_step(state)
         seen.append((state, new))
         return new
 
@@ -714,7 +794,7 @@ def test_run_records_equal_deep_copies_taken_while_stepping_by_hand(forced):
     state = init_state(u0, z, y0, ops, params, buffer, cfg)
     kept = [copy.deepcopy(state)]
     for i in range(1, cfg.n_steps + 1):
-        state = step(state, ops, params, buffer, cfg)
+        state = step(state)
         if i % cfg.record_every == 0:
             kept.append(copy.deepcopy(state))
     traj = run(u0, z, y0, ops, kernel, params, cfg)
@@ -805,7 +885,7 @@ def test_acoustic_closure_map_matches_the_trapezoid_formulas(forced):
         return np.abs(got - want).max() / np.abs(want).max()
 
     for _ in range(10):
-        new = step(state, ops, params, buffer, cfg)
+        new = step(state)
         assert new.closure is closure
         f3 = forcing.f_flux(new.t) if forced else 0.0
         f4 = forcing.f_acoustic(new.t) if forced else 0.0
@@ -892,7 +972,8 @@ def _planted_run(field, value, monkeypatch):
     ops = assemble(mesh)
     params = default_params()
     cfg = StepperConfig(dt=1e-3, t_end=0.02, record_every=5)
-    layout = stepper.AcousticClosure(ops, params, cfg)
+    buffer = HistoryBuffer(exp_kernel(), mesh.n_nodes, cfg.dt, cfg.n_steps)
+    layout = stepper.AcousticClosure(ops, params, buffer, cfg)
     index = getattr(layout, field).start + (_PLANT_NODE if field in ("u", "v") else 0)
     check = stepper._check_finite
 
@@ -1006,7 +1087,7 @@ def test_the_finiteness_check_reads_y_on_its_own():
     # step enters no errstate of its own; run holds one for the whole run
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationAbort, match="non-finite field values") as exc:
-            step(state, ops, params, buffer, cfg)
+            step(state)
     assert exc.value.info.time == cfg.dt
 
 
