@@ -29,9 +29,9 @@ buffer's one read at its newest push) and four quadratics into one row of a
 float table, followed by y.  The quadratics come from one product B z with
 the state's contiguous run z = (u, v, y, y_t), B = diag(M, M, q W1, p W1)
 (M the consistent mass, W1 the acoustic weights), summed over its four
-blocks: |u|_2^2, 2 kinetic, q int y^2 and p int y_t^2.  :func:`run
-<viscowave.stepper.run>` builds one :class:`_RecordForm` per run: the
-table, B stored by its diagonals (M's as ``ops.mass`` holds them), and g(t)
+blocks: |u|_2^2, 2 kinetic, q int y^2 and p int y_t^2.  The run's
+:class:`~viscowave.stepper.AcousticClosure` builds one :class:`_RecordForm`:
+the table, B stored by its diagonals (M's as ``ops.mass`` holds them), and g(t)
 and int_0^t g at every record time n dt, each from one vectorized kernel
 call.  After the run, :meth:`_RecordForm.columns` derives the fifteen
 :class:`EnergyReport` fields of every record in one vectorized pass, and
@@ -95,8 +95,8 @@ class _RecordForm:
     """The per-run constants and the raw table of a run's records.
 
     The grid holds the times n dt of the steps n = 0, record_every, ... up
-    to n_steps, the steps at which a run records.  ``g`` and ``mass`` are
-    g(n dt) and int_0^{n dt} g there, each from one vectorized call (the
+    to n_steps (all three of ``cfg``), at which a run records.  ``g`` and
+    ``mass`` are g(n dt) and int_0^{n dt} g there, each from one vectorized call (the
     float calls give the same values).  ``operator`` is
     diag(M, M, q W1, p W1) on the run (u, v, y, y_t) of a state's array,
     held as the diagonals ``ops.mass`` stores (seven in 2D; see
@@ -116,11 +116,11 @@ class _RecordForm:
     """
 
     def __init__(self, kernel: RelaxationKernel, params: PhysicalParams,
-                 ops: DiscreteOperators, dt: float, record_every: int, n_steps: int):
-        times = np.arange(0, n_steps + 1, record_every) * dt
+                 ops: DiscreteOperators, cfg):
+        times = np.arange(0, cfg.n_steps + 1, cfg.record_every) * cfg.dt
         self.g = kernel.g(times)
         self.mass = kernel.partial_mass(times)
-        self.record_every = record_every
+        self.record_every = cfg.record_every
         self.l_value = kernel.l_value
         self.params = params
         w1 = ops.mesh.gamma1_weights
@@ -177,25 +177,33 @@ class _RecordForm:
         return self.rows[:n, _N_RAW:].copy()
 
 
-def compute_energy(state, form: _RecordForm) -> np.ndarray:
-    """Write the raw row of ``state``'s record into ``form.rows`` and return
-    it; ``state`` must be the newest push of its run's history buffer and a
-    state of the record grid of ``form``'s run.
+def _not_current(state) -> ValueError:
+    """The refusal of a state that is not the newest push of its run's
+    history buffer, or whose run has finished and released it."""
+    buffer = state.closure.buffer
+    if buffer is None:
+        return ValueError(f"state of step {state.n} belongs to a finished run, which "
+                          "released its history buffer")
+    return ValueError(f"state of step {state.n} is not the newest push of its history "
+                      f"buffer ({buffer.n_entries} pushes)")
+
+
+def compute_energy(state) -> np.ndarray:
+    """Write the raw row of ``state``'s record into its run's table and
+    return it; ``state`` must be the newest push of its run's live history
+    buffer and a state of the run's record grid.
 
     The four quadratics come off one product with the form's operator (see
     the module docstring) and the two memory functionals off the buffer;
     :meth:`_RecordForm.columns` derives the report fields from the row.
     """
-    buffer = state.closure.buffer
-    if state.n + 1 != buffer.n_entries:
-        raise ValueError(f"state of step {state.n} is not the newest push of its history "
-                         f"buffer ({buffer.n_entries} pushes)")
+    buffer, form = state.closure.buffer, state.closure.form
+    if buffer is None or state.n + 1 != buffer.n_entries:
+        raise _not_current(state)
     i, off = divmod(state.n, form.record_every)
-    if off or i >= len(form.rows):
-        raise ValueError(
-            f"step {state.n} is off the record grid (every {form.record_every} "
-            f"steps, {len(form.rows)} records)"
-        )
+    if off:
+        raise ValueError(f"step {state.n} is off the record grid (every {form.record_every} "
+                         "steps)")
     row = form.rows[i]
     # one store per value: a tuple stored into a slice becomes an array first
     row[_T] = state.t

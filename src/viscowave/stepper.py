@@ -25,16 +25,16 @@ right, lam_max is (4 / h^2) cos^2(pi / 4m), so the bound reads
 dt <= 0.9 h / (sqrt(1.05 M_kir) cos(pi / 4m)): about 2.4% below the
 classical 0.9 h / sqrt(M_kir) on 64 cells.
 
-A run is one :class:`AcousticClosure`, built by :func:`init_state`: the
-operators, coefficients, config and history buffer it started with, and
-the constants derived from them.  Every state refers to its run, so
-``step(state)`` and ``compute_energy(state, form)`` take nothing else.
+A run is one :class:`AcousticClosure`: the operators, coefficients and
+config it is built with, the history buffer and record form it builds,
+and the constants derived from them.  Every state refers to its run, so
+``step(state)`` and ``compute_energy(state)`` take nothing else.
 
 A state is one float array (layout in :class:`AcousticClosure`): accel,
 u, v, y and y_t, then the closure's slots for the boundary increments of v
 and accel, f3 and f4, the previous (y, y_t), and last the source vector
 S(u).  A run owns two such arrays, and every view a step reads or writes of
-each is bound once, by :func:`init_state`.  A step writes the new state
+each is bound once, by the closure.  A step writes the new state
 into the array of the pair that the old state does not hold, in fixed
 stages:
 
@@ -76,14 +76,15 @@ the record's raw row (the values its energy report is derived from, among
 them u.S(u) off the source slot, and y) into a table allocated once per
 run; one dot product of the row with zeros checks it as the step's check
 does a state, and one copy into one buffer keeps the state's array, source
-slot included, as the last record's.  :func:`run` builds its per-run
-constants once, before the first step: the table, the tables of g(t) and
-int_0^t g on the record grid and the block-diagonal record operator over
-the run of u, v, y and y_t (``closure.checked``) with a buffer for its
-product, so that a record makes one sparse product and reads the history's
-two memory functionals.  After the last step one vectorized pass derives
-the report fields of every record from the table
-(:meth:`~viscowave.energy._RecordForm.columns`).
+slot included, as the last record's (``closure.kept``).  The closure's
+``form`` holds the per-run constants of a record, built once: the table,
+the tables of g(t) and int_0^t g on the record grid and the block-diagonal
+record operator over the run of u, v, y and y_t (``closure.checked``) with
+a buffer for its product, so that a record makes one sparse product and
+reads the history's two memory functionals.  After the last step one
+vectorized pass derives the report fields of every record from the table
+(:meth:`~viscowave.energy._RecordForm.columns`); then :func:`run` lets the
+closure's buffer, form and pair go.
 
 Floating-point errors: :func:`run` enters one
 ``np.errstate(over="ignore", invalid="ignore")`` around ``init_state``,
@@ -119,7 +120,7 @@ from .assembly import (
     pin_gamma0,
     source_vector,
 )
-from .energy import EnergyReport, _RecordForm, _reports, compute_energy
+from .energy import EnergyReport, _not_current, _RecordForm, _reports, compute_energy
 from .history import HistoryBuffer
 from .kernels import RelaxationKernel
 
@@ -183,10 +184,11 @@ class _Slots:
 
 
 class AcousticClosure:
-    """A run: the ``ops``, ``params``, ``buffer`` and ``cfg`` that
-    :func:`init_state` was given, and the per-run constants of a step derived
-    from them.  Every step hands the same object on, and a deep copy of a
-    state shares it.
+    """A run: the ``ops``, ``params`` and ``cfg`` it is built with, the
+    history ``buffer`` and record ``form`` it builds, and the per-run
+    constants of a step.  Every step hands the same object on, and a deep
+    copy of a state shares it.  When :func:`run` returns or raises, it sets
+    ``buffer``, ``form`` and ``pair`` to None; the layout and ``kept`` stay.
 
     A state lives in one float array ``x``, in slots of n (nodes) or m
     (acoustic nodes) entries:
@@ -223,12 +225,15 @@ class AcousticClosure:
     * ``scatter`` holds the places of v and accel on Gamma_1, into which
       dv and da, the run ``increments``, are added;
     * ``pair`` holds the run's two state arrays, each with its bound views
-      (a ``_Slots``), and ``zero`` the zeros of the finiteness check.
+      (a ``_Slots``), ``kept`` the copy of the last record's array, and
+      ``zero`` the zeros of the finiteness check.
     """
 
-    def __init__(self, ops: DiscreteOperators, params: PhysicalParams, buffer: HistoryBuffer,
+    def __init__(self, ops: DiscreteOperators, kernel: RelaxationKernel, params: PhysicalParams,
                  cfg: StepperConfig):
-        self.ops, self.params, self.buffer, self.cfg = ops, params, buffer, cfg
+        self.ops, self.params, self.cfg = ops, params, cfg
+        self.buffer = HistoryBuffer(kernel, ops.n_nodes, cfg.dt, cfg.n_steps)
+        self.form = _RecordForm(kernel, params, ops, cfg)
         dt = cfg.dt
         self.m_kir_max = (2.0 * CFL_SAFETY / dt) ** 2 / (LAM_MARGIN * ops.lam_max)
         mesh = ops.mesh
@@ -275,6 +280,7 @@ class AcousticClosure:
         self.scatter = np.concatenate([2 * n + g1, g1])
         self.zero = np.zeros(2 * n + 2 * m)
         self.pair = (_Slots(np.zeros(self.size), self), _Slots(np.zeros(self.size), self))
+        self.kept = np.empty(self.size)
 
     def __deepcopy__(self, memo):
         return self
@@ -297,7 +303,8 @@ class SimState:
     stays valid until the second step after it.  A state kept for longer is
     copied (``copy.deepcopy``, or a copy of ``x`` as :class:`Trajectory`
     takes); stepping a state whose array lies outside the pair writes the
-    pair's first array.
+    pair's first array.  Only the newest state of a live run steps or
+    records: an older one, or a finished run's snapshot, raises ValueError.
     """
 
     x: np.ndarray
@@ -365,7 +372,8 @@ class Trajectory:
     first access.  ``final`` is a copy, as later steps write the arrays of
     the run's pair again; it is None before the first record, and when a
     report field overflowed (see the module docstring), as the state of the
-    last record kept is gone by then.  ``memory`` is the history buffer's
+    last record kept is gone by then.  It is a snapshot, which can be
+    neither stepped nor recorded.  ``memory`` is the history buffer's
     ``diagnostics()``."""
 
     memory: dict
@@ -439,21 +447,13 @@ def _boundary_forcing(forcing: Forcing, t: float, out: np.ndarray) -> None:
             row[...] = f(t)
 
 
-def init_state(
-    u0: np.ndarray,
-    u1: np.ndarray,
-    y0: np.ndarray,
-    ops: DiscreteOperators,
-    params: PhysicalParams,
-    buffer: HistoryBuffer,
-    cfg: StepperConfig,
-) -> SimState:
-    """Initial state at t = 0, in the first array of the run's pair; builds
-    the run's :class:`AcousticClosure`, which keeps the four run arguments,
-    and pushes the initial snapshot into the buffer."""
+def init_state(u0: np.ndarray, u1: np.ndarray, y0: np.ndarray,
+               closure: AcousticClosure) -> SimState:
+    """Initial state at t = 0 of the run ``closure``, in the first array of
+    its pair; pushes the initial snapshot into the run's buffer."""
+    ops, params, cfg = closure.ops, closure.params, closure.cfg
     mesh = ops.mesh
     g1 = mesh.gamma1_nodes
-    closure = AcousticClosure(ops, params, buffer, cfg)
     slots = closure.pair[0]
     x = slots.x
     slots.u[:] = pin_gamma0(mesh, u0)
@@ -477,9 +477,9 @@ def init_state(
 
 
 def step(state: SimState) -> SimState:
-    """Advance one step of the run's dt (its buffer must be current at
-    state.t), writing the array of the run's pair that ``state`` does not
-    hold, in the stages the module docstring lists, through its bound views.
+    """Advance the newest state of a live run (any other raises
+    ``ValueError``) one dt, writing the array of its pair that ``state``
+    does not hold, in the module docstring's stages, through bound views.
 
     ``step`` enters no ``np.errstate`` of its own: :func:`run` enters one
     around the whole run.  A caller that steps by hand wraps its calls in
@@ -487,6 +487,8 @@ def step(state: SimState) -> SimState:
     on the way to a blow-up warns before the finiteness check aborts.
     """
     closure = state.closure
+    if closure.buffer is None or state.n + 1 != closure.buffer.n_entries:
+        raise _not_current(state)
     cfg = closure.cfg
     n1 = state.n + 1
     t1 = n1 * cfg.dt
@@ -516,14 +518,15 @@ def step(state: SimState) -> SimState:
     return SimState(x, m_kir1, grad_sq1, closure, n1)
 
 
-def _record(state: SimState, form: _RecordForm, kept: np.ndarray) -> SimState:
-    """Write the raw row of ``state``'s record, copy its array into
-    ``kept`` and return ``state``; a row with a value that is not finite
-    aborts instead."""
-    row = compute_energy(state, form)
-    if not math.isfinite(row.dot(form.zero)):
+def _record(state: SimState) -> SimState:
+    """Write the raw row of ``state``'s record, copy its array into the
+    run's ``kept`` and return ``state``; a row with a value that is not
+    finite aborts instead."""
+    closure = state.closure
+    row = compute_energy(state)
+    if not math.isfinite(row.dot(closure.form.zero)):
         raise SimulationAbort("blow-up or instability: non-finite energy", state.t)
-    np.copyto(kept, state.x)
+    np.copyto(closure.kept, state.x)
     return state
 
 
@@ -538,41 +541,40 @@ def run(
 ) -> Trajectory:
     """Integrate to t_end, recording every record_every-th step.
 
-    The history buffer and the record constants and table
-    (``energy._RecordForm``) are built here, once per run, and the report
-    fields are derived once, after the last step.  The memory term is
+    The run's :class:`AcousticClosure` is built once, and the report
+    fields are derived once, after the last step; returned or raised, the
+    run then lets the closure's buffer, form and pair go.  The memory term is
     always on: a memory-free reference run passes a kernel with g0 = 0,
     whose every memory quantity is exactly zero.  For uniformly spaced
     records choose t_end as a multiple of record_every * dt.  On abort the
     partial trajectory is attached to the raised :class:`SimulationAbort`.
     """
-    n_steps = cfg.n_steps
-    buffer = HistoryBuffer(kernel, ops.n_nodes, cfg.dt, n_steps)
-    form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, n_steps)
+    closure = AcousticClosure(ops, kernel, params, cfg)
     last = abort = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            state = init_state(u0, u1, y0, ops, params, buffer, cfg)
-            kept = np.empty_like(state.x)
-            last = _record(state, form, kept)
-            for i in range(1, n_steps + 1):
+            state = init_state(u0, u1, y0, closure)
+            last = _record(state)
+            for i in range(1, cfg.n_steps + 1):
                 state = step(state)
                 if i % cfg.record_every == 0:
-                    last = _record(state, form, kept)
+                    last = _record(state)
         except SimulationAbort as ab:
             abort = ab
         n = 0 if last is None else last.n // cfg.record_every + 1
-        energy = form.columns(n)
+        energy = closure.form.columns(n)
     finite = np.logical_and.reduce([np.isfinite(c) for c in energy.values()])
     if not finite.all():  # the state of the last record kept is gone
         n = int(finite.argmin())
         abort = SimulationAbort("blow-up or instability: non-finite energy", float(energy["t"][n]))
         energy = {name: c[:n] for name, c in energy.items()}
         last = None
+    ys, memory = closure.form.ys(n), closure.buffer.diagnostics()
+    closure.buffer = closure.form = closure.pair = None
     final = None
     if last is not None:
-        final = SimState(kept, last.m_kir, last.grad_sq, last.closure, last.n)
-    traj = Trajectory(memory=buffer.diagnostics(), energy=energy, ys=form.ys(n), final=final)
+        final = SimState(closure.kept, last.m_kir, last.grad_sq, closure, last.n)
+    traj = Trajectory(memory=memory, energy=energy, ys=ys, final=final)
     if abort is not None:
         abort.trajectory = traj
         raise abort

@@ -21,8 +21,6 @@ from viscowave import (
 )
 from viscowave import assembly
 from viscowave.assembly import l2_norm_sq
-from viscowave.energy import _RecordForm
-from viscowave.history import HistoryBuffer
 from viscowave.stepper import AcousticClosure, StepperConfig
 
 from conftest import (as_dia_matrix, exp_kernel, interval_mesh, rect_mesh, square_mesh,
@@ -345,7 +343,8 @@ def test_operators_hold_the_stencil_alone_and_give_the_element_sum_products(mesh
         assert ulps_from_exact(m_sum, m_exact) <= ELEMENT_SUM_ULPS
         k_sum, m_sum = as_dia_matrix(ops.stiffness).tocsr(), as_dia_matrix(ops.mass).tocsr()
     params = PhysicalParams(a=1.0, b=1.0, kappa=1.0, k_exp=4.0, p_c=0.7, q_c=1.3)
-    record = _RecordForm(exp_kernel(), params, ops, 1e-3, 1, 1).operator
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    record = AcousticClosure(ops, exp_kernel(), params, cfg).form.operator
     w1 = mesh.gamma1_weights
     record_csr = scipy.sparse.block_diag(
         [m_sum, m_sum, scipy.sparse.diags(params.q_c * w1),
@@ -410,7 +409,8 @@ def test_own_arrays_give_scipys_containers_and_products_bitwise(mesh_name):
     mesh = PARITY_MESHES[mesh_name]()
     ops = assemble(mesh)
     params = PhysicalParams(a=1.0, b=1.0, kappa=1.0, k_exp=4.0, p_c=0.7, q_c=1.3)
-    record = _RecordForm(exp_kernel(), params, ops, 1e-3, 1, 1).operator
+    closure = AcousticClosure(ops, exp_kernel(), params, StepperConfig(dt=1e-3, t_end=1e-2))
+    record = closure.form.operator
     rng = np.random.default_rng(11)
     for stencil in (ops.stiffness, ops.mass, record):
         assert stencil.offsets.dtype == np.int32 and np.all(np.diff(stencil.offsets) > 0)
@@ -421,9 +421,6 @@ def test_own_arrays_give_scipys_containers_and_products_bitwise(mesh_name):
             got = assembly.dia_product(stencil, x, np.empty(n))
             assert (reference @ x).tobytes() == got.tobytes()
 
-    cfg = StepperConfig(dt=1e-3, t_end=1e-2)
-    buffer = HistoryBuffer(exp_kernel(), ops.n_nodes, cfg.dt, cfg.n_steps)
-    closure = AcousticClosure(ops, params, buffer, cfg)
     indptr, indices, data = closure.map
     g1 = mesh.gamma1_nodes
     m, k = len(g1), np.arange(len(g1))

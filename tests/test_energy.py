@@ -18,9 +18,8 @@ from viscowave import (
     sine_solution,
 )
 from viscowave.assembly import l2_norm_sq
-from viscowave.energy import _RecordForm, _reports, identity_residual
-from viscowave.history import HistoryBuffer
-from viscowave.stepper import init_state, step
+from viscowave.energy import _reports, identity_residual
+from viscowave.stepper import AcousticClosure, init_state, step
 
 from conftest import (
     as_dia_matrix,
@@ -37,12 +36,9 @@ from conftest import (
 def _report_at_zero(mesh, ops, params, kernel, u0, u1, y0):
     """The energy report of the initial state of a run of no steps, read
     off the record table."""
-    cfg = StepperConfig(dt=1e-4, t_end=0.0)
-    buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
-    form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.n_steps)
-    state = init_state(u0, u1, y0, ops, params, buf, cfg)
-    compute_energy(state, form)
-    return _reports(form.columns(1))[0]
+    closure = AcousticClosure(ops, kernel, params, StepperConfig(dt=1e-4, t_end=0.0))
+    compute_energy(init_state(u0, u1, y0, closure))
+    return _reports(closure.form.columns(1))[0]
 
 
 def test_zero_state_zero_energy(mesh64, ops64):
@@ -116,25 +112,19 @@ def test_record_form_matches_the_written_out_report(domain, family):
     alpha, eps = _FAMILIES[family]
     kernel = build_kernel(make_rate(family, alpha, eps), 1.0, 3.0)
     cfg = StepperConfig(dt=2e-3, t_end=0.1, record_every=5)
-    buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
-    form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.n_steps)
-    short = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.record_every)
+    closure = AcousticClosure(ops, kernel, params, cfg)
     y0 = np.linspace(0.1, 0.3, len(mesh.gamma1_nodes))
-    state = init_state(sine_profile(mesh, 0.3), sine_profile(mesh, -0.2), y0,
-                       ops, params, buf, cfg)
+    state = init_state(sine_profile(mesh, 0.3), sine_profile(mesh, -0.2), y0, closure)
     records = 0
     while True:
         if state.n % cfg.record_every:
             with pytest.raises(ValueError, match="record grid"):
-                compute_energy(state, form)
+                compute_energy(state)
         else:
-            compute_energy(state, form)
+            compute_energy(state)
             records += 1
-            report = _reports(form.columns(records))[-1]
-            _check_report(report, state, buf, kernel, params, ops, cfg.dt)
-            if state.n > cfg.record_every:  # past the short run's last record
-                with pytest.raises(ValueError, match="record grid"):
-                    compute_energy(state, short)
+            report = _reports(closure.form.columns(records))[-1]
+            _check_report(report, state, closure.buffer, kernel, params, ops, cfg.dt)
         if state.n == cfg.n_steps:
             break
         state = step(state)
@@ -150,14 +140,12 @@ def test_a_state_behind_its_buffer_is_refused():
     ops = assemble(mesh)
     kernel = exp_kernel()
     cfg = StepperConfig(dt=1e-3, t_end=0.01)
-    buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
-    form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.n_steps)
-    state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1]),
-                       ops, params, buf, cfg)
+    closure = AcousticClosure(ops, kernel, params, cfg)
+    state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1]), closure)
     newer = step(state)
     with pytest.raises(ValueError, match=r"state of step 0 .* \(2 pushes\)"):
-        compute_energy(state, form)
-    assert compute_energy(newer, form)[0] == cfg.dt
+        compute_energy(state)
+    assert compute_energy(newer)[0] == cfg.dt
 
 
 def _check_report(rep, state, buf, kernel, params, ops, dt):
@@ -247,14 +235,13 @@ def test_every_column_is_bitwise_the_scalar_report(domain, family, case):
                                          t_end)
         forcing, u0, u1, y0 = forced.forcing, forced.u0, forced.u1, forced.y0
     cfg = StepperConfig(dt=2e-3, t_end=t_end, record_every=5, forcing=forcing)
-    buf = HistoryBuffer(kernel, mesh.n_nodes, cfg.dt, cfg.n_steps)
-    form = _RecordForm(kernel, params, ops, cfg.dt, cfg.record_every, cfg.n_steps)
-    state = init_state(u0, u1, y0, ops, params, buf, cfg)
+    closure = AcousticClosure(ops, kernel, params, cfg)
+    state = init_state(u0, u1, y0, closure)
     expected, ys = [], []
     while True:
         i, off = divmod(state.n, cfg.record_every)
         if not off:
-            expected.append(_scalar_report(state, buf, form, i))
+            expected.append(_scalar_report(state, closure.buffer, closure.form, i))
             ys.append(state.y.copy())
         if state.n == cfg.n_steps:
             break

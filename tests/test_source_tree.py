@@ -73,6 +73,38 @@ def test_the_cfl_margins_live_in_the_stepper_alone():
     assert 1.05 in [value for _, value in sites]
 
 
+# The objects a run owns: a function that takes a state reads them off the
+# state's closure, so none of them is passed in beside it.
+RUN_OBJECTS = {"ops", "params", "cfg", "buffer", "form", "kept"}
+
+
+def _threaded_run_objects(source: str) -> list[tuple[str, list[str]]]:
+    """The functions of ``source`` that take a parameter ``state`` together
+    with one named in RUN_OBJECTS, and those parameters."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
+            if "state" in names and names & RUN_OBJECTS:
+                found.append((getattr(node, "name", "<lambda>"), sorted(names & RUN_OBJECTS)))
+    return found
+
+
+def test_a_state_is_stepped_and_recorded_alone():
+    # a state carries its run, whose closure owns the operators, the
+    # coefficients, the config, the history buffer, the record form and
+    # the kept array: no function of the stepper or the energy module takes
+    # one of them beside a state, so none can come from another run
+    assert _threaded_run_objects("def f(state, form):\n    pass\n"
+                                 "def g(state, *, kept=None):\n    pass\n"
+                                 "def h(t, slots, closure):\n    pass\n") == [
+        ("f", ["form"]), ("g", ["kept"])]
+    package = Path(viscowave.__file__).parent
+    for module in ("stepper.py", "energy.py"):
+        assert _threaded_run_objects((package / module).read_text()) == [], module
+
+
 def _importers(prefix: str) -> list[str]:
     """The modules of the package that import ``prefix`` or a name below it."""
     package = Path(viscowave.__file__).parent
