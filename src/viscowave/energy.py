@@ -18,24 +18,32 @@ whose Kirchhoff weight is b/(kappa+1), twice the weight used inside the
 energy; the pair is chosen so that E >= F(gamma_fn) holds with the potential
 F of the stable-set analysis.
 
-|grad u|^2 and |u|_k^k are read from the state (``grad_sq``, ``lk``): the
-first the stepper formed when it evaluated the force, the second is u.S(u)
-off the source vector that the same evaluation wrote into the state, read
-at the record alone.
+|grad u|^2 is the state's ``grad_sq``, which the stepper formed when it
+evaluated the force; |u|_k^k is u.S(u) off the source vector that the same
+evaluation wrote into the state's source slot, read by the block pass off
+the record's snapshot.
 
-A record writes raw values only: :func:`compute_energy` puts the state's
-time, |grad u|^2 and |u|_k^k, the two memory functionals (the history
-buffer's one read at its newest push) and four quadratics into one row of a
-float table, followed by y.  The quadratics come from one product B z with
-the state's contiguous run z = (u, v, y, y_t), B = diag(M, M, q W1, p W1)
-(M the consistent mass, W1 the acoustic weights), summed over its four
-blocks: |u|_2^2, 2 kinetic, q int y^2 and p int y_t^2.  The run's
+A record writes what needs the history at its push and copies the rest:
+:func:`compute_energy` puts the state's |grad u|^2 and the two memory
+functionals (the history buffer's one read at its newest push) into one row
+of a float table, and copies the state's array into the next row of a
+per-run block of snapshots.  Once the block is full, and on the last,
+partial block, the block pass (:meth:`_RecordForm._pass`) fills the rest of
+each of its rows from the snapshots, for every record of the block at once:
+the time, |u|_k^k = u.S(u), y, and four quadratics.  These come from one product
+B Z with the block's runs z = (u, v, y, y_t) as the columns of Z,
+B = diag(M, M, q W1, p W1) (M the consistent mass, W1 the acoustic
+weights), summed over the four parts of each column: |u|_2^2, 2 kinetic,
+q int y^2 and p int y_t^2; a block of one record takes the single-vector
+product, and every sum is bitwise the one a record of its own would make.
+The pass then checks that each row is finite.  The run's
 :class:`~viscowave.stepper.AcousticClosure` builds one :class:`_RecordForm`:
-the table, B stored by its diagonals (M's as ``ops.mass`` holds them), and g(t)
-and int_0^t g at every record time n dt, each from one vectorized kernel
-call.  After the run, :meth:`_RecordForm.columns` derives the fifteen
-:class:`EnergyReport` fields of every record in one vectorized pass, and
-:func:`_reports` is the one place that turns those columns into reports.
+the table, the snapshot block, B stored by its diagonals (M's as
+``ops.mass`` holds them), and g(t) and int_0^t g at every record time n dt,
+each from one vectorized kernel call.  After the run,
+:meth:`_RecordForm.columns` derives the fifteen :class:`EnergyReport`
+fields of every record in one vectorized pass, and :func:`_reports` is the
+one place that turns those columns into reports.
 
 Along forcing-free trajectories the energy rate satisfies
 
@@ -48,11 +56,12 @@ dE/dt without access to the history buffer.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import DiscreteOperators, PhysicalParams, Stencil, dia_product
+from .assembly import PhysicalParams, Stencil, dia_product
 from .kernels import RelaxationKernel
 
 
@@ -90,36 +99,51 @@ _T, _GRAD_SQ, _LK, _G_DIAMOND, _G_PRIME_DIAMOND = range(5)
 _QUADRATICS = slice(5, 9)
 _N_RAW = 9
 
+# A snapshot block holds as many whole state arrays as fit in _BLOCK_BYTES,
+# one at least and _BLOCK_RECORDS at most: 64 records on a 64-cell interval
+# (2144 bytes a state), one on a 64 x 64 square (139 kB a state).
+_BLOCK_BYTES = 1 << 18
+_BLOCK_RECORDS = 64
+
 
 class _RecordForm:
-    """The per-run constants and the raw table of a run's records.
+    """The per-run constants, the snapshot block and the raw table of a
+    run's records.
 
     The grid holds the times n dt of the steps n = 0, record_every, ... up
-    to n_steps (all three of ``cfg``), at which a run records.  ``g`` and
-    ``mass`` are g(n dt) and int_0^{n dt} g there, each from one vectorized call (the
-    float calls give the same values).  ``operator`` is
-    diag(M, M, q W1, p W1) on the run (u, v, y, y_t) of a state's array,
+    to n_steps (all three of ``cfg``), at which a run records: ``times``,
+    and ``g`` and ``mass``, g(n dt) and int_0^{n dt} g there, each from one
+    vectorized call (the float calls give the same values).  ``operator``
+    is diag(M, M, q W1, p W1) on the run (u, v, y, y_t) of a state's array,
     held as the diagonals ``ops.mass`` stores (seven in 2D; see
-    :mod:`viscowave.assembly`); ``image`` receives its product B z;
-    ``products`` holds the entries of z * (B z) for that run z, and one
-    trailing zero so that the blocks' sums at ``starts`` read 0 for an
-    empty acoustic boundary (``np.add.reduceat`` reads a[i] for an empty
-    block i).
+    :mod:`viscowave.assembly`).  ``products`` receives B z and then
+    z * (B z) for the run z of a block of one record, above one trailing
+    zero, so that the parts' sums at ``starts`` read 0 for an empty
+    acoustic boundary (``np.add.reduceat`` reads a[i] for an empty part i);
+    the pass of a block of several records allocates its own, one column a
+    record.
 
-    ``rows`` holds one row per record of the grid, written by
-    :func:`compute_energy`:
+    ``rows`` holds one row per record of the grid:
 
       t | grad_sq | lk | g_diamond | g_prime_diamond
         | l2_sq | 2 kinetic | q int y^2 | p int y_t^2 | y (m entries)
 
-    and ``zero`` as many zeros, for the finiteness check of a row.
+    :func:`compute_energy` writes grad_sq and the two functionals of record
+    i, and copies its state's array into row i % R of ``snapshots``, a block
+    of R whole state arrays (R from the byte budget ``_BLOCK_BYTES``, capped
+    at ``_BLOCK_RECORDS`` and at the run's records).  :meth:`_pass` fills
+    the rest of the rows taken since the last pass.  ``count`` is the number
+    of records taken, ``passed`` the number the pass completed and
+    ``finite`` the number, among those, before the first row with a value
+    that is not finite; ``zero`` holds the zeros of that check.  The newest
+    record's snapshot is the state a run keeps as its final one.
     """
 
-    def __init__(self, kernel: RelaxationKernel, params: PhysicalParams,
-                 ops: DiscreteOperators, cfg):
-        times = np.arange(0, cfg.n_steps + 1, cfg.record_every) * cfg.dt
-        self.g = kernel.g(times)
-        self.mass = kernel.partial_mass(times)
+    def __init__(self, kernel: RelaxationKernel, closure):
+        ops, params, cfg = closure.ops, closure.params, closure.cfg
+        self.times = np.arange(0, cfg.n_steps + 1, cfg.record_every) * cfg.dt
+        self.g = kernel.g(self.times)
+        self.mass = kernel.partial_mass(self.times)
         self.record_every = cfg.record_every
         self.l_value = kernel.l_value
         self.params = params
@@ -133,16 +157,64 @@ class _RecordForm:
         acoustic = np.outer(M.offsets == 0, np.concatenate([params.q_c * w1, params.p_c * w1]))
         self.operator = Stencil(M.offsets, np.hstack([M.data, M.data, acoustic]),
                                 (2 * n + 2 * m, 2 * n + 2 * m))
-        self.image = np.empty(2 * n + 2 * m)
-        self.products = np.zeros(2 * n + 2 * m + 1)
+        self.products = np.zeros((2 * n + 2 * m + 1, 1))
         self.starts = np.array([0, n, 2 * n, 2 * n + m])
-        self.rows = np.empty((len(times), _N_RAW + m))
-        self.zero = np.zeros(_N_RAW + m)
+        self.rows = np.empty((len(self.times), _N_RAW + m))
+        self.checked, self.u, self.source, self.y = (closure.checked, closure.u, closure.source,
+                                                     closure.y)
+        per_block = max(1, min(_BLOCK_RECORDS, _BLOCK_BYTES // (8 * closure.size),
+                               len(self.times)))
+        self.snapshots = np.empty((per_block, closure.size))
+        self.zero = np.zeros(per_block * (_N_RAW + m))
+        self.count = self.passed = self.finite = 0
+
+    def _pass(self) -> None:
+        """Fill the rows of the records taken since the last pass from their
+        snapshots, all at once, and advance ``passed`` and, while every row
+        is finite, ``finite``.
+
+        Every value is bitwise the one a record of its own would make: the
+        block's record product is one ``dia_product``, whose every column is
+        the single-vector product; one ``np.add.reduceat`` sums each part
+        of each column pairwise, whatever the stride; and one ``np.matmul``
+        of the rows' u and S(u) runs, as a stack of vector pairs, computes
+        each u.S(u) by the same BLAS dot that ``ndarray.dot`` calls.
+        """
+        a, b = self.passed, self.count
+        if a == b:
+            return
+        k, j = b - a, a % len(self.snapshots)  # rows a to b sit in one block, from row j
+        block = self.snapshots[j:j + k]
+        rows = self.rows[a:b]
+        rows[:, _T] = self.times[a:b]
+        if k == 1:  # the single-vector product, into the run's own buffer
+            z, products = block[0, self.checked][:, None], self.products
+        else:  # the runs as columns, C-contiguous as dia_product takes a block
+            z = block[:, self.checked].T.copy()
+            products = np.empty((len(z) + 1, k))
+            products[-1] = 0.0
+        image = products[:-1]
+        np.multiply(z, dia_product(self.operator, z, image), out=image)
+        np.add.reduceat(products, self.starts, out=rows[:, _QUADRATICS].T)
+        if self.params.source_enabled:  # each row's u.S(u), the ddot of ndarray.dot
+            np.matmul(block[:, None, self.u], block[:, self.source, None],
+                      out=rows[:, _LK, None, None])
+        else:
+            rows[:, _LK] = 0.0
+        rows[:, _N_RAW:] = block[:, self.y]
+        if self.finite == a:
+            # 0 x is nan for an infinite or nan x and 0 otherwise, as in the
+            # step's check; the row is looked for only when the block fails
+            if math.isfinite(rows.ravel().dot(self.zero[:rows.size])):
+                self.finite = b
+            else:
+                self.finite = a + int(np.isfinite(rows).all(axis=1).argmin())
+        self.passed = b
 
     def columns(self, n: int) -> dict[str, np.ndarray]:
         """The :class:`EnergyReport` fields of the first ``n`` records, one
         array per field in field order, derived from their raw rows in one
-        pass.
+        pass; :meth:`_pass` has completed those rows.
 
         The operations and their order are those of a report built from
         one row, so every value is the one that report would hold.  The
@@ -188,14 +260,15 @@ def _not_current(state) -> ValueError:
                       f"buffer ({buffer.n_entries} pushes)")
 
 
-def compute_energy(state) -> np.ndarray:
-    """Write the raw row of ``state``'s record into its run's table and
-    return it; ``state`` must be the newest push of its run's live history
-    buffer and a state of the run's record grid.
+def compute_energy(state) -> None:
+    """Take the record of ``state``, which must be the newest push of its
+    run's live history buffer and the run's next record on its grid.
 
-    The four quadratics come off one product with the form's operator (see
-    the module docstring) and the two memory functionals off the buffer;
-    :meth:`_RecordForm.columns` derives the report fields from the row.
+    Writes |grad u|^2 and the two memory functionals off the buffer into
+    the record's raw row and copies the state's array into the snapshot
+    block; the record that fills the block runs the block pass, which
+    derives the rest of the rows (see the module docstring).
+    :meth:`_RecordForm.columns` derives the report fields from the rows.
     """
     buffer, form = state.closure.buffer, state.closure.form
     if buffer is None or state.n + 1 != buffer.n_entries:
@@ -204,19 +277,20 @@ def compute_energy(state) -> np.ndarray:
     if off:
         raise ValueError(f"step {state.n} is off the record grid (every {form.record_every} "
                          "steps)")
+    if i != form.count:
+        raise ValueError(f"step {state.n} is not the run's next record, which is step "
+                         f"{form.count * form.record_every}")
     row = form.rows[i]
     # one store per value: a tuple stored into a slice becomes an array first
-    row[_T] = state.t
     row[_GRAD_SQ] = state.grad_sq
-    row[_LK] = state.lk
     row[_G_DIAMOND] = buffer.g_diamond()
     row[_G_PRIME_DIAMOND] = buffer.g_prime_diamond()
-    z = state.x[state.closure.checked]
-    products = form.products
-    np.multiply(z, dia_product(form.operator, z, form.image), out=products[:-1])
-    np.add.reduceat(products, form.starts, out=row[_QUADRATICS])
-    row[_N_RAW:] = state.y
-    return row
+    snapshots = form.snapshots
+    j = i % len(snapshots)
+    snapshots[j] = state.x
+    form.count = i + 1
+    if j == len(snapshots) - 1:
+        form._pass()
 
 
 def _reports(columns: dict[str, np.ndarray]) -> list[EnergyReport]:

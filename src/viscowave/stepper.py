@@ -71,19 +71,25 @@ So a step allocates no state array, and a state it returned stays valid
 until the second step after it, which writes its array again.
 
 A record (every record_every-th step, and t = 0) is one
-:func:`~viscowave.energy.compute_energy` call on the new state, which writes
-the record's raw row (the values its energy report is derived from, among
-them u.S(u) off the source slot, and y) into a table allocated once per
-run; one dot product of the row with zeros checks it as the step's check
-does a state, and one copy into one buffer keeps the state's array, source
-slot included, as the last record's (``closure.kept``).  The closure's
-``form`` holds the per-run constants of a record, built once: the table,
-the tables of g(t) and int_0^t g on the record grid and the block-diagonal
-record operator over the run of u, v, y and y_t (``closure.checked``) with
-a buffer for its product, so that a record makes one sparse product and
-reads the history's two memory functionals.  After the last step one
-vectorized pass derives the report fields of every record from the table
-(:meth:`~viscowave.energy._RecordForm.columns`); then :func:`run` lets the
+:func:`~viscowave.energy.compute_energy` call on the new state.  It writes
+what needs the history at that push, |grad u|^2 and the history's two memory
+functionals, into the record's raw row of a table allocated once per run,
+and copies the state's array, source slot included, into the next row of
+the run's snapshot block.  The record that fills the block runs the block
+pass, which derives the rest of every row of the block from its snapshots
+at once: the time, u.S(u) off the source slot, y and, from one sparse
+product over the block's runs of u, v, y and y_t (``closure.checked``), the
+four quadratics.  It then checks each row, as the step's check does a
+state; a row with a value that is not finite aborts the run at its
+record's time.  The block holds as many snapshots as a byte budget allows,
+64 at most: 64 on a 64-cell interval, one on a 64 x 64 square.  The
+closure's ``form`` holds the per-run constants of a record, built once: the
+table, the snapshot block, the tables of g(t) and int_0^t g on the record
+grid and the block-diagonal record operator.  After the last step, or an
+abort, the block pass runs on the last, partial block; then one vectorized
+pass derives the report fields of every record from the table
+(:meth:`~viscowave.energy._RecordForm.columns`), the newest snapshot is
+copied out as the trajectory's final state, and :func:`run` lets the
 closure's buffer, form and pair go.
 
 Floating-point errors: :func:`run` enters one
@@ -97,10 +103,15 @@ that steps by hand enters it around its calls.
 Aborts (CFL violation, non-finite fields or energy) raise
 :class:`SimulationAbort` carrying the partial trajectory and the abort time;
 blow-up of out-of-well data is an expected abort, not a bug.  A raw row
-that is not finite aborts at its record.  A report field can overflow from
-finite raw values only when they exceed about 1e150; the pass after the
-last step finds such a field and raises the same abort at that record's
-time, with the records before it, in place of any later abort of the run.
+that is not finite aborts at its record's time, with the records before it,
+once the block pass that checks it runs: when its block is full, or after
+a later abort of the run inside that block, which it replaces as the
+earlier one.  A report field can overflow from finite raw values only when
+they exceed about 1e150; the pass after the last step finds such a field
+and raises the same abort at that record's time, with the records before
+it, in place of any later abort of the run.  An energy abort leaves the
+trajectory no final state, as the snapshot of the last record kept may be
+gone by then.
 """
 
 from __future__ import annotations
@@ -188,7 +199,7 @@ class AcousticClosure:
     history ``buffer`` and record ``form`` it builds, and the per-run
     constants of a step.  Every step hands the same object on, and a deep
     copy of a state shares it.  When :func:`run` returns or raises, it sets
-    ``buffer``, ``form`` and ``pair`` to None; the layout and ``kept`` stay.
+    ``buffer``, ``form`` and ``pair`` to None; the layout stays.
 
     A state lives in one float array ``x``, in slots of n (nodes) or m
     (acoustic nodes) entries:
@@ -225,15 +236,13 @@ class AcousticClosure:
     * ``scatter`` holds the places of v and accel on Gamma_1, into which
       dv and da, the run ``increments``, are added;
     * ``pair`` holds the run's two state arrays, each with its bound views
-      (a ``_Slots``), ``kept`` the copy of the last record's array, and
-      ``zero`` the zeros of the finiteness check.
+      (a ``_Slots``), and ``zero`` the zeros of the finiteness check.
     """
 
     def __init__(self, ops: DiscreteOperators, kernel: RelaxationKernel, params: PhysicalParams,
                  cfg: StepperConfig):
         self.ops, self.params, self.cfg = ops, params, cfg
         self.buffer = HistoryBuffer(kernel, ops.n_nodes, cfg.dt, cfg.n_steps)
-        self.form = _RecordForm(kernel, params, ops, cfg)
         dt = cfg.dt
         self.m_kir_max = (2.0 * CFL_SAFETY / dt) ** 2 / (LAM_MARGIN * ops.lam_max)
         mesh = ops.mesh
@@ -280,7 +289,7 @@ class AcousticClosure:
         self.scatter = np.concatenate([2 * n + g1, g1])
         self.zero = np.zeros(2 * n + 2 * m)
         self.pair = (_Slots(np.zeros(self.size), self), _Slots(np.zeros(self.size), self))
-        self.kept = np.empty(self.size)
+        self.form = _RecordForm(kernel, self)
 
     def __deepcopy__(self, memo):
         return self
@@ -369,11 +378,11 @@ class Trajectory:
     ``energy`` maps each :class:`EnergyReport` field to one float array
     over the records; ``ys`` is the (records, m) array of the acoustic
     field y; ``times`` and ``reports`` are lists built from ``energy`` on
-    first access.  ``final`` is a copy, as later steps write the arrays of
-    the run's pair again; it is None before the first record, and when a
-    report field overflowed (see the module docstring), as the state of the
-    last record kept is gone by then.  It is a snapshot, which can be
-    neither stepped nor recorded.  ``memory`` is the history buffer's
+    first access.  ``final`` is a copy of the newest snapshot, as later
+    steps write the arrays of the run's pair again; it is None before the
+    first record, and after an energy abort (see the module docstring), as
+    the snapshot of the last record kept may be gone by then.  It is a
+    snapshot, which can be neither stepped nor recorded.  ``memory`` is the history buffer's
     ``diagnostics()``."""
 
     memory: dict
@@ -450,7 +459,15 @@ def _boundary_forcing(forcing: Forcing, t: float, out: np.ndarray) -> None:
 def init_state(u0: np.ndarray, u1: np.ndarray, y0: np.ndarray,
                closure: AcousticClosure) -> SimState:
     """Initial state at t = 0 of the run ``closure``, in the first array of
-    its pair; pushes the initial snapshot into the run's buffer."""
+    its pair; pushes the initial snapshot into the run's buffer.  A closure
+    takes one initial state: a second call, or one on a finished run,
+    raises ``ValueError`` and writes nothing."""
+    if closure.buffer is None:
+        raise ValueError("the run has finished and released its history buffer; a new run "
+                         "needs a closure of its own")
+    if closure.buffer.n_entries:
+        raise ValueError(f"the run already has its initial state ({closure.buffer.n_entries} "
+                         "pushes); a closure takes one init_state")
     ops, params, cfg = closure.ops, closure.params, closure.cfg
     mesh = ops.mesh
     g1 = mesh.gamma1_nodes
@@ -518,15 +535,21 @@ def step(state: SimState) -> SimState:
     return SimState(x, m_kir1, grad_sq1, closure, n1)
 
 
+def _energy_abort(form) -> SimulationAbort:
+    """The abort at the first record of ``form`` whose raw row is not
+    finite."""
+    return SimulationAbort("blow-up or instability: non-finite energy",
+                           float(form.times[form.finite]))
+
+
 def _record(state: SimState) -> SimState:
-    """Write the raw row of ``state``'s record, copy its array into the
-    run's ``kept`` and return ``state``; a row with a value that is not
-    finite aborts instead."""
-    closure = state.closure
-    row = compute_energy(state)
-    if not math.isfinite(row.dot(closure.form.zero)):
-        raise SimulationAbort("blow-up or instability: non-finite energy", state.t)
-    np.copyto(closure.kept, state.x)
+    """Take the record of ``state`` and return ``state``; when the record
+    fills its block and the block pass finds a raw row with a value that is
+    not finite, abort at that row's record instead."""
+    form = state.closure.form
+    compute_energy(state)
+    if form.finite < form.passed:
+        raise _energy_abort(form)
     return state
 
 
@@ -550,6 +573,7 @@ def run(
     partial trajectory is attached to the raised :class:`SimulationAbort`.
     """
     closure = AcousticClosure(ops, kernel, params, cfg)
+    form = closure.form
     last = abort = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -561,19 +585,23 @@ def run(
                     last = _record(state)
         except SimulationAbort as ab:
             abort = ab
-        n = 0 if last is None else last.n // cfg.record_every + 1
-        energy = closure.form.columns(n)
+        form._pass()  # the last, partial block
+        n = form.finite
+        if n < form.count:  # earlier than any abort after it
+            abort, last = _energy_abort(form), None
+        energy = form.columns(n)
     finite = np.logical_and.reduce([np.isfinite(c) for c in energy.values()])
-    if not finite.all():  # the state of the last record kept is gone
+    if not finite.all():  # the snapshot of the last record kept may be gone
         n = int(finite.argmin())
         abort = SimulationAbort("blow-up or instability: non-finite energy", float(energy["t"][n]))
         energy = {name: c[:n] for name, c in energy.items()}
         last = None
-    ys, memory = closure.form.ys(n), closure.buffer.diagnostics()
-    closure.buffer = closure.form = closure.pair = None
+    ys, memory = form.ys(n), closure.buffer.diagnostics()
     final = None
     if last is not None:
-        final = SimState(closure.kept, last.m_kir, last.grad_sq, closure, last.n)
+        newest = form.snapshots[(form.count - 1) % len(form.snapshots)].copy()
+        final = SimState(newest, last.m_kir, last.grad_sq, closure, last.n)
+    closure.buffer = closure.form = closure.pair = None
     traj = Trajectory(memory=memory, energy=energy, ys=ys, final=final)
     if abort is not None:
         abort.trajectory = traj

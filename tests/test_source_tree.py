@@ -272,6 +272,7 @@ HOT_PATH = [
     ("history.py", "HistoryBuffer", "convolution_force"),
     ("history.py", "HistoryBuffer", "_read_diamonds"),
     ("energy.py", None, "compute_energy"),
+    ("energy.py", "_RecordForm", "_pass"),
 ]
 
 

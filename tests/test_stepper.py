@@ -758,15 +758,17 @@ def _finished_run(completed):
 @pytest.mark.parametrize("completed", [True, False], ids=["returned", "raised"])
 def test_a_finished_run_holds_no_buffer_table_or_pair(completed, monkeypatch):
     # returned or raised, a run lets its closure's history buffer, record
-    # form (with its table) and state pair go once it has derived the
-    # columns: the trajectory keeps none of them alive, and its final
-    # state still reads its own array through the run's layout
+    # form (with its table and snapshot block) and state pair go once it
+    # has derived the columns: the trajectory keeps none of them alive, and
+    # its final state, a copy of the newest snapshot, still reads its own
+    # array through the run's layout
     held = []
     build = stepper.AcousticClosure
 
     def spy(*args):
         closure = build(*args)
-        held.extend(weakref.ref(obj) for obj in (closure.buffer, closure.form, closure.form.rows,
+        form = closure.form
+        held.extend(weakref.ref(obj) for obj in (closure.buffer, form, form.rows, form.snapshots,
                                                  *(slots.x for slots in closure.pair)))
         return closure
 
@@ -777,12 +779,13 @@ def test_a_finished_run_holds_no_buffer_table_or_pair(completed, monkeypatch):
     except SimulationAbort as abort:
         traj = abort.trajectory
     gc.collect()
-    assert traj.n_records == (11 if completed else 9) and len(held) == 5
-    assert [ref() for ref in held] == [None] * 5
+    assert traj.n_records == (11 if completed else 9) and len(held) == 6
+    assert [ref() for ref in held] == [None] * 6
     final = traj.final
     closure = final.closure
     assert closure.buffer is closure.form is closure.pair is None
-    assert final.x is closure.kept and final.y.tobytes() == traj.ys[-1].tobytes()
+    assert final.x.base is None and final.x.size == closure.size
+    assert final.y.tobytes() == traj.ys[-1].tobytes()
     assert final.t == traj.times[-1] and final.lk > 0.0
 
 
@@ -882,14 +885,16 @@ def test_run_records_equal_deep_copies_taken_while_stepping_by_hand(forced):
                 == np.asarray(getattr(kept[-1], name)).tobytes())
 
 
-def test_one_stiffness_product_per_step_and_one_record_product_per_record(products,
-                                                                         monkeypatch):
+def test_one_stiffness_product_per_step_and_one_record_product_per_block(products,
+                                                                        monkeypatch):
     # the step's one K u, a product with the stencil ops holds, feeds the
-    # force, the history and the energy report; a record adds one product
-    # with the run's record operator, built on M's offsets, and no mass
-    # product, and reads int_0^t g off a table that one partial_mass call
-    # fills for the whole run.  A run builds no stencil: assemble built K's
-    # and M's, and took the lumped mass as one product with M.
+    # force, the history and the energy report; a block of records adds
+    # one product with the run's record operator, built on M's offsets, and
+    # no mass product, and reads int_0^t g off a table that one
+    # partial_mass call fills for the whole run.  A run builds no stencil:
+    # assemble built K's and M's, and took the lumped mass as one product
+    # with M.  Eleven records make one block, a hundred and one make a full
+    # block of 64 and a partial one of 37.
     masses = []
     partial_mass = RelaxationKernel.partial_mass
 
@@ -921,12 +926,18 @@ def test_one_stiffness_product_per_step_and_one_record_product_per_record(produc
     assert stiffness == 1 + 100  # the initial evaluation, then one per step
     assert traj.n_records == 11
     assert sum(A is ops.mass for A in products) == 0
-    assert len(records) == traj.n_records
-    assert all(A is records[0] for A in records)  # one operator per run
+    assert len(records) == 1
     assert records[0].shape == (2 * mesh.n_nodes + 2, 2 * mesh.n_nodes + 2)
     assert records[0].offsets.tolist() == ops.mass.offsets.tolist()
     assert stencils == []
     assert masses == [(traj.n_records,)]
+    del products[:], masses[:]
+    every = run(u0, z, np.zeros(1), ops, exp_kernel(), params,
+                dataclasses.replace(cfg, record_every=1))
+    records = [A for A in products if A is not ops.stiffness]
+    assert every.n_records == 101 and len(records) == 2
+    assert records[0] is records[1]  # one operator per run
+    assert masses == [(every.n_records,)]
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
