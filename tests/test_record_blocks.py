@@ -4,6 +4,7 @@ block's memory."""
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,3 +189,34 @@ def test_a_64x64_run_holds_one_snapshot(monkeypatch):
     assert form.snapshots.shape == (1, size) and form.snapshots.nbytes <= energy._BLOCK_BYTES
     arrays = [v for v in vars(form).values() if isinstance(v, np.ndarray)]
     assert sum(a.size >= size for a in arrays) == 1
+
+
+def test_a_64x64_record_form_holds_its_arrays_alone_while_it_runs(monkeypatch):
+    # traced mid-run, what energy.py has allocated and still holds is the
+    # form's own arrays, the snapshot block among them within the budget:
+    # a lone record's pass allocates no block scratch
+    seen = []
+    real_step = stepper.step
+
+    def spy(state):
+        if state.n == 15:  # after the records at steps 0 and 10
+            snapshot = tracemalloc.take_snapshot()
+            held = sum(t.size for t in snapshot.traces
+                       if t.traceback[0].filename == energy.__file__)
+            seen.append((held, state.closure.form))
+        return real_step(state)
+
+    monkeypatch.setattr(stepper, "step", spy)
+    mesh = square_mesh(64)
+    cfg = StepperConfig(dt=2e-3, t_end=0.04, record_every=10)
+    tracemalloc.start()
+    try:
+        run(sine_profile(mesh, 0.4), np.zeros(mesh.n_nodes), np.zeros(len(mesh.gamma1_nodes)),
+            assemble(mesh), exp_kernel(), default_params(), cfg)
+    finally:
+        tracemalloc.stop()
+    [(held, form)] = seen
+    arrays = [v for v in vars(form).values() if isinstance(v, np.ndarray)]
+    own = sum(a.nbytes for a in arrays) + form.operator.data.nbytes
+    assert form.snapshots.nbytes <= energy._BLOCK_BYTES
+    assert held <= own + 4096
