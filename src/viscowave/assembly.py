@@ -43,11 +43,10 @@ row has no coupling add nothing.
 The diagonals live in a :class:`Stencil`, the package's own two arrays
 (int32 offsets ascending, one row of data per diagonal) and a shape, and the
 stepper's acoustic closure map is three CSR arrays it builds itself.  Their
-products call the compiled kernels ``dia_matvec`` (``dia_matvecs`` for a
-block of vectors) and ``csr_matvec`` of scipy's private extension
-``scipy/sparse/_sparsetools``, the kernels that scipy's own
-``dia_matrix @ x`` and ``csr_matrix @ x`` end in, so each product is
-bitwise scipy's.  The extension is loaded from its file, found
+products call the compiled kernels ``dia_matvec`` and ``csr_matvec`` of
+scipy's private extension ``scipy/sparse/_sparsetools``, the kernels that
+scipy's own ``dia_matrix @ x`` and ``csr_matrix @ x`` end in, so each
+product is bitwise scipy's.  The extension is loaded from its file, found
 by ``importlib.util.find_spec("scipy")`` (which imports nothing) and the
 interpreter's extension suffixes, because importing it by name imports
 ``scipy.sparse`` first: about 21 MB and 0.16 s per process, for classes the
@@ -99,10 +98,10 @@ def _load_sparsetools():
         sys.modules.pop(name, None)
     else:
         sys.modules[name] = registered
-    return module.csr_matvec, module.dia_matvec, module.dia_matvecs
+    return module.csr_matvec, module.dia_matvec
 
 
-csr_matvec, dia_matvec, dia_matvecs = _load_sparsetools()
+csr_matvec, dia_matvec = _load_sparsetools()
 
 
 @dataclass(frozen=True)
@@ -487,22 +486,15 @@ def _csr_accumulate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
 
 def dia_product(A: Stencil, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """A @ x written into ``out`` and returned, for a square stencil A (as
-    :func:`assemble` stores K and M), a float vector x, or a C-contiguous
-    (n, k) block x whose columns are k vectors, and a contiguous ``out`` of x's shape
-    that shares no memory with x; bitwise scipy's ``dia_matrix @ x``, with
-    none of its dispatch.  A block of several columns goes to
-    ``dia_matvecs``, whose every column is bitwise ``dia_matvec``'s product
-    of it; a block of one column goes to ``dia_matvec``, which on a 64 x 64
-    square costs a quarter of ``dia_matvecs`` on one vector.  Both kernels
-    add to their output, so ``out`` is zeroed first.  The stepper passes
-    the history ring's row that will hold K u, so the product is stored
-    where the push keeps it."""
+    :func:`assemble` stores K and M), a float vector x and a contiguous
+    float vector ``out`` that shares no memory with x; bitwise scipy's
+    ``dia_matrix @ x``, with none of its dispatch.  ``dia_matvec`` adds to
+    its output, so ``out`` is zeroed first.  The stepper passes the history
+    ring's row that will hold K u, so the product is stored where the push
+    keeps it."""
     n = A.shape[0]
     out.fill(0.0)
-    if x.ndim == 2 and x.shape[1] > 1:
-        dia_matvecs(n, n, len(A.offsets), n, A.offsets, A.data, x.shape[1], x, out)
-    else:
-        dia_matvec(n, n, len(A.offsets), n, A.offsets, A.data, x, out)
+    dia_matvec(n, n, len(A.offsets), n, A.offsets, A.data, x, out)
     return out
 
 

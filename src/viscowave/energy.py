@@ -30,12 +30,12 @@ of a float table, and copies the state's array into the next row of a
 per-run block of snapshots.  Once the block is full, and on the last,
 partial block, the block pass (:meth:`_RecordForm._pass`) fills the rest of
 each of its rows from the snapshots, for every record of the block at once:
-the time, |u|_k^k = u.S(u), y, and four quadratics.  These come from one product
-B Z with the block's runs z = (u, v, y, y_t) as the columns of Z,
+the time, |u|_k^k = u.S(u), y, and four quadratics.  These come from the
+product B z of each record's run z = (u, v, y, y_t) with
 B = diag(M, M, q W1, p W1) (M the consistent mass, W1 the acoustic
-weights), summed over the four parts of each column: |u|_2^2, 2 kinetic,
-q int y^2 and p int y_t^2; a block of one record takes the single-vector
-product, and every sum is bitwise the one a record of its own would make.
+weights), then one multiply z * (B z) and one sum over the four parts of
+each record's run: |u|_2^2, 2 kinetic, q int y^2 and p int y_t^2; every
+sum is bitwise the one a record of its own would make.
 The pass then checks that each row is finite.  The run's
 :class:`~viscowave.stepper.AcousticClosure` builds one :class:`_RecordForm`:
 the table, the snapshot block, B stored by its diagonals (M's as
@@ -100,10 +100,16 @@ _QUADRATICS = slice(5, 9)
 _N_RAW = 9
 
 # A snapshot block holds as many whole state arrays as fit in _BLOCK_BYTES,
-# one at least and _BLOCK_RECORDS at most: 64 records on a 64-cell interval
-# (2144 bytes a state), one on a 64 x 64 square (139 kB a state).
+# one at least and _BLOCK_RECORDS at most: 32 records on a 64-cell interval
+# (2144 bytes a state), 7 on a 32 x 32 square, 3 on 48 x 48 and one on
+# 64 x 64 (139 kB a state).  Against records taken one at a time, a record
+# then costs 3.5 to 4.5 us less on 64 cells, 1.9 us less on 32 x 32, 1 us
+# less on 48 x 48 and the same on 64 x 64; a block much over 1 MB falls out
+# of the cache and costs more.  64 records on 64 cells save at most 0.2 us
+# more a record, for 0.1 MB more of peak memory (ROADMAP, "Where the time
+# goes").
 _BLOCK_BYTES = 1 << 18
-_BLOCK_RECORDS = 64
+_BLOCK_RECORDS = 32
 
 
 class _RecordForm:
@@ -116,12 +122,11 @@ class _RecordForm:
     vectorized call (the float calls give the same values).  ``operator``
     is diag(M, M, q W1, p W1) on the run (u, v, y, y_t) of a state's array,
     held as the diagonals ``ops.mass`` stores (seven in 2D; see
-    :mod:`viscowave.assembly`).  ``products`` receives B z and then
-    z * (B z) for the run z of a block of one record, above one trailing
-    zero, so that the parts' sums at ``starts`` read 0 for an empty
-    acoustic boundary (``np.add.reduceat`` reads a[i] for an empty part i);
-    the pass of a block of several records allocates its own, one column a
-    record.
+    :mod:`viscowave.assembly`).  Row i of ``products`` receives B z and
+    then z * (B z) for the run z of the block's record i, before one
+    trailing zero, so that the parts' sums at ``starts`` read 0 for an
+    empty acoustic boundary (``np.add.reduceat`` reads a[i] for an empty
+    part i).
 
     ``rows`` holds one row per record of the grid:
 
@@ -135,8 +140,9 @@ class _RecordForm:
     the rest of the rows taken since the last pass.  ``count`` is the number
     of records taken, ``passed`` the number the pass completed and
     ``finite`` the number, among those, before the first row with a value
-    that is not finite; ``zero`` holds the zeros of that check.  The newest
-    record's snapshot is the state a run keeps as its final one.
+    that is not finite; ``zero`` holds the zeros of that check.  A run
+    keeps the snapshot of its last record kept as its final state, while
+    the block still holds it.
     """
 
     def __init__(self, kernel: RelaxationKernel, closure):
@@ -157,7 +163,6 @@ class _RecordForm:
         acoustic = np.outer(M.offsets == 0, np.concatenate([params.q_c * w1, params.p_c * w1]))
         self.operator = Stencil(M.offsets, np.hstack([M.data, M.data, acoustic]),
                                 (2 * n + 2 * m, 2 * n + 2 * m))
-        self.products = np.zeros((2 * n + 2 * m + 1, 1))
         self.starts = np.array([0, n, 2 * n, 2 * n + m])
         self.rows = np.empty((len(self.times), _N_RAW + m))
         self.checked, self.u, self.source, self.y = (closure.checked, closure.u, closure.source,
@@ -165,6 +170,7 @@ class _RecordForm:
         per_block = max(1, min(_BLOCK_RECORDS, _BLOCK_BYTES // (8 * closure.size),
                                len(self.times)))
         self.snapshots = np.empty((per_block, closure.size))
+        self.products = np.zeros((per_block, 2 * n + 2 * m + 1))
         self.zero = np.zeros(per_block * (_N_RAW + m))
         self.count = self.passed = self.finite = 0
 
@@ -173,12 +179,13 @@ class _RecordForm:
         snapshots, all at once, and advance ``passed`` and, while every row
         is finite, ``finite``.
 
-        Every value is bitwise the one a record of its own would make: the
-        block's record product is one ``dia_product``, whose every column is
-        the single-vector product; one ``np.add.reduceat`` sums each part
-        of each column pairwise, whatever the stride; and one ``np.matmul``
-        of the rows' u and S(u) runs, as a stack of vector pairs, computes
-        each u.S(u) by the same BLAS dot that ``ndarray.dot`` calls.
+        Every value is bitwise the one a record of its own would make: each
+        record's product is its own ``dia_product`` of its snapshot's run,
+        into its row of ``products``; one ``np.add.reduceat`` along the rows
+        sums each part of each row pairwise, as it sums one record's; and
+        one ``np.matmul`` of the rows' u and S(u) runs, as a stack of vector
+        pairs, computes each u.S(u) by the same BLAS dot that
+        ``ndarray.dot`` calls.
         """
         a, b = self.passed, self.count
         if a == b:
@@ -187,15 +194,12 @@ class _RecordForm:
         block = self.snapshots[j:j + k]
         rows = self.rows[a:b]
         rows[:, _T] = self.times[a:b]
-        if k == 1:  # the single-vector product, into the run's own buffer
-            z, products = block[0, self.checked][:, None], self.products
-        else:  # the runs as columns, C-contiguous as dia_product takes a block
-            z = block[:, self.checked].T.copy()
-            products = np.empty((len(z) + 1, k))
-            products[-1] = 0.0
-        image = products[:-1]
-        np.multiply(z, dia_product(self.operator, z, image), out=image)
-        np.add.reduceat(products, self.starts, out=rows[:, _QUADRATICS].T)
+        z, products = block[:, self.checked], self.products[:k]
+        image = products[:, :-1]
+        for i in range(k):
+            dia_product(self.operator, z[i], image[i])
+        np.multiply(z, image, out=image)
+        np.add.reduceat(products, self.starts, axis=1, out=rows[:, _QUADRATICS])
         if self.params.source_enabled:  # each row's u.S(u), the ddot of ndarray.dot
             np.matmul(block[:, None, self.u], block[:, self.source, None],
                       out=rows[:, _LK, None, None])
@@ -211,10 +215,17 @@ class _RecordForm:
                 self.finite = a + int(np.isfinite(rows).all(axis=1).argmin())
         self.passed = b
 
+    def _taken(self, n: int) -> None:
+        """Complete the rows of the records taken so far, of which the first
+        ``n`` are asked for."""
+        if n > self.count:
+            raise ValueError(f"{n} records asked for, {self.count} taken")
+        self._pass()
+
     def columns(self, n: int) -> dict[str, np.ndarray]:
         """The :class:`EnergyReport` fields of the first ``n`` records, one
         array per field in field order, derived from their raw rows in one
-        pass; :meth:`_pass` has completed those rows.
+        pass, after :meth:`_taken` completes them.
 
         The operations and their order are those of a report built from
         one row, so every value is the one that report would hold.  The
@@ -222,6 +233,7 @@ class _RecordForm:
         ``params.kirchhoff_potential``, whose float power is libm's ``pow``
         (numpy's vectorized power may differ from it in the last bit).
         """
+        self._taken(n)
         t, gns, lk, gdia, gpdia, l2_sq, twice_kinetic, acoustic, damping = self.rows[:n, :_N_RAW].T
         params = self.params
         g_at_t = self.g[:n]
@@ -245,7 +257,8 @@ class _RecordForm:
 
     def ys(self, n: int) -> np.ndarray:
         """The acoustic fields of the first ``n`` records, an (n, m) array
-        of its own."""
+        of its own, after :meth:`_taken` completes their rows."""
+        self._taken(n)
         return self.rows[:n, _N_RAW:].copy()
 
 

@@ -74,23 +74,24 @@ A record (every record_every-th step, and t = 0) is one
 :func:`~viscowave.energy.compute_energy` call on the new state.  It writes
 what needs the history at that push, |grad u|^2 and the history's two memory
 functionals, into the record's raw row of a table allocated once per run,
-and copies the state's array, source slot included, into the next row of
-the run's snapshot block.  The record that fills the block runs the block
-pass, which derives the rest of every row of the block from its snapshots
-at once: the time, u.S(u) off the source slot, y and, from one sparse
-product over the block's runs of u, v, y and y_t (``closure.checked``), the
-four quadratics.  It then checks each row, as the step's check does a
-state; a row with a value that is not finite aborts the run at its
-record's time.  The block holds as many snapshots as a byte budget allows,
-64 at most: 64 on a 64-cell interval, one on a 64 x 64 square.  The
-closure's ``form`` holds the per-run constants of a record, built once: the
-table, the snapshot block, the tables of g(t) and int_0^t g on the record
-grid and the block-diagonal record operator.  After the last step, or an
-abort, the block pass runs on the last, partial block; then one vectorized
-pass derives the report fields of every record from the table
-(:meth:`~viscowave.energy._RecordForm.columns`), the newest snapshot is
-copied out as the trajectory's final state, and :func:`run` lets the
-closure's buffer, form and pair go.
+and copies the state's array, source slot included, into the next row of the
+run's snapshot block.  The record that fills the block runs the block pass,
+which derives the rest of every row of the block from its snapshots at once:
+the time, u.S(u) off the source slot, y and the four quadratics, from each
+snapshot's sparse product over its run of u, v, y and y_t
+(``closure.checked``), multiplied and summed once for the block.  It then
+checks each row, as the step's check does a state; a row with a value that
+is not finite aborts the run at its record's time.  The block holds as many
+snapshots as a byte budget allows, 32 at most: 32 on a 64-cell interval, 7
+on a 32 x 32 square, one on a 64 x 64 square.  The closure's ``form`` holds
+the per-run constants of a record, built once: the table, the snapshot
+block, the tables of g(t) and int_0^t g on the record grid and the
+block-diagonal record operator.  After the last step, or an abort, the block
+pass runs on the last, partial block; then one vectorized pass derives the
+report fields of every record from the table
+(:meth:`~viscowave.energy._RecordForm.columns`), the snapshot of the last
+record kept is the trajectory's final state (a copy, unless the block holds
+one row), and :func:`run` lets the closure's buffer, form and pair go.
 
 Floating-point errors: :func:`run` enters one
 ``np.errstate(over="ignore", invalid="ignore")`` around ``init_state``,
@@ -109,9 +110,11 @@ a later abort of the run inside that block, which it replaces as the
 earlier one.  A report field can overflow from finite raw values only when
 they exceed about 1e150; the pass after the last step finds such a field
 and raises the same abort at that record's time, with the records before
-it, in place of any later abort of the run.  An energy abort leaves the
-trajectory no final state, as the snapshot of the last record kept may be
-gone by then.
+it, in place of any later abort of the run.  After an energy abort the
+trajectory's final state is the last record kept while the snapshot block
+still holds it, and None once a later record of the block wrote over it:
+when the first record of a block aborts, and so at every energy abort of a
+run whose block holds one record.
 """
 
 from __future__ import annotations
@@ -378,12 +381,13 @@ class Trajectory:
     ``energy`` maps each :class:`EnergyReport` field to one float array
     over the records; ``ys`` is the (records, m) array of the acoustic
     field y; ``times`` and ``reports`` are lists built from ``energy`` on
-    first access.  ``final`` is a copy of the newest snapshot, as later
-    steps write the arrays of the run's pair again; it is None before the
-    first record, and after an energy abort (see the module docstring), as
-    the snapshot of the last record kept may be gone by then.  It is a
-    snapshot, which can be neither stepped nor recorded.  ``memory`` is the history buffer's
-    ``diagnostics()``."""
+    first access.  ``final`` is the last record's snapshot (a copy of it,
+    unless the block holds that one row alone), as later steps write the
+    arrays of the run's pair again; it is None before
+    the first record, and after an energy abort whose block no longer holds
+    the last record kept (see the module docstring).  It is a snapshot,
+    which can be neither stepped nor recorded.  ``memory`` is the history
+    buffer's ``diagnostics()``."""
 
     memory: dict
     energy: dict[str, np.ndarray]
@@ -542,15 +546,14 @@ def _energy_abort(form) -> SimulationAbort:
                            float(form.times[form.finite]))
 
 
-def _record(state: SimState) -> SimState:
-    """Take the record of ``state`` and return ``state``; when the record
-    fills its block and the block pass finds a raw row with a value that is
-    not finite, abort at that row's record instead."""
+def _record(state: SimState) -> None:
+    """Take the record of ``state``; when the record fills its block and
+    the block pass finds a raw row with a value that is not finite, abort at
+    that row's record."""
     form = state.closure.form
     compute_energy(state)
     if form.finite < form.passed:
         raise _energy_abort(form)
-    return state
 
 
 def run(
@@ -574,33 +577,37 @@ def run(
     """
     closure = AcousticClosure(ops, kernel, params, cfg)
     form = closure.form
-    last = abort = None
+    abort = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             state = init_state(u0, u1, y0, closure)
-            last = _record(state)
+            _record(state)
             for i in range(1, cfg.n_steps + 1):
                 state = step(state)
                 if i % cfg.record_every == 0:
-                    last = _record(state)
+                    _record(state)
         except SimulationAbort as ab:
             abort = ab
         form._pass()  # the last, partial block
         n = form.finite
         if n < form.count:  # earlier than any abort after it
-            abort, last = _energy_abort(form), None
+            abort = _energy_abort(form)
         energy = form.columns(n)
     finite = np.logical_and.reduce([np.isfinite(c) for c in energy.values()])
-    if not finite.all():  # the snapshot of the last record kept may be gone
+    if not finite.all():
         n = int(finite.argmin())
         abort = SimulationAbort("blow-up or instability: non-finite energy", float(energy["t"][n]))
         energy = {name: c[:n] for name, c in energy.items()}
-        last = None
     ys, memory = form.ys(n), closure.buffer.diagnostics()
     final = None
-    if last is not None:
-        newest = form.snapshots[(form.count - 1) % len(form.snapshots)].copy()
-        final = SimState(newest, last.m_kir, last.grad_sq, closure, last.n)
+    held = len(form.snapshots)
+    if n and form.count - n < held:  # the block still holds the last record kept
+        x = form.snapshots[(n - 1) % held]
+        if held > 1:  # a block of one row is the state's own array, kept whole
+            x = x.copy()
+        grad_sq = float(energy["grad_sq"][-1])
+        final = SimState(x, params.kirchhoff_coefficient(grad_sq), grad_sq, closure,
+                         (n - 1) * cfg.record_every)
     closure.buffer = closure.form = closure.pair = None
     traj = Trajectory(memory=memory, energy=energy, ys=ys, final=final)
     if abort is not None:

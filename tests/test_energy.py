@@ -102,8 +102,9 @@ _FAMILIES = {"constant": (1.0, 0.0), "power_law": (2.0, 0.0), "oscillatory": (1.
 def test_record_form_matches_the_written_out_report(domain, family):
     # every field of a record, read off the per-run tables and the one
     # record product, against the formulas written out with the public
-    # forms and kernel calls; a state off the record grid is refused.  The
-    # block pass runs after each record, so every block holds one record
+    # forms and kernel calls; a state off the record grid is refused.
+    # columns completes the rows taken, so each record is read as soon as
+    # it is taken
     if domain == "interval":
         mesh = interval_mesh(16)
     else:  # acoustic faces meeting at a free corner: unequal weights
@@ -124,7 +125,6 @@ def test_record_form_matches_the_written_out_report(domain, family):
         else:
             compute_energy(state)
             records += 1
-            closure.form._pass()  # completes the row before its block is full
             report = _reports(closure.form.columns(records))[-1]
             _check_report(report, state, closure.buffer, kernel, params, ops, cfg.dt)
         if state.n == cfg.n_steps:
@@ -151,8 +151,7 @@ def test_a_state_behind_its_buffer_is_refused():
     compute_energy(newer)
     form = closure.form
     assert form.count == 2
-    form._pass()
-    assert form.rows[:2, 0].tolist() == [0.0, cfg.dt]
+    assert form.columns(2)["t"].tolist() == [0.0, cfg.dt]
 
 
 def _check_report(rep, state, buf, kernel, params, ops, dt):

@@ -3,6 +3,7 @@ aborts inside a block, one initial state per closure, and the snapshot
 block's memory."""
 
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -68,12 +69,11 @@ def test_the_block_pass_is_bitwise_the_per_record_formula(domain, family, record
         if n % cfg.record_every == 0:
             expected.append(_oracle_row(state, closure.buffer, form))
             compute_energy(state)
-    form._pass()
+    columns = form.columns(records)  # completes the last, partial block
     assert form.count == form.passed == form.finite == records
     assert form.rows.tobytes() == np.array(expected).tobytes()
     oracle = copy.deepcopy(form)
     oracle.rows[:] = expected
-    columns = form.columns(records)
     assert all(c.tobytes() == oracle.columns(records)[name].tobytes()
                for name, c in columns.items())
     traj = run(u0, u1, y0, ops, kernel, params, cfg)
@@ -120,11 +120,21 @@ def test_init_state_refuses_a_finished_run():
         init_state(u0, z, y0, traj.final.closure)
 
 
+def _same_state(final, u0, u1, y0, mesh, cfg, n):
+    """Whether ``final`` is, bit for bit, the state at step ``n`` of the
+    run of ``cfg``, taken as the final state of that run stopped there."""
+    alone = run(u0, u1, y0, assemble(mesh), exp_kernel(), default_params(),
+                dataclasses.replace(cfg, t_end=n * cfg.dt)).final
+    return (final.n, final.m_kir, final.grad_sq, final.x.tobytes()) == (
+        alone.n, alone.m_kir, alone.grad_sq, alone.x.tobytes())
+
+
 def test_a_non_finite_raw_row_wins_over_a_later_cfl_abort(monkeypatch):
     # the run crosses the CFL bound at step 9 (nine records, one block);
     # the memory functional of the record at step 3 is planted inf, found
     # when the abort closes the block: the energy abort at step 3 wins,
-    # with the three records before it and no final state
+    # with the three records before it and the state of step 2, which the
+    # block still holds, as the final one
     mesh = interval_mesh(16)
     cfg = StepperConfig(dt=0.038, t_end=2.0)
     g_diamond = HistoryBuffer.g_diamond
@@ -132,39 +142,64 @@ def test_a_non_finite_raw_row_wins_over_a_later_cfl_abort(monkeypatch):
     def planted(self):
         return math.inf if self.n_entries == 4 else g_diamond(self)
 
-    u1 = sine_profile(mesh, 1.0)
-    z = np.zeros(mesh.n_nodes)
+    u0, u1, y0 = np.zeros(mesh.n_nodes), sine_profile(mesh, 1.0), np.zeros(1)
     with pytest.raises(SimulationAbort, match="CFL violation") as alone:
-        run(z, u1, np.zeros(1), assemble(mesh), exp_kernel(), default_params(), cfg)
+        run(u0, u1, y0, assemble(mesh), exp_kernel(), default_params(), cfg)
     assert alone.value.trajectory.n_records == 9
     monkeypatch.setattr(HistoryBuffer, "g_diamond", planted)
     with pytest.raises(SimulationAbort) as exc:
-        run(z, u1, np.zeros(1), assemble(mesh), exp_kernel(), default_params(), cfg)
+        run(u0, u1, y0, assemble(mesh), exp_kernel(), default_params(), cfg)
     assert exc.value.info.reason == "blow-up or instability: non-finite energy"
     assert exc.value.info.time == 3 * cfg.dt
     traj = exc.value.trajectory
-    assert traj.times == [0.0, cfg.dt, 2 * cfg.dt] and traj.final is None
+    assert traj.times == [0.0, cfg.dt, 2 * cfg.dt]
+    assert _same_state(traj.final, u0, u1, y0, mesh, cfg, 2)
 
 
-def test_a_non_finite_raw_row_aborts_when_its_block_closes(monkeypatch):
-    # blocks of 4: the record at step 5 is planted inf and its block closes
-    # at step 7, which aborts the run there at step 5's time
+@pytest.mark.parametrize("planted_step", [5, 4])
+def test_a_non_finite_raw_row_aborts_when_its_block_closes(planted_step, monkeypatch):
+    # blocks of 4: the record at the planted step is inf and its block
+    # (steps 4 to 7) closes at step 7, which aborts the run there at the
+    # planted step's time.  The final state is the record before it while
+    # the block holds it (step 4), and None when the planted record is the
+    # block's first, as the state of step 3 was written over
     monkeypatch.setattr(energy, "_BLOCK_RECORDS", 4)
     g_diamond = HistoryBuffer.g_diamond
     pushes = []
 
     def planted(self):
         pushes.append(self.n_entries)
-        return math.inf if self.n_entries == 6 else g_diamond(self)
+        return math.inf if self.n_entries == planted_step + 1 else g_diamond(self)
 
     monkeypatch.setattr(HistoryBuffer, "g_diamond", planted)
     mesh = interval_mesh(16)
     cfg = StepperConfig(dt=1e-3, t_end=0.02)
+    u0, u1, y0 = sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.zeros(1)
     with pytest.raises(SimulationAbort, match="non-finite energy") as exc:
-        run(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.zeros(1), assemble(mesh),
-            exp_kernel(), default_params(), cfg)
-    assert exc.value.info.time == 5 * cfg.dt and pushes[-1] == 8
-    assert exc.value.trajectory.n_records == 5
+        run(u0, u1, y0, assemble(mesh), exp_kernel(), default_params(), cfg)
+    assert exc.value.info.time == planted_step * cfg.dt and pushes[-1] == 8
+    traj = exc.value.trajectory
+    assert traj.n_records == planted_step
+    if planted_step == 4:
+        assert traj.final is None
+    else:
+        assert _same_state(traj.final, u0, u1, y0, mesh, cfg, 4)
+
+
+def test_columns_and_ys_refuse_records_not_taken():
+    # a hand-run form derives the rows it has taken, its partial block
+    # included, and refuses a record it has not taken
+    mesh = interval_mesh(16)
+    cfg = StepperConfig(dt=1e-3, t_end=0.01)
+    closure = AcousticClosure(assemble(mesh), exp_kernel(), default_params(), cfg)
+    state = init_state(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.array([0.1]), closure)
+    compute_energy(state)
+    form = closure.form
+    assert form.passed == 0 and form.columns(1)["t"].tolist() == [0.0]
+    assert form.ys(1).tolist() == [[0.1]]
+    for derive in (form.columns, form.ys):
+        with pytest.raises(ValueError, match="2 records asked for, 1 taken"):
+            derive(2)
 
 
 def test_a_64x64_run_holds_one_snapshot(monkeypatch):

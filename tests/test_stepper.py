@@ -885,16 +885,14 @@ def test_run_records_equal_deep_copies_taken_while_stepping_by_hand(forced):
                 == np.asarray(getattr(kept[-1], name)).tobytes())
 
 
-def test_one_stiffness_product_per_step_and_one_record_product_per_block(products,
-                                                                        monkeypatch):
+def test_one_stiffness_product_per_step_and_one_record_product_per_record(products,
+                                                                         monkeypatch):
     # the step's one K u, a product with the stencil ops holds, feeds the
-    # force, the history and the energy report; a block of records adds
-    # one product with the run's record operator, built on M's offsets, and
-    # no mass product, and reads int_0^t g off a table that one
-    # partial_mass call fills for the whole run.  A run builds no stencil:
-    # assemble built K's and M's, and took the lumped mass as one product
-    # with M.  Eleven records make one block, a hundred and one make a full
-    # block of 64 and a partial one of 37.
+    # force, the history and the energy report; a record adds one product
+    # with the run's record operator, built on M's offsets, and no mass
+    # product, and reads int_0^t g off a table that one partial_mass call
+    # fills for the whole run.  A run builds no stencil: assemble built K's
+    # and M's, and took the lumped mass as one product with M.
     masses = []
     partial_mass = RelaxationKernel.partial_mass
 
@@ -926,18 +924,12 @@ def test_one_stiffness_product_per_step_and_one_record_product_per_block(product
     assert stiffness == 1 + 100  # the initial evaluation, then one per step
     assert traj.n_records == 11
     assert sum(A is ops.mass for A in products) == 0
-    assert len(records) == 1
+    assert len(records) == traj.n_records
+    assert all(A is records[0] for A in records)  # one operator per run
     assert records[0].shape == (2 * mesh.n_nodes + 2, 2 * mesh.n_nodes + 2)
     assert records[0].offsets.tolist() == ops.mass.offsets.tolist()
     assert stencils == []
     assert masses == [(traj.n_records,)]
-    del products[:], masses[:]
-    every = run(u0, z, np.zeros(1), ops, exp_kernel(), params,
-                dataclasses.replace(cfg, record_every=1))
-    records = [A for A in products if A is not ops.stiffness]
-    assert every.n_records == 101 and len(records) == 2
-    assert records[0] is records[1]  # one operator per run
-    assert masses == [(every.n_records,)]
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
@@ -1116,8 +1108,9 @@ def test_a_huge_finite_entry_does_not_abort(field, monkeypatch):
 def test_an_overflowing_report_field_aborts_at_its_record(monkeypatch):
     # the raw rows stay finite and the Kirchhoff potential of the third
     # record overflows: the pass after the run raises the energy abort at
-    # that record's time and keeps the two records before it; the state of
-    # the second record is gone by then, so the trajectory has no final one
+    # that record's time and keeps the two records before it; the snapshot
+    # block (all five records) still holds the second one's state, which is
+    # the final one, bit for bit that of the run stopped at step 5
     potential = PhysicalParams.kirchhoff_potential
     calls = []
 
@@ -1138,7 +1131,11 @@ def test_an_overflowing_report_field_aborts_at_its_record(monkeypatch):
     assert traj.times == [0.0, 5 * cfg.dt]
     assert traj.n_records == len(traj.reports) == 2 and traj.ys.shape == (2, 1)
     assert all(len(c) == 2 and np.isfinite(c).all() for c in traj.energy.values())
-    assert traj.final is None
+    monkeypatch.undo()
+    alone = run(sine_profile(mesh, 0.3), np.zeros(mesh.n_nodes), np.zeros(1), assemble(mesh),
+                exp_kernel(), default_params(), dataclasses.replace(cfg, t_end=5 * cfg.dt)).final
+    assert traj.final.n == alone.n == 5 and traj.final.x.tobytes() == alone.x.tobytes()
+    assert (traj.final.m_kir, traj.final.grad_sq) == (alone.m_kir, alone.grad_sq)
 
 
 def test_a_run_keeps_its_records_in_columns():
