@@ -35,8 +35,9 @@ product B z of each record's run z = (u, v, y, y_t) with
 B = diag(M, M, q W1, p W1) (M the consistent mass, W1 the acoustic
 weights), then one multiply z * (B z) and one sum over the four parts of
 each record's run: |u|_2^2, 2 kinetic, q int y^2 and p int y_t^2; every
-sum is bitwise the one a record of its own would make.
-The pass then checks that each row is finite.  The run's
+sum is bitwise the one a record of its own would make.  The pass checks
+nothing: a value that is not finite reaches a report field, where the run
+finds it after its last step.  The run's
 :class:`~viscowave.stepper.AcousticClosure` builds one :class:`_RecordForm`:
 the table, the snapshot block, B stored by its diagonals (M's as
 ``ops.mass`` holds them), and g(t) and int_0^t g at every record time n dt,
@@ -56,7 +57,6 @@ dE/dt without access to the history buffer.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -138,9 +138,7 @@ class _RecordForm:
     of R whole state arrays (R from the byte budget ``_BLOCK_BYTES``, capped
     at ``_BLOCK_RECORDS`` and at the run's records).  :meth:`_pass` fills
     the rest of the rows taken since the last pass.  ``count`` is the number
-    of records taken, ``passed`` the number the pass completed and
-    ``finite`` the number, among those, before the first row with a value
-    that is not finite; ``zero`` holds the zeros of that check.  A run
+    of records taken and ``passed`` the number the pass completed.  A run
     keeps the snapshot of its last record kept as its final state, while
     the block still holds it.
     """
@@ -171,13 +169,11 @@ class _RecordForm:
                                len(self.times)))
         self.snapshots = np.empty((per_block, closure.size))
         self.products = np.zeros((per_block, 2 * n + 2 * m + 1))
-        self.zero = np.zeros(per_block * (_N_RAW + m))
-        self.count = self.passed = self.finite = 0
+        self.count = self.passed = 0
 
     def _pass(self) -> None:
         """Fill the rows of the records taken since the last pass from their
-        snapshots, all at once, and advance ``passed`` and, while every row
-        is finite, ``finite``.
+        snapshots, all at once, and advance ``passed``.
 
         Every value is bitwise the one a record of its own would make: each
         record's product is its own ``dia_product`` of its snapshot's run,
@@ -206,26 +202,13 @@ class _RecordForm:
         else:
             rows[:, _LK] = 0.0
         rows[:, _N_RAW:] = block[:, self.y]
-        if self.finite == a:
-            # 0 x is nan for an infinite or nan x and 0 otherwise, as in the
-            # step's check; the row is looked for only when the block fails
-            if math.isfinite(rows.ravel().dot(self.zero[:rows.size])):
-                self.finite = b
-            else:
-                self.finite = a + int(np.isfinite(rows).all(axis=1).argmin())
         self.passed = b
 
-    def _taken(self, n: int) -> None:
-        """Complete the rows of the records taken so far, of which the first
-        ``n`` are asked for."""
-        if n > self.count:
-            raise ValueError(f"{n} records asked for, {self.count} taken")
-        self._pass()
-
-    def columns(self, n: int) -> dict[str, np.ndarray]:
-        """The :class:`EnergyReport` fields of the first ``n`` records, one
-        array per field in field order, derived from their raw rows in one
-        pass, after :meth:`_taken` completes them.
+    def columns(self) -> dict[str, np.ndarray]:
+        """The :class:`EnergyReport` fields of every record taken, one array
+        per field in field order, derived from their raw rows in one pass,
+        after :meth:`_pass` completes the last, partial block.  A value of a
+        raw row that is not finite makes a field of its record not finite.
 
         The operations and their order are those of a report built from
         one row, so every value is the one that report would hold.  The
@@ -233,7 +216,8 @@ class _RecordForm:
         ``params.kirchhoff_potential``, whose float power is libm's ``pow``
         (numpy's vectorized power may differ from it in the last bit).
         """
-        self._taken(n)
+        self._pass()
+        n = self.count
         t, gns, lk, gdia, gpdia, l2_sq, twice_kinetic, acoustic, damping = self.rows[:n, :_N_RAW].T
         params = self.params
         g_at_t = self.g[:n]
@@ -255,11 +239,11 @@ class _RecordForm:
                   gns, l2_sq, g_at_t, gpdia, damping, rhs)
         return dict(zip(EnergyReport._fields, np.array(fields)))
 
-    def ys(self, n: int) -> np.ndarray:
-        """The acoustic fields of the first ``n`` records, an (n, m) array
-        of its own, after :meth:`_taken` completes their rows."""
-        self._taken(n)
-        return self.rows[:n, _N_RAW:].copy()
+    def ys(self) -> np.ndarray:
+        """The acoustic fields of every record taken, a (records, m) array
+        of its own, after :meth:`_pass` completes the last, partial block."""
+        self._pass()
+        return self.rows[:self.count, _N_RAW:].copy()
 
 
 def _not_current(state) -> ValueError:

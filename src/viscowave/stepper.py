@@ -79,42 +79,41 @@ run's snapshot block.  The record that fills the block runs the block pass,
 which derives the rest of every row of the block from its snapshots at once:
 the time, u.S(u) off the source slot, y and the four quadratics, from each
 snapshot's sparse product over its run of u, v, y and y_t
-(``closure.checked``), multiplied and summed once for the block.  It then
-checks each row, as the step's check does a state; a row with a value that
-is not finite aborts the run at its record's time.  The block holds as many
-snapshots as a byte budget allows, 32 at most: 32 on a 64-cell interval, 7
-on a 32 x 32 square, one on a 64 x 64 square.  The closure's ``form`` holds
-the per-run constants of a record, built once: the table, the snapshot
-block, the tables of g(t) and int_0^t g on the record grid and the
-block-diagonal record operator.  After the last step, or an abort, the block
-pass runs on the last, partial block; then one vectorized pass derives the
-report fields of every record from the table
-(:meth:`~viscowave.energy._RecordForm.columns`), the snapshot of the last
-record kept is the trajectory's final state (a copy, unless the block holds
-one row), and :func:`run` lets the closure's buffer, form and pair go.
+(``closure.checked``), multiplied and summed once for the block; it checks
+nothing.  The block holds as many snapshots as a byte budget allows, 32 at
+most: 32 on a 64-cell interval, 7 on a 32 x 32 square, one on a 64 x 64
+square.  The closure's ``form`` holds the per-run constants of a record,
+built once: the table, the snapshot block, the tables of g(t) and
+int_0^t g on the record grid and the block-diagonal record operator.
+After the last step, or an abort, the block pass runs on the last, partial
+block, and one vectorized pass derives the report fields of every record
+from the table (:meth:`~viscowave.energy._RecordForm.columns`); then the
+snapshot of the last record kept is the trajectory's final state (a copy,
+unless the block holds one row), and :func:`run` lets the closure's buffer,
+form and pair go.
 
 Floating-point errors: :func:`run` enters one
 ``np.errstate(over="ignore", invalid="ignore")`` around ``init_state``,
 every step, every record and the derivation of the report fields, and
-restores the caller's state on the way out.  On the way to a blow-up an overflow gives inf or nan, which the
-finiteness check turns into an abort, not a warning.  :func:`init_state`
-enters its own as well (it runs once); :func:`step` does not, so a caller
-that steps by hand enters it around its calls.
+restores the caller's state on the way out.  On the way to a blow-up an
+overflow gives inf or nan, which the step's check or the energy check
+turns into an abort, not a warning.  :func:`init_state` enters its own as
+well (it runs once); :func:`step` does not, so a caller that steps by hand
+enters it around its calls.
 
 Aborts (CFL violation, non-finite fields or energy) raise
 :class:`SimulationAbort` carrying the partial trajectory and the abort time;
-blow-up of out-of-well data is an expected abort, not a bug.  A raw row
-that is not finite aborts at its record's time, with the records before it,
-once the block pass that checks it runs: when its block is full, or after
-a later abort of the run inside that block, which it replaces as the
-earlier one.  A report field can overflow from finite raw values only when
-they exceed about 1e150; the pass after the last step finds such a field
-and raises the same abort at that record's time, with the records before
-it, in place of any later abort of the run.  After an energy abort the
-trajectory's final state is the last record kept while the snapshot block
-still holds it, and None once a later record of the block wrote over it:
-when the first record of a block aborts, and so at every energy abort of a
-run whose block holds one record.
+blow-up of out-of-well data is an expected abort, not a bug.  The energy
+is checked once, after the last step or an abort: every value of a
+record's raw row reaches a report field, so the pass over the report
+fields finds the first record with a value that is not finite, raw or
+overflowing from finite raw values (above about 1e150), and raises the
+energy abort at its time, with the records before it, in place of any
+later abort of the run.  A run whose energy overflows while its state
+stays finite steps on to its next step abort or to t_end first.  After an
+energy abort the trajectory's final state is the last record kept while
+the snapshot block still holds it, and None once a later record wrote
+over it, as every record does on a run whose block holds one record.
 """
 
 from __future__ import annotations
@@ -313,10 +312,10 @@ class SimState:
     :func:`step` writes the new state into the other array of the run's
     pair, never into the one of the state it was given: a returned state
     stays valid until the second step after it.  A state kept for longer is
-    copied (``copy.deepcopy``, or a copy of ``x`` as :class:`Trajectory`
-    takes); stepping a state whose array lies outside the pair writes the
-    pair's first array.  Only the newest state of a live run steps or
-    records: an older one, or a finished run's snapshot, raises ValueError.
+    copied (``copy.deepcopy``, or ``x.copy()``); stepping a state whose
+    array lies outside the pair writes the pair's first array.  Only the
+    newest state of a live run steps or records: an older one, or a
+    finished run's snapshot, raises ValueError.
     """
 
     x: np.ndarray
@@ -381,13 +380,13 @@ class Trajectory:
     ``energy`` maps each :class:`EnergyReport` field to one float array
     over the records; ``ys`` is the (records, m) array of the acoustic
     field y; ``times`` and ``reports`` are lists built from ``energy`` on
-    first access.  ``final`` is the last record's snapshot (a copy of it,
-    unless the block holds that one row alone), as later steps write the
-    arrays of the run's pair again; it is None before
-    the first record, and after an energy abort whose block no longer holds
-    the last record kept (see the module docstring).  It is a snapshot,
-    which can be neither stepped nor recorded.  ``memory`` is the history
-    buffer's ``diagnostics()``."""
+    first access.  ``final`` is the last record's snapshot, read from the
+    snapshot block, as later steps write the arrays of the run's pair
+    again: a copy of its row, or the row itself when the block holds one
+    row.  It is None before the first record, and after an energy abort
+    whose block no longer holds the last record kept (see the module
+    docstring).  It is a snapshot, which can be neither stepped nor
+    recorded.  ``memory`` is the history buffer's ``diagnostics()``."""
 
     memory: dict
     energy: dict[str, np.ndarray]
@@ -539,23 +538,6 @@ def step(state: SimState) -> SimState:
     return SimState(x, m_kir1, grad_sq1, closure, n1)
 
 
-def _energy_abort(form) -> SimulationAbort:
-    """The abort at the first record of ``form`` whose raw row is not
-    finite."""
-    return SimulationAbort("blow-up or instability: non-finite energy",
-                           float(form.times[form.finite]))
-
-
-def _record(state: SimState) -> None:
-    """Take the record of ``state``; when the record fills its block and
-    the block pass finds a raw row with a value that is not finite, abort at
-    that row's record."""
-    form = state.closure.form
-    compute_energy(state)
-    if form.finite < form.passed:
-        raise _energy_abort(form)
-
-
 def run(
     u0: np.ndarray,
     u1: np.ndarray,
@@ -581,24 +563,22 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             state = init_state(u0, u1, y0, closure)
-            _record(state)
+            compute_energy(state)
             for i in range(1, cfg.n_steps + 1):
                 state = step(state)
                 if i % cfg.record_every == 0:
-                    _record(state)
+                    compute_energy(state)
         except SimulationAbort as ab:
             abort = ab
-        form._pass()  # the last, partial block
-        n = form.finite
-        if n < form.count:  # earlier than any abort after it
-            abort = _energy_abort(form)
-        energy = form.columns(n)
+        energy, ys = form.columns(), form.ys()
+    n = form.count
     finite = np.logical_and.reduce([np.isfinite(c) for c in energy.values()])
-    if not finite.all():
+    if not finite.all():  # no later than the run's own abort
         n = int(finite.argmin())
         abort = SimulationAbort("blow-up or instability: non-finite energy", float(energy["t"][n]))
         energy = {name: c[:n] for name, c in energy.items()}
-    ys, memory = form.ys(n), closure.buffer.diagnostics()
+        ys = ys[:n].copy()
+    memory = closure.buffer.diagnostics()
     final = None
     held = len(form.snapshots)
     if n and form.count - n < held:  # the block still holds the last record kept

@@ -38,7 +38,7 @@ def _report_at_zero(mesh, ops, params, kernel, u0, u1, y0):
     off the record table."""
     closure = AcousticClosure(ops, kernel, params, StepperConfig(dt=1e-4, t_end=0.0))
     compute_energy(init_state(u0, u1, y0, closure))
-    return _reports(closure.form.columns(1))[0]
+    return _reports(closure.form.columns())[0]
 
 
 def test_zero_state_zero_energy(mesh64, ops64):
@@ -125,7 +125,7 @@ def test_record_form_matches_the_written_out_report(domain, family):
         else:
             compute_energy(state)
             records += 1
-            report = _reports(closure.form.columns(records))[-1]
+            report = _reports(closure.form.columns())[-1]
             _check_report(report, state, closure.buffer, kernel, params, ops, cfg.dt)
         if state.n == cfg.n_steps:
             break
@@ -151,7 +151,7 @@ def test_a_state_behind_its_buffer_is_refused():
     compute_energy(newer)
     form = closure.form
     assert form.count == 2
-    assert form.columns(2)["t"].tolist() == [0.0, cfg.dt]
+    assert form.columns()["t"].tolist() == [0.0, cfg.dt]
 
 
 def _check_report(rep, state, buf, kernel, params, ops, dt):

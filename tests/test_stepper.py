@@ -65,7 +65,7 @@ def _recorded_states(u0, u1, y0, ops, kernel, params, cfg):
         if i % cfg.record_every == 0:
             compute_energy(state)
             states.append(copy.deepcopy(state))
-    reports = _reports(closure.form.columns(len(states)))
+    reports = _reports(closure.form.columns())
     traj = run(u0, u1, y0, ops, kernel, params, cfg)
     assert traj.reports == reports
     assert all(np.array_equal(y, s.y) for y, s in zip(traj.ys, states, strict=True))
@@ -136,7 +136,7 @@ def test_zero_kernel_run_has_no_memory():
         assert buf.n_entries == state.n + 1
         assert not buf.convolution_force(0.0, np.empty(mesh.n_nodes)).any()
         compute_energy(state)
-        rep = _reports(closure.form.columns(state.n + 1))[-1]
+        rep = _reports(closure.form.columns())[-1]
         assert rep.memory == rep.g_prime_diamond == rep.g_at_t == 0.0
         assert rep.elastic == 0.5 * params.a * rep.grad_sq
         assert rep.grad_sq > 0.0
@@ -718,9 +718,9 @@ def test_two_runs_stepped_in_turn_record_what_each_records_alone():
     for (u0, params, kernel, run_cfg), state, closure in zip(cases, states, closures):
         alone = run(u0, z, y0, ops, kernel, params, run_cfg)
         assert alone.n_records == 11 and state.n == run_cfg.n_steps
-        energy = closure.form.columns(alone.n_records)
+        energy = closure.form.columns()
         assert all(energy[name].tobytes() == c.tobytes() for name, c in alone.energy.items())
-        assert closure.form.ys(alone.n_records).tobytes() == alone.ys.tobytes()
+        assert closure.form.ys().tobytes() == alone.ys.tobytes()
         assert state.x.tobytes() == alone.final.x.tobytes()
 
 
